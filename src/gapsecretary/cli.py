@@ -144,8 +144,20 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--df", type=int, default=10, help="chi-squared degrees of freedom")
     p.add_argument("--superstar-factor", type=float, default=100.0)
     p.add_argument("--seed", type=int, default=None, help=f"master seed (default ${SEED_ENV_VAR} or 0)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads; never changes output")
+    p.add_argument(
+        "--threads",
+        type=_thread_count,
+        default=1,
+        help="ignored: the engine runs in one thread; kept so recorded manifests replay",
+    )
     p.add_argument("--out", default=None, help="CSV output path (stdout when omitted)")
+
+
+def _thread_count(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError("threads must be >= 1")
+    return value
 
 
 def _parse_k(raw) -> int | None:
@@ -245,15 +257,11 @@ def cmd_simulate(args) -> int:
             raise UsageError(
                 f"profiles file provides {len(profiles)} instances, fewer than --iters"
             )
-        est = batch_ratio_for_profiles(
-            profiles[: args.iters], algo, gap, args.seed, threads=args.threads
-        )
+        est = batch_ratio_for_profiles(profiles[: args.iters], algo, gap, args.seed)
         family_name = meta.get("family", "file")
     else:
         family = _family(args)
-        config = ExperimentConfig(
-            family, args.n, args.iters, algo, gap, master_seed=args.seed, threads=args.threads
-        )
+        config = ExperimentConfig(family, args.n, args.iters, algo, gap, master_seed=args.seed)
         if algo.tag == "l-select":
             est = estimate_l_selection(config)
         else:
@@ -285,9 +293,7 @@ def cmd_sweep(args) -> int:
             raise UsageError("empty k range")
         algo = _algorithm(args, args.tau)
         gap = _gap(args, ks[0])
-        config = ExperimentConfig(
-            family, args.n, args.iters, algo, gap, master_seed=args.seed, threads=args.threads
-        )
+        config = ExperimentConfig(family, args.n, args.iters, algo, gap, master_seed=args.seed)
         policy = "from-k" if args.tau_from_k else args.tau_policy
         cells = sweep_k(config, ks, tau_policy=policy)
     else:
@@ -299,9 +305,7 @@ def cmd_sweep(args) -> int:
             raise UsageError("sigma sweeps need --k as a comma-separated list of indices")
         algo = _algorithm(args, args.tau)
         gap = _gap(args, ks[0])
-        config = ExperimentConfig(
-            family, args.n, args.iters, algo, gap, master_seed=args.seed, threads=args.threads
-        )
+        config = ExperimentConfig(family, args.n, args.iters, algo, gap, master_seed=args.seed)
         cells = sweep_sigma(config, sigmas, ks)
 
     rows = []

@@ -57,7 +57,6 @@ class InstanceFamily:
     tag: str
     df: int = 10  # chi-squared degrees of freedom
     factor: float = 100.0  # superstar multiplier
-    pareto_reading: str = "scale_shape"  # parameter order; see gen_pareto_power
 
     def __post_init__(self):
         if self.tag not in FAMILY_TAGS:
@@ -66,12 +65,10 @@ class InstanceFamily:
             raise ValueError("chi-squared df must be an integer >= 1")
         if not self.factor > 0:
             raise ValueError("superstar factor must be positive")
-        if self.pareto_reading not in ("scale_shape", "shape_scale"):
-            raise ValueError("pareto_reading must be 'scale_shape' or 'shape_scale'")
 
     def generate(self, n: int, rng: np.random.Generator) -> WeightProfile:
         if self.tag == "pareto_power":
-            return gen_pareto_power(n, rng, reading=self.pareto_reading)
+            return gen_pareto_power(n, rng)
         if self.tag == "exponential":
             return gen_exponential(n, rng)
         if self.tag == "chi_squared":

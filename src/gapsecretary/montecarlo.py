@@ -2,16 +2,23 @@
 exhaustive small-instance expectation oracle.
 
 Reproducibility contract: the draws for iteration i are a pure function of
-(master_seed, i), so results are bit-identical across runs and thread counts;
-reductions happen in iteration order.
+(master_seed, i), so results are bit-identical across runs. The engine runs in
+one thread (numpy does the bulk work), and reductions happen in iteration
+order.
+
+Every single-selection rule is one threshold policy ``(tau, gap, gamma,
+strict)``: after ``tau``, accept the first arrival at or above max(best-so-far,
+gap), or above it when strict, and after time 1 - ``gamma`` at or above
+best-so-far alone. ``_policy`` maps each tag to that record and
+``_run_threshold_batch`` runs it over a batch of draws.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +76,8 @@ class AlgorithmSpec:
     def __post_init__(self):
         if self.tag not in ALGORITHM_TAGS:
             raise ConfigError(f"unknown algorithm tag {self.tag!r}")
+        if not all(math.isfinite(v) for v in (self.tau, self.gamma, self.epsilon)):
+            raise ConfigError("tau, gamma and epsilon must be finite")
         if not 0.0 <= self.tau < 1.0:
             raise ConfigError("tau must lie in [0, 1)")
         if self.tag == "robust" and not 0.0 <= self.gamma < 1.0 - self.tau:
@@ -99,11 +108,11 @@ class GapSpec:
     def __post_init__(self):
         if self.k is not None and self.k < 2:
             raise ConfigError("gap index k must be >= 2")
-        if self.sigma < 0.0:
-            raise ConfigError("sigma must be non-negative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ConfigError("sigma must be finite and non-negative")
         if self.absolute is not None:
-            if self.absolute < 0.0:
-                raise ConfigError("absolute gap must be non-negative")
+            if not (math.isfinite(self.absolute) and self.absolute >= 0.0):
+                raise ConfigError("absolute gap must be finite and non-negative")
             if self.sigma != 1.0:
                 raise ConfigError("sigma applies to index-derived gaps only")
 
@@ -125,15 +134,12 @@ class ExperimentConfig:
     algorithm: AlgorithmSpec
     gap: GapSpec = GapSpec()
     master_seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError("n must be >= 1")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.gap.k is not None and self.gap.k > self.n:
             raise ConfigError(f"gap index k={self.gap.k} exceeds n={self.n}")
         # l-select is exempt: its auto-computed gap is index-free (L-th minus
@@ -177,7 +183,41 @@ class SweepCell:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized single-selection kernel
+# Threshold policies and the vectorized single-selection kernel
+
+# rows per kernel pass are capped so that no temporary exceeds this many elements
+_CHUNK_ELEMENTS = 5_000_000
+
+
+class _Policy(NamedTuple):
+    """A threshold rule; its fields are ``_run_threshold_batch``'s arguments
+    after the batch, in order."""
+
+    tau: float
+    gap: object  # scalar or (B,) array, in normalized units
+    gamma: float
+    strict: bool
+
+
+def _policy(algorithm: AlgorithmSpec, gaps, max_log) -> _Policy:
+    """The threshold policy of a single-selection rule.
+
+    ``gaps`` is the predicted gap in normalized units; ``max_log`` is the raw
+    profiles' log maximum, which maps the raw-unit epsilon of ``bounded``.
+    """
+    tag, tau = algorithm.tag, algorithm.tau
+    if tag == "classical":
+        return _Policy(tau, 0.0, 0.0, False)
+    if tag == "strict-classical":
+        return _Policy(tau, 0.0, 0.0, True)
+    if tag == "exact-gap":
+        return _Policy(tau, gaps, 0.0, False)
+    if tag == "bounded":
+        eps = _rescale_raw(algorithm.epsilon, max_log)
+        return _Policy(tau, np.maximum(gaps - eps, 0.0), 0.0, False)
+    if tag == "robust":
+        return _Policy(tau, gaps, algorithm.gamma, False)
+    raise ConfigError("l-select runs through estimate_l_selection")
 
 
 def _run_threshold_batch(
@@ -187,14 +227,15 @@ def _run_threshold_batch(
     gap=0.0,
     gamma: float = 0.0,
     strict: bool = False,
-    chunk_elements: int = 5_000_000,
 ) -> dict:
     """Run one threshold policy over a batch of draws.
 
     ``weights`` and ``times`` are (B, n); ``gap`` is a scalar or (B,) array in
     the same units as ``weights``. Mirrors the per-draw runners in
     ``algorithms``: threshold max(best-so-far, gap) after ``tau``, dropping to
-    best-so-far after time 1 - ``gamma``; ``strict`` switches >= to >.
+    best-so-far after time 1 - ``gamma``; ``strict`` switches >= to >. The
+    accepted element is the candidate with the earliest arrival; ``argmin``
+    returns the first minimum, so tied times go to the lower index.
     """
     if strict and gamma > 0.0:
         raise ValueError("strict comparison has no late phase")
@@ -204,32 +245,28 @@ def _run_threshold_batch(
     accept_weight = np.zeros(B)
     accept_time = np.full(B, np.nan)
 
-    rows_per = max(1, chunk_elements // max(n, 1))
+    rows_per = max(1, _CHUNK_ELEMENTS // max(n, 1))
     for lo in range(0, B, rows_per):
         sl = slice(lo, min(lo + rows_per, B))
         W = weights[sl]
         T = times[sl]
-        order = np.argsort(T, axis=1, kind="stable")  # ties: lower index first
-        w = np.take_along_axis(W, order, axis=1)
-        t = np.take_along_axis(T, order, axis=1)
-        pre = t <= tau
-        bsf = np.max(np.where(pre, w, 0.0), axis=1)
+        pre = T <= tau
+        bsf = np.max(np.where(pre, W, 0.0), axis=1)
         if strict:
-            meets = w > bsf[:, None]
+            meets = W > bsf[:, None]
         else:
-            meets = w >= np.maximum(bsf, gap[sl])[:, None]
+            meets = W >= np.maximum(bsf, gap[sl])[:, None]
         if gamma > 0.0:
-            late = t > 1.0 - gamma
-            cand = ~pre & np.where(late, w >= bsf[:, None], meets)
+            late = T > 1.0 - gamma
+            cand = ~pre & np.where(late, W >= bsf[:, None], meets)
         else:
             cand = ~pre & meets
-        has = cand.any(axis=1)
-        pos = np.argmax(cand, axis=1)
-        r = np.arange(w.shape[0])
-        orig = order[r, pos]
-        accept_index[sl] = np.where(has, orig, -1)
-        accept_weight[sl] = np.where(has, W[r, orig], 0.0)
-        accept_time[sl] = np.where(has, T[r, orig], np.nan)
+        first = np.argmin(np.where(cand, T, np.inf), axis=1)
+        r = np.arange(W.shape[0])
+        has = cand[r, first]
+        accept_index[sl] = np.where(has, first, -1)
+        accept_weight[sl] = np.where(has, W[r, first], 0.0)
+        accept_time[sl] = np.where(has, T[r, first], np.nan)
 
     return {
         "accept_index": accept_index,
@@ -251,33 +288,32 @@ class _InstanceBatch:
     sorted_weights: np.ndarray  # normalized weights sorted descending
 
 
-def _build_batch(
-    family: InstanceFamily, n: int, iterations: int, master_seed: int, threads: int = 1
-) -> _InstanceBatch:
+def _draws(family: InstanceFamily, n: int, iterations: int, master_seed: int):
+    """Yield each iteration's (arrival times, raw profile): stream i draws the
+    arrival times first, then the weights."""
+    seeds = SeededRng(master_seed)
+    for i in range(iterations):
+        rng = seeds.stream(i)
+        times = rng.random(n)
+        yield times, family.generate(n, rng)
+
+
+def _assemble(draws, iterations: int, n: int) -> _InstanceBatch:
+    """Stack (arrival times, raw profile) pairs into a normalized batch."""
     W = np.empty((iterations, n))
     T = np.empty((iterations, n))
     M = np.empty(iterations)
-    seeds = SeededRng(master_seed)
-
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            rng = seeds.stream(i)
-            T[i] = rng.random(n)  # arrivals first, then weights
-            prof = family.generate(n, rng)
-            M[i] = prof.max_log_weight
-            W[i] = prof.normalized_weights
-
-    if threads <= 1 or iterations < 2 * threads:
-        fill(0, iterations)
-    else:
-        chunk = -(-iterations // threads)
-        spans = [
-            (lo, min(lo + chunk, iterations)) for lo in range(0, iterations, chunk)
-        ]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda span: fill(*span), spans))
-
+    for i, (times, prof) in enumerate(draws):
+        T[i] = times
+        M[i] = prof.max_log_weight
+        W[i] = prof.normalized_weights
     return _InstanceBatch(W, T, M, np.sort(W, axis=1)[:, ::-1])
+
+
+def _build_batch(
+    family: InstanceFamily, n: int, iterations: int, master_seed: int
+) -> _InstanceBatch:
+    return _assemble(_draws(family, n, iterations, master_seed), iterations, n)
 
 
 def regenerate_profiles(
@@ -285,18 +321,18 @@ def regenerate_profiles(
 ) -> list[WeightProfile]:
     """The instances an experiment with this (family, n, seed) draws, in
     iteration order; matches the engine's stream discipline exactly."""
-    seeds = SeededRng(master_seed)
-    out = []
-    for i in range(iterations):
-        rng = seeds.stream(i)
-        rng.random(n)  # arrivals precede weights within a stream
-        out.append(family.generate(n, rng))
-    return out
+    return [prof for _, prof in _draws(family, n, iterations, master_seed)]
 
 
-def _rescale_raw(values, max_log: np.ndarray) -> np.ndarray:
-    """Map raw-unit additive quantities into each instance's normalized view."""
+def _rescale_raw(values, max_log):
+    """Map raw-unit additive quantities into each instance's normalized view.
+
+    ``max_log`` is the log maximum of the raw (unnormalized) profile. An
+    all-zero profile (``max_log`` = -inf) is its own normalized view, so its
+    values pass unchanged, as in the per-draw runners.
+    """
     values = np.asarray(values, dtype=float)
+    max_log = np.where(np.isneginf(max_log), 0.0, max_log)
     with np.errstate(over="ignore", under="ignore"):
         out = values * np.exp(-max_log)
     return np.where(values == 0.0, 0.0, out)
@@ -316,34 +352,24 @@ def _cell_gaps(batch: _InstanceBatch, gap: GapSpec, sigma: float | None = None, 
     return (gap.sigma if sigma is None else sigma) * realized
 
 
-def _cell_outcomes(batch: _InstanceBatch, algorithm: AlgorithmSpec, gaps) -> dict:
-    tag = algorithm.tag
-    if tag == "classical":
-        out = _run_threshold_batch(batch.weights, batch.times, algorithm.tau, 0.0)
-    elif tag == "strict-classical":
-        out = _run_threshold_batch(
-            batch.weights, batch.times, algorithm.tau, 0.0, strict=True
-        )
-    elif tag == "exact-gap":
-        out = _run_threshold_batch(batch.weights, batch.times, algorithm.tau, gaps)
-    elif tag == "bounded":
-        eps = _rescale_raw(algorithm.epsilon, batch.max_log)
-        out = _run_threshold_batch(
-            batch.weights, batch.times, algorithm.tau, np.maximum(gaps - eps, 0.0)
-        )
-    elif tag == "robust":
-        out = _run_threshold_batch(
-            batch.weights, batch.times, algorithm.tau, gaps, gamma=algorithm.gamma
-        )
-    else:
-        raise ConfigError("l-select runs through estimate_l_selection")
+def _cell_outcomes(
+    batch: _InstanceBatch,
+    algorithm: AlgorithmSpec,
+    gap: GapSpec,
+    sigma: float | None = None,
+    k: int | None = None,
+) -> dict:
+    gaps = _cell_gaps(batch, gap, sigma, k) if algorithm.uses_gap else 0.0
+    policy = _policy(algorithm, gaps, batch.max_log)
+    out = _run_threshold_batch(batch.weights, batch.times, *policy)
     out["ratio"] = out["accept_weight"]  # normalized max weight is exactly 1
     out["select_best"] = out["accept_index"] == out["best_index"]
     out["none"] = out["accept_index"] < 0
     return out
 
 
-def _estimate_from(ratios, select_best, none, scales=None) -> RatioEstimate:
+def _estimate_from(out: dict, scales=None) -> RatioEstimate:
+    ratios = out["ratio"]
     iters = int(ratios.size)
     mean = float(np.mean(ratios))
     stderr = float(np.std(ratios, ddof=1) / math.sqrt(iters)) if iters > 1 else 0.0
@@ -355,8 +381,8 @@ def _estimate_from(ratios, select_best, none, scales=None) -> RatioEstimate:
         mean=mean,
         stderr=stderr,
         iterations=iters,
-        select_best_prob=float(np.mean(select_best)),
-        none_prob=float(np.mean(none)),
+        select_best_prob=float(np.mean(out["select_best"])),
+        none_prob=float(np.mean(out["none"])),
         ratio_of_means=rom,
     )
 
@@ -365,11 +391,8 @@ def per_iteration_outcomes(config: ExperimentConfig) -> dict:
     """Raw per-iteration outcomes for one experiment cell (validation surface)."""
     if config.algorithm.tag == "l-select":
         raise ConfigError("l-select runs through estimate_l_selection")
-    batch = _build_batch(
-        config.family, config.n, config.iterations, config.master_seed, config.threads
-    )
-    gaps = _cell_gaps(batch, config.gap) if config.algorithm.uses_gap else 0.0
-    out = _cell_outcomes(batch, config.algorithm, gaps)
+    batch = _build_batch(config.family, config.n, config.iterations, config.master_seed)
+    out = _cell_outcomes(batch, config.algorithm, config.gap)
     out["max_log"] = batch.max_log
     return out
 
@@ -377,9 +400,7 @@ def per_iteration_outcomes(config: ExperimentConfig) -> dict:
 def estimate_ratio(config: ExperimentConfig) -> RatioEstimate:
     """Monte Carlo competitive-ratio estimate for one experiment cell."""
     out = per_iteration_outcomes(config)
-    return _estimate_from(
-        out["ratio"], out["select_best"], out["none"], out["max_log"]
-    )
+    return _estimate_from(out, out["max_log"])
 
 
 # ---------------------------------------------------------------------------
@@ -414,22 +435,16 @@ def sweep_k(
     for k in ks:
         if not 2 <= k <= config.n:
             raise ConfigError(f"gap index k={k} out of range [2, {config.n}]")
-    batch = _build_batch(
-        config.family, config.n, config.iterations, config.master_seed, config.threads
-    )
+    batch = _build_batch(config.family, config.n, config.iterations, config.master_seed)
     cells: list[SweepCell] = []
     baseline = None
     if include_baseline and config.algorithm.tag != "classical":
-        out = _cell_outcomes(batch, AlgorithmSpec("classical", tau=baseline_tau), 0.0)
-        baseline = _estimate_from(
-            out["ratio"], out["select_best"], out["none"], batch.max_log
-        )
+        classical = AlgorithmSpec("classical", tau=baseline_tau)
+        baseline = _estimate_from(_cell_outcomes(batch, classical, config.gap), batch.max_log)
     for k in ks:
         tau = _resolve_tau(config.algorithm.tau, k, tau_policy)
         algo = replace(config.algorithm, tau=tau)
-        gaps = _cell_gaps(batch, config.gap, k=k) if algo.uses_gap else 0.0
-        out = _cell_outcomes(batch, algo, gaps)
-        est = _estimate_from(out["ratio"], out["select_best"], out["none"], batch.max_log)
+        est = _estimate_from(_cell_outcomes(batch, algo, config.gap, k=k), batch.max_log)
         cells.append(SweepCell(k, config.gap.sigma, algo.tag, tau, est))
         if baseline is not None:
             cells.append(SweepCell(k, 0.0, "classical", baseline_tau, baseline))
@@ -449,24 +464,14 @@ def sweep_sigma(config: ExperimentConfig, sigmas, ks) -> list[SweepCell]:
     for k in ks:
         if not 2 <= k <= config.n:
             raise ConfigError(f"gap index k={k} out of range [2, {config.n}]")
-    batch = _build_batch(
-        config.family, config.n, config.iterations, config.master_seed, config.threads
-    )
+    batch = _build_batch(config.family, config.n, config.iterations, config.master_seed)
+    algo = config.algorithm
     cells: list[SweepCell] = []
     for k in ks:
         for sigma in sigmas:
-            gaps = (
-                _cell_gaps(batch, config.gap, sigma=sigma, k=k)
-                if config.algorithm.uses_gap
-                else 0.0
-            )
-            out = _cell_outcomes(batch, config.algorithm, gaps)
-            est = _estimate_from(
-                out["ratio"], out["select_best"], out["none"], batch.max_log
-            )
-            cells.append(
-                SweepCell(k, sigma, config.algorithm.tag, config.algorithm.tau, est)
-            )
+            out = _cell_outcomes(batch, algo, config.gap, sigma=sigma, k=k)
+            est = _estimate_from(out, batch.max_log)
+            cells.append(SweepCell(k, sigma, algo.tag, algo.tau, est))
     return cells
 
 
@@ -475,7 +480,6 @@ def batch_ratio_for_profiles(
     algorithm: AlgorithmSpec,
     gap: GapSpec,
     master_seed: int,
-    threads: int = 1,
 ) -> RatioEstimate:
     """Estimate on user-supplied instances (replay files); stream i of the
     master seed provides iteration i's arrival draw."""
@@ -488,30 +492,10 @@ def batch_ratio_for_profiles(
         raise ConfigError("all profiles must have the same size")
     if algorithm.tag == "l-select":
         raise ConfigError("l-select runs through estimate_l_selection")
-
-    W = np.empty((iterations, n))
-    T = np.empty((iterations, n))
-    M = np.empty(iterations)
     seeds = SeededRng(master_seed)
-
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            M[i] = profiles[i].max_log_weight
-            W[i] = profiles[i].normalized_weights
-            T[i] = seeds.stream(i).random(n)
-
-    if threads <= 1 or iterations < 2 * threads:
-        fill(0, iterations)
-    else:
-        chunk = -(-iterations // threads)
-        spans = [(lo, min(lo + chunk, iterations)) for lo in range(0, iterations, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda span: fill(*span), spans))
-
-    batch = _InstanceBatch(W, T, M, np.sort(W, axis=1)[:, ::-1])
-    gaps = _cell_gaps(batch, gap) if algorithm.uses_gap else 0.0
-    out = _cell_outcomes(batch, algorithm, gaps)
-    return _estimate_from(out["ratio"], out["select_best"], out["none"], M)
+    draws = ((seeds.stream(i).random(n), prof) for i, prof in enumerate(profiles))
+    batch = _assemble(draws, iterations, n)
+    return _estimate_from(_cell_outcomes(batch, algorithm, gap), batch.max_log)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +508,6 @@ def simulate_fixed_profile(
     iterations: int,
     seed: int,
     gap_values=0.0,
-    chunk_rows: int = 50_000,
 ) -> dict:
     """Monte Carlo over arrival draws only, holding the profile fixed.
 
@@ -536,55 +519,22 @@ def simulate_fixed_profile(
     """
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
-    norm = normalize(profile)
-    w = norm.normalized_weights
-    n = norm.n
+    w = normalize(profile).normalized_weights
     m = profile.max_log_weight
-    gaps = np.broadcast_to(
-        np.asarray(_rescale_raw(gap_values, np.asarray(m)), dtype=float), (iterations,)
-    )
-    eps_norm = float(_rescale_raw(algorithm.epsilon, np.asarray(m)))
-
-    rng = np.random.default_rng([int(seed)])
-    pieces = []
-    for lo in range(0, iterations, chunk_rows):
-        rows = min(chunk_rows, iterations - lo)
-        times = rng.random((rows, n))
-        W = np.broadcast_to(w, (rows, n))
-        g = gaps[lo : lo + rows]
-        if algorithm.tag == "classical":
-            out = _run_threshold_batch(W, times, algorithm.tau, 0.0)
-        elif algorithm.tag == "strict-classical":
-            out = _run_threshold_batch(W, times, algorithm.tau, 0.0, strict=True)
-        elif algorithm.tag == "exact-gap":
-            out = _run_threshold_batch(W, times, algorithm.tau, g)
-        elif algorithm.tag == "bounded":
-            out = _run_threshold_batch(
-                W, times, algorithm.tau, np.maximum(g - eps_norm, 0.0)
-            )
-        elif algorithm.tag == "robust":
-            out = _run_threshold_batch(
-                W, times, algorithm.tau, g, gamma=algorithm.gamma
-            )
-        else:
-            raise ConfigError("l-select runs through estimate_l_selection")
-        pieces.append(out)
-
-    joined = {
-        key: np.concatenate([p[key] for p in pieces])
-        for key in ("accept_index", "accept_weight", "accept_time")
-    }
-    best = int(np.argmax(w))
-    ratio = joined["accept_weight"]  # normalized units, max weight is 1
+    gaps = np.broadcast_to(_rescale_raw(gap_values, m), (iterations,))
+    policy = _policy(algorithm, gaps, m)
+    times = np.random.default_rng([int(seed)]).random((iterations, w.size))
+    out = _run_threshold_batch(np.broadcast_to(w, times.shape), times, *policy)
+    ratio = out["accept_weight"]  # normalized units, max weight is 1
     with np.errstate(over="ignore"):
         raw = ratio * np.exp(m)
     return {
-        "accept_index": joined["accept_index"],
-        "accept_time": joined["accept_time"],
+        "accept_index": out["accept_index"],
+        "accept_time": out["accept_time"],
         "ratio": ratio,
         "accept_weight": raw,
-        "select_best": joined["accept_index"] == best,
-        "none": joined["accept_index"] < 0,
+        "select_best": out["accept_index"] == out["best_index"],
+        "none": out["accept_index"] < 0,
     }
 
 
@@ -675,6 +625,24 @@ def exact_expectation_small_n(
 # Multi-selection estimation
 
 
+def _l_select_instance(raw: WeightProfile, L: int, gap: GapSpec):
+    """(normalized profile, top-L total, gap, best index) of one instance.
+
+    The gap is sigma times (L-th minus (L+1)-th largest normalized weight),
+    or the absolute gap rescaled with the raw profile's log maximum.
+    """
+    norm = normalize(raw)
+    ws = np.sort(norm.normalized_weights)[::-1]
+    opt = float(np.sum(ws[:L]))
+    if opt <= 0.0:
+        raise ConfigError("the top-L weights must have positive total")
+    if gap.absolute is None:
+        value = gap.sigma * float(ws[L - 1] - ws[L])
+    else:
+        value = float(_rescale_raw(gap.absolute, raw.max_log_weight))
+    return norm, opt, value, int(np.argmax(norm.normalized_weights))
+
+
 def estimate_l_selection(
     config: ExperimentConfig,
     L: int | None = None,
@@ -691,61 +659,26 @@ def estimate_l_selection(
     n = fixed_profile.n if fixed_profile is not None else config.n
     if not 2 <= L <= n:
         raise ConfigError(f"L={L} out of range [2, {n}]")
-    auto_gap = config.gap.absolute is None
-    if auto_gap and L > n - 1:
+    if config.gap.absolute is None and L > n - 1:
         raise ConfigError("the auto-computed gap needs L <= n - 1")
 
-    tau = config.algorithm.tau
-    sigma = config.gap.sigma
-    seeds = SeededRng(config.master_seed)
     iters = config.iterations
-
-    fixed = None
     if fixed_profile is not None:
-        norm = normalize(fixed_profile)
-        ws = np.sort(norm.normalized_weights)[::-1]
-        opt = float(np.sum(ws[:L]))
-        if opt <= 0.0:
-            raise ConfigError("the top-L weights must have positive total")
-        if auto_gap:
-            gap = sigma * float(ws[L - 1] - ws[L])
-        else:
-            gap = float(_rescale_raw(config.gap.absolute, np.asarray(fixed_profile.max_log_weight)))
-        fixed = (norm, opt, gap, int(np.argmax(norm.normalized_weights)))
-
-    ratios = np.empty(iters)
-    select_best = np.empty(iters, dtype=bool)
-    none = np.empty(iters, dtype=bool)
-
-    def run_range(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            rng = seeds.stream(i)
-            if fixed is not None:
-                prof, opt, gap, best = fixed
-                times = rng.random(n)
-            else:
-                times = rng.random(n)  # arrivals first, then weights
-                prof = normalize(config.family.generate(n, rng))
-                ws = np.sort(prof.normalized_weights)[::-1]
-                opt = float(np.sum(ws[:L]))
-                if auto_gap:
-                    gap = sigma * float(ws[L - 1] - ws[L])
-                else:
-                    gap = float(
-                        _rescale_raw(config.gap.absolute, np.asarray(prof.max_log_weight))
-                    )
-                best = int(np.argmax(prof.normalized_weights))
-            out = run_l_selection_gap(prof, ArrivalDraw(times), tau, gap, L)
-            ratios[i] = out.total_weight / opt
-            select_best[i] = best in out.indices
-            none[i] = not out.accepted
-
-    if config.threads <= 1 or iters < 2 * config.threads:
-        run_range(0, iters)
+        fixed = _l_select_instance(fixed_profile, L, config.gap)
+        seeds = SeededRng(config.master_seed)
+        instances = ((seeds.stream(i).random(n), fixed) for i in range(iters))
     else:
-        chunk = -(-iters // config.threads)
-        spans = [(lo, min(lo + chunk, iters)) for lo in range(0, iters, chunk)]
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(lambda span: run_range(*span), spans))
+        draws = _draws(config.family, n, iters, config.master_seed)
+        instances = ((t, _l_select_instance(p, L, config.gap)) for t, p in draws)
 
-    return _estimate_from(ratios, select_best, none)
+    out = {
+        "ratio": np.empty(iters),
+        "select_best": np.empty(iters, dtype=bool),
+        "none": np.empty(iters, dtype=bool),
+    }
+    for i, (times, (prof, opt, gap, best)) in enumerate(instances):
+        sel = run_l_selection_gap(prof, ArrivalDraw(times), config.algorithm.tau, gap, L)
+        out["ratio"][i] = sel.total_weight / opt
+        out["select_best"][i] = best in sel.indices
+        out["none"][i] = not sel.accepted
+    return _estimate_from(out)

@@ -20,6 +20,29 @@ class TestValidation:
         assert code == 2
         assert "tau must lie in [0, 1)" in err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--sigma", "nan"),
+            ("--sigma", "inf"),
+            ("--epsilon", "nan"),
+            ("--epsilon", "inf"),
+            ("--gamma", "nan"),
+            ("--gap-value", "nan"),
+            ("--gap-value", "inf"),
+            ("--threads", "0"),
+        ],
+    )
+    def test_non_finite_or_invalid_value_exits_2(self, flag, value, capsys):
+        argv = [
+            "simulate", "--family", "exp", "--n", "20", "--iters", "50",
+            "--algo", "bounded", "--k", "5", flag, value,
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be" in err
+
     def test_missing_gap_index(self, capsys):
         code, _, err = run(["simulate", "--family", "exp", "--algo", "exact-gap"], capsys)
         assert code == 2

@@ -12,18 +12,21 @@ from gapsecretary.algorithms import (
     run_strict_classical,
 )
 from gapsecretary.core import ArrivalDraw, WeightProfile
-from gapsecretary.generators import InstanceFamily, SeededRng
+from gapsecretary.generators import FAMILY_TAGS, InstanceFamily
 from gapsecretary.montecarlo import (
     AlgorithmSpec,
     ConfigError,
     ExperimentConfig,
     GapSpec,
+    _policy,
+    _rescale_raw,
     _run_threshold_batch,
     batch_ratio_for_profiles,
     estimate_l_selection,
     estimate_ratio,
     exact_expectation_small_n,
     per_iteration_outcomes,
+    regenerate_profiles,
     simulate_fixed_profile,
     sweep_k,
     sweep_sigma,
@@ -74,6 +77,42 @@ class TestKernelMatchesScalarRunners:
                     )
                     expected = -1 if not ref.accepted else ref.accepted_index
                     assert out["accept_index"][row] == expected, (spec.tag, row)
+
+    def test_policy_tags_match_scalar_runners(self):
+        # every single-selection tag through _policy and the kernel; rounded
+        # weights and times force ties, and row 0 is all zero
+        rng = np.random.default_rng(3)
+        for trial in range(60):
+            B, n = int(rng.integers(1, 12)), int(rng.integers(1, 7))
+            W = rng.integers(0, 4, (B, n)) * 2.5
+            W[0] = 0.0
+            T = rng.integers(0, 5, (B, n)) / 4
+            profiles = [WeightProfile.from_weights(row) for row in W]
+            norm = np.array([p.normalized_weights for p in profiles])
+            max_log = np.array([p.max_log_weight for p in profiles])
+            gaps = rng.random(B) * 8
+            tau = float(rng.choice([0.0, 0.25, 0.5, rng.random() * 0.7]))
+            specs = [
+                AlgorithmSpec("classical", tau=tau),
+                AlgorithmSpec("strict-classical", tau=tau),
+                AlgorithmSpec("exact-gap", tau=tau),
+                AlgorithmSpec("bounded", tau=tau, epsilon=float(rng.random() * 4)),
+                AlgorithmSpec("robust", tau=tau, gamma=float(rng.choice([0.0, 0.25]))),
+            ]
+            for spec in specs:
+                policy = _policy(spec, _rescale_raw(gaps, max_log), max_log)
+                out = _run_threshold_batch(norm, T, *policy)
+                for row in range(B):
+                    ref = _scalar_reference(
+                        spec, profiles[row], ArrivalDraw(T[row]), float(gaps[row])
+                    )
+                    if ref.accepted:
+                        assert out["accept_index"][row] == ref.accepted_index
+                        assert out["accept_time"][row] == ref.accept_time
+                    else:
+                        assert out["accept_index"][row] == -1, (spec.tag, trial, row)
+        with pytest.raises(ConfigError):
+            _policy(AlgorithmSpec("l-select", L=2), 0.0, 0.0)
 
     def test_tied_arrival_times(self):
         W = np.array([[3.0, 5.0, 4.0]])
@@ -155,7 +194,9 @@ class TestEstimateRatio:
         assert est.ratio_of_means is not None
 
     def test_bit_identical_across_threads(self):
-        base = dict(
+        # reruns agree bit for bit; the CLI's output-determinism check covers
+        # --threads
+        cfg = ExperimentConfig(
             family=InstanceFamily("exponential"),
             n=40,
             iterations=300,
@@ -163,9 +204,7 @@ class TestEstimateRatio:
             gap=GapSpec(k=5, sigma=1.3),
             master_seed=SEED,
         )
-        est1 = estimate_ratio(ExperimentConfig(**base, threads=1))
-        est8 = estimate_ratio(ExperimentConfig(**base, threads=8))
-        assert est1 == est8
+        assert estimate_ratio(cfg) == estimate_ratio(cfg)
 
     def test_sigma_zero_matches_classical_per_draw(self):
         for tag in ("exact-gap", "bounded", "robust"):
@@ -443,18 +482,21 @@ class TestSimulateFixedProfile:
 
 class TestBatchRatioForProfiles:
     def test_matches_generated_equivalent(self):
-        seeds = SeededRng(SEED)
-        profiles = [
-            InstanceFamily("exponential").generate(20, seeds.stream(i)) for i in range(50)
-        ]
-        est = batch_ratio_for_profiles(
-            profiles, AlgorithmSpec("classical", tau=0.3), GapSpec(), SEED + 1
-        )
-        assert 0.0 <= est.mean <= 1.0
-        est2 = batch_ratio_for_profiles(
-            profiles, AlgorithmSpec("classical", tau=0.3), GapSpec(), SEED + 1, threads=4
-        )
-        assert est == est2
+        # replaying the regenerated instances under the same seed redraws the
+        # same arrival times, so the estimate is the generated one exactly
+        gap = GapSpec(k=4, sigma=1.2)
+        for tag in FAMILY_TAGS:
+            family = InstanceFamily(tag)
+            profiles = regenerate_profiles(family, 20, 50, SEED)
+            for algo in (
+                AlgorithmSpec("classical", tau=0.3),
+                AlgorithmSpec("robust", tau=0.3, gamma=0.1),
+            ):
+                est = batch_ratio_for_profiles(profiles, algo, gap, SEED)
+                assert 0.0 <= est.mean <= 1.0
+                generated = ExperimentConfig(family, 20, 50, algo, gap, master_seed=SEED)
+                assert est == estimate_ratio(generated), (tag, algo.tag)
+                assert est == batch_ratio_for_profiles(profiles, algo, gap, SEED)
 
     def test_size_mismatch_rejected(self):
         profiles = [
@@ -503,8 +545,27 @@ class TestLSelectionEstimation:
         with pytest.raises(ConfigError):
             estimate_l_selection(cfg, L=1)
 
+    def test_absolute_gap_rescaled_with_raw_max(self):
+        # the superstar is 1e6 times the other weights; half its raw weight
+        # read as a normalized gap would exceed every weight
+        family = InstanceFamily("exp_superstar", factor=1e6)
+        (raw,) = regenerate_profiles(family, 20, 1, 11)
+        cfg = ExperimentConfig(
+            family,
+            20,
+            1,
+            AlgorithmSpec("l-select", tau=0.3, L=2),
+            GapSpec(absolute=0.5 * float(np.max(raw.weights))),
+            master_seed=11,
+        )
+        est = estimate_l_selection(cfg)
+        assert est.mean == pytest.approx(1.0, abs=1e-5)
+        assert est == estimate_l_selection(cfg, fixed_profile=raw)
+
     def test_generated_instances_deterministic_across_threads(self):
-        base = dict(
+        # reruns agree bit for bit; the CLI's output-determinism check covers
+        # --threads
+        cfg = ExperimentConfig(
             family=InstanceFamily("exponential"),
             n=20,
             iterations=120,
@@ -512,6 +573,4 @@ class TestLSelectionEstimation:
             gap=GapSpec(),
             master_seed=SEED,
         )
-        a = estimate_l_selection(ExperimentConfig(**base, threads=1))
-        b = estimate_l_selection(ExperimentConfig(**base, threads=6))
-        assert a == b
+        assert estimate_l_selection(cfg) == estimate_l_selection(cfg)

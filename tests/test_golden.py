@@ -53,6 +53,30 @@ COMMANDS = {
     ],
     "simulate/exp/l-select": SIM
     + ["--family", "exp", "--seed", "5", "--algo", "l-select", "--L", "3"],
+    "simulate/exp/exact-gap/tau-from-k": SIM
+    + ["--family", "exp", "--seed", "19", "--algo", "exact-gap", "--k", "5", "--tau-from-k"],
+    "simulate/exp/exact-gap/tau-policy-min": SIM
+    + ["--family", "exp", "--seed", "23", "--algo", "exact-gap", "--k", "20", "--tau-policy", "min"],
+    "sweep/sigma/gap-value": [
+        "sweep", "--sweep", "sigma", "--from", "0", "--to", "1.5", "--step", "0.5",
+        "--family", "exp", "--n", N, "--iters", ITERS, "--algo", "exact-gap",
+        "--tau", "0.2", "--gap-value", "3", "--k", "2,10", "--seed", "29",
+    ],
+    "sweep/k/tau-from-k": [
+        "sweep", "--sweep", "k", "--from", "2", "--to", "50", "--step", "16",
+        "--family", "pareto", "--n", N, "--iters", ITERS, "--algo", "exact-gap",
+        "--tau-from-k", "--seed", "31",
+    ],
+    "sweep/k/robust-sigma": [
+        "sweep", "--sweep", "k", "--from", "2", "--to", "50", "--step", "16",
+        "--family", "exp", "--n", N, "--iters", ITERS, "--algo", "robust",
+        "--tau", "0.2", "--gamma", "0.1", "--sigma", "1.3", "--seed", "37",
+    ],
+    "sweep/k/gap-value": [
+        "sweep", "--sweep", "k", "--from", "2", "--to", "50", "--step", "16",
+        "--family", "exp", "--n", N, "--iters", ITERS, "--algo", "bounded",
+        "--tau", "0.2", "--epsilon", "0.5", "--gap-value", "3.5", "--seed", "41",
+    ],
 }
 
 GOLDEN = {
@@ -73,6 +97,8 @@ GOLDEN = {
     "simulate/exp/classical": "43f0c0d2bcdb80162f93846ab7df66c3f16849a7c1247ec28982c5d6c001b640",
     "simulate/exp/exact-gap": "ef470cd5d1222987a6fa4211afdcc7e41a2f21ff668ec2c983e7952c99c5159b",
     "simulate/exp/exact-gap/gap-value": "9acc915e35b8284041298d5c6a227ad9d831ec134f511dc9b291eb25b96adcbf",
+    "simulate/exp/exact-gap/tau-from-k": "91f5a3da63968ae891bafbc8267a55885881392db35fe996e0c1eff7d0e5a8aa",
+    "simulate/exp/exact-gap/tau-policy-min": "5dbf699b66339da6bd61f9754912bb70ccb2769b5db0b914f25de8d22948a285",
     "simulate/exp/l-select": "7a8c67252a56e32b3067708c71cff6369de355caa05c99b84e78c6d124f3c430",
     "simulate/exp/robust": "5586bb8f9c739bea084a9c57a450edf58c1370e5c2e724a1210b080333cb25b1",
     "simulate/exp/strict-classical": "da0381d501b599d676b0f3ecf66dd2dc8da476af80e9b44663114890946454ea",
@@ -82,7 +108,11 @@ GOLDEN = {
     "simulate/pareto/robust": "c1a22bc43220b5878506e7a9dbac731600acf235fa15a614dddc203de5bd483d",
     "simulate/pareto/strict-classical": "2f7e40c2981565d864f73fd2ca3a68ebbe32f944491a13f753e30a05e1dd8bc8",
     "sweep/k": "f1ebdb539eac38bc6d56e5d307031b36f81e04d4e997af82846b879ca69ee939",
+    "sweep/k/gap-value": "0e1f84f326dd30cd8819ec70718faf472adda3846e5b9f344f0c8f31d89b9d6c",
+    "sweep/k/robust-sigma": "63c754bef00fb6e745efd0d69700b5346aed707b818f449647d105c6fc91f8c3",
+    "sweep/k/tau-from-k": "2a2bce5a403994eb0b57ab66b6833ad9b9f569258262846ab32e095eb74f77eb",
     "sweep/sigma": "2c8cdc4f4e3f36c41dbc96e1ada89eb2ab3c25652b7a0299bc5cfd6e2e8efe05",
+    "sweep/sigma/gap-value": "773a106f68499f419523ad8fcf25724bc8cde17f69127006c5ca75f54e8bcbae",
 }
 
 

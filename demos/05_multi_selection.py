@@ -50,7 +50,7 @@ for L in (2, 3, 5):
         GapSpec(k=2),
         master_seed=SEED,
     )
-    est = estimate_l_selection(cfg, L=L, fixed_profile=profile)
+    est = estimate_l_selection(cfg, fixed_profile=profile)
     print(f"{L:>3} {est.mean:>10.4f} {bound:>8.4f}")
 
 print("\nthe simulation clears the bound comfortably; the bound's slack grows "

@@ -29,9 +29,10 @@ from .montecarlo import (
     ExperimentConfig,
     GapSpec,
     estimate_l_selection,
-    estimate_ratio,
     exact_expectation_small_n,
     simulate_fixed_profile,
+    sweep_k,
+    sweep_sigma,
 )
 
 __all__ = ["CheckResult", "CHECKS", "SUITES", "run_checks", "format_results", "ACCEPTANCE_SEED"]
@@ -156,6 +157,14 @@ def _tie_profile(n: int = 200) -> WeightProfile:
     return WeightProfile.from_weights(np.concatenate([[2.0, 1.0, 1.0], tail]))
 
 
+def _figure_config(family_tag: str, iters: int, algorithm: AlgorithmSpec) -> ExperimentConfig:
+    """n = 200 instances of one family under the acceptance seed; the sweeps
+    set the gap index and scale of each cell."""
+    return ExperimentConfig(
+        InstanceFamily(family_tag), 200, iters, algorithm, GapSpec(k=2), master_seed=ACCEPTANCE_SEED
+    )
+
+
 def check_two_three_tie_simulation(fast: bool = False) -> CheckResult:
     """Monte Carlo select-best probability of the strict rule on a tied
     instance matches the closed form within 0.01."""
@@ -182,27 +191,11 @@ def check_pareto_band(fast: bool = False) -> CheckResult:
     tight guarantee while the gap rule hits the waiting-time ceiling 0.8."""
     t0 = time.time()
     iters = _iters(5000, 1000, fast)
-    fam = InstanceFamily("pareto_power")
-    classical = estimate_ratio(
-        ExperimentConfig(
-            fam, 200, iters, AlgorithmSpec("classical", tau=1.0 / math.e), master_seed=ACCEPTANCE_SEED
-        )
-    ).mean
-    gaps = {}
-    ok = 0.33 <= classical <= 0.41
-    for k in (2, 50, 100, 200):
-        est = estimate_ratio(
-            ExperimentConfig(
-                fam,
-                200,
-                iters,
-                AlgorithmSpec("exact-gap", tau=0.2),
-                GapSpec(k=k),
-                master_seed=ACCEPTANCE_SEED,
-            )
-        ).mean
-        gaps[k] = est
-        ok = ok and 0.77 <= est <= 0.83
+    config = _figure_config("pareto_power", iters, AlgorithmSpec("exact-gap", tau=0.2))
+    cells = sweep_k(config, (2, 50, 100, 200))  # classical baseline at tau = 1/e
+    classical = next(c.estimate.mean for c in cells if c.algo == "classical")
+    gaps = {c.k: c.estimate.mean for c in cells if c.algo == "exact-gap"}
+    ok = 0.33 <= classical <= 0.41 and all(0.77 <= v <= 0.83 for v in gaps.values())
     elapsed = time.time() - t0
     ok = ok and elapsed < 300.0
     gap_str = ", ".join(f"k={k}:{v:.3f}" for k, v in gaps.items())
@@ -222,30 +215,16 @@ def check_exponential_sigma_bands(fast: bool = False) -> CheckResult:
     not the robust one."""
     t0 = time.time()
     iters = _iters(5000, 1000, fast)
-    fam = InstanceFamily("exponential")
-    exact = AlgorithmSpec("exact-gap", tau=0.2)
-    robust_algo = AlgorithmSpec("robust", tau=0.2, gamma=0.05)
-    ok = True
-    under = []
-    for algo in (exact, robust_algo):
-        for k in (2, 100, 200):
-            est = estimate_ratio(
-                ExperimentConfig(
-                    fam, 200, iters, algo, GapSpec(k=k, sigma=0.3), master_seed=ACCEPTANCE_SEED
-                )
-            ).mean
-            under.append(est)
-            ok = ok and abs(est - 0.65) <= 0.05
-    over_exact = estimate_ratio(
-        ExperimentConfig(
-            fam, 200, iters, exact, GapSpec(k=200, sigma=2.0), master_seed=ACCEPTANCE_SEED
-        )
-    ).mean
-    over_robust = estimate_ratio(
-        ExperimentConfig(
-            fam, 200, iters, robust_algo, GapSpec(k=200, sigma=2.0), master_seed=ACCEPTANCE_SEED
-        )
-    ).mean
+    under, over = [], {}
+    for algo in (AlgorithmSpec("exact-gap", tau=0.2), AlgorithmSpec("robust", tau=0.2, gamma=0.05)):
+        config = _figure_config("exponential", iters, algo)
+        for c in sweep_sigma(config, (0.3, 2.0), (2, 100, 200)):
+            if c.sigma == 0.3:
+                under.append(c.estimate.mean)
+            elif c.k == 200:
+                over[c.algo] = c.estimate.mean
+    over_exact, over_robust = over["exact-gap"], over["robust"]
+    ok = all(abs(est - 0.65) <= 0.05 for est in under)
     ok = ok and over_exact <= 0.05 and over_robust >= 0.10
     return _result(
         "exponential-sigma-bands",
@@ -263,42 +242,14 @@ def check_superstar_sigma_bands(fast: bool = False) -> CheckResult:
     late-phase floor."""
     t0 = time.time()
     iters = _iters(5000, 1000, fast)
-    fam = InstanceFamily("exp_superstar")
-    ok = True
-    at_one = []
-    for k in (2, 100, 200):
-        est = estimate_ratio(
-            ExperimentConfig(
-                fam,
-                200,
-                iters,
-                AlgorithmSpec("exact-gap", tau=0.2),
-                GapSpec(k=k),
-                master_seed=ACCEPTANCE_SEED,
-            )
-        ).mean
-        at_one.append(est)
-        ok = ok and est >= 0.75
-    over_exact = estimate_ratio(
-        ExperimentConfig(
-            fam,
-            200,
-            iters,
-            AlgorithmSpec("exact-gap", tau=0.2),
-            GapSpec(k=200, sigma=1.1),
-            master_seed=ACCEPTANCE_SEED,
-        )
-    ).mean
-    over_robust = estimate_ratio(
-        ExperimentConfig(
-            fam,
-            200,
-            iters,
-            AlgorithmSpec("robust", tau=0.2, gamma=0.05),
-            GapSpec(k=200, sigma=1.1),
-            master_seed=ACCEPTANCE_SEED,
-        )
-    ).mean
+    config = _figure_config("exp_superstar", iters, AlgorithmSpec("exact-gap", tau=0.2))
+    exact = {(c.k, c.sigma): c.estimate.mean for c in sweep_sigma(config, (1.0, 1.1), (2, 100, 200))}
+    at_one = [exact[k, 1.0] for k in (2, 100, 200)]
+    over_exact = exact[200, 1.1]
+    robust_algo = AlgorithmSpec("robust", tau=0.2, gamma=0.05)
+    (robust,) = sweep_sigma(_figure_config("exp_superstar", iters, robust_algo), (1.1,), (200,))
+    over_robust = robust.estimate.mean
+    ok = all(est >= 0.75 for est in at_one)
     ok = ok and over_exact <= 0.01 and over_robust >= 0.005
     return _result(
         "superstar-sigma-bands",
@@ -372,20 +323,11 @@ def check_guarantee_floor_simulation(fast: bool = False) -> CheckResult:
     ok = True
     rows = []
     for tag in ("exponential", "chi_squared"):
-        for k in (2, 100, 200):
-            tau = tau_for_k(k)
-            est = estimate_ratio(
-                ExperimentConfig(
-                    InstanceFamily(tag),
-                    200,
-                    iters,
-                    AlgorithmSpec("exact-gap", tau=tau),
-                    GapSpec(k=k),
-                    master_seed=ACCEPTANCE_SEED,
-                )
-            )
-            floor = alpha_exact(tau, k).alpha
-            rows.append(f"{tag[:3]}/k={k}:{est.mean:.3f}>={floor:.3f}")
+        config = _figure_config(tag, iters, AlgorithmSpec("exact-gap", tau=0.2))
+        for c in sweep_k(config, (2, 100, 200), tau_policy="from-k", include_baseline=False):
+            est = c.estimate
+            floor = alpha_exact(c.tau, c.k).alpha
+            rows.append(f"{tag[:3]}/k={c.k}:{est.mean:.3f}>={floor:.3f}")
             ok = ok and est.mean >= floor - 3.0 * est.stderr
     return _result(
         "guarantee-floor-simulation",
@@ -458,7 +400,7 @@ def check_multi_selection_bound(fast: bool = False) -> CheckResult:
             GapSpec(k=2),
             master_seed=ACCEPTANCE_SEED,
         )
-        est = estimate_l_selection(cfg, L=L, fixed_profile=prof)
+        est = estimate_l_selection(cfg, fixed_profile=prof)
         rows.append(f"L={L}:{est.mean:.3f}>={bound:.3f}")
         ok = ok and est.mean >= bound - 3.0 * est.stderr
     return _result(

@@ -30,11 +30,13 @@ from .bounds import (
 )
 from .generators import InstanceFamily, load_profiles
 from .montecarlo import (
+    GAP_TAGS,
     AlgorithmSpec,
     ConfigError,
     ExperimentConfig,
     GapSpec,
     RatioEstimate,
+    _resolve_tau,
     batch_ratio_for_profiles,
     estimate_l_selection,
     estimate_ratio,
@@ -53,6 +55,7 @@ FAMILY_BY_FLAG = {
     "chisq": "chi_squared",
     "exp-superstar": "exp_superstar",
 }
+FLAG_BY_FAMILY = {tag: flag for flag, tag in FAMILY_BY_FLAG.items()}
 
 SEED_ENV_VAR = "GAPSECRETARY_SEED"
 
@@ -125,15 +128,18 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--tau", type=float, default=0.2, help="waiting time in [0, 1)")
     p.add_argument(
-        "--tau-from-k",
-        action="store_true",
-        help="use the index-tuned waiting time 1 - (1/(k+1))^(1/k)",
+        "--tau-policy",
+        choices=["fixed", "min", "from-k"],
+        default="fixed",
+        help="'from-k' uses the index-tuned waiting time 1 - (1/(k+1))^(1/k); "
+        "'min' caps tau at it when k is known",
     )
     p.add_argument(
-        "--tau-policy",
-        choices=["fixed", "min"],
-        default="fixed",
-        help="'min' caps tau at the index-tuned value when k is known",
+        "--tau-from-k",
+        dest="tau_policy",
+        action="store_const",
+        const="from-k",
+        help="alias for --tau-policy from-k",
     )
     p.add_argument("--gamma", type=float, default=0.0, help="late-phase length (robust)")
     p.add_argument("--epsilon", type=float, default=0.0, help="error bound (bounded)")
@@ -189,17 +195,6 @@ def _family(args) -> InstanceFamily:
     )
 
 
-def _resolve_tau(args, k: int | None) -> float:
-    tau = args.tau
-    if args.tau_from_k:
-        if k is None:
-            raise UsageError("--tau-from-k needs an integer --k")
-        tau = tau_for_k(k)
-    elif args.tau_policy == "min" and k is not None:
-        tau = min(tau, tau_for_k(k))
-    return tau
-
-
 def _algorithm(args, tau: float) -> AlgorithmSpec:
     return AlgorithmSpec(
         args.algo, tau=tau, gamma=args.gamma, epsilon=args.epsilon, L=args.L
@@ -212,20 +207,24 @@ def _gap(args, k: int | None) -> GapSpec:
     return GapSpec(k=k, sigma=args.sigma)
 
 
-def _estimate_row(args, est: RatioEstimate, algo: AlgorithmSpec, k, sigma, family_name) -> list:
+def _estimate_row(args, est: RatioEstimate, tag: str, tau: float, k, sigma, family_name) -> list:
+    """One CSV row. gamma, epsilon and L come from the flags and are written
+    only for the rule that uses them, so a classical baseline row leaves them
+    empty."""
+    uses_gap = tag in GAP_TAGS
     # the gap index is meaningless to l-select (its gap is index-free)
-    uses_k = algo.uses_gap and algo.tag != "l-select"
+    uses_k = uses_gap and tag != "l-select"
     return [
         family_name,
-        algo.tag,
+        tag,
         args.n,
         est.iterations,
         k if uses_k and k is not None else "",
-        float(algo.tau),
-        float(algo.gamma) if algo.tag == "robust" else "",
-        float(sigma) if (algo.uses_gap and sigma != "") else "",
-        float(algo.epsilon) if algo.tag == "bounded" else "",
-        int(algo.L) if algo.tag == "l-select" else "",
+        float(tau),
+        float(args.gamma) if tag == "robust" else "",
+        float(sigma) if (uses_gap and sigma != "") else "",
+        float(args.epsilon) if tag == "bounded" else "",
+        int(args.L) if tag == "l-select" else "",
         args.seed,
         est.mean,
         est.stderr,
@@ -241,8 +240,7 @@ def _estimate_row(args, est: RatioEstimate, algo: AlgorithmSpec, k, sigma, famil
 def cmd_simulate(args) -> int:
     _resolve_seed(args)
     k = _parse_k(args.k)
-    tau = _resolve_tau(args, k)
-    algo = _algorithm(args, tau)
+    algo = _algorithm(args, _resolve_tau(args.tau, k, args.tau_policy))
     gap = _gap(args, k)
 
     if args.profiles_file is not None:
@@ -258,7 +256,9 @@ def cmd_simulate(args) -> int:
                 f"profiles file provides {len(profiles)} instances, fewer than --iters"
             )
         est = batch_ratio_for_profiles(profiles[: args.iters], algo, gap, args.seed)
+        # the dump header names the family by tag; the CSV names it by flag
         family_name = meta.get("family", "file")
+        family_name = FLAG_BY_FAMILY.get(family_name, family_name)
     else:
         family = _family(args)
         config = ExperimentConfig(family, args.n, args.iters, algo, gap, master_seed=args.seed)
@@ -274,7 +274,8 @@ def cmd_simulate(args) -> int:
             dumped = regenerate_profiles(family, args.n, args.iters, args.seed)
             save_profiles(args.dump_profiles, dumped, family.tag, args.seed)
 
-    row = _estimate_row(args, est, algo, k, args.sigma if args.gap_value is None else "", family_name)
+    sigma = args.sigma if args.gap_value is None else ""
+    row = _estimate_row(args, est, algo.tag, algo.tau, k, sigma, family_name)
     _write_rows(args.out, CSV_COLUMNS, [row], _manifest("simulate", args, args.out) if args.out else None)
     return 0
 
@@ -294,8 +295,7 @@ def cmd_sweep(args) -> int:
         algo = _algorithm(args, args.tau)
         gap = _gap(args, ks[0])
         config = ExperimentConfig(family, args.n, args.iters, algo, gap, master_seed=args.seed)
-        policy = "from-k" if args.tau_from_k else args.tau_policy
-        cells = sweep_k(config, ks, tau_policy=policy)
+        cells = sweep_k(config, ks, tau_policy=args.tau_policy)
     else:
         count = int(round((args.sweep_to - args.sweep_from) / args.step))
         sigmas = [args.sweep_from + i * args.step for i in range(count + 1)]
@@ -308,18 +308,9 @@ def cmd_sweep(args) -> int:
         config = ExperimentConfig(family, args.n, args.iters, algo, gap, master_seed=args.seed)
         cells = sweep_sigma(config, sigmas, ks)
 
-    rows = []
-    for cell in cells:
-        row_algo = AlgorithmSpec(
-            cell.algo,
-            tau=cell.tau,
-            gamma=args.gamma if cell.algo == "robust" else 0.0,
-            epsilon=args.epsilon if cell.algo == "bounded" else 0.0,
-            L=args.L,
-        )
-        rows.append(
-            _estimate_row(args, cell.estimate, row_algo, cell.k, cell.sigma, args.family)
-        )
+    rows = [
+        _estimate_row(args, c.estimate, c.algo, c.tau, c.k, c.sigma, args.family) for c in cells
+    ]
     _write_rows(args.out, CSV_COLUMNS, rows, _manifest("sweep", args, args.out) if args.out else None)
     return 0
 

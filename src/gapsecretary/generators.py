@@ -83,27 +83,18 @@ def gen_arrivals(n: int, rng: np.random.Generator) -> ArrivalDraw:
     return ArrivalDraw(rng.random(n))
 
 
-def gen_pareto_power(
-    n: int, rng: np.random.Generator, reading: str = "scale_shape"
-) -> WeightProfile:
-    """Uniforms on [0, theta] raised to the power n^1.5, theta Pareto-drawn.
+def gen_pareto_power(n: int, rng: np.random.Generator) -> WeightProfile:
+    """Uniforms on [0, theta] raised to the power n^1.5, theta Pareto-drawn
+    with scale 5/n and shape 1.
 
     The construction stays in log space throughout (the exponent is ~2828 at
     n = 200, far beyond float64 in linear form) and the profile comes back
-    normalized. ``reading`` picks the interpretation of the Pareto parameters
-    (5/n, 1): ``"scale_shape"`` means scale 5/n with shape 1 (the default),
-    ``"shape_scale"`` means shape 5/n with scale 1. Both produce the huge
-    top-gap phenomenon, since the power dominates the gap structure.
+    normalized.
     """
     if n < 2:
         raise ValueError("pareto-power family needs n >= 2")
     u = 1.0 - rng.random()  # Uniform(0, 1], keeps theta finite
-    if reading == "scale_shape":
-        log_theta = np.log(5.0 / n) - np.log(u)
-    elif reading == "shape_scale":
-        log_theta = -(n / 5.0) * np.log(u)
-    else:
-        raise ValueError("reading must be 'scale_shape' or 'shape_scale'")
+    log_theta = np.log(5.0 / n) - np.log(u)
     y = rng.random(n)  # w_i = (theta * y_i)^(n^1.5), in logs
     with np.errstate(divide="ignore"):
         log_w = n**1.5 * (log_theta + np.log(y))

@@ -11,6 +11,10 @@ strict)``: after ``tau``, accept the first arrival at or above max(best-so-far,
 gap), or above it when strict, and after time 1 - ``gamma`` at or above
 best-so-far alone. ``_policy`` maps each tag to that record and
 ``_run_threshold_batch`` runs it over a batch of draws.
+
+An experiment cell is an ``(AlgorithmSpec, GapSpec)`` pair; ``_check_cell``
+validates it for one instance size, and a sweep is a list of cells evaluated
+on one shared batch.
 """
 
 from __future__ import annotations
@@ -23,11 +27,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .algorithms import run_l_selection_gap
+from .bounds import tau_for_k
 from .core import ArrivalDraw, WeightProfile, normalize
 from .generators import InstanceFamily, SeededRng
 
 __all__ = [
     "ALGORITHM_TAGS",
+    "GAP_TAGS",
     "ConfigError",
     "AlgorithmSpec",
     "GapSpec",
@@ -55,6 +61,8 @@ ALGORITHM_TAGS = (
 )
 
 _SINGLE_SELECTION = ALGORITHM_TAGS[:5]
+
+GAP_TAGS = ("exact-gap", "robust", "bounded", "l-select")
 
 CLASSICAL_BASELINE_TAU = 1.0 / math.e
 
@@ -84,21 +92,21 @@ class AlgorithmSpec:
             raise ConfigError("gamma must lie in [0, 1 - tau)")
         if self.epsilon < 0.0:
             raise ConfigError("epsilon must be non-negative")
-        if self.tag == "l-select" and self.L < 1:
-            raise ConfigError("L must be a positive integer")
+        if self.tag == "l-select" and self.L < 2:
+            raise ConfigError("L must be an integer >= 2")
 
     @property
     def uses_gap(self) -> bool:
-        return self.tag in ("exact-gap", "robust", "bounded", "l-select")
+        return self.tag in GAP_TAGS
 
 
 @dataclass(frozen=True)
 class GapSpec:
     """How the predicted gap is produced for each generated instance.
 
-    Either the prediction is ``sigma`` times the instance's realized gap at
-    index ``k``, or ``absolute`` fixes the predicted value outright (the
-    index-unknown regime).
+    The prediction is ``sigma`` times a base gap: the instance's realized gap
+    at index ``k``, or the raw-unit value ``absolute`` (the index-unknown
+    regime), which takes precedence over ``k``.
     """
 
     k: int | None = None
@@ -113,8 +121,6 @@ class GapSpec:
         if self.absolute is not None:
             if not (math.isfinite(self.absolute) and self.absolute >= 0.0):
                 raise ConfigError("absolute gap must be finite and non-negative")
-            if self.sigma != 1.0:
-                raise ConfigError("sigma applies to index-derived gaps only")
 
 
 @dataclass(frozen=True)
@@ -140,18 +146,23 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 1")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
-        if self.gap.k is not None and self.gap.k > self.n:
-            raise ConfigError(f"gap index k={self.gap.k} exceeds n={self.n}")
-        # l-select is exempt: its auto-computed gap is index-free (L-th minus
-        # (L+1)-th largest weight)
-        if (
-            self.algorithm.tag in ("exact-gap", "robust", "bounded")
-            and self.gap.k is None
-            and self.gap.absolute is None
-        ):
-            raise ConfigError(
-                "gap-using algorithms need a gap index k or an absolute gap value"
-            )
+        _check_cell(self.n, self.algorithm, self.gap)
+
+
+def _check_cell(n: int, algorithm: AlgorithmSpec, gap: GapSpec) -> None:
+    """Reject a (rule, gap) pair that instances of size ``n`` cannot evaluate."""
+    if gap.k is not None and gap.k > n:
+        raise ConfigError(f"gap index k={gap.k} exceeds n={n}")
+    # l-select is exempt: its auto-computed gap is index-free (L-th minus
+    # (L+1)-th largest weight)
+    if (
+        algorithm.tag in ("exact-gap", "robust", "bounded")
+        and gap.k is None
+        and gap.absolute is None
+    ):
+        raise ConfigError(
+            "gap-using algorithms need a gap index k or an absolute gap value"
+        )
 
 
 @dataclass(frozen=True)
@@ -159,8 +170,7 @@ class RatioEstimate:
     """Monte Carlo competitive-ratio estimate.
 
     ``mean`` averages per-iteration ratios (selected weight over that
-    iteration's maximum); ``ratio_of_means`` is the alternative estimator
-    E[selected]/E[max], kept for sensitivity checks.
+    iteration's maximum).
     """
 
     mean: float
@@ -168,7 +178,6 @@ class RatioEstimate:
     iterations: int
     select_best_prob: float
     none_prob: float
-    ratio_of_means: float | None = None
 
 
 @dataclass(frozen=True)
@@ -338,28 +347,17 @@ def _rescale_raw(values, max_log):
     return np.where(values == 0.0, 0.0, out)
 
 
-def _cell_gaps(batch: _InstanceBatch, gap: GapSpec, sigma: float | None = None, k: int | None = None):
-    """Per-instance predicted gap in normalized units for one sweep cell."""
+def _cell_gaps(batch: _InstanceBatch, gap: GapSpec):
+    """Per-instance predicted gap in normalized units for one checked cell."""
     if gap.absolute is not None:
         base = _rescale_raw(gap.absolute, batch.max_log)
-        return base if sigma is None else sigma * base
-    k = gap.k if k is None else k
-    if k is None:
-        raise ConfigError("gap index k required when no absolute gap is given")
-    if not 2 <= k <= batch.weights.shape[1]:
-        raise ConfigError(f"gap index k={k} out of range [2, {batch.weights.shape[1]}]")
-    realized = 1.0 - batch.sorted_weights[:, k - 1]
-    return (gap.sigma if sigma is None else sigma) * realized
+    else:
+        base = 1.0 - batch.sorted_weights[:, gap.k - 1]
+    return gap.sigma * base
 
 
-def _cell_outcomes(
-    batch: _InstanceBatch,
-    algorithm: AlgorithmSpec,
-    gap: GapSpec,
-    sigma: float | None = None,
-    k: int | None = None,
-) -> dict:
-    gaps = _cell_gaps(batch, gap, sigma, k) if algorithm.uses_gap else 0.0
+def _cell_outcomes(batch: _InstanceBatch, algorithm: AlgorithmSpec, gap: GapSpec) -> dict:
+    gaps = _cell_gaps(batch, gap) if algorithm.uses_gap else 0.0
     policy = _policy(algorithm, gaps, batch.max_log)
     out = _run_threshold_batch(batch.weights, batch.times, *policy)
     out["ratio"] = out["accept_weight"]  # normalized max weight is exactly 1
@@ -368,22 +366,17 @@ def _cell_outcomes(
     return out
 
 
-def _estimate_from(out: dict, scales=None) -> RatioEstimate:
+def _estimate_from(out: dict) -> RatioEstimate:
     ratios = out["ratio"]
     iters = int(ratios.size)
     mean = float(np.mean(ratios))
     stderr = float(np.std(ratios, ddof=1) / math.sqrt(iters)) if iters > 1 else 0.0
-    rom = None
-    if scales is not None:
-        s = np.exp(scales - np.max(scales))
-        rom = float(np.sum(ratios * s) / np.sum(s))
     return RatioEstimate(
         mean=mean,
         stderr=stderr,
         iterations=iters,
         select_best_prob=float(np.mean(out["select_best"])),
         none_prob=float(np.mean(out["none"])),
-        ratio_of_means=rom,
     )
 
 
@@ -392,15 +385,12 @@ def per_iteration_outcomes(config: ExperimentConfig) -> dict:
     if config.algorithm.tag == "l-select":
         raise ConfigError("l-select runs through estimate_l_selection")
     batch = _build_batch(config.family, config.n, config.iterations, config.master_seed)
-    out = _cell_outcomes(batch, config.algorithm, config.gap)
-    out["max_log"] = batch.max_log
-    return out
+    return _cell_outcomes(batch, config.algorithm, config.gap)
 
 
 def estimate_ratio(config: ExperimentConfig) -> RatioEstimate:
     """Monte Carlo competitive-ratio estimate for one experiment cell."""
-    out = per_iteration_outcomes(config)
-    return _estimate_from(out, out["max_log"])
+    return _estimate_from(per_iteration_outcomes(config))
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +398,26 @@ def estimate_ratio(config: ExperimentConfig) -> RatioEstimate:
 
 
 def _resolve_tau(base_tau: float, k: int | None, tau_policy: str) -> float:
-    from .bounds import tau_for_k
-
-    if tau_policy == "fixed" or k is None:
+    """The waiting time a tau policy gives at gap index ``k``: ``fixed`` keeps
+    ``base_tau``, ``from-k`` uses the index-tuned value and ``min`` the
+    smaller of the two (``base_tau`` when k is unknown)."""
+    if tau_policy not in ("fixed", "min", "from-k"):
+        raise ConfigError(f"unknown tau policy {tau_policy!r}")
+    if tau_policy == "fixed" or (tau_policy == "min" and k is None):
         return base_tau
-    if tau_policy == "from-k":
-        return tau_for_k(k)
-    if tau_policy == "min":
-        return min(base_tau, tau_for_k(k))
-    raise ConfigError(f"unknown tau policy {tau_policy!r}")
+    if k is None:
+        raise ConfigError("tau policy 'from-k' needs an integer gap index k")
+    return tau_for_k(k) if tau_policy == "from-k" else min(base_tau, tau_for_k(k))
+
+
+def _estimate_cells(config: ExperimentConfig, cells) -> list[RatioEstimate]:
+    """Estimates of (AlgorithmSpec, GapSpec) pairs, each checked as
+    ``ExperimentConfig`` checks its own, on one batch of the config's
+    instances."""
+    for algorithm, gap in cells:
+        _check_cell(config.n, algorithm, gap)
+    batch = _build_batch(config.family, config.n, config.iterations, config.master_seed)
+    return [_estimate_from(_cell_outcomes(batch, a, g)) for a, g in cells]
 
 
 def sweep_k(
@@ -424,31 +425,25 @@ def sweep_k(
     ks,
     tau_policy: str = "fixed",
     include_baseline: bool = True,
-    baseline_tau: float = CLASSICAL_BASELINE_TAU,
 ) -> list[SweepCell]:
     """One estimate per gap index in ``ks``, on shared instance draws.
 
     The classical baseline ignores k, so it is computed once (at
-    ``baseline_tau``) and repeated for each k row.
+    ``CLASSICAL_BASELINE_TAU``) and repeated after each k row.
     """
-    ks = [int(k) for k in ks]
-    for k in ks:
-        if not 2 <= k <= config.n:
-            raise ConfigError(f"gap index k={k} out of range [2, {config.n}]")
-    batch = _build_batch(config.family, config.n, config.iterations, config.master_seed)
-    cells: list[SweepCell] = []
-    baseline = None
-    if include_baseline and config.algorithm.tag != "classical":
-        classical = AlgorithmSpec("classical", tau=baseline_tau)
-        baseline = _estimate_from(_cell_outcomes(batch, classical, config.gap), batch.max_log)
-    for k in ks:
-        tau = _resolve_tau(config.algorithm.tau, k, tau_policy)
-        algo = replace(config.algorithm, tau=tau)
-        est = _estimate_from(_cell_outcomes(batch, algo, config.gap, k=k), batch.max_log)
-        cells.append(SweepCell(k, config.gap.sigma, algo.tag, tau, est))
-        if baseline is not None:
-            cells.append(SweepCell(k, 0.0, "classical", baseline_tau, baseline))
-    return cells
+    algo = config.algorithm
+    gaps = [replace(config.gap, k=int(k)) for k in ks]
+    cells = [(replace(algo, tau=_resolve_tau(algo.tau, g.k, tau_policy)), g) for g in gaps]
+    baseline = AlgorithmSpec("classical", tau=CLASSICAL_BASELINE_TAU)
+    with_baseline = include_baseline and algo.tag != "classical"
+    pairs = cells + [(baseline, config.gap)] if with_baseline else cells
+    estimates = _estimate_cells(config, pairs)
+    rows: list[SweepCell] = []
+    for (a, g), est in zip(cells, estimates):
+        rows.append(SweepCell(g.k, g.sigma, a.tag, a.tau, est))
+        if with_baseline:
+            rows.append(SweepCell(g.k, 0.0, "classical", baseline.tau, estimates[-1]))
+    return rows
 
 
 def sweep_sigma(config: ExperimentConfig, sigmas, ks) -> list[SweepCell]:
@@ -457,22 +452,11 @@ def sweep_sigma(config: ExperimentConfig, sigmas, ks) -> list[SweepCell]:
     At sigma = 0 the predicted gap vanishes, so gap algorithms coincide with
     the classical rule at the same tau draw-for-draw.
     """
-    sigmas = [float(s) for s in sigmas]
-    if any(s < 0 for s in sigmas):
-        raise ConfigError("sigma values must be non-negative")
-    ks = [int(k) for k in ks]
-    for k in ks:
-        if not 2 <= k <= config.n:
-            raise ConfigError(f"gap index k={k} out of range [2, {config.n}]")
-    batch = _build_batch(config.family, config.n, config.iterations, config.master_seed)
     algo = config.algorithm
-    cells: list[SweepCell] = []
-    for k in ks:
-        for sigma in sigmas:
-            out = _cell_outcomes(batch, algo, config.gap, sigma=sigma, k=k)
-            est = _estimate_from(out, batch.max_log)
-            cells.append(SweepCell(k, sigma, algo.tag, algo.tau, est))
-    return cells
+    sigmas = [float(s) for s in sigmas]
+    cells = [(algo, replace(config.gap, k=int(k), sigma=s)) for k in ks for s in sigmas]
+    estimates = _estimate_cells(config, cells)
+    return [SweepCell(g.k, g.sigma, a.tag, a.tau, est) for (a, g), est in zip(cells, estimates)]
 
 
 def batch_ratio_for_profiles(
@@ -492,10 +476,11 @@ def batch_ratio_for_profiles(
         raise ConfigError("all profiles must have the same size")
     if algorithm.tag == "l-select":
         raise ConfigError("l-select runs through estimate_l_selection")
+    _check_cell(n, algorithm, gap)
     seeds = SeededRng(master_seed)
     draws = ((seeds.stream(i).random(n), prof) for i, prof in enumerate(profiles))
     batch = _assemble(draws, iterations, n)
-    return _estimate_from(_cell_outcomes(batch, algorithm, gap), batch.max_log)
+    return _estimate_from(_cell_outcomes(batch, algorithm, gap))
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +614,8 @@ def _l_select_instance(raw: WeightProfile, L: int, gap: GapSpec):
     """(normalized profile, top-L total, gap, best index) of one instance.
 
     The gap is sigma times (L-th minus (L+1)-th largest normalized weight),
-    or the absolute gap rescaled with the raw profile's log maximum.
+    or sigma times the absolute gap rescaled with the raw profile's log
+    maximum.
     """
     norm = normalize(raw)
     ws = np.sort(norm.normalized_weights)[::-1]
@@ -637,28 +623,27 @@ def _l_select_instance(raw: WeightProfile, L: int, gap: GapSpec):
     if opt <= 0.0:
         raise ConfigError("the top-L weights must have positive total")
     if gap.absolute is None:
-        value = gap.sigma * float(ws[L - 1] - ws[L])
+        base = float(ws[L - 1] - ws[L])
     else:
-        value = float(_rescale_raw(gap.absolute, raw.max_log_weight))
-    return norm, opt, value, int(np.argmax(norm.normalized_weights))
+        base = float(_rescale_raw(gap.absolute, raw.max_log_weight))
+    return norm, opt, gap.sigma * base, int(np.argmax(norm.normalized_weights))
 
 
 def estimate_l_selection(
     config: ExperimentConfig,
-    L: int | None = None,
     fixed_profile: WeightProfile | None = None,
 ) -> RatioEstimate:
     """Monte Carlo ratio of the multi-selection rule against the sum of the
-    top L weights.
+    top L weights, L being ``config.algorithm.L``.
 
     The gap fed per instance is sigma times (L-th minus (L+1)-th largest
-    weight) unless an absolute gap is configured; with ``fixed_profile`` only
-    the arrival times are random.
+    weight), or sigma times the absolute gap when one is configured; with
+    ``fixed_profile`` only the arrival times are random.
     """
-    L = config.algorithm.L if L is None else int(L)
+    L = config.algorithm.L
     n = fixed_profile.n if fixed_profile is not None else config.n
-    if not 2 <= L <= n:
-        raise ConfigError(f"L={L} out of range [2, {n}]")
+    if L > n:
+        raise ConfigError(f"L={L} exceeds n={n}")
     if config.gap.absolute is None and L > n - 1:
         raise ConfigError("the auto-computed gap needs L <= n - 1")
 

@@ -48,6 +48,14 @@ class TestValidation:
         assert code == 2
         assert "gap index" in err
 
+    @pytest.mark.parametrize("flags", [["--tau-from-k"], ["--tau-policy", "from-k"]])
+    def test_tau_from_k_needs_gap_index(self, flags, capsys):
+        argv = ["simulate", "--family", "exp", "--algo", "exact-gap", "--gap-value", "1"]
+        code, out, err = run(argv + flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert "gap index k" in err
+
     def test_zero_step_sweep(self, capsys):
         code, _, err = run(
             [

@@ -87,12 +87,6 @@ class TestParetoPower:
         assert half / draws > 0.93
         assert 0.55 < tiny / draws < 0.70
 
-    def test_alternative_parameter_reading(self):
-        prof = gen_pareto_power(100, stream(1), reading="shape_scale")
-        assert prof.normalized_weights.max() == 1.0
-        with pytest.raises(ValueError):
-            gen_pareto_power(100, stream(1), reading="bogus")
-
     def test_needs_two_elements(self):
         with pytest.raises(ValueError):
             gen_pareto_power(1, stream())

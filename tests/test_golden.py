@@ -1,8 +1,10 @@
 """Byte-neutral gate: fixed small CLI runs must keep their exact CSV bytes.
 
 Each command writes into a temporary directory and the SHA-256 of every
-output file is compared with a digest recorded before the single-selection
-engine was rebuilt around one policy record and a sort-free kernel. A
+output file is compared with a digest recorded before the refactor it
+guards: the single-selection engine's rebuild around one policy record and a
+sort-free kernel, and, for the tau-policy and absolute-gap sweep commands,
+the move of every sweep to (AlgorithmSpec, GapSpec) cells on one batch. A
 refactor of generation, batching or the kernels must leave every digest
 unchanged.
 
@@ -82,7 +84,6 @@ COMMANDS = {
 GOLDEN = {
     "replay/generated": "32bb873d791f86bddfe8e280166d861e345ac1ec202229a49311e5f2f521dfe4",
     "replay/profiles": "217ed026ba31445dc4163f7bf8debf90cbff7e6e0d1271d28221ed8155ffa5e3",
-    "replay/replayed": "bea6bc24a51aa0357cc58c8c07275536294f769a79ea5a3a11a18c621f448358",
     "simulate/chisq/bounded": "8ecea6c63e6bf5f0e64d4d60165878fcb16ea66326d9fdd45e15c8542a99f906",
     "simulate/chisq/classical": "9cfc43eede1ed0bb1e865f616fdfc1aa5219d917f8953cb53221a2bb438c81eb",
     "simulate/chisq/exact-gap": "17f297e78a52a5c44ea012fd750e948ae9bd7e93f5e67c66cba69b34ac5414ee",
@@ -137,4 +138,19 @@ def test_dump_and_replay_bytes_unchanged(tmp_path):
     assert cli.main(argv + ["--out", str(replayed)]) == 0
     assert _digest(dumped) == GOLDEN["replay/profiles"]
     assert _digest(generated) == GOLDEN["replay/generated"]
-    assert _digest(replayed) == GOLDEN["replay/replayed"]
+    # the replay names the family by its flag, as the generated run does
+    assert replayed.read_bytes() == generated.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["simulate/exp/exact-gap/tau-from-k", "sweep/k/tau-from-k"])
+@pytest.mark.parametrize(
+    "spelling",
+    [["--tau-policy", "from-k"], ["--tau-policy", "fixed", "--tau-from-k"]],
+    ids=["tau-policy", "later-flag-wins"],
+)
+def test_tau_from_k_spellings(name, spelling, tmp_path):
+    # --tau-from-k is an alias of --tau-policy from-k
+    argv = [a for a in COMMANDS[name] if a != "--tau-from-k"] + spelling
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert _digest(out) == GOLDEN[name]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,8 +139,20 @@ class TestSpecsValidation:
             GapSpec(k=1)
         with pytest.raises(ConfigError):
             GapSpec(sigma=-0.1)
-        with pytest.raises(ConfigError):
-            GapSpec(absolute=3.0, sigma=2.0)
+        # sigma scales an absolute gap too: a sigma-sweep cell over one is the
+        # estimate of the GapSpec that names both
+        cfg = ExperimentConfig(
+            InstanceFamily("exponential"),
+            30,
+            200,
+            AlgorithmSpec("exact-gap", tau=0.2),
+            GapSpec(absolute=3.0),
+            master_seed=SEED,
+        )
+        (cell,) = sweep_sigma(cfg, [2.0], [2])
+        scaled = replace(cfg, gap=GapSpec(absolute=3.0, sigma=2.0))
+        assert cell.estimate == estimate_ratio(scaled)
+        assert cell.estimate != estimate_ratio(cfg)
 
     def test_config(self):
         fam = InstanceFamily("exponential")
@@ -191,7 +204,6 @@ class TestEstimateRatio:
         assert est.select_best_prob + est.none_prob <= 1.0
         assert est.iterations == 400
         assert est.stderr > 0
-        assert est.ratio_of_means is not None
 
     def test_bit_identical_across_threads(self):
         # reruns agree bit for bit; the CLI's output-determinism check covers
@@ -535,15 +547,18 @@ class TestLSelectionEstimation:
             estimate_l_selection(cfg)
 
     def test_l_range(self):
+        with pytest.raises(ConfigError):
+            AlgorithmSpec("l-select", tau=0.3, L=1)
         cfg = ExperimentConfig(
             InstanceFamily("exponential"),
             5,
             10,
-            AlgorithmSpec("l-select", tau=0.3, L=2),
+            AlgorithmSpec("l-select", tau=0.3, L=6),
+            GapSpec(absolute=1.0),
             master_seed=SEED,
         )
         with pytest.raises(ConfigError):
-            estimate_l_selection(cfg, L=1)
+            estimate_l_selection(cfg)
 
     def test_absolute_gap_rescaled_with_raw_max(self):
         # the superstar is 1e6 times the other weights; half its raw weight

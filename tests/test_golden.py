@@ -4,9 +4,10 @@ Each command writes into a temporary directory and the SHA-256 of every
 output file is compared with a digest recorded before the refactor it
 guards: the single-selection engine's rebuild around one policy record and a
 sort-free kernel, and, for the tau-policy and absolute-gap sweep commands,
-the move of every sweep to (AlgorithmSpec, GapSpec) cells on one batch. A
-refactor of generation, batching or the kernels must leave every digest
-unchanged.
+the move of every sweep to (AlgorithmSpec, GapSpec) cells on one batch, and,
+for the df = 1, factor = 1e6, pareto absolute-gap and n <= 2 commands, the
+batch builder's move to row-wise draws normalized once per batch. A refactor
+of generation, batching or the kernels must leave every digest unchanged.
 
 The digests are pinned to numpy 2.4 on x86-64: the draws come from numpy's
 PCG64 streams and its float routines, so another numpy release or platform
@@ -79,6 +80,27 @@ COMMANDS = {
         "--family", "exp", "--n", N, "--iters", ITERS, "--algo", "bounded",
         "--tau", "0.2", "--epsilon", "0.5", "--gap-value", "3.5", "--seed", "41",
     ],
+    "simulate/chisq/exact-gap/df-1": SIM
+    + ["--family", "chisq", "--df", "1", "--seed", "43", "--algo", "exact-gap", "--k", "5"],
+    "simulate/exp-superstar/bounded/factor-1e6-gap-value": SIM
+    + [
+        "--family", "exp-superstar", "--superstar-factor", "1e6", "--seed", "47",
+        "--algo", "bounded", "--gap-value", "3e6", "--epsilon", "1e6",
+    ],
+    "simulate/pareto/exact-gap/gap-value": SIM
+    + ["--family", "pareto", "--seed", "53", "--algo", "exact-gap", "--gap-value", "0.5"],
+    "simulate/pareto/exact-gap/n-2": [
+        "simulate", "--n", "2", "--iters", ITERS, "--tau", "0.2", "--family", "pareto",
+        "--seed", "59", "--algo", "exact-gap", "--k", "2",
+    ],
+    "simulate/exp-superstar/exact-gap/n-2": [
+        "simulate", "--n", "2", "--iters", ITERS, "--tau", "0.2", "--family", "exp-superstar",
+        "--seed", "61", "--algo", "exact-gap", "--k", "2",
+    ],
+    "simulate/exp/classical/n-1": [
+        "simulate", "--n", "1", "--iters", ITERS, "--tau", "0.2", "--family", "exp",
+        "--seed", "67", "--algo", "classical",
+    ],
 }
 
 GOLDEN = {
@@ -87,15 +109,19 @@ GOLDEN = {
     "simulate/chisq/bounded": "8ecea6c63e6bf5f0e64d4d60165878fcb16ea66326d9fdd45e15c8542a99f906",
     "simulate/chisq/classical": "9cfc43eede1ed0bb1e865f616fdfc1aa5219d917f8953cb53221a2bb438c81eb",
     "simulate/chisq/exact-gap": "17f297e78a52a5c44ea012fd750e948ae9bd7e93f5e67c66cba69b34ac5414ee",
+    "simulate/chisq/exact-gap/df-1": "839fa7b7073f8628c95fda0d86188d1ae4e36d1d734f0812f2770aa3772e8dab",
     "simulate/chisq/robust": "2f4689dbce3b4f821294a2f944c9d556910318afcc9bd4500327994b85b680a6",
     "simulate/chisq/strict-classical": "08107ac32644f6a40acaa84f9af7d7b25ceebbb38857454ecbc14144a1330f7c",
     "simulate/exp-superstar/bounded": "d346fb143dcf71318dd945cecfa0c70b58cb4adcdade733658613e9b01217a29",
+    "simulate/exp-superstar/bounded/factor-1e6-gap-value": "e738dfaa7490b687da0ea32fe1c98f7ab0f59d990471c7db1c7d0f0047e8d53b",
     "simulate/exp-superstar/classical": "dbbbc7590046c25923579889cda6b8ba40fa66ba17d360d8c78a4d7645260299",
     "simulate/exp-superstar/exact-gap": "c8f75ae53b9d5a8dc1a65a10841fb7c036a857edd50d81488e9232acc3dedadc",
+    "simulate/exp-superstar/exact-gap/n-2": "4cc048ed77ae27977fa7b078ab4700fe19cb8339b92364cc287376336c8a8e4b",
     "simulate/exp-superstar/robust": "79480bacf9ed9223cde65ac3f20bd767db861919e4a390d948e316e6732e84cd",
     "simulate/exp-superstar/strict-classical": "cef800fb54c8e0bcc6982f66692a587786e3c09f6d14a460b03ebe9d3e1abac6",
     "simulate/exp/bounded": "f7c5a7fb110154d41fa60056f630fabc3bb2326274f593add2e87a8a71be0c8f",
     "simulate/exp/classical": "43f0c0d2bcdb80162f93846ab7df66c3f16849a7c1247ec28982c5d6c001b640",
+    "simulate/exp/classical/n-1": "914d9f7dc711f659aed0548b067933e307aa0798fb6de0de1b6860e6835540b6",
     "simulate/exp/exact-gap": "ef470cd5d1222987a6fa4211afdcc7e41a2f21ff668ec2c983e7952c99c5159b",
     "simulate/exp/exact-gap/gap-value": "9acc915e35b8284041298d5c6a227ad9d831ec134f511dc9b291eb25b96adcbf",
     "simulate/exp/exact-gap/tau-from-k": "91f5a3da63968ae891bafbc8267a55885881392db35fe996e0c1eff7d0e5a8aa",
@@ -106,6 +132,8 @@ GOLDEN = {
     "simulate/pareto/bounded": "883774b63093ecac12d071e77219e4301d204f56415911f17aec6e8166e02bb5",
     "simulate/pareto/classical": "b6a8887793da643f3890131e4541737b51a0f0d81d325fb47db0a2dfc25c2dcf",
     "simulate/pareto/exact-gap": "a37bfba9722b6892e777e42f6e7cd88d9435d44178176878d4b072116378a4d2",
+    "simulate/pareto/exact-gap/gap-value": "2cbf8d8451d690328dd0ccbf43fec9728e609ad7b840c37e4a90972a384f49b0",
+    "simulate/pareto/exact-gap/n-2": "e0382827974f4914f553eefa069d19e735a780216760968452b65748a47321f7",
     "simulate/pareto/robust": "c1a22bc43220b5878506e7a9dbac731600acf235fa15a614dddc203de5bd483d",
     "simulate/pareto/strict-classical": "2f7e40c2981565d864f73fd2ca3a68ebbe32f944491a13f753e30a05e1dd8bc8",
     "sweep/k": "f1ebdb539eac38bc6d56e5d307031b36f81e04d4e997af82846b879ca69ee939",

@@ -306,7 +306,7 @@ def cmd_sweep(args) -> int:
         algo = _algorithm(args, args.tau)
         gap = _gap(args, ks[0])
         config = ExperimentConfig(family, args.n, args.iters, algo, gap, master_seed=args.seed)
-        cells = sweep_sigma(config, sigmas, ks)
+        cells = sweep_sigma(config, sigmas, ks, tau_policy=args.tau_policy)
 
     rows = [
         _estimate_row(args, c.estimate, c.algo, c.tau, c.k, c.sigma, args.family) for c in cells

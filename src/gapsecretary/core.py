@@ -22,6 +22,7 @@ __all__ = [
     "true_gap",
     "prediction_error",
     "normalize",
+    "normalize_rows",
 ]
 
 
@@ -237,3 +238,17 @@ def normalize(profile: WeightProfile) -> WeightProfile:
     if m == -math.inf or m == 0.0:
         return profile
     return WeightProfile(profile.log_weights - m)
+
+
+def normalize_rows(log_weights: np.ndarray) -> np.ndarray:
+    """Shift each row of a 2-D log-weight array in place so that its maximum
+    is 0, as :func:`normalize` shifts one profile; returns the row maxima.
+
+    Rows are checked as ``WeightProfile`` checks a profile. All-zero rows
+    (maximum -inf) stay as they are.
+    """
+    m = np.max(log_weights, axis=1)
+    if np.isnan(m).any() or (m == math.inf).any():
+        raise ValueError("log-weights must be finite or -inf")
+    log_weights -= np.where(m == -math.inf, 0.0, m)[:, None]
+    return m

@@ -7,12 +7,13 @@ regardless of scheduling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import ArrivalDraw, WeightProfile, normalize
+from .core import ArrivalDraw, WeightProfile, normalize, normalize_rows
 
 __all__ = [
     "FAMILY_TAGS",
@@ -74,6 +75,68 @@ class InstanceFamily:
         if self.tag == "chi_squared":
             return gen_chi_squared(n, self.df, rng)
         return gen_exp_superstar(n, self.factor, rng)
+
+    def draw_rows(self, streams, out: np.ndarray) -> None:
+        """Draw one instance per stream into the rows of ``out`` as raw
+        log-weights, the batch form of ``generate``.
+
+        Row i's draws come from stream i in the order ``generate`` makes them:
+        pareto's theta before its n uniforms, chi-squared's (n, df) normals,
+        the superstar's n - 1 exponentials. The transforms after the draws,
+        and ``from_weights``'s checks, run once over the whole array and in
+        place. Pareto rows come out normalized, as ``gen_pareto_power``
+        returns its profiles. The ``gen_*`` functions stay the readable
+        per-instance reference, and the tests require both forms to give the
+        same bits.
+        """
+        rows, n = out.shape
+        # the gen_* functions' size checks, made before any stream is drawn
+        if self.tag == "pareto_power" and n < 2:
+            raise ValueError("pareto-power family needs n >= 2")
+        if self.tag == "exp_superstar" and n < 2:
+            raise ValueError("superstar family needs n >= 2")
+        if n < 1:
+            raise ValueError("need at least one weight")
+        if self.tag == "pareto_power":
+            u = np.empty(rows)
+
+            def draw(i, rng):
+                u[i] = rng.random()
+                rng.random(out=out[i])
+
+        elif self.tag == "exponential":
+
+            def draw(i, rng):
+                rng.standard_exponential(out=out[i])
+
+        elif self.tag == "chi_squared":
+            z = np.empty((n, self.df))
+
+            def draw(i, rng):
+                rng.standard_normal(out=z)
+                np.multiply(z, z, out=z)
+                np.sum(z, axis=1, out=out[i])
+
+        else:
+
+            def draw(i, rng):
+                rng.standard_exponential(out=out[i, :-1])
+
+        for i, rng in enumerate(streams):
+            draw(i, rng)
+
+        with np.errstate(divide="ignore", over="ignore"):
+            if self.tag == "pareto_power":
+                np.log(out, out=out)
+                out += (np.log(5.0 / n) - np.log(1.0 - u))[:, None]
+                out *= n**1.5
+                normalize_rows(out)
+                return
+            if self.tag == "exp_superstar":
+                out[:, -1] = self.factor * np.max(out[:, :-1], axis=1)
+            if not (out.min() >= 0.0 and out.max() < math.inf):
+                raise ValueError("weights must be finite and non-negative")
+            np.log(out, out=out)
 
 
 def gen_arrivals(n: int, rng: np.random.Generator) -> ArrivalDraw:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .algorithms import run_l_selection_gap
 from .bounds import tau_for_k
-from .core import ArrivalDraw, WeightProfile, normalize
+from .core import ArrivalDraw, WeightProfile, normalize, normalize_rows
 from .generators import InstanceFamily, SeededRng
 
 __all__ = [
@@ -307,22 +307,41 @@ def _draws(family: InstanceFamily, n: int, iterations: int, master_seed: int):
         yield times, family.generate(n, rng)
 
 
-def _assemble(draws, iterations: int, n: int) -> _InstanceBatch:
-    """Stack (arrival times, raw profile) pairs into a normalized batch."""
-    W = np.empty((iterations, n))
-    T = np.empty((iterations, n))
-    M = np.empty(iterations)
-    for i, (times, prof) in enumerate(draws):
-        T[i] = times
-        M[i] = prof.max_log_weight
-        W[i] = prof.normalized_weights
-    return _InstanceBatch(W, T, M, np.sort(W, axis=1)[:, ::-1])
+def _normalized_batch(times: np.ndarray, log_weights: np.ndarray) -> _InstanceBatch:
+    """Normalize raw log-weight rows in place into a batch; the one place
+    where batch weights are normalized."""
+    max_log = normalize_rows(log_weights)
+    weights = np.exp(log_weights, out=log_weights)
+    return _InstanceBatch(weights, times, max_log, np.sort(weights, axis=1)[:, ::-1])
 
 
 def _build_batch(
     family: InstanceFamily, n: int, iterations: int, master_seed: int
 ) -> _InstanceBatch:
-    return _assemble(_draws(family, n, iterations, master_seed), iterations, n)
+    """The instances ``_draws`` yields, drawn straight into (iters, n) rows
+    and normalized once for the whole batch."""
+    seeds = SeededRng(master_seed)
+    times, log_weights = np.empty((iterations, n)), np.empty((iterations, n))
+
+    def streams():  # stream i draws the arrival times, then the weights
+        for i in range(iterations):
+            rng = seeds.stream(i)
+            rng.random(out=times[i])
+            yield rng
+
+    family.draw_rows(streams(), log_weights)
+    return _normalized_batch(times, log_weights)
+
+
+def _replay_batch(profiles, master_seed: int) -> _InstanceBatch:
+    """Batch of user-supplied instances; stream i of the master seed provides
+    iteration i's arrival draw."""
+    log_weights = np.stack([p.log_weights for p in profiles])
+    times = np.empty_like(log_weights)
+    seeds = SeededRng(master_seed)
+    for i in range(len(profiles)):
+        seeds.stream(i).random(out=times[i])
+    return _normalized_batch(times, log_weights)
 
 
 def regenerate_profiles(
@@ -410,14 +429,29 @@ def _resolve_tau(base_tau: float, k: int | None, tau_policy: str) -> float:
     return tau_for_k(k) if tau_policy == "from-k" else min(base_tau, tau_for_k(k))
 
 
+def _cell_key(algorithm: AlgorithmSpec, gap: GapSpec):
+    """What a cell's estimate reads: a rule without a gap ignores the GapSpec,
+    and an absolute gap ignores k."""
+    if not algorithm.uses_gap:
+        return algorithm, None
+    if gap.absolute is not None:
+        return algorithm, replace(gap, k=None)
+    return algorithm, gap
+
+
 def _estimate_cells(config: ExperimentConfig, cells) -> list[RatioEstimate]:
     """Estimates of (AlgorithmSpec, GapSpec) pairs, each checked as
     ``ExperimentConfig`` checks its own, on one batch of the config's
-    instances."""
+    instances; cells that read the same inputs are evaluated once."""
     for algorithm, gap in cells:
         _check_cell(config.n, algorithm, gap)
     batch = _build_batch(config.family, config.n, config.iterations, config.master_seed)
-    return [_estimate_from(_cell_outcomes(batch, a, g)) for a, g in cells]
+    estimates = {}
+    for a, g in cells:
+        key = _cell_key(a, g)
+        if key not in estimates:
+            estimates[key] = _estimate_from(_cell_outcomes(batch, a, g))
+    return [estimates[_cell_key(a, g)] for a, g in cells]
 
 
 def sweep_k(
@@ -432,29 +466,35 @@ def sweep_k(
     ``CLASSICAL_BASELINE_TAU``) and repeated after each k row.
     """
     algo = config.algorithm
-    gaps = [replace(config.gap, k=int(k)) for k in ks]
-    cells = [(replace(algo, tau=_resolve_tau(algo.tau, g.k, tau_policy)), g) for g in gaps]
     baseline = AlgorithmSpec("classical", tau=CLASSICAL_BASELINE_TAU)
     with_baseline = include_baseline and algo.tag != "classical"
-    pairs = cells + [(baseline, config.gap)] if with_baseline else cells
-    estimates = _estimate_cells(config, pairs)
-    rows: list[SweepCell] = []
-    for (a, g), est in zip(cells, estimates):
-        rows.append(SweepCell(g.k, g.sigma, a.tag, a.tau, est))
+    cells = []
+    for k in ks:
+        gap = replace(config.gap, k=int(k))
+        cells.append((replace(algo, tau=_resolve_tau(algo.tau, gap.k, tau_policy)), gap))
         if with_baseline:
-            rows.append(SweepCell(g.k, 0.0, "classical", baseline.tau, estimates[-1]))
-    return rows
+            cells.append((baseline, replace(gap, sigma=0.0)))
+    estimates = _estimate_cells(config, cells)
+    return [SweepCell(g.k, g.sigma, a.tag, a.tau, est) for (a, g), est in zip(cells, estimates)]
 
 
-def sweep_sigma(config: ExperimentConfig, sigmas, ks) -> list[SweepCell]:
-    """Full (k, sigma) grid of estimates for the configured algorithm.
+def sweep_sigma(
+    config: ExperimentConfig, sigmas, ks, tau_policy: str = "fixed"
+) -> list[SweepCell]:
+    """Full (k, sigma) grid of estimates for the configured algorithm, with
+    tau resolved per k as in :func:`sweep_k`.
 
     At sigma = 0 the predicted gap vanishes, so gap algorithms coincide with
     the classical rule at the same tau draw-for-draw.
     """
     algo = config.algorithm
     sigmas = [float(s) for s in sigmas]
-    cells = [(algo, replace(config.gap, k=int(k), sigma=s)) for k in ks for s in sigmas]
+    cells = [
+        (replace(algo, tau=_resolve_tau(algo.tau, int(k), tau_policy)),
+         replace(config.gap, k=int(k), sigma=s))
+        for k in ks
+        for s in sigmas
+    ]
     estimates = _estimate_cells(config, cells)
     return [SweepCell(g.k, g.sigma, a.tag, a.tau, est) for (a, g), est in zip(cells, estimates)]
 
@@ -468,8 +508,7 @@ def batch_ratio_for_profiles(
     """Estimate on user-supplied instances (replay files); stream i of the
     master seed provides iteration i's arrival draw."""
     profiles = list(profiles)
-    iterations = len(profiles)
-    if iterations < 1:
+    if not profiles:
         raise ConfigError("need at least one profile")
     n = profiles[0].n
     if any(p.n != n for p in profiles):
@@ -477,9 +516,7 @@ def batch_ratio_for_profiles(
     if algorithm.tag == "l-select":
         raise ConfigError("l-select runs through estimate_l_selection")
     _check_cell(n, algorithm, gap)
-    seeds = SeededRng(master_seed)
-    draws = ((seeds.stream(i).random(n), prof) for i, prof in enumerate(profiles))
-    batch = _assemble(draws, iterations, n)
+    batch = _replay_batch(profiles, master_seed)
     return _estimate_from(_cell_outcomes(batch, algorithm, gap))
 
 

@@ -43,6 +43,21 @@ class TestValidation:
         assert out == ""
         assert "must be" in err
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--family", "pareto", "--n", "1"], "needs n >= 2"),
+            (["--family", "exp-superstar", "--n", "1"], "needs n >= 2"),
+            (["--family", "chisq", "--df", "0"], "df must be an integer >= 1"),
+        ],
+        ids=["pareto-n1", "superstar-n1", "chisq-df0"],
+    )
+    def test_family_precondition_exits_2(self, flags, message, capsys):
+        code, out, err = run(["simulate", "--algo", "classical", "--iters", "5"] + flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_missing_gap_index(self, capsys):
         code, _, err = run(["simulate", "--family", "exp", "--algo", "exact-gap"], capsys)
         assert code == 2

@@ -10,6 +10,7 @@ from gapsecretary.core import (
     WeightProfile,
     best_so_far,
     normalize,
+    normalize_rows,
     prediction_error,
     true_gap,
 )
@@ -178,3 +179,14 @@ class TestNormalize:
         rng = np.random.default_rng(5)
         p = WeightProfile.from_weights(rng.random(30) * 100)
         assert np.array_equal(p.sorted_indices, normalize(p).sorted_indices)
+
+    def test_rows_match_normalize(self):
+        rows = [profile(10, 4, 0), profile(0, 0, 0), profile(3, 3, 1)]
+        log_w = np.array([p.log_weights for p in rows])
+        assert np.array_equal(normalize_rows(log_w), [p.max_log_weight for p in rows])
+        assert np.array_equal(log_w, [normalize(p).log_weights for p in rows])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rows_checked_as_profiles(self, bad):
+        with pytest.raises(ValueError, match="finite or -inf"):
+            normalize_rows(np.array([[0.0, 1.0], [bad, 1.0]]))

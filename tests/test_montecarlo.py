@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gapsecretary import montecarlo
 from gapsecretary.algorithms import (
     PolicySchedule,
     run_bounded_error,
@@ -12,14 +13,17 @@ from gapsecretary.algorithms import (
     run_robust_consistent,
     run_strict_classical,
 )
+from gapsecretary.bounds import tau_for_k
 from gapsecretary.core import ArrivalDraw, WeightProfile
-from gapsecretary.generators import FAMILY_TAGS, InstanceFamily
+from gapsecretary.generators import FAMILY_TAGS, InstanceFamily, SeededRng
 from gapsecretary.montecarlo import (
     AlgorithmSpec,
     ConfigError,
     ExperimentConfig,
     GapSpec,
+    _build_batch,
     _policy,
+    _replay_batch,
     _rescale_raw,
     _run_threshold_batch,
     batch_ratio_for_profiles,
@@ -270,8 +274,6 @@ class TestSweeps:
         assert gap_cells[1].estimate == single
 
     def test_sweep_k_tau_policies(self):
-        from gapsecretary.bounds import tau_for_k
-
         cfg = ExperimentConfig(
             InstanceFamily("exponential"),
             60,
@@ -337,6 +339,64 @@ class TestSweeps:
         assert est.select_best_prob == classical.select_best_prob
         assert est.none_prob == classical.none_prob
 
+    def test_sweep_sigma_tau_policy(self):
+        cfg = ExperimentConfig(
+            InstanceFamily("exponential"),
+            40,
+            150,
+            AlgorithmSpec("exact-gap", tau=0.2),
+            GapSpec(k=2),
+            master_seed=SEED,
+        )
+        cells = sweep_sigma(cfg, [0.5, 1.0], [2, 10], tau_policy="from-k")
+        assert len(cells) == 4
+        for c in cells:
+            assert c.tau == tau_for_k(c.k)
+            single = ExperimentConfig(
+                cfg.family,
+                40,
+                150,
+                AlgorithmSpec("exact-gap", tau=tau_for_k(c.k)),
+                GapSpec(k=c.k, sigma=c.sigma),
+                master_seed=SEED,
+            )
+            assert c.estimate == estimate_ratio(single)
+
+    @pytest.mark.parametrize(
+        "policy,evaluated", [("fixed", 2), ("from-k", 4)], ids=["fixed", "from-k"]
+    )
+    def test_cells_reading_the_same_inputs_evaluated_once(self, policy, evaluated, monkeypatch):
+        # an absolute gap ignores k and the classical baseline ignores the
+        # gap, so under a fixed tau the k rows share one bounded estimate;
+        # the tuned tau differs per k
+        calls = []
+        kernel = montecarlo._run_threshold_batch
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_run_threshold_batch", counting)
+        cfg = ExperimentConfig(
+            InstanceFamily("exponential"),
+            50,
+            100,
+            AlgorithmSpec("bounded", tau=0.2, epsilon=0.5),
+            GapSpec(absolute=3.5),
+            master_seed=SEED,
+        )
+        cells = sweep_k(cfg, [2, 18, 34], tau_policy=policy)
+        assert len(calls) == evaluated
+        bounded = [c for c in cells if c.algo == "bounded"]
+        assert [c.k for c in bounded] == [2, 18, 34]
+        for c in bounded:
+            single = replace(cfg, algorithm=replace(cfg.algorithm, tau=c.tau))
+            assert c.estimate == estimate_ratio(single)
+        calls.clear()
+        cells = sweep_sigma(cfg, [0.0, 1.0], [2, 10, 50])
+        assert len(calls) == 2
+        assert len(cells) == 6
+
 
 class TestQualitativeSweepBehavior:
     def test_tuned_tau_estimates_increase_with_k_on_pareto(self):
@@ -395,7 +455,7 @@ class TestQualitativeSweepBehavior:
         assert abs(cells[0.1] - cells[1.0]) < 0.05
 
     def test_guarantee_floor_every_family(self):
-        from gapsecretary.bounds import alpha_exact, tau_for_k
+        from gapsecretary.bounds import alpha_exact
 
         for tag in ("pareto_power", "exponential", "chi_squared", "exp_superstar"):
             for k in (2, 100, 200):
@@ -490,6 +550,70 @@ class TestSimulateFixedProfile:
         )
         # overshooting rows never accept anything
         assert not out["ratio"][1::2].any()
+
+
+FAMILY_CASES = [
+    (InstanceFamily("pareto_power"), 2),
+    (InstanceFamily("exponential"), 1),
+    (InstanceFamily("chi_squared"), 1),
+    (InstanceFamily("chi_squared", df=1), 1),
+    (InstanceFamily("exp_superstar"), 2),
+    (InstanceFamily("exp_superstar", factor=1e6), 2),
+]
+
+
+class TestBatchBuild:
+    @pytest.mark.parametrize("n_index", [0, 1, 2], ids=["smallest", "n7", "n50"])
+    @pytest.mark.parametrize(
+        "family,smallest",
+        FAMILY_CASES,
+        ids=["pareto", "exp", "chisq", "chisq-df1", "superstar", "superstar-1e6"],
+    )
+    def test_matches_per_instance_generation(self, family, smallest, n_index):
+        # the row form draws the same streams as family.generate, bit for bit;
+        # the reference stacks each profile's normalized view
+        n, iters, seed = (smallest, 7, 50)[n_index], 40, 5
+        seeds = SeededRng(seed)
+        times, weights, max_log = [], [], []
+        for i in range(iters):
+            rng = seeds.stream(i)
+            times.append(rng.random(n))
+            prof = family.generate(n, rng)
+            weights.append(prof.normalized_weights)
+            max_log.append(prof.max_log_weight)
+        W = np.array(weights)
+        expected = (np.array(times), W, np.array(max_log), np.sort(W, axis=1)[:, ::-1])
+        profiles = regenerate_profiles(family, n, iters, seed)
+        for batch in (_build_batch(family, n, iters, seed), _replay_batch(profiles, seed)):
+            got = (batch.times, batch.weights, batch.max_log, batch.sorted_weights)
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b)
+        if family.tag == "pareto_power":
+            assert not batch.max_log.any()  # pareto profiles come normalized
+
+    def test_replay_keeps_all_zero_rows(self):
+        profiles = [
+            WeightProfile.from_weights([0.0, 0.0, 0.0]),
+            WeightProfile.from_weights([1.0, 4.0, 2.0]),
+            WeightProfile.from_weights([0.0, 3.0, 0.0]),
+        ]
+        batch = _replay_batch(profiles, 3)
+        assert np.array_equal(batch.weights, [p.normalized_weights for p in profiles])
+        assert np.array_equal(batch.max_log, [p.max_log_weight for p in profiles])
+
+    def test_size_checked_before_any_stream(self, monkeypatch):
+        def no_stream(self, index):
+            raise AssertionError("a stream was drawn")
+
+        monkeypatch.setattr(SeededRng, "stream", no_stream)
+        for tag in ("pareto_power", "exp_superstar"):
+            with pytest.raises(ValueError, match="needs n >= 2"):
+                _build_batch(InstanceFamily(tag), 1, 5, 0)
+
+    def test_non_finite_weight_rejected(self):
+        # the superstar overflows float64 at this factor
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            _build_batch(InstanceFamily("exp_superstar", factor=1e308), 5, 3, 0)
 
 
 class TestBatchRatioForProfiles:

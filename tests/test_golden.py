@@ -6,17 +6,22 @@ guards: the single-selection engine's rebuild around one policy record and a
 sort-free kernel, and, for the tau-policy and absolute-gap sweep commands,
 the move of every sweep to (AlgorithmSpec, GapSpec) cells on one batch, and,
 for the df = 1, factor = 1e6, pareto absolute-gap and n <= 2 commands, the
-batch builder's move to row-wise draws normalized once per batch. A refactor
-of generation, batching or the kernels must leave every digest unchanged.
+batch builder's move to row-wise draws normalized once per batch, and, for
+the l-select commands (auto and raw-unit absolute gaps, L = 5, L = n - 1)
+and the chi-squared and superstar ``--dump-profiles`` files, the move of
+l-select and the profile dump from one instance at a time to chunked batch
+rows. A refactor of generation, batching or the kernels must leave every
+digest unchanged.
 
 The digests are pinned to numpy 2.4 on x86-64: the draws come from numpy's
 PCG64 streams and its float routines, so another numpy release or platform
 may change the last bits of a weight and hence a digest. Recompute them at
 the parent commit before comparing on such a setup.
 
-Left out on purpose: l-select with an absolute gap (``--gap-value``) on
-generated instances, whose output changed when its raw-unit rescaling was
-fixed.
+l-select with an absolute gap (``--gap-value``) is pinned on an exponential
+and a factor-1e6 superstar instance set: the gap is in raw weight units and
+must be rescaled with each raw instance's log maximum, so a gap read as
+already normalized would change both digests.
 """
 
 import hashlib
@@ -101,15 +106,47 @@ COMMANDS = {
         "simulate", "--n", "1", "--iters", ITERS, "--tau", "0.2", "--family", "exp",
         "--seed", "67", "--algo", "classical",
     ],
+    "simulate/exp/l-select/gap-value": SIM
+    + ["--family", "exp", "--seed", "71", "--algo", "l-select", "--L", "2", "--gap-value", "2.0"],
+    "simulate/exp-superstar/l-select/factor-1e6-gap-value": SIM
+    + [
+        "--family", "exp-superstar", "--superstar-factor", "1e6", "--seed", "73",
+        "--algo", "l-select", "--L", "2", "--gap-value", "3.5",
+    ],
+    "simulate/chisq/l-select/L-5": SIM
+    + ["--family", "chisq", "--seed", "79", "--algo", "l-select", "--L", "5"],
+    "simulate/pareto/l-select": SIM
+    + ["--family", "pareto", "--seed", "83", "--algo", "l-select", "--L", "3"],
+    "simulate/exp-superstar/l-select": SIM
+    + ["--family", "exp-superstar", "--seed", "89", "--algo", "l-select", "--L", "2"],
+    "simulate/exp/l-select/L-n-minus-1": [
+        "simulate", "--n", "6", "--iters", ITERS, "--tau", "0.2", "--family", "exp",
+        "--seed", "97", "--algo", "l-select", "--L", "5",
+    ],
+}
+
+# --dump-profiles runs: the digest of the profile file each one writes
+DUMPS = {
+    "dump/chisq": SIM + ["--family", "chisq", "--seed", "101", "--algo", "classical"],
+    "dump/exp-superstar": SIM
+    + [
+        "--family", "exp-superstar", "--superstar-factor", "1e6", "--seed", "103",
+        "--algo", "l-select", "--L", "2",
+    ],
 }
 
 GOLDEN = {
+    "dump/chisq": "8996f0a9fcb502ae27eefa20a76a3c23b32413a45e5473fb750fe2c99fcf33ab",
+    "dump/chisq/profiles": "4ecdbed1358f9368a3a9422be3cc698f30536a7ed53f01c0c562bc72c8504166",
+    "dump/exp-superstar": "7b9078e88ab34f506e76cfbc8390e7bd69f794e8ff5a8709a8edec0b074922c1",
+    "dump/exp-superstar/profiles": "8f6f5a91bc823fe866214b8260c0ac8ae4f13e21ee814410861bdc22332bf661",
     "replay/generated": "32bb873d791f86bddfe8e280166d861e345ac1ec202229a49311e5f2f521dfe4",
     "replay/profiles": "217ed026ba31445dc4163f7bf8debf90cbff7e6e0d1271d28221ed8155ffa5e3",
     "simulate/chisq/bounded": "8ecea6c63e6bf5f0e64d4d60165878fcb16ea66326d9fdd45e15c8542a99f906",
     "simulate/chisq/classical": "9cfc43eede1ed0bb1e865f616fdfc1aa5219d917f8953cb53221a2bb438c81eb",
     "simulate/chisq/exact-gap": "17f297e78a52a5c44ea012fd750e948ae9bd7e93f5e67c66cba69b34ac5414ee",
     "simulate/chisq/exact-gap/df-1": "839fa7b7073f8628c95fda0d86188d1ae4e36d1d734f0812f2770aa3772e8dab",
+    "simulate/chisq/l-select/L-5": "44ac4afebda4ca26d154da94372ecb06d70d8e0d7c89becbf13eb53b9021f771",
     "simulate/chisq/robust": "2f4689dbce3b4f821294a2f944c9d556910318afcc9bd4500327994b85b680a6",
     "simulate/chisq/strict-classical": "08107ac32644f6a40acaa84f9af7d7b25ceebbb38857454ecbc14144a1330f7c",
     "simulate/exp-superstar/bounded": "d346fb143dcf71318dd945cecfa0c70b58cb4adcdade733658613e9b01217a29",
@@ -117,6 +154,8 @@ GOLDEN = {
     "simulate/exp-superstar/classical": "dbbbc7590046c25923579889cda6b8ba40fa66ba17d360d8c78a4d7645260299",
     "simulate/exp-superstar/exact-gap": "c8f75ae53b9d5a8dc1a65a10841fb7c036a857edd50d81488e9232acc3dedadc",
     "simulate/exp-superstar/exact-gap/n-2": "4cc048ed77ae27977fa7b078ab4700fe19cb8339b92364cc287376336c8a8e4b",
+    "simulate/exp-superstar/l-select": "8522cd539a3fb5bca877775e616c41e5596f48b0eeb7ae47acf04f5d8dfcbecb",
+    "simulate/exp-superstar/l-select/factor-1e6-gap-value": "d3b2d23db740a65937a8fc90a1c565eb1d53276f225462f0cb14b39a0c62ba07",
     "simulate/exp-superstar/robust": "79480bacf9ed9223cde65ac3f20bd767db861919e4a390d948e316e6732e84cd",
     "simulate/exp-superstar/strict-classical": "cef800fb54c8e0bcc6982f66692a587786e3c09f6d14a460b03ebe9d3e1abac6",
     "simulate/exp/bounded": "f7c5a7fb110154d41fa60056f630fabc3bb2326274f593add2e87a8a71be0c8f",
@@ -127,6 +166,8 @@ GOLDEN = {
     "simulate/exp/exact-gap/tau-from-k": "91f5a3da63968ae891bafbc8267a55885881392db35fe996e0c1eff7d0e5a8aa",
     "simulate/exp/exact-gap/tau-policy-min": "5dbf699b66339da6bd61f9754912bb70ccb2769b5db0b914f25de8d22948a285",
     "simulate/exp/l-select": "7a8c67252a56e32b3067708c71cff6369de355caa05c99b84e78c6d124f3c430",
+    "simulate/exp/l-select/L-n-minus-1": "899e1b8ddf0a1bdae0deee268b29a08020eda9970860871ceaf7d21745eefc28",
+    "simulate/exp/l-select/gap-value": "31c6c900ce05897328c0c5e08df726f158ac7910faee6c36cdd0db6df991184b",
     "simulate/exp/robust": "5586bb8f9c739bea084a9c57a450edf58c1370e5c2e724a1210b080333cb25b1",
     "simulate/exp/strict-classical": "da0381d501b599d676b0f3ecf66dd2dc8da476af80e9b44663114890946454ea",
     "simulate/pareto/bounded": "883774b63093ecac12d071e77219e4301d204f56415911f17aec6e8166e02bb5",
@@ -134,6 +175,7 @@ GOLDEN = {
     "simulate/pareto/exact-gap": "a37bfba9722b6892e777e42f6e7cd88d9435d44178176878d4b072116378a4d2",
     "simulate/pareto/exact-gap/gap-value": "2cbf8d8451d690328dd0ccbf43fec9728e609ad7b840c37e4a90972a384f49b0",
     "simulate/pareto/exact-gap/n-2": "e0382827974f4914f553eefa069d19e735a780216760968452b65748a47321f7",
+    "simulate/pareto/l-select": "6790b1a9ef701a4acb9d036c4ab96499c1c8001565fb70d090b6d4e9c88fdd83",
     "simulate/pareto/robust": "c1a22bc43220b5878506e7a9dbac731600acf235fa15a614dddc203de5bd483d",
     "simulate/pareto/strict-classical": "2f7e40c2981565d864f73fd2ca3a68ebbe32f944491a13f753e30a05e1dd8bc8",
     "sweep/k": "f1ebdb539eac38bc6d56e5d307031b36f81e04d4e997af82846b879ca69ee939",
@@ -153,6 +195,14 @@ def _digest(path) -> str:
 def test_csv_bytes_unchanged(name, tmp_path):
     out = tmp_path / "out.csv"
     assert cli.main(COMMANDS[name] + ["--out", str(out)]) == 0
+    assert _digest(out) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(DUMPS))
+def test_dump_profiles_bytes_unchanged(name, tmp_path):
+    out, dumped = tmp_path / "out.csv", tmp_path / "profiles.txt"
+    assert cli.main(DUMPS[name] + ["--dump-profiles", str(dumped), "--out", str(out)]) == 0
+    assert _digest(dumped) == GOLDEN[f"{name}/profiles"]
     assert _digest(out) == GOLDEN[name]
 
 

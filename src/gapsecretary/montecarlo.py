@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations, permutations
 from typing import NamedTuple
 
 import numpy as np
 
-from .algorithms import run_l_selection_gap
 from .bounds import tau_for_k
-from .core import ArrivalDraw, WeightProfile, normalize, normalize_rows
+from .core import WeightProfile, normalize, normalize_rows
 from .generators import InstanceFamily, SeededRng
 
 __all__ = [
@@ -196,6 +196,9 @@ class SweepCell:
 
 # rows per kernel pass are capped so that no temporary exceeds this many elements
 _CHUNK_ELEMENTS = 5_000_000
+# l-select and the profile dump draw their instances in row chunks of at most
+# this many elements, so that no whole-run array is held
+_CHUNK_ROWS_ELEMENTS = 32_768
 
 
 class _Policy(NamedTuple):
@@ -294,62 +297,81 @@ class _InstanceBatch:
     weights: np.ndarray  # normalized linear weights, (iters, n)
     times: np.ndarray  # arrival times, (iters, n)
     max_log: np.ndarray  # per-instance log normalization constant, (iters,)
-    sorted_weights: np.ndarray  # normalized weights sorted descending
+
+    @cached_property
+    def sorted_weights(self) -> np.ndarray:
+        """Normalized weights sorted descending."""
+        return np.sort(self.weights, axis=1)[:, ::-1]
 
 
-def _draws(family: InstanceFamily, n: int, iterations: int, master_seed: int):
-    """Yield each iteration's (arrival times, raw profile): stream i draws the
-    arrival times first, then the weights."""
+def _draw_rows(
+    family: InstanceFamily, n: int, rows: range, master_seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival times and raw log-weights of the instances in ``rows``, one
+    row each: stream i draws iteration i's arrival times, then its weights."""
     seeds = SeededRng(master_seed)
-    for i in range(iterations):
-        rng = seeds.stream(i)
-        times = rng.random(n)
-        yield times, family.generate(n, rng)
+    times, log_weights = np.empty((len(rows), n)), np.empty((len(rows), n))
+
+    def streams():
+        for j, i in enumerate(rows):
+            rng = seeds.stream(i)
+            rng.random(out=times[j])
+            yield rng
+
+    family.draw_rows(streams(), log_weights)
+    return times, log_weights
+
+
+def _arrival_rows(n: int, rows: range, master_seed: int) -> np.ndarray:
+    """Arrival times of user-supplied instances: stream i of the master seed
+    draws iteration i's."""
+    seeds = SeededRng(master_seed)
+    times = np.empty((len(rows), n))
+    for j, i in enumerate(rows):
+        seeds.stream(i).random(out=times[j])
+    return times
 
 
 def _normalized_batch(times: np.ndarray, log_weights: np.ndarray) -> _InstanceBatch:
     """Normalize raw log-weight rows in place into a batch; the one place
     where batch weights are normalized."""
     max_log = normalize_rows(log_weights)
-    weights = np.exp(log_weights, out=log_weights)
-    return _InstanceBatch(weights, times, max_log, np.sort(weights, axis=1)[:, ::-1])
+    return _InstanceBatch(np.exp(log_weights, out=log_weights), times, max_log)
 
 
 def _build_batch(
-    family: InstanceFamily, n: int, iterations: int, master_seed: int
+    family: InstanceFamily, n: int, rows: range, master_seed: int
 ) -> _InstanceBatch:
-    """The instances ``_draws`` yields, drawn straight into (iters, n) rows
-    and normalized once for the whole batch."""
-    seeds = SeededRng(master_seed)
-    times, log_weights = np.empty((iterations, n)), np.empty((iterations, n))
-
-    def streams():  # stream i draws the arrival times, then the weights
-        for i in range(iterations):
-            rng = seeds.stream(i)
-            rng.random(out=times[i])
-            yield rng
-
-    family.draw_rows(streams(), log_weights)
-    return _normalized_batch(times, log_weights)
+    """The instances of iterations ``rows``, drawn straight into rows and
+    normalized once for the whole batch or chunk."""
+    return _normalized_batch(*_draw_rows(family, n, rows, master_seed))
 
 
 def _replay_batch(profiles, master_seed: int) -> _InstanceBatch:
     """Batch of user-supplied instances; stream i of the master seed provides
     iteration i's arrival draw."""
     log_weights = np.stack([p.log_weights for p in profiles])
-    times = np.empty_like(log_weights)
-    seeds = SeededRng(master_seed)
-    for i in range(len(profiles)):
-        seeds.stream(i).random(out=times[i])
+    times = _arrival_rows(log_weights.shape[1], range(len(profiles)), master_seed)
     return _normalized_batch(times, log_weights)
+
+
+def _chunks(iterations: int, n: int):
+    """Row ranges of at most ``_CHUNK_ROWS_ELEMENTS`` elements each."""
+    per = max(1, _CHUNK_ROWS_ELEMENTS // n)
+    for lo in range(0, iterations, per):
+        yield range(lo, min(lo + per, iterations))
 
 
 def regenerate_profiles(
     family: InstanceFamily, n: int, iterations: int, master_seed: int
 ) -> list[WeightProfile]:
     """The instances an experiment with this (family, n, seed) draws, in
-    iteration order; matches the engine's stream discipline exactly."""
-    return [prof for _, prof in _draws(family, n, iterations, master_seed)]
+    iteration order, as raw profiles."""
+    profiles = []
+    for rows in _chunks(iterations, n):
+        _, log_weights = _draw_rows(family, n, rows, master_seed)
+        profiles.extend(WeightProfile(row) for row in log_weights)
+    return profiles
 
 
 def _rescale_raw(values, max_log):
@@ -361,7 +383,7 @@ def _rescale_raw(values, max_log):
     """
     values = np.asarray(values, dtype=float)
     max_log = np.where(np.isneginf(max_log), 0.0, max_log)
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         out = values * np.exp(-max_log)
     return np.where(values == 0.0, 0.0, out)
 
@@ -403,7 +425,7 @@ def per_iteration_outcomes(config: ExperimentConfig) -> dict:
     """Raw per-iteration outcomes for one experiment cell (validation surface)."""
     if config.algorithm.tag == "l-select":
         raise ConfigError("l-select runs through estimate_l_selection")
-    batch = _build_batch(config.family, config.n, config.iterations, config.master_seed)
+    batch = _build_batch(config.family, config.n, range(config.iterations), config.master_seed)
     return _cell_outcomes(batch, config.algorithm, config.gap)
 
 
@@ -445,7 +467,7 @@ def _estimate_cells(config: ExperimentConfig, cells) -> list[RatioEstimate]:
     instances; cells that read the same inputs are evaluated once."""
     for algorithm, gap in cells:
         _check_cell(config.n, algorithm, gap)
-    batch = _build_batch(config.family, config.n, config.iterations, config.master_seed)
+    batch = _build_batch(config.family, config.n, range(config.iterations), config.master_seed)
     estimates = {}
     for a, g in cells:
         key = _cell_key(a, g)
@@ -647,23 +669,86 @@ def exact_expectation_small_n(
 # Multi-selection estimation
 
 
-def _l_select_instance(raw: WeightProfile, L: int, gap: GapSpec):
-    """(normalized profile, top-L total, gap, best index) of one instance.
+def _run_l_select_rows(
+    weights: np.ndarray, times: np.ndarray, max_log: np.ndarray, tau: float, L: int, gap: GapSpec
+) -> dict:
+    """Run the multi-selection rule over (R, n) rows of normalized weights, as
+    ``run_l_selection_gap`` runs it draw by draw.
 
-    The gap is sigma times (L-th minus (L+1)-th largest normalized weight),
-    or sigma times the absolute gap rescaled with the raw profile's log
-    maximum.
+    Elements are ranked by (-weight, index), so rank 0 is the first maximum.
+    The reference set is an ascending (R, L) array of ranks, seeded with the
+    L best pre-``tau`` elements; an empty slot j holds the placeholder rank
+    n + j, of weight 0 and counted as pre-``tau``. The walk goes through the
+    arrival positions (tied times to the lower index), visiting only those
+    where some row may hit. A hit is a post-``tau`` arrival of weight at least
+    max(r_L, gap); it is accepted when r_L dates from before ``tau``, and it
+    replaces r_L, the last column, before the row is sorted again.
+
+    Returns the accepted elements as an (R, n) mask by element index, their
+    total weight, the top-L total ``opt`` and the best element's index. The
+    gap is sigma times (L-th minus (L+1)-th largest weight), or sigma times
+    the absolute gap rescaled with the raw rows' log maxima ``max_log``.
     """
-    norm = normalize(raw)
-    ws = np.sort(norm.normalized_weights)[::-1]
-    opt = float(np.sum(ws[:L]))
-    if opt <= 0.0:
-        raise ConfigError("the top-L weights must have positive total")
+    R, n = weights.shape
+    by_rank = np.argsort(-weights, axis=1, kind="stable")
+    best_index = by_rank[:, 0]
+    w_ranked = np.take_along_axis(weights, by_rank, axis=1)
+    opt = np.sum(w_ranked[:, :L], axis=1)
     if gap.absolute is None:
-        base = float(ws[L - 1] - ws[L])
+        base = w_ranked[:, L - 1] - w_ranked[:, L]
     else:
-        base = float(_rescale_raw(gap.absolute, raw.max_log_weight))
-    return norm, opt, gap.sigma * base, int(np.argmax(norm.normalized_weights))
+        base = _rescale_raw(gap.absolute, max_log)
+    # a NaN gap (sigma 0 times an infinite rescaled one) loses max(r_L, gap)
+    # to r_L >= 0 in the scalar runner, so it acts as no gap
+    with np.errstate(invalid="ignore"):
+        gaps = np.fmax(gap.sigma * base, 0.0)
+
+    index = np.min_scalar_type(n + L)
+    pre = times <= tau
+    pre_ranked = np.take_along_axis(pre, by_rank, axis=1)
+    rank_of = np.empty((R, n), dtype=index)
+    np.put_along_axis(rank_of, by_rank, np.arange(n, dtype=index)[None, :], axis=1)
+    del by_rank
+    # weight and pre-tau flag by rank, placeholders appended
+    w_pad = np.zeros((R, n + L))
+    w_pad[:, :n] = w_ranked
+    pre_pad = np.ones((R, n + L), dtype=bool)
+    pre_pad[:, :n] = pre_ranked
+    del w_ranked
+    first = np.argsort(~pre_ranked, axis=1, kind="stable")[:, :L]
+    seeded = np.take_along_axis(pre_ranked, first, axis=1)
+    ref = np.where(seeded, first, n + np.arange(L)).astype(index)
+    del pre_ranked, first, seeded
+
+    order = np.argsort(times, axis=1, kind="stable").astype(index)
+    seq = np.take_along_axis(rank_of, order, axis=1)  # ranks in arrival order
+    w_seq = np.take_along_axis(weights, order, axis=1)
+    post = ~np.take_along_axis(pre, order, axis=1)
+    del rank_of, pre
+
+    offsets = np.arange(R) * (n + L)
+    last = offsets + ref[:, -1]
+    r_w, r_pre = w_pad.take(last), pre_pad.take(last)
+    # r_L never falls, so a row can hit only where it meets the seeded r_L
+    may_hit = post & (w_seq >= np.maximum(gaps, r_w)[:, None])
+    del post
+    accepted = np.zeros((R, n), dtype=bool)  # by arrival position
+    for p in np.flatnonzero(may_hit.any(axis=0)):
+        hit = may_hit[:, p] & (w_seq[:, p] >= r_w)
+        if not hit.any():
+            continue
+        np.logical_and(hit, r_pre, out=accepted[:, p])
+        np.copyto(ref[:, -1], seq[:, p], where=hit)
+        ref.sort(axis=1)
+        last = offsets + ref[:, -1]
+        r_w, r_pre = w_pad.take(last), pre_pad.take(last)
+    # accepted weights summed in acceptance order, as the scalar runner sums
+    # them; adding a zero leaves a partial sum unchanged
+    np.multiply(w_seq, accepted, out=w_seq)
+    total = np.cumsum(w_seq, axis=1)[:, -1]
+    by_index = np.empty_like(accepted)
+    np.put_along_axis(by_index, order, accepted, axis=1)
+    return {"accepted": by_index, "total_weight": total, "opt": opt, "best_index": best_index}
 
 
 def estimate_l_selection(
@@ -674,8 +759,10 @@ def estimate_l_selection(
     top L weights, L being ``config.algorithm.L``.
 
     The gap fed per instance is sigma times (L-th minus (L+1)-th largest
-    weight), or sigma times the absolute gap when one is configured; with
-    ``fixed_profile`` only the arrival times are random.
+    weight), or sigma times the absolute gap, rescaled with the raw
+    instance's log maximum, when one is configured; with ``fixed_profile``
+    only the arrival times are random. Instances are drawn and run in row
+    chunks.
     """
     L = config.algorithm.L
     n = fixed_profile.n if fixed_profile is not None else config.n
@@ -684,23 +771,25 @@ def estimate_l_selection(
     if config.gap.absolute is None and L > n - 1:
         raise ConfigError("the auto-computed gap needs L <= n - 1")
 
-    iters = config.iterations
-    if fixed_profile is not None:
-        fixed = _l_select_instance(fixed_profile, L, config.gap)
-        seeds = SeededRng(config.master_seed)
-        instances = ((seeds.stream(i).random(n), fixed) for i in range(iters))
-    else:
-        draws = _draws(config.family, n, iters, config.master_seed)
-        instances = ((t, _l_select_instance(p, L, config.gap)) for t, p in draws)
-
+    iters, seed = config.iterations, config.master_seed
     out = {
         "ratio": np.empty(iters),
         "select_best": np.empty(iters, dtype=bool),
         "none": np.empty(iters, dtype=bool),
     }
-    for i, (times, (prof, opt, gap, best)) in enumerate(instances):
-        sel = run_l_selection_gap(prof, ArrivalDraw(times), config.algorithm.tau, gap, L)
-        out["ratio"][i] = sel.total_weight / opt
-        out["select_best"][i] = best in sel.indices
-        out["none"][i] = not sel.accepted
+    for rows in _chunks(iters, n):
+        if fixed_profile is None:
+            batch = _build_batch(config.family, n, rows, seed)
+            weights, times, max_log = batch.weights, batch.times, batch.max_log
+        else:
+            times = _arrival_rows(n, rows, seed)
+            weights = np.broadcast_to(fixed_profile.normalized_weights, times.shape)
+            max_log = np.full(len(rows), fixed_profile.max_log_weight)
+        sel = _run_l_select_rows(weights, times, max_log, config.algorithm.tau, L, config.gap)
+        if (sel["opt"] <= 0.0).any():
+            raise ConfigError("the top-L weights must have positive total")
+        sl = slice(rows.start, rows.stop)
+        out["ratio"][sl] = sel["total_weight"] / sel["opt"]
+        out["select_best"][sl] = sel["accepted"][np.arange(len(rows)), sel["best_index"]]
+        out["none"][sl] = ~sel["accepted"].any(axis=1)
     return _estimate_from(out)

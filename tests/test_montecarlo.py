@@ -3,18 +3,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapsecretary import montecarlo
 from gapsecretary.algorithms import (
     PolicySchedule,
+    _normalized_view,
     run_bounded_error,
     run_classical,
     run_exact_gap,
+    run_l_selection_gap,
     run_robust_consistent,
     run_strict_classical,
 )
 from gapsecretary.bounds import tau_for_k
-from gapsecretary.core import ArrivalDraw, WeightProfile
+from gapsecretary.core import ArrivalDraw, WeightProfile, normalize
 from gapsecretary.generators import FAMILY_TAGS, InstanceFamily, SeededRng
 from gapsecretary.montecarlo import (
     AlgorithmSpec,
@@ -25,6 +29,7 @@ from gapsecretary.montecarlo import (
     _policy,
     _replay_batch,
     _rescale_raw,
+    _run_l_select_rows,
     _run_threshold_batch,
     batch_ratio_for_profiles,
     estimate_l_selection,
@@ -125,6 +130,99 @@ class TestKernelMatchesScalarRunners:
         out = _run_threshold_batch(W, T, 0.2, 0.0)
         ref = run_classical(WeightProfile.from_weights(W[0]), ArrivalDraw(T[0]), 0.2)
         assert out["accept_index"][0] == ref.accepted_index
+
+
+def _check_l_select_rows(W, T, tau, L, gap: GapSpec):
+    """The kernel on raw weight rows ``W`` against ``run_l_selection_gap`` on
+    each row's normalized profile, with the gap the engine feeds it: sigma
+    times (L-th minus (L+1)-th largest normalized weight), or sigma times the
+    absolute gap rescaled by the scalar runners' own raw-to-normalized map."""
+    profiles = [WeightProfile.from_weights(row) for row in W]
+    norm = np.array([p.normalized_weights for p in profiles])
+    max_log = np.array([p.max_log_weight for p in profiles])
+    out = _run_l_select_rows(norm, T, max_log, tau, L, gap)
+    for row, raw in enumerate(profiles):
+        prof = normalize(raw)
+        ws = np.sort(prof.normalized_weights)[::-1]
+        if gap.absolute is None:
+            c = gap.sigma * float(ws[L - 1] - ws[L])
+        else:
+            c = gap.sigma * _normalized_view(raw, gap.absolute)[1]
+        ref = run_l_selection_gap(prof, ArrivalDraw(T[row]), tau, c, L)
+        where = (row, tau, L, gap)
+        assert set(np.flatnonzero(out["accepted"][row])) == set(ref.indices), where
+        assert out["total_weight"][row] == ref.total_weight, where
+        assert out["opt"][row] == float(np.sum(ws[:L])), where
+        best = int(np.argmax(prof.normalized_weights))
+        assert out["best_index"][row] == best, where
+        assert out["accepted"][row, best] == (best in ref.indices), where
+        assert (not out["accepted"][row].any()) == (not ref.accepted), where
+
+
+class TestLSelectKernelMatchesScalarRunner:
+    def test_tied_rows(self):
+        # integer weights and quantized times force ties in both; row 0 is
+        # all zero, and the gaps run from 0 to above every weight
+        rng = np.random.default_rng(11)
+        rows = 0
+        for trial in range(300):
+            B, n = int(rng.integers(1, 14)), int(rng.integers(2, 8))
+            W = rng.integers(0, 4, (B, n)) * 2.5
+            W[0] = 0.0
+            T = rng.integers(0, 5, (B, n)) / 4
+            tau = float(rng.choice([0.0, 0.25, 0.5, rng.random() * 0.9]))
+            L = int(rng.integers(2, n + 1))
+            gaps = [GapSpec(absolute=0.0), GapSpec(absolute=5.0), GapSpec(absolute=100.0)]
+            if L < n:
+                gaps += [GapSpec(), GapSpec(sigma=0.0), GapSpec(sigma=1.5)]
+            for gap in gaps:
+                _check_l_select_rows(W, T, tau, L, gap)
+                rows += B
+        assert rows > 5000
+
+    def test_continuous_rows(self):
+        rng = np.random.default_rng(12)
+        for trial in range(60):
+            B, n = int(rng.integers(1, 40)), int(rng.integers(2, 30))
+            W = rng.standard_exponential((B, n)) * 10.0 ** rng.integers(-3, 4)
+            T = rng.random((B, n))
+            L = int(rng.integers(2, n + 1))
+            gap = GapSpec() if L < n else GapSpec(absolute=float(rng.random() * 3))
+            _check_l_select_rows(W, T, float(rng.random() * 0.8), L, gap)
+
+    def test_nan_gap_acts_as_no_gap(self):
+        # sigma 0 times a gap that rescales to inf is NaN; the scalar runner's
+        # max(r_L, NaN) keeps r_L, so the NaN gap acts as no gap
+        rng = np.random.default_rng(13)
+        W, T = rng.random((30, 6)), rng.random((30, 6))
+        tiny = np.full(30, -800.0)  # raw log maxima whose rescaling overflows
+        got = _run_l_select_rows(W, T, tiny, 0.3, 2, GapSpec(absolute=1.0, sigma=0.0))
+        ref = _run_l_select_rows(W, T, tiny, 0.3, 2, GapSpec(absolute=0.0))
+        prof = WeightProfile.from_weights(W[0])
+        scalar = run_l_selection_gap(prof, ArrivalDraw(T[0]), 0.3, math.nan, 2)
+        assert set(np.flatnonzero(got["accepted"][0])) == set(scalar.indices)
+        for key in ref:
+            assert np.array_equal(got[key], ref[key])
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=4),
+                st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n), min_size=4, max_size=4),
+                st.integers(2, n),
+            )
+        ),
+        st.sampled_from([0.0, 0.25, 0.5, 0.7]),
+        st.sampled_from([None, 0.0, 1.0, 2.5, 10.0]),
+    )
+    def test_property(self, case, tau, absolute):
+        weights, times, L = case
+        W = np.array(weights, dtype=float)
+        T = np.array(times[: len(weights)]) / 4
+        if absolute is None and L == W.shape[1]:
+            absolute = 1.0  # the auto gap needs an (L+1)-th weight
+        _check_l_select_rows(W, T, tau, L, GapSpec(absolute=absolute))
 
 
 class TestSpecsValidation:
@@ -562,6 +660,18 @@ FAMILY_CASES = [
 ]
 
 
+def _per_instance(family, n, iters, seed):
+    """Arrival times and raw profiles drawn one instance at a time: stream i
+    draws iteration i's times, then ``family.generate`` its weights."""
+    seeds = SeededRng(seed)
+    times, profiles = [], []
+    for i in range(iters):
+        rng = seeds.stream(i)
+        times.append(rng.random(n))
+        profiles.append(family.generate(n, rng))
+    return np.array(times), profiles
+
+
 class TestBatchBuild:
     @pytest.mark.parametrize("n_index", [0, 1, 2], ids=["smallest", "n7", "n50"])
     @pytest.mark.parametrize(
@@ -573,23 +683,42 @@ class TestBatchBuild:
         # the row form draws the same streams as family.generate, bit for bit;
         # the reference stacks each profile's normalized view
         n, iters, seed = (smallest, 7, 50)[n_index], 40, 5
-        seeds = SeededRng(seed)
-        times, weights, max_log = [], [], []
-        for i in range(iters):
-            rng = seeds.stream(i)
-            times.append(rng.random(n))
-            prof = family.generate(n, rng)
-            weights.append(prof.normalized_weights)
-            max_log.append(prof.max_log_weight)
-        W = np.array(weights)
-        expected = (np.array(times), W, np.array(max_log), np.sort(W, axis=1)[:, ::-1])
-        profiles = regenerate_profiles(family, n, iters, seed)
-        for batch in (_build_batch(family, n, iters, seed), _replay_batch(profiles, seed)):
+        times, profiles = _per_instance(family, n, iters, seed)
+        W = np.array([p.normalized_weights for p in profiles])
+        max_log = np.array([p.max_log_weight for p in profiles])
+        expected = (times, W, max_log, np.sort(W, axis=1)[:, ::-1])
+        for batch in (
+            _build_batch(family, n, range(iters), seed),
+            _replay_batch(profiles, seed),
+        ):
             got = (batch.times, batch.weights, batch.max_log, batch.sorted_weights)
             for a, b in zip(got, expected):
                 assert np.array_equal(a, b)
         if family.tag == "pareto_power":
             assert not batch.max_log.any()  # pareto profiles come normalized
+        # a chunk of rows is the same rows of the whole batch
+        chunk = _build_batch(family, n, range(13, 29), seed)
+        assert np.array_equal(chunk.times, times[13:29])
+        assert np.array_equal(chunk.weights, W[13:29])
+        assert np.array_equal(chunk.max_log, max_log[13:29])
+
+    @pytest.mark.parametrize(
+        "family,smallest",
+        FAMILY_CASES,
+        ids=["pareto", "exp", "chisq", "chisq-df1", "superstar", "superstar-1e6"],
+    )
+    def test_regenerate_profiles_matches_per_instance_generation(
+        self, family, smallest, monkeypatch
+    ):
+        # the dumped profiles are the raw ones family.generate returns, also
+        # across chunk boundaries
+        monkeypatch.setattr(montecarlo, "_CHUNK_ROWS_ELEMENTS", 3 * 7)
+        for n in (smallest, 7):
+            _, expected = _per_instance(family, n, 10, 8)
+            got = regenerate_profiles(family, n, 10, 8)
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                assert np.array_equal(a.log_weights, b.log_weights)
 
     def test_replay_keeps_all_zero_rows(self):
         profiles = [
@@ -608,12 +737,12 @@ class TestBatchBuild:
         monkeypatch.setattr(SeededRng, "stream", no_stream)
         for tag in ("pareto_power", "exp_superstar"):
             with pytest.raises(ValueError, match="needs n >= 2"):
-                _build_batch(InstanceFamily(tag), 1, 5, 0)
+                _build_batch(InstanceFamily(tag), 1, range(5), 0)
 
     def test_non_finite_weight_rejected(self):
         # the superstar overflows float64 at this factor
         with pytest.raises(ValueError, match="finite and non-negative"):
-            _build_batch(InstanceFamily("exp_superstar", factor=1e308), 5, 3, 0)
+            _build_batch(InstanceFamily("exp_superstar", factor=1e308), 5, range(3), 0)
 
 
 class TestBatchRatioForProfiles:
@@ -683,6 +812,40 @@ class TestLSelectionEstimation:
         )
         with pytest.raises(ConfigError):
             estimate_l_selection(cfg)
+
+    def test_all_zero_fixed_profile_rejected(self):
+        cfg = ExperimentConfig(
+            InstanceFamily("exponential"),
+            4,
+            10,
+            AlgorithmSpec("l-select", tau=0.3, L=2),
+            GapSpec(absolute=1.0),
+            master_seed=SEED,
+        )
+        with pytest.raises(ConfigError, match="positive total"):
+            estimate_l_selection(cfg, fixed_profile=WeightProfile.from_weights([0.0] * 4))
+
+    def test_fixed_profile_matches_generated_rows(self, monkeypatch):
+        # iteration i of a fixed profile runs on stream i's arrival times,
+        # as a per-draw loop runs it, across chunk boundaries too
+        monkeypatch.setattr(montecarlo, "_CHUNK_ROWS_ELEMENTS", 5 * 12)
+        family = InstanceFamily("chi_squared", df=3)
+        (raw,) = regenerate_profiles(family, 12, 1, 4)
+        cfg = ExperimentConfig(
+            family, 12, 23, AlgorithmSpec("l-select", tau=0.25, L=3), master_seed=4
+        )
+        seeds = SeededRng(4)
+        ratios = []
+        for i in range(23):
+            prof = normalize(raw)
+            ws = np.sort(prof.normalized_weights)[::-1]
+            ref = run_l_selection_gap(
+                prof, ArrivalDraw(seeds.stream(i).random(12)), 0.25, float(ws[2] - ws[3]), 3
+            )
+            ratios.append(ref.total_weight / float(np.sum(ws[:3])))
+        est = estimate_l_selection(cfg, fixed_profile=raw)
+        assert est.mean == float(np.mean(ratios))
+        assert est.iterations == 23
 
     def test_absolute_gap_rescaled_with_raw_max(self):
         # the superstar is 1e6 times the other weights; half its raw weight

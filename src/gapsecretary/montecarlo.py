@@ -198,7 +198,7 @@ class SweepCell:
 _CHUNK_ELEMENTS = 5_000_000
 # l-select and the profile dump draw their instances in row chunks of at most
 # this many elements, so that no whole-run array is held
-_CHUNK_ROWS_ELEMENTS = 32_768
+_CHUNK_ROWS_ELEMENTS = 16_384
 
 
 class _Policy(NamedTuple):

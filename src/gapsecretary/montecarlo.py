@@ -15,6 +15,10 @@ best-so-far alone. ``_policy`` maps each tag to that record and
 An experiment cell is an ``(AlgorithmSpec, GapSpec)`` pair; ``_check_cell``
 validates it for one instance size, and a sweep is a list of cells evaluated
 on one shared batch.
+
+The multi-selection rule runs through ``_run_l_select_rows`` on row chunks
+drawn by the same builder. The per-draw runners in ``algorithms`` are the
+tests' reference for both kernels.
 """
 
 from __future__ import annotations
@@ -196,9 +200,9 @@ class SweepCell:
 
 # rows per kernel pass are capped so that no temporary exceeds this many elements
 _CHUNK_ELEMENTS = 5_000_000
-# l-select and the profile dump draw their instances in row chunks of at most
-# this many elements, so that no whole-run array is held
-_CHUNK_ROWS_ELEMENTS = 16_384
+# l-select draws and runs its instances in row chunks of at most this many
+# elements, so that no whole-run array is held
+_LSELECT_CHUNK_ELEMENTS = 16_384
 
 
 class _Policy(NamedTuple):
@@ -355,23 +359,13 @@ def _replay_batch(profiles, master_seed: int) -> _InstanceBatch:
     return _normalized_batch(times, log_weights)
 
 
-def _chunks(iterations: int, n: int):
-    """Row ranges of at most ``_CHUNK_ROWS_ELEMENTS`` elements each."""
-    per = max(1, _CHUNK_ROWS_ELEMENTS // n)
-    for lo in range(0, iterations, per):
-        yield range(lo, min(lo + per, iterations))
-
-
 def regenerate_profiles(
     family: InstanceFamily, n: int, iterations: int, master_seed: int
 ) -> list[WeightProfile]:
     """The instances an experiment with this (family, n, seed) draws, in
     iteration order, as raw profiles."""
-    profiles = []
-    for rows in _chunks(iterations, n):
-        _, log_weights = _draw_rows(family, n, rows, master_seed)
-        profiles.extend(WeightProfile(row) for row in log_weights)
-    return profiles
+    _, log_weights = _draw_rows(family, n, range(iterations), master_seed)
+    return [WeightProfile(row) for row in log_weights]
 
 
 def _rescale_raw(values, max_log):
@@ -777,7 +771,9 @@ def estimate_l_selection(
         "select_best": np.empty(iters, dtype=bool),
         "none": np.empty(iters, dtype=bool),
     }
-    for rows in _chunks(iters, n):
+    per = max(1, _LSELECT_CHUNK_ELEMENTS // n)
+    for lo in range(0, iters, per):
+        rows = range(lo, min(lo + per, iters))
         if fixed_profile is None:
             batch = _build_batch(config.family, n, rows, seed)
             weights, times, max_log = batch.weights, batch.times, batch.max_log

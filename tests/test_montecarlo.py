@@ -208,8 +208,14 @@ class TestLSelectKernelMatchesScalarRunner:
     @given(
         st.integers(2, 6).flatmap(
             lambda n: st.tuples(
-                st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=4),
-                st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n), min_size=4, max_size=4),
+                st.lists(
+                    st.tuples(
+                        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                        st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                    ),
+                    min_size=1,
+                    max_size=4,
+                ),
                 st.integers(2, n),
             )
         ),
@@ -217,9 +223,10 @@ class TestLSelectKernelMatchesScalarRunner:
         st.sampled_from([None, 0.0, 1.0, 2.5, 10.0]),
     )
     def test_property(self, case, tau, absolute):
-        weights, times, L = case
-        W = np.array(weights, dtype=float)
-        T = np.array(times[: len(weights)]) / 4
+        # integer weights and quarter-step times, so ties are common
+        rows, L = case
+        W = np.array([w for w, _ in rows], dtype=float)
+        T = np.array([t for _, t in rows]) / 4
         if absolute is None and L == W.shape[1]:
             absolute = 1.0  # the auto gap needs an (L+1)-th weight
         _check_l_select_rows(W, T, tau, L, GapSpec(absolute=absolute))
@@ -707,12 +714,8 @@ class TestBatchBuild:
         FAMILY_CASES,
         ids=["pareto", "exp", "chisq", "chisq-df1", "superstar", "superstar-1e6"],
     )
-    def test_regenerate_profiles_matches_per_instance_generation(
-        self, family, smallest, monkeypatch
-    ):
-        # the dumped profiles are the raw ones family.generate returns, also
-        # across chunk boundaries
-        monkeypatch.setattr(montecarlo, "_CHUNK_ROWS_ELEMENTS", 3 * 7)
+    def test_regenerate_profiles_matches_per_instance_generation(self, family, smallest):
+        # the dumped profiles are the raw ones family.generate returns
         for n in (smallest, 7):
             _, expected = _per_instance(family, n, 10, 8)
             got = regenerate_profiles(family, n, 10, 8)
@@ -825,10 +828,10 @@ class TestLSelectionEstimation:
         with pytest.raises(ConfigError, match="positive total"):
             estimate_l_selection(cfg, fixed_profile=WeightProfile.from_weights([0.0] * 4))
 
-    def test_fixed_profile_matches_generated_rows(self, monkeypatch):
+    def test_fixed_profile_matches_per_draw_loop(self, monkeypatch):
         # iteration i of a fixed profile runs on stream i's arrival times,
         # as a per-draw loop runs it, across chunk boundaries too
-        monkeypatch.setattr(montecarlo, "_CHUNK_ROWS_ELEMENTS", 5 * 12)
+        monkeypatch.setattr(montecarlo, "_LSELECT_CHUNK_ELEMENTS", 5 * 12)
         family = InstanceFamily("chi_squared", df=3)
         (raw,) = regenerate_profiles(family, 12, 1, 4)
         cfg = ExperimentConfig(

@@ -8,7 +8,10 @@ regardless of scheduling.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cache
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ __all__ = [
     "FAMILY_TAGS",
     "InstanceFamily",
     "SeededRng",
+    "stream_seeding",
     "gen_arrivals",
     "gen_pareto_power",
     "gen_exponential",
@@ -35,8 +39,10 @@ FAMILY_TAGS = ("pareto_power", "exponential", "chi_squared", "exp_superstar")
 class SeededRng:
     """Derives reproducible random streams from one 64-bit master seed.
 
-    ``stream(i)`` is a pure function of (master_seed, i): the draws for work
-    item i never depend on thread count or evaluation order.
+    ``stream(i)`` is ``default_rng([master_seed, i])``, a pure function of
+    (master_seed, i): the draws for work item i never depend on thread count
+    or evaluation order. It stays the readable reference. ``streams(indices)``
+    gives the same draws for many indices, seeded in one vectorized pass.
     """
 
     master_seed: int
@@ -49,6 +55,133 @@ class SeededRng:
         if index < 0:
             raise ValueError("stream index must be non-negative")
         return np.random.default_rng([int(self.master_seed), int(index)])
+
+    def streams(self, indices: Iterable[int]) -> Iterator[np.random.Generator]:
+        """Yield stream i for each i of ``indices`` in turn, bit for bit the
+        draws of ``stream(i)``.
+
+        numpy's ``SeedSequence`` hash and PCG64's seeding are computed for a
+        block of indices at once, and one reused ``Generator`` is set to each
+        index's state in turn, so no ``SeedSequence``, ``PCG64`` or
+        ``Generator`` is built per index. A yielded generator is valid only
+        until the next one is taken. Where ``stream_seeding()`` finds that
+        this does not reproduce ``default_rng``, the streams come from
+        ``stream(i)``: the same draws, only slower. A negative index raises
+        ``ValueError`` when its block of indices is reached.
+        """
+        if stream_seeding() == "vectorized":
+            yield from _vectorized_streams(int(self.master_seed), indices)
+        else:
+            yield from map(self.stream, indices)
+
+
+# numpy's SeedSequence: O'Neill's seed_seq hash over uint32 words, pool size 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_SEED_BLOCK = 1024  # indices hashed per vectorized pass
+
+
+def _seed_sequence_words(master_seed: int, indices: np.ndarray) -> np.ndarray:
+    """``SeedSequence([master_seed, i]).generate_state(4, np.uint64)`` for
+    each i of ``indices``, as the rows of a ``(len(indices), 4)`` uint64 array.
+
+    The entropy words are those of numpy's ``_coerce_to_uint32_array``: the
+    seed's one or two uint32 words (one below 2^32), then the index's, zero
+    padded to the pool size. A one-word index equals its two-word form with a
+    zero high word, and with at most four entropy words the hash constants
+    are the same for every entry, so the hash runs on whole columns: uint64
+    arithmetic masked to 32 bits.
+    """
+    seed_words = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
+    entropy = [np.full(indices.shape, w, dtype=np.uint64) for w in seed_words]
+    entropy += [indices & _MASK32, indices >> np.uint64(32)]
+    entropy += [np.zeros(indices.shape, dtype=np.uint64)] * (4 - len(entropy))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> _XSHIFT
+
+    pool = [hashmix(w) for w in entropy]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+
+    hash_const = _INIT_B
+    state = np.empty((indices.size, 8), dtype=np.uint64)
+    for i_dst in range(8):
+        value = pool[i_dst % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state[:, i_dst] = value ^ value >> _XSHIFT
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+
+
+# PCG64's 128-bit LCG multiplier
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _vectorized_streams(
+    master_seed: int, indices: Iterable[int]
+) -> Iterator[np.random.Generator]:
+    """One ``Generator`` set in turn to the state of ``default_rng([master_seed,
+    i])`` for each i, following PCG64's ``set_seed``: initstate is seed words
+    0-1, inc = (initseq, words 2-3) << 1 | 1, and two LCG steps from state 0
+    give state = (inc + initstate) * mult + inc."""
+    generator = np.random.Generator(np.random.PCG64(0))
+    bit_generator = generator.bit_generator
+    indices = iter(indices)
+    while block := list(islice(indices, _SEED_BLOCK)):
+        if min(block) < 0:
+            raise ValueError("stream index must be non-negative")
+        if max(block) >= 2**64:  # a third index word changes the hash constants
+            yield from (np.random.default_rng([master_seed, i]) for i in block)
+            continue
+        for words in _seed_sequence_words(master_seed, np.array(block, dtype=np.uint64)):
+            s_hi, s_lo, q_hi, q_lo = words.tolist()  # one row at a time
+            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {
+                    "state": ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128,
+                    "inc": inc,
+                },
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield generator
+
+
+@cache
+def stream_seeding() -> str:
+    """``"vectorized"`` when ``SeededRng.streams`` seeds its streams in one
+    vectorized pass, ``"default_rng"`` when it falls back to ``stream(i)``.
+
+    Checked once per process: the vectorized streams of a few indices under
+    a one-word and a two-word seed must draw what ``default_rng`` draws. A
+    numpy that changed its default bit generator or its seeding fails it.
+    """
+    indices = [0, 1, 2**32 - 1, 2**32]
+    for seed in (0, 2**64 - 1):
+        try:
+            for i, rng in zip(indices, _vectorized_streams(seed, indices)):
+                if not np.array_equal(rng.random(4), np.random.default_rng([seed, i]).random(4)):
+                    return "default_rng"
+        except (TypeError, ValueError, KeyError):
+            return "default_rng"
+    return "vectorized"
 
 
 @dataclass(frozen=True)

@@ -313,13 +313,11 @@ def _draw_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Arrival times and raw log-weights of the instances in ``rows``, one
     row each: stream i draws iteration i's arrival times, then its weights."""
-    seeds = SeededRng(master_seed)
     times, log_weights = np.empty((len(rows), n)), np.empty((len(rows), n))
 
     def streams():
-        for j, i in enumerate(rows):
-            rng = seeds.stream(i)
-            rng.random(out=times[j])
+        for row, rng in zip(times, SeededRng(master_seed).streams(rows)):
+            rng.random(out=row)
             yield rng
 
     family.draw_rows(streams(), log_weights)
@@ -329,10 +327,9 @@ def _draw_rows(
 def _arrival_rows(n: int, rows: range, master_seed: int) -> np.ndarray:
     """Arrival times of user-supplied instances: stream i of the master seed
     draws iteration i's."""
-    seeds = SeededRng(master_seed)
     times = np.empty((len(rows), n))
-    for j, i in enumerate(rows):
-        seeds.stream(i).random(out=times[j])
+    for row, rng in zip(times, SeededRng(master_seed).streams(rows)):
+        rng.random(out=row)
     return times
 
 

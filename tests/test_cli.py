@@ -1,5 +1,7 @@
 import json
+import platform
 
+import numpy as np
 import pytest
 
 from gapsecretary import cli
@@ -147,6 +149,9 @@ class TestSimulate:
         manifest = json.loads(manifest_path.read_text())
         assert manifest["master_seed"] == 8
         assert manifest["command"] == "simulate"
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["streams"] == "vectorized"
         original = out_path.read_bytes()
         out_path.unlink()
         assert cli.replay_manifest(manifest_path) == 0

@@ -1,8 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gapsecretary import generators
 from gapsecretary.core import true_gap
 from gapsecretary.generators import (
     InstanceFamily,
@@ -14,6 +18,7 @@ from gapsecretary.generators import (
     gen_pareto_power,
     load_profiles,
     save_profiles,
+    stream_seeding,
 )
 
 
@@ -43,6 +48,61 @@ class TestSeededRng:
             SeededRng(-1)
         with pytest.raises(ValueError):
             SeededRng(0).stream(-2)
+
+
+# the draws the four families and the arrival times make
+DRAW_METHODS = ("random", "standard_exponential", "standard_normal")
+
+
+def assert_streams_match(seed, indices):
+    seeds = SeededRng(seed)
+    taken = 0
+    for i, rng in zip(indices, seeds.streams(indices)):
+        reference = seeds.stream(i)
+        for method in DRAW_METHODS:
+            assert np.array_equal(
+                getattr(rng, method)(5), getattr(reference, method)(5)
+            ), (seed, i, method)
+        taken += 1
+    assert taken == len(indices)
+
+
+class TestVectorizedStreams:
+    def test_seeding_path_checked_and_taken(self):
+        assert stream_seeding() == "vectorized"
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_word_count_boundaries(self, seed):
+        indices = [0, 1, 2**32 - 1, *range(2**32 - 2, 2**32 + 2), 2**64 - 1, 2**64]
+        assert_streams_match(seed, indices)
+
+    def test_long_range_crosses_blocks(self):
+        assert_streams_match(77, range(3, 3 + 2 * generators._SEED_BLOCK + 5))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        indices=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+    )
+    def test_matches_stream(self, seed, indices):
+        assert_streams_match(seed, indices)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            list(SeededRng(0).streams([3, -1]))
+
+    @pytest.mark.parametrize("breakage", ["different-draws", "seeding-raises"])
+    def test_failed_check_falls_back_to_default_rng(self, monkeypatch, breakage):
+        # stands for a numpy whose seeding or bit generator changed
+        if breakage == "different-draws":
+            monkeypatch.setattr(generators, "_INIT_B", generators._INIT_B + 2)
+        else:  # the reused bit generator refuses a PCG64 state
+            monkeypatch.setattr(np.random, "PCG64", np.random.SFC64)
+        monkeypatch.setattr(
+            generators, "stream_seeding", functools.cache(stream_seeding.__wrapped__)
+        )
+        assert generators.stream_seeding() == "default_rng"
+        assert_streams_match(2**40 + 3, [0, 1, 2**32, 9])
 
 
 class TestArrivals:

@@ -738,6 +738,7 @@ class TestBatchBuild:
             raise AssertionError("a stream was drawn")
 
         monkeypatch.setattr(SeededRng, "stream", no_stream)
+        monkeypatch.setattr(SeededRng, "streams", no_stream)
         for tag in ("pareto_power", "exp_superstar"):
             with pytest.raises(ValueError, match="needs n >= 2"):
                 _build_batch(InstanceFamily(tag), 1, range(5), 0)

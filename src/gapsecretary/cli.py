@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import platform
 import sys
@@ -31,7 +32,7 @@ from .bounds import (
     tau_for_k,
     two_three_tie_prob,
 )
-from .generators import InstanceFamily, load_profiles, stream_seeding
+from .generators import InstanceFamily, load_profiles, save_profiles, stream_seeding
 from .montecarlo import (
     GAP_TAGS,
     AlgorithmSpec,
@@ -41,8 +42,8 @@ from .montecarlo import (
     RatioEstimate,
     _resolve_tau,
     batch_ratio_for_profiles,
-    estimate_l_selection,
     estimate_ratio,
+    regenerate_profiles,
     sweep_k,
     sweep_sigma,
 )
@@ -256,8 +257,6 @@ def cmd_simulate(args) -> int:
     gap = _gap(args, k)
 
     if args.profiles_file is not None:
-        if algo.tag == "l-select":
-            raise UsageError("--profiles-file is not supported with l-select")
         profiles, meta = load_profiles(args.profiles_file)
         sizes = {p.n for p in profiles}
         if len(sizes) != 1:
@@ -274,15 +273,9 @@ def cmd_simulate(args) -> int:
     else:
         family = _family(args)
         config = ExperimentConfig(family, args.n, args.iters, algo, gap, master_seed=args.seed)
-        if algo.tag == "l-select":
-            est = estimate_l_selection(config)
-        else:
-            est = estimate_ratio(config)
+        est = estimate_ratio(config)
         family_name = args.family
         if args.dump_profiles is not None:
-            from .generators import save_profiles
-            from .montecarlo import regenerate_profiles
-
             dumped = regenerate_profiles(family, args.n, args.iters, args.seed)
             save_profiles(args.dump_profiles, dumped, family.tag, args.seed)
 
@@ -294,16 +287,21 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     _resolve_seed(args)
+    bounds = (args.sweep_from, args.sweep_to, args.step)
     if args.step is None or args.step <= 0:
         raise UsageError("step must be positive")
+    if not all(math.isfinite(v) for v in bounds):
+        raise UsageError("--from, --to and --step must be finite")
+    if args.sweep_to < args.sweep_from:
+        raise UsageError("--to must be at least --from")
     family = _family(args)
 
     if args.sweep == "k":
+        if not all(float(v).is_integer() for v in bounds):
+            raise UsageError("k sweeps need integer --from, --to and --step")
         if args.sweep_from < 2:
             raise UsageError("k sweep must start at 2 or above")
         ks = list(range(int(args.sweep_from), int(args.sweep_to) + 1, int(args.step)))
-        if not ks:
-            raise UsageError("empty k range")
         algo = _algorithm(args, args.tau)
         gap = _gap(args, ks[0])
         config = ExperimentConfig(family, args.n, args.iters, algo, gap, master_seed=args.seed)

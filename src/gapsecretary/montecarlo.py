@@ -2,30 +2,30 @@
 exhaustive small-instance expectation oracle.
 
 Reproducibility contract: the draws for iteration i are a pure function of
-(master_seed, i), so results are bit-identical across runs. The engine runs in
-one thread (numpy does the bulk work), and reductions happen in iteration
-order.
+(master_seed, i), so results are bit-identical across runs and across chunk
+sizes. The engine runs in one thread (numpy does the bulk work), and
+reductions happen in iteration order.
 
 Every single-selection rule is one threshold policy ``(tau, gap, gamma,
 strict)``: after ``tau``, accept the first arrival at or above max(best-so-far,
 gap), or above it when strict, and after time 1 - ``gamma`` at or above
 best-so-far alone. ``_policy`` maps each tag to that record and
-``_run_threshold_batch`` runs it over a batch of draws.
+``_run_threshold_batch`` runs it over a chunk of draws. The multi-selection
+rule runs through ``_run_l_select_rows``. The per-draw runners in
+``algorithms`` are the tests' reference for both kernels.
 
 An experiment cell is an ``(AlgorithmSpec, GapSpec)`` pair; ``_check_cell``
-validates it for one instance size, and a sweep is a list of cells evaluated
-on one shared batch.
-
-The multi-selection rule runs through ``_run_l_select_rows`` on row chunks
-drawn by the same builder. The per-draw runners in ``algorithms`` are the
-tests' reference for both kernels.
+validates it for one instance size. ``_run_cells`` is the one driver every
+estimate goes through: it takes row chunks from one instance source
+(generated or replayed), evaluates each distinct cell on each chunk and
+reduces a cell once its last chunk is done.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, permutations
 from typing import NamedTuple
 
@@ -157,16 +157,14 @@ def _check_cell(n: int, algorithm: AlgorithmSpec, gap: GapSpec) -> None:
     """Reject a (rule, gap) pair that instances of size ``n`` cannot evaluate."""
     if gap.k is not None and gap.k > n:
         raise ConfigError(f"gap index k={gap.k} exceeds n={n}")
-    # l-select is exempt: its auto-computed gap is index-free (L-th minus
-    # (L+1)-th largest weight)
-    if (
-        algorithm.tag in ("exact-gap", "robust", "bounded")
-        and gap.k is None
-        and gap.absolute is None
-    ):
-        raise ConfigError(
-            "gap-using algorithms need a gap index k or an absolute gap value"
-        )
+    if algorithm.tag == "l-select":
+        # the auto-computed gap, L-th minus (L+1)-th largest weight, is index-free
+        if algorithm.L > n:
+            raise ConfigError(f"L={algorithm.L} exceeds n={n}")
+        if gap.absolute is None and algorithm.L > n - 1:
+            raise ConfigError("the auto-computed gap needs L <= n - 1")
+    elif algorithm.uses_gap and gap.k is None and gap.absolute is None:
+        raise ConfigError("gap-using algorithms need a gap index k or an absolute gap value")
 
 
 @dataclass(frozen=True)
@@ -198,12 +196,6 @@ class SweepCell:
 # ---------------------------------------------------------------------------
 # Threshold policies and the vectorized single-selection kernel
 
-# rows per kernel pass are capped so that no temporary exceeds this many elements
-_CHUNK_ELEMENTS = 5_000_000
-# l-select draws and runs its instances in row chunks of at most this many
-# elements, so that no whole-run array is held
-_LSELECT_CHUNK_ELEMENTS = 16_384
-
 
 class _Policy(NamedTuple):
     """A threshold rule; its fields are ``_run_threshold_batch``'s arguments
@@ -233,7 +225,7 @@ def _policy(algorithm: AlgorithmSpec, gaps, max_log) -> _Policy:
         return _Policy(tau, np.maximum(gaps - eps, 0.0), 0.0, False)
     if tag == "robust":
         return _Policy(tau, gaps, algorithm.gamma, False)
-    raise ConfigError("l-select runs through estimate_l_selection")
+    raise ConfigError("l-select is not a threshold policy")
 
 
 def _run_threshold_batch(
@@ -244,7 +236,7 @@ def _run_threshold_batch(
     gamma: float = 0.0,
     strict: bool = False,
 ) -> dict:
-    """Run one threshold policy over a batch of draws.
+    """Run one threshold policy over a chunk of draws.
 
     ``weights`` and ``times`` are (B, n); ``gap`` is a scalar or (B,) array in
     the same units as ``weights``. Mirrors the per-draw runners in
@@ -255,39 +247,24 @@ def _run_threshold_batch(
     """
     if strict and gamma > 0.0:
         raise ValueError("strict comparison has no late phase")
-    B, n = weights.shape
-    gap = np.broadcast_to(np.asarray(gap, dtype=float), (B,))
-    accept_index = np.full(B, -1, dtype=np.int64)
-    accept_weight = np.zeros(B)
-    accept_time = np.full(B, np.nan)
-
-    rows_per = max(1, _CHUNK_ELEMENTS // max(n, 1))
-    for lo in range(0, B, rows_per):
-        sl = slice(lo, min(lo + rows_per, B))
-        W = weights[sl]
-        T = times[sl]
-        pre = T <= tau
-        bsf = np.max(np.where(pre, W, 0.0), axis=1)
-        if strict:
-            meets = W > bsf[:, None]
-        else:
-            meets = W >= np.maximum(bsf, gap[sl])[:, None]
-        if gamma > 0.0:
-            late = T > 1.0 - gamma
-            cand = ~pre & np.where(late, W >= bsf[:, None], meets)
-        else:
-            cand = ~pre & meets
-        first = np.argmin(np.where(cand, T, np.inf), axis=1)
-        r = np.arange(W.shape[0])
-        has = cand[r, first]
-        accept_index[sl] = np.where(has, first, -1)
-        accept_weight[sl] = np.where(has, W[r, first], 0.0)
-        accept_time[sl] = np.where(has, T[r, first], np.nan)
-
+    pre = times <= tau
+    bsf = np.max(np.where(pre, weights, 0.0), axis=1)
+    if strict:
+        meets = weights > bsf[:, None]
+    else:
+        meets = weights >= np.maximum(bsf, gap)[:, None]
+    if gamma > 0.0:
+        late = times > 1.0 - gamma
+        cand = ~pre & np.where(late, weights >= bsf[:, None], meets)
+    else:
+        cand = ~pre & meets
+    first = np.argmin(np.where(cand, times, np.inf), axis=1)
+    r = np.arange(weights.shape[0])
+    has = cand[r, first]
     return {
-        "accept_index": accept_index,
-        "accept_weight": accept_weight,
-        "accept_time": accept_time,
+        "accept_index": np.where(has, first, -1),
+        "accept_weight": np.where(has, weights[r, first], 0.0),
+        "accept_time": np.where(has, times[r, first], np.nan),
         "best_index": np.argmax(weights, axis=1),
     }
 
@@ -298,9 +275,9 @@ def _run_threshold_batch(
 
 @dataclass(frozen=True)
 class _InstanceBatch:
-    weights: np.ndarray  # normalized linear weights, (iters, n)
-    times: np.ndarray  # arrival times, (iters, n)
-    max_log: np.ndarray  # per-instance log normalization constant, (iters,)
+    weights: np.ndarray  # normalized linear weights, (rows, n)
+    times: np.ndarray  # arrival times, (rows, n)
+    max_log: np.ndarray  # per-instance log normalization constant, (rows,)
 
     @cached_property
     def sorted_weights(self) -> np.ndarray:
@@ -324,15 +301,6 @@ def _draw_rows(
     return times, log_weights
 
 
-def _arrival_rows(n: int, rows: range, master_seed: int) -> np.ndarray:
-    """Arrival times of user-supplied instances: stream i of the master seed
-    draws iteration i's."""
-    times = np.empty((len(rows), n))
-    for row, rng in zip(times, SeededRng(master_seed).streams(rows)):
-        rng.random(out=row)
-    return times
-
-
 def _normalized_batch(times: np.ndarray, log_weights: np.ndarray) -> _InstanceBatch:
     """Normalize raw log-weight rows in place into a batch; the one place
     where batch weights are normalized."""
@@ -348,11 +316,13 @@ def _build_batch(
     return _normalized_batch(*_draw_rows(family, n, rows, master_seed))
 
 
-def _replay_batch(profiles, master_seed: int) -> _InstanceBatch:
-    """Batch of user-supplied instances; stream i of the master seed provides
-    iteration i's arrival draw."""
-    log_weights = np.stack([p.log_weights for p in profiles])
-    times = _arrival_rows(log_weights.shape[1], range(len(profiles)), master_seed)
+def _replay_batch(profiles, master_seed: int, rows: range) -> _InstanceBatch:
+    """The user-supplied instances of iterations ``rows``; stream i of the
+    master seed provides iteration i's arrival draw."""
+    log_weights = np.stack([profiles[i].log_weights for i in rows])
+    times = np.empty(log_weights.shape)
+    for row, rng in zip(times, SeededRng(master_seed).streams(rows)):
+        rng.random(out=row)
     return _normalized_batch(times, log_weights)
 
 
@@ -389,9 +359,28 @@ def _cell_gaps(batch: _InstanceBatch, gap: GapSpec):
 
 
 def _cell_outcomes(batch: _InstanceBatch, algorithm: AlgorithmSpec, gap: GapSpec) -> dict:
+    """Per-row ``ratio``, ``select_best`` and ``none`` of one checked cell on
+    a batch; a single-selection rule adds the threshold kernel's arrays."""
+    if algorithm.tag == "l-select":
+        sel = _run_l_select_rows(
+            batch.weights, batch.times, batch.max_log, algorithm.tau, algorithm.L, gap
+        )
+        if (sel["opt"] <= 0.0).any():
+            raise ConfigError("the top-L weights must have positive total")
+        accepted = sel["accepted"]
+        return {
+            "ratio": sel["total_weight"] / sel["opt"],
+            "select_best": accepted[np.arange(len(accepted)), sel["best_index"]],
+            "none": ~accepted.any(axis=1),
+        }
     gaps = _cell_gaps(batch, gap) if algorithm.uses_gap else 0.0
-    policy = _policy(algorithm, gaps, batch.max_log)
-    out = _run_threshold_batch(batch.weights, batch.times, *policy)
+    return _threshold_outcomes(batch.weights, batch.times, _policy(algorithm, gaps, batch.max_log))
+
+
+def _threshold_outcomes(weights: np.ndarray, times: np.ndarray, policy: _Policy) -> dict:
+    """The threshold kernel's arrays on normalized weights, plus per-row
+    ``ratio``, ``select_best`` and ``none``."""
+    out = _run_threshold_batch(weights, times, *policy)
     out["ratio"] = out["accept_weight"]  # normalized max weight is exactly 1
     out["select_best"] = out["accept_index"] == out["best_index"]
     out["none"] = out["accept_index"] < 0
@@ -412,17 +401,84 @@ def _estimate_from(out: dict) -> RatioEstimate:
     )
 
 
+# ---------------------------------------------------------------------------
+# The cell driver
+
+# elements per chunk of rows, by kernel: a chunk is drawn and run together,
+# so no whole-run array is held; a run takes the smallest entry of its cells
+_CHUNK_ELEMENTS = {"threshold": 5_000_000, "l-select": 16_384}
+
+
+def _chunks(n: int, iterations: int, algorithms):
+    """Row ranges covering ``iterations``, each of at most the smallest
+    ``_CHUNK_ELEMENTS`` entry among the algorithms' kernels, in instances
+    of size ``n``."""
+    kernels = {"l-select" if a.tag == "l-select" else "threshold" for a in algorithms}
+    per = max(1, min(_CHUNK_ELEMENTS[k] for k in kernels) // n)
+    return (range(lo, min(lo + per, iterations)) for lo in range(0, iterations, per))
+
+
+def _joined(parts: list[dict]) -> dict:
+    """Per-chunk outcome dicts joined in row order; one chunk is not copied."""
+    if len(parts) == 1:
+        return parts[0]
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+
+
+def _cell_key(algorithm: AlgorithmSpec, gap: GapSpec):
+    """What a cell's estimate reads: a rule without a gap ignores the GapSpec,
+    and an absolute gap or l-select's index-free one ignores k."""
+    if not algorithm.uses_gap:
+        return algorithm, None
+    if gap.absolute is not None or algorithm.tag == "l-select":
+        return algorithm, replace(gap, k=None)
+    return algorithm, gap
+
+
+def _run_cells(n: int, iterations: int, batch_of, cells, outcomes: bool = False) -> list:
+    """Estimates of (AlgorithmSpec, GapSpec) cells on ``iterations`` instances
+    of size ``n``, each cell checked as ``ExperimentConfig`` checks its own.
+
+    ``batch_of(rows)`` gives the instances of a range of iterations. Each
+    chunk of rows is taken from it once and every distinct cell (cells that
+    read the same inputs are one) is evaluated on it; a cell is reduced after
+    its last chunk. With ``outcomes`` a cell gives its joined per-row
+    outcomes in place of its estimate.
+    """
+    for algorithm, gap in cells:
+        _check_cell(n, algorithm, gap)
+    keys = dict.fromkeys(_cell_key(a, g) for a, g in cells)
+    if not keys:
+        return []
+    parts = {key: [] for key in keys}
+    done = {}
+    for rows in _chunks(n, iterations, [a for a, _ in keys]):
+        batch = batch_of(rows)
+        for key in keys:
+            out = _cell_outcomes(batch, *key)
+            if not outcomes:
+                out = {f: out[f] for f in ("ratio", "select_best", "none")}
+            parts[key].append(out)
+            if rows.stop == iterations:
+                out = _joined(parts.pop(key))
+                done[key] = out if outcomes else _estimate_from(out)
+    return [done[_cell_key(a, g)] for a, g in cells]
+
+
+def _on_generated(config: ExperimentConfig, cells, outcomes: bool = False) -> list:
+    """``_run_cells`` on the instances the config's family draws."""
+    batch_of = partial(_build_batch, config.family, config.n, master_seed=config.master_seed)
+    return _run_cells(config.n, config.iterations, batch_of, cells, outcomes)
+
+
 def per_iteration_outcomes(config: ExperimentConfig) -> dict:
     """Raw per-iteration outcomes for one experiment cell (validation surface)."""
-    if config.algorithm.tag == "l-select":
-        raise ConfigError("l-select runs through estimate_l_selection")
-    batch = _build_batch(config.family, config.n, range(config.iterations), config.master_seed)
-    return _cell_outcomes(batch, config.algorithm, config.gap)
+    return _on_generated(config, [(config.algorithm, config.gap)], outcomes=True)[0]
 
 
 def estimate_ratio(config: ExperimentConfig) -> RatioEstimate:
     """Monte Carlo competitive-ratio estimate for one experiment cell."""
-    return _estimate_from(per_iteration_outcomes(config))
+    return _on_generated(config, [(config.algorithm, config.gap)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -440,31 +496,6 @@ def _resolve_tau(base_tau: float, k: int | None, tau_policy: str) -> float:
     if k is None:
         raise ConfigError("tau policy 'from-k' needs an integer gap index k")
     return tau_for_k(k) if tau_policy == "from-k" else min(base_tau, tau_for_k(k))
-
-
-def _cell_key(algorithm: AlgorithmSpec, gap: GapSpec):
-    """What a cell's estimate reads: a rule without a gap ignores the GapSpec,
-    and an absolute gap ignores k."""
-    if not algorithm.uses_gap:
-        return algorithm, None
-    if gap.absolute is not None:
-        return algorithm, replace(gap, k=None)
-    return algorithm, gap
-
-
-def _estimate_cells(config: ExperimentConfig, cells) -> list[RatioEstimate]:
-    """Estimates of (AlgorithmSpec, GapSpec) pairs, each checked as
-    ``ExperimentConfig`` checks its own, on one batch of the config's
-    instances; cells that read the same inputs are evaluated once."""
-    for algorithm, gap in cells:
-        _check_cell(config.n, algorithm, gap)
-    batch = _build_batch(config.family, config.n, range(config.iterations), config.master_seed)
-    estimates = {}
-    for a, g in cells:
-        key = _cell_key(a, g)
-        if key not in estimates:
-            estimates[key] = _estimate_from(_cell_outcomes(batch, a, g))
-    return [estimates[_cell_key(a, g)] for a, g in cells]
 
 
 def sweep_k(
@@ -487,7 +518,7 @@ def sweep_k(
         cells.append((replace(algo, tau=_resolve_tau(algo.tau, gap.k, tau_policy)), gap))
         if with_baseline:
             cells.append((baseline, replace(gap, sigma=0.0)))
-    estimates = _estimate_cells(config, cells)
+    estimates = _on_generated(config, cells)
     return [SweepCell(g.k, g.sigma, a.tag, a.tau, est) for (a, g), est in zip(cells, estimates)]
 
 
@@ -508,7 +539,7 @@ def sweep_sigma(
         for k in ks
         for s in sigmas
     ]
-    estimates = _estimate_cells(config, cells)
+    estimates = _on_generated(config, cells)
     return [SweepCell(g.k, g.sigma, a.tag, a.tau, est) for (a, g), est in zip(cells, estimates)]
 
 
@@ -526,11 +557,8 @@ def batch_ratio_for_profiles(
     n = profiles[0].n
     if any(p.n != n for p in profiles):
         raise ConfigError("all profiles must have the same size")
-    if algorithm.tag == "l-select":
-        raise ConfigError("l-select runs through estimate_l_selection")
-    _check_cell(n, algorithm, gap)
-    batch = _replay_batch(profiles, master_seed)
-    return _estimate_from(_cell_outcomes(batch, algorithm, gap))
+    batch_of = partial(_replay_batch, profiles, master_seed)
+    return _run_cells(n, len(profiles), batch_of, [(algorithm, gap)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -548,29 +576,26 @@ def simulate_fixed_profile(
 
     ``gap_values`` (scalar or per-iteration array) is interpreted in the
     profile's raw units. Arrival times come from one stream derived from
-    ``seed``; the whole run is a single-threaded deterministic batch.
-    Returns per-iteration arrays, with accepted weights both normalized
-    (``ratio``) and in raw units (``accept_weight``).
+    ``seed``, drawn chunk by chunk in iteration order, so the values do not
+    depend on the chunk size. Returns per-iteration arrays, with accepted
+    weights both normalized (``ratio``) and in raw units (``accept_weight``).
     """
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
     w = normalize(profile).normalized_weights
     m = profile.max_log_weight
     gaps = np.broadcast_to(_rescale_raw(gap_values, m), (iterations,))
-    policy = _policy(algorithm, gaps, m)
-    times = np.random.default_rng([int(seed)]).random((iterations, w.size))
-    out = _run_threshold_batch(np.broadcast_to(w, times.shape), times, *policy)
-    ratio = out["accept_weight"]  # normalized units, max weight is 1
+    rng = np.random.default_rng([int(seed)])
+    parts = []
+    for rows in _chunks(w.size, iterations, [algorithm]):
+        policy = _policy(algorithm, gaps[rows.start : rows.stop], m)
+        times = rng.random((len(rows), w.size))
+        parts.append(_threshold_outcomes(np.broadcast_to(w, times.shape), times, policy))
+    out = _joined(parts)
+    del out["best_index"]
     with np.errstate(over="ignore"):
-        raw = ratio * np.exp(m)
-    return {
-        "accept_index": out["accept_index"],
-        "accept_time": out["accept_time"],
-        "ratio": ratio,
-        "accept_weight": raw,
-        "select_best": out["accept_index"] == out["best_index"],
-        "none": out["accept_index"] < 0,
-    }
+        out["accept_weight"] = out["ratio"] * np.exp(m)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -751,38 +776,13 @@ def estimate_l_selection(
 
     The gap fed per instance is sigma times (L-th minus (L+1)-th largest
     weight), or sigma times the absolute gap, rescaled with the raw
-    instance's log maximum, when one is configured; with ``fixed_profile``
-    only the arrival times are random. Instances are drawn and run in row
-    chunks.
+    instance's log maximum, when one is configured. The config is an
+    ordinary cell: this is :func:`estimate_ratio`, and with ``fixed_profile``
+    the replay of that profile in every iteration, so that only the arrival
+    times are random.
     """
-    L = config.algorithm.L
-    n = fixed_profile.n if fixed_profile is not None else config.n
-    if L > n:
-        raise ConfigError(f"L={L} exceeds n={n}")
-    if config.gap.absolute is None and L > n - 1:
-        raise ConfigError("the auto-computed gap needs L <= n - 1")
-
-    iters, seed = config.iterations, config.master_seed
-    out = {
-        "ratio": np.empty(iters),
-        "select_best": np.empty(iters, dtype=bool),
-        "none": np.empty(iters, dtype=bool),
-    }
-    per = max(1, _LSELECT_CHUNK_ELEMENTS // n)
-    for lo in range(0, iters, per):
-        rows = range(lo, min(lo + per, iters))
-        if fixed_profile is None:
-            batch = _build_batch(config.family, n, rows, seed)
-            weights, times, max_log = batch.weights, batch.times, batch.max_log
-        else:
-            times = _arrival_rows(n, rows, seed)
-            weights = np.broadcast_to(fixed_profile.normalized_weights, times.shape)
-            max_log = np.full(len(rows), fixed_profile.max_log_weight)
-        sel = _run_l_select_rows(weights, times, max_log, config.algorithm.tau, L, config.gap)
-        if (sel["opt"] <= 0.0).any():
-            raise ConfigError("the top-L weights must have positive total")
-        sl = slice(rows.start, rows.stop)
-        out["ratio"][sl] = sel["total_weight"] / sel["opt"]
-        out["select_best"][sl] = sel["accepted"][np.arange(len(rows)), sel["best_index"]]
-        out["none"][sl] = ~sel["accepted"].any(axis=1)
-    return _estimate_from(out)
+    if fixed_profile is None:
+        return estimate_ratio(config)
+    return batch_ratio_for_profiles(
+        [fixed_profile] * config.iterations, config.algorithm, config.gap, config.master_seed
+    )

@@ -84,6 +84,28 @@ class TestValidation:
         assert code == 2
         assert "step must be positive" in err
 
+    @pytest.mark.parametrize(
+        "sweep,bounds,message",
+        [
+            ("sigma", ["--from", "1", "--to", "0", "--step", "0.5"], "--to must be at least --from"),
+            ("k", ["--from", "9", "--to", "3", "--step", "1"], "--to must be at least --from"),
+            ("k", ["--from", "2", "--to", "6", "--step", "0.5"], "integer --from, --to and --step"),
+            ("k", ["--from", "2.9", "--to", "4.9", "--step", "1"], "integer --from, --to and --step"),
+            ("sigma", ["--from", "0", "--to", "inf", "--step", "0.5"], "must be finite"),
+            ("sigma", ["--from", "nan", "--to", "1", "--step", "0.5"], "must be finite"),
+            ("sigma", ["--from", "0", "--to", "1", "--step", "inf"], "must be finite"),
+        ],
+        ids=["sigma-reversed", "k-reversed", "k-fractional-step", "k-fractional-bounds",
+             "sigma-infinite-to", "sigma-nan-from", "sigma-infinite-step"],
+    )
+    def test_sweep_range_exits_2(self, sweep, bounds, message, capsys):
+        argv = ["sweep", "--sweep", sweep, *bounds, "--family", "exp", "--n", "20",
+                "--iters", "10", "--algo", "exact-gap", "--k", "2"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_unknown_k_requires_absolute_gap(self, capsys):
         code, _, err = run(
             ["simulate", "--family", "exp", "--algo", "exact-gap", "--k", "unknown"],
@@ -201,6 +223,19 @@ class TestSimulate:
         )
 
 
+    @pytest.mark.parametrize("gap", [[], ["--gap-value", "0.7"]], ids=["auto", "absolute"])
+    def test_l_select_dump_and_replay_csv_identical(self, gap, tmp_path, capsys):
+        dump = tmp_path / "instances.txt"
+        common = ["--iters", "40", "--algo", "l-select", "--L", "3", "--tau", "0.3", "--seed", "5", *gap]
+        code1, out1, _ = run(
+            ["simulate", "--family", "chisq", "--n", "15", *common, "--dump-profiles", str(dump)],
+            capsys,
+        )
+        code2, out2, _ = run(["simulate", "--profiles-file", str(dump), *common], capsys)
+        assert code1 == 0 and code2 == 0
+        assert out1 == out2
+
+
 class TestSweep:
     def test_k_sweep_includes_classical_baseline(self, capsys):
         code, out, _ = run(
@@ -229,6 +264,22 @@ class TestSweep:
         assert code == 0
         lines = out.strip().splitlines()[1:]
         assert len(lines) == 6  # 2 indices x 3 sigma values
+
+    def test_l_select_sigma_sweep_rows_equal_simulate(self, capsys):
+        common = ["--family", "exp", "--n", "30", "--iters", "60", "--algo", "l-select",
+                  "--L", "2", "--seed", "13"]
+        code, out, _ = run(
+            ["sweep", "--sweep", "sigma", "--from", "0", "--to", "1", "--step", "0.5",
+             "--k", "2,4", *common],
+            capsys,
+        )
+        assert code == 0
+        header, *rows = out.strip().splitlines()
+        assert len(rows) == 6
+        for sigma, row in zip(["0.0", "0.5", "1.0"] * 2, rows):
+            code, single, _ = run(["simulate", "--sigma", sigma, *common], capsys)
+            assert code == 0
+            assert single.strip().splitlines() == [header, row]
 
 
 class TestBounds:

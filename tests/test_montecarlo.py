@@ -275,12 +275,11 @@ class TestSpecsValidation:
         # l-select's auto gap is index-free
         ExperimentConfig(fam, 10, 5, AlgorithmSpec("l-select", L=2))
 
-    def test_estimate_ratio_rejects_l_select(self):
+    def test_estimate_ratio_runs_l_select(self):
         cfg = ExperimentConfig(
             InstanceFamily("exponential"), 10, 5, AlgorithmSpec("l-select", L=2)
         )
-        with pytest.raises(ConfigError):
-            estimate_ratio(cfg)
+        assert estimate_ratio(cfg) == estimate_l_selection(cfg)
 
 
 class TestEstimateRatio:
@@ -696,7 +695,7 @@ class TestBatchBuild:
         expected = (times, W, max_log, np.sort(W, axis=1)[:, ::-1])
         for batch in (
             _build_batch(family, n, range(iters), seed),
-            _replay_batch(profiles, seed),
+            _replay_batch(profiles, seed, range(iters)),
         ):
             got = (batch.times, batch.weights, batch.max_log, batch.sorted_weights)
             for a, b in zip(got, expected):
@@ -729,7 +728,7 @@ class TestBatchBuild:
             WeightProfile.from_weights([1.0, 4.0, 2.0]),
             WeightProfile.from_weights([0.0, 3.0, 0.0]),
         ]
-        batch = _replay_batch(profiles, 3)
+        batch = _replay_batch(profiles, 3, range(len(profiles)))
         assert np.array_equal(batch.weights, [p.normalized_weights for p in profiles])
         assert np.array_equal(batch.max_log, [p.max_log_weight for p in profiles])
 
@@ -793,29 +792,27 @@ class TestLSelectionEstimation:
         assert est.select_best_prob > 0.0
 
     def test_auto_gap_needs_room_for_next_weight(self):
-        cfg = ExperimentConfig(
-            InstanceFamily("exponential"),
-            5,
-            10,
-            AlgorithmSpec("l-select", tau=0.3, L=5),
-            master_seed=SEED,
-        )
-        with pytest.raises(ConfigError):
-            estimate_l_selection(cfg)
+        with pytest.raises(ConfigError, match="L <= n - 1"):
+            ExperimentConfig(
+                InstanceFamily("exponential"),
+                5,
+                10,
+                AlgorithmSpec("l-select", tau=0.3, L=5),
+                master_seed=SEED,
+            )
 
     def test_l_range(self):
         with pytest.raises(ConfigError):
             AlgorithmSpec("l-select", tau=0.3, L=1)
-        cfg = ExperimentConfig(
-            InstanceFamily("exponential"),
-            5,
-            10,
-            AlgorithmSpec("l-select", tau=0.3, L=6),
-            GapSpec(absolute=1.0),
-            master_seed=SEED,
-        )
-        with pytest.raises(ConfigError):
-            estimate_l_selection(cfg)
+        with pytest.raises(ConfigError, match="exceeds n"):
+            ExperimentConfig(
+                InstanceFamily("exponential"),
+                5,
+                10,
+                AlgorithmSpec("l-select", tau=0.3, L=6),
+                GapSpec(absolute=1.0),
+                master_seed=SEED,
+            )
 
     def test_all_zero_fixed_profile_rejected(self):
         cfg = ExperimentConfig(
@@ -832,7 +829,7 @@ class TestLSelectionEstimation:
     def test_fixed_profile_matches_per_draw_loop(self, monkeypatch):
         # iteration i of a fixed profile runs on stream i's arrival times,
         # as a per-draw loop runs it, across chunk boundaries too
-        monkeypatch.setattr(montecarlo, "_LSELECT_CHUNK_ELEMENTS", 5 * 12)
+        monkeypatch.setitem(montecarlo._CHUNK_ELEMENTS, "l-select", 5 * 12)
         family = InstanceFamily("chi_squared", df=3)
         (raw,) = regenerate_profiles(family, 12, 1, 4)
         cfg = ExperimentConfig(
@@ -880,3 +877,146 @@ class TestLSelectionEstimation:
             master_seed=SEED,
         )
         assert estimate_l_selection(cfg) == estimate_l_selection(cfg)
+
+
+def _same(a, b):
+    """Bitwise equality of estimates, sweep rows or per-row outcome dicts."""
+    if not isinstance(a, dict):
+        return a == b
+    return a.keys() == b.keys() and all(
+        a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k], equal_nan=True) for k in a
+    )
+
+
+class TestChunkInvariance:
+    """Results do not depend on how rows are chunked: each case runs once
+    at the default chunking (one chunk at these sizes) and once with the
+    chunk table cut to a few rows or a single row, with a partial last
+    chunk."""
+
+    N, ITERS = 12, 31
+
+    @pytest.fixture(params=[{"threshold": 40, "l-select": 25}, {"threshold": 1, "l-select": 1}],
+                    ids=["few-rows", "one-row"])
+    def rechunked(self, request, monkeypatch):
+        def both(run):
+            whole = run()
+            with monkeypatch.context() as m:
+                m.setattr(montecarlo, "_CHUNK_ELEMENTS", request.param)
+                assert len(list(montecarlo._chunks(self.N, self.ITERS, [AlgorithmSpec("classical")]))) > 1
+                return whole, run()
+
+        return both
+
+    def _config(self, algo, gap=GapSpec(k=3)):
+        family = InstanceFamily("chi_squared", df=3)
+        return ExperimentConfig(family, self.N, self.ITERS, algo, gap, master_seed=SEED)
+
+    @pytest.mark.parametrize(
+        "algo",
+        [
+            AlgorithmSpec("classical", tau=0.3),
+            AlgorithmSpec("strict-classical", tau=0.3),
+            AlgorithmSpec("exact-gap", tau=0.2),
+            AlgorithmSpec("bounded", tau=0.2, epsilon=0.1),
+            AlgorithmSpec("robust", tau=0.2, gamma=0.3),
+        ],
+        ids=lambda a: a.tag,
+    )
+    def test_single_selection(self, algo, rechunked):
+        cfg = self._config(algo)
+        for run in (lambda: estimate_ratio(cfg), lambda: per_iteration_outcomes(cfg)):
+            assert _same(*rechunked(run))
+
+    def test_robust_sigma_sweep(self, rechunked):
+        cfg = self._config(AlgorithmSpec("robust", tau=0.2, gamma=0.2))
+        assert _same(*rechunked(lambda: sweep_sigma(cfg, [0.0, 0.5, 1.5], [2, 5])))
+
+    @pytest.mark.parametrize("gap", [GapSpec(), GapSpec(absolute=0.5, sigma=2.0)], ids=["auto", "absolute"])
+    def test_l_select(self, gap, rechunked):
+        cfg = self._config(AlgorithmSpec("l-select", tau=0.3, L=3), gap)
+        (raw,) = regenerate_profiles(cfg.family, self.N, 1, 5)
+        assert _same(*rechunked(lambda: estimate_l_selection(cfg)))
+        assert _same(*rechunked(lambda: estimate_l_selection(cfg, fixed_profile=raw)))
+
+    def test_replayed_profiles(self, rechunked):
+        profiles = regenerate_profiles(InstanceFamily("exponential"), self.N, self.ITERS, 6)
+        algo = AlgorithmSpec("exact-gap", tau=0.25)
+        assert _same(*rechunked(lambda: batch_ratio_for_profiles(profiles, algo, GapSpec(k=2), 6)))
+
+    @pytest.mark.parametrize("tag", ["classical", "bounded", "robust"])
+    def test_fixed_profile_arrays(self, tag, rechunked):
+        (prof,) = regenerate_profiles(InstanceFamily("exponential"), self.N, 1, 7)
+        algo = AlgorithmSpec(tag, tau=0.2, gamma=0.3, epsilon=0.2)
+        gaps = np.random.default_rng(1).random(self.ITERS) * 3.0
+        assert _same(*rechunked(
+            lambda: simulate_fixed_profile(prof, algo, self.ITERS, 8, gap_values=gaps)
+        ))
+
+    def test_mixed_cells_take_the_smallest_entry(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", {"threshold": 40, "l-select": 25})
+        algos = [AlgorithmSpec("classical"), AlgorithmSpec("l-select", L=2)]
+        chunks = list(montecarlo._chunks(self.N, self.ITERS, algos))
+        assert [len(r) for r in chunks] == [2] * 15 + [1]
+        assert [i for r in chunks for i in r] == list(range(self.ITERS))
+
+
+class TestLSelectAsCell:
+    def _config(self, gap=GapSpec(k=2)):
+        family = InstanceFamily("exponential")
+        return ExperimentConfig(family, 20, 100, AlgorithmSpec("l-select", tau=0.3, L=3), gap,
+                                master_seed=SEED)
+
+    def test_sigma_sweep_rows_equal_estimates(self, monkeypatch):
+        # the gap of l-select is index-free, so rows that differ only in k
+        # read the same inputs and run the kernel once per sigma
+        calls = []
+        kernel = montecarlo._run_l_select_rows
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_run_l_select_rows", counting)
+        cfg = self._config()
+        cells = sweep_sigma(cfg, [0.0, 0.5, 1.0], [2, 3, 7])
+        assert len(cells) == 9 and len(calls) == 3
+        for c in cells:
+            assert c.algo == "l-select"
+            assert c.estimate == estimate_l_selection(replace(cfg, gap=GapSpec(sigma=c.sigma)))
+
+    def test_k_sweep_repeats_one_estimate(self):
+        cfg = self._config()
+        cells = sweep_k(cfg, [2, 4, 6])
+        lsel = [c.estimate for c in cells if c.algo == "l-select"]
+        assert lsel == [estimate_l_selection(cfg)] * 3
+
+    def test_replay_equals_generated(self):
+        cfg = self._config(GapSpec(absolute=0.4))
+        profiles = regenerate_profiles(cfg.family, cfg.n, cfg.iterations, SEED)
+        est = batch_ratio_for_profiles(profiles, cfg.algorithm, cfg.gap, SEED)
+        assert est == estimate_l_selection(cfg)
+
+    def test_per_iteration_outcomes(self):
+        out = per_iteration_outcomes(self._config())
+        assert sorted(out) == ["none", "ratio", "select_best"]
+        assert out["ratio"].shape == (100,)
+
+    def test_fixed_profile_simulation_rejects_l_select(self):
+        prof = WeightProfile.from_weights([3.0, 2.0, 1.0])
+        with pytest.raises(ConfigError):
+            simulate_fixed_profile(prof, AlgorithmSpec("l-select", L=2), 10, 0)
+
+
+class TestEmptySweeps:
+    def test_no_cells_draw_no_batch(self, monkeypatch):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(montecarlo, "_build_batch", no_batch)
+        cfg = ExperimentConfig(
+            InstanceFamily("exponential"), 20, 50, AlgorithmSpec("exact-gap"), GapSpec(k=2)
+        )
+        assert sweep_sigma(cfg, [], [2, 3]) == []
+        assert sweep_sigma(cfg, [0.5], []) == []
+        assert sweep_k(cfg, []) == []

@@ -22,13 +22,23 @@ l-select with an absolute gap (``--gap-value``) is pinned on an exponential
 and a factor-1e6 superstar instance set: the gap is in raw weight units and
 must be rescaled with each raw instance's log maximum, so a gap read as
 already normalized would change both digests.
+
+No CLI command reaches ``simulate_fixed_profile``, so its arrays are pinned
+apart: a digest over every returned key, with its dtype, shape and bytes,
+recorded before the fixed-profile kernel moved from the broadcast row kernel
+to a column sweep over one weight vector. The cases cover all five rules,
+n in {1, 2, 5, 200}, tied weights, a zero weight, all-zero profiles, tau = 0,
+scalar and per-iteration gaps, and a 60,000 x 200 run, which is three chunks.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from gapsecretary import cli
+from gapsecretary.core import WeightProfile
+from gapsecretary.montecarlo import AlgorithmSpec, simulate_fixed_profile
 
 N, ITERS = "50", "300"
 SIM = ["simulate", "--n", N, "--iters", ITERS, "--tau", "0.2"]
@@ -232,3 +242,77 @@ def test_tau_from_k_spellings(name, spelling, tmp_path):
     out = tmp_path / "out.csv"
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert _digest(out) == GOLDEN[name]
+
+
+# simulate_fixed_profile cases: (linear weights, rule, iterations, seed, gap);
+# a gap of ("uniform", hi, seed) is a per-iteration array drawn uniform on
+# [0, hi) from that seed
+def _exponential(n, seed):
+    return np.random.default_rng(seed).standard_exponential(n).tolist()
+
+
+FIXED_PROFILE = {
+    "classical/n-1": ([2.5], AlgorithmSpec("classical", tau=0.3), 4000, 1, 0.0),
+    "classical/n-5/tau-0": ([4.0, 1.0, 2.5, 3.0, 0.5], AlgorithmSpec("classical", tau=0.0), 4000, 2, 0.0),
+    "strict-classical/n-2/tied": ([3.0, 3.0], AlgorithmSpec("strict-classical", tau=0.4), 4000, 3, 0.0),
+    "strict-classical/n-5/tied": (
+        [2.0, 1.0, 1.0, 0.9, 0.7], AlgorithmSpec("strict-classical", tau=0.359), 4000, 4, 0.0,
+    ),
+    "exact-gap/n-2": ([10.0, 4.0], AlgorithmSpec("exact-gap", tau=0.2), 4000, 5, 5.0),
+    "exact-gap/n-5/gap-array": (
+        [4.0, 1.0, 2.5, 3.0, 0.5], AlgorithmSpec("exact-gap", tau=0.25), 4000, 6, ("uniform", 5.0, 60),
+    ),
+    "bounded/n-5/tied-and-zero": (
+        [2.0, 2.0, 2.0, 1.0, 0.0], AlgorithmSpec("bounded", tau=0.3, epsilon=0.3), 4000, 7, 0.9,
+    ),
+    "robust/n-5": (
+        [4.0, 1.0, 2.5, 3.0, 0.5], AlgorithmSpec("robust", tau=0.35, gamma=0.25), 4000, 8, 1.5,
+    ),
+    "robust/n-5/tied/gap-array": (
+        [3.0, 1.0, 3.0, 2.0, 1.0], AlgorithmSpec("robust", tau=0.2, gamma=0.4), 4000, 9, ("uniform", 4.0, 90),
+    ),
+    "classical/all-zero": ([0.0, 0.0, 0.0], AlgorithmSpec("classical", tau=0.3), 4000, 10, 0.0),
+    "exact-gap/all-zero": ([0.0, 0.0], AlgorithmSpec("exact-gap", tau=0.3), 4000, 11, 0.5),
+    "bounded/n-200": (_exponential(200, 12), AlgorithmSpec("bounded", tau=0.2, epsilon=0.2), 2000, 12, 0.7),
+    "robust/n-200/gap-array/three-chunks": (
+        _exponential(200, 13), AlgorithmSpec("robust", tau=0.2, gamma=0.1), 60_000, 13,
+        ("uniform", 1.5, 130),
+    ),
+}
+
+FIXED_PROFILE_GOLDEN = {
+    "bounded/n-200": "1983765bead936f297f0df2dfe0ad2fb6df7b186688abd06711d0bb405054c15",
+    "bounded/n-5/tied-and-zero": "6a6593ef2a95d96042b3d307497883cb7f74941e9d16c6c94f3422c7b286af2f",
+    "classical/all-zero": "aac8e9b90c01183c5f060b251fd454317694973eb683ba1af6c8b3a90fcfa566",
+    "classical/n-1": "e01b89d9da0f078a3c57ca12dd7ad0e4dbede98a6d29e0823cb2fbcf85f6df79",
+    "classical/n-5/tau-0": "9044a23170dc8d1ad9ec9b3b6eb2b4696e8fd843ddd4603757b49eba31036eeb",
+    "exact-gap/all-zero": "2c1404bb51e71de163f3fb9a43c034104f4aa450937675de2a299b76c3f6743a",
+    "exact-gap/n-2": "861d2492c876e98b20e4b02075d6af050a808c791d4d9a63f4a178886526cbfb",
+    "exact-gap/n-5/gap-array": "a7a1fb4c52963b3aecd4332c0bbd75c58fa26432c3d5412bc3ee17bdff017625",
+    "robust/n-200/gap-array/three-chunks": "c628098e3ca83c123f1d85eac5db0369078be8d2a6a12ac3cae8fd389acc02b3",
+    "robust/n-5": "72b955e418c597c91a97be75bb2bd5c682a5c8a2e9beab4a1321c048393bb934",
+    "robust/n-5/tied/gap-array": "1aa1291c3b257f3994863a7d5b83c96f6d3c783f12a113471f10f8475102d60e",
+    "strict-classical/n-2/tied": "c43581b4b895ec199226bdb65f6bcba542e7b6a75ebc2f154c30dab5a4a06cba",
+    "strict-classical/n-5/tied": "069bc7fab3f05bc73c4aa205f928661dfb5195d75995b65f759c7b733dadd436",
+}
+
+
+def _array_digest(out: dict) -> str:
+    """SHA-256 over every key of a result dict with its array's dtype, shape
+    and bytes, keys in sorted order."""
+    h = hashlib.sha256()
+    for key in sorted(out):
+        a = np.ascontiguousarray(out[key])
+        h.update(f"{key}|{a.dtype.str}|{a.shape}|".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_PROFILE))
+def test_fixed_profile_arrays_unchanged(name):
+    weights, algorithm, iterations, seed, gap = FIXED_PROFILE[name]
+    if isinstance(gap, tuple):
+        _, hi, gap_seed = gap
+        gap = np.random.default_rng(gap_seed).uniform(0.0, hi, iterations)
+    out = simulate_fixed_profile(WeightProfile.from_weights(weights), algorithm, iterations, seed, gap)
+    assert _array_digest(out) == FIXED_PROFILE_GOLDEN[name]

@@ -301,6 +301,11 @@ def cmd_sweep(args) -> int:
             raise UsageError("k sweeps need integer --from, --to and --step")
         if args.sweep_from < 2:
             raise UsageError("k sweep must start at 2 or above")
+        if args.algo == "l-select":
+            raise UsageError(
+                "l-select's gap does not depend on k, so a k sweep would repeat one "
+                "estimate; sweep its gap scale with --sweep sigma"
+            )
         ks = list(range(int(args.sweep_from), int(args.sweep_to) + 1, int(args.step)))
         algo = _algorithm(args, args.tau)
         gap = _gap(args, ks[0])

@@ -9,10 +9,19 @@ reductions happen in iteration order.
 Every single-selection rule is one threshold policy ``(tau, gap, gamma,
 strict)``: after ``tau``, accept the first arrival at or above max(best-so-far,
 gap), or above it when strict, and after time 1 - ``gamma`` at or above
-best-so-far alone. ``_policy`` maps each tag to that record and
-``_run_threshold_batch`` runs it over a chunk of draws. The multi-selection
-rule runs through ``_run_l_select_rows``. The per-draw runners in
-``algorithms`` are the tests' reference for both kernels.
+best-so-far alone. ``_policy`` maps each tag to that record, and one of two
+kernels runs it over a chunk of draws:
+
+* ``_run_threshold_batch`` takes (rows, n) weights, one instance per row:
+  the generated and replayed batches of every estimate and sweep;
+* ``_run_fixed_profile`` takes one weight vector and (rows, n) arrival times,
+  swept column by column: ``simulate_fixed_profile``, where only the arrival
+  order is random.
+
+The multi-selection rule runs through ``_run_l_select_rows``. The per-draw
+runners in ``algorithms`` are the tests' reference for every kernel, and the
+row kernel on a broadcast weight vector is the reference for the
+fixed-profile one.
 
 An experiment cell is an ``(AlgorithmSpec, GapSpec)`` pair; ``_check_cell``
 validates it for one instance size. ``_run_cells`` is the one driver every
@@ -269,6 +278,60 @@ def _run_threshold_batch(
     }
 
 
+def _run_fixed_profile(
+    w: np.ndarray,
+    times: np.ndarray,
+    tau: float,
+    gap=0.0,
+    gamma: float = 0.0,
+    strict: bool = False,
+) -> dict:
+    """Run one threshold policy over (B, n) arrival ``times`` in [0, 1] of the
+    single weight vector ``w``; returns what ``_run_threshold_batch`` returns
+    on ``w`` broadcast to every row, bit for bit.
+
+    The n columns are swept as contiguous (B,) vectors, and per-row choices
+    are kept as small integer codes, never as masked copies. Best-so-far is
+    the heaviest pre-``tau`` weight: its rank in ascending weight order plus
+    one, 0 when none arrived, looked up in [0, ascending weights]. The first
+    arrival walks the columns in index order and takes a candidate only at a
+    strictly earlier time, so tied times go to the lower index, as ``argmin``
+    gives them in the row kernel; it is kept as index plus one, 0 when none.
+    """
+    if strict and gamma > 0.0:
+        raise ValueError("strict comparison has no late phase")
+    B = times.shape[0]
+    cols = np.ascontiguousarray(times.T)
+    post = cols > tau
+    code = np.min_scalar_type(w.size).type
+    ascending = np.argsort(w, kind="stable")
+    level = np.zeros(B, dtype=code)
+    # codes grow along each loop, so np.maximum keeps the last one taken
+    for rank, j in enumerate(ascending, start=1):
+        np.maximum(level, ~post[j] * code(rank), out=level)
+    bsf = np.concatenate(([0.0], w[ascending])).take(level)
+    thr = bsf if strict else np.maximum(bsf, gap)
+    first = np.zeros(B, dtype=code)
+    first_t = np.full(B, np.inf)
+    for j, t in enumerate(cols):
+        cand = w[j] > thr if strict else w[j] >= thr
+        if gamma > 0.0:
+            late = t > 1.0 - gamma
+            cand = late & (w[j] >= bsf) | ~late & cand
+        cand &= post[j]
+        cand &= t < first_t
+        np.maximum(first, cand * code(j + 1), out=first)
+        # a non-candidate's time moves past every arrival time (first_t
+        # stays above 1 until a candidate arrives); a candidate's is exact
+        np.minimum(first_t, t + ~cand * 2.0, out=first_t)
+    return {
+        "accept_index": np.subtract(first, 1, dtype=np.intp),
+        "accept_weight": np.concatenate(([0.0], w)).take(first),
+        "accept_time": np.where(first > 0, first_t, np.nan),
+        "best_index": np.full(B, np.argmax(w)),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Instance batches
 
@@ -374,13 +437,13 @@ def _cell_outcomes(batch: _InstanceBatch, algorithm: AlgorithmSpec, gap: GapSpec
             "none": ~accepted.any(axis=1),
         }
     gaps = _cell_gaps(batch, gap) if algorithm.uses_gap else 0.0
-    return _threshold_outcomes(batch.weights, batch.times, _policy(algorithm, gaps, batch.max_log))
+    policy = _policy(algorithm, gaps, batch.max_log)
+    return _threshold_outcomes(_run_threshold_batch(batch.weights, batch.times, *policy))
 
 
-def _threshold_outcomes(weights: np.ndarray, times: np.ndarray, policy: _Policy) -> dict:
-    """The threshold kernel's arrays on normalized weights, plus per-row
+def _threshold_outcomes(out: dict) -> dict:
+    """A threshold kernel's arrays on normalized weights, plus per-row
     ``ratio``, ``select_best`` and ``none``."""
-    out = _run_threshold_batch(weights, times, *policy)
     out["ratio"] = out["accept_weight"]  # normalized max weight is exactly 1
     out["select_best"] = out["accept_index"] == out["best_index"]
     out["none"] = out["accept_index"] < 0
@@ -574,14 +637,23 @@ def simulate_fixed_profile(
 ) -> dict:
     """Monte Carlo over arrival draws only, holding the profile fixed.
 
-    ``gap_values`` (scalar or per-iteration array) is interpreted in the
-    profile's raw units. Arrival times come from one stream derived from
-    ``seed``, drawn chunk by chunk in iteration order, so the values do not
-    depend on the chunk size. Returns per-iteration arrays, with accepted
-    weights both normalized (``ratio``) and in raw units (``accept_weight``).
+    ``gap_values`` (a scalar, or an array with one value per iteration) is
+    interpreted in the profile's raw units and must be finite and
+    non-negative. Arrival times come from one stream derived from ``seed``,
+    drawn chunk by chunk in iteration order, so the values do not depend on
+    the chunk size. Returns per-iteration arrays, with accepted weights both
+    normalized (``ratio``) and in raw units (``accept_weight``).
     """
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
+    gap_values = np.asarray(gap_values, dtype=float)
+    if gap_values.ndim and gap_values.shape != (iterations,):
+        raise ConfigError(
+            f"gap_values must be a scalar or hold one value per iteration "
+            f"({iterations}), got shape {gap_values.shape}"
+        )
+    if not (np.isfinite(gap_values).all() and (gap_values >= 0.0).all()):
+        raise ConfigError("gap_values must be finite and non-negative")
     w = normalize(profile).normalized_weights
     m = profile.max_log_weight
     gaps = np.broadcast_to(_rescale_raw(gap_values, m), (iterations,))
@@ -590,7 +662,7 @@ def simulate_fixed_profile(
     for rows in _chunks(w.size, iterations, [algorithm]):
         policy = _policy(algorithm, gaps[rows.start : rows.stop], m)
         times = rng.random((len(rows), w.size))
-        parts.append(_threshold_outcomes(np.broadcast_to(w, times.shape), times, policy))
+        parts.append(_threshold_outcomes(_run_fixed_profile(w, times, *policy)))
     out = _joined(parts)
     del out["best_index"]
     with np.errstate(over="ignore"):

@@ -106,6 +106,16 @@ class TestValidation:
         assert out == ""
         assert message in err
 
+    def test_l_select_k_sweep_exits_2(self, capsys):
+        argv = ["sweep", "--sweep", "k", "--from", "2", "--to", "4", "--step", "1",
+                "--family", "exp", "--n", "20", "--iters", "50", "--algo", "l-select",
+                "--L", "2", "--seed", "3"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "does not depend on k" in err
+        assert "--sweep sigma" in err
+
     def test_unknown_k_requires_absolute_gap(self, capsys):
         code, _, err = run(
             ["simulate", "--family", "exp", "--algo", "exact-gap", "--k", "unknown"],

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapsecretary import montecarlo
@@ -29,6 +29,7 @@ from gapsecretary.montecarlo import (
     _policy,
     _replay_batch,
     _rescale_raw,
+    _run_fixed_profile,
     _run_l_select_rows,
     _run_threshold_batch,
     batch_ratio_for_profiles,
@@ -127,9 +128,91 @@ class TestKernelMatchesScalarRunners:
     def test_tied_arrival_times(self):
         W = np.array([[3.0, 5.0, 4.0]])
         T = np.array([[0.6, 0.6, 0.1]])
-        out = _run_threshold_batch(W, T, 0.2, 0.0)
         ref = run_classical(WeightProfile.from_weights(W[0]), ArrivalDraw(T[0]), 0.2)
-        assert out["accept_index"][0] == ref.accepted_index
+        for out in (_run_threshold_batch(W, T, 0.2, 0.0), _run_fixed_profile(W[0], T, 0.2, 0.0)):
+            assert out["accept_index"][0] == ref.accepted_index
+
+
+def _check_fixed_profile(weights, T, spec: AlgorithmSpec, gaps):
+    """``_run_fixed_profile`` on the normalized weight vector against the row
+    kernel on that vector broadcast to every row, key by key with dtypes,
+    and both against the scalar runners on each row; ``gaps`` are per-row
+    raw-unit gaps."""
+    prof = WeightProfile.from_weights(weights)
+    w, m = prof.normalized_weights, prof.max_log_weight
+    policy = _policy(spec, _rescale_raw(gaps, m), m)
+    got = _run_fixed_profile(w, T, *policy)
+    ref = _run_threshold_batch(np.broadcast_to(w, T.shape), T, *policy)
+    assert sorted(got) == sorted(ref)
+    for key in ref:
+        assert got[key].dtype == ref[key].dtype, key
+        assert np.array_equal(got[key], ref[key], equal_nan=True), key
+    for row in range(T.shape[0]):
+        scalar = _scalar_reference(spec, prof, ArrivalDraw(T[row]), float(gaps[row]))
+        where = (spec, row)
+        if scalar.accepted:
+            assert got["accept_index"][row] == scalar.accepted_index, where
+            assert got["accept_time"][row] == scalar.accept_time, where
+            assert got["accept_weight"][row] == w[scalar.accepted_index], where
+        else:
+            assert got["accept_index"][row] == -1, where
+            assert got["accept_weight"][row] == 0.0, where
+            assert np.isnan(got["accept_time"][row]), where
+        assert got["best_index"][row] == np.argmax(w), where
+
+
+class TestFixedProfileKernel:
+    """The column sweep over one weight vector equals the row kernel on the
+    broadcast vector, bit for bit, and the scalar runners row by row."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                st.lists(
+                    st.tuples(
+                        st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                        st.integers(0, 4),
+                    ),
+                    min_size=1,
+                    max_size=6,
+                ),
+            )
+        ),
+        st.sampled_from(["classical", "strict-classical", "exact-gap", "bounded", "robust"]),
+        st.sampled_from([0.0, 0.25, 0.5, 0.7]),
+        st.sampled_from([0.0, 0.25]),
+    )
+    @example(([0, 0, 0], [([1, 2, 4], 0), ([0, 3, 3], 2)]), "exact-gap", 0.25, 0.0)
+    @example(([3], [([0], 0), ([2], 1), ([4], 4)]), "classical", 0.0, 0.0)
+    @example(([1, 3, 3, 2], [([1, 3, 3, 2], 1), ([4, 2, 2, 1], 3)]), "robust", 0.0, 0.25)
+    def test_property(self, case, tag, tau, gamma):
+        # integer weights, gaps on the same grid and quarter-step times, so
+        # weights, gaps and arrival times tie; each row has its own gap
+        weights, rows = case
+        T = np.array([t for t, _ in rows]) / 4
+        gaps = np.array([g for _, g in rows]) * 2.5
+        spec = AlgorithmSpec(tag, tau=tau, gamma=gamma, epsilon=1.25)
+        _check_fixed_profile(np.array(weights) * 2.5, T, spec, gaps)
+
+    @pytest.mark.parametrize("n", [1, 7, 40, 300])
+    def test_continuous_profiles(self, n):
+        # n = 300 keeps the per-row codes in 16 bits
+        rng = np.random.default_rng(n)
+        weights = rng.standard_exponential(n)
+        T = rng.random((50, n))
+        gaps = rng.random(50) * 2.0
+        for spec in (
+            AlgorithmSpec("strict-classical", tau=0.3),
+            AlgorithmSpec("exact-gap", tau=0.2),
+            AlgorithmSpec("robust", tau=0.2, gamma=0.3),
+        ):
+            _check_fixed_profile(weights, T, spec, gaps)
+
+    def test_strict_late_phase_rejected(self):
+        with pytest.raises(ValueError, match="no late phase"):
+            _run_fixed_profile(np.ones(2), np.zeros((1, 2)), 0.2, 0.0, 0.1, True)
 
 
 def _check_l_select_rows(W, T, tau, L, gap: GapSpec):
@@ -645,6 +728,24 @@ class TestSimulateFixedProfile:
         a = simulate_fixed_profile(prof, spec, 500, 7)
         b = simulate_fixed_profile(prof, spec, 500, 7)
         assert np.array_equal(a["accept_index"], b["accept_index"])
+
+    @pytest.mark.parametrize(
+        "gap",
+        [math.nan, math.inf, -1.0, np.array([0.5, math.nan, 0.5, 0.5])],
+        ids=["nan", "inf", "negative", "nan-in-array"],
+    )
+    def test_gap_must_be_finite_and_non_negative(self, gap):
+        prof = WeightProfile.from_weights([3.0, 2.0, 1.0])
+        with pytest.raises(ConfigError, match="finite and non-negative"):
+            simulate_fixed_profile(prof, AlgorithmSpec("exact-gap", tau=0.3), 4, 0, gap_values=gap)
+
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    def test_gap_array_needs_one_value_per_iteration(self, length):
+        prof = WeightProfile.from_weights([3.0, 2.0, 1.0])
+        with pytest.raises(ConfigError, match="one value per iteration"):
+            simulate_fixed_profile(
+                prof, AlgorithmSpec("exact-gap", tau=0.3), 4, 0, gap_values=np.ones(length)
+            )
 
     def test_per_iteration_gaps_respected(self):
         prof = WeightProfile.from_weights([10.0, 4.0])

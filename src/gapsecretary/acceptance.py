@@ -51,7 +51,7 @@ class CheckResult:
 
 
 def _result(name, suite, passed, measured, expected, t0) -> CheckResult:
-    return CheckResult(name, suite, bool(passed), measured, expected, time.time() - t0)
+    return CheckResult(name, suite, bool(passed), measured, expected, time.perf_counter() - t0)
 
 
 def _iters(full: int, fast_scale: int, fast: bool) -> int:
@@ -65,14 +65,14 @@ def _iters(full: int, fast_scale: int, fast: bool) -> int:
 def check_alpha_fixed_tau_floor(fast: bool = False) -> CheckResult:
     """Fixed waiting time 0.2 keeps the exact-gap bound at 0.4 or above for
     every gap index up to 1e6, in under 10 s."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ks = np.arange(2, 10**6 + 1)
     worst = float(alpha_exact_values(0.2, ks).min())
     spot_ok = all(
         abs(alpha_exact(0.2, k).alpha - float(alpha_exact_values(0.2, k))) < 1e-15
         for k in (2, 7, 11, 12, 1000)
     )
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     passed = worst >= 0.4 and spot_ok and elapsed < 10.0
     return _result(
         "alpha-fixed-tau-floor",
@@ -88,7 +88,7 @@ def check_alpha_tuned_tau_guarantee(fast: bool = False) -> CheckResult:
     """At the index-tuned waiting time the bound dominates
     max(0.4, (1/2)(1/(k+1))^(1/k)) for k up to 1e5, and the large-gap term at
     k = 7 sits at 0.433 +- 0.001."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ks = np.arange(2, 10**5 + 1)
     taus = 1.0 - np.exp(-np.log(ks + 1.0) / ks)
     alphas = alpha_exact_values(taus, ks)
@@ -96,7 +96,7 @@ def check_alpha_tuned_tau_guarantee(fast: bool = False) -> CheckResult:
     dominates = bool(np.all(alphas >= stated - 1e-12))
     first_term_k7 = alpha_exact(tau_for_k(7), 7).components["case1"]
     k7_ok = abs(first_term_k7 - 0.433) <= 0.001
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     passed = dominates and k7_ok and elapsed < 5.0
     return _result(
         "alpha-tuned-tau-guarantee",
@@ -111,7 +111,7 @@ def check_alpha_tuned_tau_guarantee(fast: bool = False) -> CheckResult:
 def check_robust_consistent_point(fast: bool = False) -> CheckResult:
     """The headline trade-off point: 0.383-consistent and 0.1833-robust at
     (tau, gamma) = (0.2, 0.6); the no-trust point recovers 1/e-robustness."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cons = consistency(0.2, 0.6).alpha
     rob = robustness(0.2, 0.6)
     rob_e = robustness(1.0 / math.e, 1.0 - 1.0 / math.e)
@@ -133,7 +133,7 @@ def check_robust_consistent_point(fast: bool = False) -> CheckResult:
 def check_two_three_tie_formula(fast: bool = False) -> CheckResult:
     """Closed-form selection probability of the strict rule on tied
     second/third weights, evaluated at the tuned waiting time 0.359."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     val = two_three_tie_prob(0.359)
     exact_n200 = two_three_tie_prob(0.359, n=200)
     passed = 0.441 <= val <= 0.443 and abs(val - exact_n200) < 1e-6
@@ -168,7 +168,7 @@ def _figure_config(family_tag: str, iters: int, algorithm: AlgorithmSpec) -> Exp
 def check_two_three_tie_simulation(fast: bool = False) -> CheckResult:
     """Monte Carlo select-best probability of the strict rule on a tied
     instance matches the closed form within 0.01."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     iters = _iters(10**5, 20_000, fast)
     out = simulate_fixed_profile(
         _tie_profile(), AlgorithmSpec("strict-classical", tau=0.359), iters, ACCEPTANCE_SEED
@@ -189,14 +189,14 @@ def check_two_three_tie_simulation(fast: bool = False) -> CheckResult:
 def check_pareto_band(fast: bool = False) -> CheckResult:
     """Power-transformed uniform instances: the classical rule lands near its
     tight guarantee while the gap rule hits the waiting-time ceiling 0.8."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     iters = _iters(5000, 1000, fast)
     config = _figure_config("pareto_power", iters, AlgorithmSpec("exact-gap", tau=0.2))
     cells = sweep_k(config, (2, 50, 100, 200))  # classical baseline at tau = 1/e
     classical = next(c.estimate.mean for c in cells if c.algo == "classical")
     gaps = {c.k: c.estimate.mean for c in cells if c.algo == "exact-gap"}
     ok = 0.33 <= classical <= 0.41 and all(0.77 <= v <= 0.83 for v in gaps.values())
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 300.0
     gap_str = ", ".join(f"k={k}:{v:.3f}" for k, v in gaps.items())
     return _result(
@@ -213,7 +213,7 @@ def check_exponential_sigma_bands(fast: bool = False) -> CheckResult:
     """Exponential instances under scaled predictions: underestimates stay
     near 0.65 for both rules; heavy overestimates kill the plain gap rule but
     not the robust one."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     iters = _iters(5000, 1000, fast)
     under, over = [], {}
     for algo in (AlgorithmSpec("exact-gap", tau=0.2), AlgorithmSpec("robust", tau=0.2, gamma=0.05)):
@@ -242,7 +242,7 @@ def check_exponential_gap_beats_classical(fast: bool = False) -> CheckResult:
     more than 3 standard errors of the difference, on the same draws. The
     sigma = 0 cells of the exact-gap sweep are the classical rule, draw for
     draw."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     iters = _iters(5000, 1000, fast)
     ks = (100, 200)
     exact_algo = AlgorithmSpec("exact-gap", tau=0.2)
@@ -271,7 +271,7 @@ def check_superstar_sigma_bands(fast: bool = False) -> CheckResult:
     """Superstar instances: accurate gaps keep the ratio at the 0.8 ceiling;
     a 10% overestimate zeroes the plain rule while the robust rule keeps its
     late-phase floor."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     iters = _iters(5000, 1000, fast)
     config = _figure_config("exp_superstar", iters, AlgorithmSpec("exact-gap", tau=0.2))
     exact = {(c.k, c.sigma): c.estimate.mean for c in sweep_sigma(config, (1.0, 1.1), (2, 100, 200))}
@@ -296,7 +296,7 @@ def check_small_instance_oracle(fast: bool = False) -> CheckResult:
     """Monte Carlo agrees with exhaustive enumeration on every small random
     instance and every single-selection rule, within 3 standard errors; the
     hand-checkable two-element case matches to 1e-12."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     iters = _iters(10**6, 10**5, fast)
     hand = exact_expectation_small_n(
         WeightProfile.from_weights([2.0, 1.0]), AlgorithmSpec("exact-gap", tau=0.5), 0.0
@@ -334,7 +334,7 @@ def check_small_instance_oracle(fast: bool = False) -> CheckResult:
                     z = abs(mc - exact) / se
                     worst_z = max(worst_z, z)
                     ok = ok and z <= 3.0
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120.0
     return _result(
         "small-instance-oracle",
@@ -349,7 +349,7 @@ def check_small_instance_oracle(fast: bool = False) -> CheckResult:
 def check_guarantee_floor_simulation(fast: bool = False) -> CheckResult:
     """Simulated ratios never fall below the proven bound (minus 3 SE) at the
     index-tuned waiting time, on exponential and chi-squared instances."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     iters = _iters(5000, 1000, fast)
     ok = True
     rows = []
@@ -373,7 +373,7 @@ def check_guarantee_floor_simulation(fast: bool = False) -> CheckResult:
 def check_bounded_error_guarantee(fast: bool = False) -> CheckResult:
     """Feeding predictions off by +-epsilon still earns alpha*w1 - 2*epsilon
     (within 3 SE) on a fixed instance."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     iters = _iters(10**5, 20_000, fast)
     rng = np.random.default_rng(42)
     prof = WeightProfile.from_weights(rng.standard_exponential(200))
@@ -413,7 +413,7 @@ def check_bounded_error_guarantee(fast: bool = False) -> CheckResult:
 def check_multi_selection_bound(fast: bool = False) -> CheckResult:
     """Multi-selection ratios beat the closed-form bound (minus 3 SE) on a
     fixed geometric instance for L in {2, 3, 5}."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     iters = _iters(5000, 1500, fast)
     w = np.array([0.9**i for i in range(1, 51)])
     prof = WeightProfile.from_weights(w)
@@ -452,7 +452,7 @@ def check_output_determinism(fast: bool = False) -> CheckResult:
 
     from . import cli
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

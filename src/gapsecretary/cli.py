@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -419,7 +420,11 @@ def cmd_verify(args) -> int:
     from .acceptance import format_results, run_checks
 
     results = run_checks(suite=args.suite, fast=args.fast)
-    print(format_results(results))
+    if args.json:
+        for r in results:
+            print(json.dumps(dataclasses.asdict(r)))
+    else:
+        print(format_results(results))
     failing = [r.name for r in results if not r.passed]
     if failing:
         print(f"failing checks: {', '.join(failing)}", file=sys.stderr)
@@ -481,6 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the acceptance checks")
     p_verify.add_argument("--suite", choices=["bounds", "oracle", "figures", "all"], default="all")
     p_verify.add_argument("--fast", action="store_true", help="reduced iteration counts")
+    p_verify.add_argument(
+        "--json",
+        action="store_true",
+        help="print one JSON object per check (name, suite, passed, measured, expected, seconds)",
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_replay = sub.add_parser("replay", help="re-run a recorded manifest")

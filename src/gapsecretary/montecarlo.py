@@ -12,8 +12,9 @@ gap), or above it when strict, and after time 1 - ``gamma`` at or above
 best-so-far alone. ``_policy`` maps each tag to that record, and one of two
 kernels runs it over a chunk of draws:
 
-* ``_run_threshold_batch`` takes (rows, n) weights, one instance per row:
-  the generated and replayed batches of every estimate and sweep;
+* ``_run_threshold_rows`` takes (rows, n) weights, one instance per row, one
+  ``(tau, gamma, strict)`` and a sequence of gaps, and yields one result per
+  gap: the generated and replayed batches of every estimate and sweep;
 * ``_run_fixed_profile`` takes one weight vector and (rows, n) arrival times,
   swept column by column: ``simulate_fixed_profile``, where only the arrival
   order is random.
@@ -26,8 +27,11 @@ fixed-profile one.
 An experiment cell is an ``(AlgorithmSpec, GapSpec)`` pair; ``_check_cell``
 validates it for one instance size. ``_run_cells`` is the one driver every
 estimate goes through: it takes row chunks from one instance source
-(generated or replayed), evaluates each distinct cell on each chunk and
-reduces a cell once its last chunk is done.
+(generated or replayed) and evaluates each distinct cell on each chunk. The
+single-selection cells of a chunk are grouped by their policy's ``(tau,
+gamma, strict)``, and each group is one row-kernel pass: a sigma sweep at one
+tau is one pass per chunk. Each cell's outcomes are cut to what its estimate
+reads as they are yielded, and a cell is reduced once its last chunk is done.
 """
 
 from __future__ import annotations
@@ -207,8 +211,8 @@ class SweepCell:
 
 
 class _Policy(NamedTuple):
-    """A threshold rule; its fields are ``_run_threshold_batch``'s arguments
-    after the batch, in order."""
+    """A threshold rule: ``_run_threshold_rows`` takes ``tau``, ``gamma`` and
+    ``strict`` once and the gaps of every rule sharing them."""
 
     tau: float
     gap: object  # scalar or (B,) array, in normalized units
@@ -237,45 +241,62 @@ def _policy(algorithm: AlgorithmSpec, gaps, max_log) -> _Policy:
     raise ConfigError("l-select is not a threshold policy")
 
 
-def _run_threshold_batch(
+def _run_threshold_rows(
     weights: np.ndarray,
     times: np.ndarray,
     tau: float,
-    gap=0.0,
+    gaps,
     gamma: float = 0.0,
     strict: bool = False,
-) -> dict:
-    """Run one threshold policy over a chunk of draws.
+):
+    """Run a threshold policy over a chunk of draws once for each gap in
+    ``gaps``, yielding one result dict per gap, in order.
 
-    ``weights`` and ``times`` are (B, n); ``gap`` is a scalar or (B,) array in
+    ``weights`` and ``times`` are (B, n); each gap is a scalar or (B,) array in
     the same units as ``weights``. Mirrors the per-draw runners in
     ``algorithms``: threshold max(best-so-far, gap) after ``tau``, dropping to
     best-so-far after time 1 - ``gamma``; ``strict`` switches >= to >. The
     accepted element is the candidate with the earliest arrival; ``argmin``
     returns the first minimum, so tied times go to the lower index.
+
+    What does not depend on the gap is computed once: best-so-far, the
+    post-``tau`` mask, the late-phase candidates (late, post-``tau`` and at
+    or above best-so-far) and the best index. Each gap then fills one reused
+    candidate mask and one reused masked-times buffer. A gap-phase candidate
+    is at or above best-so-far, so OR-ing in the late-phase candidates gives
+    the two-phase rule.
     """
     if strict and gamma > 0.0:
         raise ValueError("strict comparison has no late phase")
     pre = times <= tau
     bsf = np.max(np.where(pre, weights, 0.0), axis=1)
-    if strict:
-        meets = weights > bsf[:, None]
-    else:
-        meets = weights >= np.maximum(bsf, gap)[:, None]
+    post = np.logical_not(pre, out=pre)
+    late = None
     if gamma > 0.0:
-        late = times > 1.0 - gamma
-        cand = ~pre & np.where(late, weights >= bsf[:, None], meets)
-    else:
-        cand = ~pre & meets
-    first = np.argmin(np.where(cand, times, np.inf), axis=1)
+        late = (times > 1.0 - gamma) & post
+        late &= weights >= bsf[:, None]
     r = np.arange(weights.shape[0])
-    has = cand[r, first]
-    return {
-        "accept_index": np.where(has, first, -1),
-        "accept_weight": np.where(has, weights[r, first], 0.0),
-        "accept_time": np.where(has, times[r, first], np.nan),
-        "best_index": np.argmax(weights, axis=1),
-    }
+    best_index = np.argmax(weights, axis=1)
+    cand = np.empty(weights.shape, dtype=bool)
+    masked = np.empty(weights.shape)
+    for gap in gaps:
+        if strict:
+            np.greater(weights, bsf[:, None], out=cand)
+        else:
+            np.greater_equal(weights, np.maximum(bsf, gap)[:, None], out=cand)
+        cand &= post
+        if late is not None:
+            cand |= late
+        masked.fill(np.inf)
+        np.copyto(masked, times, where=cand)
+        first = np.argmin(masked, axis=1)
+        has = cand[r, first]
+        yield {
+            "accept_index": np.where(has, first, -1),
+            "accept_weight": np.where(has, weights[r, first], 0.0),
+            "accept_time": np.where(has, times[r, first], np.nan),
+            "best_index": best_index,
+        }
 
 
 def _run_fixed_profile(
@@ -421,24 +442,46 @@ def _cell_gaps(batch: _InstanceBatch, gap: GapSpec):
     return gap.sigma * base
 
 
-def _cell_outcomes(batch: _InstanceBatch, algorithm: AlgorithmSpec, gap: GapSpec) -> dict:
-    """Per-row ``ratio``, ``select_best`` and ``none`` of one checked cell on
-    a batch; a single-selection rule adds the threshold kernel's arrays."""
-    if algorithm.tag == "l-select":
-        sel = _run_l_select_rows(
-            batch.weights, batch.times, batch.max_log, algorithm.tau, algorithm.L, gap
+def _chunk_outcomes(batch: _InstanceBatch, keys):
+    """Yield ``(key, outcomes)`` for every checked cell ``key`` on one chunk:
+    per-row ``ratio``, ``select_best`` and ``none``, plus the threshold
+    kernel's arrays for a single-selection rule.
+
+    l-select cells run one by one. Single-selection cells are grouped by
+    their policy's ``(tau, gamma, strict)``, and each group is one kernel pass
+    whose gaps are computed as the kernel takes them."""
+    groups = {}
+    for key in keys:
+        algorithm, gap = key
+        if algorithm.tag == "l-select":
+            yield key, _l_select_outcomes(batch, algorithm, gap)
+        else:
+            tau, _, gamma, strict = _policy(algorithm, 0.0, batch.max_log)
+            groups.setdefault((tau, gamma, strict), []).append(key)
+    for (tau, gamma, strict), members in groups.items():
+        gaps = (
+            _policy(a, _cell_gaps(batch, g) if a.uses_gap else 0.0, batch.max_log).gap
+            for a, g in members
         )
-        if (sel["opt"] <= 0.0).any():
-            raise ConfigError("the top-L weights must have positive total")
-        accepted = sel["accepted"]
-        return {
-            "ratio": sel["total_weight"] / sel["opt"],
-            "select_best": accepted[np.arange(len(accepted)), sel["best_index"]],
-            "none": ~accepted.any(axis=1),
-        }
-    gaps = _cell_gaps(batch, gap) if algorithm.uses_gap else 0.0
-    policy = _policy(algorithm, gaps, batch.max_log)
-    return _threshold_outcomes(_run_threshold_batch(batch.weights, batch.times, *policy))
+        outs = _run_threshold_rows(batch.weights, batch.times, tau, gaps, gamma, strict)
+        for key, out in zip(members, outs):
+            yield key, _threshold_outcomes(out)
+
+
+def _l_select_outcomes(batch: _InstanceBatch, algorithm: AlgorithmSpec, gap: GapSpec) -> dict:
+    """Per-row ``ratio``, ``select_best`` and ``none`` of a checked l-select
+    cell on a batch."""
+    sel = _run_l_select_rows(
+        batch.weights, batch.times, batch.max_log, algorithm.tau, algorithm.L, gap
+    )
+    if (sel["opt"] <= 0.0).any():
+        raise ConfigError("the top-L weights must have positive total")
+    accepted = sel["accepted"]
+    return {
+        "ratio": sel["total_weight"] / sel["opt"],
+        "select_best": accepted[np.arange(len(accepted)), sel["best_index"]],
+        "none": ~accepted.any(axis=1),
+    }
 
 
 def _threshold_outcomes(out: dict) -> dict:
@@ -504,9 +547,11 @@ def _run_cells(n: int, iterations: int, batch_of, cells, outcomes: bool = False)
 
     ``batch_of(rows)`` gives the instances of a range of iterations. Each
     chunk of rows is taken from it once and every distinct cell (cells that
-    read the same inputs are one) is evaluated on it; a cell is reduced after
-    its last chunk. With ``outcomes`` a cell gives its joined per-row
-    outcomes in place of its estimate.
+    read the same inputs are one) is evaluated on it, single-selection cells
+    one kernel pass per threshold policy (``_chunk_outcomes``). A cell's
+    outcomes are cut to what its estimate reads before the next cell is
+    evaluated, and a cell is reduced after its last chunk. With ``outcomes``
+    a cell gives its joined per-row outcomes in place of its estimate.
     """
     for algorithm, gap in cells:
         _check_cell(n, algorithm, gap)
@@ -517,8 +562,7 @@ def _run_cells(n: int, iterations: int, batch_of, cells, outcomes: bool = False)
     done = {}
     for rows in _chunks(n, iterations, [a for a, _ in keys]):
         batch = batch_of(rows)
-        for key in keys:
-            out = _cell_outcomes(batch, *key)
+        for key, out in _chunk_outcomes(batch, keys):
             if not outcomes:
                 out = {f: out[f] for f in ("ratio", "select_best", "none")}
             parts[key].append(out)
@@ -690,8 +734,8 @@ def exact_expectation_small_n(
     n = profile.n
     if n > 6:
         raise ValueError("enumeration oracle limited to n <= 6")
-    if gap_value < 0.0:
-        raise ValueError("gap must be non-negative")
+    if not (math.isfinite(gap_value) and gap_value >= 0.0):
+        raise ValueError("gap must be finite and non-negative")
     tag = algorithm.tag
     if tag not in _SINGLE_SELECTION:
         raise ValueError("oracle covers the single-selection rules only")

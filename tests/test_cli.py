@@ -373,3 +373,16 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out
         assert "FAIL" not in out
+
+    def test_bounds_suite_json(self, capsys):
+        code, out, _ = run(["verify", "--suite", "bounds", "--json"], capsys)
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == 4
+        for row in rows:
+            assert set(row) == {"name", "suite", "passed", "measured", "expected", "seconds"}
+            assert row["suite"] == "bounds"
+            assert row["passed"] is True
+            assert isinstance(row["measured"], str) and isinstance(row["expected"], str)
+            assert row["seconds"] >= 0.0
+        assert "alpha-fixed-tau-floor" in {row["name"] for row in rows}

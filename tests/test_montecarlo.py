@@ -31,7 +31,7 @@ from gapsecretary.montecarlo import (
     _rescale_raw,
     _run_fixed_profile,
     _run_l_select_rows,
-    _run_threshold_batch,
+    _run_threshold_rows,
     batch_ratio_for_profiles,
     estimate_l_selection,
     estimate_ratio,
@@ -44,6 +44,45 @@ from gapsecretary.montecarlo import (
 )
 
 SEED = 99
+
+
+def _dense_reference(weights, times, tau, gap=0.0, gamma=0.0, strict=False) -> dict:
+    """One threshold policy over (B, n) rows as one dense pass, the row
+    kernel's form before it took a sequence of gaps: the grouped kernel must
+    equal it bit for bit."""
+    pre = times <= tau
+    bsf = np.max(np.where(pre, weights, 0.0), axis=1)
+    if strict:
+        meets = weights > bsf[:, None]
+    else:
+        meets = weights >= np.maximum(bsf, gap)[:, None]
+    if gamma > 0.0:
+        late = times > 1.0 - gamma
+        cand = ~pre & np.where(late, weights >= bsf[:, None], meets)
+    else:
+        cand = ~pre & meets
+    first = np.argmin(np.where(cand, times, np.inf), axis=1)
+    r = np.arange(weights.shape[0])
+    has = cand[r, first]
+    return {
+        "accept_index": np.where(has, first, -1),
+        "accept_weight": np.where(has, weights[r, first], 0.0),
+        "accept_time": np.where(has, times[r, first], np.nan),
+        "best_index": np.argmax(weights, axis=1),
+    }
+
+
+def _one_gap(weights, times, tau, gap=0.0, gamma=0.0, strict=False) -> dict:
+    """The row kernel on a single gap."""
+    (out,) = _run_threshold_rows(weights, times, tau, [gap], gamma, strict)
+    return out
+
+
+def _assert_same_arrays(got: dict, ref: dict, where=None):
+    assert sorted(got) == sorted(ref), where
+    for key in ref:
+        assert got[key].dtype == ref[key].dtype, (key, where)
+        assert np.array_equal(got[key], ref[key], equal_nan=True), (key, where)
 
 
 def _scalar_reference(spec: AlgorithmSpec, profile, arrivals, gap):
@@ -80,7 +119,7 @@ class TestKernelMatchesScalarRunners:
                 ),
             ]
             for spec, kw in specs:
-                out = _run_threshold_batch(W, T, tau, **kw)
+                out = _one_gap(W, T, tau, **kw)
                 for row in range(B):
                     prof = WeightProfile.from_weights(W[row])
                     ref = _scalar_reference(
@@ -112,7 +151,7 @@ class TestKernelMatchesScalarRunners:
             ]
             for spec in specs:
                 policy = _policy(spec, _rescale_raw(gaps, max_log), max_log)
-                out = _run_threshold_batch(norm, T, *policy)
+                out = _one_gap(norm, T, *policy)
                 for row in range(B):
                     ref = _scalar_reference(
                         spec, profiles[row], ArrivalDraw(T[row]), float(gaps[row])
@@ -129,8 +168,99 @@ class TestKernelMatchesScalarRunners:
         W = np.array([[3.0, 5.0, 4.0]])
         T = np.array([[0.6, 0.6, 0.1]])
         ref = run_classical(WeightProfile.from_weights(W[0]), ArrivalDraw(T[0]), 0.2)
-        for out in (_run_threshold_batch(W, T, 0.2, 0.0), _run_fixed_profile(W[0], T, 0.2, 0.0)):
+        for out in (_one_gap(W, T, 0.2), _run_fixed_profile(W[0], T, 0.2, 0.0)):
             assert out["accept_index"][0] == ref.accepted_index
+
+
+# the rules whose policies share (tau, gamma, strict), by policy kind; gap
+# entries take them in turn
+_RULES_OF_KIND = {
+    "plain": ("classical", "exact-gap", "bounded"),
+    "robust": ("robust",),
+    "strict": ("strict-classical",),
+}
+
+
+class TestGroupedRowKernel:
+    """One kernel pass over several gaps equals one-gap passes and the dense
+    reference bit for bit, and the scalar runners row by row, on rows with
+    their own weights."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 6), st.integers(1, 5)).flatmap(
+            lambda shape: st.tuples(
+                st.lists(
+                    st.tuples(
+                        st.lists(st.integers(0, 3), min_size=shape[1], max_size=shape[1]),
+                        st.lists(st.integers(0, 4), min_size=shape[1], max_size=shape[1]),
+                    ),
+                    min_size=shape[0],
+                    max_size=shape[0],
+                ),
+                st.lists(
+                    st.one_of(
+                        st.integers(0, 4),
+                        st.lists(st.integers(0, 4), min_size=shape[0], max_size=shape[0]),
+                    ),
+                    max_size=4,
+                ),
+            )
+        ),
+        st.sampled_from(sorted(_RULES_OF_KIND)),
+        st.sampled_from([0.0, 0.25, 0.5, 0.7]),
+    )
+    @example(([([0, 0, 0], [1, 2, 4]), ([2, 3, 3], [0, 2, 2])], [0, [1, 4], 2]), "plain", 0.0)
+    @example(([([3, 3, 1], [2, 1, 1]), ([0, 2, 2], [4, 2, 2])], [0, 1]), "strict", 0.25)
+    @example(([([1, 3, 3, 2], [1, 3, 3, 2]), ([1, 3, 3, 2], [4, 2, 2, 1])], [[1, 3], 2]), "robust", 0.0)
+    @example(([([1, 2], [0, 3])], []), "robust", 0.25)
+    @example(([([3, 1], [0, 4]), ([1, 3], [4, 4])], [0, [2, 0]]), "robust", 0.25)
+    def test_property(self, case, kind, tau):
+        # integer weights, gaps on the same grid and quarter-step times, so
+        # weights, gaps and arrival times tie; a gap entry is one value for
+        # every row or one per row
+        rows, entries = case
+        W = np.array([w for w, _ in rows]) * 2.5
+        T = np.array([t for _, t in rows]) / 4
+        profiles = [WeightProfile.from_weights(row) for row in W]
+        norm = np.array([p.normalized_weights for p in profiles])
+        max_log = np.array([p.max_log_weight for p in profiles])
+        gamma, strict = (0.25 if kind == "robust" else 0.0), kind == "strict"
+
+        # gaps straight in normalized units; a scalar stays a scalar
+        gaps = [np.asarray(g) * 0.25 for g in entries]
+        got = list(_run_threshold_rows(norm, T, tau, gaps, gamma, strict))
+        assert len(got) == len(gaps)
+        for gap, out in zip(gaps, got):
+            _assert_same_arrays(out, _dense_reference(norm, T, tau, gap, gamma, strict), gap)
+            _assert_same_arrays(out, _one_gap(norm, T, tau, gap, gamma, strict), gap)
+
+        # raw-unit gaps through each rule's policy, against the scalar runners
+        tags = _RULES_OF_KIND[kind]
+        specs = [
+            AlgorithmSpec(tags[i % len(tags)], tau=tau, gamma=gamma, epsilon=1.25)
+            for i in range(len(entries))
+        ]
+        raw = [np.broadcast_to(np.asarray(g) * 2.5, (len(W),)) for g in entries]
+        policies = [_policy(s, _rescale_raw(r, max_log), max_log) for s, r in zip(specs, raw)]
+        assert all((p.tau, p.gamma, p.strict) == (tau, gamma, strict) for p in policies)
+        got = list(_run_threshold_rows(norm, T, tau, [p.gap for p in policies], gamma, strict))
+        assert len(got) == len(policies)
+        for spec, r, out in zip(specs, raw, got):
+            for row, prof in enumerate(profiles):
+                ref = _scalar_reference(spec, prof, ArrivalDraw(T[row]), float(r[row]))
+                where = (spec, row)
+                if ref.accepted:
+                    assert out["accept_index"][row] == ref.accepted_index, where
+                    assert out["accept_time"][row] == ref.accept_time, where
+                    assert out["accept_weight"][row] == norm[row, ref.accepted_index], where
+                else:
+                    assert out["accept_index"][row] == -1, where
+                assert out["best_index"][row] == np.argmax(norm[row]), where
+
+    def test_strict_late_phase_rejected(self):
+        with pytest.raises(ValueError, match="no late phase"):
+            next(_run_threshold_rows(np.ones((1, 2)), np.zeros((1, 2)), 0.2, [0.0], 0.1, True))
 
 
 def _check_fixed_profile(weights, T, spec: AlgorithmSpec, gaps):
@@ -142,11 +272,7 @@ def _check_fixed_profile(weights, T, spec: AlgorithmSpec, gaps):
     w, m = prof.normalized_weights, prof.max_log_weight
     policy = _policy(spec, _rescale_raw(gaps, m), m)
     got = _run_fixed_profile(w, T, *policy)
-    ref = _run_threshold_batch(np.broadcast_to(w, T.shape), T, *policy)
-    assert sorted(got) == sorted(ref)
-    for key in ref:
-        assert got[key].dtype == ref[key].dtype, key
-        assert np.array_equal(got[key], ref[key], equal_nan=True), key
+    _assert_same_arrays(got, _one_gap(np.broadcast_to(w, T.shape), T, *policy))
     for row in range(T.shape[0]):
         scalar = _scalar_reference(spec, prof, ArrivalDraw(T[row]), float(gaps[row]))
         where = (spec, row)
@@ -555,15 +681,22 @@ class TestSweeps:
     def test_cells_reading_the_same_inputs_evaluated_once(self, policy, evaluated, monkeypatch):
         # an absolute gap ignores k and the classical baseline ignores the
         # gap, so under a fixed tau the k rows share one bounded estimate;
-        # the tuned tau differs per k
-        calls = []
-        kernel = montecarlo._run_threshold_batch
+        # the tuned tau differs per k. Counted: kernel passes (the per-policy
+        # preparation) and the gaps each pass evaluates
+        calls = {"passes": 0, "gaps": 0}
+        kernel = montecarlo._run_threshold_rows
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return kernel(*args, **kwargs)
+        def counting(weights, times, tau, gaps, *args):
+            calls["passes"] += 1
 
-        monkeypatch.setattr(montecarlo, "_run_threshold_batch", counting)
+            def counted():
+                for gap in gaps:
+                    calls["gaps"] += 1
+                    yield gap
+
+            return kernel(weights, times, tau, counted(), *args)
+
+        monkeypatch.setattr(montecarlo, "_run_threshold_rows", counting)
         cfg = ExperimentConfig(
             InstanceFamily("exponential"),
             50,
@@ -573,16 +706,24 @@ class TestSweeps:
             master_seed=SEED,
         )
         cells = sweep_k(cfg, [2, 18, 34], tau_policy=policy)
-        assert len(calls) == evaluated
+        assert calls == {"passes": evaluated, "gaps": evaluated}
         bounded = [c for c in cells if c.algo == "bounded"]
         assert [c.k for c in bounded] == [2, 18, 34]
         for c in bounded:
             single = replace(cfg, algorithm=replace(cfg.algorithm, tau=c.tau))
             assert c.estimate == estimate_ratio(single)
-        calls.clear()
+        calls.update(passes=0, gaps=0)
         cells = sweep_sigma(cfg, [0.0, 1.0], [2, 10, 50])
-        assert len(calls) == 2
+        assert calls == {"passes": 1, "gaps": 2}
         assert len(cells) == 6
+        # the README's sigma sweep shape, one tau and three k, in three
+        # chunks: one preparation per chunk, every cell's gap in it
+        calls.update(passes=0, gaps=0)
+        robust = replace(cfg, algorithm=AlgorithmSpec("robust", tau=0.2, gamma=0.05), gap=GapSpec(k=2))
+        monkeypatch.setitem(montecarlo._CHUNK_ELEMENTS, "threshold", 40 * cfg.n)
+        cells = sweep_sigma(robust, [0.0, 0.5, 1.0], [2, 10, 50])
+        assert calls == {"passes": 3, "gaps": 3 * 9}
+        assert len(cells) == 9
 
 
 class TestQualitativeSweepBehavior:
@@ -707,6 +848,14 @@ class TestEnumerationOracle:
             exact_expectation_small_n(
                 WeightProfile.from_weights(np.ones(7)), AlgorithmSpec("classical")
             )
+
+    @pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("tag", ["exact-gap", "robust"])
+    def test_gap_must_be_finite_and_non_negative(self, tag, gap):
+        # a NaN gap used to pass as no gap, and inf as a gap nothing meets
+        prof = WeightProfile.from_weights([3.0, 2.0, 1.0])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            exact_expectation_small_n(prof, AlgorithmSpec(tag, tau=0.3), gap)
 
     def test_monte_carlo_agreement_smoke(self):
         rng = np.random.default_rng(12)

@@ -456,7 +456,7 @@ def _chunk_outcomes(batch: _InstanceBatch, keys):
         if algorithm.tag == "l-select":
             yield key, _l_select_outcomes(batch, algorithm, gap)
         else:
-            tau, _, gamma, strict = _policy(algorithm, 0.0, batch.max_log)
+            tau, _, gamma, strict = _policy(algorithm, 0.0, batch.max_log)  # gap-free key
             groups.setdefault((tau, gamma, strict), []).append(key)
     for (tau, gamma, strict), members in groups.items():
         gaps = (

@@ -47,9 +47,8 @@ SEED = 99
 
 
 def _dense_reference(weights, times, tau, gap=0.0, gamma=0.0, strict=False) -> dict:
-    """One threshold policy over (B, n) rows as one dense pass, the row
-    kernel's form before it took a sequence of gaps: the grouped kernel must
-    equal it bit for bit."""
+    """One threshold policy on one gap over (B, n) rows, every mask built
+    afresh: the reference the grouped row kernel must equal bit for bit."""
     pre = times <= tau
     bsf = np.max(np.where(pre, weights, 0.0), axis=1)
     if strict:

@@ -32,12 +32,10 @@ from .bounds import (
 )
 from .core import (
     ArrivalDraw,
-    GapInfo,
     SelectionOutcome,
     WeightProfile,
     best_so_far,
     normalize,
-    prediction_error,
     true_gap,
 )
 from .generators import (

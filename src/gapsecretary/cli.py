@@ -258,6 +258,8 @@ def cmd_simulate(args) -> int:
     gap = _gap(args, k)
 
     if args.profiles_file is not None:
+        if args.dump_profiles is not None:
+            raise UsageError("--dump-profiles cannot be combined with --profiles-file")
         profiles, meta = load_profiles(args.profiles_file)
         sizes = {p.n for p in profiles}
         if len(sizes) != 1:

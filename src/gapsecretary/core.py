@@ -16,11 +16,9 @@ import numpy as np
 __all__ = [
     "WeightProfile",
     "ArrivalDraw",
-    "GapInfo",
     "SelectionOutcome",
     "best_so_far",
     "true_gap",
-    "prediction_error",
     "normalize",
     "normalize_rows",
 ]
@@ -141,30 +139,6 @@ class ArrivalDraw:
 
 
 @dataclass(frozen=True)
-class GapInfo:
-    """A (possibly erroneous) predicted additive gap.
-
-    ``value`` is the predicted difference between the maximum weight and the
-    k-th largest weight. ``k`` may be unknown (None); ``error_bound`` is an
-    optional bound on the prediction error.
-    """
-
-    value: float
-    k: int | None = None
-    error_bound: float | None = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise ValueError("gap value must be finite and non-negative")
-        if self.k is not None and self.k < 2:
-            raise ValueError("gap index k must be at least 2")
-        if self.error_bound is not None and not (
-            math.isfinite(self.error_bound) and self.error_bound >= 0.0
-        ):
-            raise ValueError("error bound must be finite and non-negative")
-
-
-@dataclass(frozen=True)
 class SelectionOutcome:
     """Which element (if any) a single-selection algorithm accepted."""
 
@@ -220,13 +194,6 @@ def true_gap(profile: WeightProfile, k: int) -> float:
         return 0.0
     # w1 - wk = exp(top) * (1 - exp(kth - top)), computed without cancellation
     return float(np.exp(top) * -math.expm1(min(kth - top, 0.0))) + 0.0
-
-
-def prediction_error(gap: GapInfo, profile: WeightProfile) -> float:
-    """Absolute deviation of the predicted gap from the realized one."""
-    if gap.k is None:
-        raise ValueError("prediction error needs the gap's index k")
-    return abs(gap.value - true_gap(profile, gap.k))
 
 
 def normalize(profile: WeightProfile) -> WeightProfile:

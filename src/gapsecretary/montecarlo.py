@@ -9,8 +9,10 @@ reductions happen in iteration order.
 Every single-selection rule is one threshold policy ``(tau, gap, gamma,
 strict)``: after ``tau``, accept the first arrival at or above max(best-so-far,
 gap), or above it when strict, and after time 1 - ``gamma`` at or above
-best-so-far alone. ``_policy`` maps each tag to that record, and one of two
-kernels runs it over a chunk of draws:
+best-so-far alone. ``_threshold_term`` gives every rule's gap term in
+normalized units, from a ``GapSpec`` or raw-unit gap values; it is the one
+place where raw-unit quantities are rescaled. ``_policy`` maps each tag and
+term to that record, and one of two kernels runs it over a chunk of draws:
 
 * ``_run_threshold_rows`` takes (rows, n) weights, one instance per row, one
   ``(tau, gamma, strict)`` and a sequence of gaps, and yields one result per
@@ -19,10 +21,10 @@ kernels runs it over a chunk of draws:
   swept column by column: ``simulate_fixed_profile``, where only the arrival
   order is random.
 
-The multi-selection rule runs through ``_run_l_select_rows``. The per-draw
-runners in ``algorithms`` are the tests' reference for every kernel, and the
-row kernel on a broadcast weight vector is the reference for the
-fixed-profile one.
+The multi-selection rule runs through ``_run_l_select_rows``. Every kernel
+takes normalized weights and gaps only. The per-draw runners in
+``algorithms`` are the tests' reference for every kernel, and the row kernel
+on a broadcast weight vector is the reference for the fixed-profile one.
 
 An experiment cell is an ``(AlgorithmSpec, GapSpec)`` pair; ``_check_cell``
 validates it for one instance size. ``_run_cells`` is the one driver every
@@ -220,25 +222,14 @@ class _Policy(NamedTuple):
     strict: bool
 
 
-def _policy(algorithm: AlgorithmSpec, gaps, max_log) -> _Policy:
-    """The threshold policy of a single-selection rule.
-
-    ``gaps`` is the predicted gap in normalized units; ``max_log`` is the raw
-    profiles' log maximum, which maps the raw-unit epsilon of ``bounded``.
-    """
-    tag, tau = algorithm.tag, algorithm.tau
-    if tag == "classical":
-        return _Policy(tau, 0.0, 0.0, False)
-    if tag == "strict-classical":
-        return _Policy(tau, 0.0, 0.0, True)
-    if tag == "exact-gap":
-        return _Policy(tau, gaps, 0.0, False)
-    if tag == "bounded":
-        eps = _rescale_raw(algorithm.epsilon, max_log)
-        return _Policy(tau, np.maximum(gaps - eps, 0.0), 0.0, False)
-    if tag == "robust":
-        return _Policy(tau, gaps, algorithm.gamma, False)
-    raise ConfigError("l-select is not a threshold policy")
+def _policy(algorithm: AlgorithmSpec, term=0.0) -> _Policy:
+    """The threshold policy of a single-selection rule whose threshold term,
+    in normalized units, is ``term`` (see ``_threshold_term``)."""
+    tag = algorithm.tag
+    if tag == "l-select":
+        raise ConfigError("l-select is not a threshold policy")
+    gamma = algorithm.gamma if tag == "robust" else 0.0
+    return _Policy(algorithm.tau, term, gamma, tag == "strict-classical")
 
 
 def _run_threshold_rows(
@@ -308,8 +299,8 @@ def _run_fixed_profile(
     strict: bool = False,
 ) -> dict:
     """Run one threshold policy over (B, n) arrival ``times`` in [0, 1] of the
-    single weight vector ``w``; returns what ``_run_threshold_batch`` returns
-    on ``w`` broadcast to every row, bit for bit.
+    single weight vector ``w``; returns what ``_run_threshold_rows`` yields
+    for ``gap`` on ``w`` broadcast to every row, bit for bit.
 
     The n columns are swept as contiguous (B,) vectors, and per-row choices
     are kept as small integer codes, never as masked copies. Best-so-far is
@@ -433,13 +424,30 @@ def _rescale_raw(values, max_log):
     return np.where(values == 0.0, 0.0, out)
 
 
-def _cell_gaps(batch: _InstanceBatch, gap: GapSpec):
-    """Per-instance predicted gap in normalized units for one checked cell."""
-    if gap.absolute is not None:
-        base = _rescale_raw(gap.absolute, batch.max_log)
-    else:
-        base = 1.0 - batch.sorted_weights[:, gap.k - 1]
-    return gap.sigma * base
+def _threshold_term(algorithm: AlgorithmSpec, gap, max_log, batch: _InstanceBatch | None = None):
+    """The term ``algorithm`` adds to best-so-far, per row in normalized
+    units: the predicted gap, less epsilon and floored at 0 for ``bounded``,
+    and 0 for a rule without a gap. The one place where raw-unit quantities
+    are rescaled, with ``max_log``, the raw rows' log maxima.
+
+    ``gap`` is a checked cell's ``GapSpec``, whose index gap or l-select
+    auto gap reads ``batch.sorted_weights``, or raw-unit gap values, a scalar
+    or one per row. Raw-unit values are combined before they are rescaled, so
+    no 0 * inf or inf - inf arises: sigma 0 is no gap, and an epsilon at or
+    above the gap is the classical rule.
+    """
+    if not algorithm.uses_gap:
+        return 0.0
+    epsilon = algorithm.epsilon if algorithm.tag == "bounded" else 0.0
+    if isinstance(gap, GapSpec) and gap.absolute is None:
+        ranked, L = batch.sorted_weights, algorithm.L
+        if algorithm.tag == "l-select":
+            base = ranked[:, L - 1] - ranked[:, L]
+        else:
+            base = 1.0 - ranked[:, gap.k - 1]
+        return np.maximum(gap.sigma * base - _rescale_raw(epsilon, max_log), 0.0)
+    raw = gap.sigma * gap.absolute if isinstance(gap, GapSpec) else gap
+    return _rescale_raw(np.maximum(raw - epsilon, 0.0), max_log)
 
 
 def _chunk_outcomes(batch: _InstanceBatch, keys):
@@ -449,21 +457,18 @@ def _chunk_outcomes(batch: _InstanceBatch, keys):
 
     l-select cells run one by one. Single-selection cells are grouped by
     their policy's ``(tau, gamma, strict)``, and each group is one kernel pass
-    whose gaps are computed as the kernel takes them."""
+    whose threshold terms are computed as the kernel takes them."""
     groups = {}
     for key in keys:
         algorithm, gap = key
         if algorithm.tag == "l-select":
             yield key, _l_select_outcomes(batch, algorithm, gap)
         else:
-            tau, _, gamma, strict = _policy(algorithm, 0.0, batch.max_log)  # gap-free key
+            tau, _, gamma, strict = _policy(algorithm)
             groups.setdefault((tau, gamma, strict), []).append(key)
     for (tau, gamma, strict), members in groups.items():
-        gaps = (
-            _policy(a, _cell_gaps(batch, g) if a.uses_gap else 0.0, batch.max_log).gap
-            for a, g in members
-        )
-        outs = _run_threshold_rows(batch.weights, batch.times, tau, gaps, gamma, strict)
+        terms = (_threshold_term(a, g, batch.max_log, batch) for a, g in members)
+        outs = _run_threshold_rows(batch.weights, batch.times, tau, terms, gamma, strict)
         for key, out in zip(members, outs):
             yield key, _threshold_outcomes(out)
 
@@ -471,9 +476,8 @@ def _chunk_outcomes(batch: _InstanceBatch, keys):
 def _l_select_outcomes(batch: _InstanceBatch, algorithm: AlgorithmSpec, gap: GapSpec) -> dict:
     """Per-row ``ratio``, ``select_best`` and ``none`` of a checked l-select
     cell on a batch."""
-    sel = _run_l_select_rows(
-        batch.weights, batch.times, batch.max_log, algorithm.tau, algorithm.L, gap
-    )
+    gaps = _threshold_term(algorithm, gap, batch.max_log, batch)
+    sel = _run_l_select_rows(batch.weights, batch.times, algorithm.tau, algorithm.L, gaps)
     if (sel["opt"] <= 0.0).any():
         raise ConfigError("the top-L weights must have positive total")
     accepted = sel["accepted"]
@@ -700,11 +704,11 @@ def simulate_fixed_profile(
         raise ConfigError("gap_values must be finite and non-negative")
     w = normalize(profile).normalized_weights
     m = profile.max_log_weight
-    gaps = np.broadcast_to(_rescale_raw(gap_values, m), (iterations,))
+    terms = np.broadcast_to(_threshold_term(algorithm, gap_values, m), (iterations,))
     rng = np.random.default_rng([int(seed)])
     parts = []
     for rows in _chunks(w.size, iterations, [algorithm]):
-        policy = _policy(algorithm, gaps[rows.start : rows.stop], m)
+        policy = _policy(algorithm, terms[rows.start : rows.stop])
         times = rng.random((len(rows), w.size))
         parts.append(_threshold_outcomes(_run_fixed_profile(w, times, *policy)))
     out = _joined(parts)
@@ -801,9 +805,7 @@ def exact_expectation_small_n(
 # Multi-selection estimation
 
 
-def _run_l_select_rows(
-    weights: np.ndarray, times: np.ndarray, max_log: np.ndarray, tau: float, L: int, gap: GapSpec
-) -> dict:
+def _run_l_select_rows(weights: np.ndarray, times: np.ndarray, tau: float, L: int, gaps) -> dict:
     """Run the multi-selection rule over (R, n) rows of normalized weights, as
     ``run_l_selection_gap`` runs it draw by draw.
 
@@ -816,24 +818,15 @@ def _run_l_select_rows(
     max(r_L, gap); it is accepted when r_L dates from before ``tau``, and it
     replaces r_L, the last column, before the row is sorted again.
 
+    ``gaps`` is a scalar or (R,) array in the same units as ``weights``.
     Returns the accepted elements as an (R, n) mask by element index, their
-    total weight, the top-L total ``opt`` and the best element's index. The
-    gap is sigma times (L-th minus (L+1)-th largest weight), or sigma times
-    the absolute gap rescaled with the raw rows' log maxima ``max_log``.
+    total weight, the top-L total ``opt`` and the best element's index.
     """
     R, n = weights.shape
     by_rank = np.argsort(-weights, axis=1, kind="stable")
     best_index = by_rank[:, 0]
     w_ranked = np.take_along_axis(weights, by_rank, axis=1)
     opt = np.sum(w_ranked[:, :L], axis=1)
-    if gap.absolute is None:
-        base = w_ranked[:, L - 1] - w_ranked[:, L]
-    else:
-        base = _rescale_raw(gap.absolute, max_log)
-    # a NaN gap (sigma 0 times an infinite rescaled one) loses max(r_L, gap)
-    # to r_L >= 0 in the scalar runner, so it acts as no gap
-    with np.errstate(invalid="ignore"):
-        gaps = np.fmax(gap.sigma * base, 0.0)
 
     index = np.min_scalar_type(n + L)
     pre = times <= tau
@@ -891,8 +884,9 @@ def estimate_l_selection(
     top L weights, L being ``config.algorithm.L``.
 
     The gap fed per instance is sigma times (L-th minus (L+1)-th largest
-    weight), or sigma times the absolute gap, rescaled with the raw
-    instance's log maximum, when one is configured. The config is an
+    normalized weight), or sigma times the absolute gap rescaled into the
+    instance's normalized units, when one is configured (``_threshold_term``
+    gives both; the kernel takes the normalized gaps). The config is an
     ordinary cell: this is :func:`estimate_ratio`, and with ``fixed_profile``
     the replay of that profile in every iteration, so that only the arrival
     times are random.

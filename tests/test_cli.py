@@ -1,10 +1,14 @@
 import json
 import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gapsecretary import cli
+from gapsecretary.core import WeightProfile
+from gapsecretary.generators import save_profiles
+from gapsecretary.montecarlo import AlgorithmSpec, simulate_fixed_profile
 
 
 def run(argv, capsys):
@@ -59,6 +63,17 @@ class TestValidation:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_dump_with_profiles_file_exits_2(self, tmp_path, capsys):
+        # a replay draws no instances, so there would be nothing to dump
+        replay, dump = tmp_path / "instances.txt", tmp_path / "dump.txt"
+        save_profiles(replay, [WeightProfile.from_weights([1.0, 2.0, 3.0])] * 5)
+        argv = ["simulate", "--algo", "classical", "--iters", "5", "--profiles-file", str(replay)]
+        code, out, err = run(argv + ["--dump-profiles", str(dump)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--dump-profiles" in err and "--profiles-file" in err
+        assert not dump.exists()
 
     def test_missing_gap_index(self, capsys):
         code, _, err = run(["simulate", "--family", "exp", "--algo", "exact-gap"], capsys)
@@ -244,6 +259,30 @@ class TestSimulate:
         code2, out2, _ = run(["simulate", "--profiles-file", str(dump), *common], capsys)
         assert code1 == 0 and code2 == 0
         assert out1 == out2
+
+    def test_bounded_epsilon_above_gap_on_tiny_weights(self, tmp_path, capsys):
+        # weights near e^-800 rescale the raw gap 1 and epsilon 2 to inf each;
+        # the term max(1 - 2, 0) is 0, so bounded is the classical rule
+        rng = np.random.default_rng(5)
+        profiles = [WeightProfile(np.log(rng.random(20)) - 800.0) for _ in range(50)]
+        replay = tmp_path / "tiny.txt"
+        save_profiles(replay, profiles)
+        common = ["simulate", "--profiles-file", str(replay), "--iters", "50", "--tau", "0.3"]
+        bounded = ["--algo", "bounded", "--gap-value", "1", "--epsilon", "2"]
+        _, out_b, _ = run(common + bounded, capsys)
+        _, out_c, _ = run(common + ["--algo", "classical"], capsys)
+        estimate = slice(11, None)  # ratio_mean, ratio_stderr, select_best_prob, none_prob
+        row_b, row_c = (o.strip().splitlines()[1].split(",") for o in (out_b, out_c))
+        assert row_b[estimate] == row_c[estimate]
+        assert float(row_c[14]) < 1.0
+
+        spec = AlgorithmSpec("bounded", tau=0.3, epsilon=2.0)
+        got = simulate_fixed_profile(profiles[0], spec, 500, 7, gap_values=1.0)
+        ref = simulate_fixed_profile(profiles[0], replace(spec, tag="classical"), 500, 7)
+        assert sorted(got) == sorted(ref)
+        for key in ref:
+            assert np.array_equal(got[key], ref[key], equal_nan=True), key
+        assert not got["none"].all()
 
 
 class TestSweep:

@@ -5,13 +5,11 @@ import pytest
 
 from gapsecretary.core import (
     ArrivalDraw,
-    GapInfo,
     SelectionOutcome,
     WeightProfile,
     best_so_far,
     normalize,
     normalize_rows,
-    prediction_error,
     true_gap,
 )
 
@@ -82,18 +80,6 @@ class TestArrivalDraw:
         assert list(a.order) == [2, 0, 1]
 
 
-class TestGapInfo:
-    def test_invariants(self):
-        GapInfo(0.0)
-        GapInfo(2.5, k=2, error_bound=0.0)
-        with pytest.raises(ValueError):
-            GapInfo(-1.0)
-        with pytest.raises(ValueError):
-            GapInfo(1.0, k=1)
-        with pytest.raises(ValueError):
-            GapInfo(1.0, k=2, error_bound=-0.5)
-
-
 class TestSelectionOutcome:
     def test_consistency(self):
         SelectionOutcome(1, 4.0, 0.7)
@@ -147,18 +133,6 @@ class TestTrueGap:
             true_gap(p, 1)
         with pytest.raises(ValueError):
             true_gap(p, 4)
-
-
-class TestPredictionError:
-    def test_examples(self):
-        p = profile(10, 4)
-        assert prediction_error(GapInfo(6, k=2), p) == pytest.approx(0, abs=1e-12)
-        assert prediction_error(GapInfo(9, k=2), p) == pytest.approx(3, rel=1e-12)
-        assert prediction_error(GapInfo(0, k=2), p) == pytest.approx(6, rel=1e-12)
-
-    def test_requires_k(self):
-        with pytest.raises(ValueError):
-            prediction_error(GapInfo(1.0), profile(2, 1))
 
 
 class TestNormalize:

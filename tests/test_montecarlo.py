@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,12 +27,13 @@ from gapsecretary.montecarlo import (
     ExperimentConfig,
     GapSpec,
     _build_batch,
+    _InstanceBatch,
     _policy,
     _replay_batch,
-    _rescale_raw,
     _run_fixed_profile,
     _run_l_select_rows,
     _run_threshold_rows,
+    _threshold_term,
     batch_ratio_for_profiles,
     estimate_l_selection,
     estimate_ratio,
@@ -149,7 +151,7 @@ class TestKernelMatchesScalarRunners:
                 AlgorithmSpec("robust", tau=tau, gamma=float(rng.choice([0.0, 0.25]))),
             ]
             for spec in specs:
-                policy = _policy(spec, _rescale_raw(gaps, max_log), max_log)
+                policy = _policy(spec, _threshold_term(spec, gaps, max_log))
                 out = _one_gap(norm, T, *policy)
                 for row in range(B):
                     ref = _scalar_reference(
@@ -161,7 +163,7 @@ class TestKernelMatchesScalarRunners:
                     else:
                         assert out["accept_index"][row] == -1, (spec.tag, trial, row)
         with pytest.raises(ConfigError):
-            _policy(AlgorithmSpec("l-select", L=2), 0.0, 0.0)
+            _policy(AlgorithmSpec("l-select", L=2))
 
     def test_tied_arrival_times(self):
         W = np.array([[3.0, 5.0, 4.0]])
@@ -241,7 +243,7 @@ class TestGroupedRowKernel:
             for i in range(len(entries))
         ]
         raw = [np.broadcast_to(np.asarray(g) * 2.5, (len(W),)) for g in entries]
-        policies = [_policy(s, _rescale_raw(r, max_log), max_log) for s, r in zip(specs, raw)]
+        policies = [_policy(s, _threshold_term(s, r, max_log)) for s, r in zip(specs, raw)]
         assert all((p.tau, p.gamma, p.strict) == (tau, gamma, strict) for p in policies)
         got = list(_run_threshold_rows(norm, T, tau, [p.gap for p in policies], gamma, strict))
         assert len(got) == len(policies)
@@ -269,7 +271,7 @@ def _check_fixed_profile(weights, T, spec: AlgorithmSpec, gaps):
     raw-unit gaps."""
     prof = WeightProfile.from_weights(weights)
     w, m = prof.normalized_weights, prof.max_log_weight
-    policy = _policy(spec, _rescale_raw(gaps, m), m)
+    policy = _policy(spec, _threshold_term(spec, gaps, m))
     got = _run_fixed_profile(w, T, *policy)
     _assert_same_arrays(got, _one_gap(np.broadcast_to(w, T.shape), T, *policy))
     for row in range(T.shape[0]):
@@ -341,21 +343,24 @@ class TestFixedProfileKernel:
 
 
 def _check_l_select_rows(W, T, tau, L, gap: GapSpec):
-    """The kernel on raw weight rows ``W`` against ``run_l_selection_gap`` on
-    each row's normalized profile, with the gap the engine feeds it: sigma
-    times (L-th minus (L+1)-th largest normalized weight), or sigma times the
-    absolute gap rescaled by the scalar runners' own raw-to-normalized map."""
+    """The kernel on raw weight rows ``W``, fed the gaps the engine feeds it,
+    against ``run_l_selection_gap`` on each row's normalized profile with the
+    gap computed apart: sigma times (L-th minus (L+1)-th largest normalized
+    weight), or the raw gap sigma times the absolute one, rescaled by the
+    scalar runners' own raw-to-normalized map."""
     profiles = [WeightProfile.from_weights(row) for row in W]
     norm = np.array([p.normalized_weights for p in profiles])
     max_log = np.array([p.max_log_weight for p in profiles])
-    out = _run_l_select_rows(norm, T, max_log, tau, L, gap)
+    spec = AlgorithmSpec("l-select", tau=tau, L=L)
+    gaps = _threshold_term(spec, gap, max_log, _InstanceBatch(norm, T, max_log))
+    out = _run_l_select_rows(norm, T, tau, L, gaps)
     for row, raw in enumerate(profiles):
         prof = normalize(raw)
         ws = np.sort(prof.normalized_weights)[::-1]
         if gap.absolute is None:
             c = gap.sigma * float(ws[L - 1] - ws[L])
         else:
-            c = gap.sigma * _normalized_view(raw, gap.absolute)[1]
+            c = _normalized_view(raw, gap.sigma * gap.absolute)[1]
         ref = run_l_selection_gap(prof, ArrivalDraw(T[row]), tau, c, L)
         where = (row, tau, L, gap)
         assert set(np.flatnonzero(out["accepted"][row])) == set(ref.indices), where
@@ -399,18 +404,30 @@ class TestLSelectKernelMatchesScalarRunner:
             _check_l_select_rows(W, T, float(rng.random() * 0.8), L, gap)
 
     def test_nan_gap_acts_as_no_gap(self):
-        # sigma 0 times a gap that rescales to inf is NaN; the scalar runner's
-        # max(r_L, NaN) keeps r_L, so the NaN gap acts as no gap
+        # an absolute gap of 1 rescales to inf on weights near e^-800, and
+        # sigma 0 times that was NaN; the raw gap, sigma times 1, is 0, so
+        # every gap rule runs as its scalar runner runs it, with no gap
         rng = np.random.default_rng(13)
-        W, T = rng.random((30, 6)), rng.random((30, 6))
-        tiny = np.full(30, -800.0)  # raw log maxima whose rescaling overflows
-        got = _run_l_select_rows(W, T, tiny, 0.3, 2, GapSpec(absolute=1.0, sigma=0.0))
-        ref = _run_l_select_rows(W, T, tiny, 0.3, 2, GapSpec(absolute=0.0))
-        prof = WeightProfile.from_weights(W[0])
-        scalar = run_l_selection_gap(prof, ArrivalDraw(T[0]), 0.3, math.nan, 2)
-        assert set(np.flatnonzero(got["accepted"][0])) == set(scalar.indices)
-        for key in ref:
-            assert np.array_equal(got[key], ref[key])
+        profiles = [WeightProfile(np.log(rng.random(6)) - 800.0) for _ in range(30)]
+        batch_of = partial(_replay_batch, profiles, SEED)
+        times = batch_of(range(30)).times
+        for tag in ("exact-gap", "bounded", "robust", "l-select"):
+            spec = AlgorithmSpec(tag, tau=0.3, gamma=0.25 * (tag == "robust"), epsilon=0.5, L=2)
+            cells = [(spec, GapSpec(absolute=1.0, sigma=0.0)), (spec, GapSpec(absolute=0.0))]
+            got, ref = montecarlo._run_cells(6, 30, batch_of, cells, outcomes=True)
+            _assert_same_arrays(got, ref, tag)
+            for row, prof in enumerate(profiles):
+                arrivals, where = ArrivalDraw(times[row]), (tag, row)
+                if tag == "l-select":
+                    norm = normalize(prof)
+                    scalar = run_l_selection_gap(norm, arrivals, 0.3, 0.0, 2)
+                    top = np.sort(norm.normalized_weights)[::-1][:2]
+                    assert got["ratio"][row] == scalar.total_weight / np.sum(top), where
+                    assert got["none"][row] == (not scalar.accepted), where
+                else:
+                    scalar = _scalar_reference(spec, prof, arrivals, 0.0)
+                    expected = scalar.accepted_index if scalar.accepted else -1
+                    assert got["accept_index"][row] == expected, where
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(

@@ -15,7 +15,6 @@ __all__ = [
     "GuaranteeReport",
     "FrontierPoint",
     "TWO_BEST_UPPER_BOUND",
-    "K_SCAN_MAX",
     "tau_for_k",
     "alpha_exact",
     "alpha_exact_values",
@@ -31,10 +30,6 @@ __all__ = [
 # Hardness reference for the zero-gap (two-best) special case; documented
 # constant only, never computed here.
 TWO_BEST_UPPER_BOUND = 0.5736
-
-# Cap for worst-case aggregation over the gap index; the capped scan plus the
-# analytic large-index limit of the gap-case term brackets the infimum.
-K_SCAN_MAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -162,43 +157,25 @@ def _consistency_small_gap_terms(tau: float, gamma: float) -> tuple[float, float
     return alpha1, alpha2
 
 
-def _worst_gap_case(tau_values: np.ndarray, k_max: int = K_SCAN_MAX) -> np.ndarray:
-    """inf over k >= 2 of max(alpha3(k), alpha4), vectorized over tau.
-
-    Equals max(alpha4, inf_k alpha3); the infimum over k combines a capped
-    scan with the k -> inf limit (1-tau)/2 of alpha3.
-    """
-    tau_values = np.atleast_1d(np.asarray(tau_values, dtype=float))
-    ks = np.arange(2, k_max + 1, dtype=float)
-    min_alpha3 = np.full(tau_values.shape, np.inf)
-    chunk = max(1, int(2e7) // ks.size)
-    for lo in range(0, tau_values.size, chunk):
-        t = tau_values[lo : lo + chunk, None]
-        alpha3 = (ks + 1.0) / (2.0 * ks) * (1.0 - t - (1.0 - t) ** (ks + 1.0))
-        min_alpha3[lo : lo + chunk] = alpha3.min(axis=1)
-    min_alpha3 = np.minimum(min_alpha3, 0.5 * (1.0 - tau_values))
-    alpha4 = 1.5 * tau_values * np.log(1.0 / tau_values) - 0.5 * tau_values * (
-        1.0 - tau_values
-    )
-    return np.maximum(alpha4, min_alpha3)
-
-
 def consistency(tau: float, gamma: float, k_aggregation="worst-case") -> GuaranteeReport:
     """Competitive-ratio bound of the robust-consistent rule on an accurate gap.
 
     ``k_aggregation`` is either a specific gap index (int >= 2) or
-    ``"worst-case"``: the infimum over all indices, taken as a scan over
-    k in [2, K_SCAN_MAX] plus the analytic large-k limit.
+    ``"worst-case"``: the infimum over k of the gap-case term
+    max(alpha3(k), alpha4), which is alpha4, reached at k = 2. alpha4 does
+    not depend on k and exceeds alpha3(2) on (0, 1): alpha4 - alpha3(2) =
+    tau [(3/2) ln(1/tau) - (1-tau)(2 - (3/4) tau)], and ln(1/tau) >=
+    2(1-tau)/(1+tau) reduces its sign to that of (3/4) tau^2 - (5/4) tau + 1,
+    a quadratic with no real root.
     """
     _check_schedule(tau, gamma)
     alpha1, alpha2 = _consistency_small_gap_terms(tau, gamma)
     components = {"alpha1": alpha1, "alpha2": alpha2}
     if k_aggregation == "worst-case":
-        gap_case = float(_worst_gap_case(np.array([tau]))[0])
         _, _, alpha4 = (float(x) for x in _alpha_terms(tau, 2))
         components["alpha4"] = alpha4
-        components["worst_case_gap_term"] = gap_case
-        gap_name = "alpha4" if gap_case == alpha4 else "worst_case_gap_term"
+        components["worst_case_gap_term"] = alpha4
+        gap_case, gap_name = alpha4, "alpha4"
     else:
         _check_k(k_aggregation)
         _, alpha3, alpha4 = (float(x) for x in _alpha_terms(tau, k_aggregation))
@@ -226,6 +203,7 @@ def frontier(
     k_aggregation) over the (tau, gamma) grid subject to
     robustness(tau, gamma) >= r; ties go to the lexicographically smallest
     (tau, gamma). Targets beyond the grid's reach come back infeasible.
+    The worst-case aggregation is the k = 2 frontier (see ``consistency``).
     """
     targets = list(robustness_targets)
     if not targets:
@@ -238,12 +216,10 @@ def frontier(
     steps = int(round(1.0 / grid_step))
     taus = np.arange(1, steps) * grid_step
     gammas = np.arange(0, steps) * grid_step
-    if k_aggregation == "worst-case":
-        gap_case = _worst_gap_case(taus)
-    else:
-        _check_k(k_aggregation)
-        _, alpha3, alpha4 = _alpha_terms(taus, k_aggregation)
-        gap_case = np.maximum(alpha3, alpha4)
+    k = 2 if k_aggregation == "worst-case" else k_aggregation
+    _check_k(k)
+    _, alpha3, alpha4 = _alpha_terms(taus, k)
+    gap_case = np.maximum(alpha3, alpha4)
 
     t = taus[:, None]
     g = gammas[None, :]

@@ -363,6 +363,8 @@ def cmd_bounds(args) -> int:
         k = _parse_k(args.k)
         if k is None:
             raise UsageError("--which bounded needs an integer --k")
+        if not (math.isfinite(args.epsilon) and args.epsilon >= 0.0):
+            raise UsageError("--epsilon must be finite and non-negative")
         report = guarantee_bounded_error(args.tau, k)
         payload = {"which": "bounded", "tau": args.tau, "k": k, **report.as_dict()}
         if args.epsilon:
@@ -394,6 +396,8 @@ def cmd_frontier(args) -> int:
     _resolve_seed(args)
     if args.r_step <= 0:
         raise UsageError("r-step must be positive")
+    if not all(math.isfinite(v) for v in (args.r_from, args.r_to, args.r_step)):
+        raise UsageError("--r-from, --r-to and --r-step must be finite")
     if args.r_to < args.r_from:
         raise UsageError("r-to must be at least r-from")
     count = int(round((args.r_to - args.r_from) / args.r_step))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gapsecretary.bounds import (
     TWO_BEST_UPPER_BOUND,
@@ -163,6 +165,19 @@ class TestConsistency:
             worst = consistency(tau, gamma).alpha
             for k in (2, 3, 10, 100):
                 assert worst <= consistency(tau, gamma, k).alpha + 1e-12
+            # the worst gap index is k = 2
+            assert worst == consistency(tau, gamma, 2).alpha
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    # subnormal tau is left out: 1/tau overflows there
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=False))
+    @example(1e-12)
+    @example(1.0 - 1e-12)
+    def test_alpha4_above_alpha3_at_k_2(self, tau):
+        # so max(alpha3(k), alpha4) >= alpha4 = max(alpha3(2), alpha4) for
+        # every k, and the worst-case gap term is alpha4
+        r = alpha_exact(tau, 2)
+        assert r.components["alpha4"] > r.components["alpha3"]
 
 
 class TestFrontier:
@@ -191,6 +206,10 @@ class TestFrontier:
         (pt,) = frontier([0.0], grid_step=0.005)
         assert 0.42 <= pt.consistency <= 0.46
         assert pt.consistency < TWO_BEST_UPPER_BOUND
+
+    def test_worst_case_is_k_2_frontier(self):
+        targets = [0.0, 0.05, 0.1, 0.15, 0.2, 0.3]
+        assert frontier(targets, grid_step=0.01) == frontier(targets, grid_step=0.01, k_aggregation=2)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -356,6 +356,15 @@ class TestBounds:
         assert code == 2
         assert "tau" in err
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+    def test_bounded_epsilon_must_be_finite_and_non_negative(self, epsilon, capsys):
+        # a NaN loss is not valid JSON, and a negative one would be a gain
+        argv = ["bounds", "--which", "bounded", "--k", "2", f"--epsilon={epsilon}"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "--epsilon must be finite and non-negative" in err
+
 
 class TestFrontier:
     def test_rows_monotone_and_feasibility(self, capsys):
@@ -388,9 +397,20 @@ class TestFrontier:
         assert row[5] == "true"
         assert float(row[3]) >= 0.383
 
-    def test_invalid_range(self, capsys):
-        code, _, _ = run(["frontier", "--r-from", "0.2", "--r-to", "0.1", "--r-step", "0.1"], capsys)
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--r-from", "0.2", "--r-to", "0.1", "--r-step", "0.1"], "r-to must be at least r-from"),
+            (["--r-to", "inf"], "--r-from, --r-to and --r-step must be finite"),
+            (["--r-from", "nan"], "--r-from, --r-to and --r-step must be finite"),
+            (["--r-step", "nan"], "--r-from, --r-to and --r-step must be finite"),
+        ],
+        ids=["reversed", "r-to-inf", "r-from-nan", "r-step-nan"],
+    )
+    def test_invalid_range(self, flags, message, capsys):
+        code, _, err = run(["frontier", *flags], capsys)
         assert code == 2
+        assert message in err
 
     def test_frontier_manifest_replay(self, tmp_path, capsys):
         out_path = tmp_path / "frontier.csv"

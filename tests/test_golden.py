@@ -10,8 +10,10 @@ batch builder's move to row-wise draws normalized once per batch, and, for
 the l-select commands (auto and raw-unit absolute gaps, L = 5, L = n - 1)
 and the chi-squared and superstar ``--dump-profiles`` files, the move of
 l-select and the profile dump from one instance at a time to chunked batch
-rows. A refactor of generation, batching or the kernels must leave every
-digest unchanged.
+rows, and, for the ``frontier`` CSVs and the ``bounds --which rc`` reports,
+the move of the worst-case gap index from a scan over k to its closed form,
+k = 2. A refactor of generation, batching, the kernels or the bound formulas
+must leave every digest unchanged.
 
 The digests are pinned to numpy 2.4 on x86-64: the draws come from numpy's
 PCG64 streams and its float routines, so another numpy release or platform
@@ -133,6 +135,17 @@ COMMANDS = {
         "simulate", "--n", "6", "--iters", ITERS, "--tau", "0.2", "--family", "exp",
         "--seed", "97", "--algo", "l-select", "--L", "5",
     ],
+    "frontier": ["frontier"],
+    "frontier/k-2": ["frontier", "--k-aggregation", "2"],
+    "frontier/k-50": ["frontier", "--k-aggregation", "50"],
+}
+
+# bounds runs: the digest of the JSON report each one prints
+REPORTS = {
+    "bounds/rc/tau-0.2/gamma-0.6": ["bounds", "--which", "rc", "--tau", "0.2", "--gamma", "0.6"],
+    "bounds/rc/tau-0.05/gamma-0.9": ["bounds", "--which", "rc", "--tau", "0.05", "--gamma", "0.9"],
+    # the gap term binds
+    "bounds/rc/tau-0.05/gamma-0": ["bounds", "--which", "rc", "--tau", "0.05", "--gamma", "0"],
 }
 
 # --dump-profiles runs: the digest of the profile file each one writes
@@ -150,6 +163,12 @@ GOLDEN = {
     "dump/chisq/profiles": "4ecdbed1358f9368a3a9422be3cc698f30536a7ed53f01c0c562bc72c8504166",
     "dump/exp-superstar": "7b9078e88ab34f506e76cfbc8390e7bd69f794e8ff5a8709a8edec0b074922c1",
     "dump/exp-superstar/profiles": "8f6f5a91bc823fe866214b8260c0ac8ae4f13e21ee814410861bdc22332bf661",
+    "bounds/rc/tau-0.05/gamma-0": "197fbc90bf584c5168a76673aef160a1ec9b21a88cc4a73c62a9c9b68ed15f4d",
+    "bounds/rc/tau-0.05/gamma-0.9": "648069fc6399cb64cdb7589fa5d96210d6a4cabb19f3cf96c4eef574c73e1e58",
+    "bounds/rc/tau-0.2/gamma-0.6": "69d76e263e6eed98504b3f964bb325d5d77eae00b3a8721343a72888ac878b1f",
+    "frontier": "7e3fc1db4d3567715bb3da08c93a113eb1b4c7e41f3636a5ae8bd10d529c3d5b",
+    "frontier/k-2": "7cc1bd5b5021dd542453676d32b93b5168f4b1d01b469f66816cb9977e9b9d42",
+    "frontier/k-50": "adb7ae82e86b04ffb6076ffab5195e3584bdfb990849d59e00226d6464c187c5",
     "replay/generated": "32bb873d791f86bddfe8e280166d861e345ac1ec202229a49311e5f2f521dfe4",
     "replay/profiles": "217ed026ba31445dc4163f7bf8debf90cbff7e6e0d1271d28221ed8155ffa5e3",
     "simulate/chisq/bounded": "8ecea6c63e6bf5f0e64d4d60165878fcb16ea66326d9fdd45e15c8542a99f906",
@@ -206,6 +225,12 @@ def test_csv_bytes_unchanged(name, tmp_path):
     out = tmp_path / "out.csv"
     assert cli.main(COMMANDS[name] + ["--out", str(out)]) == 0
     assert _digest(out) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_bytes_unchanged(name, capsys):
+    assert cli.main(REPORTS[name]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(DUMPS))

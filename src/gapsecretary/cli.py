@@ -64,6 +64,9 @@ FLAG_BY_FAMILY = {tag: flag for flag, tag in FAMILY_BY_FLAG.items()}
 
 SEED_ENV_VAR = "GAPSECRETARY_SEED"
 
+# the most values a sigma sweep or frontier range may give, one row each
+MAX_RANGE_ROWS = 100_000
+
 
 class UsageError(Exception):
     """Flag combination violating a documented precondition."""
@@ -196,6 +199,17 @@ def _parse_k_list(raw) -> list[int]:
         raise UsageError("k must be a comma-separated list of integers for sweeps") from exc
 
 
+def _stepped(lo: float, hi: float, step: float, flags: str) -> list[float]:
+    """lo, lo + step, ... to the nearest step to ``hi``, for finite flags
+    with lo <= hi and step > 0. More than ``MAX_RANGE_ROWS`` values, or a
+    count that overflows, is a usage error naming ``flags``."""
+    steps = (hi - lo) / step
+    rows = round(steps) + 1 if math.isfinite(steps) else math.inf
+    if rows > MAX_RANGE_ROWS:
+        raise UsageError(f"{flags} give more than {MAX_RANGE_ROWS} rows")
+    return [lo + i * step for i in range(rows)]
+
+
 def _resolve_seed(args) -> None:
     if args.seed is None:
         args.seed = _default_seed()
@@ -309,14 +323,17 @@ def cmd_sweep(args) -> int:
                 "l-select's gap does not depend on k, so a k sweep would repeat one "
                 "estimate; sweep its gap scale with --sweep sigma"
             )
-        ks = list(range(int(args.sweep_from), int(args.sweep_to) + 1, int(args.step)))
+        lo, hi, step = (int(v) for v in bounds)
+        ks = range(lo, hi + 1, step)
+        if ks[-1] > args.n:
+            raise UsageError(f"--from, --to and --step reach k={ks[-1]}, above --n={args.n}")
+        ks = list(ks)
         algo = _algorithm(args, args.tau)
         gap = _gap(args, ks[0])
         config = ExperimentConfig(family, args.n, args.iters, algo, gap, master_seed=args.seed)
         cells = sweep_k(config, ks, tau_policy=args.tau_policy)
     else:
-        count = int(round((args.sweep_to - args.sweep_from) / args.step))
-        sigmas = [args.sweep_from + i * args.step for i in range(count + 1)]
+        sigmas = _stepped(*bounds, "--from, --to and --step")
         sigmas = [s for s in sigmas if s <= args.sweep_to + 1e-12]
         ks = _parse_k_list(args.k)
         if not ks:
@@ -400,8 +417,7 @@ def cmd_frontier(args) -> int:
         raise UsageError("--r-from, --r-to and --r-step must be finite")
     if args.r_to < args.r_from:
         raise UsageError("r-to must be at least r-from")
-    count = int(round((args.r_to - args.r_from) / args.r_step))
-    targets = [args.r_from + i * args.r_step for i in range(count + 1)]
+    targets = _stepped(args.r_from, args.r_to, args.r_step, "--r-from, --r-to and --r-step")
     agg = "worst-case" if _parse_k(args.k_aggregation) is None else _parse_k(args.k_aggregation)
     points = frontier(targets, grid_step=args.grid_step, k_aggregation=agg)
     header = ["robustness_target", "tau", "gamma", "consistency", "robustness", "feasible", "k_aggregation"]

@@ -34,6 +34,19 @@ single-selection cells of a chunk are grouped by their policy's ``(tau,
 gamma, strict)``, and each group is one row-kernel pass: a sigma sweep at one
 tau is one pass per chunk. Each cell's outcomes are cut to what its estimate
 reads as they are yielded, and a cell is reduced once its last chunk is done.
+
+Generated instances are a pure function of (family, n, iterations,
+master_seed), so the last batch that covered a whole run in one chunk is
+memoized under that key in ``_last_batch``: only its weights, times and
+``max_log``, marked read-only. The next estimate with the same key wraps the
+same arrays in a fresh batch, whose sorted weights are its own, and draws
+nothing; the arrays are what a fresh draw gives, bit for bit. The memo is
+dropped before any other instances or arrival times are drawn
+(``_draw_rows``, ``_replay_batch``, ``simulate_fixed_profile``), so no later
+draw holds it beside its own batch, and a run of several chunks leaves
+nothing behind. Until that next draw the last whole-run batch stays resident
+(two (iterations, n) float arrays, up to about 80 MB for a full chunk), also
+while other work that draws nothing runs in the same process.
 """
 
 from __future__ import annotations
@@ -360,11 +373,19 @@ class _InstanceBatch:
         return np.sort(self.weights, axis=1)[:, ::-1]
 
 
+# the last generated batch that covered a whole run, as its read-only
+# (weights, times, max_log) under (family, n, iterations, master_seed); at
+# most one entry, dropped before any other instances or arrival times are drawn
+_last_batch: dict = {}
+
+
 def _draw_rows(
     family: InstanceFamily, n: int, rows: range, master_seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Arrival times and raw log-weights of the instances in ``rows``, one
-    row each: stream i draws iteration i's arrival times, then its weights."""
+    row each, in two (rows, n) arrays: stream i draws iteration i's arrival
+    times, then its weights."""
+    _last_batch.clear()
     times, log_weights = np.empty((len(rows), n)), np.empty((len(rows), n))
 
     def streams():
@@ -394,6 +415,7 @@ def _build_batch(
 def _replay_batch(profiles, master_seed: int, rows: range) -> _InstanceBatch:
     """The user-supplied instances of iterations ``rows``; stream i of the
     master seed provides iteration i's arrival draw."""
+    _last_batch.clear()
     log_weights = np.stack([profiles[i].log_weights for i in rows])
     times = np.empty(log_weights.shape)
     for row, rng in zip(times, SeededRng(master_seed).streams(rows)):
@@ -576,9 +598,27 @@ def _run_cells(n: int, iterations: int, batch_of, cells, outcomes: bool = False)
     return [done[_cell_key(a, g)] for a, g in cells]
 
 
+def _generated_batch(config: ExperimentConfig, rows: range) -> _InstanceBatch:
+    """The instances the config's family draws for iterations ``rows``. A
+    batch of the whole run is kept read-only in ``_last_batch``, so the next
+    estimate on the same (family, n, iterations, seed) draws nothing: it gets
+    a fresh batch around the same arrays, with its own sorted weights."""
+    key = (config.family, config.n, config.iterations, config.master_seed)
+    whole = len(rows) == config.iterations
+    if whole and key in _last_batch:
+        return _InstanceBatch(*_last_batch[key])
+    batch = _build_batch(config.family, config.n, rows, config.master_seed)
+    if whole:
+        arrays = (batch.weights, batch.times, batch.max_log)
+        for a in arrays:
+            a.setflags(write=False)
+        _last_batch[key] = arrays
+    return batch
+
+
 def _on_generated(config: ExperimentConfig, cells, outcomes: bool = False) -> list:
     """``_run_cells`` on the instances the config's family draws."""
-    batch_of = partial(_build_batch, config.family, config.n, master_seed=config.master_seed)
+    batch_of = partial(_generated_batch, config)
     return _run_cells(config.n, config.iterations, batch_of, cells, outcomes)
 
 
@@ -692,6 +732,7 @@ def simulate_fixed_profile(
     the chunk size. Returns per-iteration arrays, with accepted weights both
     normalized (``ratio``) and in raw units (``accept_weight``).
     """
+    _last_batch.clear()
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
     gap_values = np.asarray(gap_values, dtype=float)

@@ -3,7 +3,8 @@ pass/fail line per check."""
 
 import pytest
 
-from gapsecretary.acceptance import CHECKS
+from gapsecretary import montecarlo
+from gapsecretary.acceptance import CHECKS, check_exponential_gap_beats_classical
 
 
 @pytest.mark.parametrize(
@@ -22,3 +23,13 @@ def test_acceptance(suite, check, capsys):
         f"{result.name}: measured {result.measured}, expected {result.expected}"
     )
     assert result.suite == suite
+
+
+def test_exponential_batch_drawn_once(monkeypatch):
+    # the exact-gap and robust sweeps run on the same exponential instances
+    montecarlo._last_batch.clear()
+    calls = []
+    draw = montecarlo._draw_rows
+    monkeypatch.setattr(montecarlo, "_draw_rows", lambda *a: calls.append(a) or draw(*a))
+    assert check_exponential_gap_beats_classical(fast=True).passed
+    assert [(c[0].tag, c[1], len(c[2])) for c in calls] == [("exponential", 200, 1000)]

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gapsecretary import cli
+from gapsecretary import cli, montecarlo
 from gapsecretary.core import WeightProfile
 from gapsecretary.generators import save_profiles
 from gapsecretary.montecarlo import AlgorithmSpec, simulate_fixed_profile
@@ -109,9 +109,16 @@ class TestValidation:
             ("sigma", ["--from", "0", "--to", "inf", "--step", "0.5"], "must be finite"),
             ("sigma", ["--from", "nan", "--to", "1", "--step", "0.5"], "must be finite"),
             ("sigma", ["--from", "0", "--to", "1", "--step", "inf"], "must be finite"),
+            ("sigma", ["--from", "0", "--to", "1e300", "--step", "1e-300"],
+             "--from, --to and --step give more than 100000 rows"),
+            ("sigma", ["--from", "0", "--to", "1e5", "--step", "1"],
+             "--from, --to and --step give more than 100000 rows"),
+            ("k", ["--from", "2", "--to", "1e30", "--step", "1"], "above --n=20"),
+            ("k", ["--from", "2", "--to", "21", "--step", "1"], "reach k=21, above --n=20"),
         ],
         ids=["sigma-reversed", "k-reversed", "k-fractional-step", "k-fractional-bounds",
-             "sigma-infinite-to", "sigma-nan-from", "sigma-infinite-step"],
+             "sigma-infinite-to", "sigma-nan-from", "sigma-infinite-step",
+             "sigma-count-overflows", "sigma-count-above-cap", "k-huge-to", "k-above-n"],
     )
     def test_sweep_range_exits_2(self, sweep, bounds, message, capsys):
         argv = ["sweep", "--sweep", sweep, *bounds, "--family", "exp", "--n", "20",
@@ -120,6 +127,15 @@ class TestValidation:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_k_sweep_may_end_past_n_between_steps(self, capsys):
+        # --to exceeds --n, but the last k the step reaches does not
+        argv = ["sweep", "--sweep", "k", "--from", "2", "--to", "22", "--step", "9",
+                "--family", "exp", "--n", "20", "--iters", "10", "--algo", "exact-gap",
+                "--seed", "3"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert [line.split(",")[4] for line in out.splitlines()[1::2]] == ["2", "11", "20"]
 
     def test_l_select_k_sweep_exits_2(self, capsys):
         argv = ["sweep", "--sweep", "k", "--from", "2", "--to", "4", "--step", "1",
@@ -172,6 +188,26 @@ class TestSimulate:
         assert fields[1] == "robust"
         assert fields[4] == "5"
         assert 0.0 <= float(fields[11]) <= 1.0
+
+    def test_same_instances_drawn_once(self, monkeypatch, capsys):
+        # the second rule on the same (family, n, iterations, seed) reuses
+        # the batch the first one drew; another seed draws again
+        montecarlo._last_batch.clear()
+        calls = []
+        draw = montecarlo._draw_rows
+        monkeypatch.setattr(montecarlo, "_draw_rows", lambda *a: calls.append(a) or draw(*a))
+        base = ["simulate", "--family", "chisq", "--n", "30", "--iters", "60", "--k", "5"]
+        outs = []
+        for algo, seed in (("exact-gap", "4"), ("robust", "4"), ("exact-gap", "5")):
+            code, out, _ = run(base + ["--algo", algo, "--seed", seed], capsys)
+            assert code == 0
+            outs.append(out)
+        assert len(calls) == 2
+        assert [c[3] for c in calls] == [4, 5]
+        # once the memo is dropped, the same command draws again, to the same bytes
+        montecarlo._last_batch.clear()
+        assert run(base + ["--algo", "robust", "--seed", "4"], capsys)[1] == outs[1]
+        assert len(calls) == 3
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = [
@@ -404,8 +440,12 @@ class TestFrontier:
             (["--r-to", "inf"], "--r-from, --r-to and --r-step must be finite"),
             (["--r-from", "nan"], "--r-from, --r-to and --r-step must be finite"),
             (["--r-step", "nan"], "--r-from, --r-to and --r-step must be finite"),
+            (["--r-from", "0", "--r-to", "1e300", "--r-step", "1e-300"],
+             "--r-from, --r-to and --r-step give more than 100000 rows"),
+            (["--r-from", "0", "--r-to", "1", "--r-step", "1e-5"],
+             "--r-from, --r-to and --r-step give more than 100000 rows"),
         ],
-        ids=["reversed", "r-to-inf", "r-from-nan", "r-step-nan"],
+        ids=["reversed", "r-to-inf", "r-from-nan", "r-step-nan", "count-overflows", "count-above-cap"],
     )
     def test_invalid_range(self, flags, message, capsys):
         code, _, err = run(["frontier", *flags], capsys)

@@ -1286,3 +1286,141 @@ class TestEmptySweeps:
         assert sweep_sigma(cfg, [], [2, 3]) == []
         assert sweep_sigma(cfg, [0.5], []) == []
         assert sweep_k(cfg, []) == []
+
+
+def _counting_draws(monkeypatch) -> list:
+    """Wrap ``_draw_rows`` so each call appends its row range to the list."""
+    calls = []
+    draw = montecarlo._draw_rows
+
+    def counting(family, n, rows, *args):
+        calls.append(rows)
+        return draw(family, n, rows, *args)
+
+    monkeypatch.setattr(montecarlo, "_draw_rows", counting)
+    return calls
+
+
+class TestBatchMemo:
+    """The last whole-run generated batch is kept, read-only, for the next
+    estimate on the same (family, n, iterations, seed)."""
+
+    ALGOS = [
+        AlgorithmSpec("classical", tau=0.3),
+        AlgorithmSpec("strict-classical", tau=0.3),
+        AlgorithmSpec("exact-gap", tau=0.2),
+        AlgorithmSpec("bounded", tau=0.2, epsilon=0.1),
+        AlgorithmSpec("robust", tau=0.2, gamma=0.3),
+        AlgorithmSpec("l-select", tau=0.3, L=3),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        montecarlo._last_batch.clear()
+        yield
+        montecarlo._last_batch.clear()
+
+    def _config(self, family=InstanceFamily("chi_squared", df=3), n=12, iterations=31, seed=SEED,
+                algo=AlgorithmSpec("exact-gap", tau=0.2)):
+        return ExperimentConfig(family, n, iterations, algo, GapSpec(k=3), master_seed=seed)
+
+    def _memo(self) -> tuple:
+        (arrays,) = montecarlo._last_batch.values()
+        return arrays
+
+    def test_hit_equals_fresh_build(self, monkeypatch):
+        calls = _counting_draws(monkeypatch)
+        cfg = self._config()
+        rows = range(cfg.iterations)
+        first = montecarlo._generated_batch(cfg, rows)
+        hit = montecarlo._generated_batch(cfg, rows)
+        assert len(calls) == 1
+        assert hit is not first and hit.weights is first.weights
+        hit_sorted = hit.sorted_weights
+        assert hit_sorted is not first.sorted_weights  # sorted per call, not kept
+        fresh = _build_batch(cfg.family, cfg.n, rows, cfg.master_seed)
+        for a, b in zip((hit.weights, hit.times, hit.max_log, hit_sorted),
+                        (fresh.weights, fresh.times, fresh.max_log, fresh.sorted_weights)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "base,changed",
+        [
+            ({"family": InstanceFamily("chi_squared", df=3)},
+             {"family": InstanceFamily("chi_squared", df=4)}),
+            ({"family": InstanceFamily("exp_superstar", factor=100.0)},
+             {"family": InstanceFamily("exp_superstar", factor=1e3)}),
+            ({"n": 12}, {"n": 13}),
+            ({"iterations": 31}, {"iterations": 30}),
+            ({"seed": SEED}, {"seed": SEED + 1}),
+        ],
+        ids=["df", "factor", "n", "iterations", "seed"],
+    )
+    def test_other_key_misses(self, base, changed, monkeypatch):
+        calls = _counting_draws(monkeypatch)
+        first = estimate_ratio(self._config(**base))
+        (weights, *_) = self._memo()
+        estimate_ratio(self._config(**{**base, **changed}))
+        assert len(calls) == 2
+        (other, *_) = self._memo()
+        assert other.shape != weights.shape or not np.array_equal(other, weights)
+        # the second run replaced the first one's batch
+        assert estimate_ratio(self._config(**base)) == first
+        assert len(calls) == 3
+
+    def test_memoized_arrays_read_only(self):
+        cfg = self._config()
+        fresh = montecarlo._run_cells(
+            cfg.n, cfg.iterations,
+            partial(_build_batch, cfg.family, cfg.n, master_seed=cfg.master_seed),
+            [(algo, cfg.gap) for algo in self.ALGOS],
+        )
+        estimate_ratio(cfg)
+        arrays = self._memo()
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+        # every rule runs on the read-only arrays and gives the fresh estimates
+        for algo, est in zip(self.ALGOS, fresh):
+            assert estimate_ratio(replace(cfg, algorithm=algo)) == est, algo.tag
+        assert self._memo() is arrays
+
+    @pytest.mark.parametrize("algo", ALGOS, ids=lambda a: a.tag)
+    def test_outcomes_are_no_view_of_the_memo(self, algo):
+        cfg = self._config(algo=algo)
+        first = per_iteration_outcomes(cfg)
+        arrays = self._memo()
+        hit = per_iteration_outcomes(cfg)
+        assert self._memo() is arrays
+        assert _same(first, hit)
+        for out in (first, hit):
+            for key, value in out.items():
+                assert value.flags.writeable, key
+                assert not any(np.shares_memory(value, a) for a in arrays), key
+
+    def test_multi_chunk_run_leaves_nothing(self, monkeypatch):
+        estimate_ratio(self._config())
+        assert montecarlo._last_batch
+        calls = _counting_draws(monkeypatch)
+        # l-select chunks hold 16,384 elements: 81 rows at n = 200
+        cfg = self._config(InstanceFamily("exponential"), 200, 82, algo=AlgorithmSpec("l-select", L=2))
+        estimate_ratio(cfg)
+        assert [len(r) for r in calls] == [81, 1]
+        assert not montecarlo._last_batch
+        estimate_ratio(cfg)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("draw", ["regenerate", "replay", "fixed-profile"])
+    def test_other_draws_drop_the_memo(self, draw):
+        prof = WeightProfile.from_weights([3.0, 1.0, 2.0])
+        classical = AlgorithmSpec("classical")
+        draws = {
+            "regenerate": lambda: regenerate_profiles(InstanceFamily("exponential"), 5, 3, 2),
+            "replay": lambda: batch_ratio_for_profiles([prof] * 3, classical, GapSpec(), 2),
+            "fixed-profile": lambda: simulate_fixed_profile(prof, classical, 10, 2),
+        }
+        estimate_ratio(self._config())
+        assert montecarlo._last_batch
+        draws[draw]()
+        assert not montecarlo._last_batch

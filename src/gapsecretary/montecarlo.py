@@ -21,8 +21,16 @@ term to that record, and one of two kernels runs it over a chunk of draws:
   swept column by column: ``simulate_fixed_profile``, where only the arrival
   order is random.
 
-The multi-selection rule runs through ``_run_l_select_rows``. Every kernel
-takes normalized weights and gaps only. The per-draw runners in
+The multi-selection rule runs through ``_run_l_select_rows``. Its reference
+set holds the top-L weights seen so far of Q, the pre-``tau`` elements and
+the post-``tau`` ones at or above the gap, so its L-th weight r_L never
+falls, and a post-``tau`` element of Q enters it, a hit, exactly when fewer
+than L strictly heavier elements of Q arrived before it. That reads weights
+only, so it holds with ties. ``_l_select_hits`` finds every hit of a chunk
+with L running minima over arrival positions, and the kernel walks the hits
+alone, every row's r-th hit in round r.
+
+Every kernel takes normalized weights and gaps only. The per-draw runners in
 ``algorithms`` are the tests' reference for every kernel, and the row kernel
 on a broadcast weight vector is the reference for the fixed-profile one.
 
@@ -576,8 +584,10 @@ def _run_cells(n: int, iterations: int, batch_of, cells, outcomes: bool = False)
     read the same inputs are one) is evaluated on it, single-selection cells
     one kernel pass per threshold policy (``_chunk_outcomes``). A cell's
     outcomes are cut to what its estimate reads before the next cell is
-    evaluated, and a cell is reduced after its last chunk. With ``outcomes``
-    a cell gives its joined per-row outcomes in place of its estimate.
+    evaluated, and a cell is reduced after its last chunk. Each chunk's
+    batch is dropped before the next chunk is drawn, so no two are held at
+    once. With ``outcomes`` a cell gives its joined per-row outcomes in place
+    of its estimate.
     """
     for algorithm, gap in cells:
         _check_cell(n, algorithm, gap)
@@ -595,6 +605,7 @@ def _run_cells(n: int, iterations: int, batch_of, cells, outcomes: bool = False)
             if rows.stop == iterations:
                 out = _joined(parts.pop(key))
                 done[key] = out if outcomes else _estimate_from(out)
+        del batch
     return [done[_cell_key(a, g)] for a, g in cells]
 
 
@@ -846,18 +857,72 @@ def exact_expectation_small_n(
 # Multi-selection estimation
 
 
+def _l_select_hits(
+    w_ranked: np.ndarray, arrival: np.ndarray, pre: np.ndarray, gaps, L: int
+) -> np.ndarray:
+    """The hits of the multi-selection rule, as an (R, n) mask in rank order.
+
+    Row j of each input holds rank j of an instance, ranks ordered by
+    (-weight, index): ``w_ranked`` its weight, ``arrival`` its arrival
+    position (an unsigned integer type that holds n) and ``pre`` whether it
+    arrived by ``tau``. ``gaps`` is a scalar or one value per row.
+
+    Q is the pre-``tau`` elements plus the post-``tau`` ones at or above the
+    gap. The reference set's weights are the top-L weights of Q seen so far,
+    and a post-``tau`` element of Q is a hit exactly when it reaches the
+    L-th of them, that is, when fewer than L strictly heavier elements of Q
+    arrived before it. This reads weights only, so it holds with ties. With
+    ``a`` the arrival position of an element of Q and n for any other, L
+    running minima over ranks give the L-th smallest ``a`` up to each rank;
+    an element is a hit when its ``a`` lies below that value at the last rank
+    before its tie group.
+    """
+    n = arrival.shape[1]
+    q = w_ranked >= np.reshape(gaps, (-1, 1))
+    q |= pre
+    a = np.full_like(arrival, n)
+    np.copyto(a, arrival, where=q)
+    low = np.minimum.accumulate(a, axis=1)
+    shifted = np.empty_like(a)
+    shifted[:, 0] = n
+    for _ in range(L - 1):
+        # the k-th smallest up to rank j is the least, over i <= j, of
+        # max(a_i, (k-1)-th smallest up to rank i - 1)
+        np.maximum(low[:, :-1], a[:, 1:], out=shifted[:, 1:])
+        np.minimum.accumulate(shifted, axis=1, out=low)
+    # the L-th smallest before each rank, carried from the start of its tie
+    # group; it never rises along the ranks, so a running minimum over the
+    # group starts carries it
+    before = np.full_like(a, n)
+    np.copyto(before[:, 1:], low[:, :-1], where=w_ranked[:, 1:] != w_ranked[:, :-1])
+    np.minimum.accumulate(before, axis=1, out=before)
+    return (a < before) & ~pre
+
+
+def _place_in_row(rows: np.ndarray, R: int) -> np.ndarray:
+    """Each entry's place among the entries of its row, 0 first, for
+    entries sorted by row."""
+    counts = np.bincount(rows, minlength=R)
+    return np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+
+
 def _run_l_select_rows(weights: np.ndarray, times: np.ndarray, tau: float, L: int, gaps) -> dict:
     """Run the multi-selection rule over (R, n) rows of normalized weights, as
     ``run_l_selection_gap`` runs it draw by draw.
 
-    Elements are ranked by (-weight, index), so rank 0 is the first maximum.
+    Elements are ranked by (-weight, index), so rank 0 is the first maximum,
+    and arrive in the order of their times, tied times to the lower index.
     The reference set is an ascending (R, L) array of ranks, seeded with the
     L best pre-``tau`` elements; an empty slot j holds the placeholder rank
-    n + j, of weight 0 and counted as pre-``tau``. The walk goes through the
-    arrival positions (tied times to the lower index), visiting only those
-    where some row may hit. A hit is a post-``tau`` arrival of weight at least
-    max(r_L, gap); it is accepted when r_L dates from before ``tau``, and it
-    replaces r_L, the last column, before the row is sorted again.
+    n + j, of weight 0 and counted as pre-``tau``. Only a hit changes it: a
+    post-``tau`` arrival of weight at least max(r_L, gap), which replaces
+    r_L, the last column, before the row is sorted again, and is accepted
+    when r_L dates from before ``tau``. Since r_L never falls, whether an
+    arrival is a hit depends on weights and arrival positions alone, ties
+    included, and ``_l_select_hits`` finds every hit at once. The walk then
+    goes round by round, round r taking every row's r-th hit in arrival
+    order, so it runs once per hit of the row with the most hits, not once
+    per arrival position.
 
     ``gaps`` is a scalar or (R,) array in the same units as ``weights``.
     Returns the accepted elements as an (R, n) mask by element index, their
@@ -869,51 +934,49 @@ def _run_l_select_rows(weights: np.ndarray, times: np.ndarray, tau: float, L: in
     w_ranked = np.take_along_axis(weights, by_rank, axis=1)
     opt = np.sum(w_ranked[:, :L], axis=1)
 
-    index = np.min_scalar_type(n + L)
-    pre = times <= tau
-    pre_ranked = np.take_along_axis(pre, by_rank, axis=1)
-    rank_of = np.empty((R, n), dtype=index)
-    np.put_along_axis(rank_of, by_rank, np.arange(n, dtype=index)[None, :], axis=1)
-    del by_rank
-    # weight and pre-tau flag by rank, placeholders appended
-    w_pad = np.zeros((R, n + L))
-    w_pad[:, :n] = w_ranked
+    # holds the arrival positions, their sentinel n and the placeholder ranks
+    index = np.min_scalar_type(n + L - 1)
+    position = np.empty((R, n), dtype=index)
+    order = np.argsort(times, axis=1, kind="stable")
+    np.put_along_axis(position, order, np.arange(n, dtype=index)[None, :], axis=1)
+    arrival = np.take_along_axis(position, by_rank, axis=1)
+    # pre-tau flags by rank, the placeholders' appended; the pre-tau
+    # elements take the first arrival positions
     pre_pad = np.ones((R, n + L), dtype=bool)
-    pre_pad[:, :n] = pre_ranked
-    del w_ranked
-    first = np.argsort(~pre_ranked, axis=1, kind="stable")[:, :L]
-    seeded = np.take_along_axis(pre_ranked, first, axis=1)
-    ref = np.where(seeded, first, n + np.arange(L)).astype(index)
-    del pre_ranked, first, seeded
+    pre = pre_pad[:, :n]
+    np.less(arrival, np.count_nonzero(times <= tau, axis=1)[:, None], out=pre)
 
-    order = np.argsort(times, axis=1, kind="stable").astype(index)
-    seq = np.take_along_axis(rank_of, order, axis=1)  # ranks in arrival order
-    w_seq = np.take_along_axis(weights, order, axis=1)
-    post = ~np.take_along_axis(pre, order, axis=1)
-    del rank_of, pre
+    ref = np.tile(np.arange(n, n + L, dtype=index), (R, 1))
+    rows, ranks = np.nonzero(pre)
+    slot = _place_in_row(rows, R)
+    seeded = slot < L
+    ref[rows[seeded], slot[seeded]] = ranks[seeded]
 
-    offsets = np.arange(R) * (n + L)
-    last = offsets + ref[:, -1]
-    r_w, r_pre = w_pad.take(last), pre_pad.take(last)
-    # r_L never falls, so a row can hit only where it meets the seeded r_L
-    may_hit = post & (w_seq >= np.maximum(gaps, r_w)[:, None])
-    del post
-    accepted = np.zeros((R, n), dtype=bool)  # by arrival position
-    for p in np.flatnonzero(may_hit.any(axis=0)):
-        hit = may_hit[:, p] & (w_seq[:, p] >= r_w)
-        if not hit.any():
-            continue
-        np.logical_and(hit, r_pre, out=accepted[:, p])
-        np.copyto(ref[:, -1], seq[:, p], where=hit)
+    # the hits of each row in arrival order, then regrouped by round
+    rows, ranks = np.nonzero(_l_select_hits(w_ranked, arrival, pre, gaps, L))
+    by_arrival = np.lexsort((arrival[rows, ranks], rows))
+    rows, ranks = rows[by_arrival], ranks[by_arrival]
+    rnd = _place_in_row(rows, R)
+    by_round = np.argsort(rnd, kind="stable")
+    rows, ranks = rows[by_round], ranks[by_round]
+    ends = np.cumsum(np.bincount(rnd))
+
+    total = np.zeros(R)
+    accepted = np.zeros(rows.size, dtype=bool)
+    start = 0
+    for end in ends:
+        r, k = rows[start:end], ranks[start:end]
+        acc = pre_pad[r, ref[r, -1]]
+        ref[r, -1] = k
         ref.sort(axis=1)
-        last = offsets + ref[:, -1]
-        r_w, r_pre = w_pad.take(last), pre_pad.take(last)
-    # accepted weights summed in acceptance order, as the scalar runner sums
-    # them; adding a zero leaves a partial sum unchanged
-    np.multiply(w_seq, accepted, out=w_seq)
-    total = np.cumsum(w_seq, axis=1)[:, -1]
-    by_index = np.empty_like(accepted)
-    np.put_along_axis(by_index, order, accepted, axis=1)
+        # accepted weights summed in acceptance order, as the scalar runner
+        # sums them; adding a zero leaves a partial sum unchanged
+        total[r] += w_ranked[r, k] * acc
+        accepted[start:end] = acc
+        start = end
+    by_index = np.zeros((R, n), dtype=bool)
+    rows, ranks = rows[accepted], ranks[accepted]
+    by_index[rows, by_rank[rows, ranks]] = True
     return {"accepted": by_index, "total_weight": total, "opt": opt, "best_index": best_index}
 
 

@@ -4,7 +4,7 @@ pass/fail line per check."""
 import pytest
 
 from gapsecretary import montecarlo
-from gapsecretary.acceptance import CHECKS, check_exponential_gap_beats_classical
+from gapsecretary.acceptance import CHECKS, check_exponential_gap_beats_classical, run_checks
 
 
 @pytest.mark.parametrize(
@@ -33,3 +33,15 @@ def test_exponential_batch_drawn_once(monkeypatch):
     monkeypatch.setattr(montecarlo, "_draw_rows", lambda *a: calls.append(a) or draw(*a))
     assert check_exponential_gap_beats_classical(fast=True).passed
     assert [(c[0].tag, c[1], len(c[2])) for c in calls] == [("exponential", 200, 1000)]
+
+
+def test_figure_suite_draws_the_exponential_batch_once(monkeypatch):
+    # every figure check on the exponential 5000x200 instances (1000 rows in
+    # fast mode) runs before any other draw replaces the batch memo
+    montecarlo._last_batch.clear()
+    calls = []
+    draw = montecarlo._draw_rows
+    monkeypatch.setattr(montecarlo, "_draw_rows", lambda *a: calls.append(a) or draw(*a))
+    run_checks("figures", fast=True)
+    draws = [(c[0].tag, c[1], len(c[2])) for c in calls]
+    assert draws.count(("exponential", 200, 1000)) == 1, draws

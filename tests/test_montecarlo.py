@@ -456,6 +456,79 @@ class TestLSelectKernelMatchesScalarRunner:
             absolute = 1.0  # the auto gap needs an (L+1)-th weight
         _check_l_select_rows(W, T, tau, L, GapSpec(absolute=absolute))
 
+    @pytest.mark.parametrize("n", [254, 255, 256, 300])
+    def test_index_dtype_widening(self, n):
+        # the arrival positions, their sentinel n and the placeholder ranks
+        # n + j share the smallest unsigned type that holds n + L - 1: 8 bits
+        # up to n = 254 at L = 2, 16 bits beyond; n = 256 has tied times
+        rng = np.random.default_rng(n)
+        W = rng.standard_exponential((4, n))
+        T = rng.integers(0, 5, (4, n)) / 4 if n == 256 else rng.random((4, n))
+        above = GapSpec(absolute=2.0 * float(W.max()))
+        for L in (2, n - 1, n):
+            gaps = [GapSpec(absolute=0.0), above] + [GapSpec()] * (L < n)
+            for gap in gaps:
+                _check_l_select_rows(W, T, 0.25, L, gap)
+
+
+def _rank_view(W, T, tau):
+    """Rows of weights and times as ``_l_select_hits`` takes them, in rank
+    order (-weight, index): the weights, the arrival positions (tied times
+    to the lower index) and the pre-``tau`` flags; plus the ranking."""
+    by_rank = np.argsort(-W, axis=1, kind="stable")
+    position = np.argsort(np.argsort(T, axis=1, kind="stable"), axis=1)
+    arrival = np.take_along_axis(position, by_rank, axis=1).astype(np.min_scalar_type(W.shape[1]))
+    pre = np.take_along_axis(T <= tau, by_rank, axis=1)
+    return np.take_along_axis(W, by_rank, axis=1), arrival, pre, by_rank
+
+
+class TestLSelectHits:
+    """The hits found in closed form are the arrivals at which the scalar
+    runner's reference set changes."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 7).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.tuples(
+                        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                        st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                        st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+                    ),
+                    min_size=1,
+                    max_size=4,
+                ),
+                st.integers(2, n),
+            )
+        ),
+        st.sampled_from([0.0, 0.25, 0.5, 0.7]),
+    )
+    @example(([([2, 2, 1, 2], [2, 1, 3, 4], 0.0)], 2), 0.25)
+    @example(([([0, 0, 0], [1, 2, 2], 0.0), ([3, 3, 3], [0, 4, 4], 0.5)], 3), 0.0)
+    def test_property(self, case, tau):
+        # integer weights and quarter-step times tie weights, times and gaps;
+        # each row has its own normalized gap
+        rows, L = case
+        W = np.array([w for w, _, _ in rows], dtype=float)
+        T = np.array([t for _, t, _ in rows]) / 4
+        profiles = [normalize(WeightProfile.from_weights(row)) for row in W]
+        norm = np.array([p.normalized_weights for p in profiles])
+        gaps = np.array([g for _, _, g in rows])
+        w_ranked, arrival, pre, by_rank = _rank_view(norm, T, tau)
+        hits = montecarlo._l_select_hits(w_ranked, arrival, pre, gaps, L)
+        got = np.zeros_like(hits)
+        np.put_along_axis(got, by_rank, hits, axis=1)
+        for row, (w, prof) in enumerate(zip(norm, profiles)):
+            arrivals = ArrivalDraw(T[row])
+            out = run_l_selection_gap(prof, arrivals, tau, float(gaps[row]), L, trace=True)
+            pre_tau = [i for i in range(len(w)) if T[row, i] <= tau]
+            seeded = sorted(pre_tau, key=lambda i: (-w[i], i))
+            refs = [tuple(seeded[:L])] + [indices for _, indices in out.reference_trace]
+            post = [int(i) for i in arrivals.order if T[row, i] > tau]
+            changed = {i for i, a, b in zip(post, refs, refs[1:]) if a != b}
+            assert set(np.flatnonzero(got[row])) == changed, (row, L, tau)
+
 
 class TestSpecsValidation:
     def test_algorithm_spec(self):

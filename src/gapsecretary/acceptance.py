@@ -1,8 +1,11 @@
 """Acceptance gate: every release-blocking check with its stated tolerance.
 
-Each check returns a result row with the measured value, the expected band,
-and a pass flag; the CLI ``verify`` subcommand and the test suite both run
-this registry. Tolerances are pinned here, not tuned at runtime.
+Each ``check_*`` function returns ``(passed, measured, expected)``: the pass
+flag, the measured value and the expected band. ``run_check`` times the call
+and names the row after the function (``check_pareto_band`` gives
+``pareto-band``); ``CHECKS`` gives its suite. The CLI ``verify`` subcommand
+and the test suite both run this registry. Tolerances are pinned here, not
+tuned at runtime.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ from .montecarlo import (
     sweep_sigma,
 )
 
-__all__ = ["CheckResult", "CHECKS", "SUITES", "run_checks", "format_results", "ACCEPTANCE_SEED"]
+__all__ = [
+    "CheckResult", "CHECKS", "SUITES", "run_check", "run_checks", "format_results", "ACCEPTANCE_SEED"
+]
 
 ACCEPTANCE_SEED = 20250
 
@@ -50,10 +55,6 @@ class CheckResult:
     seconds: float
 
 
-def _result(name, suite, passed, measured, expected, t0) -> CheckResult:
-    return CheckResult(name, suite, bool(passed), measured, expected, time.perf_counter() - t0)
-
-
 def _iters(full: int, fast_scale: int, fast: bool) -> int:
     return max(fast_scale, full // 5) if fast else full
 
@@ -62,7 +63,7 @@ def _iters(full: int, fast_scale: int, fast: bool) -> int:
 # Closed-form checks
 
 
-def check_alpha_fixed_tau_floor(fast: bool = False) -> CheckResult:
+def check_alpha_fixed_tau_floor(fast: bool = False) -> tuple[bool, str, str]:
     """Fixed waiting time 0.2 keeps the exact-gap bound at 0.4 or above for
     every gap index up to 1e6, in under 10 s."""
     t0 = time.perf_counter()
@@ -74,17 +75,10 @@ def check_alpha_fixed_tau_floor(fast: bool = False) -> CheckResult:
     )
     elapsed = time.perf_counter() - t0
     passed = worst >= 0.4 and spot_ok and elapsed < 10.0
-    return _result(
-        "alpha-fixed-tau-floor",
-        "bounds",
-        passed,
-        f"min alpha={worst:.9f}, {elapsed:.2f}s",
-        ">= 0.4 over k in [2, 1e6], < 10 s",
-        t0,
-    )
+    return passed, f"min alpha={worst:.9f}, {elapsed:.2f}s", ">= 0.4 over k in [2, 1e6], < 10 s"
 
 
-def check_alpha_tuned_tau_guarantee(fast: bool = False) -> CheckResult:
+def check_alpha_tuned_tau_guarantee(fast: bool = False) -> tuple[bool, str, str]:
     """At the index-tuned waiting time the bound dominates
     max(0.4, (1/2)(1/(k+1))^(1/k)) for k up to 1e5, and the large-gap term at
     k = 7 sits at 0.433 +- 0.001."""
@@ -98,20 +92,16 @@ def check_alpha_tuned_tau_guarantee(fast: bool = False) -> CheckResult:
     k7_ok = abs(first_term_k7 - 0.433) <= 0.001
     elapsed = time.perf_counter() - t0
     passed = dominates and k7_ok and elapsed < 5.0
-    return _result(
-        "alpha-tuned-tau-guarantee",
-        "bounds",
+    return (
         passed,
         f"dominates={dominates}, case1(k=7)={first_term_k7:.5f}, {elapsed:.2f}s",
         "alpha >= stated-1e-12 on [2, 1e5]; case1(k=7)=0.433+-0.001; < 5 s",
-        t0,
     )
 
 
-def check_robust_consistent_point(fast: bool = False) -> CheckResult:
+def check_robust_consistent_point(fast: bool = False) -> tuple[bool, str, str]:
     """The headline trade-off point: 0.383-consistent and 0.1833-robust at
     (tau, gamma) = (0.2, 0.6); the no-trust point recovers 1/e-robustness."""
-    t0 = time.perf_counter()
     cons = consistency(0.2, 0.6).alpha
     rob = robustness(0.2, 0.6)
     rob_e = robustness(1.0 / math.e, 1.0 - 1.0 / math.e)
@@ -120,30 +110,23 @@ def check_robust_consistent_point(fast: bool = False) -> CheckResult:
         and abs(rob - 0.1833) <= 0.0005
         and abs(rob_e - 1.0 / math.e) <= 1e-12
     )
-    return _result(
-        "robust-consistent-point",
-        "bounds",
+    return (
         passed,
         f"consistency={cons:.5f}, robustness={rob:.5f}, no-trust={rob_e:.12f}",
         "0.383+-0.001, 0.1833+-0.0005, 1/e+-1e-12",
-        t0,
     )
 
 
-def check_two_three_tie_formula(fast: bool = False) -> CheckResult:
+def check_two_three_tie_formula(fast: bool = False) -> tuple[bool, str, str]:
     """Closed-form selection probability of the strict rule on tied
     second/third weights, evaluated at the tuned waiting time 0.359."""
-    t0 = time.perf_counter()
     val = two_three_tie_prob(0.359)
     exact_n200 = two_three_tie_prob(0.359, n=200)
     passed = 0.441 <= val <= 0.443 and abs(val - exact_n200) < 1e-6
-    return _result(
-        "two-three-tie-formula",
-        "bounds",
+    return (
         passed,
         f"approx={val:.5f}, exact(n=200)={exact_n200:.5f}",
         "in [0.441, 0.443]; approximation matches exact mode at n=200",
-        t0,
     )
 
 
@@ -165,10 +148,9 @@ def _figure_config(family_tag: str, iters: int, algorithm: AlgorithmSpec) -> Exp
     )
 
 
-def check_two_three_tie_simulation(fast: bool = False) -> CheckResult:
+def check_two_three_tie_simulation(fast: bool = False) -> tuple[bool, str, str]:
     """Monte Carlo select-best probability of the strict rule on a tied
     instance matches the closed form within 0.01."""
-    t0 = time.perf_counter()
     iters = _iters(10**5, 20_000, fast)
     out = simulate_fixed_profile(
         _tie_profile(), AlgorithmSpec("strict-classical", tau=0.359), iters, ACCEPTANCE_SEED
@@ -176,17 +158,10 @@ def check_two_three_tie_simulation(fast: bool = False) -> CheckResult:
     p = float(out["select_best"].mean())
     formula = two_three_tie_prob(0.359)
     passed = abs(p - formula) <= 0.01
-    return _result(
-        "two-three-tie-simulation",
-        "figures",
-        passed,
-        f"mc={p:.5f} vs formula={formula:.5f} ({iters} draws)",
-        "|mc - formula| <= 0.01",
-        t0,
-    )
+    return passed, f"mc={p:.5f} vs formula={formula:.5f} ({iters} draws)", "|mc - formula| <= 0.01"
 
 
-def check_pareto_band(fast: bool = False) -> CheckResult:
+def check_pareto_band(fast: bool = False) -> tuple[bool, str, str]:
     """Power-transformed uniform instances: the classical rule lands near its
     tight guarantee while the gap rule hits the waiting-time ceiling 0.8."""
     t0 = time.perf_counter()
@@ -199,21 +174,17 @@ def check_pareto_band(fast: bool = False) -> CheckResult:
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 300.0
     gap_str = ", ".join(f"k={k}:{v:.3f}" for k, v in gaps.items())
-    return _result(
-        "pareto-band",
-        "figures",
+    return (
         ok,
         f"classical={classical:.4f}; exact-gap {gap_str}; {elapsed:.1f}s",
         "classical in [0.33,0.41]; exact-gap in [0.77,0.83]; < 5 min",
-        t0,
     )
 
 
-def check_exponential_sigma_bands(fast: bool = False) -> CheckResult:
+def check_exponential_sigma_bands(fast: bool = False) -> tuple[bool, str, str]:
     """Exponential instances under scaled predictions: underestimates stay
     near 0.65 for both rules; heavy overestimates kill the plain gap rule but
     not the robust one."""
-    t0 = time.perf_counter()
     iters = _iters(5000, 1000, fast)
     under, over = [], {}
     for algo in (AlgorithmSpec("exact-gap", tau=0.2), AlgorithmSpec("robust", tau=0.2, gamma=0.05)):
@@ -226,23 +197,19 @@ def check_exponential_sigma_bands(fast: bool = False) -> CheckResult:
     over_exact, over_robust = over["exact-gap"], over["robust"]
     ok = all(abs(est - 0.65) <= 0.05 for est in under)
     ok = ok and over_exact <= 0.05 and over_robust >= 0.10
-    return _result(
-        "exponential-sigma-bands",
-        "figures",
+    return (
         ok,
         f"sigma=0.3: [{min(under):.3f},{max(under):.3f}]; sigma=2 k=200: exact={over_exact:.4f}, robust={over_robust:.4f}",
         "0.65+-0.05 at sigma=0.3; exact<=0.05 and robust>=0.10 at sigma=2",
-        t0,
     )
 
 
-def check_exponential_gap_beats_classical(fast: bool = False) -> CheckResult:
+def check_exponential_gap_beats_classical(fast: bool = False) -> tuple[bool, str, str]:
     """Exponential instances with accurate gaps (sigma = 1) at k in {100,
     200}: exact-gap and robust beat the classical rule at the same tau by
     more than 3 standard errors of the difference, on the same draws. The
     sigma = 0 cells of the exact-gap sweep are the classical rule, draw for
     draw."""
-    t0 = time.perf_counter()
     iters = _iters(5000, 1000, fast)
     ks = (100, 200)
     exact_algo = AlgorithmSpec("exact-gap", tau=0.2)
@@ -257,21 +224,17 @@ def check_exponential_gap_beats_classical(fast: bool = False) -> CheckResult:
         margins.append((c.algo, c.k, c.estimate.mean, diff / se))
     ok = all(z > 3.0 for *_, z in margins)
     cells = ", ".join(f"{a} k={k}: {m:.4f} ({z:.1f} SE)" for a, k, m, z in margins)
-    return _result(
-        "exponential-gap-beats-classical",
-        "figures",
+    return (
         ok,
         f"classical={classical.mean:.4f}+-{classical.stderr:.4f}; {cells}",
         "exact-gap and robust > classical + 3 SE at sigma=1, k in {100,200}",
-        t0,
     )
 
 
-def check_superstar_sigma_bands(fast: bool = False) -> CheckResult:
+def check_superstar_sigma_bands(fast: bool = False) -> tuple[bool, str, str]:
     """Superstar instances: accurate gaps keep the ratio at the 0.8 ceiling;
     a 10% overestimate zeroes the plain rule while the robust rule keeps its
     late-phase floor."""
-    t0 = time.perf_counter()
     iters = _iters(5000, 1000, fast)
     config = _figure_config("exp_superstar", iters, AlgorithmSpec("exact-gap", tau=0.2))
     exact = {(c.k, c.sigma): c.estimate.mean for c in sweep_sigma(config, (1.0, 1.1), (2, 100, 200))}
@@ -282,17 +245,14 @@ def check_superstar_sigma_bands(fast: bool = False) -> CheckResult:
     over_robust = robust.estimate.mean
     ok = all(est >= 0.75 for est in at_one)
     ok = ok and over_exact <= 0.01 and over_robust >= 0.005
-    return _result(
-        "superstar-sigma-bands",
-        "figures",
+    return (
         ok,
         f"sigma=1: [{min(at_one):.3f},{max(at_one):.3f}]; sigma=1.1 k=200: exact={over_exact:.4f}, robust={over_robust:.4f}",
         ">=0.75 at sigma=1; exact<=0.01 and robust>=0.005 at sigma=1.1",
-        t0,
     )
 
 
-def check_small_instance_oracle(fast: bool = False) -> CheckResult:
+def check_small_instance_oracle(fast: bool = False) -> tuple[bool, str, str]:
     """Monte Carlo agrees with exhaustive enumeration on every small random
     instance and every single-selection rule, within 3 standard errors; the
     hand-checkable two-element case matches to 1e-12."""
@@ -336,20 +296,16 @@ def check_small_instance_oracle(fast: bool = False) -> CheckResult:
                     ok = ok and z <= 3.0
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120.0
-    return _result(
-        "small-instance-oracle",
-        "oracle",
+    return (
         ok,
         f"{cells} cells, worst |z|={worst_z:.2f}, hand={hand:.12f}, {elapsed:.1f}s",
         "all |z| <= 3; hand value 0.875 +- 1e-12; < 2 min",
-        t0,
     )
 
 
-def check_guarantee_floor_simulation(fast: bool = False) -> CheckResult:
+def check_guarantee_floor_simulation(fast: bool = False) -> tuple[bool, str, str]:
     """Simulated ratios never fall below the proven bound (minus 3 SE) at the
     index-tuned waiting time, on exponential and chi-squared instances."""
-    t0 = time.perf_counter()
     iters = _iters(5000, 1000, fast)
     ok = True
     rows = []
@@ -360,20 +316,16 @@ def check_guarantee_floor_simulation(fast: bool = False) -> CheckResult:
             floor = alpha_exact(c.tau, c.k).alpha
             rows.append(f"{tag[:3]}/k={c.k}:{est.mean:.3f}>={floor:.3f}")
             ok = ok and est.mean >= floor - 3.0 * est.stderr
-    return _result(
-        "guarantee-floor-simulation",
-        "figures",
+    return (
         ok,
         "; ".join(rows),
         "mean >= alpha(tau_k, k) - 3 SE for both families, k in {2,100,200}",
-        t0,
     )
 
 
-def check_bounded_error_guarantee(fast: bool = False) -> CheckResult:
+def check_bounded_error_guarantee(fast: bool = False) -> tuple[bool, str, str]:
     """Feeding predictions off by +-epsilon still earns alpha*w1 - 2*epsilon
     (within 3 SE) on a fixed instance."""
-    t0 = time.perf_counter()
     iters = _iters(10**5, 20_000, fast)
     rng = np.random.default_rng(42)
     prof = WeightProfile.from_weights(rng.standard_exponential(200))
@@ -400,20 +352,12 @@ def check_bounded_error_guarantee(fast: bool = False) -> CheckResult:
         floor = alpha * w1 - 2.0 * eps - 3.0 * se
         rows.append(f"eps={eps:.2f}:{mean:.3f}>={floor:.3f}")
         ok = ok and mean >= floor
-    return _result(
-        "bounded-error-guarantee",
-        "figures",
-        ok,
-        "; ".join(rows),
-        "E[value] >= alpha*w1 - 2*eps - 3 SE for eps in {0, 0.05, 0.2}*w1",
-        t0,
-    )
+    return ok, "; ".join(rows), "E[value] >= alpha*w1 - 2*eps - 3 SE for eps in {0, 0.05, 0.2}*w1"
 
 
-def check_multi_selection_bound(fast: bool = False) -> CheckResult:
+def check_multi_selection_bound(fast: bool = False) -> tuple[bool, str, str]:
     """Multi-selection ratios beat the closed-form bound (minus 3 SE) on a
     fixed geometric instance for L in {2, 3, 5}."""
-    t0 = time.perf_counter()
     iters = _iters(5000, 1500, fast)
     w = np.array([0.9**i for i in range(1, 51)])
     prof = WeightProfile.from_weights(w)
@@ -434,17 +378,10 @@ def check_multi_selection_bound(fast: bool = False) -> CheckResult:
         est = estimate_l_selection(cfg, fixed_profile=prof)
         rows.append(f"L={L}:{est.mean:.3f}>={bound:.3f}")
         ok = ok and est.mean >= bound - 3.0 * est.stderr
-    return _result(
-        "multi-selection-bound",
-        "figures",
-        ok,
-        "; ".join(rows),
-        "mean ratio >= bound(L, beta) - 3 SE for L in {2,3,5}",
-        t0,
-    )
+    return ok, "; ".join(rows), "mean ratio >= bound(L, beta) - 3 SE for L in {2,3,5}"
 
 
-def check_output_determinism(fast: bool = False) -> CheckResult:
+def check_output_determinism(fast: bool = False) -> tuple[bool, str, str]:
     """Identical commands produce byte-identical CSV regardless of thread
     count, for both a single cell and a sweep."""
     import tempfile
@@ -452,7 +389,6 @@ def check_output_determinism(fast: bool = False) -> CheckResult:
 
     from . import cli
 
-    t0 = time.perf_counter()
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -476,17 +412,15 @@ def check_output_determinism(fast: bool = False) -> CheckResult:
         ok = ok and cli.main(sweep + ["--out", str(s1), "--threads", "1"]) == 0
         ok = ok and cli.main(sweep + ["--out", str(s8), "--threads", "8"]) == 0
         ok = ok and s1.read_bytes() == s8.read_bytes()
-    return _result(
-        "output-determinism",
-        "figures",
+    return (
         ok,
         "simulate x3 and sweep x2 runs compared byte-for-byte",
         "identical CSV for threads in {1, 8} and across reruns",
-        t0,
     )
 
 
-# (suite, check) registry; suite membership decides what a partial run covers.
+# (suite, check) registry, the one place a check's suite is stated; suite
+# membership decides what a partial run covers.
 # The checks on the exponential 5000x200 instances run back to back, so the
 # batch memo draws them once.
 CHECKS = (
@@ -509,12 +443,18 @@ CHECKS = (
 SUITES = ("bounds", "oracle", "figures", "all")
 
 
+def run_check(suite: str, check, fast: bool = False) -> CheckResult:
+    """Runs one check and times it; the row is named after the function."""
+    t0 = time.perf_counter()
+    passed, measured, expected = check(fast=fast)
+    name = check.__name__.removeprefix("check_").replace("_", "-")
+    return CheckResult(name, suite, bool(passed), measured, expected, time.perf_counter() - t0)
+
+
 def run_checks(suite: str = "all", fast: bool = False) -> list[CheckResult]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")
-    return [
-        fn(fast=fast) for s, fn in CHECKS if suite == "all" or s == suite
-    ]
+    return [run_check(s, fn, fast) for s, fn in CHECKS if suite == "all" or s == suite]
 
 
 def format_results(results) -> str:

@@ -1,7 +1,8 @@
 """Command-line front door: simulations, sweeps, bound evaluation, frontier
 search, and the verification suite.
 
-Exit codes: 0 success, 1 internal failure, 2 usage or validation failure.
+Exit codes: 0 success, 1 internal failure, 2 usage or validation failure,
+or a file named on the command line that cannot be read or written.
 Every file written is accompanied by a ``<file>.manifest.json`` whose argv
 replays the run byte-for-byte.
 """
@@ -35,6 +36,7 @@ from .bounds import (
 )
 from .generators import InstanceFamily, load_profiles, save_profiles, stream_seeding
 from .montecarlo import (
+    ALGORITHM_TAGS,
     GAP_TAGS,
     AlgorithmSpec,
     ConfigError,
@@ -125,9 +127,20 @@ def _manifest(command: str, args, out: str) -> dict:
 
 
 def replay_manifest(path) -> int:
-    """Re-run the command recorded in a manifest file."""
+    """Re-run the command recorded in a manifest file. Its argv must be a
+    list of strings naming one of the commands that write manifests."""
     manifest = json.loads(Path(path).read_text(encoding="utf-8"))
-    return main(list(manifest["argv"]))
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not (
+        isinstance(argv, list)
+        and all(isinstance(a, str) for a in argv)
+        and argv
+        and argv[0] in ("simulate", "sweep", "frontier")
+    ):
+        raise UsageError(
+            f"{path}: argv must be a list of strings starting with simulate, sweep or frontier"
+        )
+    return main(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +151,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=sorted(FAMILY_BY_FLAG), help="instance family")
     p.add_argument("--n", type=int, default=200, help="elements per instance")
     p.add_argument("--iters", type=int, default=5000, help="Monte Carlo iterations")
-    p.add_argument(
-        "--algo",
-        required=True,
-        choices=["classical", "exact-gap", "robust", "bounded", "strict-classical", "l-select"],
-    )
+    p.add_argument("--algo", required=True, choices=ALGORITHM_TAGS)
     p.add_argument("--tau", type=float, default=0.2, help="waiting time in [0, 1)")
     p.add_argument(
         "--tau-policy",
@@ -199,15 +208,31 @@ def _parse_k_list(raw) -> list[int]:
         raise UsageError("k must be a comma-separated list of integers for sweeps") from exc
 
 
-def _stepped(lo: float, hi: float, step: float, flags: str) -> list[float]:
-    """lo, lo + step, ... to the nearest step to ``hi``, for finite flags
-    with lo <= hi and step > 0. More than ``MAX_RANGE_ROWS`` values, or a
-    count that overflows, is a usage error naming ``flags``."""
+def _check_range(lo: float, hi: float, step: float, flags: tuple[str, str, str]) -> None:
+    """Usage error, naming ``flags`` (the three range flags), unless the
+    values are finite, the step is positive and hi is at least lo."""
+    lo_flag, hi_flag, step_flag = flags
+    if step <= 0:
+        raise UsageError(f"{step_flag} must be positive")
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise UsageError(f"{lo_flag}, {hi_flag} and {step_flag} must be finite")
+    if hi < lo:
+        raise UsageError(f"{hi_flag} must be at least {lo_flag}")
+
+
+def _stepped(lo: float, hi: float, step: float, flags: tuple[str, str, str]) -> list[float]:
+    """lo, lo + step, ... up to ``hi`` (with 1e-12 for rounding), after
+    ``_check_range``. More than ``MAX_RANGE_ROWS`` values, or a count that
+    overflows, is a usage error naming ``flags``."""
+    _check_range(lo, hi, step, flags)
     steps = (hi - lo) / step
     rows = round(steps) + 1 if math.isfinite(steps) else math.inf
     if rows > MAX_RANGE_ROWS:
-        raise UsageError(f"{flags} give more than {MAX_RANGE_ROWS} rows")
-    return [lo + i * step for i in range(rows)]
+        lo_flag, hi_flag, step_flag = flags
+        raise UsageError(
+            f"{lo_flag}, {hi_flag} and {step_flag} give more than {MAX_RANGE_ROWS} rows"
+        )
+    return [v for v in (lo + i * step for i in range(rows)) if v <= hi + 1e-12]
 
 
 def _resolve_seed(args) -> None:
@@ -305,15 +330,11 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     _resolve_seed(args)
     bounds = (args.sweep_from, args.sweep_to, args.step)
-    if args.step is None or args.step <= 0:
-        raise UsageError("step must be positive")
-    if not all(math.isfinite(v) for v in bounds):
-        raise UsageError("--from, --to and --step must be finite")
-    if args.sweep_to < args.sweep_from:
-        raise UsageError("--to must be at least --from")
+    flags = ("--from", "--to", "--step")
     family = _family(args)
 
     if args.sweep == "k":
+        _check_range(*bounds, flags)
         if not all(float(v).is_integer() for v in bounds):
             raise UsageError("k sweeps need integer --from, --to and --step")
         if args.sweep_from < 2:
@@ -333,8 +354,7 @@ def cmd_sweep(args) -> int:
         config = ExperimentConfig(family, args.n, args.iters, algo, gap, master_seed=args.seed)
         cells = sweep_k(config, ks, tau_policy=args.tau_policy)
     else:
-        sigmas = _stepped(*bounds, "--from, --to and --step")
-        sigmas = [s for s in sigmas if s <= args.sweep_to + 1e-12]
+        sigmas = _stepped(*bounds, flags)
         ks = _parse_k_list(args.k)
         if not ks:
             raise UsageError("sigma sweeps need --k as a comma-separated list of indices")
@@ -411,13 +431,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_frontier(args) -> int:
     _resolve_seed(args)
-    if args.r_step <= 0:
-        raise UsageError("r-step must be positive")
-    if not all(math.isfinite(v) for v in (args.r_from, args.r_to, args.r_step)):
-        raise UsageError("--r-from, --r-to and --r-step must be finite")
-    if args.r_to < args.r_from:
-        raise UsageError("r-to must be at least r-from")
-    targets = _stepped(args.r_from, args.r_to, args.r_step, "--r-from, --r-to and --r-step")
+    flags = ("--r-from", "--r-to", "--r-step")
+    targets = _stepped(args.r_from, args.r_to, args.r_step, flags)
     agg = "worst-case" if _parse_k(args.k_aggregation) is None else _parse_k(args.k_aggregation)
     points = frontier(targets, grid_step=args.grid_step, k_aggregation=agg)
     header = ["robustness_target", "tau", "gamma", "consistency", "robustness", "feasible", "k_aggregation"]
@@ -532,7 +547,8 @@ def main(argv=None) -> int:
     args.raw_argv = argv
     try:
         return args.func(args)
-    except (UsageError, ConfigError, ValueError) as exc:
+    except (UsageError, ConfigError, ValueError, OSError) as exc:
+        # an OSError names a path given by a flag or by replay
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

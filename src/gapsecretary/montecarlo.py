@@ -68,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import tau_for_k
-from .core import WeightProfile, normalize, normalize_rows
+from .core import WeightProfile, normalize_rows
 from .generators import InstanceFamily, SeededRng
 
 __all__ = [
@@ -754,7 +754,7 @@ def simulate_fixed_profile(
         )
     if not (np.isfinite(gap_values).all() and (gap_values >= 0.0).all()):
         raise ConfigError("gap_values must be finite and non-negative")
-    w = normalize(profile).normalized_weights
+    w = profile.normalized_weights
     m = profile.max_log_weight
     terms = np.broadcast_to(_threshold_term(algorithm, gap_values, m), (iterations,))
     rng = np.random.default_rng([int(seed)])

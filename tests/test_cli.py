@@ -147,6 +147,57 @@ class TestValidation:
         assert "does not depend on k" in err
         assert "--sweep sigma" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["replay", "{dir}/missing.json"],
+            ["simulate", "--algo", "classical", "--profiles-file", "{dir}/missing.txt"],
+            ["simulate", "--family", "exp", "--n", "5", "--iters", "5", "--algo", "classical",
+             "--out", "{dir}/no-such-dir/run.csv"],
+            ["simulate", "--family", "exp", "--n", "5", "--iters", "5", "--algo", "classical",
+             "--dump-profiles", "{dir}/no-such-dir/dump.txt"],
+        ],
+        ids=["replay", "profiles-file", "out", "dump-profiles"],
+    )
+    def test_unusable_path_exits_2_naming_it(self, argv, tmp_path, capsys):
+        argv = [a.format(dir=tmp_path) for a in argv]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert argv[-1] in err
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            {"command": "simulate"},
+            ["simulate"],
+            {"argv": ["simulate", 5]},
+            {"argv": ["replay", "{path}"]},
+            {"argv": ["verify", "--suite", "bounds"]},
+        ],
+        ids=["no-argv", "not-an-object", "non-string-item", "replays-itself", "verify"],
+    )
+    def test_bad_manifest_exits_2(self, manifest, tmp_path, capsys):
+        path = tmp_path / "run.csv.manifest.json"
+        path.write_text(json.dumps(manifest).replace("{path}", str(path)))
+        code, out, err = run(["replay", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "argv must be a list of strings starting with simulate, sweep or frontier" in err
+
+    def test_range_stops_at_its_end(self, capsys):
+        # 0.26 / 0.1 rounds to 3 steps, but the third lands on 0.3 > 0.26, so
+        # frontier targets and sweep sigmas both end at 0.2
+        frontier = ["frontier", "--r-from", "0", "--r-to", "0.26", "--r-step", "0.1",
+                    "--grid-step", "0.05"]
+        sweep = ["sweep", "--sweep", "sigma", "--from", "0", "--to", "0.26", "--step", "0.1",
+                 "--family", "exp", "--n", "10", "--iters", "20", "--algo", "exact-gap",
+                 "--k", "2"]
+        for argv in (frontier, sweep):
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            assert len(out.strip().splitlines()[1:]) == 3, argv[0]
+
     def test_unknown_k_requires_absolute_gap(self, capsys):
         code, _, err = run(
             ["simulate", "--family", "exp", "--algo", "exact-gap", "--k", "unknown"],
@@ -436,7 +487,7 @@ class TestFrontier:
     @pytest.mark.parametrize(
         "flags,message",
         [
-            (["--r-from", "0.2", "--r-to", "0.1", "--r-step", "0.1"], "r-to must be at least r-from"),
+            (["--r-from", "0.2", "--r-to", "0.1", "--r-step", "0.1"], "--r-to must be at least --r-from"),
             (["--r-to", "inf"], "--r-from, --r-to and --r-step must be finite"),
             (["--r-from", "nan"], "--r-from, --r-to and --r-step must be finite"),
             (["--r-step", "nan"], "--r-from, --r-to and --r-step must be finite"),

@@ -7,7 +7,7 @@ the Monte Carlo engine checks simulated ratios against these values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +30,12 @@ __all__ = [
 # Hardness reference for the zero-gap (two-best) special case; documented
 # constant only, never computed here.
 TWO_BEST_UPPER_BOUND = 0.5736
+
+# Input limits that keep the grid and series arrays small: the frontier grid
+# holds about (1/grid_step)^2 points (4e6 at the minimum step), and the exact
+# tie series one term per index below n.
+MIN_GRID_STEP = 0.0005
+MAX_TIE_N = 10**6
 
 
 @dataclass(frozen=True)
@@ -73,12 +79,7 @@ def _check_k(k: int) -> None:
         raise ValueError("gap index k must be an integer >= 2")
 
 
-def _check_open_tau(tau: float) -> None:
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1)")
-
-
-def _check_schedule(tau: float, gamma: float) -> None:
+def _check_schedule(tau: float, gamma: float = 0.0) -> None:
     # Closed upper end: the bound formulas are continuous at gamma = 1 - tau
     # and the classical-recovery point sits exactly there.
     if not 0.0 < tau < 1.0:
@@ -116,7 +117,7 @@ def alpha_exact_values(tau, ks) -> np.ndarray:
 
 def alpha_exact(tau: float, k: int) -> GuaranteeReport:
     """Exact-gap competitive-ratio bound for waiting time ``tau`` and index ``k``."""
-    _check_open_tau(tau)
+    _check_schedule(tau)
     _check_k(k)
     case1, alpha3, alpha4 = (float(x) for x in _alpha_terms(tau, k))
     inner = max(alpha3, alpha4)
@@ -138,23 +139,27 @@ def guarantee_exact_gap(k: int) -> float:
     return max(0.4, 0.5 * math.exp(-math.log(k + 1) / k))
 
 
+def _schedule_terms(tau, gamma):
+    """Robustness and the two small-gap terms of the robust-consistent bound,
+    vectorized.
+
+    robustness : tau ln(1/(1-gamma))
+    alpha1     : 1 - gamma - tau + tau ln(1/(1-gamma))
+    alpha2     : (1/2) [(1+gamma)(1-tau-gamma) + tau ln(1/tau) + tau ln(1/(1-gamma))]
+    """
+    tau = np.asarray(tau, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    rob = tau * np.log(1.0 / (1.0 - gamma))
+    alpha1 = 1.0 - gamma - tau + rob
+    alpha2 = 0.5 * ((1.0 + gamma) * (1.0 - tau - gamma) + tau * np.log(1.0 / tau) + rob)
+    return rob, alpha1, alpha2
+
+
 def robustness(tau: float, gamma: float) -> float:
     """Competitive ratio guaranteed regardless of prediction error:
     tau * ln(1/(1-gamma))."""
     _check_schedule(tau, gamma)
-    return tau * math.log(1.0 / (1.0 - gamma))
-
-
-def _consistency_small_gap_terms(tau: float, gamma: float) -> tuple[float, float]:
-    """alpha1 and alpha2 of the robust-consistent bound (large-gap case)."""
-    log_late = math.log(1.0 / (1.0 - gamma)) if gamma > 0.0 else 0.0
-    alpha1 = 1.0 - gamma - tau + tau * log_late
-    alpha2 = 0.5 * (
-        (1.0 + gamma) * (1.0 - tau - gamma)
-        + tau * math.log(1.0 / tau)
-        + tau * log_late
-    )
-    return alpha1, alpha2
+    return float(_schedule_terms(tau, gamma)[0])
 
 
 def consistency(tau: float, gamma: float, k_aggregation="worst-case") -> GuaranteeReport:
@@ -169,7 +174,7 @@ def consistency(tau: float, gamma: float, k_aggregation="worst-case") -> Guarant
     a quadratic with no real root.
     """
     _check_schedule(tau, gamma)
-    alpha1, alpha2 = _consistency_small_gap_terms(tau, gamma)
+    _, alpha1, alpha2 = (float(x) for x in _schedule_terms(tau, gamma))
     components = {"alpha1": alpha1, "alpha2": alpha2}
     if k_aggregation == "worst-case":
         _, _, alpha4 = (float(x) for x in _alpha_terms(tau, 2))
@@ -210,8 +215,8 @@ def frontier(
         raise ValueError("at least one robustness target required")
     if any(r < 0 for r in targets):
         raise ValueError("robustness targets must be non-negative")
-    if not 0.0 < grid_step <= 0.1:
-        raise ValueError("grid step must lie in (0, 0.1]")
+    if not MIN_GRID_STEP <= grid_step <= 0.1:
+        raise ValueError(f"grid step must lie in [{MIN_GRID_STEP}, 0.1]")
 
     steps = int(round(1.0 / grid_step))
     taus = np.arange(1, steps) * grid_step
@@ -224,41 +229,27 @@ def frontier(
     t = taus[:, None]
     g = gammas[None, :]
     valid = g < (1.0 - t) - 1e-9
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_late = np.log(1.0 / (1.0 - g))
-        alpha1 = 1.0 - g - t + t * log_late
-        alpha2 = 0.5 * ((1.0 + g) * (1.0 - t - g) + t * np.log(1.0 / t) + t * log_late)
-        rob = t * log_late
+    rob, alpha1, alpha2 = _schedule_terms(t, g)
     cons = np.minimum(np.minimum(alpha1, alpha2), gap_case[:, None])
     cons = np.where(valid, cons, -np.inf)
 
     points = []
     for r in targets:
-        feasible = valid & (rob >= r)
-        if not feasible.any():
-            points.append(FrontierPoint(float(r), math.nan, math.nan, math.nan, False))
-            continue
-        masked = np.where(feasible, cons, -np.inf)
+        masked = np.where(rob >= r, cons, -np.inf)
         flat = int(np.argmax(masked))  # first max in row-major order:
         ti, gi = divmod(flat, gammas.size)  # smallest tau, then smallest gamma
-        points.append(
-            FrontierPoint(
-                float(r), float(taus[ti]), float(gammas[gi]), float(masked[ti, gi])
-            )
-        )
+        best = float(masked[ti, gi])
+        if best == -math.inf:
+            points.append(FrontierPoint(float(r), math.nan, math.nan, math.nan, False))
+        else:
+            points.append(FrontierPoint(float(r), float(taus[ti]), float(gammas[gi]), best))
     return points
 
 
 def guarantee_bounded_error(tau: float, k: int) -> GuaranteeReport:
     """Bounded-error guarantee: same alpha as the exact-gap bound, holding
     with an additive loss of twice the error bound."""
-    report = alpha_exact(tau, k)
-    return GuaranteeReport(
-        alpha=report.alpha,
-        components=report.components,
-        binding_term=report.binding_term,
-        penalty_form="alpha * w1 - 2 * epsilon",
-    )
+    return replace(alpha_exact(tau, k), penalty_form="alpha * w1 - 2 * epsilon")
 
 
 def two_three_tie_prob(tau: float, n: int | None = None) -> float:
@@ -273,8 +264,8 @@ def two_three_tie_prob(tau: float, n: int | None = None) -> float:
     base = 0.5 * tau * (1.0 - tau) ** 2
     if n is None:
         return base + tau * math.log(1.0 / tau)
-    if n < 3:
-        raise ValueError("exact mode needs n >= 3")
+    if not 3 <= n <= MAX_TIE_N:
+        raise ValueError(f"exact mode needs 3 <= n <= {MAX_TIE_N}")
     i = np.arange(1, n, dtype=float)
     series = float(np.sum(tau * (1.0 - tau) ** i / i))
     return base + series + (1.0 - tau) ** n / n
@@ -291,4 +282,4 @@ def l_selection_bound(L: int, beta: float) -> float:
     if not 0.0 <= beta <= 1.0 / L:
         raise ValueError("beta must lie in [0, 1/L]")
     e = math.e
-    return 1.0 / e + (beta / (2.0 * e)) * (1.0 - 1.0 / L + 1.0 / (L * e**L))
+    return 1.0 / e + (beta / (2.0 * e)) * (1.0 - 1.0 / L + math.exp(-L) / L)

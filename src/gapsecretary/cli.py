@@ -74,11 +74,6 @@ class UsageError(Exception):
     """Flag combination violating a documented precondition."""
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    return int(raw) if raw else 0
-
-
 def _fmt(value) -> str:
     if value is None or value == "":
         return ""
@@ -89,41 +84,37 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path: str | None, header, rows, manifest: dict | None) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    text = buf.getvalue()
-    if path is None:
-        sys.stdout.write(text)
-        return
-    Path(path).write_text(text, encoding="utf-8")
-    if manifest is not None:
-        manifest_path = Path(str(path) + ".manifest.json")
-        manifest_path.write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-
-
 # read once at import: ``platform`` caches its first parse, and that
 # long-lived allocation, made mid-run between batch arrays, raised the peak
 # RSS of a 20-cell benchmark run by 5 MB
 _PYTHON_VERSION = platform.python_version()
 
 
-def _manifest(command: str, args, out: str) -> dict:
-    return {
+def _write_rows(args, header, rows) -> None:
+    """Writes the CSV to stdout, or to ``--out`` with a manifest beside it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    text = buf.getvalue()
+    if args.out is None:
+        sys.stdout.write(text)
+        return
+    Path(args.out).write_text(text, encoding="utf-8")
+    manifest = {
         "artifact_version": __version__,
-        "command": command,
+        "command": args.command,
         "argv": list(args.raw_argv),
         "master_seed": args.seed,
-        "output": str(out),
+        "output": str(args.out),
         "python": _PYTHON_VERSION,
         "numpy": np.__version__,
         "streams": stream_seeding(),
     }
+    Path(str(args.out) + ".manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
 
 
 def replay_manifest(path) -> int:
@@ -201,6 +192,15 @@ def _parse_k(raw) -> int | None:
         raise UsageError("k must be an integer or 'unknown'") from exc
 
 
+def _aggregation(raw) -> int | str:
+    """The k aggregation of a guarantee: a gap index, or the worst case when
+    the index is unknown."""
+    if raw is not None and str(raw).lower() == "worst-case":
+        return "worst-case"
+    k = _parse_k(raw)
+    return "worst-case" if k is None else k
+
+
 def _parse_k_list(raw) -> list[int]:
     try:
         return [int(tok) for tok in str(raw).split(",") if tok != ""]
@@ -235,11 +235,6 @@ def _stepped(lo: float, hi: float, step: float, flags: tuple[str, str, str]) -> 
     return [v for v in (lo + i * step for i in range(rows)) if v <= hi + 1e-12]
 
 
-def _resolve_seed(args) -> None:
-    if args.seed is None:
-        args.seed = _default_seed()
-
-
 def _family(args) -> InstanceFamily:
     if args.family is None:
         raise UsageError("--family is required (or supply --profiles-file)")
@@ -255,9 +250,12 @@ def _algorithm(args, tau: float) -> AlgorithmSpec:
 
 
 def _gap(args, k: int | None) -> GapSpec:
-    if args.gap_value is not None:
-        return GapSpec(k=k, sigma=1.0, absolute=args.gap_value)
-    return GapSpec(k=k, sigma=args.sigma)
+    if args.gap_value is None:
+        return GapSpec(k=k, sigma=args.sigma)
+    # only a sigma sweep scales an absolute gap; its range, not --sigma, sets the scale
+    if args.sigma != 1.0 and getattr(args, "sweep", None) != "sigma":
+        raise UsageError("--sigma cannot be combined with --gap-value outside --sweep sigma")
+    return GapSpec(k=k, sigma=1.0, absolute=args.gap_value)
 
 
 def _estimate_row(args, est: RatioEstimate, tag: str, tau: float, k, sigma, family_name) -> list:
@@ -291,7 +289,6 @@ def _estimate_row(args, est: RatioEstimate, tag: str, tau: float, k, sigma, fami
 
 
 def cmd_simulate(args) -> int:
-    _resolve_seed(args)
     k = _parse_k(args.k)
     algo = _algorithm(args, _resolve_tau(args.tau, k, args.tau_policy))
     gap = _gap(args, k)
@@ -323,12 +320,11 @@ def cmd_simulate(args) -> int:
 
     sigma = args.sigma if args.gap_value is None else ""
     row = _estimate_row(args, est, algo.tag, algo.tau, k, sigma, family_name)
-    _write_rows(args.out, CSV_COLUMNS, [row], _manifest("simulate", args, args.out) if args.out else None)
+    _write_rows(args, CSV_COLUMNS, [row])
     return 0
 
 
 def cmd_sweep(args) -> int:
-    _resolve_seed(args)
     bounds = (args.sweep_from, args.sweep_to, args.step)
     flags = ("--from", "--to", "--step")
     family = _family(args)
@@ -366,7 +362,7 @@ def cmd_sweep(args) -> int:
     rows = [
         _estimate_row(args, c.estimate, c.algo, c.tau, c.k, c.sigma, args.family) for c in cells
     ]
-    _write_rows(args.out, CSV_COLUMNS, rows, _manifest("sweep", args, args.out) if args.out else None)
+    _write_rows(args, CSV_COLUMNS, rows)
     return 0
 
 
@@ -386,7 +382,7 @@ def cmd_bounds(args) -> int:
             **report.as_dict(),
         }
     elif which == "rc":
-        agg = "worst-case" if _parse_k(args.k) is None else _parse_k(args.k)
+        agg = _aggregation(args.k)
         report = consistency(args.tau, args.gamma, agg)
         payload = {
             "which": "rc",
@@ -430,10 +426,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_frontier(args) -> int:
-    _resolve_seed(args)
     flags = ("--r-from", "--r-to", "--r-step")
     targets = _stepped(args.r_from, args.r_to, args.r_step, flags)
-    agg = "worst-case" if _parse_k(args.k_aggregation) is None else _parse_k(args.k_aggregation)
+    agg = _aggregation(args.k_aggregation)
     points = frontier(targets, grid_step=args.grid_step, k_aggregation=agg)
     header = ["robustness_target", "tau", "gamma", "consistency", "robustness", "feasible", "k_aggregation"]
     rows = []
@@ -449,7 +444,7 @@ def cmd_frontier(args) -> int:
                 agg,
             ]
         )
-    _write_rows(args.out, header, rows, _manifest("frontier", args, args.out) if args.out else None)
+    _write_rows(args, header, rows)
     return 0
 
 
@@ -546,6 +541,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     args.raw_argv = argv
     try:
+        if getattr(args, "seed", 0) is None:  # a command with --seed, run without it
+            args.seed = int(os.environ.get(SEED_ENV_VAR) or 0)
         return args.func(args)
     except (UsageError, ConfigError, ValueError, OSError) as exc:
         # an OSError names a path given by a flag or by replay

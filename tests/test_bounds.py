@@ -216,6 +216,8 @@ class TestFrontier:
             frontier([])
         with pytest.raises(ValueError):
             frontier([0.1], grid_step=0.5)
+        with pytest.raises(ValueError):  # 10^12 grid points
+            frontier([0.1], grid_step=1e-6)
         with pytest.raises(ValueError):
             frontier([-0.1])
 
@@ -260,6 +262,8 @@ class TestTwoThreeTie:
             two_three_tie_prob(0.0)
         with pytest.raises(ValueError):
             two_three_tie_prob(0.5, n=2)
+        with pytest.raises(ValueError):  # one series term per index below n
+            two_three_tie_prob(0.5, n=10**13)
 
 
 class TestLSelectionBound:
@@ -278,3 +282,10 @@ class TestLSelectionBound:
             l_selection_bound(1, 0.1)
         with pytest.raises(ValueError):
             l_selection_bound(3, 0.5)  # beta capped at 1/L
+
+    def test_large_L(self):
+        # e**L overflows a float above L = 709; the last term vanishes instead
+        for L in (710, 1000, 10**6):
+            beta = 0.5 / L
+            expected = 1 / math.e + beta / (2 * math.e) * (1 - 1 / L)
+            assert l_selection_bound(L, beta) == pytest.approx(expected, rel=1e-15)

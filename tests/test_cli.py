@@ -1,11 +1,19 @@
 import json
+import math
 import platform
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gapsecretary import cli, montecarlo
+from gapsecretary.bounds import (
+    alpha_exact,
+    consistency,
+    robustness,
+    two_three_tie_prob,
+)
 from gapsecretary.core import WeightProfile
 from gapsecretary.generators import save_profiles
 from gapsecretary.montecarlo import AlgorithmSpec, simulate_fixed_profile
@@ -217,6 +225,32 @@ class TestValidation:
         assert code == 0
         assert out.startswith("family,algo,")
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate"],
+            ["sweep", "--sweep", "k", "--from", "2", "--to", "3", "--step", "1"],
+        ],
+        ids=["simulate", "k-sweep"],
+    )
+    def test_sigma_with_absolute_gap_exits_2(self, command, capsys):
+        # the absolute gap is predicted as given; only a sigma sweep scales it
+        argv = [*command, "--family", "exp", "--n", "20", "--iters", "50",
+                "--algo", "exact-gap", "--gap-value", "2", "--sigma", "0.5", "--seed", "3"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "--sigma" in err and "--gap-value" in err
+
+    def test_sigma_sweep_over_absolute_gap_accepts_sigma(self, capsys):
+        argv = ["sweep", "--sweep", "sigma", "--from", "0.5", "--to", "0.5", "--step", "1",
+                "--family", "exp", "--n", "20", "--iters", "50", "--algo", "exact-gap",
+                "--gap-value", "2", "--sigma", "0.5", "--k", "2", "--seed", "3"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        (row,) = out.strip().splitlines()[1:]
+        assert row.split(",")[7] == "0.5"
+
 
 class TestSimulate:
     def test_csv_shape_and_header(self, capsys):
@@ -300,6 +334,16 @@ class TestSimulate:
         )
         assert code == 0
         assert out.strip().splitlines()[1].split(",")[10] == "345"
+
+    def test_bad_seed_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "not-a-seed")
+        code, out, err = run(
+            ["simulate", "--family", "exp", "--n", "10", "--iters", "20", "--algo", "classical"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "not-a-seed" in err
 
     def test_l_select_row(self, capsys):
         code, out, _ = run(
@@ -452,6 +496,56 @@ class TestBounds:
         assert out == ""
         assert "--epsilon must be finite and non-negative" in err
 
+    @pytest.mark.parametrize("epsilon", [None, 0.25])
+    def test_bounded_report(self, epsilon, capsys):
+        argv = ["bounds", "--which", "bounded", "--tau", "0.2", "--k", "5"]
+        if epsilon is not None:
+            argv += ["--epsilon", str(epsilon)]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["alpha"] == alpha_exact(0.2, 5).alpha
+        assert payload["penalty_form"] == "alpha * w1 - 2 * epsilon"
+        if epsilon is None:
+            assert "additive_loss" not in payload and "epsilon" not in payload
+        else:
+            assert payload["additive_loss"] == 2 * epsilon
+
+    def test_tie23_exact_n(self, capsys):
+        code, out, _ = run(["bounds", "--which", "tie23", "--tau", "0.359", "--n", "200"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n"] == 200
+        assert payload["exact_value_at_n"] == two_three_tie_prob(0.359, n=200)
+
+    @pytest.mark.parametrize("L,beta", [(3, 0.2), (1000, 0.0005)])  # e**1000 overflows
+    def test_lselect(self, L, beta, capsys):
+        argv = ["bounds", "--which", "lselect", "--L", str(L), "--beta", str(beta)]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        expected = 1 / math.e + beta / (2 * math.e) * (1 - 1 / L + math.exp(-L) / L)
+        assert json.loads(out)["value"] == pytest.approx(expected)
+
+    def test_lselect_needs_beta(self, capsys):
+        code, out, err = run(["bounds", "--which", "lselect", "--L", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--beta" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--which", "tie23", "--n", str(10**13)],
+            ["frontier", "--grid-step", "1e-6"],
+        ],
+        ids=["tie23-n", "grid-step"],
+    )
+    def test_oversized_arrays_exit_2(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestFrontier:
     def test_rows_monotone_and_feasibility(self, capsys):
@@ -484,6 +578,27 @@ class TestFrontier:
         assert row[5] == "true"
         assert float(row[3]) >= 0.383
 
+    @pytest.mark.parametrize("agg", ["worst-case", 7])
+    def test_columns_are_the_searched_bounds(self, agg, capsys):
+        # the written consistency and robustness are the values the search
+        # compared, and the scalar bounds at the chosen (tau, gamma)
+        step = 0.001  # the default --grid-step
+        flags = [] if agg == "worst-case" else ["--k-aggregation", str(agg)]
+        code, out, _ = run(
+            ["frontier", "--r-from", "0.008", "--r-to", "0.308", "--r-step", "0.05", *flags],
+            capsys,
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 7
+        gammas = np.arange(0, round(1 / step)) * step
+        for row in rows:
+            assert row[5] == "true" and row[6] == str(agg)
+            target, tau, gamma, cons, rob = map(float, row[:5])
+            searched = tau * np.log(1.0 / (1.0 - gammas))[round(gamma / step)]
+            assert cons == consistency(tau, gamma, agg).alpha
+            assert rob == robustness(tau, gamma) == searched >= target
+
     @pytest.mark.parametrize(
         "flags,message",
         [
@@ -502,6 +617,13 @@ class TestFrontier:
         code, _, err = run(["frontier", *flags], capsys)
         assert code == 2
         assert message in err
+
+    def test_worst_case_spelled_out(self, capsys):
+        argv = ["frontier", "--r-from", "0", "--r-to", "0.2", "--r-step", "0.1", "--grid-step", "0.01"]
+        _, unknown, _ = run(argv, capsys)
+        code, spelled, _ = run([*argv, "--k-aggregation", "worst-case"], capsys)
+        assert code == 0
+        assert spelled == unknown
 
     def test_frontier_manifest_replay(self, tmp_path, capsys):
         out_path = tmp_path / "frontier.csv"
@@ -536,3 +658,32 @@ class TestVerify:
             assert isinstance(row["measured"], str) and isinstance(row["expected"], str)
             assert row["seconds"] >= 0.0
         assert "alpha-fixed-tau-floor" in {row["name"] for row in rows}
+
+
+class TestEntry:
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["--version"], 0),
+            (["bounds", "--which", "exact", "--k", "2"], 0),
+            (["bounds", "--which", "exact", "--tau", "0", "--k", "2"], 2),
+            (["no-such-command"], 2),
+        ],
+    )
+    def test_exit_code(self, argv, code, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["gapsecretary", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == code
+        capsys.readouterr()
+
+    def test_internal_error_exits_1(self, monkeypatch, capsys):
+        def fail(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_bounds", fail)
+        monkeypatch.setattr(sys, "argv", ["gapsecretary", "bounds", "--which", "exact"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 1
+        assert "internal error: RuntimeError('boom')" in capsys.readouterr().err

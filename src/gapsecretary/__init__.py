@@ -61,6 +61,7 @@ from .montecarlo import (
     estimate_ratio,
     exact_expectation_small_n,
     simulate_fixed_profile,
+    simulate_fixed_profile_rules,
     sweep_k,
     sweep_sigma,
 )

@@ -34,6 +34,7 @@ from .montecarlo import (
     estimate_l_selection,
     exact_expectation_small_n,
     simulate_fixed_profile,
+    simulate_fixed_profile_rules,
     sweep_k,
     sweep_sigma,
 )
@@ -281,9 +282,9 @@ def check_small_instance_oracle(fast: bool = False) -> tuple[bool, str, str]:
                 (AlgorithmSpec("bounded", tau=tau, epsilon=eps), gap),
                 (AlgorithmSpec("robust", tau=tau, gamma=gamma), gap),
             ]
-            for spec, g in specs:
+            sims = simulate_fixed_profile_rules(prof, specs, iters, mc_seed)
+            for (spec, g), sim in zip(specs, sims):
                 exact = exact_expectation_small_n(prof, spec, g)
-                sim = simulate_fixed_profile(prof, spec, iters, mc_seed, gap_values=g)
                 vals = sim["accept_weight"]
                 mc = float(vals.mean())
                 se = float(vals.std(ddof=1)) / math.sqrt(iters)

@@ -228,10 +228,15 @@ def frontier(
 
     t = taus[:, None]
     g = gammas[None, :]
-    valid = g < (1.0 - t) - 1e-9
-    rob, alpha1, alpha2 = _schedule_terms(t, g)
-    cons = np.minimum(np.minimum(alpha1, alpha2), gap_case[:, None])
-    cons = np.where(valid, cons, -np.inf)
+    invalid = g >= (1.0 - t) - 1e-9
+    # consistency is formed in alpha1's array, and alpha2 and the mask are
+    # dropped, so the target loop holds two float grids, rob and cons
+    rob, cons, alpha2 = _schedule_terms(t, g)
+    np.minimum(cons, alpha2, out=cons)
+    del alpha2
+    np.minimum(cons, gap_case[:, None], out=cons)
+    cons[invalid] = -np.inf
+    del invalid
 
     points = []
     for r in targets:

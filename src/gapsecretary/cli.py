@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -484,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_sim)
     p_sim.add_argument("--profiles-file", default=None, help="replay instances from a file")
     p_sim.add_argument("--dump-profiles", default=None, help="write generated instances to a replay file")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="grid of Monte Carlo cells")
     p_sweep.add_argument("--sweep", choices=["k", "sigma"], required=True)
@@ -492,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--to", dest="sweep_to", type=float, required=True)
     p_sweep.add_argument("--step", type=float, required=True)
     _add_common_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_bounds = sub.add_parser("bounds", help="evaluate a guarantee formula")
     p_bounds.add_argument("--which", choices=["exact", "rc", "bounded", "tie23", "lselect"], required=True)
@@ -503,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--L", type=int, default=2)
     p_bounds.add_argument("--beta", type=float, default=None)
     p_bounds.add_argument("--n", type=int, default=None, help="exact finite-n mode for tie23")
-    p_bounds.set_defaults(func=cmd_bounds)
 
     p_frontier = sub.add_parser("frontier", help="robustness-consistency frontier")
     p_frontier.add_argument("--r-from", type=float, default=0.0)
@@ -513,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_frontier.add_argument("--k-aggregation", default=None, help="gap index or worst-case")
     p_frontier.add_argument("--seed", type=int, default=None)
     p_frontier.add_argument("--out", default=None)
-    p_frontier.set_defaults(func=cmd_frontier)
 
     p_verify = sub.add_parser("verify", help="run the acceptance checks")
     p_verify.add_argument("--suite", choices=["bounds", "oracle", "figures", "all"], default="all")
@@ -523,27 +520,31 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print one JSON object per check (name, suite, passed, measured, expected, seconds)",
     )
-    p_verify.set_defaults(func=cmd_verify)
 
     p_replay = sub.add_parser("replay", help="re-run a recorded manifest")
     p_replay.add_argument("manifest")
-    p_replay.set_defaults(func=cmd_replay)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse has already printed the message
         return int(exc.code or 0)
     args.raw_argv = argv
     try:
         if getattr(args, "seed", 0) is None:  # a command with --seed, run without it
             args.seed = int(os.environ.get(SEED_ENV_VAR) or 0)
-        return args.func(args)
+        # looked up by name on each call, so the kept parser holds no command
+        return globals()[f"cmd_{args.command}"](args)
     except (UsageError, ConfigError, ValueError, OSError) as exc:
         # an OSError names a path given by a flag or by replay
         print(f"error: {exc}", file=sys.stderr)

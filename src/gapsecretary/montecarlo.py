@@ -12,14 +12,19 @@ gap), or above it when strict, and after time 1 - ``gamma`` at or above
 best-so-far alone. ``_threshold_term`` gives every rule's gap term in
 normalized units, from a ``GapSpec`` or raw-unit gap values; it is the one
 place where raw-unit quantities are rescaled. ``_policy`` maps each tag and
-term to that record, and one of two kernels runs it over a chunk of draws:
+term to that record, and one of two kernels runs it over a chunk of draws.
+Each kernel is split in two: a state that does not depend on the gap, built
+once per ``tau`` (and ``gamma``), and a pass per gap that reads it:
 
-* ``_run_threshold_rows`` takes (rows, n) weights, one instance per row, one
-  ``(tau, gamma, strict)`` and a sequence of gaps, and yields one result per
-  gap: the generated and replayed batches of every estimate and sweep;
-* ``_run_fixed_profile`` takes one weight vector and (rows, n) arrival times,
-  swept column by column: ``simulate_fixed_profile``, where only the arrival
-  order is random.
+* ``_threshold_state`` and ``_threshold_pass`` take (rows, n) weights, one
+  instance per row, and the pass takes a sequence of gaps and yields one
+  result per gap: the generated and replayed batches of every estimate and
+  sweep (``_run_threshold_rows`` runs both parts on one chunk);
+* ``_fixed_profile_state`` and ``_fixed_profile_pass`` take one weight
+  vector and the (n, rows) columns of its arrival times, swept column by
+  column: ``simulate_fixed_profile`` and ``simulate_fixed_profile_rules``,
+  where only the arrival order is random and several rules share one draw
+  (``_run_fixed_profile`` runs both parts on one chunk).
 
 The multi-selection rule runs through ``_run_l_select_rows``. Its reference
 set holds the top-L weights seen so far of Q, the pre-``tau`` elements and
@@ -39,29 +44,36 @@ validates it for one instance size. ``_run_cells`` is the one driver every
 estimate goes through: it takes row chunks from one instance source
 (generated or replayed) and evaluates each distinct cell on each chunk. The
 single-selection cells of a chunk are grouped by their policy's ``(tau,
-gamma, strict)``, and each group is one row-kernel pass: a sigma sweep at one
-tau is one pass per chunk. Each cell's outcomes are cut to what its estimate
+gamma, strict)``, and each group is one row-kernel pass over the chunk's
+state at its tau and gamma: a sigma sweep at one tau is one state and one
+pass per chunk. Each cell's outcomes are cut to what its estimate
 reads as they are yielded, and a cell is reduced once its last chunk is done.
 
 Generated instances are a pure function of (family, n, iterations,
 master_seed), so the last batch that covered a whole run in one chunk is
-memoized under that key in ``_last_batch``: only its weights, times and
-``max_log``, marked read-only. The next estimate with the same key wraps the
-same arrays in a fresh batch, whose sorted weights are its own, and draws
-nothing; the arrays are what a fresh draw gives, bit for bit. The memo is
-dropped before any other instances or arrival times are drawn
-(``_draw_rows``, ``_replay_batch``, ``simulate_fixed_profile``), so no later
-draw holds it beside its own batch, and a run of several chunks leaves
-nothing behind. Until that next draw the last whole-run batch stays resident
-(two (iterations, n) float arrays, up to about 80 MB for a full chunk), also
-while other work that draws nothing runs in the same process.
+memoized under that key in ``_last_batch``, its weights, times and
+``max_log`` marked read-only. The batch carries the gap-independent work
+done on it: the j-th largest weight of each row for every rank a gap has
+read (one (rows,) column per rank, taken from one sort per call that needs
+a new rank, the sorted matrix dropped at once), and the threshold state of
+the last ``tau`` asked (a post mask, best-so-far and the best index), with
+the late-phase mask of the last ``gamma`` asked at it. The next estimate
+with the same key gets the same batch: it draws, sorts and prepares nothing
+an earlier one did, and its arrays are what a fresh draw gives, bit for bit.
+The memo is dropped before any other instances or arrival times are drawn
+(``_draw_rows``, ``_replay_batch``, ``simulate_fixed_profile_rules``), so
+no later draw holds it beside its own batch, and a run of several chunks
+leaves nothing behind. Until that next draw the last whole-run batch stays
+resident (two (iterations, n) float arrays, up to about 80 MB for a full
+chunk, plus up to two 5 MB bool masks and its rank columns), also while
+other work that draws nothing runs in the same process.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import combinations, permutations
 from typing import NamedTuple
 
@@ -89,6 +101,7 @@ __all__ = [
     "exact_expectation_small_n",
     "estimate_l_selection",
     "simulate_fixed_profile",
+    "simulate_fixed_profile_rules",
 ]
 
 ALGORITHM_TAGS = (
@@ -234,8 +247,9 @@ class SweepCell:
 
 
 class _Policy(NamedTuple):
-    """A threshold rule: ``_run_threshold_rows`` takes ``tau``, ``gamma`` and
-    ``strict`` once and the gaps of every rule sharing them."""
+    """A threshold rule: one ``_threshold_pass`` over the state at ``tau``
+    and ``gamma`` takes ``strict`` once and the gaps of every rule sharing
+    them."""
 
     tau: float
     gap: object  # scalar or (B,) array, in normalized units
@@ -253,42 +267,59 @@ def _policy(algorithm: AlgorithmSpec, term=0.0) -> _Policy:
     return _Policy(algorithm.tau, term, gamma, tag == "strict-classical")
 
 
-def _run_threshold_rows(
-    weights: np.ndarray,
-    times: np.ndarray,
-    tau: float,
-    gaps,
-    gamma: float = 0.0,
-    strict: bool = False,
-):
-    """Run a threshold policy over a chunk of draws once for each gap in
-    ``gaps``, yielding one result dict per gap, in order.
+class _ThresholdState(NamedTuple):
+    """What threshold rules at one ``tau`` and ``gamma`` read of a chunk,
+    whatever their gaps: the post-``tau`` mask, best-so-far, the late-phase
+    candidates (late, post-``tau`` and at or above best-so-far; None without
+    a late phase) and the best index."""
 
-    ``weights`` and ``times`` are (B, n); each gap is a scalar or (B,) array in
-    the same units as ``weights``. Mirrors the per-draw runners in
+    post: np.ndarray  # (B, n) bool
+    bsf: np.ndarray  # (B,)
+    late: np.ndarray | None  # (B, n) bool
+    best_index: np.ndarray  # (B,)
+
+
+def _threshold_state(weights: np.ndarray, times: np.ndarray, tau: float) -> _ThresholdState:
+    """The state of threshold rules at ``tau`` without a late phase over
+    (B, n) ``weights`` and ``times``."""
+    pre = times <= tau
+    bsf = np.max(np.where(pre, weights, 0.0), axis=1)
+    post = np.logical_not(pre, out=pre)
+    return _ThresholdState(post, bsf, None, np.argmax(weights, axis=1))
+
+
+def _with_late_phase(
+    state: _ThresholdState, weights: np.ndarray, times: np.ndarray, gamma: float
+) -> _ThresholdState:
+    """``state`` with the late-phase candidates of ``gamma`` > 0 added."""
+    late = (times > 1.0 - gamma) & state.post
+    late &= weights >= state.bsf[:, None]
+    return state._replace(late=late)
+
+
+def _threshold_pass(
+    weights: np.ndarray, times: np.ndarray, state: _ThresholdState, gaps, strict: bool = False
+):
+    """Run the threshold rules that share ``state`` over a chunk of draws
+    once for each gap in ``gaps``, yielding one result dict per gap, in
+    order.
+
+    ``weights`` and ``times`` are (B, n); each gap is a scalar or (B,) array
+    in the same units as ``weights``. Mirrors the per-draw runners in
     ``algorithms``: threshold max(best-so-far, gap) after ``tau``, dropping to
     best-so-far after time 1 - ``gamma``; ``strict`` switches >= to >. The
     accepted element is the candidate with the earliest arrival; ``argmin``
     returns the first minimum, so tied times go to the lower index.
 
-    What does not depend on the gap is computed once: best-so-far, the
-    post-``tau`` mask, the late-phase candidates (late, post-``tau`` and at
-    or above best-so-far) and the best index. Each gap then fills one reused
-    candidate mask and one reused masked-times buffer. A gap-phase candidate
-    is at or above best-so-far, so OR-ing in the late-phase candidates gives
-    the two-phase rule.
+    Each gap fills one reused candidate mask and one reused masked-times
+    buffer. A gap-phase candidate is at or above best-so-far, so OR-ing in
+    the late-phase candidates gives the two-phase rule. Each result gets its
+    own copy of the best index, so no result is a view of ``state``.
     """
-    if strict and gamma > 0.0:
+    post, bsf, late, best_index = state
+    if strict and late is not None:
         raise ValueError("strict comparison has no late phase")
-    pre = times <= tau
-    bsf = np.max(np.where(pre, weights, 0.0), axis=1)
-    post = np.logical_not(pre, out=pre)
-    late = None
-    if gamma > 0.0:
-        late = (times > 1.0 - gamma) & post
-        late &= weights >= bsf[:, None]
     r = np.arange(weights.shape[0])
-    best_index = np.argmax(weights, axis=1)
     cand = np.empty(weights.shape, dtype=bool)
     masked = np.empty(weights.shape)
     for gap in gaps:
@@ -307,42 +338,69 @@ def _run_threshold_rows(
             "accept_index": np.where(has, first, -1),
             "accept_weight": np.where(has, weights[r, first], 0.0),
             "accept_time": np.where(has, times[r, first], np.nan),
-            "best_index": best_index,
+            "best_index": best_index.copy(),
         }
 
 
-def _run_fixed_profile(
-    w: np.ndarray,
+def _run_threshold_rows(
+    weights: np.ndarray,
     times: np.ndarray,
     tau: float,
+    gaps,
+    gamma: float = 0.0,
+    strict: bool = False,
+):
+    """``_threshold_pass`` of the policy ``(tau, gamma, strict)`` over
+    ``gaps``, its state built for this call alone."""
+    state = _threshold_state(weights, times, tau)
+    if gamma > 0.0:
+        state = _with_late_phase(state, weights, times, gamma)
+    return _threshold_pass(weights, times, state, gaps, strict)
+
+
+class _FixedProfileState(NamedTuple):
+    """What threshold rules at one ``tau`` read of (n, B) arrival-time
+    columns of one weight vector: the post-``tau`` mask and best-so-far."""
+
+    post: np.ndarray  # (n, B) bool
+    bsf: np.ndarray  # (B,)
+
+
+def _fixed_profile_state(w: np.ndarray, cols: np.ndarray, tau: float) -> _FixedProfileState:
+    """Best-so-far is the heaviest pre-``tau`` weight: its rank in ascending
+    weight order plus one, 0 when none arrived, looked up in [0, ascending
+    weights]."""
+    post = cols > tau
+    code = np.min_scalar_type(w.size).type
+    ascending = np.argsort(w, kind="stable")
+    level = np.zeros(cols.shape[1], dtype=code)
+    # codes grow along each loop, so np.maximum keeps the last one taken
+    for rank, j in enumerate(ascending, start=1):
+        np.maximum(level, ~post[j] * code(rank), out=level)
+    return _FixedProfileState(post, np.concatenate(([0.0], w[ascending])).take(level))
+
+
+def _fixed_profile_pass(
+    w: np.ndarray,
+    cols: np.ndarray,
+    state: _FixedProfileState,
     gap=0.0,
     gamma: float = 0.0,
     strict: bool = False,
 ) -> dict:
-    """Run one threshold policy over (B, n) arrival ``times`` in [0, 1] of the
-    single weight vector ``w``; returns what ``_run_threshold_rows`` yields
-    for ``gap`` on ``w`` broadcast to every row, bit for bit.
+    """One threshold policy at the ``tau`` of ``state`` over the (n, B)
+    arrival-time columns ``cols`` of the weight vector ``w``.
 
-    The n columns are swept as contiguous (B,) vectors, and per-row choices
-    are kept as small integer codes, never as masked copies. Best-so-far is
-    the heaviest pre-``tau`` weight: its rank in ascending weight order plus
-    one, 0 when none arrived, looked up in [0, ascending weights]. The first
-    arrival walks the columns in index order and takes a candidate only at a
-    strictly earlier time, so tied times go to the lower index, as ``argmin``
-    gives them in the row kernel; it is kept as index plus one, 0 when none.
+    The first arrival walks the columns in index order and takes a candidate
+    only at a strictly earlier time, so tied times go to the lower index, as
+    ``argmin`` gives them in the row kernel; it is kept as index plus one, 0
+    when none.
     """
     if strict and gamma > 0.0:
         raise ValueError("strict comparison has no late phase")
-    B = times.shape[0]
-    cols = np.ascontiguousarray(times.T)
-    post = cols > tau
+    post, bsf = state
+    B = cols.shape[1]
     code = np.min_scalar_type(w.size).type
-    ascending = np.argsort(w, kind="stable")
-    level = np.zeros(B, dtype=code)
-    # codes grow along each loop, so np.maximum keeps the last one taken
-    for rank, j in enumerate(ascending, start=1):
-        np.maximum(level, ~post[j] * code(rank), out=level)
-    bsf = np.concatenate(([0.0], w[ascending])).take(level)
     thr = bsf if strict else np.maximum(bsf, gap)
     first = np.zeros(B, dtype=code)
     first_t = np.full(B, np.inf)
@@ -365,25 +423,78 @@ def _run_fixed_profile(
     }
 
 
+def _run_fixed_profile(
+    w: np.ndarray,
+    times: np.ndarray,
+    tau: float,
+    gap=0.0,
+    gamma: float = 0.0,
+    strict: bool = False,
+) -> dict:
+    """Run one threshold policy over (B, n) arrival ``times`` in [0, 1] of the
+    single weight vector ``w``; returns what ``_run_threshold_rows`` yields
+    for ``gap`` on ``w`` broadcast to every row, bit for bit.
+
+    The n columns are swept as contiguous (B,) vectors, and per-row choices
+    are kept as small integer codes, never as masked copies: one
+    ``_fixed_profile_state`` at ``tau``, then one ``_fixed_profile_pass``.
+    """
+    cols = np.ascontiguousarray(times.T)
+    return _fixed_profile_pass(w, cols, _fixed_profile_state(w, cols, tau), gap, gamma, strict)
+
+
 # ---------------------------------------------------------------------------
 # Instance batches
 
 
 @dataclass(frozen=True)
 class _InstanceBatch:
+    """A chunk of instances, with the gap-independent work done on it so far,
+    so that a batch used again does none of it again: the j-th largest weight
+    of each row for each rank j a gap has read, and the threshold state of
+    the last ``tau`` asked, with and without the last ``gamma`` asked at it.
+    Both are (rows,) columns or (rows, n) bool masks; no (rows, n) float
+    array beyond the weights and times is kept."""
+
     weights: np.ndarray  # normalized linear weights, (rows, n)
     times: np.ndarray  # arrival times, (rows, n)
     max_log: np.ndarray  # per-instance log normalization constant, (rows,)
+    _largest: dict = field(default_factory=dict, init=False, repr=False)
+    _states: dict = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
-    def sorted_weights(self) -> np.ndarray:
-        """Normalized weights sorted descending."""
-        return np.sort(self.weights, axis=1)[:, ::-1]
+    def largest(self, ranks) -> list[np.ndarray]:
+        """The ``ranks``-th largest weight of each row (rank 1 is the
+        maximum), one (rows,) column per rank. The ranks not yet kept are
+        read from one sort of the rows, which is dropped once they are
+        copied out."""
+        missing = set(ranks) - self._largest.keys()
+        if missing:
+            ascending = np.sort(self.weights, axis=1)
+            n = ascending.shape[1]
+            for j in missing:
+                self._largest[j] = ascending[:, n - j].copy()
+        return [self._largest[j] for j in ranks]
+
+    def threshold_state(self, tau: float, gamma: float) -> _ThresholdState:
+        """The state of the threshold rules at ``tau`` and ``gamma``; the one
+        without a late phase is kept beside it and lends it its post mask,
+        best-so-far and best index."""
+        state = self._states.get((tau, gamma))
+        if state is None:
+            base = self._states.get((tau, 0.0))
+            if base is None:
+                base = _threshold_state(self.weights, self.times, tau)
+            state = base
+            if gamma > 0.0:
+                state = _with_late_phase(base, self.weights, self.times, gamma)
+            self._states.clear()
+            self._states.update({(tau, 0.0): base, (tau, gamma): state})
+        return state
 
 
-# the last generated batch that covered a whole run, as its read-only
-# (weights, times, max_log) under (family, n, iterations, master_seed); at
-# most one entry, dropped before any other instances or arrival times are drawn
+# the last generated batch that covered a whole run, read-only, with the
+# work kept on it, under (family, n, iterations, master_seed); at most one
+# entry, dropped before any other instances or arrival times are drawn
 _last_batch: dict = {}
 
 
@@ -454,27 +565,41 @@ def _rescale_raw(values, max_log):
     return np.where(values == 0.0, 0.0, out)
 
 
+def _gap_ranks(algorithm: AlgorithmSpec, gap) -> tuple[int, ...]:
+    """The ranks of each row's weights (1 is the maximum) that the threshold
+    term of ``algorithm`` reads: index k for an index gap, L and L + 1 for
+    l-select's auto gap, none otherwise."""
+    if not (algorithm.uses_gap and isinstance(gap, GapSpec) and gap.absolute is None):
+        return ()
+    if algorithm.tag == "l-select":
+        return algorithm.L, algorithm.L + 1
+    return (gap.k,)
+
+
 def _threshold_term(algorithm: AlgorithmSpec, gap, max_log, batch: _InstanceBatch | None = None):
     """The term ``algorithm`` adds to best-so-far, per row in normalized
     units: the predicted gap, less epsilon and floored at 0 for ``bounded``,
     and 0 for a rule without a gap. The one place where raw-unit quantities
     are rescaled, with ``max_log``, the raw rows' log maxima.
 
-    ``gap`` is a checked cell's ``GapSpec``, whose index gap or l-select
-    auto gap reads ``batch.sorted_weights``, or raw-unit gap values, a scalar
-    or one per row. Raw-unit values are combined before they are rescaled, so
+    ``gap`` is a checked cell's ``GapSpec``, whose index gap, 1 minus the
+    k-th largest weight, or l-select auto gap, the L-th minus the (L+1)-th
+    largest, reads ``batch.largest``, or raw-unit gap values, a scalar or
+    one per row. Raw-unit values are combined before they are rescaled, so
     no 0 * inf or inf - inf arises: sigma 0 is no gap, and an epsilon at or
     above the gap is the classical rule.
     """
     if not algorithm.uses_gap:
         return 0.0
     epsilon = algorithm.epsilon if algorithm.tag == "bounded" else 0.0
-    if isinstance(gap, GapSpec) and gap.absolute is None:
-        ranked, L = batch.sorted_weights, algorithm.L
+    ranks = _gap_ranks(algorithm, gap)
+    if ranks:
         if algorithm.tag == "l-select":
-            base = ranked[:, L - 1] - ranked[:, L]
+            above, below = batch.largest(ranks)
+            base = above - below
         else:
-            base = 1.0 - ranked[:, gap.k - 1]
+            (kth,) = batch.largest(ranks)
+            base = 1.0 - kth
         return np.maximum(gap.sigma * base - _rescale_raw(epsilon, max_log), 0.0)
     raw = gap.sigma * gap.absolute if isinstance(gap, GapSpec) else gap
     return _rescale_raw(np.maximum(raw - epsilon, 0.0), max_log)
@@ -485,9 +610,13 @@ def _chunk_outcomes(batch: _InstanceBatch, keys):
     per-row ``ratio``, ``select_best`` and ``none``, plus the threshold
     kernel's arrays for a single-selection rule.
 
-    l-select cells run one by one. Single-selection cells are grouped by
-    their policy's ``(tau, gamma, strict)``, and each group is one kernel pass
-    whose threshold terms are computed as the kernel takes them."""
+    Every rank the cells' gaps read is taken from the batch at once, so a
+    chunk is sorted at most once. l-select cells run one by one.
+    Single-selection cells are grouped by their policy's ``(tau, gamma,
+    strict)``, and each group is one pass over the batch's threshold state,
+    whose threshold terms are computed as the pass takes them. Groups run in
+    order of tau, so the groups at one tau share its state."""
+    batch.largest({j for a, g in keys for j in _gap_ranks(a, g)})
     groups = {}
     for key in keys:
         algorithm, gap = key
@@ -496,9 +625,10 @@ def _chunk_outcomes(batch: _InstanceBatch, keys):
         else:
             tau, _, gamma, strict = _policy(algorithm)
             groups.setdefault((tau, gamma, strict), []).append(key)
-    for (tau, gamma, strict), members in groups.items():
+    for (tau, gamma, strict), members in sorted(groups.items(), key=lambda item: item[0][0]):
         terms = (_threshold_term(a, g, batch.max_log, batch) for a, g in members)
-        outs = _run_threshold_rows(batch.weights, batch.times, tau, terms, gamma, strict)
+        state = batch.threshold_state(tau, gamma)
+        outs = _threshold_pass(batch.weights, batch.times, state, terms, strict)
         for key, out in zip(members, outs):
             yield key, _threshold_outcomes(out)
 
@@ -611,19 +741,19 @@ def _run_cells(n: int, iterations: int, batch_of, cells, outcomes: bool = False)
 
 def _generated_batch(config: ExperimentConfig, rows: range) -> _InstanceBatch:
     """The instances the config's family draws for iterations ``rows``. A
-    batch of the whole run is kept read-only in ``_last_batch``, so the next
-    estimate on the same (family, n, iterations, seed) draws nothing: it gets
-    a fresh batch around the same arrays, with its own sorted weights."""
+    batch of the whole run is kept, its arrays read-only, in ``_last_batch``,
+    so the next estimate on the same (family, n, iterations, seed) gets the
+    same batch, with the work done on it: it draws, sorts and prepares
+    nothing that an earlier estimate did."""
     key = (config.family, config.n, config.iterations, config.master_seed)
     whole = len(rows) == config.iterations
     if whole and key in _last_batch:
-        return _InstanceBatch(*_last_batch[key])
+        return _last_batch[key]
     batch = _build_batch(config.family, config.n, rows, config.master_seed)
     if whole:
-        arrays = (batch.weights, batch.times, batch.max_log)
-        for a in arrays:
+        for a in (batch.weights, batch.times, batch.max_log):
             a.setflags(write=False)
-        _last_batch[key] = arrays
+        _last_batch[key] = batch
     return batch
 
 
@@ -743,31 +873,56 @@ def simulate_fixed_profile(
     the chunk size. Returns per-iteration arrays, with accepted weights both
     normalized (``ratio``) and in raw units (``accept_weight``).
     """
+    return simulate_fixed_profile_rules(profile, [(algorithm, gap_values)], iterations, seed)[0]
+
+
+def simulate_fixed_profile_rules(
+    profile: WeightProfile, rules, iterations: int, seed: int
+) -> list[dict]:
+    """:func:`simulate_fixed_profile` of each ``(algorithm, gap_values)``
+    pair in ``rules``, on one draw of the arrival times: each rule's arrays
+    equal those of its own call with the same seed, bit for bit.
+
+    Each chunk of times is drawn and transposed once, its state is built
+    once per tau (rules run in order of tau, so one state is held at a
+    time), and each rule is then one pass over it.
+    """
     _last_batch.clear()
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
-    gap_values = np.asarray(gap_values, dtype=float)
-    if gap_values.ndim and gap_values.shape != (iterations,):
-        raise ConfigError(
-            f"gap_values must be a scalar or hold one value per iteration "
-            f"({iterations}), got shape {gap_values.shape}"
-        )
-    if not (np.isfinite(gap_values).all() and (gap_values >= 0.0).all()):
-        raise ConfigError("gap_values must be finite and non-negative")
+    rules = list(rules)
     w = profile.normalized_weights
     m = profile.max_log_weight
-    terms = np.broadcast_to(_threshold_term(algorithm, gap_values, m), (iterations,))
+    terms = []
+    for algorithm, gap_values in rules:
+        gap_values = np.asarray(gap_values, dtype=float)
+        if gap_values.ndim and gap_values.shape != (iterations,):
+            raise ConfigError(
+                f"gap_values must be a scalar or hold one value per iteration "
+                f"({iterations}), got shape {gap_values.shape}"
+            )
+        if not (np.isfinite(gap_values).all() and (gap_values >= 0.0).all()):
+            raise ConfigError("gap_values must be finite and non-negative")
+        _policy(algorithm)  # l-select is no threshold policy
+        terms.append(np.broadcast_to(_threshold_term(algorithm, gap_values, m), (iterations,)))
+    by_tau = sorted(range(len(rules)), key=lambda i: rules[i][0].tau)
     rng = np.random.default_rng([int(seed)])
-    parts = []
-    for rows in _chunks(w.size, iterations, [algorithm]):
-        policy = _policy(algorithm, terms[rows.start : rows.stop])
-        times = rng.random((len(rows), w.size))
-        parts.append(_threshold_outcomes(_run_fixed_profile(w, times, *policy)))
-    out = _joined(parts)
-    del out["best_index"]
+    parts = [[] for _ in rules]
+    for rows in _chunks(w.size, iterations, [algorithm for algorithm, _ in rules]):
+        cols = np.ascontiguousarray(rng.random((len(rows), w.size)).T)
+        state = {}
+        for i in by_tau:
+            tau, gap, gamma, strict = _policy(rules[i][0], terms[i][rows.start : rows.stop])
+            if tau not in state:
+                state = {tau: _fixed_profile_state(w, cols, tau)}
+            out = _fixed_profile_pass(w, cols, state[tau], gap, gamma, strict)
+            parts[i].append(_threshold_outcomes(out))
+    outs = [_joined(p) for p in parts]
     with np.errstate(over="ignore"):
-        out["accept_weight"] = out["ratio"] * np.exp(m)
-    return out
+        for out in outs:
+            del out["best_index"]
+            out["accept_weight"] = out["ratio"] * np.exp(m)
+    return outs
 
 
 # ---------------------------------------------------------------------------

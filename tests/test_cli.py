@@ -687,3 +687,46 @@ class TestEntry:
             cli.entry()
         assert exc.value.code == 1
         assert "internal error: RuntimeError('boom')" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; consecutive calls on it
+    are independent of each other."""
+
+    SIMULATE = ["simulate", "--family", "exp", "--n", "10", "--iters", "20", "--algo", "classical"]
+
+    def test_one_parser_per_process(self, capsys):
+        assert run(["bounds", "--which", "tie23"], capsys)[0] == 0
+        assert cli._parser() is cli._parser()
+
+    def test_seed_env_read_per_call(self, monkeypatch, capsys):
+        seeds = []
+        for value in ("3", "4", None):
+            if value is None:
+                monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+            else:
+                monkeypatch.setenv(cli.SEED_ENV_VAR, value)
+            code, out, _ = run(self.SIMULATE, capsys)
+            assert code == 0
+            seeds.append(out.splitlines()[1].split(",")[10])
+        assert seeds == ["3", "4", "0"]
+        # an explicit --seed still wins over the variable
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "5")
+        assert run(self.SIMULATE + ["--seed", "6"], capsys)[1].splitlines()[1].split(",")[10] == "6"
+
+    def test_usage_error_then_valid_call(self, capsys):
+        code, _, err = run(["simulate", "--family", "exp"], capsys)  # --algo is required
+        assert code == 2 and "--algo" in err
+        code, _, err = run(["simulate", "--family", "exp", "--algo", "nope"], capsys)
+        assert code == 2 and "invalid choice" in err
+        code, out, _ = run(self.SIMULATE + ["--seed", "1"], capsys)
+        assert code == 0 and out.splitlines()[1].startswith("exp,classical,10,20,")
+        # the failed calls left no flag behind: the defaults are back
+        code, out, _ = run(["simulate", "--family", "exp", "--algo", "classical", "--iters", "7"], capsys)
+        assert code == 0 and out.splitlines()[1].startswith("exp,classical,200,7,")
+
+    def test_version_between_calls(self, capsys):
+        for _ in range(2):
+            code, out, _ = run(["--version"], capsys)
+            assert code == 0 and out.strip() == f"gapsecretary {cli.__version__}"
+            assert run(["bounds", "--which", "tie23"], capsys)[0] == 0

@@ -770,12 +770,12 @@ class TestSweeps:
     def test_cells_reading_the_same_inputs_evaluated_once(self, policy, evaluated, monkeypatch):
         # an absolute gap ignores k and the classical baseline ignores the
         # gap, so under a fixed tau the k rows share one bounded estimate;
-        # the tuned tau differs per k. Counted: kernel passes (the per-policy
-        # preparation) and the gaps each pass evaluates
+        # the tuned tau differs per k. Counted: kernel passes (one per
+        # policy) and the gaps each pass evaluates
         calls = {"passes": 0, "gaps": 0}
-        kernel = montecarlo._run_threshold_rows
+        kernel = montecarlo._threshold_pass
 
-        def counting(weights, times, tau, gaps, *args):
+        def counting(weights, times, state, gaps, *args):
             calls["passes"] += 1
 
             def counted():
@@ -783,9 +783,9 @@ class TestSweeps:
                     calls["gaps"] += 1
                     yield gap
 
-            return kernel(weights, times, tau, counted(), *args)
+            return kernel(weights, times, state, counted(), *args)
 
-        monkeypatch.setattr(montecarlo, "_run_threshold_rows", counting)
+        monkeypatch.setattr(montecarlo, "_threshold_pass", counting)
         cfg = ExperimentConfig(
             InstanceFamily("exponential"),
             50,
@@ -985,6 +985,42 @@ class TestSimulateFixedProfile:
                 prof, AlgorithmSpec("exact-gap", tau=0.3), 4, 0, gap_values=np.ones(length)
             )
 
+    @pytest.mark.parametrize("chunk_rows", [None, 7], ids=["one-chunk", "chunks-of-7"])
+    def test_rules_on_one_draw_equal_their_own_calls(self, chunk_rows, monkeypatch):
+        # the acceptance oracle's five rules plus two at other taus, in an
+        # order that is not the order of tau; each against its own call
+        if chunk_rows is not None:
+            monkeypatch.setitem(montecarlo._CHUNK_ELEMENTS, "threshold", 4 * chunk_rows)
+        prof = WeightProfile.from_weights([3.0, 1.0, 3.0, 0.5])
+        gaps = np.arange(50) % 4 * 0.9
+        rules = [
+            (AlgorithmSpec("classical", tau=0.4), 0.0),
+            (AlgorithmSpec("exact-gap", tau=0.1), 2.0),
+            (AlgorithmSpec("strict-classical", tau=0.4), 0.0),
+            (AlgorithmSpec("exact-gap", tau=0.4), gaps),
+            (AlgorithmSpec("bounded", tau=0.4, epsilon=0.5), 3.5),
+            (AlgorithmSpec("robust", tau=0.4, gamma=0.3), 2.9),
+            (AlgorithmSpec("robust", tau=0.6, gamma=0.2), gaps),
+        ]
+        outs = montecarlo.simulate_fixed_profile_rules(prof, rules, 50, 11)
+        assert len(outs) == len(rules)
+        for (spec, gap), out in zip(rules, outs):
+            assert _same(out, simulate_fixed_profile(prof, spec, 50, 11, gap_values=gap)), spec
+
+    def test_rules_checked_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("arrival times were drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        prof = WeightProfile.from_weights([3.0, 2.0, 1.0])
+        classical = (AlgorithmSpec("classical"), 0.0)
+        with pytest.raises(ConfigError, match="not a threshold policy"):
+            montecarlo.simulate_fixed_profile_rules(
+                prof, [classical, (AlgorithmSpec("l-select", L=2), 0.5)], 4, 0
+            )
+        with pytest.raises(ConfigError, match="finite and non-negative"):
+            montecarlo.simulate_fixed_profile_rules(prof, [classical, (classical[0], -1.0)], 4, 0)
+
     def test_per_iteration_gaps_respected(self):
         prof = WeightProfile.from_weights([10.0, 4.0])
         gaps = np.array([0.0, 11.0] * 50)
@@ -1036,7 +1072,8 @@ class TestBatchBuild:
             _build_batch(family, n, range(iters), seed),
             _replay_batch(profiles, seed, range(iters)),
         ):
-            got = (batch.times, batch.weights, batch.max_log, batch.sorted_weights)
+            ranked = np.stack(batch.largest(range(1, n + 1)), axis=1)
+            got = (batch.times, batch.weights, batch.max_log, ranked)
             for a, b in zip(got, expected):
                 assert np.array_equal(a, b)
         if family.tag == "pareto_power":
@@ -1374,9 +1411,30 @@ def _counting_draws(monkeypatch) -> list:
     return calls
 
 
+def _held(batch) -> list:
+    """Every array a batch holds: its instances and the work kept on them."""
+    arrays = [batch.weights, batch.times, batch.max_log, *batch._largest.values()]
+    for state in batch._states.values():
+        arrays += [a for a in state if a is not None]
+    return list({id(a): a for a in arrays}.values())
+
+
+def _tied_batch(case):
+    """A batch of integer weights and quarter-step times, so weights, gaps
+    and arrival times tie; an all-zero row is its own normalized view."""
+    W = np.array([w for w, _ in case]) * 2.5
+    profiles = [WeightProfile.from_weights(row) for row in W]
+    return _InstanceBatch(
+        np.array([p.normalized_weights for p in profiles]),
+        np.array([t for _, t in case]) / 4,
+        np.array([p.max_log_weight for p in profiles]),
+    )
+
+
 class TestBatchMemo:
-    """The last whole-run generated batch is kept, read-only, for the next
-    estimate on the same (family, n, iterations, seed)."""
+    """The last whole-run generated batch is kept, its arrays read-only, for
+    the next estimate on the same (family, n, iterations, seed), together
+    with the rank columns and threshold state computed on it."""
 
     ALGOS = [
         AlgorithmSpec("classical", tau=0.3),
@@ -1397,23 +1455,23 @@ class TestBatchMemo:
                 algo=AlgorithmSpec("exact-gap", tau=0.2)):
         return ExperimentConfig(family, n, iterations, algo, GapSpec(k=3), master_seed=seed)
 
-    def _memo(self) -> tuple:
-        (arrays,) = montecarlo._last_batch.values()
-        return arrays
+    def _memo(self) -> _InstanceBatch:
+        (batch,) = montecarlo._last_batch.values()
+        return batch
 
     def test_hit_equals_fresh_build(self, monkeypatch):
         calls = _counting_draws(monkeypatch)
         cfg = self._config()
         rows = range(cfg.iterations)
         first = montecarlo._generated_batch(cfg, rows)
+        estimate_ratio(cfg)
         hit = montecarlo._generated_batch(cfg, rows)
         assert len(calls) == 1
-        assert hit is not first and hit.weights is first.weights
-        hit_sorted = hit.sorted_weights
-        assert hit_sorted is not first.sorted_weights  # sorted per call, not kept
+        assert hit is first and first._largest and first._states
         fresh = _build_batch(cfg.family, cfg.n, rows, cfg.master_seed)
-        for a, b in zip((hit.weights, hit.times, hit.max_log, hit_sorted),
-                        (fresh.weights, fresh.times, fresh.max_log, fresh.sorted_weights)):
+        ranks = range(1, cfg.n + 1)
+        for a, b in zip((hit.weights, hit.times, hit.max_log, *hit.largest(ranks)),
+                        (fresh.weights, fresh.times, fresh.max_log, *fresh.largest(ranks))):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @pytest.mark.parametrize(
@@ -1432,10 +1490,10 @@ class TestBatchMemo:
     def test_other_key_misses(self, base, changed, monkeypatch):
         calls = _counting_draws(monkeypatch)
         first = estimate_ratio(self._config(**base))
-        (weights, *_) = self._memo()
+        weights = self._memo().weights
         estimate_ratio(self._config(**{**base, **changed}))
         assert len(calls) == 2
-        (other, *_) = self._memo()
+        other = self._memo().weights
         assert other.shape != weights.shape or not np.array_equal(other, weights)
         # the second run replaced the first one's batch
         assert estimate_ratio(self._config(**base)) == first
@@ -1449,28 +1507,156 @@ class TestBatchMemo:
             [(algo, cfg.gap) for algo in self.ALGOS],
         )
         estimate_ratio(cfg)
-        arrays = self._memo()
-        for a in arrays:
+        batch = self._memo()
+        for a in (batch.weights, batch.times, batch.max_log):
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
         # every rule runs on the read-only arrays and gives the fresh estimates
         for algo, est in zip(self.ALGOS, fresh):
             assert estimate_ratio(replace(cfg, algorithm=algo)) == est, algo.tag
-        assert self._memo() is arrays
+        assert self._memo() is batch
 
     @pytest.mark.parametrize("algo", ALGOS, ids=lambda a: a.tag)
     def test_outcomes_are_no_view_of_the_memo(self, algo):
         cfg = self._config(algo=algo)
         first = per_iteration_outcomes(cfg)
-        arrays = self._memo()
+        batch = self._memo()
         hit = per_iteration_outcomes(cfg)
-        assert self._memo() is arrays
+        assert self._memo() is batch
         assert _same(first, hit)
+        held = _held(batch)
         for out in (first, hit):
             for key, value in out.items():
                 assert value.flags.writeable, key
-                assert not any(np.shares_memory(value, a) for a in arrays), key
+                assert not any(np.shares_memory(value, a) for a in held), key
+
+    def _count_work(self, monkeypatch) -> dict:
+        """Count instance draws, sorts of the rows and threshold state
+        builds, with or without a late phase."""
+        counts = {"draws": 0, "sorts": 0, "states": 0, "late": 0}
+
+        def counting(module, name, key):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(montecarlo, "_draw_rows", "draws")
+        counting(np, "sort", "sorts")
+        counting(montecarlo, "_threshold_state", "states")
+        counting(montecarlo, "_with_late_phase", "late")
+        return counts
+
+    # (sorts, states, late phases) of a first estimate on a fresh memo
+    FIRST_WORK = {
+        "classical": (0, 1, 0),
+        "strict-classical": (0, 1, 0),
+        "exact-gap": (1, 1, 0),
+        "bounded": (1, 1, 0),
+        "robust": (1, 1, 1),
+        "l-select": (1, 0, 0),
+    }
+
+    @pytest.mark.parametrize("algo", ALGOS, ids=lambda a: a.tag)
+    def test_repeated_estimate_does_no_work_again(self, algo, monkeypatch):
+        counts = self._count_work(monkeypatch)
+        cfg = self._config(algo=algo)
+        first = estimate_ratio(cfg)
+        sorts, states, late = self.FIRST_WORK[algo.tag]
+        assert counts == {"draws": 1, "sorts": sorts, "states": states, "late": late}
+        counts.update(draws=0, sorts=0, states=0, late=0)
+        assert estimate_ratio(cfg) == first
+        assert counts == {"draws": 0, "sorts": 0, "states": 0, "late": 0}
+
+    def test_rules_on_one_family_share_the_work(self, monkeypatch):
+        # the benchmark's cells shape: five rules at one tau and one k draw,
+        # sort and prepare once, and build the robust late phase once
+        counts = self._count_work(monkeypatch)
+        cfg = self._config()
+        for algo in (
+            AlgorithmSpec("classical", tau=0.2),
+            AlgorithmSpec("strict-classical", tau=0.2),
+            AlgorithmSpec("exact-gap", tau=0.2),
+            AlgorithmSpec("robust", tau=0.2, gamma=0.05),
+            AlgorithmSpec("bounded", tau=0.2, epsilon=0.05),
+        ):
+            estimate_ratio(replace(cfg, algorithm=algo))
+        assert counts == {"draws": 1, "sorts": 1, "states": 1, "late": 1}
+
+    def test_memo_holds_no_second_float_matrix(self):
+        # after rules at several taus, gammas and gap indices, the memo holds
+        # the weights and times, (rows,) columns and at most one post-tau and
+        # one late-phase mask
+        cfg = self._config()
+        for algo in self.ALGOS:
+            for k in (2, 3, 12):
+                estimate_ratio(replace(cfg, algorithm=algo, gap=GapSpec(k=k)))
+        estimate_ratio(replace(cfg, algorithm=AlgorithmSpec("robust", tau=0.1, gamma=0.5)))
+        batch = self._memo()
+        shape = (cfg.iterations, cfg.n)
+        held = _held(batch)
+        matrices = [a for a in held if a.shape == shape]
+        floats = [a for a in matrices if a.dtype != bool]
+        assert len(floats) == 2 and floats[0] is batch.weights and floats[1] is batch.times
+        assert len(matrices) == 4  # weights, times, one post mask, one late mask
+        assert all(a.shape == shape[:1] for a in held if a.shape != shape)
+        assert all(a.base is None for a in held), "a kept column is a view of a larger array"
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        st.tuples(st.integers(2, 6), st.integers(1, 5)).flatmap(
+            lambda shape: st.tuples(
+                st.lists(
+                    st.tuples(
+                        st.lists(st.integers(0, 3), min_size=shape[0], max_size=shape[0]),
+                        st.lists(st.integers(0, 4), min_size=shape[0], max_size=shape[0]),
+                    ),
+                    min_size=shape[1],
+                    max_size=shape[1],
+                ),
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(montecarlo.ALGORITHM_TAGS),
+                        st.sampled_from([0.0, 0.25, 0.5]),
+                        st.sampled_from([0.3, 0.45]),
+                        st.integers(2, shape[0]),
+                        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                    ),
+                    min_size=1,
+                    max_size=8,
+                ),
+            )
+        )
+    )
+    # a late phase after a rule without one at the same tau
+    @example(([([0, 1, 2], [0, 4, 2])], [("exact-gap", 0.25, 0.3, 3, 2.0), ("robust", 0.25, 0.3, 3, 2.0)]))
+    def test_carried_state_equals_fresh_batch(self, case):
+        # a sequence of cells on one batch, each estimate reading the rank
+        # columns and threshold state the earlier ones left, against each
+        # cell on a fresh batch of the same instances, bit for bit
+        rows, rules = case
+        carried = _tied_batch(rows)
+        n, iterations = carried.weights.shape[1], carried.weights.shape[0]
+        for tag, tau, gamma, k, sigma in rules:
+            if tag == "l-select" and k > n - 1:
+                continue
+            algo = AlgorithmSpec(tag, tau=tau, gamma=gamma if tag == "robust" else 0.0,
+                                 epsilon=0.25, L=k)
+            cell = [(algo, GapSpec(k=k, sigma=sigma))]
+
+            def outcomes(batch_of):
+                # l-select rejects a row whose top-L weights are all 0
+                try:
+                    return montecarlo._run_cells(n, iterations, batch_of, cell, outcomes=True)[0]
+                except ConfigError as exc:
+                    return str(exc)
+
+            got = outcomes(lambda r: carried)
+            assert _same(got, outcomes(lambda r: _tied_batch(rows))), (tag, tau, gamma, k, sigma)
 
     def test_multi_chunk_run_leaves_nothing(self, monkeypatch):
         estimate_ratio(self._config())

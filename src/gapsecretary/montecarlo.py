@@ -14,12 +14,20 @@ normalized units, from a ``GapSpec`` or raw-unit gap values; it is the one
 place where raw-unit quantities are rescaled. ``_policy`` maps each tag and
 term to that record, and one of two kernels runs it over a chunk of draws.
 Each kernel is split in two: a state that does not depend on the gap, built
-once per ``tau`` (and ``gamma``), and a pass per gap that reads it:
+once per ``tau``, and a pass per gap that reads it:
 
 * ``_threshold_state`` and ``_threshold_pass`` take (rows, n) weights, one
   instance per row, and the pass takes a sequence of gaps and yields one
   result per gap: the generated and replayed batches of every estimate and
-  sweep (``_run_threshold_rows`` runs both parts on one chunk);
+  sweep (``_run_threshold_rows`` runs both parts on one chunk). Only a
+  post-``tau`` element at or above best-so-far can be accepted, under any
+  gap or ``gamma``, so the state keeps just those candidates, as flat
+  arrays in row-major order (about 4 per row at ``tau`` = 0.2, n = 200;
+  every element at ``tau`` = 0), and a pass reads nothing else: one
+  comparison with the gap, one with 1 - ``gamma``, and a segment minimum
+  of the passing arrival times per row. A candidate at a larger ``tau`` is
+  one at a smaller ``tau`` too, so ``_narrowed_state`` reads the state at a
+  larger ``tau`` off the candidates of one at a smaller ``tau``;
 * ``_fixed_profile_state`` and ``_fixed_profile_pass`` take one weight
   vector and the (n, rows) columns of its arrival times, swept column by
   column: ``simulate_fixed_profile`` and ``simulate_fixed_profile_rules``,
@@ -45,8 +53,9 @@ estimate goes through: it takes row chunks from one instance source
 (generated or replayed) and evaluates each distinct cell on each chunk. The
 single-selection cells of a chunk are grouped by their policy's ``(tau,
 gamma, strict)``, and each group is one row-kernel pass over the chunk's
-state at its tau and gamma: a sigma sweep at one tau is one state and one
-pass per chunk. Each cell's outcomes are cut to what its estimate
+state at its tau: a sigma sweep at one tau is one state and one pass per
+chunk, and a k-sweep at tuned taus builds one state from the weights and
+narrows it for each larger tau. Each cell's outcomes are cut to what its estimate
 reads as they are yielded, and a cell is reduced once its last chunk is done.
 
 Generated instances are a pure function of (family, n, iterations,
@@ -56,24 +65,28 @@ memoized under that key in ``_last_batch``, its weights, times and
 done on it: the j-th largest weight of each row for every rank a gap has
 read (one (rows,) column per rank, taken from one sort per call that needs
 a new rank, the sorted matrix dropped at once), and the threshold state of
-the last ``tau`` asked (a post mask, best-so-far and the best index), with
-the late-phase mask of the last ``gamma`` asked at it. The next estimate
-with the same key gets the same batch: it draws, sorts and prepares nothing
-an earlier one did, and its arrays are what a fresh draw gives, bit for bit.
+the last ``tau`` asked (its candidates, best-so-far and the best index),
+which serves every ``gamma`` and strictness at that ``tau`` and is
+narrowed for a larger one. The next
+estimate with the same key gets the same batch: it draws, sorts and
+prepares nothing an earlier one did, and its arrays are what a fresh draw
+gives, bit for bit.
 The memo is dropped before any other instances or arrival times are drawn
 (``_draw_rows``, ``_replay_batch``, ``simulate_fixed_profile_rules``), so
 no later draw holds it beside its own batch, and a run of several chunks
 leaves nothing behind. Until that next draw the last whole-run batch stays
 resident (two (iterations, n) float arrays, up to about 80 MB for a full
-chunk, plus up to two 5 MB bool masks and its rank columns), also while
-other work that draws nothing runs in the same process.
+chunk, plus its rank columns and the three candidate arrays of one
+``tau``, 24 bytes per candidate: about 0.5 MB at ``tau`` = 0.2, n = 200
+and 5000 iterations, 24 MB at ``tau`` = 0), also while other work that
+draws nothing runs in the same process.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations, permutations
 from typing import NamedTuple
 
@@ -248,7 +261,7 @@ class SweepCell:
 
 class _Policy(NamedTuple):
     """A threshold rule: one ``_threshold_pass`` over the state at ``tau``
-    and ``gamma`` takes ``strict`` once and the gaps of every rule sharing
+    takes ``gamma`` and ``strict`` once and the gaps of every rule sharing
     them."""
 
     tau: float
@@ -268,78 +281,131 @@ def _policy(algorithm: AlgorithmSpec, term=0.0) -> _Policy:
 
 
 class _ThresholdState(NamedTuple):
-    """What threshold rules at one ``tau`` and ``gamma`` read of a chunk,
-    whatever their gaps: the post-``tau`` mask, best-so-far, the late-phase
-    candidates (late, post-``tau`` and at or above best-so-far; None without
-    a late phase) and the best index."""
+    """What threshold rules at one ``tau`` read of a chunk, whatever their
+    gaps and gamma: its candidates, the post-``tau`` elements at or above
+    best-so-far, as flat arrays in row-major order, the rows holding one
+    with the start of each row's run in them, and per row best-so-far and
+    the best index. Only a candidate can be accepted, under any gap and in
+    the late phase alike."""
 
-    post: np.ndarray  # (B, n) bool
+    index: np.ndarray  # (m,) the candidates' indices, ascending within a row
+    weight: np.ndarray  # (m,)
+    time: np.ndarray  # (m,)
+    rows: np.ndarray  # (R,) the rows holding a candidate, ascending
+    starts: np.ndarray  # (R,) where each of them starts in the candidates
     bsf: np.ndarray  # (B,)
-    late: np.ndarray | None  # (B, n) bool
     best_index: np.ndarray  # (B,)
 
 
-def _threshold_state(weights: np.ndarray, times: np.ndarray, tau: float) -> _ThresholdState:
-    """The state of threshold rules at ``tau`` without a late phase over
-    (B, n) ``weights`` and ``times``."""
-    pre = times <= tau
-    bsf = np.max(np.where(pre, weights, 0.0), axis=1)
-    post = np.logical_not(pre, out=pre)
-    return _ThresholdState(post, bsf, None, np.argmax(weights, axis=1))
-
-
-def _with_late_phase(
-    state: _ThresholdState, weights: np.ndarray, times: np.ndarray, gamma: float
+def _threshold_state(
+    weights: np.ndarray, times: np.ndarray, tau: float, best_index: np.ndarray
 ) -> _ThresholdState:
-    """``state`` with the late-phase candidates of ``gamma`` > 0 added."""
-    late = (times > 1.0 - gamma) & state.post
-    late &= weights >= state.bsf[:, None]
-    return state._replace(late=late)
+    """The state of threshold rules at ``tau`` over (B, n) ``weights`` and
+    ``times`` whose rows' best indices are ``best_index``."""
+    B, n = weights.shape
+    pre = times <= tau
+    # weights are finite and non-negative, so this is max(pre-tau weights, 0)
+    bsf = np.max(weights * pre, axis=1)
+    candidate = np.greater_equal(weights, bsf[:, None])
+    candidate &= np.logical_not(pre, out=pre)
+    position = np.flatnonzero(candidate)
+    # row r's candidates start at the first position at or after r * n
+    r = np.arange(B)
+    starts = np.searchsorted(position, r * n)
+    holds = np.diff(starts, append=position.size) > 0
+    return _ThresholdState(
+        position % n,
+        weights.take(position),
+        times.take(position),
+        r[holds],
+        starts[holds],
+        bsf,
+        best_index,
+    )
 
 
-def _threshold_pass(
-    weights: np.ndarray, times: np.ndarray, state: _ThresholdState, gaps, strict: bool = False
-):
+def _narrowed_state(state: _ThresholdState, tau: float) -> _ThresholdState:
+    """The state at ``tau`` of the chunk whose state at a smaller tau is
+    ``state``, equal to a fresh build, read off its candidates alone.
+
+    A candidate at ``tau`` is one at the smaller tau too, and of the elements
+    arriving between the two, only a candidate can raise best-so-far: every
+    other one lies below it."""
+    index, weight, time, rows, starts, bsf, best_index = state
+    crossed = time <= tau
+    bsf = bsf.copy()
+    bsf[rows] = np.maximum(bsf[rows], np.maximum.reduceat(weight * crossed, starts))
+    keep = weight >= np.repeat(bsf[rows], np.diff(starts, append=weight.size))
+    keep &= np.logical_not(crossed, out=crossed)
+    counts = np.add.reduceat(keep, starts, dtype=np.intp)
+    holds = counts > 0
+    return _ThresholdState(
+        index[keep],
+        weight[keep],
+        time[keep],
+        rows[holds],
+        (np.cumsum(counts) - counts)[holds],
+        bsf,
+        best_index,
+    )
+
+
+def _threshold_pass(state: _ThresholdState, gaps, gamma: float = 0.0, strict: bool = False):
     """Run the threshold rules that share ``state`` over a chunk of draws
     once for each gap in ``gaps``, yielding one result dict per gap, in
     order.
 
-    ``weights`` and ``times`` are (B, n); each gap is a scalar or (B,) array
-    in the same units as ``weights``. Mirrors the per-draw runners in
-    ``algorithms``: threshold max(best-so-far, gap) after ``tau``, dropping to
-    best-so-far after time 1 - ``gamma``; ``strict`` switches >= to >. The
-    accepted element is the candidate with the earliest arrival; ``argmin``
-    returns the first minimum, so tied times go to the lower index.
+    Each gap is a scalar or (B,) array in the units of the chunk's weights.
+    Mirrors the per-draw runners in ``algorithms``: threshold max(best-so-far,
+    gap) after ``tau``, dropping to best-so-far after time 1 - ``gamma``;
+    ``strict`` switches >= to >. The accepted element is the earliest
+    candidate to pass, tied times to the lower index.
 
-    Each gap fills one reused candidate mask and one reused masked-times
-    buffer. A gap-phase candidate is at or above best-so-far, so OR-ing in
-    the late-phase candidates gives the two-phase rule. Each result gets its
-    own copy of the best index, so no result is a view of ``state``.
+    Only the candidates of ``state`` are read. Each is at or above
+    best-so-far, so it passes when it is at or above the gap, or arrives
+    after 1 - ``gamma``. Each row's earliest passing time is a segment
+    minimum (``np.minimum.reduceat``), and the first candidate of the row at
+    that time, the lowest index, is accepted. Each result gets its own
+    copy of the best index, so no result is a view of ``state``.
     """
-    post, bsf, late, best_index = state
-    if strict and late is not None:
+    index, weight, time, rows, starts, bsf, best_index = state
+    if strict and gamma > 0.0:
         raise ValueError("strict comparison has no late phase")
-    r = np.arange(weights.shape[0])
-    cand = np.empty(weights.shape, dtype=bool)
-    masked = np.empty(weights.shape)
+    B = bsf.size
+    sizes = np.diff(starts, append=weight.size)
+
+    def per_candidate(values):
+        return np.repeat(np.take(values, rows), sizes)
+
+    late = time > 1.0 - gamma if gamma > 0.0 else None
     for gap in gaps:
         if strict:
-            np.greater(weights, bsf[:, None], out=cand)
+            passed = weight > per_candidate(bsf)
         else:
-            np.greater_equal(weights, np.maximum(bsf, gap)[:, None], out=cand)
-        cand &= post
+            passed = weight >= (gap if np.ndim(gap) == 0 else per_candidate(gap))
         if late is not None:
-            cand |= late
-        masked.fill(np.inf)
-        np.copyto(masked, times, where=cand)
-        first = np.argmin(masked, axis=1)
-        has = cand[r, first]
-        yield {
-            "accept_index": np.where(has, first, -1),
-            "accept_weight": np.where(has, weights[r, first], 0.0),
-            "accept_time": np.where(has, times[r, first], np.nan),
+            passed |= late
+        # every candidate arrives after tau >= 0, so a time divided by its
+        # flag is the time itself when it passed and +inf when not
+        with np.errstate(divide="ignore"):
+            masked = time / passed
+        earliest = np.minimum.reduceat(masked, starts)
+        earliest[earliest == np.inf] = np.nan  # a row where none passed
+        hits = np.flatnonzero(masked == np.repeat(earliest, sizes))
+        # the first hit of each row's run is its lowest index
+        run = np.searchsorted(starts, hits, side="right") - 1
+        firsts = np.diff(run, prepend=-1) != 0
+        first, accepted = hits[firsts], rows.take(run[firsts])
+        out = {
+            "accept_index": np.full(B, -1, dtype=np.intp),
+            "accept_weight": np.zeros(B),
+            "accept_time": np.full(B, np.nan),
             "best_index": best_index.copy(),
         }
+        out["accept_index"][accepted] = index.take(first)
+        out["accept_weight"][accepted] = weight.take(first)
+        out["accept_time"][accepted] = time.take(first)
+        yield out
 
 
 def _run_threshold_rows(
@@ -352,10 +418,8 @@ def _run_threshold_rows(
 ):
     """``_threshold_pass`` of the policy ``(tau, gamma, strict)`` over
     ``gaps``, its state built for this call alone."""
-    state = _threshold_state(weights, times, tau)
-    if gamma > 0.0:
-        state = _with_late_phase(state, weights, times, gamma)
-    return _threshold_pass(weights, times, state, gaps, strict)
+    state = _threshold_state(weights, times, tau, np.argmax(weights, axis=1))
+    return _threshold_pass(state, gaps, gamma, strict)
 
 
 class _FixedProfileState(NamedTuple):
@@ -451,10 +515,10 @@ def _run_fixed_profile(
 class _InstanceBatch:
     """A chunk of instances, with the gap-independent work done on it so far,
     so that a batch used again does none of it again: the j-th largest weight
-    of each row for each rank j a gap has read, and the threshold state of
-    the last ``tau`` asked, with and without the last ``gamma`` asked at it.
-    Both are (rows,) columns or (rows, n) bool masks; no (rows, n) float
-    array beyond the weights and times is kept."""
+    of each row for each rank j a gap has read, the best index, and the
+    threshold state of the last ``tau`` asked. All are 1-D: (rows,)
+    columns, or one entry per candidate; no (rows, n) array beyond the
+    weights and times is kept."""
 
     weights: np.ndarray  # normalized linear weights, (rows, n)
     times: np.ndarray  # arrival times, (rows, n)
@@ -475,21 +539,24 @@ class _InstanceBatch:
                 self._largest[j] = ascending[:, n - j].copy()
         return [self._largest[j] for j in ranks]
 
-    def threshold_state(self, tau: float, gamma: float) -> _ThresholdState:
-        """The state of the threshold rules at ``tau`` and ``gamma``; the one
-        without a late phase is kept beside it and lends it its post mask,
-        best-so-far and best index."""
-        state = self._states.get((tau, gamma))
-        if state is None:
-            base = self._states.get((tau, 0.0))
-            if base is None:
-                base = _threshold_state(self.weights, self.times, tau)
-            state = base
-            if gamma > 0.0:
-                state = _with_late_phase(base, self.weights, self.times, gamma)
+    def threshold_state(self, tau: float) -> _ThresholdState:
+        """The state of the threshold rules at ``tau``, kept until another
+        ``tau`` is asked: the kept state narrowed when it is at a smaller
+        tau, else built from the weights and times."""
+        if tau not in self._states:
+            kept = next(iter(self._states.items()), None)
+            if kept is not None and kept[0] < tau:
+                state = _narrowed_state(kept[1], tau)
+            else:
+                state = _threshold_state(self.weights, self.times, tau, self.best_index)
             self._states.clear()
-            self._states.update({(tau, 0.0): base, (tau, gamma): state})
-        return state
+            self._states[tau] = state
+        return self._states[tau]
+
+    @cached_property
+    def best_index(self) -> np.ndarray:
+        """The index of each row's first maximum."""
+        return np.argmax(self.weights, axis=1)
 
 
 # the last generated batch that covered a whole run, read-only, with the
@@ -615,7 +682,8 @@ def _chunk_outcomes(batch: _InstanceBatch, keys):
     Single-selection cells are grouped by their policy's ``(tau, gamma,
     strict)``, and each group is one pass over the batch's threshold state,
     whose threshold terms are computed as the pass takes them. Groups run in
-    order of tau, so the groups at one tau share its state."""
+    order of tau, so the groups at one tau share its state, and each larger
+    tau narrows the state of the one before."""
     batch.largest({j for a, g in keys for j in _gap_ranks(a, g)})
     groups = {}
     for key in keys:
@@ -627,8 +695,7 @@ def _chunk_outcomes(batch: _InstanceBatch, keys):
             groups.setdefault((tau, gamma, strict), []).append(key)
     for (tau, gamma, strict), members in sorted(groups.items(), key=lambda item: item[0][0]):
         terms = (_threshold_term(a, g, batch.max_log, batch) for a, g in members)
-        state = batch.threshold_state(tau, gamma)
-        outs = _threshold_pass(batch.weights, batch.times, state, terms, strict)
+        outs = _threshold_pass(batch.threshold_state(tau), terms, gamma, strict)
         for key, out in zip(members, outs):
             yield key, _threshold_outcomes(out)
 

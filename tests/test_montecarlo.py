@@ -775,7 +775,7 @@ class TestSweeps:
         calls = {"passes": 0, "gaps": 0}
         kernel = montecarlo._threshold_pass
 
-        def counting(weights, times, state, gaps, *args):
+        def counting(state, gaps, *args):
             calls["passes"] += 1
 
             def counted():
@@ -783,7 +783,7 @@ class TestSweeps:
                     calls["gaps"] += 1
                     yield gap
 
-            return kernel(weights, times, state, counted(), *args)
+            return kernel(state, counted(), *args)
 
         monkeypatch.setattr(montecarlo, "_threshold_pass", counting)
         cfg = ExperimentConfig(
@@ -1533,8 +1533,8 @@ class TestBatchMemo:
 
     def _count_work(self, monkeypatch) -> dict:
         """Count instance draws, sorts of the rows and threshold state
-        builds, with or without a late phase."""
-        counts = {"draws": 0, "sorts": 0, "states": 0, "late": 0}
+        builds."""
+        counts = {"draws": 0, "sorts": 0, "states": 0}
 
         def counting(module, name, key):
             original = getattr(module, name)
@@ -1548,17 +1548,16 @@ class TestBatchMemo:
         counting(montecarlo, "_draw_rows", "draws")
         counting(np, "sort", "sorts")
         counting(montecarlo, "_threshold_state", "states")
-        counting(montecarlo, "_with_late_phase", "late")
         return counts
 
-    # (sorts, states, late phases) of a first estimate on a fresh memo
+    # (sorts, states) of a first estimate on a fresh memo
     FIRST_WORK = {
-        "classical": (0, 1, 0),
-        "strict-classical": (0, 1, 0),
-        "exact-gap": (1, 1, 0),
-        "bounded": (1, 1, 0),
-        "robust": (1, 1, 1),
-        "l-select": (1, 0, 0),
+        "classical": (0, 1),
+        "strict-classical": (0, 1),
+        "exact-gap": (1, 1),
+        "bounded": (1, 1),
+        "robust": (1, 1),
+        "l-select": (1, 0),
     }
 
     @pytest.mark.parametrize("algo", ALGOS, ids=lambda a: a.tag)
@@ -1566,15 +1565,15 @@ class TestBatchMemo:
         counts = self._count_work(monkeypatch)
         cfg = self._config(algo=algo)
         first = estimate_ratio(cfg)
-        sorts, states, late = self.FIRST_WORK[algo.tag]
-        assert counts == {"draws": 1, "sorts": sorts, "states": states, "late": late}
-        counts.update(draws=0, sorts=0, states=0, late=0)
+        sorts, states = self.FIRST_WORK[algo.tag]
+        assert counts == {"draws": 1, "sorts": sorts, "states": states}
+        counts.update(draws=0, sorts=0, states=0)
         assert estimate_ratio(cfg) == first
-        assert counts == {"draws": 0, "sorts": 0, "states": 0, "late": 0}
+        assert counts == {"draws": 0, "sorts": 0, "states": 0}
 
     def test_rules_on_one_family_share_the_work(self, monkeypatch):
         # the benchmark's cells shape: five rules at one tau and one k draw,
-        # sort and prepare once, and build the robust late phase once
+        # sort and prepare once; the robust late phase builds no state
         counts = self._count_work(monkeypatch)
         cfg = self._config()
         for algo in (
@@ -1585,26 +1584,35 @@ class TestBatchMemo:
             AlgorithmSpec("bounded", tau=0.2, epsilon=0.05),
         ):
             estimate_ratio(replace(cfg, algorithm=algo))
-        assert counts == {"draws": 1, "sorts": 1, "states": 1, "late": 1}
+        assert counts == {"draws": 1, "sorts": 1, "states": 1}
 
     def test_memo_holds_no_second_float_matrix(self):
         # after rules at several taus, gammas and gap indices, the memo holds
-        # the weights and times, (rows,) columns and at most one post-tau and
-        # one late-phase mask
+        # no (rows, n) array beyond the weights and times: the state keeps
+        # one entry per candidate, the post-tau elements at or above
+        # best-so-far, and (rows,) columns
         cfg = self._config()
         for algo in self.ALGOS:
             for k in (2, 3, 12):
                 estimate_ratio(replace(cfg, algorithm=algo, gap=GapSpec(k=k)))
         estimate_ratio(replace(cfg, algorithm=AlgorithmSpec("robust", tau=0.1, gamma=0.5)))
         batch = self._memo()
-        shape = (cfg.iterations, cfg.n)
         held = _held(batch)
-        matrices = [a for a in held if a.shape == shape]
-        floats = [a for a in matrices if a.dtype != bool]
-        assert len(floats) == 2 and floats[0] is batch.weights and floats[1] is batch.times
-        assert len(matrices) == 4  # weights, times, one post mask, one late mask
-        assert all(a.shape == shape[:1] for a in held if a.shape != shape)
-        assert all(a.base is None for a in held), "a kept column is a view of a larger array"
+        matrices = [a for a in held if a.ndim != 1]
+        assert len(matrices) == 2
+        assert matrices[0] is batch.weights and matrices[1] is batch.times
+        # the state of the last tau asked, 0.1: one entry per candidate
+        (state,) = batch._states.values()
+        post = batch.times > 0.1
+        bsf = np.max(np.where(post, 0.0, batch.weights), axis=1)
+        m = np.count_nonzero(post & (batch.weights >= bsf[:, None]))
+        assert 0 < m < batch.weights.size
+        candidates = (state.index, state.weight, state.time)
+        assert all(a.shape == (m,) for a in candidates)
+        # all else are (rows,) columns, or the starts of the rows holding one
+        rest = [a for a in held[2:] if not any(a is c for c in candidates)]
+        assert all(a.ndim == 1 and a.size <= cfg.iterations for a in rest)
+        assert all(a.base is None for a in held), "a kept array is a view of a larger array"
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(
@@ -1657,6 +1665,103 @@ class TestBatchMemo:
 
             got = outcomes(lambda r: carried)
             assert _same(got, outcomes(lambda r: _tied_batch(rows))), (tag, tau, gamma, k, sigma)
+
+    # (tau, weights, times, candidates per row): every row's largest raw
+    # weight is 1 or it is all zero, so its raw and normalized views agree
+    # and gaps read off its weights are exact in both
+    EDGES = {
+        # one row all before tau, one row's post-tau elements all below it
+        "no-candidate": (0.5, [[1.0, 0.5, 0.25], [0.5, 1.0, 0.75]],
+                         [[0.25, 0.5, 0.0], [0.75, 0.5, 1.0]], [0, 0]),
+        # first, third and last rows without, the third all zero at tau
+        "rows-without-candidates": (0.25, [[1.0, 0.5], [0.5, 1.0], [0.0, 0.0], [0.25, 1.0], [1.0, 0.5]],
+                                    [[0.0, 0.5], [0.5, 0.75], [0.25, 0.25], [0.25, 0.5], [0.0, 0.5]],
+                                    [0, 2, 0, 1, 0]),
+        # an arrival at time 0 sets best-so-far; the second row ties
+        "tau-zero": (0.0, [[0.5, 1.0, 0.25], [1.0, 0.75, 0.75]],
+                     [[0.0, 0.75, 0.5], [0.5, 0.25, 0.25]], [1, 3]),
+        # an arrival at tau sets best-so-far; a candidate equal to it comes first
+        "time-equals-tau": (0.25, [[1.0, 0.75, 0.75], [0.5, 1.0, 0.5]],
+                            [[0.25, 0.5, 0.75], [0.25, 0.75, 0.5]], [0, 2]),
+        # candidates equal to best-so-far, at 1 - gamma and after it
+        "gap-on-weights": (0.25, [[0.5, 0.5, 0.75, 1.0], [1.0, 0.75, 0.25, 0.75]],
+                           [[0.0, 0.5, 0.75, 1.0], [0.5, 0.0, 0.25, 0.75]], [3, 2]),
+        # tied candidate times, with the lower index failing in the second row
+        "tied-times": (0.25, [[0.25, 1.0, 0.5, 0.75], [0.25, 0.5, 1.0, 0.75]],
+                       [[0.0, 0.5, 0.5, 0.5], [0.0, 0.5, 0.5, 0.5]], [3, 3]),
+    }
+
+    @pytest.mark.parametrize("edge", sorted(EDGES))
+    def test_candidate_edges_match_scalar_runners(self, edge):
+        # the kernel on one carried batch, through every rule kind and gaps
+        # on each row's weights and best-so-far, scalar and per row, against
+        # the dense reference bit for bit and the scalar runners row by row
+        tau, weights, times, per_row = self.EDGES[edge]
+        W, T = np.array(weights), np.array(times)
+        profiles = [WeightProfile.from_weights(row) for row in W]
+        assert all(p.max_log_weight in (0.0, -math.inf) for p in profiles)
+        batch = _InstanceBatch(np.array([p.normalized_weights for p in profiles]), T,
+                               np.array([p.max_log_weight for p in profiles]))
+        state = batch.threshold_state(tau)
+        counts = np.zeros(len(W), dtype=int)
+        counts[state.rows] = np.diff(state.starts, append=state.weight.size)
+        assert counts.tolist() == per_row and (counts[state.rows] > 0).all()
+        bsf = state.bsf.copy()
+        gaps = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, bsf]
+        gaps += [batch.weights[:, j].copy() for j in range(W.shape[1])]
+        kinds = {
+            "exact-gap": (AlgorithmSpec("exact-gap", tau=tau), 0.0, False, gaps),
+            "robust": (AlgorithmSpec("robust", tau=tau, gamma=0.25), 0.25, False, gaps),
+            "strict": (AlgorithmSpec("strict-classical", tau=tau), 0.0, True, [0.0]),
+        }
+        for kind, (spec, gamma, strict, kind_gaps) in kinds.items():
+            outs = montecarlo._threshold_pass(batch.threshold_state(tau), kind_gaps, gamma, strict)
+            for gap, out in zip(kind_gaps, outs, strict=True):
+                where = (kind, gap)
+                _assert_same_arrays(out, _dense_reference(batch.weights, T, tau, gap, gamma, strict), where)
+                row_gaps = np.broadcast_to(gap, (len(W),))
+                for row, prof in enumerate(profiles):
+                    ref = _scalar_reference(spec, prof, ArrivalDraw(T[row]), float(row_gaps[row]))
+                    expected = ref.accepted_index if ref.accepted else -1
+                    assert out["accept_index"][row] == expected, (where, row)
+        assert batch._states.keys() == {tau} and batch.threshold_state(tau) is state
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 6), st.integers(1, 5)).flatmap(
+            lambda shape: st.lists(
+                st.tuples(
+                    st.lists(st.integers(0, 3), min_size=shape[0], max_size=shape[0]),
+                    st.lists(st.integers(0, 4), min_size=shape[0], max_size=shape[0]),
+                ),
+                min_size=shape[1],
+                max_size=shape[1],
+            )
+        ),
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]), min_size=2, max_size=4, unique=True),
+    )
+    def test_narrowed_state_equals_fresh_build(self, rows, taus):
+        # each state narrowed from the one at the next smaller tau equals a
+        # fresh build at its tau, array by array; times land on the taus
+        batch = _tied_batch(rows)
+        taus = sorted(taus)
+        state = batch.threshold_state(taus[0])
+        for tau in taus[1:]:
+            narrowed = montecarlo._narrowed_state(state, tau)
+            fresh = montecarlo._threshold_state(batch.weights, batch.times, tau, batch.best_index)
+            for field, a, b in zip(fresh._fields, narrowed, fresh):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (field, tau)
+                assert a.base is None, field
+            state = narrowed
+
+    def test_larger_tau_narrows_the_kept_state(self, monkeypatch):
+        # taus in ascending order build one state from the weights and times
+        # and narrow it; a smaller tau builds afresh
+        counts = self._count_work(monkeypatch)
+        cfg = self._config()
+        for tau in (0.1, 0.2, 0.3, 0.2):
+            estimate_ratio(replace(cfg, algorithm=AlgorithmSpec("exact-gap", tau=tau)))
+        assert counts == {"draws": 1, "sorts": 1, "states": 2}
 
     def test_multi_chunk_run_leaves_nothing(self, monkeypatch):
         estimate_ratio(self._config())

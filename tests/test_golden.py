@@ -12,7 +12,12 @@ and the chi-squared and superstar ``--dump-profiles`` files, the move of
 l-select and the profile dump from one instance at a time to chunked batch
 rows, and, for the ``frontier`` CSVs and the ``bounds --which rc`` reports,
 the move of the worst-case gap index from a scan over k to its closed form,
-k = 2. A refactor of generation, batching, the kernels or the bound formulas
+k = 2, and, for the l-select commands at n = 200 (four kernel chunks of 81
+rows or fewer: exponential L = 2, chi-squared L = 5, tau = 0 with no
+pre-tau element, L = 199, pareto L = 10, whose normalized weights underflow
+to 0 so that most rows' L-th pre-tau weight is a tied 0, and an absolute
+gap above every weight), the move of the l-select kernel from ranking whole
+rows to ranking only the elements that can be or decide a hit. A refactor of generation, batching, the kernels or the bound formulas
 must leave every digest unchanged.
 
 The digests are pinned to numpy 2.4 on x86-64: the draws come from numpy's
@@ -44,6 +49,8 @@ from gapsecretary.montecarlo import AlgorithmSpec, simulate_fixed_profile
 
 N, ITERS = "50", "300"
 SIM = ["simulate", "--n", N, "--iters", ITERS, "--tau", "0.2"]
+# 300 instances of 200 elements: four chunks of the l-select kernel
+SIM_200 = ["simulate", "--n", "200", "--iters", ITERS]
 RULES = {
     "classical": ["--algo", "classical"],
     "strict-classical": ["--algo", "strict-classical"],
@@ -135,6 +142,21 @@ COMMANDS = {
         "simulate", "--n", "6", "--iters", ITERS, "--tau", "0.2", "--family", "exp",
         "--seed", "97", "--algo", "l-select", "--L", "5",
     ],
+    "simulate/exp/l-select/n-200/four-chunks": SIM_200
+    + ["--tau", "0.2", "--family", "exp", "--seed", "107", "--algo", "l-select", "--L", "2"],
+    "simulate/chisq/l-select/n-200/L-5": SIM_200
+    + ["--tau", "0.2", "--family", "chisq", "--seed", "109", "--algo", "l-select", "--L", "5"],
+    "simulate/exp/l-select/n-200/tau-0": SIM_200
+    + ["--tau", "0", "--family", "exp", "--seed", "113", "--algo", "l-select", "--L", "2"],
+    "simulate/exp/l-select/n-200/L-199": SIM_200
+    + ["--tau", "0.2", "--family", "exp", "--seed", "127", "--algo", "l-select", "--L", "199"],
+    "simulate/pareto/l-select/n-200/L-10": SIM_200
+    + ["--tau", "0.2", "--family", "pareto", "--seed", "131", "--algo", "l-select", "--L", "10"],
+    "simulate/exp/l-select/n-200/gap-value-above-all": SIM_200
+    + [
+        "--tau", "0.2", "--family", "exp", "--seed", "137", "--algo", "l-select", "--L", "2",
+        "--gap-value", "100",
+    ],
     "frontier": ["frontier"],
     "frontier/k-2": ["frontier", "--k-aggregation", "2"],
     "frontier/k-50": ["frontier", "--k-aggregation", "50"],
@@ -159,13 +181,13 @@ DUMPS = {
 }
 
 GOLDEN = {
+    "bounds/rc/tau-0.05/gamma-0": "197fbc90bf584c5168a76673aef160a1ec9b21a88cc4a73c62a9c9b68ed15f4d",
+    "bounds/rc/tau-0.05/gamma-0.9": "648069fc6399cb64cdb7589fa5d96210d6a4cabb19f3cf96c4eef574c73e1e58",
+    "bounds/rc/tau-0.2/gamma-0.6": "69d76e263e6eed98504b3f964bb325d5d77eae00b3a8721343a72888ac878b1f",
     "dump/chisq": "8996f0a9fcb502ae27eefa20a76a3c23b32413a45e5473fb750fe2c99fcf33ab",
     "dump/chisq/profiles": "4ecdbed1358f9368a3a9422be3cc698f30536a7ed53f01c0c562bc72c8504166",
     "dump/exp-superstar": "7b9078e88ab34f506e76cfbc8390e7bd69f794e8ff5a8709a8edec0b074922c1",
     "dump/exp-superstar/profiles": "8f6f5a91bc823fe866214b8260c0ac8ae4f13e21ee814410861bdc22332bf661",
-    "bounds/rc/tau-0.05/gamma-0": "197fbc90bf584c5168a76673aef160a1ec9b21a88cc4a73c62a9c9b68ed15f4d",
-    "bounds/rc/tau-0.05/gamma-0.9": "648069fc6399cb64cdb7589fa5d96210d6a4cabb19f3cf96c4eef574c73e1e58",
-    "bounds/rc/tau-0.2/gamma-0.6": "69d76e263e6eed98504b3f964bb325d5d77eae00b3a8721343a72888ac878b1f",
     "frontier": "7e3fc1db4d3567715bb3da08c93a113eb1b4c7e41f3636a5ae8bd10d529c3d5b",
     "frontier/k-2": "7cc1bd5b5021dd542453676d32b93b5168f4b1d01b469f66816cb9977e9b9d42",
     "frontier/k-50": "adb7ae82e86b04ffb6076ffab5195e3584bdfb990849d59e00226d6464c187c5",
@@ -176,6 +198,7 @@ GOLDEN = {
     "simulate/chisq/exact-gap": "17f297e78a52a5c44ea012fd750e948ae9bd7e93f5e67c66cba69b34ac5414ee",
     "simulate/chisq/exact-gap/df-1": "839fa7b7073f8628c95fda0d86188d1ae4e36d1d734f0812f2770aa3772e8dab",
     "simulate/chisq/l-select/L-5": "44ac4afebda4ca26d154da94372ecb06d70d8e0d7c89becbf13eb53b9021f771",
+    "simulate/chisq/l-select/n-200/L-5": "0dcaabf17b7fe3a080ad7c959e52a14e03eac2a65816352605bfe664ac803be5",
     "simulate/chisq/robust": "2f4689dbce3b4f821294a2f944c9d556910318afcc9bd4500327994b85b680a6",
     "simulate/chisq/strict-classical": "08107ac32644f6a40acaa84f9af7d7b25ceebbb38857454ecbc14144a1330f7c",
     "simulate/exp-superstar/bounded": "d346fb143dcf71318dd945cecfa0c70b58cb4adcdade733658613e9b01217a29",
@@ -197,6 +220,10 @@ GOLDEN = {
     "simulate/exp/l-select": "7a8c67252a56e32b3067708c71cff6369de355caa05c99b84e78c6d124f3c430",
     "simulate/exp/l-select/L-n-minus-1": "899e1b8ddf0a1bdae0deee268b29a08020eda9970860871ceaf7d21745eefc28",
     "simulate/exp/l-select/gap-value": "31c6c900ce05897328c0c5e08df726f158ac7910faee6c36cdd0db6df991184b",
+    "simulate/exp/l-select/n-200/L-199": "36f1e1be4378a477d849d833136810b8f029d1bbef3b04b7c44ad5d9deb4f306",
+    "simulate/exp/l-select/n-200/four-chunks": "3aca1c09cb9a0b0a1cf80168a47dea5bac7d0cdb9692c4a2084152fbbf48ad02",
+    "simulate/exp/l-select/n-200/gap-value-above-all": "2de09c327706daf8a03a05e76007e2072efb93d1c84c9b2006b5137350f86c7b",
+    "simulate/exp/l-select/n-200/tau-0": "f2d34d24fe8818cd99858ec0997ec5db904c76b894854ab0386fa09e735e0aa0",
     "simulate/exp/robust": "5586bb8f9c739bea084a9c57a450edf58c1370e5c2e724a1210b080333cb25b1",
     "simulate/exp/strict-classical": "da0381d501b599d676b0f3ecf66dd2dc8da476af80e9b44663114890946454ea",
     "simulate/pareto/bounded": "883774b63093ecac12d071e77219e4301d204f56415911f17aec6e8166e02bb5",
@@ -205,6 +232,7 @@ GOLDEN = {
     "simulate/pareto/exact-gap/gap-value": "2cbf8d8451d690328dd0ccbf43fec9728e609ad7b840c37e4a90972a384f49b0",
     "simulate/pareto/exact-gap/n-2": "e0382827974f4914f553eefa069d19e735a780216760968452b65748a47321f7",
     "simulate/pareto/l-select": "6790b1a9ef701a4acb9d036c4ab96499c1c8001565fb70d090b6d4e9c88fdd83",
+    "simulate/pareto/l-select/n-200/L-10": "3191f65e671121c5a3c92748de1c7d5ce16375f9f5a5c694e3a5e60afe89f2ee",
     "simulate/pareto/robust": "c1a22bc43220b5878506e7a9dbac731600acf235fa15a614dddc203de5bd483d",
     "simulate/pareto/strict-classical": "2f7e40c2981565d864f73fd2ca3a68ebbe32f944491a13f753e30a05e1dd8bc8",
     "sweep/k": "f1ebdb539eac38bc6d56e5d307031b36f81e04d4e997af82846b879ca69ee939",

@@ -248,7 +248,7 @@ class InstanceFamily:
             def draw(i, rng):
                 rng.standard_normal(out=z)
                 np.multiply(z, z, out=z)
-                np.sum(z, axis=1, out=out[i])
+                np.add.reduce(z, axis=1, out=out[i])
 
         else:
 

@@ -515,8 +515,9 @@ def _run_fixed_profile(
 class _InstanceBatch:
     """A chunk of instances, with the gap-independent work done on it so far,
     so that a batch used again does none of it again: the j-th largest weight
-    of each row for each rank j a gap has read, the best index, and the
-    threshold state of the last ``tau`` asked. All are 1-D: (rows,)
+    of each row for each rank j a gap has read, the total of each row's L
+    largest weights for each L an l-select cell has read, the best index,
+    and the threshold state of the last ``tau`` asked. All are 1-D: (rows,)
     columns, or one entry per candidate; no (rows, n) array beyond the
     weights and times is kept."""
 
@@ -524,20 +525,37 @@ class _InstanceBatch:
     times: np.ndarray  # arrival times, (rows, n)
     max_log: np.ndarray  # per-instance log normalization constant, (rows,)
     _largest: dict = field(default_factory=dict, init=False, repr=False)
+    _top_totals: dict = field(default_factory=dict, init=False, repr=False)
     _states: dict = field(default_factory=dict, init=False, repr=False)
 
-    def largest(self, ranks) -> list[np.ndarray]:
-        """The ``ranks``-th largest weight of each row (rank 1 is the
-        maximum), one (rows,) column per rank. The ranks not yet kept are
-        read from one sort of the rows, which is dropped once they are
+    def read_sorted(self, ranks=(), tops=()) -> None:
+        """Keep the ``ranks``-th largest weight of each row (rank 1 is the
+        maximum) and, for each L in ``tops``, the total of each row's L
+        largest weights, summed from the largest down. Those not yet kept
+        are read from one sort of the rows, which is dropped once they are
         copied out."""
-        missing = set(ranks) - self._largest.keys()
-        if missing:
+        ranks = set(ranks) - self._largest.keys()
+        tops = set(tops) - self._top_totals.keys()
+        if ranks or tops:
             ascending = np.sort(self.weights, axis=1)
             n = ascending.shape[1]
-            for j in missing:
+            for j in ranks:
                 self._largest[j] = ascending[:, n - j].copy()
+            for L in tops:
+                # a descending copy, so the sum runs in that order
+                top = np.ascontiguousarray(ascending[:, n - L :][:, ::-1])
+                self._top_totals[L] = np.sum(top, axis=1)
+
+    def largest(self, ranks) -> list[np.ndarray]:
+        """The ``ranks``-th largest weight of each row, one (rows,) column
+        per rank (``read_sorted``)."""
+        self.read_sorted(ranks=ranks)
         return [self._largest[j] for j in ranks]
+
+    def top_total(self, L: int) -> np.ndarray:
+        """The total of each row's L largest weights (``read_sorted``)."""
+        self.read_sorted(tops=(L,))
+        return self._top_totals[L]
 
     def threshold_state(self, tau: float) -> _ThresholdState:
         """The state of the threshold rules at ``tau``, kept until another
@@ -684,7 +702,10 @@ def _chunk_outcomes(batch: _InstanceBatch, keys):
     whose threshold terms are computed as the pass takes them. Groups run in
     order of tau, so the groups at one tau share its state, and each larger
     tau narrows the state of the one before."""
-    batch.largest({j for a, g in keys for j in _gap_ranks(a, g)})
+    batch.read_sorted(
+        {j for a, g in keys for j in _gap_ranks(a, g)},
+        {a.L for a, _ in keys if a.tag == "l-select"},
+    )
     groups = {}
     for key in keys:
         algorithm, gap = key
@@ -703,14 +724,15 @@ def _chunk_outcomes(batch: _InstanceBatch, keys):
 def _l_select_outcomes(batch: _InstanceBatch, algorithm: AlgorithmSpec, gap: GapSpec) -> dict:
     """Per-row ``ratio``, ``select_best`` and ``none`` of a checked l-select
     cell on a batch."""
+    opt = batch.top_total(algorithm.L)
+    if (opt <= 0.0).any():
+        raise ConfigError("the top-L weights must have positive total")
     gaps = _threshold_term(algorithm, gap, batch.max_log, batch)
     sel = _run_l_select_rows(batch.weights, batch.times, algorithm.tau, algorithm.L, gaps)
-    if (sel["opt"] <= 0.0).any():
-        raise ConfigError("the top-L weights must have positive total")
     accepted = sel["accepted"]
     return {
-        "ratio": sel["total_weight"] / sel["opt"],
-        "select_best": accepted[np.arange(len(accepted)), sel["best_index"]],
+        "ratio": sel["total_weight"] / opt,
+        "select_best": accepted[np.arange(len(accepted)), batch.best_index],
         "none": ~accepted.any(axis=1),
     }
 
@@ -1128,47 +1150,89 @@ def _place_in_row(rows: np.ndarray, R: int) -> np.ndarray:
     return np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
 
 
+def _l_select_kept(weights: np.ndarray, times: np.ndarray, tau: float, L: int, gaps) -> np.ndarray:
+    """The (R, n) mask of the elements of each row that can be a hit of the
+    multi-selection rule or decide whether another is one.
+
+    The reference set starts with the L best pre-``tau`` elements and with
+    placeholders of weight 0 in its empty slots, so its lowest weight r_L
+    starts at theta, the L-th largest pre-``tau`` weight or 0 when fewer
+    than L elements arrived by ``tau``, and never falls. A hit is a
+    post-``tau`` arrival of weight at least max(r_L, gap), and whether an
+    arrival is one turns on the heavier elements of Q that arrived before it
+    (``_l_select_hits``): each is pre-``tau``, or post-``tau`` and at or
+    above the gap, and heavier than a hit, so above theta. So the pre-``tau``
+    elements at or above theta and the post-``tau`` ones at or above
+    max(theta, gap) hold every hit and everything that decides one.
+    """
+    n = weights.shape[1]
+    pre = times <= tau
+    theta = np.partition(np.where(pre, weights, -1.0), n - L, axis=1)[:, n - L]
+    np.maximum(theta, 0.0, out=theta)
+    keep = weights >= np.maximum(theta, gaps)[:, None]
+    keep |= pre & (weights >= theta[:, None])
+    return keep
+
+
 def _run_l_select_rows(weights: np.ndarray, times: np.ndarray, tau: float, L: int, gaps) -> dict:
     """Run the multi-selection rule over (R, n) rows of normalized weights, as
     ``run_l_selection_gap`` runs it draw by draw.
 
-    Elements are ranked by (-weight, index), so rank 0 is the first maximum,
-    and arrive in the order of their times, tied times to the lower index.
-    The reference set is an ascending (R, L) array of ranks, seeded with the
-    L best pre-``tau`` elements; an empty slot j holds the placeholder rank
-    n + j, of weight 0 and counted as pre-``tau``. Only a hit changes it: a
-    post-``tau`` arrival of weight at least max(r_L, gap), which replaces
-    r_L, the last column, before the row is sorted again, and is accepted
-    when r_L dates from before ``tau``. Since r_L never falls, whether an
-    arrival is a hit depends on weights and arrival positions alone, ties
-    included, and ``_l_select_hits`` finds every hit at once. The walk then
-    goes round by round, round r taking every row's r-th hit in arrival
-    order, so it runs once per hit of the row with the most hits, not once
-    per arrival position.
+    Elements are ranked by (-weight, index) and arrive in the order of their
+    times, tied times to the lower index. The reference set is seeded with
+    the L best pre-``tau`` elements, an empty slot holding a placeholder of
+    weight 0 counted as pre-``tau``. Only a hit changes it: a post-``tau``
+    arrival of weight at least max(r_L, gap), which replaces r_L, its lowest
+    entry, and is accepted when r_L dates from before ``tau``. Since r_L
+    never falls, whether an arrival is a hit depends on weights and arrival
+    positions alone, ties included, and ``_l_select_hits`` finds every hit
+    at once.
 
-    ``gaps`` is a scalar or (R,) array in the same units as ``weights``.
-    Returns the accepted elements as an (R, n) mask by element index, their
-    total weight, the top-L total ``opt`` and the best element's index.
+    The rule reads only the elements ``_l_select_kept`` keeps: each row is
+    cut to them, in index order, and padded to the widest row of the chunk,
+    m, with elements of weight -1 that arrive last, after ``tau``. On these
+    (R, m) rows the rule runs as on whole ones: they are ranked, the
+    reference set is an ascending (R, L) array of their ranks, placeholder j
+    holding rank m + j, and the walk goes round by round, round r taking
+    every row's r-th hit in arrival order, so it runs once per hit of the
+    row with the most hits, not once per arrival position. An accepted rank
+    is mapped back to its element's index.
+
+    ``gaps`` is a scalar or (R,) array in the same units as ``weights``, at
+    least 0. Returns the accepted elements as an (R, n) mask by element
+    index and their total weight, summed in acceptance order.
     """
     R, n = weights.shape
-    by_rank = np.argsort(-weights, axis=1, kind="stable")
-    best_index = by_rank[:, 0]
-    w_ranked = np.take_along_axis(weights, by_rank, axis=1)
-    opt = np.sum(w_ranked[:, :L], axis=1)
+    keep = _l_select_kept(weights, times, tau, L, gaps)
 
-    # holds the arrival positions, their sentinel n and the placeholder ranks
-    index = np.min_scalar_type(n + L - 1)
-    position = np.empty((R, n), dtype=index)
-    order = np.argsort(times, axis=1, kind="stable")
-    np.put_along_axis(position, order, np.arange(n, dtype=index)[None, :], axis=1)
+    # the kept elements, flat in row-major order, and padded to (R, m) rows,
+    # m at least 1: kept entry j goes to place j - first[row] of its row
+    kept = np.flatnonzero(keep)
+    rows = kept // n
+    counts = np.bincount(rows, minlength=R)
+    first = np.cumsum(counts) - counts
+    m = int(counts.max(initial=1))
+    dest = np.arange(kept.size) + (np.arange(R) * m - first)[rows]
+    w = np.full((R, m), -1.0)
+    w.ravel()[dest] = weights.ravel()[kept]
+    t = np.full((R, m), np.inf)
+    t.ravel()[dest] = times.ravel()[kept]
+
+    by_rank = np.argsort(-w, axis=1, kind="stable")
+    w_ranked = np.take_along_axis(w, by_rank, axis=1)
+    # holds the arrival positions, their sentinel m and the placeholder ranks
+    index = np.min_scalar_type(m + L - 1)
+    position = np.empty((R, m), dtype=index)
+    order = np.argsort(t, axis=1, kind="stable")
+    np.put_along_axis(position, order, np.arange(m, dtype=index)[None, :], axis=1)
     arrival = np.take_along_axis(position, by_rank, axis=1)
     # pre-tau flags by rank, the placeholders' appended; the pre-tau
     # elements take the first arrival positions
-    pre_pad = np.ones((R, n + L), dtype=bool)
-    pre = pre_pad[:, :n]
-    np.less(arrival, np.count_nonzero(times <= tau, axis=1)[:, None], out=pre)
+    pre_pad = np.ones((R, m + L), dtype=bool)
+    pre = pre_pad[:, :m]
+    np.less(arrival, np.count_nonzero(t <= tau, axis=1)[:, None], out=pre)
 
-    ref = np.tile(np.arange(n, n + L, dtype=index), (R, 1))
+    ref = np.tile(np.arange(m, m + L, dtype=index), (R, 1))
     rows, ranks = np.nonzero(pre)
     slot = _place_in_row(rows, R)
     seeded = slot < L
@@ -1198,8 +1262,8 @@ def _run_l_select_rows(weights: np.ndarray, times: np.ndarray, tau: float, L: in
         start = end
     by_index = np.zeros((R, n), dtype=bool)
     rows, ranks = rows[accepted], ranks[accepted]
-    by_index[rows, by_rank[rows, ranks]] = True
-    return {"accepted": by_index, "total_weight": total, "opt": opt, "best_index": best_index}
+    by_index.ravel()[kept[first[rows] + by_rank[rows, ranks]]] = True
+    return {"accepted": by_index, "total_weight": total}
 
 
 def estimate_l_selection(

@@ -352,7 +352,8 @@ def _check_l_select_rows(W, T, tau, L, gap: GapSpec):
     norm = np.array([p.normalized_weights for p in profiles])
     max_log = np.array([p.max_log_weight for p in profiles])
     spec = AlgorithmSpec("l-select", tau=tau, L=L)
-    gaps = _threshold_term(spec, gap, max_log, _InstanceBatch(norm, T, max_log))
+    batch = _InstanceBatch(norm, T, max_log)
+    gaps = _threshold_term(spec, gap, max_log, batch)
     out = _run_l_select_rows(norm, T, tau, L, gaps)
     for row, raw in enumerate(profiles):
         prof = normalize(raw)
@@ -365,9 +366,9 @@ def _check_l_select_rows(W, T, tau, L, gap: GapSpec):
         where = (row, tau, L, gap)
         assert set(np.flatnonzero(out["accepted"][row])) == set(ref.indices), where
         assert out["total_weight"][row] == ref.total_weight, where
-        assert out["opt"][row] == float(np.sum(ws[:L])), where
+        assert batch.top_total(L)[row] == float(np.sum(ws[:L])), where
         best = int(np.argmax(prof.normalized_weights))
-        assert out["best_index"][row] == best, where
+        assert batch.best_index[row] == best, where
         assert out["accepted"][row, best] == (best in ref.indices), where
         assert (not out["accepted"][row].any()) == (not ref.accepted), where
 
@@ -469,6 +470,106 @@ class TestLSelectKernelMatchesScalarRunner:
             gaps = [GapSpec(absolute=0.0), above] + [GapSpec()] * (L < n)
             for gap in gaps:
                 _check_l_select_rows(W, T, 0.25, L, gap)
+
+
+class TestLSelectCandidateEdges:
+    """The kernel keeps of each row only the pre-tau elements at or above
+    theta, the L-th largest pre-tau weight (0 with fewer than L), and the
+    post-tau ones at or above max(theta, gap), padded to the widest row of
+    the chunk. Each case is one chunk at the edge of that set, checked
+    against ``run_l_selection_gap``. Every row's largest weight is 1 or it
+    is all zero, so its raw and normalized weights and gaps agree."""
+
+    # (tau, L, weights, times, absolute gaps); the auto gap runs too
+    EDGES = {
+        # theta = 0.5 is tied by two and three pre-tau elements, and
+        # post-tau arrivals equal to it follow
+        "pre-tau-tied-at-theta": (
+            0.5, 2,
+            [[1.0, 0.5, 0.5, 0.5, 0.75, 0.5], [0.5, 0.5, 0.5, 1.0, 0.25, 0.5]],
+            [[0.0, 0.25, 0.5, 0.75, 0.875, 0.625], [0.25, 0.375, 0.125, 0.75, 0.5, 0.625]],
+            [0.0, 0.5, 0.75],
+        ),
+        # one, two and no pre-tau elements for L = 3, so theta = 0 and the
+        # reference set starts with placeholders
+        "fewer-than-L-pre-tau": (
+            0.25, 3,
+            [[0.5, 1.0, 0.25, 0.75, 0.0, 0.5], [1.0, 0.25, 0.5, 0.75, 0.5, 0.25],
+             [0.75, 1.0, 0.5, 0.25, 0.5, 0.0]],
+            [[0.0, 0.5, 0.75, 0.375, 0.625, 0.875], [0.5, 0.125, 0.25, 0.75, 0.625, 0.375],
+             [0.375, 0.5, 0.625, 0.75, 0.875, 1.0]],
+            [0.0, 0.5],
+        ),
+        # a post-tau arrival of weight theta is a hit; the 0.75 gap equals
+        # the second row's theta
+        "post-tau-equal-to-theta": (
+            0.5, 2,
+            [[1.0, 0.5, 0.25, 0.5, 0.75], [0.25, 1.0, 0.75, 0.75, 0.5]],
+            [[0.0, 0.25, 0.375, 0.625, 0.75], [0.625, 0.125, 0.25, 0.875, 0.75]],
+            [0.0, 0.75],
+        ),
+        # gaps equal to post-tau candidates' weights, above theta, and to a
+        # pre-tau weight
+        "gap-on-a-candidate": (
+            0.25, 2,
+            [[0.25, 1.0, 0.75, 0.5, 0.75], [1.0, 0.5, 0.5, 0.75, 0.25]],
+            [[0.0, 0.5, 0.375, 0.125, 0.625], [0.75, 0.5, 0.25, 0.375, 0.125]],
+            [0.5, 0.75, 1.0],
+        ),
+        # nothing arrives by tau = 0 and the gaps lie above every weight, so
+        # no row keeps any element
+        "no-element-kept": (
+            0.0, 2,
+            [[1.0, 0.5, 0.25, 0.75], [0.75, 1.0, 0.0, 0.5]],
+            [[0.25, 0.5, 0.75, 0.125], [0.5, 0.25, 0.375, 0.625]],
+            [1.5, 4.0],
+        ),
+        # every post-tau element lies below theta in the first row, and the
+        # second has none
+        "no-post-tau-candidate": (
+            0.5, 2,
+            [[1.0, 0.75, 0.5, 0.25], [0.5, 0.75, 1.0, 0.25]],
+            [[0.0, 0.25, 0.75, 0.875], [0.5, 0.125, 0.25, 0.375]],
+            [0.0, 0.5],
+        ),
+        # an all-zero row beside a wider one: theta = 0, ties at 0, and a
+        # zero gap puts every element of it in Q
+        "all-zero-row": (
+            0.25, 2,
+            [[0.0, 0.0, 0.0, 0.0, 0.0], [1.0, 0.5, 0.75, 0.25, 0.5]],
+            [[0.0, 0.5, 0.25, 0.75, 0.375], [0.5, 0.125, 0.75, 0.625, 0.875]],
+            [0.0, 0.5],
+        ),
+        # tau = 0 and a zero gap keep every element of every row, as does
+        # the third row's single pre-tau element for L = 3
+        "whole-row-kept": (
+            0.0, 3,
+            [[1.0, 0.5, 0.25, 0.75, 0.5], [0.25, 0.75, 1.0, 0.5, 0.0], [0.5, 1.0, 0.75, 0.0, 0.25]],
+            [[0.5, 0.25, 0.75, 0.125, 0.625], [0.875, 0.5, 0.25, 0.75, 0.375], [0.0, 0.5, 0.25, 0.75, 0.625]],
+            [0.0],
+        ),
+    }
+
+    @pytest.mark.parametrize("edge", sorted(EDGES))
+    def test_edge_matches_scalar_runner(self, edge):
+        tau, L, weights, times, absolute = self.EDGES[edge]
+        W, T = np.array(weights), np.array(times)
+        for gap in [GapSpec(absolute=a) for a in absolute] + [GapSpec(), GapSpec(sigma=3.0)]:
+            _check_l_select_rows(W, T, tau, L, gap)
+
+    @pytest.mark.parametrize("edge", sorted(EDGES))
+    def test_kept_set(self, edge):
+        # exactly the pre-tau elements at or above theta and the post-tau
+        # ones at or above max(theta, gap), for scalar and per-row gaps
+        tau, L, weights, times, absolute = self.EDGES[edge]
+        W, T = np.array(weights), np.array(times)
+        for gaps in [*absolute, np.resize(absolute[::-1], len(W))]:
+            kept = montecarlo._l_select_kept(W, T, tau, L, gaps)
+            for row, (w, t, gap) in enumerate(zip(W, T, np.broadcast_to(gaps, len(W)))):
+                pre = sorted(w[t <= tau], reverse=True)
+                theta = pre[L - 1] if len(pre) >= L else 0.0
+                expected = [wi >= theta and (ti <= tau or wi >= gap) for wi, ti in zip(w, t)]
+                assert kept[row].tolist() == expected, (edge, row, gaps)
 
 
 def _rank_view(W, T, tau):
@@ -1413,7 +1514,8 @@ def _counting_draws(monkeypatch) -> list:
 
 def _held(batch) -> list:
     """Every array a batch holds: its instances and the work kept on them."""
-    arrays = [batch.weights, batch.times, batch.max_log, *batch._largest.values()]
+    arrays = [batch.weights, batch.times, batch.max_log, *batch._largest.values(),
+              *batch._top_totals.values()]
     for state in batch._states.values():
         arrays += [a for a in state if a is not None]
     return list({id(a): a for a in arrays}.values())

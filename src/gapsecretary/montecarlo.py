@@ -36,12 +36,19 @@ once per ``tau``, and a pass per gap that reads it:
 
 The multi-selection rule runs through ``_run_l_select_rows``. Its reference
 set holds the top-L weights seen so far of Q, the pre-``tau`` elements and
-the post-``tau`` ones at or above the gap, so its L-th weight r_L never
-falls, and a post-``tau`` element of Q enters it, a hit, exactly when fewer
-than L strictly heavier elements of Q arrived before it. That reads weights
-only, so it holds with ties. ``_l_select_hits`` finds every hit of a chunk
-with L running minima over arrival positions, and the kernel walks the hits
-alone, every row's r-th hit in round r.
+the post-``tau`` ones at or above the gap, so its L-th weight r_L starts at
+theta, the L-th largest pre-``tau`` weight (0 with fewer than L), and never
+falls. A post-``tau`` element of Q enters it, a hit, exactly when fewer than
+L strictly heavier elements of Q arrived before it. That reads weights
+only, so it holds with ties. Only the pre-``tau`` elements at or above theta
+and the post-``tau`` ones at or above max(theta, gap) can be a hit or decide
+one (``_l_select_kept``), so the kernel cuts each row to them, padded to the
+widest row of the chunk: about 10 of 200 per row at L = 2 and ``tau`` = 0.2
+(the widest of 81 rows about 32), and most of the row at ``tau`` = 0 or a
+large L. It ranks those alone, ``_l_select_hits`` finds every hit with L
+running minima over their arrival positions, and the kernel walks the hits
+alone, every row's r-th hit in round r. The top-L total and the best index,
+which do not depend on the gap, come from the batch.
 
 Every kernel takes normalized weights and gaps only. The per-draw runners in
 ``algorithms`` are the tests' reference for every kernel, and the row kernel
@@ -63,8 +70,9 @@ master_seed), so the last batch that covered a whole run in one chunk is
 memoized under that key in ``_last_batch``, its weights, times and
 ``max_log`` marked read-only. The batch carries the gap-independent work
 done on it: the j-th largest weight of each row for every rank a gap has
-read (one (rows,) column per rank, taken from one sort per call that needs
-a new rank, the sorted matrix dropped at once), and the threshold state of
+read and the total of its L largest weights for every L an l-select cell
+has read (one (rows,) column each, taken from one sort per call that needs
+a new one, the sorted matrix dropped at once), and the threshold state of
 the last ``tau`` asked (its candidates, best-so-far and the best index),
 which serves every ``gamma`` and strictness at that ``tau`` and is
 narrowed for a larger one. The next
@@ -695,8 +703,9 @@ def _chunk_outcomes(batch: _InstanceBatch, keys):
     per-row ``ratio``, ``select_best`` and ``none``, plus the threshold
     kernel's arrays for a single-selection rule.
 
-    Every rank the cells' gaps read is taken from the batch at once, so a
-    chunk is sorted at most once. l-select cells run one by one.
+    Every rank the cells' gaps read, and every top-L total an l-select cell
+    reads, is taken from the batch at once, so a chunk is sorted at most
+    once. l-select cells run one by one.
     Single-selection cells are grouped by their policy's ``(tau, gamma,
     strict)``, and each group is one pass over the batch's threshold state,
     whose threshold terms are computed as the pass takes them. Groups run in

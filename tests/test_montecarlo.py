@@ -347,7 +347,8 @@ def _check_l_select_rows(W, T, tau, L, gap: GapSpec):
     against ``run_l_selection_gap`` on each row's normalized profile with the
     gap computed apart: sigma times (L-th minus (L+1)-th largest normalized
     weight), or the raw gap sigma times the absolute one, rescaled by the
-    scalar runners' own raw-to-normalized map."""
+    scalar runners' own raw-to-normalized map. The top-L total and the best
+    index, which the engine reads off the batch, are checked too."""
     profiles = [WeightProfile.from_weights(row) for row in W]
     norm = np.array([p.normalized_weights for p in profiles])
     max_log = np.array([p.max_log_weight for p in profiles])

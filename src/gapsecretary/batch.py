@@ -1,0 +1,183 @@
+"""The batch layer: the instances of a chunk of iterations, generated or
+replayed, normalized once, with the gap-independent work done on them, and
+the memo of the last batch that covered a whole run.
+
+Generated instances are a pure function of (family, n, iterations,
+master_seed), so the last batch that covered a whole run in one chunk is
+memoized under that key in ``_last_batch``, its weights, times and
+``max_log`` marked read-only. The batch carries the gap-independent work
+done on it: the j-th largest weight of each row for every rank a gap has
+read and the total of its L largest weights for every L an l-select cell
+has read (one (rows,) column each, taken from one sort per call that needs
+a new one, the sorted matrix dropped at once), and the threshold state of
+the last ``tau`` asked (its candidates, best-so-far and the best index),
+which serves every ``gamma`` and strictness at that ``tau`` and is
+narrowed for a larger one. The next
+estimate with the same key gets the same batch: it draws, sorts and
+prepares nothing an earlier one did, and its arrays are what a fresh draw
+gives, bit for bit.
+The memo is dropped before any other instances or arrival times are drawn
+(``_draw_rows``, ``_replay_batch``,
+``montecarlo.simulate_fixed_profile_rules``), so
+no later draw holds it beside its own batch, and a run of several chunks
+leaves nothing behind. Until that next draw the last whole-run batch stays
+resident (two (iterations, n) float arrays, up to about 80 MB for a full
+chunk, plus its rank columns and the three candidate arrays of one
+``tau``, 24 bytes per candidate: about 0.5 MB at ``tau`` = 0.2, n = 200
+and 5000 iterations, 24 MB at ``tau`` = 0), also while other work that
+draws nothing runs in the same process.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
+
+from .core import WeightProfile, normalize_rows
+from .generators import InstanceFamily, SeededRng
+from .kernels import _narrowed_state, _threshold_state, _ThresholdState
+
+
+@dataclass(frozen=True)
+class _InstanceBatch:
+    """A chunk of instances, with the gap-independent work done on it so far,
+    so that a batch used again does none of it again: the j-th largest weight
+    of each row for each rank j a gap has read, the total of each row's L
+    largest weights for each L an l-select cell has read, the best index,
+    and the threshold state of the last ``tau`` asked. All are 1-D: (rows,)
+    columns, or one entry per candidate; no (rows, n) array beyond the
+    weights and times is kept."""
+
+    weights: np.ndarray  # normalized linear weights, (rows, n)
+    times: np.ndarray  # arrival times, (rows, n)
+    max_log: np.ndarray  # per-instance log normalization constant, (rows,)
+    _largest: dict = field(default_factory=dict, init=False, repr=False)
+    _top_totals: dict = field(default_factory=dict, init=False, repr=False)
+    _states: dict = field(default_factory=dict, init=False, repr=False)
+
+    def read_sorted(self, ranks=(), tops=()) -> None:
+        """Keep the ``ranks``-th largest weight of each row (rank 1 is the
+        maximum) and, for each L in ``tops``, the total of each row's L
+        largest weights, summed from the largest down. Those not yet kept
+        are read from one sort of the rows, which is dropped once they are
+        copied out."""
+        ranks = set(ranks) - self._largest.keys()
+        tops = set(tops) - self._top_totals.keys()
+        if ranks or tops:
+            ascending = np.sort(self.weights, axis=1)
+            n = ascending.shape[1]
+            for j in ranks:
+                self._largest[j] = ascending[:, n - j].copy()
+            for L in tops:
+                # a descending copy, so the sum runs in that order
+                top = np.ascontiguousarray(ascending[:, n - L :][:, ::-1])
+                self._top_totals[L] = np.sum(top, axis=1)
+
+    def largest(self, ranks) -> list[np.ndarray]:
+        """The ``ranks``-th largest weight of each row, one (rows,) column
+        per rank (``read_sorted``)."""
+        self.read_sorted(ranks=ranks)
+        return [self._largest[j] for j in ranks]
+
+    def top_total(self, L: int) -> np.ndarray:
+        """The total of each row's L largest weights (``read_sorted``)."""
+        self.read_sorted(tops=(L,))
+        return self._top_totals[L]
+
+    def threshold_state(self, tau: float) -> _ThresholdState:
+        """The state of the threshold rules at ``tau``, kept until another
+        ``tau`` is asked: the kept state narrowed when it is at a smaller
+        tau, else built from the weights and times."""
+        if tau not in self._states:
+            kept = next(iter(self._states.items()), None)
+            if kept is not None and kept[0] < tau:
+                state = _narrowed_state(kept[1], tau)
+            else:
+                state = _threshold_state(self.weights, self.times, tau, self.best_index)
+            self._states.clear()
+            self._states[tau] = state
+        return self._states[tau]
+
+    @cached_property
+    def best_index(self) -> np.ndarray:
+        """The index of each row's first maximum."""
+        return np.argmax(self.weights, axis=1)
+
+
+# the last generated batch that covered a whole run, read-only, with the
+# work kept on it, under (family, n, iterations, master_seed); at most one
+# entry, dropped before any other instances or arrival times are drawn
+_last_batch: dict = {}
+
+
+def _draw_rows(
+    family: InstanceFamily, n: int, rows: range, master_seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival times and raw log-weights of the instances in ``rows``, one
+    row each, in two (rows, n) arrays: stream i draws iteration i's arrival
+    times, then its weights."""
+    _last_batch.clear()
+    times, log_weights = np.empty((len(rows), n)), np.empty((len(rows), n))
+
+    def streams():
+        for row, rng in zip(times, SeededRng(master_seed).streams(rows)):
+            rng.random(out=row)
+            yield rng
+
+    family.draw_rows(streams(), log_weights)
+    return times, log_weights
+
+
+def _normalized_batch(times: np.ndarray, log_weights: np.ndarray) -> _InstanceBatch:
+    """Normalize raw log-weight rows in place into a batch; the one place
+    where batch weights are normalized."""
+    max_log = normalize_rows(log_weights)
+    return _InstanceBatch(np.exp(log_weights, out=log_weights), times, max_log)
+
+
+def _build_batch(
+    family: InstanceFamily, n: int, rows: range, master_seed: int
+) -> _InstanceBatch:
+    """The instances of iterations ``rows``, drawn straight into rows and
+    normalized once for the whole batch or chunk."""
+    return _normalized_batch(*_draw_rows(family, n, rows, master_seed))
+
+
+def _replay_batch(profiles, master_seed: int, rows: range) -> _InstanceBatch:
+    """The user-supplied instances of iterations ``rows``; stream i of the
+    master seed provides iteration i's arrival draw."""
+    _last_batch.clear()
+    log_weights = np.stack([profiles[i].log_weights for i in rows])
+    times = np.empty(log_weights.shape)
+    for row, rng in zip(times, SeededRng(master_seed).streams(rows)):
+        rng.random(out=row)
+    return _normalized_batch(times, log_weights)
+
+
+def regenerate_profiles(
+    family: InstanceFamily, n: int, iterations: int, master_seed: int
+) -> list[WeightProfile]:
+    """The instances an experiment with this (family, n, seed) draws, in
+    iteration order, as raw profiles."""
+    _, log_weights = _draw_rows(family, n, range(iterations), master_seed)
+    return [WeightProfile(row) for row in log_weights]
+
+
+def _generated_batch(config, rows: range) -> _InstanceBatch:
+    """The instances the config's family draws for iterations ``rows``. A
+    batch of the whole run is kept, its arrays read-only, in ``_last_batch``,
+    so the next estimate on the same (family, n, iterations, seed) gets the
+    same batch, with the work done on it: it draws, sorts and prepares
+    nothing that an earlier estimate did."""
+    key = (config.family, config.n, config.iterations, config.master_seed)
+    whole = len(rows) == config.iterations
+    if whole and key in _last_batch:
+        return _last_batch[key]
+    batch = _build_batch(config.family, config.n, rows, config.master_seed)
+    if whole:
+        for a in (batch.weights, batch.times, batch.max_log):
+            a.setflags(write=False)
+        _last_batch[key] = batch
+    return batch

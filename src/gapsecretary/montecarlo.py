@@ -1,5 +1,8 @@
-"""Experiment engine: competitive-ratio estimation, parameter sweeps, and an
-exhaustive small-instance expectation oracle.
+"""The driver layer: experiment cells, the chunked driver, sweeps and the
+public estimators. The kernels, the instance batches and the enumeration
+oracle are the modules ``kernels``, ``batch`` and ``exact``;
+``regenerate_profiles`` and ``exact_expectation_small_n`` are re-exported
+here.
 
 Reproducibility contract: the draws for iteration i are a pure function of
 (master_seed, i), so results are bit-identical across runs and across chunk
@@ -7,52 +10,10 @@ sizes. The engine runs in one thread (numpy does the bulk work), and
 reductions happen in iteration order.
 
 Every single-selection rule is one threshold policy ``(tau, gap, gamma,
-strict)``: after ``tau``, accept the first arrival at or above max(best-so-far,
-gap), or above it when strict, and after time 1 - ``gamma`` at or above
-best-so-far alone. ``_threshold_term`` gives every rule's gap term in
-normalized units, from a ``GapSpec`` or raw-unit gap values; it is the one
-place where raw-unit quantities are rescaled. ``_policy`` maps each tag and
-term to that record, and one of two kernels runs it over a chunk of draws.
-Each kernel is split in two: a state that does not depend on the gap, built
-once per ``tau``, and a pass per gap that reads it:
-
-* ``_threshold_state`` and ``_threshold_pass`` take (rows, n) weights, one
-  instance per row, and the pass takes a sequence of gaps and yields one
-  result per gap: the generated and replayed batches of every estimate and
-  sweep (``_run_threshold_rows`` runs both parts on one chunk). Only a
-  post-``tau`` element at or above best-so-far can be accepted, under any
-  gap or ``gamma``, so the state keeps just those candidates, as flat
-  arrays in row-major order (about 4 per row at ``tau`` = 0.2, n = 200;
-  every element at ``tau`` = 0), and a pass reads nothing else: one
-  comparison with the gap, one with 1 - ``gamma``, and a segment minimum
-  of the passing arrival times per row. A candidate at a larger ``tau`` is
-  one at a smaller ``tau`` too, so ``_narrowed_state`` reads the state at a
-  larger ``tau`` off the candidates of one at a smaller ``tau``;
-* ``_fixed_profile_state`` and ``_fixed_profile_pass`` take one weight
-  vector and the (n, rows) columns of its arrival times, swept column by
-  column: ``simulate_fixed_profile`` and ``simulate_fixed_profile_rules``,
-  where only the arrival order is random and several rules share one draw
-  (``_run_fixed_profile`` runs both parts on one chunk).
-
-The multi-selection rule runs through ``_run_l_select_rows``. Its reference
-set holds the top-L weights seen so far of Q, the pre-``tau`` elements and
-the post-``tau`` ones at or above the gap, so its L-th weight r_L starts at
-theta, the L-th largest pre-``tau`` weight (0 with fewer than L), and never
-falls. A post-``tau`` element of Q enters it, a hit, exactly when fewer than
-L strictly heavier elements of Q arrived before it. That reads weights
-only, so it holds with ties. Only the pre-``tau`` elements at or above theta
-and the post-``tau`` ones at or above max(theta, gap) can be a hit or decide
-one (``_l_select_kept``), so the kernel cuts each row to them, padded to the
-widest row of the chunk: about 10 of 200 per row at L = 2 and ``tau`` = 0.2
-(the widest of 81 rows about 32), and most of the row at ``tau`` = 0 or a
-large L. It ranks those alone, ``_l_select_hits`` finds every hit with L
-running minima over their arrival positions, and the kernel walks the hits
-alone, every row's r-th hit in round r. The top-L total and the best index,
-which do not depend on the gap, come from the batch.
-
-Every kernel takes normalized weights and gaps only. The per-draw runners in
-``algorithms`` are the tests' reference for every kernel, and the row kernel
-on a broadcast weight vector is the reference for the fixed-profile one.
+strict)``, the record a threshold kernel runs. ``_threshold_term`` gives
+every rule's gap term in normalized units, from a ``GapSpec`` or raw-unit
+gap values; it is the one place where raw-unit quantities are rescaled.
+``_policy`` maps each tag and term to that record.
 
 An experiment cell is an ``(AlgorithmSpec, GapSpec)`` pair; ``_check_cell``
 validates it for one instance size. ``_run_cells`` is the one driver every
@@ -64,45 +25,34 @@ state at its tau: a sigma sweep at one tau is one state and one pass per
 chunk, and a k-sweep at tuned taus builds one state from the weights and
 narrows it for each larger tau. Each cell's outcomes are cut to what its estimate
 reads as they are yielded, and a cell is reduced once its last chunk is done.
-
-Generated instances are a pure function of (family, n, iterations,
-master_seed), so the last batch that covered a whole run in one chunk is
-memoized under that key in ``_last_batch``, its weights, times and
-``max_log`` marked read-only. The batch carries the gap-independent work
-done on it: the j-th largest weight of each row for every rank a gap has
-read and the total of its L largest weights for every L an l-select cell
-has read (one (rows,) column each, taken from one sort per call that needs
-a new one, the sorted matrix dropped at once), and the threshold state of
-the last ``tau`` asked (its candidates, best-so-far and the best index),
-which serves every ``gamma`` and strictness at that ``tau`` and is
-narrowed for a larger one. The next
-estimate with the same key gets the same batch: it draws, sorts and
-prepares nothing an earlier one did, and its arrays are what a fresh draw
-gives, bit for bit.
-The memo is dropped before any other instances or arrival times are drawn
-(``_draw_rows``, ``_replay_batch``, ``simulate_fixed_profile_rules``), so
-no later draw holds it beside its own batch, and a run of several chunks
-leaves nothing behind. Until that next draw the last whole-run batch stays
-resident (two (iterations, n) float arrays, up to about 80 MB for a full
-chunk, plus its rank columns and the three candidate arrays of one
-``tau``, 24 bytes per candidate: about 0.5 MB at ``tau`` = 0.2, n = 200
-and 5000 iterations, 24 MB at ``tau`` = 0), also while other work that
-draws nothing runs in the same process.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
-from itertools import combinations, permutations
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
+from .batch import (
+    _generated_batch,
+    _InstanceBatch,
+    _last_batch,
+    _replay_batch,
+    regenerate_profiles,
+)
 from .bounds import tau_for_k
-from .core import WeightProfile, normalize_rows
-from .generators import InstanceFamily, SeededRng
+from .core import WeightProfile
+from .exact import exact_expectation_small_n
+from .generators import InstanceFamily
+from .kernels import (
+    _fixed_profile_pass,
+    _fixed_profile_state,
+    _run_l_select_rows,
+    _threshold_pass,
+)
 
 __all__ = [
     "ALGORITHM_TAGS",
@@ -133,8 +83,6 @@ ALGORITHM_TAGS = (
     "strict-classical",
     "l-select",
 )
-
-_SINGLE_SELECTION = ALGORITHM_TAGS[:5]
 
 GAP_TAGS = ("exact-gap", "robust", "bounded", "l-select")
 
@@ -264,7 +212,7 @@ class SweepCell:
 
 
 # ---------------------------------------------------------------------------
-# Threshold policies and the vectorized single-selection kernel
+# Threshold policies and chunk outcomes
 
 
 class _Policy(NamedTuple):
@@ -286,362 +234,6 @@ def _policy(algorithm: AlgorithmSpec, term=0.0) -> _Policy:
         raise ConfigError("l-select is not a threshold policy")
     gamma = algorithm.gamma if tag == "robust" else 0.0
     return _Policy(algorithm.tau, term, gamma, tag == "strict-classical")
-
-
-class _ThresholdState(NamedTuple):
-    """What threshold rules at one ``tau`` read of a chunk, whatever their
-    gaps and gamma: its candidates, the post-``tau`` elements at or above
-    best-so-far, as flat arrays in row-major order, the rows holding one
-    with the start of each row's run in them, and per row best-so-far and
-    the best index. Only a candidate can be accepted, under any gap and in
-    the late phase alike."""
-
-    index: np.ndarray  # (m,) the candidates' indices, ascending within a row
-    weight: np.ndarray  # (m,)
-    time: np.ndarray  # (m,)
-    rows: np.ndarray  # (R,) the rows holding a candidate, ascending
-    starts: np.ndarray  # (R,) where each of them starts in the candidates
-    bsf: np.ndarray  # (B,)
-    best_index: np.ndarray  # (B,)
-
-
-def _threshold_state(
-    weights: np.ndarray, times: np.ndarray, tau: float, best_index: np.ndarray
-) -> _ThresholdState:
-    """The state of threshold rules at ``tau`` over (B, n) ``weights`` and
-    ``times`` whose rows' best indices are ``best_index``."""
-    B, n = weights.shape
-    pre = times <= tau
-    # weights are finite and non-negative, so this is max(pre-tau weights, 0)
-    bsf = np.max(weights * pre, axis=1)
-    candidate = np.greater_equal(weights, bsf[:, None])
-    candidate &= np.logical_not(pre, out=pre)
-    position = np.flatnonzero(candidate)
-    # row r's candidates start at the first position at or after r * n
-    r = np.arange(B)
-    starts = np.searchsorted(position, r * n)
-    holds = np.diff(starts, append=position.size) > 0
-    return _ThresholdState(
-        position % n,
-        weights.take(position),
-        times.take(position),
-        r[holds],
-        starts[holds],
-        bsf,
-        best_index,
-    )
-
-
-def _narrowed_state(state: _ThresholdState, tau: float) -> _ThresholdState:
-    """The state at ``tau`` of the chunk whose state at a smaller tau is
-    ``state``, equal to a fresh build, read off its candidates alone.
-
-    A candidate at ``tau`` is one at the smaller tau too, and of the elements
-    arriving between the two, only a candidate can raise best-so-far: every
-    other one lies below it."""
-    index, weight, time, rows, starts, bsf, best_index = state
-    crossed = time <= tau
-    bsf = bsf.copy()
-    bsf[rows] = np.maximum(bsf[rows], np.maximum.reduceat(weight * crossed, starts))
-    keep = weight >= np.repeat(bsf[rows], np.diff(starts, append=weight.size))
-    keep &= np.logical_not(crossed, out=crossed)
-    counts = np.add.reduceat(keep, starts, dtype=np.intp)
-    holds = counts > 0
-    return _ThresholdState(
-        index[keep],
-        weight[keep],
-        time[keep],
-        rows[holds],
-        (np.cumsum(counts) - counts)[holds],
-        bsf,
-        best_index,
-    )
-
-
-def _threshold_pass(state: _ThresholdState, gaps, gamma: float = 0.0, strict: bool = False):
-    """Run the threshold rules that share ``state`` over a chunk of draws
-    once for each gap in ``gaps``, yielding one result dict per gap, in
-    order.
-
-    Each gap is a scalar or (B,) array in the units of the chunk's weights.
-    Mirrors the per-draw runners in ``algorithms``: threshold max(best-so-far,
-    gap) after ``tau``, dropping to best-so-far after time 1 - ``gamma``;
-    ``strict`` switches >= to >. The accepted element is the earliest
-    candidate to pass, tied times to the lower index.
-
-    Only the candidates of ``state`` are read. Each is at or above
-    best-so-far, so it passes when it is at or above the gap, or arrives
-    after 1 - ``gamma``. Each row's earliest passing time is a segment
-    minimum (``np.minimum.reduceat``), and the first candidate of the row at
-    that time, the lowest index, is accepted. Each result gets its own
-    copy of the best index, so no result is a view of ``state``.
-    """
-    index, weight, time, rows, starts, bsf, best_index = state
-    if strict and gamma > 0.0:
-        raise ValueError("strict comparison has no late phase")
-    B = bsf.size
-    sizes = np.diff(starts, append=weight.size)
-
-    def per_candidate(values):
-        return np.repeat(np.take(values, rows), sizes)
-
-    late = time > 1.0 - gamma if gamma > 0.0 else None
-    for gap in gaps:
-        if strict:
-            passed = weight > per_candidate(bsf)
-        else:
-            passed = weight >= (gap if np.ndim(gap) == 0 else per_candidate(gap))
-        if late is not None:
-            passed |= late
-        # every candidate arrives after tau >= 0, so a time divided by its
-        # flag is the time itself when it passed and +inf when not
-        with np.errstate(divide="ignore"):
-            masked = time / passed
-        earliest = np.minimum.reduceat(masked, starts)
-        earliest[earliest == np.inf] = np.nan  # a row where none passed
-        hits = np.flatnonzero(masked == np.repeat(earliest, sizes))
-        # the first hit of each row's run is its lowest index
-        run = np.searchsorted(starts, hits, side="right") - 1
-        firsts = np.diff(run, prepend=-1) != 0
-        first, accepted = hits[firsts], rows.take(run[firsts])
-        out = {
-            "accept_index": np.full(B, -1, dtype=np.intp),
-            "accept_weight": np.zeros(B),
-            "accept_time": np.full(B, np.nan),
-            "best_index": best_index.copy(),
-        }
-        out["accept_index"][accepted] = index.take(first)
-        out["accept_weight"][accepted] = weight.take(first)
-        out["accept_time"][accepted] = time.take(first)
-        yield out
-
-
-def _run_threshold_rows(
-    weights: np.ndarray,
-    times: np.ndarray,
-    tau: float,
-    gaps,
-    gamma: float = 0.0,
-    strict: bool = False,
-):
-    """``_threshold_pass`` of the policy ``(tau, gamma, strict)`` over
-    ``gaps``, its state built for this call alone."""
-    state = _threshold_state(weights, times, tau, np.argmax(weights, axis=1))
-    return _threshold_pass(state, gaps, gamma, strict)
-
-
-class _FixedProfileState(NamedTuple):
-    """What threshold rules at one ``tau`` read of (n, B) arrival-time
-    columns of one weight vector: the post-``tau`` mask and best-so-far."""
-
-    post: np.ndarray  # (n, B) bool
-    bsf: np.ndarray  # (B,)
-
-
-def _fixed_profile_state(w: np.ndarray, cols: np.ndarray, tau: float) -> _FixedProfileState:
-    """Best-so-far is the heaviest pre-``tau`` weight: its rank in ascending
-    weight order plus one, 0 when none arrived, looked up in [0, ascending
-    weights]."""
-    post = cols > tau
-    code = np.min_scalar_type(w.size).type
-    ascending = np.argsort(w, kind="stable")
-    level = np.zeros(cols.shape[1], dtype=code)
-    # codes grow along each loop, so np.maximum keeps the last one taken
-    for rank, j in enumerate(ascending, start=1):
-        np.maximum(level, ~post[j] * code(rank), out=level)
-    return _FixedProfileState(post, np.concatenate(([0.0], w[ascending])).take(level))
-
-
-def _fixed_profile_pass(
-    w: np.ndarray,
-    cols: np.ndarray,
-    state: _FixedProfileState,
-    gap=0.0,
-    gamma: float = 0.0,
-    strict: bool = False,
-) -> dict:
-    """One threshold policy at the ``tau`` of ``state`` over the (n, B)
-    arrival-time columns ``cols`` of the weight vector ``w``.
-
-    The first arrival walks the columns in index order and takes a candidate
-    only at a strictly earlier time, so tied times go to the lower index, as
-    ``argmin`` gives them in the row kernel; it is kept as index plus one, 0
-    when none.
-    """
-    if strict and gamma > 0.0:
-        raise ValueError("strict comparison has no late phase")
-    post, bsf = state
-    B = cols.shape[1]
-    code = np.min_scalar_type(w.size).type
-    thr = bsf if strict else np.maximum(bsf, gap)
-    first = np.zeros(B, dtype=code)
-    first_t = np.full(B, np.inf)
-    for j, t in enumerate(cols):
-        cand = w[j] > thr if strict else w[j] >= thr
-        if gamma > 0.0:
-            late = t > 1.0 - gamma
-            cand = late & (w[j] >= bsf) | ~late & cand
-        cand &= post[j]
-        cand &= t < first_t
-        np.maximum(first, cand * code(j + 1), out=first)
-        # a non-candidate's time moves past every arrival time (first_t
-        # stays above 1 until a candidate arrives); a candidate's is exact
-        np.minimum(first_t, t + ~cand * 2.0, out=first_t)
-    return {
-        "accept_index": np.subtract(first, 1, dtype=np.intp),
-        "accept_weight": np.concatenate(([0.0], w)).take(first),
-        "accept_time": np.where(first > 0, first_t, np.nan),
-        "best_index": np.full(B, np.argmax(w)),
-    }
-
-
-def _run_fixed_profile(
-    w: np.ndarray,
-    times: np.ndarray,
-    tau: float,
-    gap=0.0,
-    gamma: float = 0.0,
-    strict: bool = False,
-) -> dict:
-    """Run one threshold policy over (B, n) arrival ``times`` in [0, 1] of the
-    single weight vector ``w``; returns what ``_run_threshold_rows`` yields
-    for ``gap`` on ``w`` broadcast to every row, bit for bit.
-
-    The n columns are swept as contiguous (B,) vectors, and per-row choices
-    are kept as small integer codes, never as masked copies: one
-    ``_fixed_profile_state`` at ``tau``, then one ``_fixed_profile_pass``.
-    """
-    cols = np.ascontiguousarray(times.T)
-    return _fixed_profile_pass(w, cols, _fixed_profile_state(w, cols, tau), gap, gamma, strict)
-
-
-# ---------------------------------------------------------------------------
-# Instance batches
-
-
-@dataclass(frozen=True)
-class _InstanceBatch:
-    """A chunk of instances, with the gap-independent work done on it so far,
-    so that a batch used again does none of it again: the j-th largest weight
-    of each row for each rank j a gap has read, the total of each row's L
-    largest weights for each L an l-select cell has read, the best index,
-    and the threshold state of the last ``tau`` asked. All are 1-D: (rows,)
-    columns, or one entry per candidate; no (rows, n) array beyond the
-    weights and times is kept."""
-
-    weights: np.ndarray  # normalized linear weights, (rows, n)
-    times: np.ndarray  # arrival times, (rows, n)
-    max_log: np.ndarray  # per-instance log normalization constant, (rows,)
-    _largest: dict = field(default_factory=dict, init=False, repr=False)
-    _top_totals: dict = field(default_factory=dict, init=False, repr=False)
-    _states: dict = field(default_factory=dict, init=False, repr=False)
-
-    def read_sorted(self, ranks=(), tops=()) -> None:
-        """Keep the ``ranks``-th largest weight of each row (rank 1 is the
-        maximum) and, for each L in ``tops``, the total of each row's L
-        largest weights, summed from the largest down. Those not yet kept
-        are read from one sort of the rows, which is dropped once they are
-        copied out."""
-        ranks = set(ranks) - self._largest.keys()
-        tops = set(tops) - self._top_totals.keys()
-        if ranks or tops:
-            ascending = np.sort(self.weights, axis=1)
-            n = ascending.shape[1]
-            for j in ranks:
-                self._largest[j] = ascending[:, n - j].copy()
-            for L in tops:
-                # a descending copy, so the sum runs in that order
-                top = np.ascontiguousarray(ascending[:, n - L :][:, ::-1])
-                self._top_totals[L] = np.sum(top, axis=1)
-
-    def largest(self, ranks) -> list[np.ndarray]:
-        """The ``ranks``-th largest weight of each row, one (rows,) column
-        per rank (``read_sorted``)."""
-        self.read_sorted(ranks=ranks)
-        return [self._largest[j] for j in ranks]
-
-    def top_total(self, L: int) -> np.ndarray:
-        """The total of each row's L largest weights (``read_sorted``)."""
-        self.read_sorted(tops=(L,))
-        return self._top_totals[L]
-
-    def threshold_state(self, tau: float) -> _ThresholdState:
-        """The state of the threshold rules at ``tau``, kept until another
-        ``tau`` is asked: the kept state narrowed when it is at a smaller
-        tau, else built from the weights and times."""
-        if tau not in self._states:
-            kept = next(iter(self._states.items()), None)
-            if kept is not None and kept[0] < tau:
-                state = _narrowed_state(kept[1], tau)
-            else:
-                state = _threshold_state(self.weights, self.times, tau, self.best_index)
-            self._states.clear()
-            self._states[tau] = state
-        return self._states[tau]
-
-    @cached_property
-    def best_index(self) -> np.ndarray:
-        """The index of each row's first maximum."""
-        return np.argmax(self.weights, axis=1)
-
-
-# the last generated batch that covered a whole run, read-only, with the
-# work kept on it, under (family, n, iterations, master_seed); at most one
-# entry, dropped before any other instances or arrival times are drawn
-_last_batch: dict = {}
-
-
-def _draw_rows(
-    family: InstanceFamily, n: int, rows: range, master_seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Arrival times and raw log-weights of the instances in ``rows``, one
-    row each, in two (rows, n) arrays: stream i draws iteration i's arrival
-    times, then its weights."""
-    _last_batch.clear()
-    times, log_weights = np.empty((len(rows), n)), np.empty((len(rows), n))
-
-    def streams():
-        for row, rng in zip(times, SeededRng(master_seed).streams(rows)):
-            rng.random(out=row)
-            yield rng
-
-    family.draw_rows(streams(), log_weights)
-    return times, log_weights
-
-
-def _normalized_batch(times: np.ndarray, log_weights: np.ndarray) -> _InstanceBatch:
-    """Normalize raw log-weight rows in place into a batch; the one place
-    where batch weights are normalized."""
-    max_log = normalize_rows(log_weights)
-    return _InstanceBatch(np.exp(log_weights, out=log_weights), times, max_log)
-
-
-def _build_batch(
-    family: InstanceFamily, n: int, rows: range, master_seed: int
-) -> _InstanceBatch:
-    """The instances of iterations ``rows``, drawn straight into rows and
-    normalized once for the whole batch or chunk."""
-    return _normalized_batch(*_draw_rows(family, n, rows, master_seed))
-
-
-def _replay_batch(profiles, master_seed: int, rows: range) -> _InstanceBatch:
-    """The user-supplied instances of iterations ``rows``; stream i of the
-    master seed provides iteration i's arrival draw."""
-    _last_batch.clear()
-    log_weights = np.stack([profiles[i].log_weights for i in rows])
-    times = np.empty(log_weights.shape)
-    for row, rng in zip(times, SeededRng(master_seed).streams(rows)):
-        rng.random(out=row)
-    return _normalized_batch(times, log_weights)
-
-
-def regenerate_profiles(
-    family: InstanceFamily, n: int, iterations: int, master_seed: int
-) -> list[WeightProfile]:
-    """The instances an experiment with this (family, n, seed) draws, in
-    iteration order, as raw profiles."""
-    _, log_weights = _draw_rows(family, n, range(iterations), master_seed)
-    return [WeightProfile(row) for row in log_weights]
 
 
 def _rescale_raw(values, max_log):
@@ -837,24 +429,6 @@ def _run_cells(n: int, iterations: int, batch_of, cells, outcomes: bool = False)
     return [done[_cell_key(a, g)] for a, g in cells]
 
 
-def _generated_batch(config: ExperimentConfig, rows: range) -> _InstanceBatch:
-    """The instances the config's family draws for iterations ``rows``. A
-    batch of the whole run is kept, its arrays read-only, in ``_last_batch``,
-    so the next estimate on the same (family, n, iterations, seed) gets the
-    same batch, with the work done on it: it draws, sorts and prepares
-    nothing that an earlier estimate did."""
-    key = (config.family, config.n, config.iterations, config.master_seed)
-    whole = len(rows) == config.iterations
-    if whole and key in _last_batch:
-        return _last_batch[key]
-    batch = _build_batch(config.family, config.n, rows, config.master_seed)
-    if whole:
-        for a in (batch.weights, batch.times, batch.max_log):
-            a.setflags(write=False)
-        _last_batch[key] = batch
-    return batch
-
-
 def _on_generated(config: ExperimentConfig, cells, outcomes: bool = False) -> list:
     """``_run_cells`` on the instances the config's family draws."""
     batch_of = partial(_generated_batch, config)
@@ -1024,255 +598,7 @@ def simulate_fixed_profile_rules(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive small-instance oracle
-
-
-def exact_expectation_small_n(
-    profile: WeightProfile, algorithm: AlgorithmSpec, gap_value: float = 0.0
-) -> float:
-    """Exact expected accepted weight by enumerating arrival configurations.
-
-    For two-phase rules the enumeration runs over (pre-tau subset S, ordering
-    of the rest) with probability tau^|S| (1-tau)^(n-|S|) / (n-|S|)!; the
-    robust rule adds the split of the post-tau ordering between the gap phase
-    and the late phase. The enumerated probabilities are asserted to sum to 1.
-
-    Kept deliberately independent of the simulation kernels: the acceptance
-    rule is restated inline on plain floats.
-    """
-    n = profile.n
-    if n > 6:
-        raise ValueError("enumeration oracle limited to n <= 6")
-    if not (math.isfinite(gap_value) and gap_value >= 0.0):
-        raise ValueError("gap must be finite and non-negative")
-    tag = algorithm.tag
-    if tag not in _SINGLE_SELECTION:
-        raise ValueError("oracle covers the single-selection rules only")
-    tau = algorithm.tau
-    gamma = algorithm.gamma if tag == "robust" else 0.0
-    w = [float(x) for x in profile.weights]
-    elements = tuple(range(n))
-
-    if tag in ("classical", "strict-classical"):
-        term = 0.0
-    elif tag == "exact-gap":
-        term = gap_value
-    elif tag == "bounded":
-        term = max(gap_value - algorithm.epsilon, 0.0)
-    else:
-        term = gap_value
-    strict = tag == "strict-classical"
-
-    def first_hit(seq, threshold, strict_cmp):
-        for i in seq:
-            if (w[i] > threshold) if strict_cmp else (w[i] >= threshold):
-                return w[i]
-        return None
-
-    total_p = 0.0
-    total_val = 0.0
-    for s_size in range(n + 1):
-        for S in combinations(elements, s_size):
-            bsf = max((w[i] for i in S), default=0.0)
-            rest = [i for i in elements if i not in S]
-            m = len(rest)
-            if tag == "robust":
-                thr_mid = max(bsf, term)
-                for perm in permutations(rest):
-                    for j in range(m + 1):
-                        p = (
-                            tau**s_size
-                            * (1.0 - gamma - tau) ** j
-                            / math.factorial(j)
-                            * gamma ** (m - j)
-                            / math.factorial(m - j)
-                        )
-                        if p == 0.0:
-                            total_p += p
-                            continue
-                        val = first_hit(perm[:j], thr_mid, False)
-                        if val is None:
-                            val = first_hit(perm[j:], bsf, False)
-                        total_p += p
-                        total_val += p * (val or 0.0)
-            else:
-                thr = max(bsf, term)
-                base_p = tau**s_size * (1.0 - tau) ** m / math.factorial(m)
-                for perm in permutations(rest):
-                    val = first_hit(perm, thr, strict)
-                    total_p += base_p
-                    total_val += base_p * (val or 0.0)
-    assert abs(total_p - 1.0) < 1e-9, "enumeration probabilities must sum to 1"
-    return total_val
-
-
-# ---------------------------------------------------------------------------
 # Multi-selection estimation
-
-
-def _l_select_hits(
-    w_ranked: np.ndarray, arrival: np.ndarray, pre: np.ndarray, gaps, L: int
-) -> np.ndarray:
-    """The hits of the multi-selection rule, as an (R, n) mask in rank order.
-
-    Row j of each input holds rank j of an instance, ranks ordered by
-    (-weight, index): ``w_ranked`` its weight, ``arrival`` its arrival
-    position (an unsigned integer type that holds n) and ``pre`` whether it
-    arrived by ``tau``. ``gaps`` is a scalar or one value per row.
-
-    Q is the pre-``tau`` elements plus the post-``tau`` ones at or above the
-    gap. The reference set's weights are the top-L weights of Q seen so far,
-    and a post-``tau`` element of Q is a hit exactly when it reaches the
-    L-th of them, that is, when fewer than L strictly heavier elements of Q
-    arrived before it. This reads weights only, so it holds with ties. With
-    ``a`` the arrival position of an element of Q and n for any other, L
-    running minima over ranks give the L-th smallest ``a`` up to each rank;
-    an element is a hit when its ``a`` lies below that value at the last rank
-    before its tie group.
-    """
-    n = arrival.shape[1]
-    q = w_ranked >= np.reshape(gaps, (-1, 1))
-    q |= pre
-    a = np.full_like(arrival, n)
-    np.copyto(a, arrival, where=q)
-    low = np.minimum.accumulate(a, axis=1)
-    shifted = np.empty_like(a)
-    shifted[:, 0] = n
-    for _ in range(L - 1):
-        # the k-th smallest up to rank j is the least, over i <= j, of
-        # max(a_i, (k-1)-th smallest up to rank i - 1)
-        np.maximum(low[:, :-1], a[:, 1:], out=shifted[:, 1:])
-        np.minimum.accumulate(shifted, axis=1, out=low)
-    # the L-th smallest before each rank, carried from the start of its tie
-    # group; it never rises along the ranks, so a running minimum over the
-    # group starts carries it
-    before = np.full_like(a, n)
-    np.copyto(before[:, 1:], low[:, :-1], where=w_ranked[:, 1:] != w_ranked[:, :-1])
-    np.minimum.accumulate(before, axis=1, out=before)
-    return (a < before) & ~pre
-
-
-def _place_in_row(rows: np.ndarray, R: int) -> np.ndarray:
-    """Each entry's place among the entries of its row, 0 first, for
-    entries sorted by row."""
-    counts = np.bincount(rows, minlength=R)
-    return np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-
-
-def _l_select_kept(weights: np.ndarray, times: np.ndarray, tau: float, L: int, gaps) -> np.ndarray:
-    """The (R, n) mask of the elements of each row that can be a hit of the
-    multi-selection rule or decide whether another is one.
-
-    The reference set starts with the L best pre-``tau`` elements and with
-    placeholders of weight 0 in its empty slots, so its lowest weight r_L
-    starts at theta, the L-th largest pre-``tau`` weight or 0 when fewer
-    than L elements arrived by ``tau``, and never falls. A hit is a
-    post-``tau`` arrival of weight at least max(r_L, gap), and whether an
-    arrival is one turns on the heavier elements of Q that arrived before it
-    (``_l_select_hits``): each is pre-``tau``, or post-``tau`` and at or
-    above the gap, and heavier than a hit, so above theta. So the pre-``tau``
-    elements at or above theta and the post-``tau`` ones at or above
-    max(theta, gap) hold every hit and everything that decides one.
-    """
-    n = weights.shape[1]
-    pre = times <= tau
-    theta = np.partition(np.where(pre, weights, -1.0), n - L, axis=1)[:, n - L]
-    np.maximum(theta, 0.0, out=theta)
-    keep = weights >= np.maximum(theta, gaps)[:, None]
-    keep |= pre & (weights >= theta[:, None])
-    return keep
-
-
-def _run_l_select_rows(weights: np.ndarray, times: np.ndarray, tau: float, L: int, gaps) -> dict:
-    """Run the multi-selection rule over (R, n) rows of normalized weights, as
-    ``run_l_selection_gap`` runs it draw by draw.
-
-    Elements are ranked by (-weight, index) and arrive in the order of their
-    times, tied times to the lower index. The reference set is seeded with
-    the L best pre-``tau`` elements, an empty slot holding a placeholder of
-    weight 0 counted as pre-``tau``. Only a hit changes it: a post-``tau``
-    arrival of weight at least max(r_L, gap), which replaces r_L, its lowest
-    entry, and is accepted when r_L dates from before ``tau``. Since r_L
-    never falls, whether an arrival is a hit depends on weights and arrival
-    positions alone, ties included, and ``_l_select_hits`` finds every hit
-    at once.
-
-    The rule reads only the elements ``_l_select_kept`` keeps: each row is
-    cut to them, in index order, and padded to the widest row of the chunk,
-    m, with elements of weight -1 that arrive last, after ``tau``. On these
-    (R, m) rows the rule runs as on whole ones: they are ranked, the
-    reference set is an ascending (R, L) array of their ranks, placeholder j
-    holding rank m + j, and the walk goes round by round, round r taking
-    every row's r-th hit in arrival order, so it runs once per hit of the
-    row with the most hits, not once per arrival position. An accepted rank
-    is mapped back to its element's index.
-
-    ``gaps`` is a scalar or (R,) array in the same units as ``weights``, at
-    least 0. Returns the accepted elements as an (R, n) mask by element
-    index and their total weight, summed in acceptance order.
-    """
-    R, n = weights.shape
-    keep = _l_select_kept(weights, times, tau, L, gaps)
-
-    # the kept elements, flat in row-major order, and padded to (R, m) rows,
-    # m at least 1: kept entry j goes to place j - first[row] of its row
-    kept = np.flatnonzero(keep)
-    rows = kept // n
-    counts = np.bincount(rows, minlength=R)
-    first = np.cumsum(counts) - counts
-    m = int(counts.max(initial=1))
-    dest = np.arange(kept.size) + (np.arange(R) * m - first)[rows]
-    w = np.full((R, m), -1.0)
-    w.ravel()[dest] = weights.ravel()[kept]
-    t = np.full((R, m), np.inf)
-    t.ravel()[dest] = times.ravel()[kept]
-
-    by_rank = np.argsort(-w, axis=1, kind="stable")
-    w_ranked = np.take_along_axis(w, by_rank, axis=1)
-    # holds the arrival positions, their sentinel m and the placeholder ranks
-    index = np.min_scalar_type(m + L - 1)
-    position = np.empty((R, m), dtype=index)
-    order = np.argsort(t, axis=1, kind="stable")
-    np.put_along_axis(position, order, np.arange(m, dtype=index)[None, :], axis=1)
-    arrival = np.take_along_axis(position, by_rank, axis=1)
-    # pre-tau flags by rank, the placeholders' appended; the pre-tau
-    # elements take the first arrival positions
-    pre_pad = np.ones((R, m + L), dtype=bool)
-    pre = pre_pad[:, :m]
-    np.less(arrival, np.count_nonzero(t <= tau, axis=1)[:, None], out=pre)
-
-    ref = np.tile(np.arange(m, m + L, dtype=index), (R, 1))
-    rows, ranks = np.nonzero(pre)
-    slot = _place_in_row(rows, R)
-    seeded = slot < L
-    ref[rows[seeded], slot[seeded]] = ranks[seeded]
-
-    # the hits of each row in arrival order, then regrouped by round
-    rows, ranks = np.nonzero(_l_select_hits(w_ranked, arrival, pre, gaps, L))
-    by_arrival = np.lexsort((arrival[rows, ranks], rows))
-    rows, ranks = rows[by_arrival], ranks[by_arrival]
-    rnd = _place_in_row(rows, R)
-    by_round = np.argsort(rnd, kind="stable")
-    rows, ranks = rows[by_round], ranks[by_round]
-    ends = np.cumsum(np.bincount(rnd))
-
-    total = np.zeros(R)
-    accepted = np.zeros(rows.size, dtype=bool)
-    start = 0
-    for end in ends:
-        r, k = rows[start:end], ranks[start:end]
-        acc = pre_pad[r, ref[r, -1]]
-        ref[r, -1] = k
-        ref.sort(axis=1)
-        # accepted weights summed in acceptance order, as the scalar runner
-        # sums them; adding a zero leaves a partial sum unchanged
-        total[r] += w_ranked[r, k] * acc
-        accepted[start:end] = acc
-        start = end
-    by_index = np.zeros((R, n), dtype=bool)
-    rows, ranks = rows[accepted], ranks[accepted]
-    by_index.ravel()[kept[first[rows] + by_rank[rows, ranks]]] = True
-    return {"accepted": by_index, "total_weight": total}
 
 
 def estimate_l_selection(

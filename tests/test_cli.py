@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gapsecretary import cli, montecarlo
+from gapsecretary import batch, cli
 from gapsecretary.bounds import (
     alpha_exact,
     consistency,
@@ -277,10 +277,10 @@ class TestSimulate:
     def test_same_instances_drawn_once(self, monkeypatch, capsys):
         # the second rule on the same (family, n, iterations, seed) reuses
         # the batch the first one drew; another seed draws again
-        montecarlo._last_batch.clear()
+        batch._last_batch.clear()
         calls = []
-        draw = montecarlo._draw_rows
-        monkeypatch.setattr(montecarlo, "_draw_rows", lambda *a: calls.append(a) or draw(*a))
+        draw = batch._draw_rows
+        monkeypatch.setattr(batch, "_draw_rows", lambda *a: calls.append(a) or draw(*a))
         base = ["simulate", "--family", "chisq", "--n", "30", "--iters", "60", "--k", "5"]
         outs = []
         for algo, seed in (("exact-gap", "4"), ("robust", "4"), ("exact-gap", "5")):
@@ -290,7 +290,7 @@ class TestSimulate:
         assert len(calls) == 2
         assert [c[3] for c in calls] == [4, 5]
         # once the memo is dropped, the same command draws again, to the same bytes
-        montecarlo._last_batch.clear()
+        batch._last_batch.clear()
         assert run(base + ["--algo", "robust", "--seed", "4"], capsys)[1] == outs[1]
         assert len(calls) == 3
 

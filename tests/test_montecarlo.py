@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gapsecretary import montecarlo
+from gapsecretary import batch as batches
+from gapsecretary import kernels, montecarlo
 from gapsecretary.algorithms import (
     PolicySchedule,
     _normalized_view,
@@ -18,21 +19,17 @@ from gapsecretary.algorithms import (
     run_robust_consistent,
     run_strict_classical,
 )
+from gapsecretary.batch import _build_batch, _InstanceBatch, _replay_batch
 from gapsecretary.bounds import tau_for_k
 from gapsecretary.core import ArrivalDraw, WeightProfile, normalize
 from gapsecretary.generators import FAMILY_TAGS, InstanceFamily, SeededRng
+from gapsecretary.kernels import _run_fixed_profile, _run_l_select_rows, _run_threshold_rows
 from gapsecretary.montecarlo import (
     AlgorithmSpec,
     ConfigError,
     ExperimentConfig,
     GapSpec,
-    _build_batch,
-    _InstanceBatch,
     _policy,
-    _replay_batch,
-    _run_fixed_profile,
-    _run_l_select_rows,
-    _run_threshold_rows,
     _threshold_term,
     batch_ratio_for_profiles,
     estimate_l_selection,
@@ -565,7 +562,7 @@ class TestLSelectCandidateEdges:
         tau, L, weights, times, absolute = self.EDGES[edge]
         W, T = np.array(weights), np.array(times)
         for gaps in [*absolute, np.resize(absolute[::-1], len(W))]:
-            kept = montecarlo._l_select_kept(W, T, tau, L, gaps)
+            kept = kernels._l_select_kept(W, T, tau, L, gaps)
             for row, (w, t, gap) in enumerate(zip(W, T, np.broadcast_to(gaps, len(W)))):
                 pre = sorted(w[t <= tau], reverse=True)
                 theta = pre[L - 1] if len(pre) >= L else 0.0
@@ -618,7 +615,7 @@ class TestLSelectHits:
         norm = np.array([p.normalized_weights for p in profiles])
         gaps = np.array([g for _, _, g in rows])
         w_ranked, arrival, pre, by_rank = _rank_view(norm, T, tau)
-        hits = montecarlo._l_select_hits(w_ranked, arrival, pre, gaps, L)
+        hits = kernels._l_select_hits(w_ranked, arrival, pre, gaps, L)
         got = np.zeros_like(hits)
         np.put_along_axis(got, by_rank, hits, axis=1)
         for row, (w, prof) in enumerate(zip(norm, profiles)):
@@ -1491,7 +1488,7 @@ class TestEmptySweeps:
         def no_batch(*args, **kwargs):
             raise AssertionError("a batch was drawn")
 
-        monkeypatch.setattr(montecarlo, "_build_batch", no_batch)
+        monkeypatch.setattr(batches, "_build_batch", no_batch)
         cfg = ExperimentConfig(
             InstanceFamily("exponential"), 20, 50, AlgorithmSpec("exact-gap"), GapSpec(k=2)
         )
@@ -1503,13 +1500,13 @@ class TestEmptySweeps:
 def _counting_draws(monkeypatch) -> list:
     """Wrap ``_draw_rows`` so each call appends its row range to the list."""
     calls = []
-    draw = montecarlo._draw_rows
+    draw = batches._draw_rows
 
     def counting(family, n, rows, *args):
         calls.append(rows)
         return draw(family, n, rows, *args)
 
-    monkeypatch.setattr(montecarlo, "_draw_rows", counting)
+    monkeypatch.setattr(batches, "_draw_rows", counting)
     return calls
 
 
@@ -1550,25 +1547,25 @@ class TestBatchMemo:
 
     @pytest.fixture(autouse=True)
     def empty_memo(self):
-        montecarlo._last_batch.clear()
+        batches._last_batch.clear()
         yield
-        montecarlo._last_batch.clear()
+        batches._last_batch.clear()
 
     def _config(self, family=InstanceFamily("chi_squared", df=3), n=12, iterations=31, seed=SEED,
                 algo=AlgorithmSpec("exact-gap", tau=0.2)):
         return ExperimentConfig(family, n, iterations, algo, GapSpec(k=3), master_seed=seed)
 
     def _memo(self) -> _InstanceBatch:
-        (batch,) = montecarlo._last_batch.values()
+        (batch,) = batches._last_batch.values()
         return batch
 
     def test_hit_equals_fresh_build(self, monkeypatch):
         calls = _counting_draws(monkeypatch)
         cfg = self._config()
         rows = range(cfg.iterations)
-        first = montecarlo._generated_batch(cfg, rows)
+        first = batches._generated_batch(cfg, rows)
         estimate_ratio(cfg)
-        hit = montecarlo._generated_batch(cfg, rows)
+        hit = batches._generated_batch(cfg, rows)
         assert len(calls) == 1
         assert hit is first and first._largest and first._states
         fresh = _build_batch(cfg.family, cfg.n, rows, cfg.master_seed)
@@ -1648,9 +1645,9 @@ class TestBatchMemo:
 
             monkeypatch.setattr(module, name, counted)
 
-        counting(montecarlo, "_draw_rows", "draws")
+        counting(batches, "_draw_rows", "draws")
         counting(np, "sort", "sorts")
-        counting(montecarlo, "_threshold_state", "states")
+        counting(batches, "_threshold_state", "states")
         return counts
 
     # (sorts, states) of a first estimate on a fresh memo
@@ -1818,7 +1815,7 @@ class TestBatchMemo:
             "strict": (AlgorithmSpec("strict-classical", tau=tau), 0.0, True, [0.0]),
         }
         for kind, (spec, gamma, strict, kind_gaps) in kinds.items():
-            outs = montecarlo._threshold_pass(batch.threshold_state(tau), kind_gaps, gamma, strict)
+            outs = kernels._threshold_pass(batch.threshold_state(tau), kind_gaps, gamma, strict)
             for gap, out in zip(kind_gaps, outs, strict=True):
                 where = (kind, gap)
                 _assert_same_arrays(out, _dense_reference(batch.weights, T, tau, gap, gamma, strict), where)
@@ -1850,8 +1847,8 @@ class TestBatchMemo:
         taus = sorted(taus)
         state = batch.threshold_state(taus[0])
         for tau in taus[1:]:
-            narrowed = montecarlo._narrowed_state(state, tau)
-            fresh = montecarlo._threshold_state(batch.weights, batch.times, tau, batch.best_index)
+            narrowed = kernels._narrowed_state(state, tau)
+            fresh = kernels._threshold_state(batch.weights, batch.times, tau, batch.best_index)
             for field, a, b in zip(fresh._fields, narrowed, fresh):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (field, tau)
                 assert a.base is None, field
@@ -1868,13 +1865,13 @@ class TestBatchMemo:
 
     def test_multi_chunk_run_leaves_nothing(self, monkeypatch):
         estimate_ratio(self._config())
-        assert montecarlo._last_batch
+        assert batches._last_batch
         calls = _counting_draws(monkeypatch)
         # l-select chunks hold 16,384 elements: 81 rows at n = 200
         cfg = self._config(InstanceFamily("exponential"), 200, 82, algo=AlgorithmSpec("l-select", L=2))
         estimate_ratio(cfg)
         assert [len(r) for r in calls] == [81, 1]
-        assert not montecarlo._last_batch
+        assert not batches._last_batch
         estimate_ratio(cfg)
         assert len(calls) == 4
 
@@ -1888,6 +1885,6 @@ class TestBatchMemo:
             "fixed-profile": lambda: simulate_fixed_profile(prof, classical, 10, 2),
         }
         estimate_ratio(self._config())
-        assert montecarlo._last_batch
+        assert batches._last_batch
         draws[draw]()
-        assert not montecarlo._last_batch
+        assert not batches._last_batch

@@ -12,20 +12,18 @@ pass per gap that reads it:
 * ``_threshold_state`` and ``_threshold_pass`` take (rows, n) weights, one
   instance per row, and the pass takes a sequence of gaps and yields one
   result per gap: the generated and replayed batches of every estimate and
-  sweep (``_run_threshold_rows`` runs both parts on one chunk). Only a
-  post-``tau`` element at or above best-so-far can be accepted, under any
-  gap or ``gamma``, so the state keeps just those candidates, as flat
-  arrays in row-major order (about 4 per row at ``tau`` = 0.2, n = 200;
-  every element at ``tau`` = 0), and a pass reads nothing else: one
-  comparison with the gap, one with 1 - ``gamma``, and a segment minimum
-  of the passing arrival times per row. A candidate at a larger ``tau`` is
-  one at a smaller ``tau`` too, so ``_narrowed_state`` reads the state at a
-  larger ``tau`` off the candidates of one at a smaller ``tau``;
+  sweep. Only a post-``tau`` element at or above best-so-far can be
+  accepted, under any gap or ``gamma``, so the state keeps just those
+  candidates, as flat arrays in row-major order (about 4 per row at ``tau``
+  = 0.2, n = 200; every element at ``tau`` = 0), and a pass reads nothing
+  else: one comparison with the gap, one with 1 - ``gamma``, and a segment
+  minimum of the passing arrival times per row. A candidate at a larger
+  ``tau`` is one at a smaller ``tau`` too, so ``_narrowed_state`` reads the
+  state at a larger ``tau`` off the candidates of one at a smaller ``tau``;
 * ``_fixed_profile_state`` and ``_fixed_profile_pass`` take one weight
   vector and the (n, rows) columns of its arrival times, swept column by
   column: ``simulate_fixed_profile`` and ``simulate_fixed_profile_rules``,
-  where only the arrival order is random and several rules share one draw
-  (``_run_fixed_profile`` runs both parts on one chunk).
+  where only the arrival order is random and several rules share one draw.
 
 The multi-selection rule runs through ``_run_l_select_rows``. Its reference
 set holds the top-L weights seen so far of Q, the pre-``tau`` elements and
@@ -183,20 +181,6 @@ def _threshold_pass(state: _ThresholdState, gaps, gamma: float = 0.0, strict: bo
         yield out
 
 
-def _run_threshold_rows(
-    weights: np.ndarray,
-    times: np.ndarray,
-    tau: float,
-    gaps,
-    gamma: float = 0.0,
-    strict: bool = False,
-):
-    """``_threshold_pass`` of the policy ``(tau, gamma, strict)`` over
-    ``gaps``, its state built for this call alone."""
-    state = _threshold_state(weights, times, tau, np.argmax(weights, axis=1))
-    return _threshold_pass(state, gaps, gamma, strict)
-
-
 class _FixedProfileState(NamedTuple):
     """What threshold rules at one ``tau`` read of (n, B) arrival-time
     columns of one weight vector: the post-``tau`` mask and best-so-far."""
@@ -260,26 +244,6 @@ def _fixed_profile_pass(
         "accept_time": np.where(first > 0, first_t, np.nan),
         "best_index": np.full(B, np.argmax(w)),
     }
-
-
-def _run_fixed_profile(
-    w: np.ndarray,
-    times: np.ndarray,
-    tau: float,
-    gap=0.0,
-    gamma: float = 0.0,
-    strict: bool = False,
-) -> dict:
-    """Run one threshold policy over (B, n) arrival ``times`` in [0, 1] of the
-    single weight vector ``w``; returns what ``_run_threshold_rows`` yields
-    for ``gap`` on ``w`` broadcast to every row, bit for bit.
-
-    The n columns are swept as contiguous (B,) vectors, and per-row choices
-    are kept as small integer codes, never as masked copies: one
-    ``_fixed_profile_state`` at ``tau``, then one ``_fixed_profile_pass``.
-    """
-    cols = np.ascontiguousarray(times.T)
-    return _fixed_profile_pass(w, cols, _fixed_profile_state(w, cols, tau), gap, gamma, strict)
 
 
 def _l_select_hits(

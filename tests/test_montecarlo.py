@@ -23,7 +23,13 @@ from gapsecretary.batch import _build_batch, _InstanceBatch, _replay_batch
 from gapsecretary.bounds import tau_for_k
 from gapsecretary.core import ArrivalDraw, WeightProfile, normalize
 from gapsecretary.generators import FAMILY_TAGS, InstanceFamily, SeededRng
-from gapsecretary.kernels import _run_fixed_profile, _run_l_select_rows, _run_threshold_rows
+from gapsecretary.kernels import (
+    _fixed_profile_pass,
+    _fixed_profile_state,
+    _run_l_select_rows,
+    _threshold_pass,
+    _threshold_state,
+)
 from gapsecretary.montecarlo import (
     AlgorithmSpec,
     ConfigError,
@@ -68,6 +74,21 @@ def _dense_reference(weights, times, tau, gap=0.0, gamma=0.0, strict=False) -> d
         "accept_time": np.where(has, times[r, first], np.nan),
         "best_index": np.argmax(weights, axis=1),
     }
+
+
+def _run_threshold_rows(weights, times, tau, gaps, gamma=0.0, strict=False):
+    """The row kernel's passes of one policy over ``gaps``, its state built
+    for this call alone."""
+    state = _threshold_state(weights, times, tau, np.argmax(weights, axis=1))
+    return _threshold_pass(state, gaps, gamma, strict)
+
+
+def _run_fixed_profile(w, times, tau, gap=0.0, gamma=0.0, strict=False) -> dict:
+    """The fixed-profile kernel's pass of one policy over (B, n) arrival
+    ``times`` of the weight vector ``w``, its state built for this call
+    alone."""
+    cols = np.ascontiguousarray(times.T)
+    return _fixed_profile_pass(w, cols, _fixed_profile_state(w, cols, tau), gap, gamma, strict)
 
 
 def _one_gap(weights, times, tau, gap=0.0, gamma=0.0, strict=False) -> dict:

@@ -252,13 +252,14 @@ def _rescale_raw(values, max_log):
 
 def _gap_ranks(algorithm: AlgorithmSpec, gap) -> tuple[int, ...]:
     """The ranks of each row's weights (1 is the maximum) that the threshold
-    term of ``algorithm`` reads: index k for an index gap, L and L + 1 for
-    l-select's auto gap, none otherwise."""
+    term of ``algorithm`` reads, the gap being the first minus the second:
+    1 and k for an index gap, L and L + 1 for l-select's auto gap, none
+    otherwise."""
     if not (algorithm.uses_gap and isinstance(gap, GapSpec) and gap.absolute is None):
         return ()
     if algorithm.tag == "l-select":
         return algorithm.L, algorithm.L + 1
-    return (gap.k,)
+    return 1, gap.k
 
 
 def _threshold_term(algorithm: AlgorithmSpec, gap, max_log, batch: _InstanceBatch | None = None):
@@ -267,10 +268,10 @@ def _threshold_term(algorithm: AlgorithmSpec, gap, max_log, batch: _InstanceBatc
     and 0 for a rule without a gap. The one place where raw-unit quantities
     are rescaled, with ``max_log``, the raw rows' log maxima.
 
-    ``gap`` is a checked cell's ``GapSpec``, whose index gap, 1 minus the
-    k-th largest weight, or l-select auto gap, the L-th minus the (L+1)-th
-    largest, reads ``batch.largest``, or raw-unit gap values, a scalar or
-    one per row. Raw-unit values are combined before they are rescaled, so
+    ``gap`` is a checked cell's ``GapSpec``, whose index gap, the largest
+    minus the k-th largest weight (0 on an all-zero row), or l-select auto
+    gap, the L-th minus the (L+1)-th largest, reads ``batch.largest``, or
+    raw-unit gap values, a scalar or one per row. Raw-unit values are combined before they are rescaled, so
     no 0 * inf or inf - inf arises: sigma 0 is no gap, and an epsilon at or
     above the gap is the classical rule.
     """
@@ -279,13 +280,8 @@ def _threshold_term(algorithm: AlgorithmSpec, gap, max_log, batch: _InstanceBatc
     epsilon = algorithm.epsilon if algorithm.tag == "bounded" else 0.0
     ranks = _gap_ranks(algorithm, gap)
     if ranks:
-        if algorithm.tag == "l-select":
-            above, below = batch.largest(ranks)
-            base = above - below
-        else:
-            (kth,) = batch.largest(ranks)
-            base = 1.0 - kth
-        return np.maximum(gap.sigma * base - _rescale_raw(epsilon, max_log), 0.0)
+        above, below = batch.largest(ranks)
+        return np.maximum(gap.sigma * (above - below) - _rescale_raw(epsilon, max_log), 0.0)
     raw = gap.sigma * gap.absolute if isinstance(gap, GapSpec) else gap
     return _rescale_raw(np.maximum(raw - epsilon, 0.0), max_log)
 

@@ -21,7 +21,7 @@ from gapsecretary.algorithms import (
 )
 from gapsecretary.batch import _build_batch, _InstanceBatch, _replay_batch
 from gapsecretary.bounds import tau_for_k
-from gapsecretary.core import ArrivalDraw, WeightProfile, normalize
+from gapsecretary.core import ArrivalDraw, WeightProfile, normalize, true_gap
 from gapsecretary.generators import FAMILY_TAGS, InstanceFamily, SeededRng
 from gapsecretary.kernels import (
     _fixed_profile_pass,
@@ -1261,6 +1261,25 @@ class TestBatchRatioForProfiles:
                 generated = ExperimentConfig(family, 20, 50, algo, gap, master_seed=SEED)
                 assert est == estimate_ratio(generated), (tag, algo.tag)
                 assert est == batch_ratio_for_profiles(profiles, algo, gap, SEED)
+
+    def test_all_zero_rows_have_no_index_gap(self):
+        # an all-zero row's largest weight is 0, so its gap at index k is 0
+        # (``true_gap``), not 1 minus its k-th largest weight
+        rng = np.random.default_rng(3)
+        zero = WeightProfile.from_weights([0.0] * 4)
+        mixed = [zero, *(WeightProfile.from_weights(rng.random(4) * 5) for _ in range(25)), zero]
+        for profiles in ([zero] * 50, mixed):
+            batch_of = partial(_replay_batch, profiles, 3)
+            times = batch_of(range(len(profiles))).times
+            for tag in ("exact-gap", "bounded", "robust"):
+                spec = AlgorithmSpec(tag, tau=0.2, gamma=0.25 * (tag == "robust"), epsilon=0.05)
+                cell = [(spec, GapSpec(k=2))]
+                (got,) = montecarlo._run_cells(4, len(profiles), batch_of, cell, outcomes=True)
+                for row, prof in enumerate(profiles):
+                    arrivals = ArrivalDraw(times[row])
+                    scalar = _scalar_reference(spec, prof, arrivals, true_gap(prof, 2))
+                    expected = scalar.accepted_index if scalar.accepted else -1
+                    assert got["accept_index"][row] == expected, (tag, row)
 
     def test_size_mismatch_rejected(self):
         profiles = [

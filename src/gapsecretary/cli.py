@@ -346,18 +346,17 @@ def cmd_sweep(args) -> int:
         if ks[-1] > args.n:
             raise UsageError(f"--from, --to and --step reach k={ks[-1]}, above --n={args.n}")
         ks = list(ks)
-        algo = _algorithm(args, args.tau)
-        gap = _gap(args, ks[0])
-        config = ExperimentConfig(family, args.n, args.iters, algo, gap, master_seed=args.seed)
-        cells = sweep_k(config, ks, tau_policy=args.tau_policy)
     else:
         sigmas = _stepped(*bounds, flags)
         ks = _parse_k_list(args.k)
         if not ks:
             raise UsageError("sigma sweeps need --k as a comma-separated list of indices")
-        algo = _algorithm(args, args.tau)
-        gap = _gap(args, ks[0])
-        config = ExperimentConfig(family, args.n, args.iters, algo, gap, master_seed=args.seed)
+    algo = _algorithm(args, args.tau)
+    gap = _gap(args, ks[0])
+    config = ExperimentConfig(family, args.n, args.iters, algo, gap, master_seed=args.seed)
+    if args.sweep == "k":
+        cells = sweep_k(config, ks, tau_policy=args.tau_policy)
+    else:
         cells = sweep_sigma(config, sigmas, ks, tau_policy=args.tau_policy)
 
     rows = [

@@ -42,11 +42,9 @@ def exact_expectation_small_n(profile: WeightProfile, algorithm, gap_value: floa
 
     if tag in ("classical", "strict-classical"):
         term = 0.0
-    elif tag == "exact-gap":
-        term = gap_value
     elif tag == "bounded":
         term = max(gap_value - algorithm.epsilon, 0.0)
-    else:
+    else:  # exact-gap and robust
         term = gap_value
     strict = tag == "strict-classical"
 

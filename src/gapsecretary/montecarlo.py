@@ -271,9 +271,10 @@ def _threshold_term(algorithm: AlgorithmSpec, gap, max_log, batch: _InstanceBatc
     ``gap`` is a checked cell's ``GapSpec``, whose index gap, the largest
     minus the k-th largest weight (0 on an all-zero row), or l-select auto
     gap, the L-th minus the (L+1)-th largest, reads ``batch.largest``, or
-    raw-unit gap values, a scalar or one per row. Raw-unit values are combined before they are rescaled, so
-    no 0 * inf or inf - inf arises: sigma 0 is no gap, and an epsilon at or
-    above the gap is the classical rule.
+    raw-unit gap values, a scalar or one per row. Raw-unit values are
+    combined before they are rescaled, so no 0 * inf or inf - inf arises:
+    sigma 0 is no gap, and an epsilon at or above the gap is the classical
+    rule.
     """
     if not algorithm.uses_gap:
         return 0.0

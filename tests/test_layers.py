@@ -27,11 +27,9 @@ def _package_imports(module: str) -> set[str]:
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            base = "." * node.level + (node.module or "")
-            if base in (".", "gapsecretary"):
-                names = [f"gapsecretary.{alias.name}" for alias in node.names]
-            else:
-                names = ["gapsecretary" + base if node.level else base]
+            package = "gapsecretary" if node.level else None
+            base = ".".join(filter(None, (package, node.module)))
+            names = [f"{base}.{alias.name}" for alias in node.names]
         else:
             continue
         for name in names:

@@ -384,8 +384,7 @@ def check_multi_selection_bound(fast: bool = False) -> tuple[bool, str, str]:
 
 def check_output_determinism(fast: bool = False) -> tuple[bool, str, str]:
     """Rerunning a command gives a byte-identical CSV, for a single cell and
-    for a sweep; ``--threads`` is accepted and ignored, so its value changes
-    nothing."""
+    for a sweep."""
     import tempfile
     from pathlib import Path
 
@@ -400,9 +399,9 @@ def check_output_determinism(fast: bool = False) -> tuple[bool, str, str]:
             "--sigma", "1.2", "--seed", "99",
         ]
         a, b, c = tmp / "a.csv", tmp / "b.csv", tmp / "c.csv"
-        ok = ok and cli.main(base + ["--out", str(a), "--threads", "1"]) == 0
-        ok = ok and cli.main(base + ["--out", str(b), "--threads", "8"]) == 0
-        ok = ok and cli.main(base + ["--out", str(c), "--threads", "1"]) == 0
+        ok = ok and cli.main(base + ["--out", str(a)]) == 0
+        ok = ok and cli.main(base + ["--out", str(b)]) == 0
+        ok = ok and cli.main(base + ["--out", str(c)]) == 0
         ok = ok and a.read_bytes() == b.read_bytes() == c.read_bytes()
         sweep = [
             "sweep", "--sweep", "sigma", "--from", "0", "--to", "0.4",
@@ -410,14 +409,14 @@ def check_output_determinism(fast: bool = False) -> tuple[bool, str, str]:
             "--algo", "robust", "--tau", "0.2", "--gamma", "0.1",
             "--k", "2,10", "--seed", "5",
         ]
-        s1, s8 = tmp / "s1.csv", tmp / "s8.csv"
-        ok = ok and cli.main(sweep + ["--out", str(s1), "--threads", "1"]) == 0
-        ok = ok and cli.main(sweep + ["--out", str(s8), "--threads", "8"]) == 0
-        ok = ok and s1.read_bytes() == s8.read_bytes()
+        s1, s2 = tmp / "s1.csv", tmp / "s2.csv"
+        ok = ok and cli.main(sweep + ["--out", str(s1)]) == 0
+        ok = ok and cli.main(sweep + ["--out", str(s2)]) == 0
+        ok = ok and s1.read_bytes() == s2.read_bytes()
     return (
         ok,
         "simulate x3 and sweep x2 runs compared byte-for-byte",
-        "byte-identical CSV across reruns, --threads 1 or 8 ignored",
+        "byte-identical CSV across reruns",
     )
 
 

@@ -10,12 +10,11 @@ done on it: the j-th largest weight of each row for every rank a gap has
 read and the total of its L largest weights for every L an l-select cell
 has read (one (rows,) column each, taken from one sort per call that needs
 a new one, the sorted matrix dropped at once), and the threshold state of
-the last ``tau`` asked (its candidates, best-so-far and the best index),
-which serves every ``gamma`` and strictness at that ``tau`` and is
-narrowed for a larger one. The next
-estimate with the same key gets the same batch: it draws, sorts and
-prepares nothing an earlier one did, and its arrays are what a fresh draw
-gives, bit for bit.
+the last ``tau`` asked (its candidates and best-so-far), which serves
+every ``gamma`` and strictness at that ``tau`` and is narrowed for a larger
+one. The next estimate with the same key gets the same batch: it draws,
+sorts and prepares nothing an earlier one did, and its arrays are what a
+fresh draw gives, bit for bit.
 The memo is dropped before any other instances or arrival times are drawn
 (``_draw_rows``, ``_replay_batch``,
 ``montecarlo.simulate_fixed_profile_rules``), so
@@ -95,7 +94,7 @@ class _InstanceBatch:
             if kept is not None and kept[0] < tau:
                 state = _narrowed_state(kept[1], tau)
             else:
-                state = _threshold_state(self.weights, self.times, tau, self.best_index)
+                state = _threshold_state(self.weights, self.times, tau)
             self._states.clear()
             self._states[tau] = state
         return self._states[tau]

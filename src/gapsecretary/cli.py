@@ -107,7 +107,7 @@ def _write_rows(args, header, rows) -> None:
         "artifact_version": __version__,
         "command": args.command,
         "argv": list(args.raw_argv),
-        "master_seed": args.seed,
+        "master_seed": getattr(args, "seed", None),
         "output": str(args.out),
         "python": _PYTHON_VERSION,
         "numpy": np.__version__,
@@ -168,20 +168,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--df", type=int, default=10, help="chi-squared degrees of freedom")
     p.add_argument("--superstar-factor", type=float, default=100.0)
     p.add_argument("--seed", type=int, default=None, help=f"master seed (default ${SEED_ENV_VAR} or 0)")
-    p.add_argument(
-        "--threads",
-        type=_thread_count,
-        default=1,
-        help="ignored: the engine runs in one thread; kept so recorded manifests replay",
-    )
     p.add_argument("--out", default=None, help="CSV output path (stdout when omitted)")
-
-
-def _thread_count(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError("threads must be >= 1")
-    return value
 
 
 def _parse_k(raw) -> int | None:
@@ -508,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_frontier.add_argument("--r-step", type=float, default=0.05)
     p_frontier.add_argument("--grid-step", type=float, default=0.001)
     p_frontier.add_argument("--k-aggregation", default=None, help="gap index or worst-case")
-    p_frontier.add_argument("--seed", type=int, default=None)
     p_frontier.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="run the acceptance checks")
@@ -542,6 +528,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) is None:  # a command with --seed, run without it
             args.seed = int(os.environ.get(SEED_ENV_VAR) or 0)
+            # recorded, so a manifest replays without the variable
+            args.raw_argv = argv + ["--seed", str(args.seed)]
         # looked up by name on each call, so the kept parser holds no command
         return globals()[f"cmd_{args.command}"](args)
     except (UsageError, ConfigError, ValueError, OSError) as exc:

@@ -59,33 +59,28 @@ def exact_expectation_small_n(profile: WeightProfile, algorithm, gap_value: floa
     for s_size in range(n + 1):
         for S in combinations(elements, s_size):
             bsf = max((w[i] for i in S), default=0.0)
+            thr = max(bsf, term)
             rest = [i for i in elements if i not in S]
             m = len(rest)
-            if tag == "robust":
-                thr_mid = max(bsf, term)
-                for perm in permutations(rest):
-                    for j in range(m + 1):
-                        p = (
-                            tau**s_size
-                            * (1.0 - gamma - tau) ** j
-                            / math.factorial(j)
-                            * gamma ** (m - j)
-                            / math.factorial(m - j)
-                        )
-                        if p == 0.0:
-                            total_p += p
-                            continue
-                        val = first_hit(perm[:j], thr_mid, False)
-                        if val is None:
-                            val = first_hit(perm[j:], bsf, False)
-                        total_p += p
-                        total_val += p * (val or 0.0)
-            else:
-                thr = max(bsf, term)
-                base_p = tau**s_size * (1.0 - tau) ** m / math.factorial(m)
-                for perm in permutations(rest):
-                    val = first_hit(perm, thr, strict)
-                    total_p += base_p
-                    total_val += base_p * (val or 0.0)
+            # (j, probability): the first j post-tau arrivals fall in the gap
+            # phase, the rest in the late one; without a late phase, all m
+            splits = []
+            for j in range(m + 1) if gamma > 0.0 else (m,):
+                p = (
+                    tau**s_size
+                    * (1.0 - gamma - tau) ** j
+                    / math.factorial(j)
+                    * gamma ** (m - j)
+                    / math.factorial(m - j)
+                )
+                if p != 0.0:
+                    splits.append((j, p))
+            for perm in permutations(rest):
+                for j, p in splits:
+                    val = first_hit(perm[:j], thr, strict)
+                    if val is None:
+                        val = first_hit(perm[j:], bsf, False)
+                    total_p += p
+                    total_val += p * (val or 0.0)
     assert abs(total_p - 1.0) < 1e-9, "enumeration probabilities must sum to 1"
     return total_val

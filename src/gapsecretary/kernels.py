@@ -38,8 +38,8 @@ widest row of the chunk: about 10 of 200 per row at L = 2 and ``tau`` = 0.2
 (the widest of 81 rows about 32), and most of the row at ``tau`` = 0 or a
 large L. It ranks those alone, ``_l_select_hits`` finds every hit with L
 running minima over their arrival positions, and the kernel walks the hits
-alone, every row's r-th hit in round r. The top-L total and the best index,
-which do not depend on the gap, come from the batch.
+alone, every row's r-th hit in round r. The top-L total, which does not
+depend on the gap, comes from the batch.
 
 Every kernel takes normalized weights and gaps only. The per-draw runners in
 ``algorithms`` are the tests' reference for every kernel, and the row kernel
@@ -57,9 +57,9 @@ class _ThresholdState(NamedTuple):
     """What threshold rules at one ``tau`` read of a chunk, whatever their
     gaps and gamma: its candidates, the post-``tau`` elements at or above
     best-so-far, as flat arrays in row-major order, the rows holding one
-    with the start of each row's run in them, and per row best-so-far and
-    the best index. Only a candidate can be accepted, under any gap and in
-    the late phase alike."""
+    with the start of each row's run in them, and per row best-so-far. Only
+    a candidate can be accepted, under any gap and in the late phase
+    alike."""
 
     index: np.ndarray  # (m,) the candidates' indices, ascending within a row
     weight: np.ndarray  # (m,)
@@ -67,14 +67,11 @@ class _ThresholdState(NamedTuple):
     rows: np.ndarray  # (R,) the rows holding a candidate, ascending
     starts: np.ndarray  # (R,) where each of them starts in the candidates
     bsf: np.ndarray  # (B,)
-    best_index: np.ndarray  # (B,)
 
 
-def _threshold_state(
-    weights: np.ndarray, times: np.ndarray, tau: float, best_index: np.ndarray
-) -> _ThresholdState:
+def _threshold_state(weights: np.ndarray, times: np.ndarray, tau: float) -> _ThresholdState:
     """The state of threshold rules at ``tau`` over (B, n) ``weights`` and
-    ``times`` whose rows' best indices are ``best_index``."""
+    ``times``."""
     B, n = weights.shape
     pre = times <= tau
     # weights are finite and non-negative, so this is max(pre-tau weights, 0)
@@ -93,7 +90,6 @@ def _threshold_state(
         r[holds],
         starts[holds],
         bsf,
-        best_index,
     )
 
 
@@ -104,7 +100,7 @@ def _narrowed_state(state: _ThresholdState, tau: float) -> _ThresholdState:
     A candidate at ``tau`` is one at the smaller tau too, and of the elements
     arriving between the two, only a candidate can raise best-so-far: every
     other one lies below it."""
-    index, weight, time, rows, starts, bsf, best_index = state
+    index, weight, time, rows, starts, bsf = state
     crossed = time <= tau
     bsf = bsf.copy()
     bsf[rows] = np.maximum(bsf[rows], np.maximum.reduceat(weight * crossed, starts))
@@ -119,7 +115,6 @@ def _narrowed_state(state: _ThresholdState, tau: float) -> _ThresholdState:
         rows[holds],
         (np.cumsum(counts) - counts)[holds],
         bsf,
-        best_index,
     )
 
 
@@ -138,10 +133,9 @@ def _threshold_pass(state: _ThresholdState, gaps, gamma: float = 0.0, strict: bo
     best-so-far, so it passes when it is at or above the gap, or arrives
     after 1 - ``gamma``. Each row's earliest passing time is a segment
     minimum (``np.minimum.reduceat``), and the first candidate of the row at
-    that time, the lowest index, is accepted. Each result gets its own
-    copy of the best index, so no result is a view of ``state``.
+    that time, the lowest index, is accepted.
     """
-    index, weight, time, rows, starts, bsf, best_index = state
+    index, weight, time, rows, starts, bsf = state
     if strict and gamma > 0.0:
         raise ValueError("strict comparison has no late phase")
     B = bsf.size
@@ -173,7 +167,6 @@ def _threshold_pass(state: _ThresholdState, gaps, gamma: float = 0.0, strict: bo
             "accept_index": np.full(B, -1, dtype=np.intp),
             "accept_weight": np.zeros(B),
             "accept_time": np.full(B, np.nan),
-            "best_index": best_index.copy(),
         }
         out["accept_index"][accepted] = index.take(first)
         out["accept_weight"][accepted] = weight.take(first)
@@ -242,7 +235,6 @@ def _fixed_profile_pass(
         "accept_index": np.subtract(first, 1, dtype=np.intp),
         "accept_weight": np.concatenate(([0.0], w)).take(first),
         "accept_time": np.where(first > 0, first_t, np.nan),
-        "best_index": np.full(B, np.argmax(w)),
     }
 
 

@@ -44,7 +44,6 @@ class TestValidation:
             ("--gamma", "nan"),
             ("--gap-value", "nan"),
             ("--gap-value", "inf"),
-            ("--threads", "0"),
         ],
     )
     def test_non_finite_or_invalid_value_exits_2(self, flag, value, capsys):
@@ -56,6 +55,20 @@ class TestValidation:
         assert code == 2
         assert out == ""
         assert "must be" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--family", "exp", "--algo", "classical", "--threads", "1"],
+            ["frontier", "--seed", "1"],
+        ],
+        ids=["simulate-threads", "frontier-seed"],
+    )
+    def test_removed_option_exits_2_naming_it(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
 
     @pytest.mark.parametrize(
         "flags,message",
@@ -345,6 +358,19 @@ class TestSimulate:
         assert out == ""
         assert "not-a-seed" in err
 
+    def test_seed_env_run_replays_without_it(self, tmp_path, capsys, monkeypatch):
+        out_path = tmp_path / "run.csv"
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "5")
+        argv = ["simulate", "--family", "exp", "--n", "20", "--iters", "200",
+                "--algo", "classical", "--out", str(out_path)]
+        assert cli.main(argv) == 0
+        original = out_path.read_bytes()
+        monkeypatch.delenv(cli.SEED_ENV_VAR)
+        out_path.unlink()
+        assert cli.replay_manifest(str(out_path) + ".manifest.json") == 0
+        assert out_path.read_bytes() == original
+        capsys.readouterr()
+
     def test_l_select_row(self, capsys):
         code, out, _ = run(
             [
@@ -632,9 +658,12 @@ class TestFrontier:
             "--grid-step", "0.02", "--out", str(out_path),
         ]
         assert cli.main(args) == 0
+        manifest_path = tmp_path / "frontier.csv.manifest.json"
+        # the grid search reads no seed
+        assert json.loads(manifest_path.read_text())["master_seed"] is None
         original = out_path.read_bytes()
         out_path.unlink()
-        assert cli.replay_manifest(str(out_path) + ".manifest.json") == 0
+        assert cli.replay_manifest(manifest_path) == 0
         assert out_path.read_bytes() == original
         capsys.readouterr()
 

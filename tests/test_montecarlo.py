@@ -72,14 +72,13 @@ def _dense_reference(weights, times, tau, gap=0.0, gamma=0.0, strict=False) -> d
         "accept_index": np.where(has, first, -1),
         "accept_weight": np.where(has, weights[r, first], 0.0),
         "accept_time": np.where(has, times[r, first], np.nan),
-        "best_index": np.argmax(weights, axis=1),
     }
 
 
 def _run_threshold_rows(weights, times, tau, gaps, gamma=0.0, strict=False):
     """The row kernel's passes of one policy over ``gaps``, its state built
     for this call alone."""
-    state = _threshold_state(weights, times, tau, np.argmax(weights, axis=1))
+    state = _threshold_state(weights, times, tau)
     return _threshold_pass(state, gaps, gamma, strict)
 
 
@@ -183,6 +182,42 @@ class TestKernelMatchesScalarRunners:
         with pytest.raises(ConfigError):
             _policy(AlgorithmSpec("l-select", L=2))
 
+    def test_select_best_accepts_the_first_maximum(self, monkeypatch):
+        # per row, select_best of both drivers is the scalar runner accepting
+        # sorted_index(1); weights are small integers, so maxima tie
+        rng = np.random.default_rng(5)
+        W = rng.integers(0, 4, (80, 5)) * 2.5
+        W[0] = 0.0
+        T = rng.random(W.shape)
+        profiles = [WeightProfile.from_weights(row) for row in W]
+        tied = _InstanceBatch(
+            np.array([p.normalized_weights for p in profiles]),
+            T,
+            np.array([p.max_log_weight for p in profiles]),
+        )
+        monkeypatch.setattr(batches, "_last_batch", {})
+        monkeypatch.setattr(batches, "_build_batch", lambda *args: tied)
+        fixed = WeightProfile.from_weights([2.5, 7.5, 0.0, 7.5, 7.5])
+        # one stream from the seed, drawn in iteration order
+        fixed_T =np.random.default_rng([SEED]).random((len(W), fixed.n))
+        for spec in [
+            AlgorithmSpec("classical", tau=0.3),
+            AlgorithmSpec("strict-classical", tau=0.3),
+            AlgorithmSpec("exact-gap", tau=0.2),
+            AlgorithmSpec("bounded", tau=0.2, epsilon=1.0),
+            AlgorithmSpec("robust", tau=0.2, gamma=0.3),
+        ]:
+            cfg = ExperimentConfig(
+                InstanceFamily("exponential"), 5, len(W), spec, GapSpec(absolute=5.0)
+            )
+            generated = per_iteration_outcomes(cfg)["select_best"]
+            simulated = simulate_fixed_profile(fixed, spec, len(W), SEED, 5.0)["select_best"]
+            for row, prof in enumerate(profiles):
+                for got, p, t in ((generated, prof, T), (simulated, fixed, fixed_T)):
+                    ref = _scalar_reference(spec, p, ArrivalDraw(t[row]), 5.0)
+                    expected = ref.accepted and ref.accepted_index == p.sorted_index(1)
+                    assert got[row] == expected, (spec.tag, row)
+
     def test_tied_arrival_times(self):
         W = np.array([[3.0, 5.0, 4.0]])
         T = np.array([[0.6, 0.6, 0.1]])
@@ -275,7 +310,6 @@ class TestGroupedRowKernel:
                     assert out["accept_weight"][row] == norm[row, ref.accepted_index], where
                 else:
                     assert out["accept_index"][row] == -1, where
-                assert out["best_index"][row] == np.argmax(norm[row]), where
 
     def test_strict_late_phase_rejected(self):
         with pytest.raises(ValueError, match="no late phase"):
@@ -303,7 +337,6 @@ def _check_fixed_profile(weights, T, spec: AlgorithmSpec, gaps):
             assert got["accept_index"][row] == -1, where
             assert got["accept_weight"][row] == 0.0, where
             assert np.isnan(got["accept_time"][row]), where
-        assert got["best_index"][row] == np.argmax(w), where
 
 
 class TestFixedProfileKernel:
@@ -731,9 +764,7 @@ class TestEstimateRatio:
         assert est.iterations == 400
         assert est.stderr > 0
 
-    def test_bit_identical_across_threads(self):
-        # reruns agree bit for bit; the CLI's output-determinism check covers
-        # --threads
+    def test_bit_identical_across_reruns(self):
         cfg = ExperimentConfig(
             family=InstanceFamily("exponential"),
             n=40,
@@ -1380,9 +1411,7 @@ class TestLSelectionEstimation:
         assert est.mean == pytest.approx(1.0, abs=1e-5)
         assert est == estimate_l_selection(cfg, fixed_profile=raw)
 
-    def test_generated_instances_deterministic_across_threads(self):
-        # reruns agree bit for bit; the CLI's output-determinism check covers
-        # --threads
+    def test_generated_instances_deterministic_across_reruns(self):
         cfg = ExperimentConfig(
             family=InstanceFamily("exponential"),
             n=20,
@@ -1888,7 +1917,7 @@ class TestBatchMemo:
         state = batch.threshold_state(taus[0])
         for tau in taus[1:]:
             narrowed = kernels._narrowed_state(state, tau)
-            fresh = kernels._threshold_state(batch.weights, batch.times, tau, batch.best_index)
+            fresh = kernels._threshold_state(batch.weights, batch.times, tau)
             for field, a, b in zip(fresh._fields, narrowed, fresh):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (field, tau)
                 assert a.base is None, field

@@ -15,16 +15,16 @@ every ``gamma`` and strictness at that ``tau`` and is narrowed for a larger
 one. The next estimate with the same key gets the same batch: it draws,
 sorts and prepares nothing an earlier one did, and its arrays are what a
 fresh draw gives, bit for bit.
-The memo is dropped before any other instances or arrival times are drawn
-(``_draw_rows``, ``_replay_batch``,
-``montecarlo.simulate_fixed_profile_rules``), so
-no later draw holds it beside its own batch, and a run of several chunks
-leaves nothing behind. Until that next draw the last whole-run batch stays
-resident (two (iterations, n) float arrays, up to about 80 MB for a full
-chunk, plus its rank columns and the three candidate arrays of one
-``tau``, 24 bytes per candidate: about 0.5 MB at ``tau`` = 0.2, n = 200
-and 5000 iterations, 24 MB at ``tau`` = 0), also while other work that
-draws nothing runs in the same process.
+Every arrival draw is made here, by ``_arrival_rows`` (a stream per row) or
+``_arrival_columns`` (one stream for a fixed profile); only they drop the
+memo, before anything else is made or drawn, so no later draw holds it
+beside its own batch, and a run of several chunks leaves nothing behind.
+Until that next draw the last whole-run batch stays resident (two
+(iterations, n) float arrays, up to about 80 MB for a full chunk, plus its
+rank columns and the three candidate arrays of one ``tau``, 24 bytes per
+candidate: about 0.5 MB at ``tau`` = 0.2, n = 200 and 5000 iterations,
+24 MB at ``tau`` = 0), also while other work that draws nothing runs in
+the same process.
 """
 
 from __future__ import annotations
@@ -111,21 +111,39 @@ class _InstanceBatch:
 _last_batch: dict = {}
 
 
+def _arrival_rows(n: int, master_seed: int, rows: range):
+    """Drop the memo, then give a (rows, n) array for the arrival times of
+    ``rows`` and a generator that draws row i from stream i and yields the
+    stream; made after the drop, a new batch reuses the memo's memory."""
+    _last_batch.clear()
+    times = np.empty((len(rows), n))
+
+    def draws():
+        for row, rng in zip(times, SeededRng(master_seed).streams(rows)):
+            rng.random(out=row)
+            yield rng
+
+    return times, draws()
+
+
+def _arrival_columns(seed: int, n: int, chunks):
+    """Drop the memo, then yield each range of iterations in ``chunks`` with
+    its arrival times as (n, rows) columns, drawn in order from one stream."""
+    _last_batch.clear()
+    rng = np.random.default_rng([int(seed)])
+    for rows in chunks:
+        yield rows, np.ascontiguousarray(rng.random((len(rows), n)).T)
+
+
 def _draw_rows(
     family: InstanceFamily, n: int, rows: range, master_seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Arrival times and raw log-weights of the instances in ``rows``, one
     row each, in two (rows, n) arrays: stream i draws iteration i's arrival
     times, then its weights."""
-    _last_batch.clear()
-    times, log_weights = np.empty((len(rows), n)), np.empty((len(rows), n))
-
-    def streams():
-        for row, rng in zip(times, SeededRng(master_seed).streams(rows)):
-            rng.random(out=row)
-            yield rng
-
-    family.draw_rows(streams(), log_weights)
+    times, arrivals = _arrival_rows(n, master_seed, rows)
+    log_weights = np.empty_like(times)
+    family.draw_rows(arrivals, log_weights)
     return times, log_weights
 
 
@@ -147,11 +165,10 @@ def _build_batch(
 def _replay_batch(profiles, master_seed: int, rows: range) -> _InstanceBatch:
     """The user-supplied instances of iterations ``rows``; stream i of the
     master seed provides iteration i's arrival draw."""
-    _last_batch.clear()
+    times, arrivals = _arrival_rows(profiles[rows.start].n, master_seed, rows)
+    for _ in arrivals:
+        pass
     log_weights = np.stack([profiles[i].log_weights for i in rows])
-    times = np.empty(log_weights.shape)
-    for row, rng in zip(times, SeededRng(master_seed).streams(rows)):
-        rng.random(out=row)
     return _normalized_batch(times, log_weights)
 
 

@@ -189,7 +189,10 @@ def _aggregation(raw) -> int | str:
     return "worst-case" if k is None else k
 
 
-def _parse_k_list(raw) -> list[int]:
+def _parse_k_list(raw) -> list[int | None]:
+    """A sigma sweep's gap indices; ``[None]`` for a gap that reads no index."""
+    if str(raw).lower() == "unknown":
+        return [None]
     try:
         return [int(tok) for tok in str(raw).split(",") if tok != ""]
     except ValueError as exc:

@@ -184,16 +184,18 @@ def best_so_far(profile: WeightProfile, arrivals: ArrivalDraw, tau: float) -> fl
 
 
 def true_gap(profile: WeightProfile, k: int) -> float:
-    """Realized additive gap: largest weight minus k-th largest weight."""
+    """Realized additive gap: largest weight minus k-th largest weight; inf
+    when the gap exceeds float64, as ``WeightProfile.weights`` overflows."""
     if not 2 <= k <= profile.n:
         raise ValueError(f"gap index k={k} out of range [2, {profile.n}]")
     order = profile.sorted_indices
     top = profile.log_weights[order[0]]
     kth = profile.log_weights[order[k - 1]]
-    if top == -math.inf:
+    if kth == top:  # tied, all-zero included: no 0 * inf
         return 0.0
     # w1 - wk = exp(top) * (1 - exp(kth - top)), computed without cancellation
-    return float(np.exp(top) * -math.expm1(min(kth - top, 0.0))) + 0.0
+    with np.errstate(over="ignore"):
+        return float(np.exp(top) * -math.expm1(kth - top))
 
 
 def normalize(profile: WeightProfile) -> WeightProfile:

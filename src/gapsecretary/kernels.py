@@ -4,10 +4,10 @@ reads no spec, batch or driver.
 Every single-selection rule is one threshold policy ``(tau, gap, gamma,
 strict)``: after ``tau``, accept the first arrival at or above max(best-so-far,
 gap), or above it when strict, and after time 1 - ``gamma`` at or above
-best-so-far alone. ``montecarlo._policy`` maps each rule to that record, and
-one of two kernels runs it over a chunk of draws. Each kernel is split in
-two: a state that does not depend on the gap, built once per ``tau``, and a
-pass per gap that reads it:
+best-so-far alone. ``montecarlo._policy`` gives a rule's ``(tau, gamma,
+strict)``, and one of two kernels runs it, its gap beside, on a chunk of
+draws. Each kernel is split in two: a state that does not depend on the
+gap, built once per ``tau``, and a pass per gap that reads it:
 
 * ``_threshold_state`` and ``_threshold_pass`` take (rows, n) weights, one
   instance per row, and the pass takes a sequence of gaps and yields one

@@ -9,11 +9,10 @@ Reproducibility contract: the draws for iteration i are a pure function of
 sizes. The engine runs in one thread (numpy does the bulk work), and
 reductions happen in iteration order.
 
-Every single-selection rule is one threshold policy ``(tau, gap, gamma,
-strict)``, the record a threshold kernel runs. ``_threshold_term`` gives
-every rule's gap term in normalized units, from a ``GapSpec`` or raw-unit
-gap values; it is the one place where raw-unit quantities are rescaled.
-``_policy`` maps each tag and term to that record.
+Every single-selection rule is one threshold policy, the key ``(tau, gamma,
+strict)`` that ``_policy`` gives, and a threshold term beside it, in
+normalized units, from ``_threshold_term``: the one place where raw-unit
+quantities, a ``GapSpec``'s or raw gap values, are rescaled.
 
 An experiment cell is an ``(AlgorithmSpec, GapSpec)`` pair; ``_check_cell``
 validates it for one instance size. ``_run_cells`` is the one driver every
@@ -32,14 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
 from .batch import (
+    _arrival_columns,
     _generated_batch,
     _InstanceBatch,
-    _last_batch,
     _replay_batch,
     regenerate_profiles,
 )
@@ -215,25 +213,15 @@ class SweepCell:
 # Threshold policies and chunk outcomes
 
 
-class _Policy(NamedTuple):
-    """A threshold rule: one ``_threshold_pass`` over the state at ``tau``
-    takes ``gamma`` and ``strict`` once and the gaps of every rule sharing
-    them."""
-
-    tau: float
-    gap: object  # scalar or (B,) array, in normalized units
-    gamma: float
-    strict: bool
-
-
-def _policy(algorithm: AlgorithmSpec, term=0.0) -> _Policy:
-    """The threshold policy of a single-selection rule whose threshold term,
-    in normalized units, is ``term`` (see ``_threshold_term``)."""
+def _policy(algorithm: AlgorithmSpec) -> tuple[float, float, bool]:
+    """The threshold policy ``(tau, gamma, strict)`` of a single-selection
+    rule: one threshold pass at ``tau`` takes ``gamma`` and ``strict`` once,
+    and the threshold terms of every rule sharing them."""
     tag = algorithm.tag
     if tag == "l-select":
         raise ConfigError("l-select is not a threshold policy")
     gamma = algorithm.gamma if tag == "robust" else 0.0
-    return _Policy(algorithm.tau, term, gamma, tag == "strict-classical")
+    return algorithm.tau, gamma, tag == "strict-classical"
 
 
 def _rescale_raw(values, max_log):
@@ -305,13 +293,11 @@ def _chunk_outcomes(batch: _InstanceBatch, keys):
         {a.L for a, _ in keys if a.tag == "l-select"},
     )
     groups = {}
-    for key in keys:
-        algorithm, gap = key
+    for algorithm, gap in keys:
         if algorithm.tag == "l-select":
-            yield key, _l_select_outcomes(batch, algorithm, gap)
+            yield (algorithm, gap), _l_select_outcomes(batch, algorithm, gap)
         else:
-            tau, _, gamma, strict = _policy(algorithm)
-            groups.setdefault((tau, gamma, strict), []).append(key)
+            groups.setdefault(_policy(algorithm), []).append((algorithm, gap))
     # read before any state is built: taken after the state's temporaries
     # were freed, this (rows,) array raised the peak RSS of a 93-cell
     # sweep by 1.6 MB
@@ -499,9 +485,10 @@ def sweep_sigma(
     """
     algo = config.algorithm
     sigmas = [float(s) for s in sigmas]
+    ks = [k if k is None else int(k) for k in ks]
     cells = [
-        (replace(algo, tau=_resolve_tau(algo.tau, int(k), tau_policy)),
-         replace(config.gap, k=int(k), sigma=s))
+        (replace(algo, tau=_resolve_tau(algo.tau, k, tau_policy)),
+         replace(config.gap, k=k, sigma=s))
         for k in ks
         for s in sigmas
     ]
@@ -561,13 +548,12 @@ def simulate_fixed_profile_rules(
     once per tau (rules run in order of tau, so one state is held at a
     time), and each rule is then one pass over it.
     """
-    _last_batch.clear()
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
     rules = list(rules)
     w = profile.normalized_weights
     m = profile.max_log_weight
-    terms = []
+    policies, terms = [], []
     for algorithm, gap_values in rules:
         gap_values = np.asarray(gap_values, dtype=float)
         if gap_values.ndim and gap_values.shape != (iterations,):
@@ -577,19 +563,19 @@ def simulate_fixed_profile_rules(
             )
         if not (np.isfinite(gap_values).all() and (gap_values >= 0.0).all()):
             raise ConfigError("gap_values must be finite and non-negative")
-        _policy(algorithm)  # l-select is no threshold policy
+        policies.append(_policy(algorithm))
         terms.append(np.broadcast_to(_threshold_term(algorithm, gap_values, m), (iterations,)))
-    by_tau = sorted(range(len(rules)), key=lambda i: rules[i][0].tau)
-    rng = np.random.default_rng([int(seed)])
+    by_tau = sorted(range(len(rules)), key=lambda i: policies[i][0])
     parts = [[] for _ in rules]
-    for rows in _chunks(w.size, iterations, [algorithm for algorithm, _ in rules]):
-        cols = np.ascontiguousarray(rng.random((len(rows), w.size)).T)
+    chunks = _chunks(w.size, iterations, [algorithm for algorithm, _ in rules])
+    for rows, cols in _arrival_columns(seed, w.size, chunks):
         state = {}
         for i in by_tau:
-            tau, gap, gamma, strict = _policy(rules[i][0], terms[i][rows.start : rows.stop])
+            tau, gamma, strict = policies[i]
             if tau not in state:
                 state = {tau: _fixed_profile_state(w, cols, tau)}
-            out = _fixed_profile_pass(w, cols, state[tau], gap, gamma, strict)
+            term = terms[i][rows.start : rows.stop]
+            out = _fixed_profile_pass(w, cols, state[tau], term, gamma, strict)
             parts[i].append(_threshold_outcomes(out, np.argmax(w)))
     outs = [_joined(p) for p in parts]
     with np.errstate(over="ignore"):

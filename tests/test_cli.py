@@ -265,6 +265,26 @@ class TestValidation:
         assert row.split(",")[7] == "0.5"
 
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--algo", "exact-gap"], "need a gap index k or an absolute gap value"),
+            (["--algo", "exact-gap", "--gap-value", "2", "--tau-from-k"],
+             "'from-k' needs an integer gap index k"),
+            (["--algo", "exact-gap", "--gap-value", "2", "--k", ""],
+             "sigma sweeps need --k"),
+        ],
+        ids=["index-gap", "tau-from-k", "empty-k"],
+    )
+    def test_sigma_sweep_without_a_needed_k_exits_2(self, flags, message, capsys):
+        argv = ["sweep", "--sweep", "sigma", "--from", "0.5", "--to", "1", "--step", "0.5",
+                "--family", "exp", "--n", "20", "--iters", "50", "--seed", "3", *flags]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+
 class TestSimulate:
     def test_csv_shape_and_header(self, capsys):
         code, out, _ = run(
@@ -470,6 +490,25 @@ class TestSweep:
         assert code == 0
         lines = out.strip().splitlines()[1:]
         assert len(lines) == 6  # 2 indices x 3 sigma values
+
+    @pytest.mark.parametrize(
+        "gap", [["--algo", "exact-gap", "--gap-value", "2"], ["--algo", "l-select"]],
+        ids=["absolute-gap", "l-select"],
+    )
+    def test_index_free_sigma_sweep_needs_no_k(self, gap, capsys):
+        # neither gap reads an index: the rows leave k empty and estimate
+        # what the rows of a sweep at a dummy --k 2 do
+        argv = ["sweep", "--sweep", "sigma", "--from", "0.5", "--to", "1", "--step", "0.5",
+                "--family", "exp", "--n", "20", "--iters", "50", "--seed", "3", *gap]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        code, out, _ = run([*argv, "--k", "2"], capsys)
+        assert code == 0
+        with_k = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 2
+        assert [row[4] for row in rows] == ["", ""]
+        assert [row[:4] + row[5:] for row in rows] == [row[:4] + row[5:] for row in with_k]
 
     def test_l_select_sigma_sweep_rows_equal_simulate(self, capsys):
         common = ["--family", "exp", "--n", "30", "--iters", "60", "--algo", "l-select",

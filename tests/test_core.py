@@ -120,6 +120,14 @@ class TestTrueGap:
         assert true_gap(profile(5, 5, 5), 2) == 0.0
         assert true_gap(profile(5, 5, 5), 3) == 0.0
 
+    def test_weights_beyond_float64(self):
+        # tied top weights above e^709 give 0, not exp(800) * 0 = nan; a
+        # gap that overflows float64 is inf, without a warning (pytest turns
+        # warnings into errors)
+        assert true_gap(WeightProfile(np.array([800.0, 800.0, 1.0])), 2) == 0.0
+        assert true_gap(WeightProfile(np.array([800.0, 799.0, 1.0])), 2) == math.inf
+        assert true_gap(WeightProfile(np.array([800.0, -math.inf])), 2) == math.inf
+
     def test_monotone_in_k(self):
         rng = np.random.default_rng(11)
         p = WeightProfile.from_weights(rng.random(12) * 9)

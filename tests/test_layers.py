@@ -1,6 +1,6 @@
-"""The engine's modules import only the layers below them, read from their
-source with ``ast``, so the enumeration oracle stays independent of what it
-checks."""
+"""Read from the source with ``ast``: the engine's modules import only the
+layers below them, so the enumeration oracle stays independent of what it
+checks, and only the batch layer names the memo."""
 
 import ast
 from pathlib import Path
@@ -51,3 +51,23 @@ def test_imports_are_read():
     assert _package_imports("batch") == {"core", "generators", "kernels"}
     assert _package_imports("exact") == {"core"}
     assert {"batch", "exact", "kernels"} <= _package_imports("montecarlo")
+
+
+def _names(module: str) -> set[str]:
+    """Every name a module's source reads, binds, imports or takes as an
+    attribute."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_only_batch_names_the_memo():
+    # the memo is dropped by the batch layer's draws alone
+    naming = sorted(p.stem for p in PACKAGE.glob("*.py") if "_last_batch" in _names(p.stem))
+    assert naming == ["batch"]

@@ -168,8 +168,9 @@ class TestKernelMatchesScalarRunners:
                 AlgorithmSpec("robust", tau=tau, gamma=float(rng.choice([0.0, 0.25]))),
             ]
             for spec in specs:
-                policy = _policy(spec, _threshold_term(spec, gaps, max_log))
-                out = _one_gap(norm, T, *policy)
+                p_tau, p_gamma, p_strict = _policy(spec)
+                term = _threshold_term(spec, gaps, max_log)
+                out = _one_gap(norm, T, p_tau, term, p_gamma, p_strict)
                 for row in range(B):
                     ref = _scalar_reference(
                         spec, profiles[row], ArrivalDraw(T[row]), float(gaps[row])
@@ -296,10 +297,10 @@ class TestGroupedRowKernel:
             for i in range(len(entries))
         ]
         raw = [np.broadcast_to(np.asarray(g) * 2.5, (len(W),)) for g in entries]
-        policies = [_policy(s, _threshold_term(s, r, max_log)) for s, r in zip(specs, raw)]
-        assert all((p.tau, p.gamma, p.strict) == (tau, gamma, strict) for p in policies)
-        got = list(_run_threshold_rows(norm, T, tau, [p.gap for p in policies], gamma, strict))
-        assert len(got) == len(policies)
+        assert all(_policy(s) == (tau, gamma, strict) for s in specs)
+        terms = [_threshold_term(s, r, max_log) for s, r in zip(specs, raw)]
+        got = list(_run_threshold_rows(norm, T, tau, terms, gamma, strict))
+        assert len(got) == len(terms)
         for spec, r, out in zip(specs, raw, got):
             for row, prof in enumerate(profiles):
                 ref = _scalar_reference(spec, prof, ArrivalDraw(T[row]), float(r[row]))
@@ -323,9 +324,10 @@ def _check_fixed_profile(weights, T, spec: AlgorithmSpec, gaps):
     raw-unit gaps."""
     prof = WeightProfile.from_weights(weights)
     w, m = prof.normalized_weights, prof.max_log_weight
-    policy = _policy(spec, _threshold_term(spec, gaps, m))
-    got = _run_fixed_profile(w, T, *policy)
-    _assert_same_arrays(got, _one_gap(np.broadcast_to(w, T.shape), T, *policy))
+    tau, gamma, strict = _policy(spec)
+    term = _threshold_term(spec, gaps, m)
+    got = _run_fixed_profile(w, T, tau, term, gamma, strict)
+    _assert_same_arrays(got, _one_gap(np.broadcast_to(w, T.shape), T, tau, term, gamma, strict))
     for row in range(T.shape[0]):
         scalar = _scalar_reference(spec, prof, ArrivalDraw(T[row]), float(gaps[row]))
         where = (spec, row)

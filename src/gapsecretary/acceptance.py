@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
+    BLOCK_POINTS,
     alpha_exact,
     alpha_exact_values,
     consistency,
@@ -68,8 +69,10 @@ def check_alpha_fixed_tau_floor(fast: bool = False) -> tuple[bool, str, str]:
     """Fixed waiting time 0.2 keeps the exact-gap bound at 0.4 or above for
     every gap index up to 1e6, in under 10 s."""
     t0 = time.perf_counter()
-    ks = np.arange(2, 10**6 + 1)
-    worst = float(alpha_exact_values(0.2, ks).min())
+    worst = min(
+        float(alpha_exact_values(0.2, np.arange(lo, min(lo + BLOCK_POINTS, 10**6 + 1))).min())
+        for lo in range(2, 10**6 + 1, BLOCK_POINTS)
+    )
     spot_ok = all(
         abs(alpha_exact(0.2, k).alpha - float(alpha_exact_values(0.2, k))) < 1e-15
         for k in (2, 7, 11, 12, 1000)

@@ -336,7 +336,20 @@ def cmd_sweep(args) -> int:
         if ks[-1] > args.n:
             raise UsageError(f"--from, --to and --step reach k={ks[-1]}, above --n={args.n}")
         ks = list(ks)
+        # a rule that reads no gap tells its rows apart by tau alone
+        taus = {_resolve_tau(args.tau, k, args.tau_policy) for k in ks}
+        if args.algo not in GAP_TAGS and len(taus) < len(ks):
+            raise UsageError(
+                f"{args.algo} reads no gap and --tau-policy {args.tau_policy} gives one tau "
+                "at two k, so a k sweep would repeat one estimate; vary its waiting time "
+                "with --tau-policy from-k"
+            )
     else:
+        if args.algo not in GAP_TAGS:
+            raise UsageError(
+                f"{args.algo} reads no gap, so every row of a sigma sweep would repeat one "
+                "estimate; vary its waiting time with --sweep k --tau-policy from-k"
+            )
         sigmas = _stepped(*bounds, flags)
         ks = _parse_k_list(args.k)
         if not ks:

@@ -1,11 +1,14 @@
 """Acceptance gate: runs every registered check at full scale and prints one
 pass/fail line per check."""
 
+import tracemalloc
+
 import pytest
 
 from gapsecretary import acceptance, batch
 from gapsecretary.acceptance import (
     CHECKS,
+    check_alpha_fixed_tau_floor,
     check_exponential_gap_beats_classical,
     run_check,
     run_checks,
@@ -78,3 +81,16 @@ def test_figure_suite_draws_the_exponential_batch_once(monkeypatch):
     run_checks("figures", fast=True)
     draws = [(c[0].tag, c[1], len(c[2])) for c in calls]
     assert draws.count(("exponential", 200, 1000)) == 1, draws
+
+
+def test_alpha_scan_traced_memory():
+    # the scan over 10^6 gap indices at once took 45.8 MiB; blocks of
+    # bounds.BLOCK_POINTS indices keep it under 8 MiB (numpy reports its
+    # array allocations to tracemalloc)
+    tracemalloc.start()
+    try:
+        assert check_alpha_fixed_tau_floor()[0]
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.0

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gapsecretary import bounds
 from gapsecretary.bounds import (
     TWO_BEST_UPPER_BOUND,
+    FrontierPoint,
     alpha_exact,
     alpha_exact_values,
     consistency,
@@ -180,7 +183,101 @@ class TestConsistency:
         assert r.components["alpha4"] > r.components["alpha3"]
 
 
+def _whole_grid(grid_step, k_aggregation):
+    """The whole (tau, gamma) grid at once: taus, gammas, robustness and
+    consistency, with -inf consistency where gamma >= 1 - tau."""
+    steps = int(round(1.0 / grid_step))
+    taus = np.arange(1, steps) * grid_step
+    gammas = np.arange(0, steps) * grid_step
+    k = 2 if k_aggregation == "worst-case" else k_aggregation
+    _, alpha3, alpha4 = bounds._alpha_terms(taus, k)
+    t = taus[:, None]
+    g = gammas[None, :]
+    rob, cons, alpha2 = bounds._schedule_terms(t, g)
+    cons = np.minimum(np.minimum(cons, alpha2), np.maximum(alpha3, alpha4)[:, None])
+    cons[g >= (1.0 - t) - 1e-9] = -np.inf
+    return taus, gammas, rob, cons
+
+
+def _three_pass_frontier(targets, grid):
+    """The frontier search as three full-grid passes per target (mask,
+    where, argmax): the reference for the blocked search."""
+    taus, gammas, rob, cons = grid
+    points = []
+    for r in targets:
+        masked = np.where(rob >= r, cons, -np.inf)
+        ti, gi = divmod(int(np.argmax(masked)), gammas.size)
+        best = float(masked[ti, gi])
+        if best == -math.inf:
+            points.append(FrontierPoint(float(r), math.nan, math.nan, math.nan, False))
+        else:
+            points.append(FrontierPoint(float(r), float(taus[ti]), float(gammas[gi]), best))
+    return points
+
+
+AGGREGATIONS = ["worst-case", 2, 7, 100]
+
+
 class TestFrontier:
+    @pytest.mark.parametrize("grid_step", [0.001, 0.0037, 0.01, 0.1])
+    @pytest.mark.parametrize("k_aggregation", AGGREGATIONS)
+    def test_matches_three_pass_search(self, k_aggregation, grid_step):
+        grid = _whole_grid(grid_step, k_aggregation)
+        rob = grid[2]
+        # grid values hit the >= boundary exactly; 1/e and above are out of reach
+        on_grid = [float(rob[i, j]) for i, j in ((0, 1), (rob.shape[0] // 3, rob.shape[1] // 2))]
+        targets = [0.0, 0.05, 0.1, 0.1833, 0.25, 0.3, 0.36, 1 / math.e, 0.5, *on_grid]
+        assert repr(frontier(targets, grid_step, k_aggregation)) == repr(
+            _three_pass_frontier(targets, grid)
+        )
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([0.0037, 0.01, 0.05, 0.1]),
+        st.sampled_from(AGGREGATIONS),
+        st.data(),
+    )
+    def test_matches_three_pass_search_property(self, grid_step, k_aggregation, data):
+        grid = _whole_grid(grid_step, k_aggregation)
+        rob = grid[2]
+        on_grid = st.integers(0, rob.size - 1).map(lambda i: float(rob.flat[i]))
+        target = st.one_of(
+            on_grid,
+            st.just(0.0),
+            st.floats(0.0, 0.4),
+            st.floats(0.37, 10.0),  # beyond the grid's reach
+            st.just(math.inf),
+        )
+        targets = data.draw(st.lists(target, min_size=1, max_size=12))
+        assert repr(frontier(targets, grid_step, k_aggregation)) == repr(
+            _three_pass_frontier(targets, grid)
+        )
+
+    def test_ties_go_to_the_first_grid_point(self, monkeypatch):
+        # a gap-case term of 0.3 at every tau binds on much of the grid, so
+        # points of many rows, and of many blocks of 3 rows, tie exactly
+        def flat_gap_case(tau, k):
+            return None, np.full_like(tau, 0.3), np.full_like(tau, 0.3)
+
+        monkeypatch.setattr(bounds, "_alpha_terms", flat_gap_case)
+        monkeypatch.setattr(bounds, "BLOCK_POINTS", 300)
+        targets = [0.0, 0.01, 0.05, 0.1, 0.15, 0.2, 0.25]
+        points = frontier(targets, grid_step=0.01)
+        assert [p.consistency for p in points[:3]] == [0.3] * 3
+        assert repr(points) == repr(_three_pass_frontier(targets, _whole_grid(0.01, 2)))
+
+    def test_traced_memory_at_finest_grid(self):
+        # the whole grid at this step took 126 MiB; blocks of BLOCK_POINTS
+        # points keep the search under 16 MiB (numpy reports its array
+        # allocations to tracemalloc)
+        tracemalloc.start()
+        try:
+            frontier([0.0, 0.1, 0.2, 0.3], grid_step=0.0005)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16.0
+
     def test_headline_point_feasible(self):
         r = robustness(0.2, 0.6)
         (pt,) = frontier([r], grid_step=0.005)

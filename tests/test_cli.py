@@ -168,6 +168,42 @@ class TestValidation:
         assert "does not depend on k" in err
         assert "--sweep sigma" in err
 
+    @pytest.mark.parametrize("algo", ["classical", "strict-classical"])
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            ["--sweep", "sigma", "--from", "0", "--to", "1", "--step", "0.5", "--k", "2,3"],
+            ["--sweep", "k", "--from", "2", "--to", "4", "--step", "1"],
+            ["--sweep", "k", "--from", "2", "--to", "4", "--step", "1", "--tau-policy", "min"],
+        ],
+        ids=["sigma", "k-fixed", "k-min"],
+    )
+    def test_gap_free_sweep_repeating_an_estimate_exits_2(self, algo, sweep, capsys):
+        # the rule reads no gap, so rows at one tau would be the same estimate
+        argv = ["sweep", *sweep, "--family", "exp", "--n", "20", "--iters", "50",
+                "--algo", algo, "--seed", "3"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{algo} reads no gap" in err
+        assert "repeat one estimate" in err
+
+    @pytest.mark.parametrize("algo", ["classical", "strict-classical"])
+    @pytest.mark.parametrize(
+        "policy", [["--tau-policy", "from-k"], ["--tau", "0.5", "--tau-policy", "min"]],
+        ids=["from-k", "min-below-tau"],
+    )
+    def test_gap_free_k_sweep_with_a_tau_per_k_runs(self, algo, policy, capsys):
+        argv = ["sweep", "--sweep", "k", "--from", "2", "--to", "4", "--step", "1",
+                "--family", "exp", "--n", "20", "--iters", "50", "--algo", algo,
+                "--seed", "3", *policy]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        rows = [row for row in rows if row[1] == algo]
+        assert [round(float(row[5]), 3) for row in rows] == [0.423, 0.370, 0.331]
+        assert len({row[11] for row in rows}) == 3
+
     @pytest.mark.parametrize(
         "argv",
         [

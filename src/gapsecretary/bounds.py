@@ -37,6 +37,11 @@ TWO_BEST_UPPER_BOUND = 0.5736
 MIN_GRID_STEP = 0.0005
 MAX_TIE_N = 10**6
 
+# The largest gap index k or selection budget L the formulas take: up to it
+# every value is finite and the tuned tau is positive (at k = 10^18 it
+# rounds to 0, and past about 10^308 the index no longer fits a float).
+MAX_INDEX = 2**53
+
 # Points per block of the bounds scans (the frontier grid, the acceptance
 # gate's scan over gap indices): no grid or index array either scan makes
 # is larger.
@@ -80,8 +85,15 @@ class FrontierPoint:
 
 
 def _check_k(k: int) -> None:
-    if not (isinstance(k, (int, np.integer)) and k >= 2):
-        raise ValueError("gap index k must be an integer >= 2")
+    if not (isinstance(k, (int, np.integer)) and 2 <= k <= MAX_INDEX):
+        raise ValueError(f"gap index k must be an integer in [2, {MAX_INDEX}]")
+
+
+def _check_reciprocal(tau: float) -> None:
+    # the formulas read ln(1/tau), inf below about 5.6e-309; -ln(tau) would
+    # stay finite but differs from it in the last bit at many grid taus
+    if not math.isfinite(1.0 / tau):
+        raise ValueError("1/tau must be finite (tau above about 5.6e-309)")
 
 
 def _check_schedule(tau: float, gamma: float = 0.0) -> None:
@@ -89,6 +101,7 @@ def _check_schedule(tau: float, gamma: float = 0.0) -> None:
     # and the classical-recovery point sits exactly there.
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
+    _check_reciprocal(tau)
     if not 0.0 <= gamma <= 1.0 - tau:
         raise ValueError("gamma must lie in [0, 1 - tau]")
 
@@ -341,6 +354,7 @@ def two_three_tie_prob(tau: float, n: int | None = None) -> float:
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
+    _check_reciprocal(tau)
     base = 0.5 * tau * (1.0 - tau) ** 2
     if n is None:
         return base + tau * math.log(1.0 / tau)
@@ -357,8 +371,8 @@ def l_selection_bound(L: int, beta: float) -> float:
     ``beta`` is the fraction of the optimum covered by the L-th largest
     weight, hence at most 1/L.
     """
-    if not (isinstance(L, (int, np.integer)) and L >= 2):
-        raise ValueError("L must be an integer >= 2")
+    if not (isinstance(L, (int, np.integer)) and 2 <= L <= MAX_INDEX):
+        raise ValueError(f"L must be an integer in [2, {MAX_INDEX}]")
     if not 0.0 <= beta <= 1.0 / L:
         raise ValueError("beta must lie in [0, 1/L]")
     e = math.e

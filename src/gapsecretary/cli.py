@@ -249,30 +249,46 @@ def _gap(args, k: int | None) -> GapSpec:
     return GapSpec(k=k, sigma=1.0, absolute=args.gap_value)
 
 
-def _estimate_row(args, est: RatioEstimate, tag: str, tau: float, k, sigma, family_name) -> list:
-    """One CSV row. gamma, epsilon and L come from the flags and are written
-    only for the rule that uses them, so a classical baseline row leaves them
-    empty."""
+def _cell_columns(args, tag: str, tau: float, k, sigma) -> list:
+    """The columns that tell a row's cell apart (k, tau, gamma, sigma, epsilon
+    and L), each written only for a rule that reads it."""
     uses_gap = tag in GAP_TAGS
     # the gap index is meaningless to l-select (its gap is index-free)
     uses_k = uses_gap and tag != "l-select"
     return [
-        family_name,
-        tag,
-        args.n,
-        est.iterations,
         k if uses_k and k is not None else "",
         float(tau),
         float(args.gamma) if tag == "robust" else "",
         float(sigma) if (uses_gap and sigma != "") else "",
         float(args.epsilon) if tag == "bounded" else "",
         int(args.L) if tag == "l-select" else "",
-        args.seed,
-        est.mean,
-        est.stderr,
-        est.select_best_prob,
-        est.none_prob,
     ]
+
+
+def _estimate_row(args, est: RatioEstimate, tag: str, tau: float, k, sigma, family_name) -> list:
+    """One CSV row: the cell's columns between the run's and the estimate's."""
+    return [
+        family_name, tag, args.n, est.iterations,
+        *_cell_columns(args, tag, tau, k, sigma),
+        args.seed, est.mean, est.stderr, est.select_best_prob, est.none_prob,
+    ]
+
+
+def _check_rows_differ(args, swept) -> None:
+    """Usage error when two swept (k, sigma) would write the same cell
+    columns: a rule reads no column it leaves empty, so the two rows would
+    repeat one estimate."""
+    seen = {}
+    for k, sigma in swept:
+        tau = _resolve_tau(args.tau, k, args.tau_policy)
+        columns = tuple(_cell_columns(args, args.algo, tau, k, sigma))
+        if columns in seen:
+            empty = " and ".join(n for n, i in (("k", 0), ("sigma", 3)) if columns[i] == "")
+            raise UsageError(
+                f"{args.algo} rows leave {empty or 'neither k nor sigma'} empty, so (k, sigma) = "
+                f"{seen[columns]} and {(k, sigma)} would repeat one estimate"
+            )
+        seen[columns] = (k, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -326,36 +342,19 @@ def cmd_sweep(args) -> int:
             raise UsageError("k sweeps need integer --from, --to and --step")
         if args.sweep_from < 2:
             raise UsageError("k sweep must start at 2 or above")
-        if args.algo == "l-select":
-            raise UsageError(
-                "l-select's gap does not depend on k, so a k sweep would repeat one "
-                "estimate; sweep its gap scale with --sweep sigma"
-            )
         lo, hi, step = (int(v) for v in bounds)
-        ks = range(lo, hi + 1, step)
+        ks, sigmas = range(lo, hi + 1, step), None
         if ks[-1] > args.n:
             raise UsageError(f"--from, --to and --step reach k={ks[-1]}, above --n={args.n}")
-        ks = list(ks)
-        # a rule that reads no gap tells its rows apart by tau alone
-        taus = {_resolve_tau(args.tau, k, args.tau_policy) for k in ks}
-        if args.algo not in GAP_TAGS and len(taus) < len(ks):
-            raise UsageError(
-                f"{args.algo} reads no gap and --tau-policy {args.tau_policy} gives one tau "
-                "at two k, so a k sweep would repeat one estimate; vary its waiting time "
-                "with --tau-policy from-k"
-            )
     else:
-        if args.algo not in GAP_TAGS:
-            raise UsageError(
-                f"{args.algo} reads no gap, so every row of a sigma sweep would repeat one "
-                "estimate; vary its waiting time with --sweep k --tau-policy from-k"
-            )
         sigmas = _stepped(*bounds, flags)
         ks = _parse_k_list(args.k)
         if not ks:
             raise UsageError("sigma sweeps need --k as a comma-separated list of indices")
     algo = _algorithm(args, args.tau)
     gap = _gap(args, ks[0])
+    # a k sweep's rows sit at the gap's sigma; its classical baseline rows stay out
+    _check_rows_differ(args, [(k, s) for k in ks for s in sigmas or [gap.sigma]])
     config = ExperimentConfig(family, args.n, args.iters, algo, gap, master_seed=args.seed)
     if args.sweep == "k":
         cells = sweep_k(config, ks, tau_policy=args.tau_policy)

@@ -33,6 +33,21 @@ class TestTauForK:
         with pytest.raises(ValueError):
             tau_for_k(1)
 
+    @pytest.mark.parametrize("k", [bounds.MAX_INDEX + 1, 10**18, 10**308, 10**400])
+    def test_index_above_the_limit_is_rejected(self, k):
+        # at 10^18 the tuned tau rounds to 0, past 10^308 k is no float
+        for evaluate in (tau_for_k, guarantee_exact_gap, lambda k: alpha_exact(0.2, k),
+                         lambda k: consistency(0.2, 0.0, k), lambda k: frontier([0.1], 0.1, k)):
+            with pytest.raises(ValueError, match=f"k must be an integer in \\[2, {bounds.MAX_INDEX}\\]"):
+                evaluate(k)
+
+    def test_values_at_the_index_limit(self):
+        k = bounds.MAX_INDEX
+        assert 0.0 < tau_for_k(k) < 1e-14
+        report = alpha_exact(0.2, k)
+        assert report.alpha == pytest.approx(0.4, abs=1e-12)
+        assert all(math.isfinite(v) for v in report.components.values())
+
 
 class TestAlphaExact:
     def test_corollary_value_at_tau_02(self):
@@ -363,6 +378,27 @@ class TestTwoThreeTie:
             two_three_tie_prob(0.5, n=10**13)
 
 
+class TestReciprocalOfTau:
+    @pytest.mark.parametrize(
+        "evaluate",
+        [lambda tau: alpha_exact(tau, 2), lambda tau: guarantee_bounded_error(tau, 3),
+         lambda tau: consistency(tau, 0.5), lambda tau: robustness(tau, 0.5),
+         two_three_tie_prob, lambda tau: two_three_tie_prob(tau, n=5)],
+        ids=["exact", "bounded", "consistency", "robustness", "tie23", "tie23-exact"],
+    )
+    def test_tau_whose_reciprocal_overflows_is_rejected(self, evaluate):
+        # ln(1/tau) would be inf: alpha read case1 and the tie probability inf
+        with pytest.raises(ValueError, match="1/tau must be finite"):
+            evaluate(1e-320)
+
+    def test_smallest_taus_give_finite_values(self):
+        for tau in (1e-308, 5.6e-309):
+            report = alpha_exact(tau, 2)
+            assert 0.0 < report.alpha < 1e-300 and report.binding_term == "alpha4"
+            assert 0.0 < two_three_tie_prob(tau) < 1e-300
+            assert math.isfinite(consistency(tau, 0.5).components["alpha2"])
+
+
 class TestLSelectionBound:
     def test_values(self):
         assert l_selection_bound(2, 0.0) == pytest.approx(1 / math.e, abs=1e-12)
@@ -379,10 +415,13 @@ class TestLSelectionBound:
             l_selection_bound(1, 0.1)
         with pytest.raises(ValueError):
             l_selection_bound(3, 0.5)  # beta capped at 1/L
+        for L in (bounds.MAX_INDEX + 1, 10**400):  # 1/L would not be a float
+            with pytest.raises(ValueError, match=f"L must be an integer in \\[2, {bounds.MAX_INDEX}\\]"):
+                l_selection_bound(L, 0.0)
 
     def test_large_L(self):
         # e**L overflows a float above L = 709; the last term vanishes instead
-        for L in (710, 1000, 10**6):
+        for L in (710, 1000, 10**6, bounds.MAX_INDEX):
             beta = 0.5 / L
             expected = 1 / math.e + beta / (2 * math.e) * (1 - 1 / L)
             assert l_selection_bound(L, beta) == pytest.approx(expected, rel=1e-15)

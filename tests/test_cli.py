@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import platform
@@ -6,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapsecretary import batch, cli
 from gapsecretary.bounds import (
@@ -17,6 +21,15 @@ from gapsecretary.bounds import (
 from gapsecretary.core import WeightProfile
 from gapsecretary.generators import save_profiles
 from gapsecretary.montecarlo import AlgorithmSpec, simulate_fixed_profile
+
+
+SIGMA_SWEEP = ["--sweep", "sigma", "--from", "0", "--to", "1", "--step", "0.5"]
+K_SWEEP = ["--sweep", "k", "--from", "2", "--to", "4", "--step", "1"]
+ONE_SIGMA = ["--sweep", "sigma", "--from", "0", "--to", "0", "--step", "1"]
+
+
+def _no_draw(*args):
+    raise AssertionError("drew instances")
 
 
 def run(argv, capsys):
@@ -158,35 +171,79 @@ class TestValidation:
         assert code == 0
         assert [line.split(",")[4] for line in out.splitlines()[1::2]] == ["2", "11", "20"]
 
-    def test_l_select_k_sweep_exits_2(self, capsys):
-        argv = ["sweep", "--sweep", "k", "--from", "2", "--to", "4", "--step", "1",
-                "--family", "exp", "--n", "20", "--iters", "50", "--algo", "l-select",
-                "--L", "2", "--seed", "3"]
-        code, out, err = run(argv, capsys)
-        assert code == 2
-        assert out == ""
-        assert "does not depend on k" in err
-        assert "--sweep sigma" in err
-
-    @pytest.mark.parametrize("algo", ["classical", "strict-classical"])
     @pytest.mark.parametrize(
-        "sweep",
+        "algo,sweep,repeat",
         [
-            ["--sweep", "sigma", "--from", "0", "--to", "1", "--step", "0.5", "--k", "2,3"],
-            ["--sweep", "k", "--from", "2", "--to", "4", "--step", "1"],
-            ["--sweep", "k", "--from", "2", "--to", "4", "--step", "1", "--tau-policy", "min"],
+            # a rule that reads no gap tells its rows apart by tau alone
+            pytest.param("classical", [*SIGMA_SWEEP, "--k", "2,3"],
+                         "classical rows leave k and sigma empty, so (k, sigma) = (2, 0.0) and (2, 0.5)",
+                         id="sigma-classical"),
+            pytest.param("strict-classical", [*SIGMA_SWEEP, "--k", "2,3"],
+                         "strict-classical rows leave k and sigma empty, so (k, sigma) = (2, 0.0) and (2, 0.5)",
+                         id="sigma-strict-classical"),
+            pytest.param("classical", K_SWEEP,
+                         "classical rows leave k and sigma empty, so (k, sigma) = (2, 1.0) and (3, 1.0)",
+                         id="k-fixed-classical"),
+            pytest.param("strict-classical", K_SWEEP,
+                         "strict-classical rows leave k and sigma empty, so (k, sigma) = (2, 1.0) and (3, 1.0)",
+                         id="k-fixed-strict-classical"),
+            pytest.param("classical", [*K_SWEEP, "--tau-policy", "min"],
+                         "classical rows leave k and sigma empty, so (k, sigma) = (2, 1.0) and (3, 1.0)",
+                         id="k-min-classical"),
+            pytest.param("strict-classical", [*K_SWEEP, "--tau-policy", "min"],
+                         "strict-classical rows leave k and sigma empty, so (k, sigma) = (2, 1.0) and (3, 1.0)",
+                         id="k-min-strict-classical"),
+            pytest.param("classical", [*SIGMA_SWEEP, "--k", "2,3", "--tau-policy", "from-k"],
+                         "classical rows leave k and sigma empty, so (k, sigma) = (2, 0.0) and (2, 0.5)",
+                         id="gap-free-sigma-from-k"),
+            # l-select's gap reads no index
+            pytest.param("l-select", K_SWEEP,
+                         "l-select rows leave k empty, so (k, sigma) = (2, 1.0) and (3, 1.0)",
+                         id="l-select-k"),
+            pytest.param("l-select", [*SIGMA_SWEEP, "--k", "2,3"],
+                         "l-select rows leave k empty, so (k, sigma) = (2, 0.0) and (3, 0.0)",
+                         id="l-select-sigma-two-k"),
+            pytest.param("exact-gap", [*SIGMA_SWEEP, "--k", "2,2"],
+                         "exact-gap rows leave neither k nor sigma empty, so (k, sigma) = (2, 0.0) and (2, 0.0)",
+                         id="repeated-k"),
+            pytest.param("robust", [*ONE_SIGMA, "--k", "2,3,2"],
+                         "robust rows leave neither k nor sigma empty, so (k, sigma) = (2, 0.0) and (2, 0.0)",
+                         id="repeated-k-robust"),
+            # 1 + 1e-17 rounds to 1, so the first sigmas coincide
+            pytest.param("exact-gap", ["--sweep", "sigma", "--from", "1", "--to", "1.0000000000000002",
+                                       "--step", "1e-17", "--k", "2"],
+                         "exact-gap rows leave neither k nor sigma empty, so (k, sigma) = (2, 1.0) and (2, 1.0)",
+                         id="sigma-rounds-to-repeat"),
+            # rows that differ in a column run, even where the estimate ignores it
+            pytest.param("classical", [*ONE_SIGMA, "--k", "2"], None, id="gap-free-one-row-classical"),
+            pytest.param("strict-classical", [*ONE_SIGMA, "--k", "2"], None,
+                         id="gap-free-one-row-strict-classical"),
+            pytest.param("classical", [*ONE_SIGMA, "--k", "2,3", "--tau-policy", "from-k"], None,
+                         id="gap-free-one-sigma-from-k"),
+            pytest.param("l-select", ["--sweep", "k", "--from", "2", "--to", "2", "--step", "1"], None,
+                         id="l-select-one-k"),
+            pytest.param("l-select", SIGMA_SWEEP, None, id="l-select-sigma"),
+            pytest.param("exact-gap", [*K_SWEEP, "--gap-value", "2"], None, id="gap-value-k"),
+            pytest.param("bounded", [*SIGMA_SWEEP, "--k", "2,3", "--gap-value", "2"], None,
+                         id="gap-value-sigma"),
         ],
-        ids=["sigma", "k-fixed", "k-min"],
     )
-    def test_gap_free_sweep_repeating_an_estimate_exits_2(self, algo, sweep, capsys):
-        # the rule reads no gap, so rows at one tau would be the same estimate
+    def test_sweep_runs_only_rows_that_differ(self, algo, sweep, repeat, monkeypatch, capsys):
+        # two rows with the same k, tau, gamma, sigma, epsilon and L columns
+        # would repeat one estimate; such a sweep exits 2 before it draws
         argv = ["sweep", *sweep, "--family", "exp", "--n", "20", "--iters", "50",
                 "--algo", algo, "--seed", "3"]
+        if repeat is not None:
+            monkeypatch.setattr(batch, "_draw_rows", _no_draw)
         code, out, err = run(argv, capsys)
-        assert code == 2
-        assert out == ""
-        assert f"{algo} reads no gap" in err
-        assert "repeat one estimate" in err
+        if repeat is not None:
+            assert (code, out) == (2, "")
+            assert f"{repeat} would repeat one estimate" in err
+        else:
+            assert code == 0
+            rows = [line.split(",")[:11] for line in out.strip().splitlines()[1:]]
+            swept = [tuple(row) for row in rows if row[1] == algo]
+            assert len(set(swept)) == len(swept) > 0
 
     @pytest.mark.parametrize("algo", ["classical", "strict-classical"])
     @pytest.mark.parametrize(
@@ -514,6 +571,38 @@ class TestSweep:
         assert algos.count("exact-gap") == 3
         assert algos.count("classical") == 3
 
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        algo=st.sampled_from(cli.ALGORITHM_TAGS),
+        sweep=st.one_of(
+            st.tuples(st.integers(2, 6), st.integers(0, 4), st.integers(1, 3)).map(
+                lambda t: ["k", t[0], min(6, t[0] + t[1]), t[2]]
+            ),
+            st.tuples(st.sampled_from([0, 0.5]), st.sampled_from([0, 0.5, 1]),
+                      st.sampled_from([0.5, 1])).map(lambda t: ["sigma", t[0], t[0] + t[1], t[2]]),
+        ),
+        ks=st.one_of(
+            st.just("unknown"),
+            st.lists(st.integers(2, 6), min_size=1, max_size=3).map(lambda ks: ",".join(map(str, ks))),
+        ),
+        policy=st.sampled_from(["fixed", "min", "from-k"]),
+        gap_value=st.sampled_from([[], ["--gap-value", "2"]]),
+    )
+    def test_sweep_never_writes_a_swept_row_twice(self, algo, sweep, ks, policy, gap_value):
+        kind, lo, hi, step = sweep
+        argv = ["sweep", "--sweep", kind, "--from", str(lo), "--to", str(hi), "--step", str(step),
+                "--k", ks, "--tau-policy", policy, *gap_value, "--family", "exp", "--n", "6",
+                "--iters", "5", "--algo", algo, "--seed", "1"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 2)
+        if code == 0:
+            # the classical baseline rows of a k sweep repeat one estimate on purpose
+            swept = [line.split(",")[:11] for line in out.getvalue().splitlines()[1:]]
+            swept = [tuple(row) for row in swept if row[1] == algo]
+            assert len(set(swept)) == len(swept)
+
     def test_sigma_sweep_grid(self, capsys):
         code, out, _ = run(
             [
@@ -550,14 +639,13 @@ class TestSweep:
         common = ["--family", "exp", "--n", "30", "--iters", "60", "--algo", "l-select",
                   "--L", "2", "--seed", "13"]
         code, out, _ = run(
-            ["sweep", "--sweep", "sigma", "--from", "0", "--to", "1", "--step", "0.5",
-             "--k", "2,4", *common],
+            ["sweep", "--sweep", "sigma", "--from", "0", "--to", "1", "--step", "0.5", *common],
             capsys,
         )
         assert code == 0
         header, *rows = out.strip().splitlines()
-        assert len(rows) == 6
-        for sigma, row in zip(["0.0", "0.5", "1.0"] * 2, rows):
+        assert len(rows) == 3
+        for sigma, row in zip(["0.0", "0.5", "1.0"], rows):
             code, single, _ = run(["simulate", "--sigma", sigma, *common], capsys)
             assert code == 0
             assert single.strip().splitlines() == [header, row]
@@ -587,6 +675,42 @@ class TestBounds:
         code, _, err = run(["bounds", "--which", "exact", "--tau", "0.0", "--k", "2"], capsys)
         assert code == 2
         assert "tau" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--which", "exact", "--tau", "1e-320", "--k", "2"],
+            ["bounds", "--which", "bounded", "--tau", "1e-320", "--k", "3"],
+            ["bounds", "--which", "rc", "--tau", "1e-320", "--gamma", "0.5"],
+            ["bounds", "--which", "tie23", "--tau", "1e-320"],
+        ],
+        ids=["exact", "bounded", "rc", "tie23"],
+    )
+    def test_tau_whose_reciprocal_overflows_exits_2(self, argv, capsys):
+        # ln(1/tau) is inf: exact printed alpha 1.0 and tie23 Infinity
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "1/tau must be finite" in err
+
+    @pytest.mark.parametrize(
+        "argv,limit",
+        [
+            (["bounds", "--which", "exact", "--k", "{huge}"], "k"),
+            (["bounds", "--which", "exact", "--k", str(10**18)], "k"),
+            (["bounds", "--which", "rc", "--k", "{huge}"], "k"),
+            (["bounds", "--which", "lselect", "--L", "{huge}", "--beta", "0"], "L"),
+            (["frontier", "--k-aggregation", "{huge}"], "k"),
+            (["simulate", "--family", "exp", "--n", "5", "--iters", "5", "--algo", "exact-gap",
+              "--k", "{huge}", "--tau-from-k"], "k"),
+        ],
+        ids=["exact", "exact-tuned-tau-0", "rc", "lselect", "frontier", "simulate-tau-from-k"],
+    )
+    def test_index_above_the_limit_exits_2(self, argv, limit, capsys):
+        # 10^400 is no float: these exited 1 with an OverflowError
+        argv = [a.format(huge=10**400) for a in argv]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert f"{limit} must be an integer in [2, {2**53}]" in err
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
     def test_bounded_epsilon_must_be_finite_and_non_negative(self, epsilon, capsys):

@@ -126,13 +126,23 @@ def _arrival_rows(n: int, master_seed: int, rows: range):
     return times, draws()
 
 
-def _arrival_columns(seed: int, n: int, chunks):
-    """Drop the memo, then yield each range of iterations in ``chunks`` with
-    its arrival times as (n, rows) columns, drawn in order from one stream."""
+def _arrival_columns(seed: int, n: int, blocks):
+    """Drop the memo, then yield each range of iterations in ``blocks`` with
+    its arrival times as (n, rows) columns, drawn in order from one stream.
+
+    Each block is drawn as (rows, n) and transposed alone, so the values do
+    not depend on where the blocks end, and no array of more than one
+    block's times is made. The columns of every block are written into one
+    buffer, so a block's columns are valid only until the next is drawn."""
     _last_batch.clear()
     rng = np.random.default_rng([int(seed)])
-    for rows in chunks:
-        yield rows, np.ascontiguousarray(rng.random((len(rows), n)).T)
+    buffer = np.empty((n, 0))
+    for rows in blocks:
+        if buffer.shape[1] < len(rows):
+            buffer = np.empty((n, len(rows)))
+        cols = buffer[:, : len(rows)]
+        np.copyto(cols, rng.random((len(rows), n)).T)
+        yield rows, cols
 
 
 def _draw_rows(

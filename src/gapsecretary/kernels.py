@@ -21,9 +21,11 @@ gap, built once per ``tau``, and a pass per gap that reads it:
   ``tau`` is one at a smaller ``tau`` too, so ``_narrowed_state`` reads the
   state at a larger ``tau`` off the candidates of one at a smaller ``tau``;
 * ``_fixed_profile_state`` and ``_fixed_profile_pass`` take one weight
-  vector and the (n, rows) columns of its arrival times, swept column by
-  column: ``simulate_fixed_profile`` and ``simulate_fixed_profile_rules``,
-  where only the arrival order is random and several rules share one draw.
+  vector and the (n, rows) columns of a block of its arrival times, swept
+  column by column, so every temporary is a (rows,) vector:
+  ``simulate_fixed_profile`` and ``simulate_fixed_profile_rules``, where
+  only the arrival order is random and several rules share one draw, run
+  them on blocks of at most ``montecarlo._FIXED_PROFILE_ROWS`` rows.
 
 The multi-selection rule runs through ``_run_l_select_rows``. Its reference
 set holds the top-L weights seen so far of Q, the pre-``tau`` elements and

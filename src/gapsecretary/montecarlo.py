@@ -356,13 +356,22 @@ def _estimate_from(out: dict) -> RatioEstimate:
 # so no whole-run array is held; a run takes the smallest entry of its cells
 _CHUNK_ELEMENTS = {"threshold": 5_000_000, "l-select": 16_384}
 
+# rows per block of a fixed-profile run, fewer when its chunk is smaller:
+# the column sweep's temporaries are (rows,) vectors whatever n is, so the
+# block is counted in rows. 12 calls of 200,000 draws at n <= 5 took 0.20 s
+# in blocks of 4,096 rows, 0.19 s of 8,192 and 0.17 s of 16,384; blocks of
+# 32,768 rows raised the peak RSS of the benchmark's gate workload from
+# 48.8 to 50.1 MB
+_FIXED_PROFILE_ROWS = 16_384
 
-def _chunks(n: int, iterations: int, algorithms):
+
+def _chunks(n: int, iterations: int, algorithms, max_rows: int | None = None):
     """Row ranges covering ``iterations``, each of at most the smallest
     ``_CHUNK_ELEMENTS`` entry among the algorithms' kernels, in instances
-    of size ``n``."""
+    of size ``n``, and of at most ``max_rows`` rows."""
     kernels = {"l-select" if a.tag == "l-select" else "threshold" for a in algorithms}
-    per = max(1, min(_CHUNK_ELEMENTS[k] for k in kernels) // n)
+    per = min(_CHUNK_ELEMENTS[k] for k in kernels) // n
+    per = max(1, per if max_rows is None else min(per, max_rows))
     return (range(lo, min(lo + per, iterations)) for lo in range(0, iterations, per))
 
 
@@ -530,8 +539,8 @@ def simulate_fixed_profile(
     ``gap_values`` (a scalar, or an array with one value per iteration) is
     interpreted in the profile's raw units and must be finite and
     non-negative. Arrival times come from one stream derived from ``seed``,
-    drawn chunk by chunk in iteration order, so the values do not depend on
-    the chunk size. Returns per-iteration arrays, with accepted weights both
+    drawn block by block in iteration order, so the values do not depend on
+    the block size. Returns per-iteration arrays, with accepted weights both
     normalized (``ratio``) and in raw units (``accept_weight``).
     """
     return simulate_fixed_profile_rules(profile, [(algorithm, gap_values)], iterations, seed)[0]
@@ -544,9 +553,13 @@ def simulate_fixed_profile_rules(
     pair in ``rules``, on one draw of the arrival times: each rule's arrays
     equal those of its own call with the same seed, bit for bit.
 
-    Each chunk of times is drawn and transposed once, its state is built
-    once per tau (rules run in order of tau, so one state is held at a
-    time), and each rule is then one pass over it.
+    Each rule's result arrays are allocated once, for every iteration. The
+    times are drawn in blocks of at most ``_FIXED_PROFILE_ROWS`` rows, each
+    block transposed alone; a block's state is built once per tau (rules
+    run in order of tau, so one state is held at a time), each rule is one
+    pass over it, and the pass's outcomes are written into the block's slice
+    of the rule's arrays. A row that accepts nothing reads 0.0 in
+    ``accept_weight``, also when the profile's raw maximum overflows.
     """
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
@@ -565,22 +578,32 @@ def simulate_fixed_profile_rules(
             raise ConfigError("gap_values must be finite and non-negative")
         policies.append(_policy(algorithm))
         terms.append(np.broadcast_to(_threshold_term(algorithm, gap_values, m), (iterations,)))
+    if not rules:
+        return []
     by_tau = sorted(range(len(rules)), key=lambda i: policies[i][0])
-    parts = [[] for _ in rules]
-    chunks = _chunks(w.size, iterations, [algorithm for algorithm, _ in rules])
-    for rows, cols in _arrival_columns(seed, w.size, chunks):
+    best = np.argmax(w)
+    # raw weights by accept_index: index -1, no acceptance, reads the
+    # appended 0.0, and a zero weight is 0.0 however large exp(m) is
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = np.append(np.where(w > 0.0, w * np.exp(m), 0.0), 0.0)
+    outs = [None] * len(rules)
+    blocks = _chunks(w.size, iterations, [a for a, _ in rules], _FIXED_PROFILE_ROWS)
+    for rows, cols in _arrival_columns(seed, w.size, blocks):
+        block = slice(rows.start, rows.stop)
         state = {}
         for i in by_tau:
             tau, gamma, strict = policies[i]
             if tau not in state:
                 state = {tau: _fixed_profile_state(w, cols, tau)}
-            term = terms[i][rows.start : rows.stop]
-            out = _fixed_profile_pass(w, cols, state[tau], term, gamma, strict)
-            parts[i].append(_threshold_outcomes(out, np.argmax(w)))
-    outs = [_joined(p) for p in parts]
-    with np.errstate(over="ignore"):
-        for out in outs:
-            out["accept_weight"] = out["ratio"] * np.exp(m)
+            out = _fixed_profile_pass(w, cols, state[tau], terms[i][block], gamma, strict)
+            out = _threshold_outcomes(out, best)
+            out["accept_weight"] = raw.take(out["accept_index"])
+            if outs[i] is None:
+                outs[i] = {key: np.empty(iterations, a.dtype) for key, a in out.items()}
+            for key, a in out.items():
+                outs[i][key][block] = a
+        # the next block is drawn while these names would still hold this one's
+        del state, out
     return outs
 
 

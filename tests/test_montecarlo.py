@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -1138,12 +1139,18 @@ class TestSimulateFixedProfile:
                 prof, AlgorithmSpec("exact-gap", tau=0.3), 4, 0, gap_values=np.ones(length)
             )
 
-    @pytest.mark.parametrize("chunk_rows", [None, 7], ids=["one-chunk", "chunks-of-7"])
-    def test_rules_on_one_draw_equal_their_own_calls(self, chunk_rows, monkeypatch):
+    @pytest.mark.parametrize(
+        ("chunk_rows", "block_rows"),
+        [(None, None), (7, None), (None, 1), (None, 3)],
+        ids=["one-chunk", "chunks-of-7", "blocks-of-1", "blocks-of-3"],
+    )
+    def test_rules_on_one_draw_equal_their_own_calls(self, chunk_rows, block_rows, monkeypatch):
         # the acceptance oracle's five rules plus two at other taus, in an
         # order that is not the order of tau; each against its own call
         if chunk_rows is not None:
             monkeypatch.setitem(montecarlo._CHUNK_ELEMENTS, "threshold", 4 * chunk_rows)
+        if block_rows is not None:
+            monkeypatch.setattr(montecarlo, "_FIXED_PROFILE_ROWS", block_rows)
         prof = WeightProfile.from_weights([3.0, 1.0, 3.0, 0.5])
         gaps = np.arange(50) % 4 * 0.9
         rules = [
@@ -1159,6 +1166,52 @@ class TestSimulateFixedProfile:
         assert len(outs) == len(rules)
         for (spec, gap), out in zip(rules, outs):
             assert _same(out, simulate_fixed_profile(prof, spec, 50, 11, gap_values=gap)), spec
+
+    def test_no_rules_draw_nothing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("arrival times were drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        prof = WeightProfile.from_weights([3.0, 2.0, 1.0])
+        assert montecarlo.simulate_fixed_profile_rules(prof, [], 4, 0) == []
+        with pytest.raises(ConfigError, match="iterations"):
+            montecarlo.simulate_fixed_profile_rules(prof, [], 0, 0)
+
+    @pytest.mark.parametrize("tag", ["classical", "strict-classical", "exact-gap", "robust"])
+    def test_accept_weight_equals_runner_when_the_maximum_overflows(self, tag):
+        # exp(800) is inf: a row that accepts nothing reads 0.0 (it read
+        # 0 * inf = nan), an accepted row inf, and a zero weight 0.0, as the
+        # per-draw runner gives them
+        prof = WeightProfile(np.array([800.0, 799.0, -np.inf, 799.5]))
+        spec = AlgorithmSpec(tag, tau=0.5, gamma=0.2 if tag == "robust" else 0.0)
+        gap = 0.0 if tag in ("classical", "strict-classical") else 1e300
+        iters = 400
+        out = simulate_fixed_profile(prof, spec, iters, 1, gap_values=gap)
+        times = np.random.default_rng([1]).random((iters, prof.n))
+        with np.errstate(over="ignore"):  # the runner's exp(800)
+            expected = [_scalar_reference(spec, prof, ArrivalDraw(t), gap) for t in times]
+        index = [-1 if o.accepted_index is None else o.accepted_index for o in expected]
+        assert np.array_equal(out["accept_index"], index)
+        assert np.array_equal(out["accept_weight"], [o.accepted_weight for o in expected])
+        assert {-1, 0} <= set(index)
+        # the gap rescales to 0, so every rule but the strict one takes
+        # weight 0 when nothing came before tau
+        assert (2 in index) == (tag != "strict-classical")
+
+    def test_holds_little_beyond_its_result_arrays(self):
+        # one block's times, state and pass, not a whole-run draw, its
+        # transpose and per-chunk parts joined at the end: about 1.5 MB here,
+        # where drawing all 200,000 rows at once held 12 MB
+        prof = WeightProfile.from_weights([4.0, 1.0, 2.5, 3.0, 0.5])
+        spec = AlgorithmSpec("robust", tau=0.35, gamma=0.25)
+        simulate_fixed_profile(prof, spec, 10, 1, gap_values=1.5)
+        tracemalloc.start()
+        try:
+            out = simulate_fixed_profile(prof, spec, 200_000, 1, gap_values=1.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(a.nbytes for a in out.values()) < 2 * 2**20
 
     def test_rules_checked_before_any_draw(self, monkeypatch):
         def no_draw(*args):
@@ -1437,18 +1490,21 @@ def _same(a, b):
 class TestChunkInvariance:
     """Results do not depend on how rows are chunked: each case runs once
     at the default chunking (one chunk at these sizes) and once with the
-    chunk table cut to a few rows or a single row, with a partial last
-    chunk."""
+    chunk table and the fixed-profile block cut to a few rows or a single
+    row, with a partial last chunk and block."""
 
     N, ITERS = 12, 31
 
-    @pytest.fixture(params=[{"threshold": 40, "l-select": 25}, {"threshold": 1, "l-select": 1}],
+    @pytest.fixture(params=[({"threshold": 40, "l-select": 25}, 2), ({"threshold": 1, "l-select": 1}, 1)],
                     ids=["few-rows", "one-row"])
     def rechunked(self, request, monkeypatch):
+        table, block_rows = request.param
+
         def both(run):
             whole = run()
             with monkeypatch.context() as m:
-                m.setattr(montecarlo, "_CHUNK_ELEMENTS", request.param)
+                m.setattr(montecarlo, "_CHUNK_ELEMENTS", table)
+                m.setattr(montecarlo, "_FIXED_PROFILE_ROWS", block_rows)
                 assert len(list(montecarlo._chunks(self.N, self.ITERS, [AlgorithmSpec("classical")]))) > 1
                 return whole, run()
 

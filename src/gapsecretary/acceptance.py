@@ -256,6 +256,12 @@ def check_superstar_sigma_bands(fast: bool = False) -> tuple[bool, str, str]:
     )
 
 
+def _mean_and_stderr(out: dict) -> tuple[float, float]:
+    """The mean and standard error of one rule's ``accept_weight`` draws."""
+    vals = out["accept_weight"]
+    return float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(vals.size)
+
+
 def check_small_instance_oracle(fast: bool = False) -> tuple[bool, str, str]:
     """Monte Carlo agrees with exhaustive enumeration on every small random
     instance and every single-selection rule, within 3 standard errors; the
@@ -268,6 +274,8 @@ def check_small_instance_oracle(fast: bool = False) -> tuple[bool, str, str]:
     ok = abs(hand - 0.875) <= 1e-12
     worst_z = 0.0
     cells = 0
+    # each rule keeps only its accept_weight draws, reduced to their mean and stderr
+    reducer = (("accept_weight",), _mean_and_stderr)
     for n in (2, 3, 4, 5):
         for rep in range(5):
             rng = np.random.default_rng([ACCEPTANCE_SEED, 8, n, rep])
@@ -285,12 +293,9 @@ def check_small_instance_oracle(fast: bool = False) -> tuple[bool, str, str]:
                 (AlgorithmSpec("bounded", tau=tau, epsilon=eps), gap),
                 (AlgorithmSpec("robust", tau=tau, gamma=gamma), gap),
             ]
-            sims = simulate_fixed_profile_rules(prof, specs, iters, mc_seed)
-            for (spec, g), sim in zip(specs, sims):
+            sims = simulate_fixed_profile_rules(prof, specs, iters, mc_seed, reducer)
+            for (spec, g), (mc, se) in zip(specs, sims):
                 exact = exact_expectation_small_n(prof, spec, g)
-                vals = sim["accept_weight"]
-                mc = float(vals.mean())
-                se = float(vals.std(ddof=1)) / math.sqrt(iters)
                 cells += 1
                 if se == 0.0:
                     ok = ok and abs(mc - exact) <= 1e-12

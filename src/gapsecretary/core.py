@@ -90,7 +90,8 @@ class WeightProfile:
 
     def weight(self, i: int) -> float:
         """Linear weight of element ``i`` (original scale)."""
-        return float(np.exp(self.log_weights[i]))
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.log_weights[i]))
 
     @cached_property
     def sorted_indices(self) -> np.ndarray:

@@ -22,8 +22,10 @@ single-selection cells of a chunk are grouped by their policy's ``(tau,
 gamma, strict)``, and each group is one row-kernel pass over the chunk's
 state at its tau: a sigma sweep at one tau is one state and one pass per
 chunk, and a k-sweep at tuned taus builds one state from the weights and
-narrows it for each larger tau. Each cell's outcomes are cut to what its estimate
-reads as they are yielded, and a cell is reduced once its last chunk is done.
+narrows it for each larger tau. Both drivers, this one and the fixed-profile
+one, take a reducer: the fields a cell keeps, which ``_write_rows`` writes
+chunk by chunk, and the function of their whole-run arrays that gives the
+cell's result once its last chunk is done.
 """
 
 from __future__ import annotations
@@ -375,11 +377,18 @@ def _chunks(n: int, iterations: int, algorithms, max_rows: int | None = None):
     return (range(lo, min(lo + per, iterations)) for lo in range(0, iterations, per))
 
 
-def _joined(parts: list[dict]) -> dict:
-    """Per-chunk outcome dicts joined in row order; one chunk is not copied."""
-    if len(parts) == 1:
-        return parts[0]
-    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+# a reducer is (the fields a cell keeps, all when None; its result from their arrays)
+_ESTIMATE = (("ratio", "select_best", "none"), _estimate_from)
+_KEEP_ALL = (None, dict)
+
+
+def _write_rows(kept: dict | None, out: dict, fields, rows: range, iterations: int) -> dict:
+    """A cell's whole-run arrays ``kept`` of its ``fields``, allocated when
+    None, with one chunk's outcomes ``out`` written into their ``rows``."""
+    kept = kept or {f: np.empty(iterations, out[f].dtype) for f in fields or out}
+    for f, a in kept.items():
+        a[rows.start:rows.stop] = out[f]
+    return kept
 
 
 def _cell_key(algorithm: AlgorithmSpec, gap: GapSpec):
@@ -392,7 +401,7 @@ def _cell_key(algorithm: AlgorithmSpec, gap: GapSpec):
     return algorithm, gap
 
 
-def _run_cells(n: int, iterations: int, batch_of, cells, outcomes: bool = False) -> list:
+def _run_cells(n: int, iterations: int, batch_of, cells, reducer=_ESTIMATE) -> list:
     """Estimates of (AlgorithmSpec, GapSpec) cells on ``iterations`` instances
     of size ``n``, each cell checked as ``ExperimentConfig`` checks its own.
 
@@ -400,41 +409,36 @@ def _run_cells(n: int, iterations: int, batch_of, cells, outcomes: bool = False)
     chunk of rows is taken from it once and every distinct cell (cells that
     read the same inputs are one) is evaluated on it, single-selection cells
     one kernel pass per threshold policy (``_chunk_outcomes``). A cell's
-    outcomes are cut to what its estimate reads before the next cell is
-    evaluated, and a cell is reduced after its last chunk. Each chunk's
-    batch is dropped before the next chunk is drawn, so no two are held at
-    once. With ``outcomes`` a cell gives its joined per-row outcomes in place
-    of its estimate.
+    kept fields are written before the next cell is evaluated, and a cell is
+    reduced by ``reducer`` once its last chunk is done. Each chunk's batch
+    is dropped before the next chunk is drawn, so no two are held at once.
     """
     for algorithm, gap in cells:
         _check_cell(n, algorithm, gap)
     keys = dict.fromkeys(_cell_key(a, g) for a, g in cells)
     if not keys:
         return []
-    parts = {key: [] for key in keys}
-    done = {}
+    fields, reduce = reducer
+    kept, done = {}, {}
     for rows in _chunks(n, iterations, [a for a, _ in keys]):
         batch = batch_of(rows)
         for key, out in _chunk_outcomes(batch, keys):
-            if not outcomes:
-                out = {f: out[f] for f in ("ratio", "select_best", "none")}
-            parts[key].append(out)
+            kept[key] = _write_rows(kept.get(key), out, fields, rows, iterations)
             if rows.stop == iterations:
-                out = _joined(parts.pop(key))
-                done[key] = out if outcomes else _estimate_from(out)
+                done[key] = reduce(kept.pop(key))
         del batch
     return [done[_cell_key(a, g)] for a, g in cells]
 
 
-def _on_generated(config: ExperimentConfig, cells, outcomes: bool = False) -> list:
+def _on_generated(config: ExperimentConfig, cells, reducer=_ESTIMATE) -> list:
     """``_run_cells`` on the instances the config's family draws."""
     batch_of = partial(_generated_batch, config)
-    return _run_cells(config.n, config.iterations, batch_of, cells, outcomes)
+    return _run_cells(config.n, config.iterations, batch_of, cells, reducer)
 
 
 def per_iteration_outcomes(config: ExperimentConfig) -> dict:
     """Raw per-iteration outcomes for one experiment cell (validation surface)."""
-    return _on_generated(config, [(config.algorithm, config.gap)], outcomes=True)[0]
+    return _on_generated(config, [(config.algorithm, config.gap)], _KEEP_ALL)[0]
 
 
 def estimate_ratio(config: ExperimentConfig) -> RatioEstimate:
@@ -547,19 +551,18 @@ def simulate_fixed_profile(
 
 
 def simulate_fixed_profile_rules(
-    profile: WeightProfile, rules, iterations: int, seed: int
-) -> list[dict]:
+    profile: WeightProfile, rules, iterations: int, seed: int, reducer=_KEEP_ALL
+) -> list:
     """:func:`simulate_fixed_profile` of each ``(algorithm, gap_values)``
     pair in ``rules``, on one draw of the arrival times: each rule's arrays
-    equal those of its own call with the same seed, bit for bit.
+    equal those of its own call with the same seed, bit for bit, or what
+    ``reducer`` makes of the fields it keeps (all, by default).
 
-    Each rule's result arrays are allocated once, for every iteration. The
-    times are drawn in blocks of at most ``_FIXED_PROFILE_ROWS`` rows, each
-    block transposed alone; a block's state is built once per tau (rules
-    run in order of tau, so one state is held at a time), each rule is one
-    pass over it, and the pass's outcomes are written into the block's slice
-    of the rule's arrays. A row that accepts nothing reads 0.0 in
-    ``accept_weight``, also when the profile's raw maximum overflows.
+    The times are drawn in blocks of at most ``_FIXED_PROFILE_ROWS`` rows,
+    each transposed alone; a block's state is built once per tau (rules run
+    in order of tau, so one state is held at a time), and each rule is one
+    pass over it. A row that accepts nothing reads 0.0 in ``accept_weight``,
+    also when the profile's raw maximum overflows.
     """
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
@@ -586,11 +589,11 @@ def simulate_fixed_profile_rules(
     # appended 0.0, and a zero weight is 0.0 however large exp(m) is
     with np.errstate(over="ignore", invalid="ignore"):
         raw = np.append(np.where(w > 0.0, w * np.exp(m), 0.0), 0.0)
-    outs = [None] * len(rules)
+    fields, reduce = reducer
+    kept = [None] * len(rules)
     blocks = _chunks(w.size, iterations, [a for a, _ in rules], _FIXED_PROFILE_ROWS)
     for rows, cols in _arrival_columns(seed, w.size, blocks):
-        block = slice(rows.start, rows.stop)
-        state = {}
+        block, state = slice(rows.start, rows.stop), {}
         for i in by_tau:
             tau, gamma, strict = policies[i]
             if tau not in state:
@@ -598,13 +601,10 @@ def simulate_fixed_profile_rules(
             out = _fixed_profile_pass(w, cols, state[tau], terms[i][block], gamma, strict)
             out = _threshold_outcomes(out, best)
             out["accept_weight"] = raw.take(out["accept_index"])
-            if outs[i] is None:
-                outs[i] = {key: np.empty(iterations, a.dtype) for key, a in out.items()}
-            for key, a in out.items():
-                outs[i][key][block] = a
+            kept[i] = _write_rows(kept[i], out, fields, rows, iterations)
         # the next block is drawn while these names would still hold this one's
         del state, out
-    return outs
+    return [reduce(k) for k in kept]
 
 
 # ---------------------------------------------------------------------------

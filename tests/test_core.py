@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,16 @@ class TestWeightProfile:
         assert p.normalized_weights[0] == 1.0
         assert p.normalized_weights[1] == pytest.approx(0.0, abs=1e-300)
         assert np.isfinite(p.normalized_weights).all()
+
+    def test_linear_weight_beyond_float64_is_inf_without_warning(self):
+        # exp(800) overflows: weight(i) reads inf as .weights does, and the
+        # per-draw runners read weight(i) of what they accept
+        p = WeightProfile(np.array([800.0, 799.0, -np.inf, 799.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert p.weight(0) == math.inf
+            assert p.weight(2) == 0.0
+            assert list(p.weights) == [math.inf, math.inf, 0.0, math.inf]
 
     def test_scale_covariance_of_sorted_order(self):
         rng = np.random.default_rng(3)

@@ -470,7 +470,7 @@ class TestLSelectKernelMatchesScalarRunner:
         for tag in ("exact-gap", "bounded", "robust", "l-select"):
             spec = AlgorithmSpec(tag, tau=0.3, gamma=0.25 * (tag == "robust"), epsilon=0.5, L=2)
             cells = [(spec, GapSpec(absolute=1.0, sigma=0.0)), (spec, GapSpec(absolute=0.0))]
-            got, ref = montecarlo._run_cells(6, 30, batch_of, cells, outcomes=True)
+            got, ref = montecarlo._run_cells(6, 30, batch_of, cells, montecarlo._KEEP_ALL)
             _assert_same_arrays(got, ref, tag)
             for row, prof in enumerate(profiles):
                 arrivals, where = ArrivalDraw(times[row]), (tag, row)
@@ -1166,6 +1166,13 @@ class TestSimulateFixedProfile:
         assert len(outs) == len(rules)
         for (spec, gap), out in zip(rules, outs):
             assert _same(out, simulate_fixed_profile(prof, spec, 50, 11, gap_values=gap)), spec
+        # keeping accept_weight alone gives that field alone, bit for bit
+        kept = montecarlo.simulate_fixed_profile_rules(
+            prof, rules, 50, 11, (("accept_weight",), dict)
+        )
+        assert [list(k) for k in kept] == [["accept_weight"]] * len(rules)
+        for k, out in zip(kept, outs):
+            assert _same(k, {"accept_weight": out["accept_weight"]})
 
     def test_no_rules_draw_nothing(self, monkeypatch):
         def no_draw(*args):
@@ -1188,8 +1195,7 @@ class TestSimulateFixedProfile:
         iters = 400
         out = simulate_fixed_profile(prof, spec, iters, 1, gap_values=gap)
         times = np.random.default_rng([1]).random((iters, prof.n))
-        with np.errstate(over="ignore"):  # the runner's exp(800)
-            expected = [_scalar_reference(spec, prof, ArrivalDraw(t), gap) for t in times]
+        expected = [_scalar_reference(spec, prof, ArrivalDraw(t), gap) for t in times]
         index = [-1 if o.accepted_index is None else o.accepted_index for o in expected]
         assert np.array_equal(out["accept_index"], index)
         assert np.array_equal(out["accept_weight"], [o.accepted_weight for o in expected])
@@ -1360,7 +1366,9 @@ class TestBatchRatioForProfiles:
             for tag in ("exact-gap", "bounded", "robust"):
                 spec = AlgorithmSpec(tag, tau=0.2, gamma=0.25 * (tag == "robust"), epsilon=0.05)
                 cell = [(spec, GapSpec(k=2))]
-                (got,) = montecarlo._run_cells(4, len(profiles), batch_of, cell, outcomes=True)
+                (got,) = montecarlo._run_cells(
+                    4, len(profiles), batch_of, cell, montecarlo._KEEP_ALL
+                )
                 for row, prof in enumerate(profiles):
                     arrivals = ArrivalDraw(times[row])
                     scalar = _scalar_reference(spec, prof, arrivals, true_gap(prof, 2))
@@ -1883,10 +1891,10 @@ class TestBatchMemo:
                                  epsilon=0.25, L=k)
             cell = [(algo, GapSpec(k=k, sigma=sigma))]
 
-            def outcomes(batch_of):
+            def outcomes(batch_of, keep_all=montecarlo._KEEP_ALL):
                 # l-select rejects a row whose top-L weights are all 0
                 try:
-                    return montecarlo._run_cells(n, iterations, batch_of, cell, outcomes=True)[0]
+                    return montecarlo._run_cells(n, iterations, batch_of, cell, keep_all)[0]
                 except ConfigError as exc:
                     return str(exc)
 

@@ -48,7 +48,8 @@ class SeededRng:
     master_seed: int
 
     def __post_init__(self):
-        if not 0 <= int(self.master_seed) < 2**64:
+        seed = self.master_seed
+        if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
             raise ValueError("master seed must be a 64-bit non-negative integer")
 
     def stream(self, index: int) -> np.random.Generator:

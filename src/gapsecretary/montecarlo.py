@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -93,6 +94,16 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (maps to CLI usage errors)."""
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; a float is not one, even a whole one."""
+    return isinstance(value, (int, np.integer))
+
+
+def _check_iterations(iterations) -> None:
+    if not (_is_int(iterations) and iterations >= 1):
+        raise ConfigError("iterations must be an integer >= 1")
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """Algorithm tag plus the parameters it actually uses."""
@@ -114,7 +125,7 @@ class AlgorithmSpec:
             raise ConfigError("gamma must lie in [0, 1 - tau)")
         if self.epsilon < 0.0:
             raise ConfigError("epsilon must be non-negative")
-        if self.tag == "l-select" and self.L < 2:
+        if self.tag == "l-select" and not (_is_int(self.L) and self.L >= 2):
             raise ConfigError("L must be an integer >= 2")
 
     @property
@@ -136,8 +147,8 @@ class GapSpec:
     absolute: float | None = None
 
     def __post_init__(self):
-        if self.k is not None and self.k < 2:
-            raise ConfigError("gap index k must be >= 2")
+        if self.k is not None and not (_is_int(self.k) and self.k >= 2):
+            raise ConfigError("gap index k must be an integer >= 2")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ConfigError("sigma must be finite and non-negative")
         if self.absolute is not None:
@@ -164,10 +175,9 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
+        if not (_is_int(self.n) and self.n >= 1):
+            raise ConfigError("n must be an integer >= 1")
+        _check_iterations(self.iterations)
         _check_cell(self.n, self.algorithm, self.gap)
 
 
@@ -360,10 +370,11 @@ _CHUNK_ELEMENTS = {"threshold": 5_000_000, "l-select": 16_384}
 
 # rows per block of a fixed-profile run, fewer when its chunk is smaller:
 # the column sweep's temporaries are (rows,) vectors whatever n is, so the
-# block is counted in rows. 12 calls of 200,000 draws at n <= 5 took 0.20 s
-# in blocks of 4,096 rows, 0.19 s of 8,192 and 0.17 s of 16,384; blocks of
-# 32,768 rows raised the peak RSS of the benchmark's gate workload from
-# 48.8 to 50.1 MB
+# block is counted in rows. 12 calls of 200,000 draws at n <= 5, none of
+# them faulting in its results, took 0.14-0.16 s in blocks of 4,096 rows,
+# 0.12 s of 8,192, 0.10 s of 16,384, 0.10-0.11 s of 32,768 and 0.12-0.13 s
+# of 65,536 (medians of 11, two runs); blocks of 32,768 rows raised the
+# peak RSS of the benchmark's gate workload from 48.8 to 50.1 MB
 _FIXED_PROFILE_ROWS = 16_384
 
 
@@ -383,9 +394,23 @@ _KEEP_ALL = (None, dict)
 
 
 def _write_rows(kept: dict | None, out: dict, fields, rows: range, iterations: int) -> dict:
-    """A cell's whole-run arrays ``kept`` of its ``fields``, allocated when
-    None, with one chunk's outcomes ``out`` written into their ``rows``."""
-    kept = kept or {f: np.empty(iterations, out[f].dtype) for f in fields or out}
+    """Write one chunk's outcomes ``out`` into the ``rows`` of a cell's
+    whole-run arrays ``kept``, one per kept field (every field of ``out``
+    when ``fields`` is None), and return them.
+
+    The cell's first chunk (``kept`` None) allocates them as views of one
+    buffer: each C-contiguous, ``iterations`` entries of the chunk's dtype,
+    at an offset rounded up to 8 bytes. Once freed, one block of a call's
+    size raises glibc's mmap and trim thresholds past itself, so the next
+    call reuses its heap pages, where separate arrays were trimmed from the
+    heap at each free and faulted in again at each call. Whoever keeps any
+    field keeps the whole buffer."""
+    if kept is None:
+        fields = fields or out
+        ends = list(accumulate(-(-iterations * out[f].itemsize // 8) * 8 for f in fields))
+        buffer = np.empty(ends[-1], np.uint8)
+        kept = {f: np.frombuffer(buffer, out[f].dtype, iterations, lo)
+                for f, lo in zip(fields, [0, *ends])}
     for f, a in kept.items():
         a[rows.start:rows.stop] = out[f]
     return kept
@@ -543,7 +568,7 @@ def simulate_fixed_profile(
     ``gap_values`` (a scalar, or an array with one value per iteration) is
     interpreted in the profile's raw units and must be finite and
     non-negative. Arrival times come from one stream derived from ``seed``,
-    drawn block by block in iteration order, so the values do not depend on
+    a non-negative integer, drawn block by block in iteration order, so the values do not depend on
     the block size. Returns per-iteration arrays, with accepted weights both
     normalized (``ratio``) and in raw units (``accept_weight``).
     """
@@ -564,8 +589,9 @@ def simulate_fixed_profile_rules(
     pass over it. A row that accepts nothing reads 0.0 in ``accept_weight``,
     also when the profile's raw maximum overflows.
     """
-    if iterations < 1:
-        raise ConfigError("iterations must be >= 1")
+    _check_iterations(iterations)
+    if not (_is_int(seed) and seed >= 0):
+        raise ConfigError("seed must be a non-negative integer")
     rules = list(rules)
     w = profile.normalized_weights
     m = profile.max_log_weight

@@ -49,6 +49,17 @@ class TestSeededRng:
         with pytest.raises(ValueError):
             SeededRng(0).stream(-2)
 
+    @pytest.mark.parametrize("seed", [1.7, 1.0, np.float64(3.0), "3", 2**64])
+    def test_seed_must_be_a_64_bit_integer(self, seed):
+        # a float seed was truncated: SeededRng(1.7) drew what SeededRng(1) draws
+        with pytest.raises(ValueError, match="64-bit non-negative integer"):
+            SeededRng(seed)
+
+    def test_numpy_integer_seed_is_the_int(self):
+        assert np.array_equal(
+            SeededRng(np.uint64(7)).stream(2).random(4), SeededRng(7).stream(2).random(4)
+        )
+
 
 # the draws the four families and the arrival times make
 DRAW_METHODS = ("random", "standard_exponential", "standard_normal")

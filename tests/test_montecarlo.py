@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -729,6 +730,35 @@ class TestSpecsValidation:
         # l-select's auto gap is index-free
         ExperimentConfig(fam, 10, 5, AlgorithmSpec("l-select", L=2))
 
+    @pytest.mark.parametrize(
+        ("make", "match"),
+        [
+            (lambda fam, algo: ExperimentConfig(fam, 10, 3.0, algo), "iterations must be an integer"),
+            (lambda fam, algo: ExperimentConfig(fam, 10.5, 3, algo), "n must be an integer"),
+            (lambda fam, algo: ExperimentConfig(fam, np.float64(10), 3, algo), "n must be an integer"),
+            (lambda fam, algo: AlgorithmSpec("l-select", L=2.5), "L must be an integer"),
+            (lambda fam, algo: AlgorithmSpec("l-select", L=2.0), "L must be an integer"),
+            (lambda fam, algo: GapSpec(k=2.5), "k must be an integer"),
+            (lambda fam, algo: GapSpec(k=3.0), "k must be an integer"),
+        ],
+        ids=["iterations", "n", "numpy-float-n", "L", "whole-float-L", "k", "whole-float-k"],
+    )
+    def test_sizes_must_be_integers(self, make, match):
+        # each was accepted and failed later in range() or numpy indexing
+        with pytest.raises(ConfigError, match=match):
+            make(InstanceFamily("exponential"), AlgorithmSpec("classical"))
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        cfg = ExperimentConfig(
+            InstanceFamily("exponential"), np.int64(10), np.int32(40),
+            AlgorithmSpec("l-select", L=np.int64(2)), GapSpec(k=np.int64(2)), master_seed=SEED,
+        )
+        plain = ExperimentConfig(
+            InstanceFamily("exponential"), 10, 40, AlgorithmSpec("l-select", L=2), GapSpec(k=2),
+            master_seed=SEED,
+        )
+        assert estimate_ratio(cfg) == estimate_ratio(plain)
+
     def test_estimate_ratio_runs_l_select(self):
         cfg = ExperimentConfig(
             InstanceFamily("exponential"), 10, 5, AlgorithmSpec("l-select", L=2)
@@ -1174,6 +1204,39 @@ class TestSimulateFixedProfile:
         for k, out in zip(kept, outs):
             assert _same(k, {"accept_weight": out["accept_weight"]})
 
+    @pytest.mark.parametrize(
+        ("iterations", "seed", "match"),
+        [
+            (4, 1.5, "seed must be a non-negative integer"),
+            (4, 1.0, "seed must be a non-negative integer"),
+            (4, -1, "seed must be a non-negative integer"),
+            (2.5, 1, "iterations must be an integer"),
+            (4.0, 1, "iterations must be an integer"),
+        ],
+        ids=["float-seed", "whole-float-seed", "negative-seed", "float-iterations", "whole-float-iterations"],
+    )
+    def test_seed_and_iterations_must_be_integers(self, iterations, seed, match, monkeypatch):
+        # a float seed was truncated (seed 1.5 gave seed 1's arrays), a negative
+        # one failed in numpy, and float iterations failed in range()
+        def no_draw(*args):
+            raise AssertionError("arrival times were drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        prof = WeightProfile.from_weights([3.0, 2.0, 1.0])
+        rules = [(AlgorithmSpec("classical", tau=0.3), 0.0)]
+        with pytest.raises(ConfigError, match=match):
+            montecarlo.simulate_fixed_profile_rules(prof, rules, iterations, seed)
+        with pytest.raises(ConfigError, match=match):
+            simulate_fixed_profile(prof, rules[0][0], iterations, seed)
+
+    def test_numpy_integer_seed_and_iterations_are_the_ints(self):
+        prof = WeightProfile.from_weights([3.0, 2.0, 1.0])
+        spec = AlgorithmSpec("classical", tau=0.3)
+        assert _same(
+            simulate_fixed_profile(prof, spec, np.int64(40), np.uint64(9)),
+            simulate_fixed_profile(prof, spec, 40, 9),
+        )
+
     def test_no_rules_draw_nothing(self, monkeypatch):
         def no_draw(*args):
             raise AssertionError("arrival times were drawn")
@@ -1218,6 +1281,24 @@ class TestSimulateFixedProfile:
         finally:
             tracemalloc.stop()
         assert peak - sum(a.nbytes for a in out.values()) < 2 * 2**20
+
+    def test_kept_field_alone_holds_its_own_bytes(self):
+        # an accept_weight-only reducer keeps one 8-byte field, not the
+        # 6.8 MB buffer of all six
+        prof = WeightProfile.from_weights([4.0, 1.0, 2.5, 3.0, 0.5])
+        rules = [(AlgorithmSpec("robust", tau=0.35, gamma=0.25), 1.5)]
+        iters = 200_000
+        montecarlo.simulate_fixed_profile_rules(prof, rules, 10, 1)
+        tracemalloc.start()
+        try:
+            (kept,) = montecarlo.simulate_fixed_profile_rules(
+                prof, rules, iters, 1, (("accept_weight",), dict)
+            )
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert list(kept) == ["accept_weight"]
+        assert 8 * iters <= held < 8 * iters + 2**14
 
     def test_rules_checked_before_any_draw(self, monkeypatch):
         def no_draw(*args):
@@ -1562,6 +1643,59 @@ class TestChunkInvariance:
         assert _same(*rechunked(
             lambda: simulate_fixed_profile(prof, algo, self.ITERS, 8, gap_values=gaps)
         ))
+
+    @staticmethod
+    def _assert_one_buffer(kept: dict, iterations: int):
+        """The kept fields are disjoint, aligned, writeable C-contiguous views
+        of one buffer, and a write to one leaves every other as it was."""
+        (buffer,) = {id(a.base): a.base for a in kept.values()}.values()
+        assert buffer is not None and buffer.base is None
+        for a in kept.values():
+            assert a.shape == (iterations,)
+            assert a.flags.c_contiguous and a.flags.aligned and a.flags.writeable
+            assert a.ctypes.data % 8 == 0
+        assert not any(np.shares_memory(kept[f], kept[g]) for f, g in combinations(kept, 2))
+        for f, a in kept.items():
+            before = {g: b.tobytes() for g, b in kept.items() if g != f}
+            a.view(np.uint8)[:] = 0xA5
+            assert {g: b.tobytes() for g, b in kept.items() if g != f} == before, f
+
+    def test_fixed_profile_fields_are_views_of_one_buffer(self, rechunked):
+        (prof,) = regenerate_profiles(InstanceFamily("exponential"), self.N, 1, 7)
+        gaps = np.random.default_rng(1).random(self.ITERS) * 3.0
+        rules = [
+            (AlgorithmSpec("classical", tau=0.2), 0.0),
+            (AlgorithmSpec("bounded", tau=0.2, epsilon=0.2), gaps),
+            (AlgorithmSpec("robust", tau=0.4, gamma=0.3), 1.5),
+        ]
+        weight_only = (("accept_weight",), dict)
+
+        def run():
+            return (montecarlo.simulate_fixed_profile_rules(prof, rules, self.ITERS, 8),
+                    montecarlo.simulate_fixed_profile_rules(prof, rules, self.ITERS, 8, weight_only))
+
+        for every, weights in rechunked(run):
+            for (spec, gap), out, kept in zip(rules, every, weights):
+                # each field equals its own call's bit for bit, before any write
+                own = simulate_fixed_profile(prof, spec, self.ITERS, 8, gap_values=gap)
+                assert _same(out, own), spec
+                assert _same(kept, {"accept_weight": own["accept_weight"]}), spec
+                assert kept["accept_weight"].base.nbytes == 8 * self.ITERS
+                self._assert_one_buffer(out, self.ITERS)
+                self._assert_one_buffer(kept, self.ITERS)
+            # the rules' buffers are distinct
+            assert len({id(out["ratio"].base) for out in every}) == len(rules)
+
+    @pytest.mark.parametrize(
+        "algo", [AlgorithmSpec("robust", tau=0.2, gamma=0.3), AlgorithmSpec("l-select", tau=0.3, L=3)],
+        ids=lambda a: a.tag,
+    )
+    def test_kept_cell_fields_are_views_of_one_buffer(self, algo, rechunked):
+        # 31 rows: no field but the 8-byte ones ends on a multiple of 8 bytes
+        cfg = self._config(algo)
+        for out in rechunked(lambda: per_iteration_outcomes(cfg)):
+            assert _same(out, per_iteration_outcomes(cfg))
+            self._assert_one_buffer(out, self.ITERS)
 
     def test_mixed_cells_take_the_smallest_entry(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", {"threshold": 40, "l-select": 25})

@@ -9,12 +9,21 @@ memoized under that key in ``_last_batch``, its weights, times and
 done on it: the j-th largest weight of each row for every rank a gap has
 read and the total of its L largest weights for every L an l-select cell
 has read (one (rows,) column each, taken from one sort per call that needs
-a new one, the sorted matrix dropped at once), and the threshold state of
-the last ``tau`` asked (its candidates and best-so-far), which serves
-every ``gamma`` and strictness at that ``tau`` and is narrowed for a larger
-one. The next estimate with the same key gets the same batch: it draws,
-sorts and prepares nothing an earlier one did, and its arrays are what a
-fresh draw gives, bit for bit.
+a new one), the best index, and the threshold state of the last ``tau``
+asked (its candidates and best-so-far), which serves every ``gamma`` and
+strictness at that ``tau`` and is narrowed for a larger one. The next
+estimate with the same key gets the same batch: it draws, sorts and
+prepares nothing an earlier one did, and its arrays are what a fresh draw
+gives, bit for bit.
+Each of these reads runs over row blocks of ``kernels._BLOCK_ELEMENTS``
+elements (``kernels._row_blocks``), each block's result written into its
+rows of the kept column, so none makes a float (rows, n) temporary: read
+whole, the sort, the best-so-far product and ``np.argmax`` would each make
+one, the last because numpy copies a read-only input, such as the memo's
+weights, in ``argmax`` and ``argmin``. A row's result does not depend on
+the other rows of its block, so the blocked reads equal the whole-array
+ones bit for bit, and the engine's peak is the weights, plus the times,
+plus one block (and the state's two bool (rows, n) masks).
 Every arrival draw is made here, by ``_arrival_rows`` (a stream per row) or
 ``_arrival_columns`` (one stream for a fixed profile); only they drop the
 memo, before anything else is made or drawn, so no later draw holds it
@@ -36,7 +45,7 @@ import numpy as np
 
 from .core import WeightProfile, normalize_rows
 from .generators import InstanceFamily, SeededRng
-from .kernels import _narrowed_state, _threshold_state, _ThresholdState
+from .kernels import _narrowed_state, _row_blocks, _threshold_state, _ThresholdState
 
 
 @dataclass(frozen=True)
@@ -47,7 +56,9 @@ class _InstanceBatch:
     largest weights for each L an l-select cell has read, the best index,
     and the threshold state of the last ``tau`` asked. All are 1-D: (rows,)
     columns, or one entry per candidate; no (rows, n) array beyond the
-    weights and times is kept."""
+    weights and times is kept, and no float one is made: each read runs over
+    row blocks (``kernels._row_blocks``), so a read holds at most one block
+    beside the weights and times."""
 
     weights: np.ndarray  # normalized linear weights, (rows, n)
     times: np.ndarray  # arrival times, (rows, n)
@@ -60,19 +71,21 @@ class _InstanceBatch:
         """Keep the ``ranks``-th largest weight of each row (rank 1 is the
         maximum) and, for each L in ``tops``, the total of each row's L
         largest weights, summed from the largest down. Those not yet kept
-        are read from one sort of the rows, which is dropped once they are
-        copied out."""
-        ranks = set(ranks) - self._largest.keys()
-        tops = set(tops) - self._top_totals.keys()
-        if ranks or tops:
-            ascending = np.sort(self.weights, axis=1)
-            n = ascending.shape[1]
-            for j in ranks:
-                self._largest[j] = ascending[:, n - j].copy()
-            for L in tops:
-                # a descending copy, so the sum runs in that order
-                top = np.ascontiguousarray(ascending[:, n - L :][:, ::-1])
-                self._top_totals[L] = np.sum(top, axis=1)
+        are read from one sort of the rows, a row block at a time."""
+        B, n = self.weights.shape
+        largest = {j: np.empty(B) for j in set(ranks) - self._largest.keys()}
+        totals = {L: np.empty(B) for L in set(tops) - self._top_totals.keys()}
+        if largest or totals:
+            for rows in _row_blocks(B, n):
+                ascending = np.sort(self.weights[rows], axis=1)
+                for j, column in largest.items():
+                    column[rows] = ascending[:, n - j]
+                for L, total in totals.items():
+                    # a descending copy, so the sum runs in that order
+                    top = np.ascontiguousarray(ascending[:, n - L :][:, ::-1])
+                    np.sum(top, axis=1, out=total[rows])
+            self._largest.update(largest)
+            self._top_totals.update(totals)
 
     def largest(self, ranks) -> list[np.ndarray]:
         """The ``ranks``-th largest weight of each row, one (rows,) column
@@ -102,7 +115,11 @@ class _InstanceBatch:
     @cached_property
     def best_index(self) -> np.ndarray:
         """The index of each row's first maximum."""
-        return np.argmax(self.weights, axis=1)
+        B, n = self.weights.shape
+        best = np.empty(B, dtype=np.intp)
+        for rows in _row_blocks(B, n):
+            np.argmax(self.weights[rows], axis=1, out=best[rows])
+        return best
 
 
 # the last generated batch that covered a whole run, read-only, with the

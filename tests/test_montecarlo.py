@@ -1417,6 +1417,76 @@ class TestBatchBuild:
             _build_batch(InstanceFamily("exp_superstar", factor=1e308), 5, range(3), 0)
 
 
+def _same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: -0.0 differs from 0.0, as it would in a
+    digest."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRowBlockReads:
+    """Every gap-independent read of a batch runs over row blocks of
+    ``kernels._BLOCK_ELEMENTS`` elements and equals its whole-array
+    expression bit for bit, at every block edge and on read-only arrays."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 20), st.sampled_from([1, 2, 3, 4, 7, 11])).flatmap(
+            lambda shape: st.tuples(
+                st.lists(
+                    st.lists(
+                        st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(0.0, 1.0)),
+                        min_size=shape[0],
+                        max_size=shape[0],
+                    ),
+                    min_size=shape[1],
+                    max_size=shape[1],
+                ),
+                st.lists(
+                    st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.7, 1.0]), min_size=shape[0],
+                             max_size=shape[0]),
+                    min_size=shape[1],
+                    max_size=shape[1],
+                ),
+                st.integers(0, shape[1]),
+            )
+        ),
+        st.sampled_from([0.0, 0.2, 0.5]),
+        st.booleans(),
+    )
+    def test_blocked_reads_equal_whole_array_expressions(self, case, tau, read_only):
+        rows, times, zero_row = case
+        W, T = np.array(rows), np.array(times)
+        if zero_row < len(W):
+            W[zero_row] = 0.0
+        B, n = W.shape
+        if read_only:
+            for a in (W, T):
+                a.setflags(write=False)
+        ascending = np.sort(W, axis=1)
+        # three rows a block, so 1, 2, 3, 4, 7 and 11 rows are one block, a
+        # block less one row, exactly one, one and a row, and several
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_BLOCK_ELEMENTS", 3 * n)
+            assert kernels._row_blocks(B, n)[0] == slice(0, min(B, 3))
+            batch = _InstanceBatch(W, T, np.zeros(B))
+            assert _same_bits(batch.best_index, np.argmax(W, axis=1))
+            ranks = range(1, n + 1)
+            for j, column in zip(ranks, batch.largest(ranks)):
+                assert _same_bits(column, ascending[:, n - j])
+            for L in ranks:
+                top = np.ascontiguousarray(ascending[:, n - L :][:, ::-1])
+                assert _same_bits(batch.top_total(L), np.sum(top, axis=1))
+            state = kernels._threshold_state(W, T, tau)
+        assert _same_bits(state.bsf, np.max(W * (T <= tau), axis=1))
+        for a, b in zip(state, kernels._threshold_state(W, T, tau)):
+            assert _same_bits(a, b)
+
+    def test_rows_wider_than_a_block_are_read_one_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 4)
+        assert kernels._row_blocks(3, 10) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        assert kernels._row_blocks(0, 10) == []
+
+
 class TestBatchRatioForProfiles:
     def test_matches_generated_equivalent(self):
         # replaying the regenerated instances under the same seed redraws the
@@ -1827,6 +1897,30 @@ class TestBatchMemo:
     def _memo(self) -> _InstanceBatch:
         (batch,) = batches._last_batch.values()
         return batch
+
+    def test_reads_make_no_whole_batch_temporary(self):
+        # numpy copies a read-only input in argmax, np.sort copies its input
+        # and weights * pre is a product: read whole, each made a temporary
+        # the size of the weights (3.1 MiB here) beside them
+        cfg = replace(self._config(), family=InstanceFamily("exponential"), n=200,
+                      iterations=2000)
+        estimate_ratio(cfg)
+        memo = self._memo()
+        assert not memo.weights.flags.writeable
+        reads = {
+            "best_index": lambda batch: batch.best_index,
+            "new rank": lambda batch: batch.read_sorted(ranks=(10,)),
+            "threshold_state": lambda batch: batch.threshold_state(0.3),
+        }
+        for name, read in reads.items():
+            batch = _InstanceBatch(memo.weights, memo.times, memo.max_log)
+            tracemalloc.start()
+            try:
+                read(batch)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - kept < memo.weights.nbytes / 2, name
 
     def test_hit_equals_fresh_build(self, monkeypatch):
         calls = _counting_draws(monkeypatch)

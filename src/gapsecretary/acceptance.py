@@ -34,7 +34,6 @@ from .montecarlo import (
     GapSpec,
     estimate_l_selection,
     exact_expectation_small_n,
-    simulate_fixed_profile,
     simulate_fixed_profile_rules,
     sweep_k,
     sweep_sigma,
@@ -156,10 +155,10 @@ def check_two_three_tie_simulation(fast: bool = False) -> tuple[bool, str, str]:
     """Monte Carlo select-best probability of the strict rule on a tied
     instance matches the closed form within 0.01."""
     iters = _iters(10**5, 20_000, fast)
-    out = simulate_fixed_profile(
-        _tie_profile(), AlgorithmSpec("strict-classical", tau=0.359), iters, ACCEPTANCE_SEED
-    )
-    p = float(out["select_best"].mean())
+    rule = (AlgorithmSpec("strict-classical", tau=0.359), 0.0)
+    # the rule keeps only its select_best draws, reduced to their mean
+    reducer = (("select_best",), lambda out: float(out["select_best"].mean()))
+    (p,) = simulate_fixed_profile_rules(_tie_profile(), [rule], iters, ACCEPTANCE_SEED, reducer)
     formula = two_three_tie_prob(0.359)
     passed = abs(p - formula) <= 0.01
     return passed, f"mc={p:.5f} vs formula={formula:.5f} ({iters} draws)", "|mc - formula| <= 0.01"
@@ -262,6 +261,10 @@ def _mean_and_stderr(out: dict) -> tuple[float, float]:
     return float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(vals.size)
 
 
+# a rule keeps only its accept_weight draws, reduced to their mean and stderr
+_ACCEPT_WEIGHT = (("accept_weight",), _mean_and_stderr)
+
+
 def check_small_instance_oracle(fast: bool = False) -> tuple[bool, str, str]:
     """Monte Carlo agrees with exhaustive enumeration on every small random
     instance and every single-selection rule, within 3 standard errors; the
@@ -274,8 +277,6 @@ def check_small_instance_oracle(fast: bool = False) -> tuple[bool, str, str]:
     ok = abs(hand - 0.875) <= 1e-12
     worst_z = 0.0
     cells = 0
-    # each rule keeps only its accept_weight draws, reduced to their mean and stderr
-    reducer = (("accept_weight",), _mean_and_stderr)
     for n in (2, 3, 4, 5):
         for rep in range(5):
             rng = np.random.default_rng([ACCEPTANCE_SEED, 8, n, rep])
@@ -293,7 +294,7 @@ def check_small_instance_oracle(fast: bool = False) -> tuple[bool, str, str]:
                 (AlgorithmSpec("bounded", tau=tau, epsilon=eps), gap),
                 (AlgorithmSpec("robust", tau=tau, gamma=gamma), gap),
             ]
-            sims = simulate_fixed_profile_rules(prof, specs, iters, mc_seed, reducer)
+            sims = simulate_fixed_profile_rules(prof, specs, iters, mc_seed, _ACCEPT_WEIGHT)
             for (spec, g), (mc, se) in zip(specs, sims):
                 exact = exact_expectation_small_n(prof, spec, g)
                 cells += 1
@@ -348,16 +349,9 @@ def check_bounded_error_guarantee(fast: bool = False) -> tuple[bool, str, str]:
     for j, eps in enumerate((0.0, 0.05 * w1, 0.2 * w1)):
         signs = np.random.default_rng([ACCEPTANCE_SEED, 10, j]).integers(0, 2, iters) * 2 - 1
         predicted = np.maximum(gap + signs * eps, 0.0)
-        sim = simulate_fixed_profile(
-            prof,
-            AlgorithmSpec("bounded", tau=tau, epsilon=eps),
-            iters,
-            ACCEPTANCE_SEED + j,
-            gap_values=predicted,
-        )
-        vals = sim["accept_weight"]
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1)) / math.sqrt(iters)
+        rule = (AlgorithmSpec("bounded", tau=tau, epsilon=eps), predicted)
+        seed = ACCEPTANCE_SEED + j
+        ((mean, se),) = simulate_fixed_profile_rules(prof, [rule], iters, seed, _ACCEPT_WEIGHT)
         floor = alpha * w1 - 2.0 * eps - 3.0 * se
         rows.append(f"eps={eps:.2f}:{mean:.3f}>={floor:.3f}")
         ok = ok and mean >= floor

@@ -38,7 +38,7 @@ from .bounds import (
 from .generators import InstanceFamily, load_profiles, save_profiles, stream_seeding
 from .montecarlo import (
     ALGORITHM_TAGS,
-    GAP_TAGS,
+    _READS,
     AlgorithmSpec,
     ConfigError,
     ExperimentConfig,
@@ -251,17 +251,15 @@ def _gap(args, k: int | None) -> GapSpec:
 
 def _cell_columns(args, tag: str, tau: float, k, sigma) -> list:
     """The columns that tell a row's cell apart (k, tau, gamma, sigma, epsilon
-    and L), each written only for a rule that reads it."""
-    uses_gap = tag in GAP_TAGS
-    # the gap index is meaningless to l-select (its gap is index-free)
-    uses_k = uses_gap and tag != "l-select"
+    and L), each written only for a rule that reads it (``_READS``)."""
+    reads = _READS[tag]
     return [
-        k if uses_k and k is not None else "",
+        k if "k" in reads and k is not None else "",
         float(tau),
-        float(args.gamma) if tag == "robust" else "",
-        float(sigma) if (uses_gap and sigma != "") else "",
-        float(args.epsilon) if tag == "bounded" else "",
-        int(args.L) if tag == "l-select" else "",
+        float(args.gamma) if "gamma" in reads else "",
+        float(sigma) if "sigma" in reads and sigma != "" else "",
+        float(args.epsilon) if "epsilon" in reads else "",
+        int(args.L) if "L" in reads else "",
     ]
 
 

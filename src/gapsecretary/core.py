@@ -162,6 +162,12 @@ class SelectionOutcome:
         return self.accepted_index is not None
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; neither a bool nor a float is one, even a
+    whole float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_matching(profile: WeightProfile, arrivals: ArrivalDraw) -> None:
     if profile.n != arrivals.n:
         raise ValueError(

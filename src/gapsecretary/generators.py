@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ArrivalDraw, WeightProfile, normalize, normalize_rows
+from .core import ArrivalDraw, WeightProfile, _is_int, normalize, normalize_rows
 
 __all__ = [
     "FAMILY_TAGS",
@@ -49,7 +49,7 @@ class SeededRng:
 
     def __post_init__(self):
         seed = self.master_seed
-        if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        if not (_is_int(seed) and 0 <= seed < 2**64):
             raise ValueError("master seed must be a 64-bit non-negative integer")
 
     def stream(self, index: int) -> np.random.Generator:
@@ -196,7 +196,7 @@ class InstanceFamily:
     def __post_init__(self):
         if self.tag not in FAMILY_TAGS:
             raise ValueError(f"unknown family tag {self.tag!r}")
-        if not (isinstance(self.df, (int, np.integer)) and self.df >= 1):
+        if not (_is_int(self.df) and self.df >= 1):
             raise ValueError("chi-squared df must be an integer >= 1")
         if not self.factor > 0:
             raise ValueError("superstar factor must be positive")

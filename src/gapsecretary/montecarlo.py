@@ -45,7 +45,7 @@ from .batch import (
     regenerate_profiles,
 )
 from .bounds import tau_for_k
-from .core import WeightProfile
+from .core import WeightProfile, _is_int
 from .exact import exact_expectation_small_n
 from .generators import InstanceFamily
 from .kernels import (
@@ -76,27 +76,26 @@ __all__ = [
     "simulate_fixed_profile_rules",
 ]
 
-ALGORITHM_TAGS = (
-    "classical",
-    "exact-gap",
-    "robust",
-    "bounded",
-    "strict-classical",
-    "l-select",
-)
+# the cell fields each rule reads besides tau, named as their CSV columns:
+# a rule reading sigma uses a gap, and l-select's gap reads L, not k
+_READS = {
+    "classical": (),
+    "exact-gap": ("k", "sigma"),
+    "robust": ("k", "sigma", "gamma"),
+    "bounded": ("k", "sigma", "epsilon"),
+    "strict-classical": (),
+    "l-select": ("sigma", "L"),
+}
 
-GAP_TAGS = ("exact-gap", "robust", "bounded", "l-select")
+ALGORITHM_TAGS = tuple(_READS)
+
+GAP_TAGS = tuple(tag for tag, reads in _READS.items() if "sigma" in reads)
 
 CLASSICAL_BASELINE_TAU = 1.0 / math.e
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (maps to CLI usage errors)."""
-
-
-def _is_int(value) -> bool:
-    """A Python or numpy integer; a float is not one, even a whole one."""
-    return isinstance(value, (int, np.integer))
 
 
 def _check_iterations(iterations) -> None:
@@ -121,11 +120,11 @@ class AlgorithmSpec:
             raise ConfigError("tau, gamma and epsilon must be finite")
         if not 0.0 <= self.tau < 1.0:
             raise ConfigError("tau must lie in [0, 1)")
-        if self.tag == "robust" and not 0.0 <= self.gamma < 1.0 - self.tau:
+        if "gamma" in _READS[self.tag] and not 0.0 <= self.gamma < 1.0 - self.tau:
             raise ConfigError("gamma must lie in [0, 1 - tau)")
         if self.epsilon < 0.0:
             raise ConfigError("epsilon must be non-negative")
-        if self.tag == "l-select" and not (_is_int(self.L) and self.L >= 2):
+        if "L" in _READS[self.tag] and not (_is_int(self.L) and self.L >= 2):
             raise ConfigError("L must be an integer >= 2")
 
     @property
@@ -185,13 +184,13 @@ def _check_cell(n: int, algorithm: AlgorithmSpec, gap: GapSpec) -> None:
     """Reject a (rule, gap) pair that instances of size ``n`` cannot evaluate."""
     if gap.k is not None and gap.k > n:
         raise ConfigError(f"gap index k={gap.k} exceeds n={n}")
-    if algorithm.tag == "l-select":
+    if "L" in _READS[algorithm.tag]:
         # the auto-computed gap, L-th minus (L+1)-th largest weight, is index-free
         if algorithm.L > n:
             raise ConfigError(f"L={algorithm.L} exceeds n={n}")
         if gap.absolute is None and algorithm.L > n - 1:
             raise ConfigError("the auto-computed gap needs L <= n - 1")
-    elif algorithm.uses_gap and gap.k is None and gap.absolute is None:
+    elif "k" in _READS[algorithm.tag] and gap.k is None and gap.absolute is None:
         raise ConfigError("gap-using algorithms need a gap index k or an absolute gap value")
 
 
@@ -232,7 +231,7 @@ def _policy(algorithm: AlgorithmSpec) -> tuple[float, float, bool]:
     tag = algorithm.tag
     if tag == "l-select":
         raise ConfigError("l-select is not a threshold policy")
-    gamma = algorithm.gamma if tag == "robust" else 0.0
+    gamma = algorithm.gamma if "gamma" in _READS[tag] else 0.0
     return algorithm.tau, gamma, tag == "strict-classical"
 
 
@@ -257,9 +256,7 @@ def _gap_ranks(algorithm: AlgorithmSpec, gap) -> tuple[int, ...]:
     otherwise."""
     if not (algorithm.uses_gap and isinstance(gap, GapSpec) and gap.absolute is None):
         return ()
-    if algorithm.tag == "l-select":
-        return algorithm.L, algorithm.L + 1
-    return 1, gap.k
+    return (1, gap.k) if "k" in _READS[algorithm.tag] else (algorithm.L, algorithm.L + 1)
 
 
 def _threshold_term(algorithm: AlgorithmSpec, gap, max_log, batch: _InstanceBatch | None = None):
@@ -278,7 +275,7 @@ def _threshold_term(algorithm: AlgorithmSpec, gap, max_log, batch: _InstanceBatc
     """
     if not algorithm.uses_gap:
         return 0.0
-    epsilon = algorithm.epsilon if algorithm.tag == "bounded" else 0.0
+    epsilon = algorithm.epsilon if "epsilon" in _READS[algorithm.tag] else 0.0
     ranks = _gap_ranks(algorithm, gap)
     if ranks:
         above, below = batch.largest(ranks)
@@ -421,7 +418,7 @@ def _cell_key(algorithm: AlgorithmSpec, gap: GapSpec):
     and an absolute gap or l-select's index-free one ignores k."""
     if not algorithm.uses_gap:
         return algorithm, None
-    if gap.absolute is not None or algorithm.tag == "l-select":
+    if gap.absolute is not None or "k" not in _READS[algorithm.tag]:
         return algorithm, replace(gap, k=None)
     return algorithm, gap
 
@@ -488,28 +485,38 @@ def _resolve_tau(base_tau: float, k: int | None, tau_policy: str) -> float:
     return tau_for_k(k) if tau_policy == "from-k" else min(base_tau, tau_for_k(k))
 
 
+def _sweep(
+    config: ExperimentConfig, ks, sigmas, tau_policy: str, baseline: bool
+) -> list[SweepCell]:
+    """The configured rule at each gap index in ``ks`` (None is no index)
+    and each sigma, tau resolved per k, on one draw of the instances; with
+    ``baseline``, the classical rule at ``CLASSICAL_BASELINE_TAU`` after each
+    k's rows, unless the configured rule is the classical one."""
+    algo = config.algorithm
+    classical = AlgorithmSpec("classical", tau=CLASSICAL_BASELINE_TAU)
+    gaps = [replace(config.gap, sigma=float(s)) for s in sigmas]
+    cells = []
+    for k in ks:
+        tau = _resolve_tau(algo.tau, k, tau_policy)
+        cells += [(replace(algo, tau=tau), replace(g, k=k)) for g in gaps]
+        if baseline and algo.tag != "classical":
+            cells.append((classical, replace(config.gap, k=k, sigma=0.0)))
+    estimates = _on_generated(config, cells)
+    return [SweepCell(g.k, g.sigma, a.tag, a.tau, est) for (a, g), est in zip(cells, estimates)]
+
+
 def sweep_k(
     config: ExperimentConfig,
     ks,
     tau_policy: str = "fixed",
     include_baseline: bool = True,
 ) -> list[SweepCell]:
-    """One estimate per gap index in ``ks``, on shared instance draws.
+    """One estimate per gap index in ``ks`` at the config's sigma, on shared draws.
 
     The classical baseline ignores k, so it is computed once (at
     ``CLASSICAL_BASELINE_TAU``) and repeated after each k row.
     """
-    algo = config.algorithm
-    baseline = AlgorithmSpec("classical", tau=CLASSICAL_BASELINE_TAU)
-    with_baseline = include_baseline and algo.tag != "classical"
-    cells = []
-    for k in ks:
-        gap = replace(config.gap, k=int(k))
-        cells.append((replace(algo, tau=_resolve_tau(algo.tau, gap.k, tau_policy)), gap))
-        if with_baseline:
-            cells.append((baseline, replace(gap, sigma=0.0)))
-    estimates = _on_generated(config, cells)
-    return [SweepCell(g.k, g.sigma, a.tag, a.tau, est) for (a, g), est in zip(cells, estimates)]
+    return _sweep(config, ks, [config.gap.sigma], tau_policy, include_baseline)
 
 
 def sweep_sigma(
@@ -521,17 +528,7 @@ def sweep_sigma(
     At sigma = 0 the predicted gap vanishes, so gap algorithms coincide with
     the classical rule at the same tau draw-for-draw.
     """
-    algo = config.algorithm
-    sigmas = [float(s) for s in sigmas]
-    ks = [k if k is None else int(k) for k in ks]
-    cells = [
-        (replace(algo, tau=_resolve_tau(algo.tau, k, tau_policy)),
-         replace(config.gap, k=k, sigma=s))
-        for k in ks
-        for s in sigmas
-    ]
-    estimates = _on_generated(config, cells)
-    return [SweepCell(g.k, g.sigma, a.tag, a.tau, est) for (a, g), est in zip(cells, estimates)]
+    return _sweep(config, ks, sigmas, tau_policy, False)
 
 
 def batch_ratio_for_profiles(
@@ -654,6 +651,8 @@ def estimate_l_selection(
     """
     if fixed_profile is None:
         return estimate_ratio(config)
+    if fixed_profile.n != config.n:
+        raise ConfigError(f"fixed_profile has n={fixed_profile.n}, the config n={config.n}")
     return batch_ratio_for_profiles(
         [fixed_profile] * config.iterations, config.algorithm, config.gap, config.master_seed
     )

@@ -748,6 +748,37 @@ class TestSpecsValidation:
         with pytest.raises(ConfigError, match=match):
             make(InstanceFamily("exponential"), AlgorithmSpec("classical"))
 
+    @pytest.mark.parametrize(
+        ("make", "error", "match"),
+        [
+            (lambda fam, algo: ExperimentConfig(fam, 10, True, algo), ConfigError, "iterations must"),
+            (lambda fam, algo: ExperimentConfig(fam, True, 3, algo), ConfigError, "n must"),
+            (
+                lambda fam, algo: simulate_fixed_profile(WeightProfile.from_weights([2.0, 1.0]), algo, True, 1),
+                ConfigError,
+                "iterations must",
+            ),
+            (
+                lambda fam, algo: simulate_fixed_profile(WeightProfile.from_weights([2.0, 1.0]), algo, 4, True),
+                ConfigError,
+                "seed must",
+            ),
+            (
+                lambda fam, algo: estimate_ratio(ExperimentConfig(fam, 10, 3, algo, master_seed=True)),
+                ValueError,
+                "master seed must",
+            ),
+            (lambda fam, algo: SeededRng(False), ValueError, "master seed must"),
+            (lambda fam, algo: InstanceFamily("chi_squared", df=True), ValueError, "df must"),
+        ],
+        ids=["iterations", "n", "fixed-iterations", "fixed-seed", "master-seed", "rng-seed", "df"],
+    )
+    def test_a_bool_is_not_an_integer(self, make, error, match):
+        # each ran as 1 or 0 (iterations=True ran one iteration, master_seed=True
+        # seed 1), or failed in numpy
+        with pytest.raises(error, match=match):
+            make(InstanceFamily("exponential"), AlgorithmSpec("classical"))
+
     def test_numpy_integer_sizes_are_accepted(self):
         cfg = ExperimentConfig(
             InstanceFamily("exponential"), np.int64(10), np.int32(40),
@@ -948,6 +979,42 @@ class TestSweeps:
             )
             assert c.estimate == estimate_ratio(single)
 
+    @pytest.mark.parametrize("tag", montecarlo.ALGORITHM_TAGS)
+    def test_sweep_k_is_sweep_sigma_at_the_config_sigma(self, tag):
+        cfg = ExperimentConfig(
+            InstanceFamily("exponential"),
+            30,
+            100,
+            AlgorithmSpec(tag, tau=0.3, gamma=0.1, epsilon=0.1, L=2),
+            GapSpec(k=2, sigma=0.8),
+            master_seed=SEED,
+        )
+        for policy in ("fixed", "from-k"):
+            by_k = sweep_k(cfg, [2, 5, 9], policy, include_baseline=False)
+            assert by_k == sweep_sigma(cfg, [0.8], [2, 5, 9], policy)
+
+    def test_sweeps_hold_float_sigma_and_check_k_alike(self):
+        cfg = ExperimentConfig(
+            InstanceFamily("exponential"),
+            20,
+            50,
+            AlgorithmSpec("exact-gap", tau=0.2),
+            GapSpec(k=2, sigma=1),
+            master_seed=SEED,
+        )
+        assert [type(c.sigma) for c in sweep_k(cfg, [2, 3])] == [float] * 4
+        assert [type(c.sigma) for c in sweep_sigma(cfg, [0, 1], [2])] == [float] * 2
+        # an index gap without its index: sweep_k raised a TypeError from int(None)
+        with pytest.raises(ConfigError, match="gap index k"):
+            sweep_k(cfg, [None])
+        with pytest.raises(ConfigError, match="gap index k"):
+            sweep_sigma(cfg, [1.0], [None])
+        # a float index is no index, as in GapSpec: both sweeps ran 2.5 as k = 2
+        with pytest.raises(ConfigError, match="k must be an integer"):
+            sweep_k(cfg, [2.5])
+        with pytest.raises(ConfigError, match="k must be an integer"):
+            sweep_sigma(cfg, [1.0], [3.0])
+
     @pytest.mark.parametrize(
         "policy,evaluated", [("fixed", 2), ("from-k", 4)], ids=["fixed", "from-k"]
     )
@@ -997,6 +1064,32 @@ class TestSweeps:
         cells = sweep_sigma(robust, [0.0, 0.5, 1.0], [2, 10, 50])
         assert calls == {"passes": 3, "gaps": 3 * 9}
         assert len(cells) == 9
+
+
+class TestRuleFields:
+    # a new value for each cell field a rule may read besides tau
+    CHANGED = {"k": 5, "sigma": 0.5, "gamma": 0.3, "epsilon": 0.5, "L": 3}
+
+    @pytest.mark.parametrize("tag", montecarlo.ALGORITHM_TAGS)
+    def test_a_rule_reads_the_fields_its_table_entry_names(self, tag):
+        # the table decides which cells share a key and which CSV columns a
+        # rule writes: a field it leaves out must not move the estimate by a
+        # bit, and one it names must move it
+        base = ExperimentConfig(
+            InstanceFamily("exponential"),
+            20,
+            300,
+            AlgorithmSpec(tag, tau=0.2, L=2),
+            GapSpec(k=2),
+            master_seed=SEED,
+        )
+        est = estimate_ratio(base)
+        for field, value in self.CHANGED.items():
+            if field in ("k", "sigma"):
+                cfg = replace(base, gap=replace(base.gap, **{field: value}))
+            else:
+                cfg = replace(base, algorithm=replace(base.algorithm, **{field: value}))
+            assert (estimate_ratio(cfg) == est) == (field not in montecarlo._READS[tag]), field
 
 
 class TestQualitativeSweepBehavior:
@@ -1573,6 +1666,19 @@ class TestLSelectionEstimation:
                 GapSpec(absolute=1.0),
                 master_seed=SEED,
             )
+
+    def test_fixed_profile_must_have_the_config_n(self):
+        # a 10-weight profile ran at n = 10 under a config of n = 50
+        cfg = ExperimentConfig(
+            InstanceFamily("exponential"),
+            50,
+            10,
+            AlgorithmSpec("l-select", tau=0.3, L=2),
+            master_seed=SEED,
+        )
+        prof = WeightProfile.from_weights(np.arange(1.0, 11.0))
+        with pytest.raises(ConfigError, match="n=10.*n=50"):
+            estimate_l_selection(cfg, fixed_profile=prof)
 
     def test_all_zero_fixed_profile_rejected(self):
         cfg = ExperimentConfig(

@@ -42,9 +42,8 @@ MAX_TIE_N = 10**6
 # rounds to 0, and past about 10^308 the index no longer fits a float).
 MAX_INDEX = 2**53
 
-# Points per block of the bounds scans (the frontier grid, the acceptance
-# gate's scan over gap indices): no grid or index array either scan makes
-# is larger.
+# Gap indices per block of the acceptance gate's scan of the exact-gap bound
+# over k: no index array the scan makes is larger.
 BLOCK_POINTS = 2**16
 
 
@@ -157,7 +156,7 @@ def guarantee_exact_gap(k: int) -> float:
     return max(0.4, 0.5 * math.exp(-math.log(k + 1) / k))
 
 
-def _schedule_terms(tau, gamma, logs=None, out=None):
+def _schedule_terms(tau, gamma, logs=None):
     """Robustness and the two small-gap terms of the robust-consistent bound,
     vectorized.
 
@@ -166,23 +165,16 @@ def _schedule_terms(tau, gamma, logs=None, out=None):
     alpha2     : (1/2) [(1+gamma)(1-tau-gamma) + tau ln(1/tau) + tau ln(1/(1-gamma))]
 
     ``logs`` may give (ln(1/tau), ln(1/(1-gamma))) already computed, shaped
-    like ``tau`` and ``gamma``, and ``out`` three arrays of the broadcast
-    shape to write the terms into.
+    like ``tau`` and ``gamma``.
     """
     tau = np.asarray(tau, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     if logs is None:
         logs = np.log(1.0 / tau), np.log(1.0 / (1.0 - gamma))
     log_tau, log_gamma = logs
-    rob, alpha1, alpha2 = (None, None, None) if out is None else out
-    rob = np.multiply(tau, log_gamma, out=rob)
-    alpha1 = np.subtract(1.0 - gamma, tau, out=alpha1)
-    alpha1 += rob
-    alpha2 = np.subtract(1.0 - tau, gamma, out=alpha2)
-    alpha2 *= 1.0 + gamma
-    alpha2 += tau * log_tau
-    alpha2 += rob
-    alpha2 *= 0.5
+    rob = tau * log_gamma
+    alpha1 = (1.0 - gamma) - tau + rob
+    alpha2 = (((1.0 - tau) - gamma) * (1.0 + gamma) + tau * log_tau + rob) * 0.5
     return rob, alpha1, alpha2
 
 
@@ -241,17 +233,18 @@ def frontier(
     (tau, gamma). Targets beyond the grid's reach come back infeasible.
     The worst-case aggregation is the k = 2 frontier (see ``consistency``).
 
-    The grid is built in blocks of tau rows of at most ``BLOCK_POINTS``
-    points, each cut to the columns where gamma < 1 - tau at its smallest
-    tau. A block's points are sorted once by robustness, descending, with a
-    running maximum of consistency, so every target is one binary search
-    into each block. Blocks are merged in grid order, a later one winning
-    only by a strictly larger consistency.
+    Along a tau row, on gamma < 1 - tau, robustness strictly rises with
+    gamma and consistency never does: d(alpha1)/d(gamma) = -1 +
+    tau/(1-gamma) < 0, d(alpha2)/d(gamma) = (1/2) gamma (tau/(1-gamma) - 2)
+    <= 0, and the gap-case term does not read gamma. So a row's best point
+    for r is its first column whose robustness reaches r, one binary search
+    per row. Rows are taken in grid order, a later one winning only by a
+    strictly larger consistency.
     """
     targets = list(robustness_targets)
     if not targets:
         raise ValueError("at least one robustness target required")
-    if any(r < 0 for r in targets):
+    if any(not r >= 0 for r in targets):
         raise ValueError("robustness targets must be non-negative")
     if not MIN_GRID_STEP <= grid_step <= 0.1:
         raise ValueError(f"grid step must lie in [{MIN_GRID_STEP}, 0.1]")
@@ -263,7 +256,7 @@ def frontier(
     _check_k(k)
     _, alpha3, alpha4 = _alpha_terms(taus, k)
     gap_case = np.maximum(alpha3, alpha4)
-    # the 1-D log terms, taken once over the whole axes so that every block's
+    # the 1-D log terms, taken once over the whole axes so that every row's
     # grid values equal those of the whole grid bit for bit
     log_tau = np.log(1.0 / taus)
     log_gamma = np.log(1.0 / (1.0 - gammas))
@@ -272,32 +265,16 @@ def frontier(
     best = np.full(r.size, -np.inf)
     best_tau = np.zeros(r.size, dtype=np.intp)
     best_gamma = np.zeros(r.size, dtype=np.intp)
-    # every block writes into the same buffers, so the blocks reuse their pages
-    work = np.empty((4, BLOCK_POINTS))
-    invalid = np.empty(BLOCK_POINTS, dtype=bool)
-    lo = 0
-    while lo < taus.size:
-        # the block's first row has the most valid columns
-        cols = int(np.searchsorted(gammas, (1.0 - taus[lo]) - 1e-9))
-        if cols == 0:
-            break
-        hi = min(taus.size, lo + BLOCK_POINTS // cols)
-        size = (hi - lo) * cols
-        rob, cons, alpha2, spare = (w[:size].reshape(hi - lo, cols) for w in work)
-        t = taus[lo:hi, None]
-        g = gammas[None, :cols]
-        _schedule_terms(t, g, (log_tau[lo:hi, None], log_gamma[None, :cols]), (rob, cons, alpha2))
-        np.minimum(cons, alpha2, out=cons)
-        np.minimum(cons, gap_case[lo:hi, None], out=cons)
-        mask = np.greater_equal(g, (1.0 - t) - 1e-9, out=invalid[:size].reshape(hi - lo, cols))
-        cons[mask] = -np.inf
-        scratch = (alpha2.ravel(), spare.ravel(), invalid[:size])
-        value, at = _best_above(rob.ravel(), cons.ravel(), r, scratch)
+    for i, tau in enumerate(taus):
+        cols = int(np.searchsorted(gammas, (1.0 - tau) - 1e-9))  # gamma < 1 - tau
+        rob, alpha1, alpha2 = _schedule_terms(tau, gammas[:cols], (log_tau[i], log_gamma[:cols]))
+        cons = np.minimum(np.minimum(alpha1, alpha2), gap_case[i])
+        at = np.searchsorted(rob, r)  # the first column reaching r, cols if none does
+        value = np.append(cons, -np.inf)[at]
         better = value > best
         best[better] = value[better]
-        best_tau[better] = lo + at[better] // cols
-        best_gamma[better] = at[better] % cols
-        lo = hi
+        best_tau[better] = i
+        best_gamma[better] = at[better]
 
     points = []
     for target, value, ti, gi in zip(targets, best, best_tau, best_gamma):
@@ -308,35 +285,6 @@ def frontier(
                 FrontierPoint(float(target), float(taus[ti]), float(gammas[gi]), float(value))
             )
     return points
-
-
-def _best_above(rob, cons, targets, scratch):
-    """For each target r, the largest consistency among the points with
-    robustness >= r and the first point holding it, as (value, index);
-    the value is -inf where no point qualifies or all that do are -inf.
-
-    ``cons`` is overwritten. ``scratch`` is two float arrays and a bool
-    array of the same size, also overwritten.
-    """
-    sorted_rob, sorted_cons, flags = scratch
-    ascending = np.argsort(rob)
-    order = ascending[::-1]  # robustness descending: each target takes a prefix
-    np.take(rob, ascending, out=sorted_rob)
-    np.take(cons, order, out=sorted_cons)
-    top = np.maximum.accumulate(sorted_cons, out=cons)
-    # only a point at the running maximum can answer a target
-    at_top = np.flatnonzero(np.equal(sorted_cons, top, out=flags))
-    value = sorted_cons[at_top]
-    index = order[at_top]
-    # among equal values the smallest index wins: a running minimum that
-    # restarts where the value rises, each run offset by its number times a
-    # span above every index so that earlier runs stay out of it
-    run = np.cumsum(np.concatenate(([0], value[1:] > value[:-1])))
-    span = rob.size + 1
-    first = np.minimum.accumulate(index - run * span) + run * span
-    count = rob.size - np.searchsorted(sorted_rob, targets)
-    last = np.searchsorted(at_top, count) - 1  # the last such point in the prefix
-    return np.where(last >= 0, value[last], -np.inf), first[last]
 
 
 def guarantee_bounded_error(tau: float, k: int) -> GuaranteeReport:

@@ -35,6 +35,11 @@ __all__ = [
 FAMILY_TAGS = ("pareto_power", "exponential", "chi_squared", "exp_superstar")
 
 
+def _is_seed(seed) -> bool:
+    """A master seed ``SeededRng`` takes: a 64-bit non-negative integer."""
+    return _is_int(seed) and 0 <= seed < 2**64
+
+
 @dataclass(frozen=True)
 class SeededRng:
     """Derives reproducible random streams from one 64-bit master seed.
@@ -48,8 +53,7 @@ class SeededRng:
     master_seed: int
 
     def __post_init__(self):
-        seed = self.master_seed
-        if not (_is_int(seed) and 0 <= seed < 2**64):
+        if not _is_seed(self.master_seed):
             raise ValueError("master seed must be a 64-bit non-negative integer")
 
     def stream(self, index: int) -> np.random.Generator:

@@ -47,7 +47,7 @@ from .batch import (
 from .bounds import tau_for_k
 from .core import WeightProfile, _is_int
 from .exact import exact_expectation_small_n
-from .generators import InstanceFamily
+from .generators import InstanceFamily, _is_seed
 from .kernels import (
     _fixed_profile_pass,
     _fixed_profile_state,
@@ -177,6 +177,8 @@ class ExperimentConfig:
         if not (_is_int(self.n) and self.n >= 1):
             raise ConfigError("n must be an integer >= 1")
         _check_iterations(self.iterations)
+        if not _is_seed(self.master_seed):
+            raise ConfigError("master seed must be a 64-bit non-negative integer")
         _check_cell(self.n, self.algorithm, self.gap)
 
 
@@ -497,10 +499,11 @@ def _sweep(
     gaps = [replace(config.gap, sigma=float(s)) for s in sigmas]
     cells = []
     for k in ks:
+        at_k = replace(config.gap, k=k)  # GapSpec checks k before tau_for_k reads it
         tau = _resolve_tau(algo.tau, k, tau_policy)
         cells += [(replace(algo, tau=tau), replace(g, k=k)) for g in gaps]
         if baseline and algo.tag != "classical":
-            cells.append((classical, replace(config.gap, k=k, sigma=0.0)))
+            cells.append((classical, replace(at_k, sigma=0.0)))
     estimates = _on_generated(config, cells)
     return [SweepCell(g.k, g.sigma, a.tag, a.tau, est) for (a, g), est in zip(cells, estimates)]
 

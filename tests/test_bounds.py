@@ -216,7 +216,7 @@ def _whole_grid(grid_step, k_aggregation):
 
 def _three_pass_frontier(targets, grid):
     """The frontier search as three full-grid passes per target (mask,
-    where, argmax): the reference for the blocked search."""
+    where, argmax): the reference for the row search."""
     taus, gammas, rob, cons = grid
     points = []
     for r in targets:
@@ -231,6 +231,12 @@ def _three_pass_frontier(targets, grid):
 
 
 AGGREGATIONS = ["worst-case", 2, 7, 100]
+
+
+def _flat_gap_case(tau, k):
+    """A gap-case term of 0.3 at every tau, in place of ``_alpha_terms``: it
+    binds on much of the grid, so points of many rows tie exactly."""
+    return None, np.full_like(tau, 0.3), np.full_like(tau, 0.3)
 
 
 class TestFrontier:
@@ -269,22 +275,36 @@ class TestFrontier:
         )
 
     def test_ties_go_to_the_first_grid_point(self, monkeypatch):
-        # a gap-case term of 0.3 at every tau binds on much of the grid, so
-        # points of many rows, and of many blocks of 3 rows, tie exactly
-        def flat_gap_case(tau, k):
-            return None, np.full_like(tau, 0.3), np.full_like(tau, 0.3)
-
-        monkeypatch.setattr(bounds, "_alpha_terms", flat_gap_case)
-        monkeypatch.setattr(bounds, "BLOCK_POINTS", 300)
+        monkeypatch.setattr(bounds, "_alpha_terms", _flat_gap_case)
         targets = [0.0, 0.01, 0.05, 0.1, 0.15, 0.2, 0.25]
         points = frontier(targets, grid_step=0.01)
         assert [p.consistency for p in points[:3]] == [0.3] * 3
         assert repr(points) == repr(_three_pass_frontier(targets, _whole_grid(0.01, 2)))
 
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([0.001, 0.0037, 0.01, 0.05, 0.1]),
+        st.sampled_from([*AGGREGATIONS, "flat"]),
+    )
+    def test_rows_rise_in_robustness_and_fall_in_consistency(self, grid_step, k_aggregation):
+        # the invariant the row search rests on: on a row's valid columns, a
+        # prefix, the first column reaching a target holds the row's best
+        with pytest.MonkeyPatch.context() as patch:
+            if k_aggregation == "flat":
+                patch.setattr(bounds, "_alpha_terms", _flat_gap_case)
+                k_aggregation = 2
+            _, _, rob, cons = _whole_grid(grid_step, k_aggregation)
+        valid = cons > -np.inf
+        assert valid[:, 0].all() and (valid[:, 1:] <= valid[:, :-1]).all()
+        pairs = valid[:, 1:]
+        assert (np.diff(rob, axis=1)[pairs] > 0).all()
+        with np.errstate(invalid="ignore"):  # -inf - -inf past the valid columns
+            assert (np.diff(cons, axis=1)[pairs] <= 0).all()
+
     def test_traced_memory_at_finest_grid(self):
-        # the whole grid at this step took 126 MiB; blocks of BLOCK_POINTS
-        # points keep the search under 16 MiB (numpy reports its array
-        # allocations to tracemalloc)
+        # the whole grid at this step took 126 MiB; one row at a time keeps
+        # the search under 16 MiB (numpy reports its array allocations to
+        # tracemalloc)
         tracemalloc.start()
         try:
             frontier([0.0, 0.1, 0.2, 0.3], grid_step=0.0005)
@@ -332,6 +352,10 @@ class TestFrontier:
             frontier([0.1], grid_step=1e-6)
         with pytest.raises(ValueError):
             frontier([-0.1])
+        # NaN passed the r < 0 check and came back an infeasible point
+        with pytest.raises(ValueError, match="must be non-negative"):
+            frontier([0.1, math.nan])
+        assert not frontier([math.inf], grid_step=0.1)[0].feasible
 
 
 class TestGuaranteeBoundedError:

@@ -730,6 +730,13 @@ class TestSpecsValidation:
         # l-select's auto gap is index-free
         ExperimentConfig(fam, 10, 5, AlgorithmSpec("l-select", L=2))
 
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64], ids=["float", "negative", "65-bit"])
+    def test_config_checks_the_master_seed(self, seed):
+        # each was accepted here and failed at the first draw, in SeededRng
+        with pytest.raises(ConfigError, match="master seed must"):
+            ExperimentConfig(InstanceFamily("exponential"), 10, 3, AlgorithmSpec("classical"), master_seed=seed)
+        ExperimentConfig(InstanceFamily("exponential"), 10, 3, AlgorithmSpec("classical"), master_seed=2**64 - 1)
+
     @pytest.mark.parametrize(
         ("make", "match"),
         [
@@ -764,8 +771,8 @@ class TestSpecsValidation:
                 "seed must",
             ),
             (
-                lambda fam, algo: estimate_ratio(ExperimentConfig(fam, 10, 3, algo, master_seed=True)),
-                ValueError,
+                lambda fam, algo: ExperimentConfig(fam, 10, 3, algo, master_seed=True),
+                ConfigError,
                 "master seed must",
             ),
             (lambda fam, algo: SeededRng(False), ValueError, "master seed must"),
@@ -1014,6 +1021,18 @@ class TestSweeps:
             sweep_k(cfg, [2.5])
         with pytest.raises(ConfigError, match="k must be an integer"):
             sweep_sigma(cfg, [1.0], [3.0])
+
+    @pytest.mark.parametrize("policy", ["fixed", "from-k", "min"])
+    def test_sweeps_check_k_before_tau(self, policy):
+        # from-k and min read a float k in bounds.tau_for_k first, which
+        # raised its own ValueError rather than a ConfigError
+        cfg = ExperimentConfig(
+            InstanceFamily("exponential"), 20, 50, AlgorithmSpec("exact-gap", tau=0.2), GapSpec(k=2)
+        )
+        with pytest.raises(ConfigError, match="k must be an integer >= 2"):
+            sweep_k(cfg, [2.5], tau_policy=policy)
+        with pytest.raises(ConfigError, match="k must be an integer >= 2"):
+            sweep_sigma(cfg, [1.0], [2.5], tau_policy=policy)
 
     @pytest.mark.parametrize(
         "policy,evaluated", [("fixed", 2), ("from-k", 4)], ids=["fixed", "from-k"]

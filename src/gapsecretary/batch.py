@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import WeightProfile, normalize_rows
+from .core import WeightProfile, _is_int, normalize_rows
 from .generators import InstanceFamily, SeededRng
 from .kernels import _narrowed_state, _row_blocks, _threshold_state, _ThresholdState
 
@@ -204,6 +204,8 @@ def regenerate_profiles(
 ) -> list[WeightProfile]:
     """The instances an experiment with this (family, n, seed) draws, in
     iteration order, as raw profiles."""
+    if not (_is_int(iterations) and iterations >= 1):
+        raise ValueError("iterations must be an integer >= 1")
     _, log_weights = _draw_rows(family, n, range(iterations), master_seed)
     return [WeightProfile(row) for row in log_weights]
 

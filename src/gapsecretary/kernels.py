@@ -43,6 +43,10 @@ running minima over their arrival positions, and the kernel walks the hits
 alone, every row's r-th hit in round r. The top-L total, which does not
 depend on the gap, comes from the batch.
 
+Both threshold kernels return one record per draw, two (rows,) arrays:
+``accept_index``, the accepted element or -1 when none is, and ``ratio``,
+its weight in the row's normalized units or 0.0 when none is accepted.
+
 Every kernel takes normalized weights and gaps only. The per-draw runners in
 ``algorithms`` are the tests' reference for every kernel, and the row kernel
 on a broadcast weight vector is the reference for the fixed-profile one.
@@ -140,8 +144,9 @@ def _narrowed_state(state: _ThresholdState, tau: float) -> _ThresholdState:
 
 def _threshold_pass(state: _ThresholdState, gaps, gamma: float = 0.0, strict: bool = False):
     """Run the threshold rules that share ``state`` over a chunk of draws
-    once for each gap in ``gaps``, yielding one result dict per gap, in
-    order.
+    once for each gap in ``gaps``, yielding per gap, in order, a dict of
+    (B,) arrays: ``accept_index``, the accepted element or -1, and
+    ``ratio``, its weight or 0.0.
 
     Each gap is a scalar or (B,) array in the units of the chunk's weights.
     Mirrors the per-draw runners in ``algorithms``: threshold max(best-so-far,
@@ -183,14 +188,9 @@ def _threshold_pass(state: _ThresholdState, gaps, gamma: float = 0.0, strict: bo
         run = np.searchsorted(starts, hits, side="right") - 1
         firsts = np.diff(run, prepend=-1) != 0
         first, accepted = hits[firsts], rows.take(run[firsts])
-        out = {
-            "accept_index": np.full(B, -1, dtype=np.intp),
-            "accept_weight": np.zeros(B),
-            "accept_time": np.full(B, np.nan),
-        }
+        out = {"accept_index": np.full(B, -1, dtype=np.intp), "ratio": np.zeros(B)}
         out["accept_index"][accepted] = index.take(first)
-        out["accept_weight"][accepted] = weight.take(first)
-        out["accept_time"][accepted] = time.take(first)
+        out["ratio"][accepted] = weight.take(first)
         yield out
 
 
@@ -225,12 +225,14 @@ def _fixed_profile_pass(
     strict: bool = False,
 ) -> dict:
     """One threshold policy at the ``tau`` of ``state`` over the (n, B)
-    arrival-time columns ``cols`` of the weight vector ``w``.
+    arrival-time columns ``cols`` of the weight vector ``w``, as a dict of
+    (B,) arrays: ``accept_index``, the accepted element or -1, and
+    ``ratio``, its weight in ``w`` or 0.0.
 
     The first arrival walks the columns in index order and takes a candidate
     only at a strictly earlier time, so tied times go to the lower index, as
-    ``argmin`` gives them in the row kernel; it is kept as index plus one, 0
-    when none.
+    the row kernel gives them; it is kept as index plus one, 0 when none,
+    beside its arrival time, which only the sweep reads.
     """
     if strict and gamma > 0.0:
         raise ValueError("strict comparison has no late phase")
@@ -253,8 +255,7 @@ def _fixed_profile_pass(
         np.minimum(first_t, t + ~cand * 2.0, out=first_t)
     return {
         "accept_index": np.subtract(first, 1, dtype=np.intp),
-        "accept_weight": np.concatenate(([0.0], w)).take(first),
-        "accept_time": np.where(first > 0, first_t, np.nan),
+        "ratio": np.concatenate(([0.0], w)).take(first),
     }
 
 

@@ -103,6 +103,11 @@ def _check_iterations(iterations) -> None:
         raise ConfigError("iterations must be an integer >= 1")
 
 
+def _check_master_seed(master_seed) -> None:
+    if not _is_seed(master_seed):
+        raise ConfigError("master seed must be a 64-bit non-negative integer")
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """Algorithm tag plus the parameters it actually uses."""
@@ -177,8 +182,7 @@ class ExperimentConfig:
         if not (_is_int(self.n) and self.n >= 1):
             raise ConfigError("n must be an integer >= 1")
         _check_iterations(self.iterations)
-        if not _is_seed(self.master_seed):
-            raise ConfigError("master seed must be a 64-bit non-negative integer")
+        _check_master_seed(self.master_seed)
         _check_cell(self.n, self.algorithm, self.gap)
 
 
@@ -337,10 +341,10 @@ def _l_select_outcomes(batch: _InstanceBatch, algorithm: AlgorithmSpec, gap: Gap
 
 
 def _threshold_outcomes(out: dict, best_index) -> dict:
-    """A threshold kernel's arrays on normalized weights, plus per-row
-    ``ratio``, ``select_best`` (accepting ``best_index``, one per row or one
-    for all) and ``none``."""
-    out["ratio"] = out["accept_weight"]  # normalized max weight is exactly 1
+    """A threshold kernel's record on normalized weights, ``accept_index``
+    and ``ratio`` (the normalized maximum is exactly 1, so the accepted
+    weight is the ratio), plus per-row ``select_best`` (accepting
+    ``best_index``, one per row or one for all) and ``none``."""
     out["select_best"] = out["accept_index"] == best_index
     out["none"] = out["accept_index"] < 0
     return out
@@ -461,7 +465,11 @@ def _on_generated(config: ExperimentConfig, cells, reducer=_ESTIMATE) -> list:
 
 
 def per_iteration_outcomes(config: ExperimentConfig) -> dict:
-    """Raw per-iteration outcomes for one experiment cell (validation surface)."""
+    """Raw per-iteration outcomes for one experiment cell (validation
+    surface), one array per field: for a single-selection rule
+    ``accept_index`` (-1 when nothing is accepted), ``ratio``,
+    ``select_best`` and ``none``; for l-select ``ratio``, ``select_best``
+    and ``none``."""
     return _on_generated(config, [(config.algorithm, config.gap)], _KEEP_ALL)[0]
 
 
@@ -542,6 +550,7 @@ def batch_ratio_for_profiles(
 ) -> RatioEstimate:
     """Estimate on user-supplied instances (replay files); stream i of the
     master seed provides iteration i's arrival draw."""
+    _check_master_seed(master_seed)
     profiles = list(profiles)
     if not profiles:
         raise ConfigError("need at least one profile")
@@ -568,9 +577,12 @@ def simulate_fixed_profile(
     ``gap_values`` (a scalar, or an array with one value per iteration) is
     interpreted in the profile's raw units and must be finite and
     non-negative. Arrival times come from one stream derived from ``seed``,
-    a non-negative integer, drawn block by block in iteration order, so the values do not depend on
-    the block size. Returns per-iteration arrays, with accepted weights both
-    normalized (``ratio``) and in raw units (``accept_weight``).
+    a non-negative integer, drawn block by block in iteration order, so the
+    values do not depend on the block size. Returns one array per field, one
+    entry per iteration: ``accept_index`` (-1 when nothing is accepted), the
+    accepted weight normalized (``ratio``) and in raw units
+    (``accept_weight``), 0.0 when nothing is accepted, ``select_best`` and
+    ``none``.
     """
     return simulate_fixed_profile_rules(profile, [(algorithm, gap_values)], iterations, seed)[0]
 

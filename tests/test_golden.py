@@ -33,7 +33,10 @@ already normalized would change both digests.
 No CLI command reaches ``simulate_fixed_profile``, so its arrays are pinned
 apart: a digest over every returned key, with its dtype, shape and bytes,
 recorded before the fixed-profile kernel moved from the broadcast row kernel
-to a column sweep over one weight vector. The cases cover all five rules,
+to a column sweep over one weight vector, and re-pinned when the record
+dropped its unread ``accept_time`` field, to the digest of the other five
+fields (``accept_index``, ``ratio``, ``select_best``, ``none`` and the raw
+``accept_weight``) computed on the code before that change. The cases cover all five rules,
 n in {1, 2, 5, 200}, tied weights, a zero weight, all-zero profiles, tau = 0,
 scalar and per-iteration gaps, and a 60,000 x 200 run, which is three chunks.
 """
@@ -334,19 +337,19 @@ FIXED_PROFILE = {
 }
 
 FIXED_PROFILE_GOLDEN = {
-    "bounded/n-200": "1983765bead936f297f0df2dfe0ad2fb6df7b186688abd06711d0bb405054c15",
-    "bounded/n-5/tied-and-zero": "6a6593ef2a95d96042b3d307497883cb7f74941e9d16c6c94f3422c7b286af2f",
-    "classical/all-zero": "aac8e9b90c01183c5f060b251fd454317694973eb683ba1af6c8b3a90fcfa566",
-    "classical/n-1": "e01b89d9da0f078a3c57ca12dd7ad0e4dbede98a6d29e0823cb2fbcf85f6df79",
-    "classical/n-5/tau-0": "9044a23170dc8d1ad9ec9b3b6eb2b4696e8fd843ddd4603757b49eba31036eeb",
-    "exact-gap/all-zero": "2c1404bb51e71de163f3fb9a43c034104f4aa450937675de2a299b76c3f6743a",
-    "exact-gap/n-2": "861d2492c876e98b20e4b02075d6af050a808c791d4d9a63f4a178886526cbfb",
-    "exact-gap/n-5/gap-array": "a7a1fb4c52963b3aecd4332c0bbd75c58fa26432c3d5412bc3ee17bdff017625",
-    "robust/n-200/gap-array/three-chunks": "c628098e3ca83c123f1d85eac5db0369078be8d2a6a12ac3cae8fd389acc02b3",
-    "robust/n-5": "72b955e418c597c91a97be75bb2bd5c682a5c8a2e9beab4a1321c048393bb934",
-    "robust/n-5/tied/gap-array": "1aa1291c3b257f3994863a7d5b83c96f6d3c783f12a113471f10f8475102d60e",
-    "strict-classical/n-2/tied": "c43581b4b895ec199226bdb65f6bcba542e7b6a75ebc2f154c30dab5a4a06cba",
-    "strict-classical/n-5/tied": "069bc7fab3f05bc73c4aa205f928661dfb5195d75995b65f759c7b733dadd436",
+    "bounded/n-200": "384d71aa5fb7720901681b40598c842747570208b8d5632db27bcb2cf230f030",
+    "bounded/n-5/tied-and-zero": "895778089b36c3fde2ded577c909ce8dd7a573bba479e1f437dd658dce1def28",
+    "classical/all-zero": "072e1b2a8889ab854690f6bbfffbeb22bc3d6540d699524d0b2b5b9be1544a17",
+    "classical/n-1": "ece95afaf8b3b13484564a73437677fbb2bf8e67ba192e0ac297c5d2fe6cfc2d",
+    "classical/n-5/tau-0": "eafcb560fc9c37175ebf057aa52359aa6973d11947a8bfb61261a1a8d4993bf9",
+    "exact-gap/all-zero": "6efc70ea72d481d4fd47d5e58f5b780df17330bfcfd86c7a54098d5c7f708207",
+    "exact-gap/n-2": "0a9d5afdcf0f7bd0d2f2510f9c6a9faddb6f26568488ee1a33011da284e16c95",
+    "exact-gap/n-5/gap-array": "73beb6cbcdaf579158659891e59bda44a7cc82906e6d45725ad9999012765014",
+    "robust/n-200/gap-array/three-chunks": "c8a8f984ec5dbdfc8aab20f96cac145abd76ea798fc4f514d781e5828609168d",
+    "robust/n-5": "0d467800d2e69278cbfe3479c3a760c4ee2c3c26ce61cfc3f3d7acd5eddafee5",
+    "robust/n-5/tied/gap-array": "61546a5f070c2b6c1ecdbc91368601f08081e866bf007c3b1296faef9e9e64b4",
+    "strict-classical/n-2/tied": "73251d41f906e13d06277cfb6ebcea6d808d76d10f12f5ed63355dd3856f5c16",
+    "strict-classical/n-5/tied": "fed04a339b9e67c0baaed22f636be3121cc81a09bd38b5b34c54407e530c392f",
 }
 
 

@@ -72,8 +72,7 @@ def _dense_reference(weights, times, tau, gap=0.0, gamma=0.0, strict=False) -> d
     has = cand[r, first]
     return {
         "accept_index": np.where(has, first, -1),
-        "accept_weight": np.where(has, weights[r, first], 0.0),
-        "accept_time": np.where(has, times[r, first], np.nan),
+        "ratio": np.where(has, weights[r, first], 0.0),
     }
 
 
@@ -179,7 +178,6 @@ class TestKernelMatchesScalarRunners:
                     )
                     if ref.accepted:
                         assert out["accept_index"][row] == ref.accepted_index
-                        assert out["accept_time"][row] == ref.accept_time
                     else:
                         assert out["accept_index"][row] == -1, (spec.tag, trial, row)
         with pytest.raises(ConfigError):
@@ -309,8 +307,7 @@ class TestGroupedRowKernel:
                 where = (spec, row)
                 if ref.accepted:
                     assert out["accept_index"][row] == ref.accepted_index, where
-                    assert out["accept_time"][row] == ref.accept_time, where
-                    assert out["accept_weight"][row] == norm[row, ref.accepted_index], where
+                    assert out["ratio"][row] == norm[row, ref.accepted_index], where
                 else:
                     assert out["accept_index"][row] == -1, where
 
@@ -335,12 +332,10 @@ def _check_fixed_profile(weights, T, spec: AlgorithmSpec, gaps):
         where = (spec, row)
         if scalar.accepted:
             assert got["accept_index"][row] == scalar.accepted_index, where
-            assert got["accept_time"][row] == scalar.accept_time, where
-            assert got["accept_weight"][row] == w[scalar.accepted_index], where
+            assert got["ratio"][row] == w[scalar.accepted_index], where
         else:
             assert got["accept_index"][row] == -1, where
-            assert got["accept_weight"][row] == 0.0, where
-            assert np.isnan(got["accept_time"][row]), where
+            assert got["ratio"][row] == 0.0, where
 
 
 class TestFixedProfileKernel:
@@ -1255,6 +1250,54 @@ class TestEnumerationOracle:
             assert abs(vals.mean() - exact) <= 4 * se
 
 
+class TestOutcomeRecords:
+    """The per-draw record each surface returns: the threshold kernels
+    ``accept_index`` and ``ratio`` alone, the drivers add ``select_best``
+    and ``none``, and the fixed-profile helpers the raw ``accept_weight``."""
+
+    THRESHOLD = {"accept_index", "ratio", "select_best", "none"}
+
+    def test_kernels_return_index_and_ratio(self):
+        rng = np.random.default_rng(3)
+        weights, times = rng.random((6, 4)), rng.random((6, 4))
+        assert set(_one_gap(weights, times, 0.3, 0.5)) == {"accept_index", "ratio"}
+        assert set(_run_fixed_profile(weights[0], times, 0.3, 0.5)) == {"accept_index", "ratio"}
+
+    @pytest.mark.parametrize(
+        ("algo", "fields"),
+        [
+            (AlgorithmSpec("robust", tau=0.2, gamma=0.1), THRESHOLD),
+            (AlgorithmSpec("l-select", tau=0.2, L=2), {"ratio", "select_best", "none"}),
+        ],
+        ids=["threshold", "l-select"],
+    )
+    def test_cell_records(self, algo, fields):
+        cfg = ExperimentConfig(InstanceFamily("exponential"), 8, 5, algo, GapSpec(k=2), master_seed=1)
+        assert set(per_iteration_outcomes(cfg)) == fields
+
+    @pytest.mark.parametrize(
+        "log_weights",
+        [np.log([4.0, 1.0, 2.5, 3.0, 0.5]), [800.0, 799.0, -np.inf, 799.5], [-np.inf] * 3],
+        ids=["normal", "overflowing", "all-zero"],
+    )
+    def test_fixed_profile_record_holds_the_raw_weight(self, log_weights):
+        prof = WeightProfile(np.asarray(log_weights))
+        for tag in ("classical", "strict-classical", "exact-gap", "bounded", "robust"):
+            spec = AlgorithmSpec(tag, tau=0.3, gamma=0.2 if tag == "robust" else 0.0)
+            out = simulate_fixed_profile(prof, spec, 300, 2, gap_values=0.5)
+            assert set(out) == self.THRESHOLD | {"accept_weight"}, tag
+            ratio = out["ratio"]
+            with np.errstate(over="ignore", invalid="ignore"):
+                raw = np.where(ratio > 0.0, ratio * np.exp(prof.max_log_weight), 0.0)
+            assert np.array_equal(out["accept_weight"], raw), tag
+
+    def test_fixed_profile_holds_26_bytes_per_draw(self):
+        prof = WeightProfile.from_weights([4.0, 1.0, 2.5, 3.0, 0.5])
+        iters = 200_000
+        out = simulate_fixed_profile(prof, AlgorithmSpec("classical", tau=0.3), iters, 1)
+        assert sum(a.nbytes for a in out.values()) == 26 * iters
+
+
 class TestSimulateFixedProfile:
     def test_deterministic(self):
         prof = WeightProfile.from_weights([3.0, 1.0, 2.0])
@@ -1396,7 +1439,7 @@ class TestSimulateFixedProfile:
 
     def test_kept_field_alone_holds_its_own_bytes(self):
         # an accept_weight-only reducer keeps one 8-byte field, not the
-        # 6.8 MB buffer of all six
+        # 5.2 MB buffer of all five
         prof = WeightProfile.from_weights([4.0, 1.0, 2.5, 3.0, 0.5])
         rules = [(AlgorithmSpec("robust", tau=0.35, gamma=0.25), 1.5)]
         iters = 200_000
@@ -1645,6 +1688,29 @@ class TestBatchRatioForProfiles:
         ]
         with pytest.raises(ConfigError):
             batch_ratio_for_profiles(profiles, AlgorithmSpec("classical"), GapSpec(), 0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, 2**64], ids=["negative", "float", "bool", "65-bit"])
+    def test_master_seed_checked_before_any_draw(self, seed, monkeypatch):
+        # each was accepted here and failed at the first chunk, in SeededRng
+        def no_draw(*args):
+            raise AssertionError("arrival times were drawn")
+
+        monkeypatch.setattr(montecarlo, "_replay_batch", no_draw)
+        profiles = [WeightProfile.from_weights([1.0, 2.0, 3.0])] * 4
+        with pytest.raises(ConfigError, match="master seed must"):
+            batch_ratio_for_profiles(profiles, AlgorithmSpec("classical"), GapSpec(), seed)
+
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    @pytest.mark.parametrize("iterations", [0, -1, 2.0, True])
+    def test_regenerate_checks_iterations_before_any_draw(self, tag, iterations, monkeypatch):
+        # pareto returned [] at 0 iterations; the other families failed inside
+        # numpy, on a zero-size reduction
+        def no_draw(*args):
+            raise AssertionError("a stream was drawn")
+
+        monkeypatch.setattr(batches, "_draw_rows", no_draw)
+        with pytest.raises(ValueError, match="iterations must be an integer >= 1"):
+            regenerate_profiles(InstanceFamily(tag), 5, iterations, 1)
 
 
 class TestLSelectionEstimation:

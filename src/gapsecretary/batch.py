@@ -34,6 +34,9 @@ rank columns and the three candidate arrays of one ``tau``, 24 bytes per
 candidate: about 0.5 MB at ``tau`` = 0.2, n = 200 and 5000 iterations,
 24 MB at ``tau`` = 0), also while other work that draws nothing runs in
 the same process.
+The module defines no public function: every entry point, including
+``regenerate_profiles``, is in ``montecarlo``, which checks the run
+(``montecarlo._check_run``) before it calls anything here.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import WeightProfile, _is_int, normalize_rows
+from .core import normalize_rows
 from .generators import InstanceFamily, SeededRng
 from .kernels import _narrowed_state, _row_blocks, _threshold_state, _ThresholdState
 
@@ -197,17 +200,6 @@ def _replay_batch(profiles, master_seed: int, rows: range) -> _InstanceBatch:
         pass
     log_weights = np.stack([profiles[i].log_weights for i in rows])
     return _normalized_batch(times, log_weights)
-
-
-def regenerate_profiles(
-    family: InstanceFamily, n: int, iterations: int, master_seed: int
-) -> list[WeightProfile]:
-    """The instances an experiment with this (family, n, seed) draws, in
-    iteration order, as raw profiles."""
-    if not (_is_int(iterations) and iterations >= 1):
-        raise ValueError("iterations must be an integer >= 1")
-    _, log_weights = _draw_rows(family, n, range(iterations), master_seed)
-    return [WeightProfile(row) for row in log_weights]
 
 
 def _generated_batch(config, rows: range) -> _InstanceBatch:

@@ -44,6 +44,7 @@ from .montecarlo import (
     ExperimentConfig,
     GapSpec,
     RatioEstimate,
+    _check_run,
     _resolve_tau,
     batch_ratio_for_profiles,
     estimate_ratio,
@@ -306,6 +307,8 @@ def cmd_simulate(args) -> int:
         if len(sizes) != 1:
             raise UsageError("profiles file must contain instances of one size")
         args.n = sizes.pop()
+        # before the slice: a negative --iters would count from the end
+        _check_run(args.n, args.iters, args.seed)
         if args.iters > len(profiles):
             raise UsageError(
                 f"profiles file provides {len(profiles)} instances, fewer than --iters"

@@ -202,8 +202,8 @@ class InstanceFamily:
             raise ValueError(f"unknown family tag {self.tag!r}")
         if not (_is_int(self.df) and self.df >= 1):
             raise ValueError("chi-squared df must be an integer >= 1")
-        if not self.factor > 0:
-            raise ValueError("superstar factor must be positive")
+        if not (math.isfinite(self.factor) and self.factor > 0):
+            raise ValueError("superstar factor must be finite and positive")
 
     def generate(self, n: int, rng: np.random.Generator) -> WeightProfile:
         if self.tag == "pareto_power":
@@ -348,13 +348,14 @@ def save_profiles(
 def load_profiles(path) -> tuple[list[WeightProfile], dict]:
     """Read a replay file written by :func:`save_profiles`.
 
-    Returns the profiles plus the parsed header metadata.
+    Returns the profiles plus the parsed header metadata. A row that is not
+    a profile raises ``ValueError`` prefixed with ``<path>:<line>:``.
     """
     path = Path(path)
     meta: dict = {}
     profiles: list[WeightProfile] = []
     with path.open("r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
@@ -364,9 +365,10 @@ def load_profiles(path) -> tuple[list[WeightProfile], dict]:
                         key, val = token.split("=", 1)
                         meta[key] = val
                 continue
-            profiles.append(
-                WeightProfile(np.array([float(v) for v in line.split(",")]))
-            )
+            try:
+                profiles.append(WeightProfile(np.array([float(v) for v in line.split(",")])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not profiles:
         raise ValueError(f"no profiles found in {path}")
     return profiles, meta

@@ -1,8 +1,11 @@
 """The driver layer: experiment cells, the chunked driver, sweeps and the
 public estimators. The kernels, the instance batches and the enumeration
 oracle are the modules ``kernels``, ``batch`` and ``exact``;
-``regenerate_profiles`` and ``exact_expectation_small_n`` are re-exported
-here.
+``exact_expectation_small_n`` is re-exported here. Every public entry point
+is defined here, ``regenerate_profiles`` included, and each checks its run
+with ``_check_run`` (n and iterations integers >= 1, the master seed a
+64-bit non-negative integer; neither a bool nor a float is an integer)
+before it draws or allocates anything.
 
 Reproducibility contract: the draws for iteration i are a pure function of
 (master_seed, i), so results are bit-identical across runs and across chunk
@@ -39,10 +42,10 @@ import numpy as np
 
 from .batch import (
     _arrival_columns,
+    _draw_rows,
     _generated_batch,
     _InstanceBatch,
     _replay_batch,
-    regenerate_profiles,
 )
 from .bounds import tau_for_k
 from .core import WeightProfile, _is_int
@@ -98,12 +101,15 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (maps to CLI usage errors)."""
 
 
-def _check_iterations(iterations) -> None:
+def _check_run(n, iterations, master_seed) -> None:
+    """Reject a run that cannot be drawn: ``n`` instance size and
+    ``iterations`` integers >= 1, ``master_seed`` the 64-bit non-negative
+    integer ``SeededRng`` takes. The one statement of the rule; every entry
+    point calls it before it draws or allocates anything."""
+    if not (_is_int(n) and n >= 1):
+        raise ConfigError("n must be an integer >= 1")
     if not (_is_int(iterations) and iterations >= 1):
         raise ConfigError("iterations must be an integer >= 1")
-
-
-def _check_master_seed(master_seed) -> None:
     if not _is_seed(master_seed):
         raise ConfigError("master seed must be a 64-bit non-negative integer")
 
@@ -179,10 +185,7 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not (_is_int(self.n) and self.n >= 1):
-            raise ConfigError("n must be an integer >= 1")
-        _check_iterations(self.iterations)
-        _check_master_seed(self.master_seed)
+        _check_run(self.n, self.iterations, self.master_seed)
         _check_cell(self.n, self.algorithm, self.gap)
 
 
@@ -550,15 +553,25 @@ def batch_ratio_for_profiles(
 ) -> RatioEstimate:
     """Estimate on user-supplied instances (replay files); stream i of the
     master seed provides iteration i's arrival draw."""
-    _check_master_seed(master_seed)
     profiles = list(profiles)
     if not profiles:
         raise ConfigError("need at least one profile")
     n = profiles[0].n
     if any(p.n != n for p in profiles):
         raise ConfigError("all profiles must have the same size")
+    _check_run(n, len(profiles), master_seed)
     batch_of = partial(_replay_batch, profiles, master_seed)
     return _run_cells(n, len(profiles), batch_of, [(algorithm, gap)])[0]
+
+
+def regenerate_profiles(
+    family: InstanceFamily, n: int, iterations: int, master_seed: int
+) -> list[WeightProfile]:
+    """The instances an experiment with this (family, n, seed) draws, in
+    iteration order, as raw profiles."""
+    _check_run(n, iterations, master_seed)
+    _, log_weights = _draw_rows(family, n, range(iterations), master_seed)
+    return [WeightProfile(row) for row in log_weights]
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +590,10 @@ def simulate_fixed_profile(
     ``gap_values`` (a scalar, or an array with one value per iteration) is
     interpreted in the profile's raw units and must be finite and
     non-negative. Arrival times come from one stream derived from ``seed``,
-    a non-negative integer, drawn block by block in iteration order, so the
-    values do not depend on the block size. Returns one array per field, one
-    entry per iteration: ``accept_index`` (-1 when nothing is accepted), the
-    accepted weight normalized (``ratio``) and in raw units
+    a 64-bit non-negative integer, drawn block by block in iteration order,
+    so the values do not depend on the block size. Returns one array per
+    field, one entry per iteration: ``accept_index`` (-1 when nothing is
+    accepted), the accepted weight normalized (``ratio``) and in raw units
     (``accept_weight``), 0.0 when nothing is accepted, ``select_best`` and
     ``none``.
     """
@@ -601,9 +614,7 @@ def simulate_fixed_profile_rules(
     pass over it. A row that accepts nothing reads 0.0 in ``accept_weight``,
     also when the profile's raw maximum overflows.
     """
-    _check_iterations(iterations)
-    if not (_is_int(seed) and seed >= 0):
-        raise ConfigError("seed must be a non-negative integer")
+    _check_run(profile.n, iterations, seed)
     rules = list(rules)
     w = profile.normalized_weights
     m = profile.max_log_weight

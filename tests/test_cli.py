@@ -89,8 +89,12 @@ class TestValidation:
             (["--family", "pareto", "--n", "1"], "needs n >= 2"),
             (["--family", "exp-superstar", "--n", "1"], "needs n >= 2"),
             (["--family", "chisq", "--df", "0"], "df must be an integer >= 1"),
+            (
+                ["--family", "exp-superstar", "--superstar-factor", "inf"],
+                "superstar factor must be finite and positive",
+            ),
         ],
-        ids=["pareto-n1", "superstar-n1", "chisq-df0"],
+        ids=["pareto-n1", "superstar-n1", "chisq-df0", "superstar-factor-inf"],
     )
     def test_family_precondition_exits_2(self, flags, message, capsys):
         code, out, err = run(["simulate", "--algo", "classical", "--iters", "5"] + flags, capsys)
@@ -108,6 +112,29 @@ class TestValidation:
         assert out == ""
         assert "--dump-profiles" in err and "--profiles-file" in err
         assert not dump.exists()
+
+    @pytest.mark.parametrize(
+        ("rows", "iters", "message"),
+        [
+            (["0.0,1.0,2.0", "0.0,1.0"], "2", "profiles file must contain instances of one size"),
+            (["0.0,1.0,2.0"] * 5, "6", "profiles file provides 5 instances, fewer than --iters"),
+            (["0.0,1.0,2.0"] * 5, "0", "iterations must be an integer >= 1"),
+            (["0.0,1.0,2.0"] * 5, "-3", "iterations must be an integer >= 1"),
+            (["0.0,1.0,2.0", "0.0,,2.0"], "2", "{path}:3: could not convert string to float"),
+        ],
+        ids=["mixed-sizes", "iters-above-count", "iters-0", "iters-negative", "malformed-row"],
+    )
+    def test_replay_input_errors_exit_2(self, rows, iters, message, tmp_path, capsys):
+        # --iters -3 exited 0 on the file's first 2 instances: the list of 5
+        # was sliced from its end
+        replay, out_csv = tmp_path / "instances.txt", tmp_path / "out.csv"
+        replay.write_text("# family=custom\n" + "".join(f"{row}\n" for row in rows))
+        argv = ["simulate", "--algo", "classical", "--profiles-file", str(replay),
+                "--iters", iters, "--out", str(out_csv)]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert message.format(path=replay) in err
+        assert not out_csv.exists()
 
     def test_missing_gap_index(self, capsys):
         code, _, err = run(["simulate", "--family", "exp", "--algo", "exact-gap"], capsys)

@@ -225,6 +225,13 @@ class TestInstanceFamily:
         with pytest.raises(ValueError):
             InstanceFamily("exp_superstar", factor=-1.0)
 
+    @pytest.mark.parametrize("factor", [math.inf, math.nan, 0.0], ids=["inf", "nan", "zero"])
+    def test_superstar_factor_must_be_finite_and_positive(self, factor):
+        # an infinite factor was accepted here and failed at the first draw,
+        # with a message about weights
+        with pytest.raises(ValueError, match="superstar factor must be finite and positive"):
+            InstanceFamily("exp_superstar", factor=factor)
+
 
 class TestReplayFiles:
     def test_round_trip(self, tmp_path):
@@ -247,6 +254,22 @@ class TestReplayFiles:
         save_profiles(path, [prof])
         loaded, _ = load_profiles(path)
         assert np.array_equal(loaded[0].log_weights, prof.log_weights)
+
+    @pytest.mark.parametrize(
+        ("row", "message"),
+        [
+            ("1.0,,2.0", "could not convert string to float"),
+            ("1.0,nan,2.0", "log-weights must be finite or -inf"),
+            ("1.0,inf,2.0", "log-weights must be finite or -inf"),
+        ],
+        ids=["empty-field", "nan", "inf"],
+    )
+    def test_bad_row_names_its_file_and_line(self, row, message, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# family=custom\n0.0,1.0,2.0\n\n{row}\n")
+        with pytest.raises(ValueError) as info:
+            load_profiles(path)
+        assert str(info.value).startswith(f"{path}:4: {message}")
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"

@@ -1,6 +1,7 @@
 """Read from the source with ``ast``: the engine's modules import only the
 layers below them, so the enumeration oracle stays independent of what it
-checks, and only the batch layer names the memo."""
+checks, only the batch layer names the memo, the batch layer defines no
+public function, and the run rule is stated once."""
 
 import ast
 from pathlib import Path
@@ -19,11 +20,15 @@ FORBIDDEN = {
 }
 
 
+def _tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
 def _package_imports(module: str) -> set[str]:
     """The package modules, or names of the package itself, that a module's
     source imports anywhere in it."""
     found = set()
-    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -57,7 +62,7 @@ def _names(module: str) -> set[str]:
     """Every name a module's source reads, binds, imports or takes as an
     attribute."""
     found = set()
-    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -71,3 +76,38 @@ def test_only_batch_names_the_memo():
     # the memo is dropped by the batch layer's draws alone
     naming = sorted(p.stem for p in PACKAGE.glob("*.py") if "_last_batch" in _names(p.stem))
     assert naming == ["batch"]
+
+
+def test_batch_defines_no_public_function():
+    # every entry point is in montecarlo, which checks the run first
+    public = [node.name for node in _tree("batch").body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+    assert public == []
+    assert "regenerate_profiles" in {node.name for node in _tree("montecarlo").body
+                                     if isinstance(node, ast.FunctionDef)}
+
+
+def _stating(message: str) -> list[str]:
+    """The top-level definitions of the package whose source holds the
+    string ``message``, as ``module.name``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _tree(path.stem).body:
+            if any(isinstance(c, ast.Constant) and c.value == message for c in ast.walk(node)):
+                found.append(f"{path.stem}.{getattr(node, 'name', '?')}")
+    return found
+
+
+@pytest.mark.parametrize(
+    ("message", "owners"),
+    [
+        ("n must be an integer >= 1", ["montecarlo._check_run"]),
+        ("iterations must be an integer >= 1", ["montecarlo._check_run"]),
+        # SeededRng keeps its own check: generators cannot import the spec layer
+        ("master seed must be a 64-bit non-negative integer",
+         ["generators.SeededRng", "montecarlo._check_run"]),
+    ],
+    ids=["n", "iterations", "seed"],
+)
+def test_run_rule_stated_once(message, owners):
+    assert _stating(message) == owners

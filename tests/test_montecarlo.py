@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -799,6 +800,86 @@ class TestSpecsValidation:
         assert estimate_ratio(cfg) == estimate_l_selection(cfg)
 
 
+_RUN_PROFILE = WeightProfile.from_weights([3.0, 2.0, 1.0])
+_RUN_RULE = AlgorithmSpec("classical", tau=0.3)
+
+# every engine entry point, called with a run's (n, iterations, seed), and
+# the arguments of the run it takes; a replay's n and iteration count are
+# its profiles' size and number
+RUN_ENTRY_POINTS = {
+    "ExperimentConfig": (
+        lambda n, iterations, seed: ExperimentConfig(
+            InstanceFamily("exponential"), n, iterations, _RUN_RULE, master_seed=seed
+        ),
+        ("n", "iterations", "seed"),
+    ),
+    "batch_ratio_for_profiles": (
+        lambda n, iterations, seed: batch_ratio_for_profiles(
+            [_RUN_PROFILE] * iterations, _RUN_RULE, GapSpec(), seed
+        ),
+        ("seed",),
+    ),
+    "simulate_fixed_profile": (
+        lambda n, iterations, seed: simulate_fixed_profile(_RUN_PROFILE, _RUN_RULE, iterations, seed),
+        ("iterations", "seed"),
+    ),
+    "simulate_fixed_profile_rules": (
+        lambda n, iterations, seed: montecarlo.simulate_fixed_profile_rules(
+            _RUN_PROFILE, [(_RUN_RULE, 0.0)], iterations, seed
+        ),
+        ("iterations", "seed"),
+    ),
+    "regenerate_profiles": (
+        lambda n, iterations, seed: regenerate_profiles(
+            InstanceFamily("exponential"), n, iterations, seed
+        ),
+        ("n", "iterations", "seed"),
+    ),
+}
+
+BAD_SIZES = {"float": 2.0, "bool": True, "zero": 0, "negative": -1}
+BAD_SEEDS = {"negative": -1, "float": 1.5, "bool": True, "65-bit": 2**64}
+RUN_MESSAGES = {
+    "n": "n must be an integer >= 1",
+    "iterations": "iterations must be an integer >= 1",
+    "seed": "master seed must be a 64-bit non-negative integer",
+}
+
+
+class TestRunCheck:
+    """One table of bad runs against every entry point: each is rejected by
+    ``_check_run`` with its rule's message before anything is drawn."""
+
+    @pytest.mark.parametrize(
+        ("entry", "arg", "value"),
+        [
+            pytest.param(entry, arg, value, id=f"{entry}-{arg}-{name}")
+            for entry, (_, takes) in RUN_ENTRY_POINTS.items()
+            for arg in takes
+            for name, value in (BAD_SEEDS if arg == "seed" else BAD_SIZES).items()
+        ],
+    )
+    def test_bad_run_rejected_before_any_draw(self, entry, arg, value, monkeypatch):
+        # regenerate_profiles raised numpy's TypeError at n = 2.0, and the
+        # fixed-profile entry points ran at seed 2**64
+        def no_draw(*args):
+            raise AssertionError("arrival times were drawn")
+
+        monkeypatch.setattr(batches, "_arrival_rows", no_draw)
+        monkeypatch.setattr(montecarlo, "_arrival_columns", no_draw)
+        call, _ = RUN_ENTRY_POINTS[entry]
+        run = {"n": 3, "iterations": 4, "seed": 1, arg: value}
+        with pytest.raises(ConfigError, match=f"^{re.escape(RUN_MESSAGES[arg])}$"):
+            call(**run)
+
+    @pytest.mark.parametrize("entry", RUN_ENTRY_POINTS)
+    def test_good_run_accepted(self, entry):
+        # the table's calls run when nothing in them is bad, at the edges
+        # of the rule
+        call, _ = RUN_ENTRY_POINTS[entry]
+        call(n=1, iterations=1, seed=2**64 - 1)
+
+
 class TestEstimateRatio:
     def test_single_element_analytic(self):
         cfg = ExperimentConfig(
@@ -1362,9 +1443,9 @@ class TestSimulateFixedProfile:
     @pytest.mark.parametrize(
         ("iterations", "seed", "match"),
         [
-            (4, 1.5, "seed must be a non-negative integer"),
-            (4, 1.0, "seed must be a non-negative integer"),
-            (4, -1, "seed must be a non-negative integer"),
+            (4, 1.5, "master seed must be a 64-bit non-negative integer"),
+            (4, 1.0, "master seed must be a 64-bit non-negative integer"),
+            (4, -1, "master seed must be a 64-bit non-negative integer"),
             (2.5, 1, "iterations must be an integer"),
             (4.0, 1, "iterations must be an integer"),
         ],
@@ -1708,8 +1789,8 @@ class TestBatchRatioForProfiles:
         def no_draw(*args):
             raise AssertionError("a stream was drawn")
 
-        monkeypatch.setattr(batches, "_draw_rows", no_draw)
-        with pytest.raises(ValueError, match="iterations must be an integer >= 1"):
+        monkeypatch.setattr(batches, "_arrival_rows", no_draw)
+        with pytest.raises(ConfigError, match="iterations must be an integer >= 1"):
             regenerate_profiles(InstanceFamily(tag), 5, iterations, 1)
 
 

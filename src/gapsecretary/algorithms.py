@@ -4,6 +4,12 @@ All runners are pure functions. They compare weights in the profile's
 normalized linear view and rescale the supplied gap into the same units, so
 outcomes match the raw-scale definitions exactly (scale covariance) while
 staying safe for profiles whose raw linear weights would over/underflow.
+
+Each argument rule is stated once, on the path every runner takes:
+``_check_tau`` (tau in [0, 1)) in the prologue of ``_first_acceptance`` and
+of ``run_l_selection_gap``, and the gap test in ``_normalized_view``, which
+every runner's gap passes through: a negative or NaN gap is refused, and a
++inf gap accepts nothing. ``L`` is an integer (``core._check_index``).
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArrivalDraw, SelectionOutcome, WeightProfile, _check_matching
+from .core import ArrivalDraw, SelectionOutcome, WeightProfile, _check_index, _check_matching
 
 __all__ = [
     "PolicySchedule",
@@ -30,14 +36,14 @@ __all__ = [
 @dataclass(frozen=True)
 class PolicySchedule:
     """Waiting time ``tau`` plus the late-phase length ``gamma`` used by the
-    robust-consistent algorithm (``gamma = 0`` disables the late phase)."""
+    robust-consistent algorithm (``gamma = 0`` disables the late phase).
+    ``tau`` obeys the runners' rule, ``_check_tau``."""
 
     tau: float
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.tau < 1.0:
-            raise ValueError("tau must lie in [0, 1)")
+        _check_tau(self.tau)
         if not 0.0 <= self.gamma < 1.0 - self.tau:
             raise ValueError("gamma must lie in [0, 1 - tau)")
 
@@ -64,6 +70,7 @@ class MultiSelectionOutcome:
 
 
 def _check_tau(tau: float) -> None:
+    """The waiting-time rule of every runner: tau in [0, 1), so not NaN."""
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must lie in [0, 1)")
 
@@ -71,10 +78,14 @@ def _check_tau(tau: float) -> None:
 def _normalized_view(profile: WeightProfile, gap: float) -> tuple[np.ndarray, float]:
     """Normalized weights plus the gap rescaled into the same units.
 
-    Saturation is the right answer at the extremes: a gap that dwarfs every
-    representable weight maps to +inf (nothing passes), a negligible one
-    maps to 0.
+    The gap rule of every runner: the gap is non-negative, so not NaN; +inf
+    is legal and accepts nothing (``core.true_gap`` returns it when the raw
+    weights overflow). Saturation is the right answer at the extremes: a gap
+    that dwarfs every representable weight maps to +inf (nothing passes), a
+    negligible one maps to 0.
     """
+    if not gap >= 0.0:
+        raise ValueError(f"gap must be non-negative, got {gap}")
     m = profile.max_log_weight
     w = profile.normalized_weights
     if gap == 0.0 or m == -math.inf or m == 0.0:
@@ -96,8 +107,10 @@ def _first_acceptance(
 
     Until time ``1 - gamma`` the threshold is max(best-so-far, gap); after
     that it drops to best-so-far alone. ``strict`` switches the comparison
-    from >= to > (and is only used with ``gap = 0``).
+    from >= to > (and is only used with ``gap = 0``). The prologue checks
+    tau, the draw's size and the gap for all five single-selection runners.
     """
+    _check_tau(tau)
     _check_matching(profile, arrivals)
     w, gap = _normalized_view(profile, gap)
     times = arrivals.times
@@ -122,7 +135,6 @@ def _first_acceptance(
 def run_classical(profile: WeightProfile, arrivals: ArrivalDraw, tau: float) -> SelectionOutcome:
     """Classical secretary rule: accept the first element after ``tau`` whose
     weight is at least the best weight observed during the waiting phase."""
-    _check_tau(tau)
     return _first_acceptance(profile, arrivals, tau, 0.0)
 
 
@@ -131,9 +143,6 @@ def run_exact_gap(
 ) -> SelectionOutcome:
     """Gap-augmented rule: accept the first post-``tau`` element with weight
     at least max(best-so-far, c)."""
-    _check_tau(tau)
-    if c < 0.0:
-        raise ValueError("gap must be non-negative")
     return _first_acceptance(profile, arrivals, tau, c)
 
 
@@ -148,8 +157,6 @@ def run_robust_consistent(
     Between ``tau`` and ``1 - gamma`` the threshold is max(best-so-far,
     c_hat); afterwards the gap is dropped and only best-so-far remains.
     """
-    if c_hat < 0.0:
-        raise ValueError("predicted gap must be non-negative")
     return _first_acceptance(
         profile, arrivals, schedule.tau, c_hat, gamma=schedule.gamma
     )
@@ -163,9 +170,13 @@ def run_bounded_error(
     epsilon: float,
 ) -> SelectionOutcome:
     """Bounded-error rule: threshold term is the prediction lowered by the
-    error bound, max(c_tilde - epsilon, 0)."""
-    _check_tau(tau)
-    if c_tilde < 0.0 or epsilon < 0.0:
+    error bound, max(c_tilde - epsilon, 0).
+
+    The term would hide a negative ``c_tilde``, so both are tested here
+    (NaN fails too). ``epsilon = inf`` gives the classical rule; with
+    ``c_tilde = inf`` too the term is NaN, which the gap rule refuses.
+    """
+    if not (c_tilde >= 0.0 and epsilon >= 0.0):
         raise ValueError("predicted gap and error bound must be non-negative")
     return _first_acceptance(profile, arrivals, tau, max(c_tilde - epsilon, 0.0))
 
@@ -175,7 +186,6 @@ def run_strict_classical(
 ) -> SelectionOutcome:
     """Classical rule with a strict comparison: elements tying the observed
     maximum are rejected."""
-    _check_tau(tau)
     return _first_acceptance(profile, arrivals, tau, 0.0, strict=True)
 
 
@@ -200,13 +210,9 @@ def run_l_selection_gap(
     arrival is accepted; this is what keeps the reference set equal to the
     top-L qualifying weights seen so far, which the guarantee relies on.
     """
-    _check_matching(profile, arrivals)
     _check_tau(tau)
-    if c < 0.0:
-        raise ValueError("gap must be non-negative")
-    if not 1 <= L <= profile.n:
-        raise ValueError(f"L={L} out of range [1, {profile.n}]")
-
+    _check_matching(profile, arrivals)
+    _check_index(L, "L", 1, profile.n)
     w, gap = _normalized_view(profile, c)
     times = arrivals.times
     pre_idx = [int(i) for i in arrivals.order if times[i] <= tau]

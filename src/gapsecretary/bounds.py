@@ -11,6 +11,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .core import _check_index
+
 __all__ = [
     "GuaranteeReport",
     "FrontierPoint",
@@ -84,8 +86,7 @@ class FrontierPoint:
 
 
 def _check_k(k: int) -> None:
-    if not (isinstance(k, (int, np.integer)) and 2 <= k <= MAX_INDEX):
-        raise ValueError(f"gap index k must be an integer in [2, {MAX_INDEX}]")
+    _check_index(k, "gap index k", 2, MAX_INDEX)
 
 
 def _check_reciprocal(tau: float) -> None:
@@ -306,8 +307,7 @@ def two_three_tie_prob(tau: float, n: int | None = None) -> float:
     base = 0.5 * tau * (1.0 - tau) ** 2
     if n is None:
         return base + tau * math.log(1.0 / tau)
-    if not 3 <= n <= MAX_TIE_N:
-        raise ValueError(f"exact mode needs 3 <= n <= {MAX_TIE_N}")
+    _check_index(n, "exact mode n", 3, MAX_TIE_N)
     i = np.arange(1, n, dtype=float)
     series = float(np.sum(tau * (1.0 - tau) ** i / i))
     return base + series + (1.0 - tau) ** n / n
@@ -319,8 +319,7 @@ def l_selection_bound(L: int, beta: float) -> float:
     ``beta`` is the fraction of the optimum covered by the L-th largest
     weight, hence at most 1/L.
     """
-    if not (isinstance(L, (int, np.integer)) and 2 <= L <= MAX_INDEX):
-        raise ValueError(f"L must be an integer in [2, {MAX_INDEX}]")
+    _check_index(L, "L", 2, MAX_INDEX)
     if not 0.0 <= beta <= 1.0 / L:
         raise ValueError("beta must lie in [0, 1/L]")
     e = math.e

@@ -72,10 +72,6 @@ SEED_ENV_VAR = "GAPSECRETARY_SEED"
 MAX_RANGE_ROWS = 100_000
 
 
-class UsageError(Exception):
-    """Flag combination violating a documented precondition."""
-
-
 def _fmt(value) -> str:
     if value is None or value == "":
         return ""
@@ -130,7 +126,7 @@ def replay_manifest(path) -> int:
         and argv
         and argv[0] in ("simulate", "sweep", "frontier")
     ):
-        raise UsageError(
+        raise ConfigError(
             f"{path}: argv must be a list of strings starting with simulate, sweep or frontier"
         )
     return main(argv)
@@ -178,7 +174,7 @@ def _parse_k(raw) -> int | None:
     try:
         return int(raw)
     except ValueError as exc:
-        raise UsageError("k must be an integer or 'unknown'") from exc
+        raise ConfigError("k must be an integer or 'unknown'") from exc
 
 
 def _aggregation(raw) -> int | str:
@@ -197,7 +193,7 @@ def _parse_k_list(raw) -> list[int | None]:
     try:
         return [int(tok) for tok in str(raw).split(",") if tok != ""]
     except ValueError as exc:
-        raise UsageError("k must be a comma-separated list of integers for sweeps") from exc
+        raise ConfigError("k must be a comma-separated list of integers for sweeps") from exc
 
 
 def _check_range(lo: float, hi: float, step: float, flags: tuple[str, str, str]) -> None:
@@ -205,11 +201,11 @@ def _check_range(lo: float, hi: float, step: float, flags: tuple[str, str, str])
     values are finite, the step is positive and hi is at least lo."""
     lo_flag, hi_flag, step_flag = flags
     if step <= 0:
-        raise UsageError(f"{step_flag} must be positive")
+        raise ConfigError(f"{step_flag} must be positive")
     if not all(math.isfinite(v) for v in (lo, hi, step)):
-        raise UsageError(f"{lo_flag}, {hi_flag} and {step_flag} must be finite")
+        raise ConfigError(f"{lo_flag}, {hi_flag} and {step_flag} must be finite")
     if hi < lo:
-        raise UsageError(f"{hi_flag} must be at least {lo_flag}")
+        raise ConfigError(f"{hi_flag} must be at least {lo_flag}")
 
 
 def _stepped(lo: float, hi: float, step: float, flags: tuple[str, str, str]) -> list[float]:
@@ -221,7 +217,7 @@ def _stepped(lo: float, hi: float, step: float, flags: tuple[str, str, str]) -> 
     rows = round(steps) + 1 if math.isfinite(steps) else math.inf
     if rows > MAX_RANGE_ROWS:
         lo_flag, hi_flag, step_flag = flags
-        raise UsageError(
+        raise ConfigError(
             f"{lo_flag}, {hi_flag} and {step_flag} give more than {MAX_RANGE_ROWS} rows"
         )
     return [v for v in (lo + i * step for i in range(rows)) if v <= hi + 1e-12]
@@ -229,7 +225,7 @@ def _stepped(lo: float, hi: float, step: float, flags: tuple[str, str, str]) -> 
 
 def _family(args) -> InstanceFamily:
     if args.family is None:
-        raise UsageError("--family is required (or supply --profiles-file)")
+        raise ConfigError("--family is required (or supply --profiles-file)")
     return InstanceFamily(
         FAMILY_BY_FLAG[args.family], df=args.df, factor=args.superstar_factor
     )
@@ -246,7 +242,7 @@ def _gap(args, k: int | None) -> GapSpec:
         return GapSpec(k=k, sigma=args.sigma)
     # only a sigma sweep scales an absolute gap; its range, not --sigma, sets the scale
     if args.sigma != 1.0 and getattr(args, "sweep", None) != "sigma":
-        raise UsageError("--sigma cannot be combined with --gap-value outside --sweep sigma")
+        raise ConfigError("--sigma cannot be combined with --gap-value outside --sweep sigma")
     return GapSpec(k=k, sigma=1.0, absolute=args.gap_value)
 
 
@@ -283,7 +279,7 @@ def _check_rows_differ(args, swept) -> None:
         columns = tuple(_cell_columns(args, args.algo, tau, k, sigma))
         if columns in seen:
             empty = " and ".join(n for n, i in (("k", 0), ("sigma", 3)) if columns[i] == "")
-            raise UsageError(
+            raise ConfigError(
                 f"{args.algo} rows leave {empty or 'neither k nor sigma'} empty, so (k, sigma) = "
                 f"{seen[columns]} and {(k, sigma)} would repeat one estimate"
             )
@@ -301,16 +297,16 @@ def cmd_simulate(args) -> int:
 
     if args.profiles_file is not None:
         if args.dump_profiles is not None:
-            raise UsageError("--dump-profiles cannot be combined with --profiles-file")
+            raise ConfigError("--dump-profiles cannot be combined with --profiles-file")
         profiles, meta = load_profiles(args.profiles_file)
         sizes = {p.n for p in profiles}
         if len(sizes) != 1:
-            raise UsageError("profiles file must contain instances of one size")
+            raise ConfigError("profiles file must contain instances of one size")
         args.n = sizes.pop()
         # before the slice: a negative --iters would count from the end
         _check_run(args.n, args.iters, args.seed)
         if args.iters > len(profiles):
-            raise UsageError(
+            raise ConfigError(
                 f"profiles file provides {len(profiles)} instances, fewer than --iters"
             )
         est = batch_ratio_for_profiles(profiles[: args.iters], algo, gap, args.seed)
@@ -340,20 +336,23 @@ def cmd_sweep(args) -> int:
     if args.sweep == "k":
         _check_range(*bounds, flags)
         if not all(float(v).is_integer() for v in bounds):
-            raise UsageError("k sweeps need integer --from, --to and --step")
+            raise ConfigError("k sweeps need integer --from, --to and --step")
         if args.sweep_from < 2:
-            raise UsageError("k sweep must start at 2 or above")
+            raise ConfigError("k sweep must start at 2 or above")
         lo, hi, step = (int(v) for v in bounds)
         ks, sigmas = range(lo, hi + 1, step), None
         if ks[-1] > args.n:
-            raise UsageError(f"--from, --to and --step reach k={ks[-1]}, above --n={args.n}")
+            raise ConfigError(f"--from, --to and --step reach k={ks[-1]}, above --n={args.n}")
     else:
         sigmas = _stepped(*bounds, flags)
         ks = _parse_k_list(args.k)
         if not ks:
-            raise UsageError("sigma sweeps need --k as a comma-separated list of indices")
-    algo = _algorithm(args, args.tau)
-    gap = _gap(args, ks[0])
+            raise ConfigError("sigma sweeps need --k as a comma-separated list of indices")
+    gap = _gap(args, ks[0])  # GapSpec checks k before tau_for_k reads it
+    # the rule is checked at the largest tau a cell runs, where gamma's bound
+    # 1 - tau is tightest; as the base of _sweep's per-k taus it gives each
+    # k the tau simulate gives it, whatever the order of ks
+    algo = _algorithm(args, max(_resolve_tau(args.tau, k, args.tau_policy) for k in ks))
     # a k sweep's rows sit at the gap's sigma; its classical baseline rows stay out
     _check_rows_differ(args, [(k, s) for k in ks for s in sigmas or [gap.sigma]])
     config = ExperimentConfig(family, args.n, args.iters, algo, gap, master_seed=args.seed)
@@ -374,7 +373,7 @@ def cmd_bounds(args) -> int:
     if which == "exact":
         k = _parse_k(args.k)
         if k is None:
-            raise UsageError("--which exact needs an integer --k")
+            raise ConfigError("--which exact needs an integer --k")
         report = alpha_exact(args.tau, k)
         payload = {
             "which": "exact",
@@ -398,9 +397,9 @@ def cmd_bounds(args) -> int:
     elif which == "bounded":
         k = _parse_k(args.k)
         if k is None:
-            raise UsageError("--which bounded needs an integer --k")
+            raise ConfigError("--which bounded needs an integer --k")
         if not (math.isfinite(args.epsilon) and args.epsilon >= 0.0):
-            raise UsageError("--epsilon must be finite and non-negative")
+            raise ConfigError("--epsilon must be finite and non-negative")
         report = guarantee_bounded_error(args.tau, k)
         payload = {"which": "bounded", "tau": args.tau, "k": k, **report.as_dict()}
         if args.epsilon:
@@ -417,7 +416,7 @@ def cmd_bounds(args) -> int:
             payload["n"] = args.n
     else:  # lselect
         if args.beta is None:
-            raise UsageError("--which lselect needs --beta")
+            raise ConfigError("--which lselect needs --beta")
         payload = {
             "which": "lselect",
             "L": args.L,
@@ -548,7 +547,7 @@ def main(argv=None) -> int:
             args.raw_argv = argv + ["--seed", str(args.seed)]
         # looked up by name on each call, so the kept parser holds no command
         return globals()[f"cmd_{args.command}"](args)
-    except (UsageError, ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # an OSError names a path given by a flag or by replay
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -105,8 +105,7 @@ class WeightProfile:
 
     def sorted_index(self, j: int) -> int:
         """Original index of the j-th largest weight, 1-based j."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"rank j={j} out of range [1, {self.n}]")
+        _check_index(j, "rank j", 1, self.n)
         return int(self.sorted_indices[j - 1])
 
 
@@ -168,6 +167,15 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_index(value, name: str, lo: int, hi: int | None = None) -> None:
+    """The index rule, stated once for every index argument outside the
+    engine: ``value`` is an integer (``_is_int``) in [lo, hi], or at least
+    ``lo`` when ``hi`` is None. ``name`` names the argument in the message."""
+    if not (_is_int(value) and lo <= value and (hi is None or value <= hi)):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bound}")
+
+
 def _check_matching(profile: WeightProfile, arrivals: ArrivalDraw) -> None:
     if profile.n != arrivals.n:
         raise ValueError(
@@ -193,8 +201,7 @@ def best_so_far(profile: WeightProfile, arrivals: ArrivalDraw, tau: float) -> fl
 def true_gap(profile: WeightProfile, k: int) -> float:
     """Realized additive gap: largest weight minus k-th largest weight; inf
     when the gap exceeds float64, as ``WeightProfile.weights`` overflows."""
-    if not 2 <= k <= profile.n:
-        raise ValueError(f"gap index k={k} out of range [2, {profile.n}]")
+    _check_index(k, "gap index k", 2, profile.n)
     order = profile.sorted_indices
     top = profile.log_weights[order[0]]
     kth = profile.log_weights[order[k - 1]]

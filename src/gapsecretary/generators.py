@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ArrivalDraw, WeightProfile, _is_int, normalize, normalize_rows
+from .core import ArrivalDraw, WeightProfile, _check_index, _is_int, normalize, normalize_rows
 
 __all__ = [
     "FAMILY_TAGS",
@@ -57,8 +57,7 @@ class SeededRng:
             raise ValueError("master seed must be a 64-bit non-negative integer")
 
     def stream(self, index: int) -> np.random.Generator:
-        if index < 0:
-            raise ValueError("stream index must be non-negative")
+        _check_index(index, "stream index", 0)
         return np.random.default_rng([int(self.master_seed), int(index)])
 
     def streams(self, indices: Iterable[int]) -> Iterator[np.random.Generator]:
@@ -189,6 +188,25 @@ def stream_seeding() -> str:
     return "vectorized"
 
 
+# the size rule of each family, and of an arrival draw (tag None): n is an
+# integer, at least 2 where one weight is drawn against the others (pareto's
+# theta and uniforms, the superstar and its base), at least 1 otherwise
+_SIZE_RULES = {
+    None: (1, "need at least one arrival (n an integer >= 1)"),
+    "pareto_power": (2, "pareto-power family needs n >= 2 (an integer)"),
+    "exp_superstar": (2, "superstar family needs n >= 2 (an integer)"),
+}
+_WEIGHTS_RULE = (1, "need at least one weight (n an integer >= 1)")
+
+
+def _check_size(n, tag: str | None) -> None:
+    """Refuse an instance size the family ``tag`` cannot draw (an arrival
+    draw's when ``tag`` is None); the one statement of the size rule."""
+    least, message = _SIZE_RULES.get(tag, _WEIGHTS_RULE)
+    if not (_is_int(n) and n >= least):
+        raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class InstanceFamily:
     """One of the benchmark weight distributions plus its parameters."""
@@ -225,16 +243,11 @@ class InstanceFamily:
         place. Pareto rows come out normalized, as ``gen_pareto_power``
         returns its profiles. The ``gen_*`` functions stay the readable
         per-instance reference, and the tests require both forms to give the
-        same bits.
+        same bits. Both read one size rule, ``_check_size``, before any
+        stream is drawn.
         """
         rows, n = out.shape
-        # the gen_* functions' size checks, made before any stream is drawn
-        if self.tag == "pareto_power" and n < 2:
-            raise ValueError("pareto-power family needs n >= 2")
-        if self.tag == "exp_superstar" and n < 2:
-            raise ValueError("superstar family needs n >= 2")
-        if n < 1:
-            raise ValueError("need at least one weight")
+        _check_size(n, self.tag)
         if self.tag == "pareto_power":
             u = np.empty(rows)
 
@@ -279,8 +292,7 @@ class InstanceFamily:
 
 def gen_arrivals(n: int, rng: np.random.Generator) -> ArrivalDraw:
     """n i.i.d. Uniform[0, 1] arrival times."""
-    if n < 1:
-        raise ValueError("need at least one arrival")
+    _check_size(n, None)
     return ArrivalDraw(rng.random(n))
 
 
@@ -292,8 +304,7 @@ def gen_pareto_power(n: int, rng: np.random.Generator) -> WeightProfile:
     n = 200, far beyond float64 in linear form) and the profile comes back
     normalized.
     """
-    if n < 2:
-        raise ValueError("pareto-power family needs n >= 2")
+    _check_size(n, "pareto_power")
     u = 1.0 - rng.random()  # Uniform(0, 1], keeps theta finite
     log_theta = np.log(5.0 / n) - np.log(u)
     y = rng.random(n)  # w_i = (theta * y_i)^(n^1.5), in logs
@@ -304,17 +315,14 @@ def gen_pareto_power(n: int, rng: np.random.Generator) -> WeightProfile:
 
 def gen_exponential(n: int, rng: np.random.Generator) -> WeightProfile:
     """n i.i.d. Exp(1) weights."""
-    if n < 1:
-        raise ValueError("need at least one weight")
+    _check_size(n, "exponential")
     return WeightProfile.from_weights(rng.standard_exponential(n))
 
 
 def gen_chi_squared(n: int, df: int, rng: np.random.Generator) -> WeightProfile:
     """Each weight is an explicit sum of ``df`` squared standard normals."""
-    if n < 1:
-        raise ValueError("need at least one weight")
-    if df < 1:
-        raise ValueError("df must be >= 1")
+    InstanceFamily("chi_squared", df=df)  # df's rule
+    _check_size(n, "chi_squared")
     z = rng.standard_normal((n, df))
     return WeightProfile.from_weights(np.sum(z * z, axis=1))
 
@@ -323,10 +331,8 @@ def gen_exp_superstar(
     n: int, factor: float, rng: np.random.Generator
 ) -> WeightProfile:
     """n - 1 Exp(1) weights plus one element at ``factor`` times their maximum."""
-    if n < 2:
-        raise ValueError("superstar family needs n >= 2")
-    if factor <= 0:
-        raise ValueError("factor must be positive")
+    InstanceFamily("exp_superstar", factor=factor)  # the factor's rule
+    _check_size(n, "exp_superstar")
     base = rng.standard_exponential(n - 1)
     star = factor * float(np.max(base))
     return WeightProfile.from_weights(np.append(base, star))

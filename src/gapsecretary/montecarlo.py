@@ -98,7 +98,8 @@ CLASSICAL_BASELINE_TAU = 1.0 / math.e
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration (maps to CLI usage errors)."""
+    """Invalid experiment configuration or command-line input; the CLI
+    prints it and exits 2."""
 
 
 def _check_run(n, iterations, master_seed) -> None:

@@ -26,6 +26,7 @@ from gapsecretary.montecarlo import AlgorithmSpec, simulate_fixed_profile
 SIGMA_SWEEP = ["--sweep", "sigma", "--from", "0", "--to", "1", "--step", "0.5"]
 K_SWEEP = ["--sweep", "k", "--from", "2", "--to", "4", "--step", "1"]
 ONE_SIGMA = ["--sweep", "sigma", "--from", "0", "--to", "0", "--step", "1"]
+K_SWEEP_2_3 = ["--sweep", "k", "--from", "2", "--to", "3", "--step", "1"]
 
 
 def _no_draw(*args):
@@ -661,6 +662,52 @@ class TestSweep:
         assert len(rows) == 2
         assert [row[4] for row in rows] == ["", ""]
         assert [row[:4] + row[5:] for row in rows] == [row[:4] + row[5:] for row in with_k]
+
+    @pytest.mark.parametrize(
+        ("sweep", "policy", "row"),
+        [
+            (K_SWEEP_2_3, ["--tau-from-k"], 0),
+            (K_SWEEP_2_3, ["--tau-policy", "min"], 0),
+            (["--sweep", "sigma", "--from", "0.5", "--to", "1", "--step", "0.5", "--k", "2,3"],
+             ["--tau-from-k"], 1),
+        ],
+        ids=["k-from-k", "k-min", "sigma-from-k"],
+    )
+    def test_rule_checked_at_the_tau_each_cell_runs(self, sweep, policy, row, capsys):
+        # the rule was built at --tau 0.5, which no cell runs: gamma 0.52 left
+        # no room below 1 - 0.5 and the sweep exited 2, while every cell's
+        # tuned tau (0.423 at k = 2) leaves it room
+        common = ["--family", "exp", "--n", "20", "--iters", "50", "--algo", "robust",
+                  "--tau", "0.5", "--gamma", "0.52", *policy, "--seed", "1"]
+        code, out, err = run(["sweep", *sweep, *common], capsys)
+        assert (code, err) == (0, "")
+        header, *rows = out.strip().splitlines()
+        # row is the k = 2 row at sigma 1
+        code, single, _ = run(["simulate", "--k", "2", *common], capsys)
+        assert code == 0
+        assert single.strip().splitlines() == [header, rows[row]]
+
+    def test_rule_still_refused_at_the_largest_tau(self, capsys):
+        # k = 2's tuned tau of 0.423 leaves gamma below 0.577, not 0.6
+        argv = ["sweep", *K_SWEEP_2_3, "--family", "exp", "--n", "20", "--iters", "50", "--algo", "robust",
+                "--tau", "0.5", "--gamma", "0.6", "--tau-from-k", "--seed", "1"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "gamma must lie in [0, 1 - tau)" in err
+
+    def test_min_policy_rows_equal_simulate_whatever_the_k_order(self, capsys):
+        # each k's tau is min(--tau, tuned tau at k); a rule built at the
+        # first k's tau would cap k = 2 at k = 5's
+        common = ["--family", "exp", "--n", "20", "--iters", "50", "--algo", "exact-gap",
+                  "--tau", "0.5", "--tau-policy", "min", "--seed", "1"]
+        code, out, _ = run(["sweep", "--sweep", "sigma", "--from", "1", "--to", "1",
+                            "--step", "1", "--k", "5,2", *common], capsys)
+        assert code == 0
+        header, *rows = out.strip().splitlines()
+        for k, row in zip(["5", "2"], rows):
+            code, single, _ = run(["simulate", "--k", k, *common], capsys)
+            assert code == 0
+            assert single.strip().splitlines() == [header, row]
 
     def test_l_select_sigma_sweep_rows_equal_simulate(self, capsys):
         common = ["--family", "exp", "--n", "30", "--iters", "60", "--algo", "l-select",

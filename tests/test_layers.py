@@ -1,7 +1,9 @@
 """Read from the source with ``ast``: the engine's modules import only the
 layers below them, so the enumeration oracle stays independent of what it
 checks, only the batch layer names the memo, the batch layer defines no
-public function, and the run rule is stated once."""
+public function, and the run rule is stated once. Outside the engine, the
+runners' tau and gap rules, the index rule and the family size rule are
+each stated once too."""
 
 import ast
 from pathlib import Path
@@ -111,3 +113,79 @@ def _stating(message: str) -> list[str]:
 )
 def test_run_rule_stated_once(message, owners):
     assert _stating(message) == owners
+
+
+def _definitions(module: str) -> dict[str, ast.FunctionDef]:
+    """The top-level functions and methods of a module, by qualified name."""
+    found = {}
+    for node in _tree(module).body:
+        if isinstance(node, ast.FunctionDef):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    found[f"{node.name}.{method.name}"] = method
+    return found
+
+
+def _calls(node: ast.AST) -> set[str]:
+    """The names of the plain functions a definition calls."""
+    return {c.func.id for c in ast.walk(node) if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+
+
+def _raises(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Raise) for n in ast.walk(node))
+
+
+def _callers(module: str, name: str) -> list[str]:
+    """The functions and methods of a module that call ``name``."""
+    return [qualname for qualname, node in _definitions(module).items() if name in _calls(node)]
+
+
+def test_reference_rules_stated_once():
+    # the runners' tau and gap rules, each on the path every runner takes;
+    # the engine's AlgorithmSpec keeps its own, which raises ConfigError
+    assert _stating("tau must lie in [0, 1)") == ["algorithms._check_tau", "montecarlo.AlgorithmSpec"]
+    assert _stating("gap must be non-negative, got ") == ["algorithms._normalized_view"]
+    assert _callers("algorithms", "_check_tau") == [
+        "PolicySchedule.__post_init__", "_first_acceptance", "run_l_selection_gap"
+    ]
+    # no runner tests its own gap, except the bounded rule's one test of
+    # c_tilde and epsilon, which its max(c_tilde - epsilon, 0) would hide
+    runners = {name: node for name, node in _definitions("algorithms").items() if name.startswith("run_")}
+    assert [name for name, node in runners.items() if _raises(node)] == ["run_bounded_error"]
+
+
+@pytest.mark.parametrize(
+    ("module", "function"),
+    [
+        ("bounds", "_check_k"),
+        ("bounds", "two_three_tie_prob"),
+        ("bounds", "l_selection_bound"),
+        ("core", "true_gap"),
+        ("core", "WeightProfile.sorted_index"),
+        ("algorithms", "run_l_selection_gap"),
+        ("generators", "SeededRng.stream"),
+    ],
+)
+def test_index_arguments_read_one_rule(module, function):
+    assert "_check_index" in _calls(_definitions(module)[function])
+
+
+def test_bounds_states_no_integer_test_of_its_own():
+    assert "integer" not in _names("bounds")  # np.integer
+
+
+def test_family_size_rule_stated_once():
+    # draw_rows and the per-instance generators read one size rule, and the
+    # generators check df and the superstar factor through InstanceFamily
+    generators = ["gen_arrivals", "gen_pareto_power", "gen_exponential", "gen_chi_squared",
+                  "gen_exp_superstar"]
+    assert _callers("generators", "_check_size") == ["InstanceFamily.draw_rows", *generators]
+    assert not any(_raises(_definitions("generators")[name]) for name in generators)
+    assert {"gen_chi_squared", "gen_exp_superstar"} <= set(_callers("generators", "InstanceFamily"))
+
+
+def test_cli_refuses_input_with_config_error():
+    # UsageError duplicated ConfigError: both printed "error: ..." and exited 2
+    assert "UsageError" not in _names("cli")

@@ -174,10 +174,12 @@ def run_bounded_error(
 
     The term would hide a negative ``c_tilde``, so both are tested here
     (NaN fails too). ``epsilon = inf`` gives the classical rule; with
-    ``c_tilde = inf`` too the term is NaN, which the gap rule refuses.
+    ``c_tilde = inf`` too the term is inf - inf, undefined, and refused.
     """
     if not (c_tilde >= 0.0 and epsilon >= 0.0):
         raise ValueError("predicted gap and error bound must be non-negative")
+    if c_tilde == epsilon == math.inf:
+        raise ValueError("c_tilde and epsilon cannot both be inf: c_tilde - epsilon is undefined")
     return _first_acceptance(profile, arrivals, tau, max(c_tilde - epsilon, 0.0))
 
 

@@ -68,6 +68,9 @@ FLAG_BY_FAMILY = {tag: flag for flag, tag in FAMILY_BY_FLAG.items()}
 
 SEED_ENV_VAR = "GAPSECRETARY_SEED"
 
+# elements per instance when neither --n nor a profiles file gives the size
+DEFAULT_N = 200
+
 # the most values a sigma sweep or frontier range may give, one row each
 MAX_RANGE_ROWS = 100_000
 
@@ -138,7 +141,12 @@ def replay_manifest(path) -> int:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=sorted(FAMILY_BY_FLAG), help="instance family")
-    p.add_argument("--n", type=int, default=200, help="elements per instance")
+    p.add_argument(
+        "--n",
+        type=int,
+        default=None,
+        help=f"elements per instance (default {DEFAULT_N}, or the profiles file's size)",
+    )
     p.add_argument("--iters", type=int, default=5000, help="Monte Carlo iterations")
     p.add_argument("--algo", required=True, choices=ALGORITHM_TAGS)
     p.add_argument("--tau", type=float, default=0.2, help="waiting time in [0, 1)")
@@ -302,7 +310,19 @@ def cmd_simulate(args) -> int:
         sizes = {p.n for p in profiles}
         if len(sizes) != 1:
             raise ConfigError("profiles file must contain instances of one size")
-        args.n = sizes.pop()
+        # the dump header names the family by tag; the CSV names it by flag
+        family_name = meta.get("family", "file")
+        family_name = FLAG_BY_FAMILY.get(family_name, family_name)
+        # flags that name the run must name the file's, or the CSV would
+        # name the file's family and size under flags that say otherwise
+        if args.family is not None and args.family != family_name:
+            raise ConfigError(
+                f"--family {args.family} differs from the profiles file's family {family_name}"
+            )
+        n = sizes.pop()
+        if args.n is not None and args.n != n:
+            raise ConfigError(f"--n {args.n} differs from the profiles file's size {n}")
+        args.n = n
         # before the slice: a negative --iters would count from the end
         _check_run(args.n, args.iters, args.seed)
         if args.iters > len(profiles):
@@ -310,11 +330,9 @@ def cmd_simulate(args) -> int:
                 f"profiles file provides {len(profiles)} instances, fewer than --iters"
             )
         est = batch_ratio_for_profiles(profiles[: args.iters], algo, gap, args.seed)
-        # the dump header names the family by tag; the CSV names it by flag
-        family_name = meta.get("family", "file")
-        family_name = FLAG_BY_FAMILY.get(family_name, family_name)
     else:
         family = _family(args)
+        args.n = DEFAULT_N if args.n is None else args.n
         config = ExperimentConfig(family, args.n, args.iters, algo, gap, master_seed=args.seed)
         est = estimate_ratio(config)
         family_name = args.family
@@ -332,6 +350,7 @@ def cmd_sweep(args) -> int:
     bounds = (args.sweep_from, args.sweep_to, args.step)
     flags = ("--from", "--to", "--step")
     family = _family(args)
+    args.n = DEFAULT_N if args.n is None else args.n
 
     if args.sweep == "k":
         _check_range(*bounds, flags)

@@ -9,17 +9,18 @@ strict)``, and one of two kernels runs it, its gap beside, on a chunk of
 draws. Each kernel is split in two: a state that does not depend on the
 gap, built once per ``tau``, and a pass per gap that reads it:
 
-* ``_threshold_state`` and ``_threshold_pass`` take (rows, n) weights, one
-  instance per row, and the pass takes a sequence of gaps and yields one
-  result per gap: the generated and replayed batches of every estimate and
-  sweep. Only a post-``tau`` element at or above best-so-far can be
-  accepted, under any gap or ``gamma``, so the state keeps just those
-  candidates, as flat arrays in row-major order (about 4 per row at ``tau``
-  = 0.2, n = 200; every element at ``tau`` = 0), and a pass reads nothing
-  else: one comparison with the gap, one with 1 - ``gamma``, and a segment
-  minimum of the passing arrival times per row. A candidate at a larger
-  ``tau`` is one at a smaller ``tau`` too, so ``_narrowed_state`` reads the
-  state at a larger ``tau`` off the candidates of one at a smaller ``tau``;
+* ``_threshold_state`` takes (rows, n) weights and arrival times, one
+  instance per row, and ``_threshold_pass`` takes its state and a sequence
+  of gaps and yields one result per gap: the generated and replayed batches
+  of every estimate and sweep. Only a post-``tau`` element at or above
+  best-so-far can be accepted, under any gap or ``gamma``, so the state
+  keeps just those candidates, as flat arrays in row-major order (about 4
+  per row at ``tau`` = 0.2, n = 200; every element at ``tau`` = 0), and a
+  pass reads nothing else: one comparison with the gap, one with 1 -
+  ``gamma``, and a segment minimum of the passing arrival times per row. A
+  candidate at a larger ``tau`` is one at a smaller ``tau`` too, so
+  ``_narrowed_state`` reads the state at a larger ``tau`` off the
+  candidates of one at a smaller ``tau``;
 * ``_fixed_profile_state`` and ``_fixed_profile_pass`` take one weight
   vector and the (n, rows) columns of a block of its arrival times, swept
   column by column, so every temporary is a (rows,) vector:
@@ -27,21 +28,28 @@ gap, built once per ``tau``, and a pass per gap that reads it:
   only the arrival order is random and several rules share one draw, run
   them on blocks of at most ``montecarlo._FIXED_PROFILE_ROWS`` rows.
 
-The multi-selection rule runs through ``_run_l_select_rows``. Its reference
-set holds the top-L weights seen so far of Q, the pre-``tau`` elements and
-the post-``tau`` ones at or above the gap, so its L-th weight r_L starts at
+The multi-selection rule is split the same way, into ``_l_select_state``
+at one ``tau`` and L and ``_l_select_pass`` per gap. Its reference set holds
+the top-L weights seen so far of Q, the pre-``tau`` elements and the
+post-``tau`` ones at or above the gap, so its L-th weight r_L starts at
 theta, the L-th largest pre-``tau`` weight (0 with fewer than L), and never
-falls. A post-``tau`` element of Q enters it, a hit, exactly when fewer than
-L strictly heavier elements of Q arrived before it. That reads weights
+falls. A post-``tau`` element of Q enters it, a hit, exactly when fewer
+than L strictly heavier elements of Q arrived before it. That reads weights
 only, so it holds with ties. Only the pre-``tau`` elements at or above theta
 and the post-``tau`` ones at or above max(theta, gap) can be a hit or decide
-one (``_l_select_kept``), so the kernel cuts each row to them, padded to the
-widest row of the chunk: about 10 of 200 per row at L = 2 and ``tau`` = 0.2
-(the widest of 81 rows about 32), and most of the row at ``tau`` = 0 or a
-large L. It ranks those alone, ``_l_select_hits`` finds every hit with L
-running minima over their arrival positions, and the kernel walks the hits
-alone, every row's r-th hit in round r. The top-L total, which does not
-depend on the gap, comes from the batch.
+one (``_l_select_kept``). So the state keeps theta per row and the elements
+at or above it, pre-``tau`` and post-``tau``, as flat arrays in row-major
+order, and the pass cuts each row to its pre-``tau`` elements and those at
+or above the gap, padded to the widest row of the chunk: about 10 of 200
+per row at L = 2 and ``tau`` = 0.2 (the widest of 81 rows about 32), and
+most of the row at ``tau`` = 0 or a large L. It ranks those alone,
+``_l_select_hits`` finds every hit with L running minima over their arrival
+positions, and the pass walks the hits alone, every row's r-th hit in round
+r. The top-L total, which does not depend on the gap, comes from the batch.
+
+A state of (rows, n) arrays built over consecutive row blocks, one at a
+time, with the blocks' states joined (``_joined_state``), equals one built
+over the whole arrays: a row's entries do not depend on the other rows.
 
 Both threshold kernels return one record per draw, two (rows,) arrays:
 ``accept_index``, the accepted element or -1 when none is, and ``ratio``,
@@ -58,11 +66,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-# the elements in one row block of a gap-independent read of a batch
-# (``_row_blocks``): each such read makes its float temporaries one block at
-# a time, so none is the size of the batch; 512 KiB of float64, where the
-# reads of a 5000×200 batch ran as fast as at 2^14 or 2^15 elements and
-# faster than whole or at 2^18
+# the elements in one row block of a batch's arrival draw and of each
+# gap-independent read of it (``_row_blocks``): each makes its float
+# temporaries one block at a time, so none is the size of the batch; 512 KiB
+# of float64, where the reads of a 5000×200 batch ran as fast as at 2^14 or
+# 2^15 elements and faster than whole or at 2^18
 _BLOCK_ELEMENTS = 2**16
 
 
@@ -81,7 +89,9 @@ class _ThresholdState(NamedTuple):
     a candidate can be accepted, under any gap and in the late phase
     alike."""
 
-    index: np.ndarray  # (m,) the candidates' indices, ascending within a row
+    # (m,) the candidates' indices, ascending within a row, in the smallest
+    # unsigned type that holds n - 1: 1 byte, not 8, per candidate at n = 200
+    index: np.ndarray
     weight: np.ndarray  # (m,)
     time: np.ndarray  # (m,)
     rows: np.ndarray  # (R,) the rows holding a candidate, ascending
@@ -108,13 +118,44 @@ def _threshold_state(weights: np.ndarray, times: np.ndarray, tau: float) -> _Thr
     starts = np.searchsorted(position, r * n)
     holds = np.diff(starts, append=position.size) > 0
     return _ThresholdState(
-        position % n,
+        (position % n).astype(np.min_scalar_type(n - 1)),
         weights.take(position),
         times.take(position),
         r[holds],
         starts[holds],
         bsf,
     )
+
+
+def _joined_state(parts: list, **offsets):
+    """The state of consecutive row blocks whose states, of one kind, are
+    ``parts``, in order: each array field's pieces joined, those named in
+    ``offsets`` shifted by their block's entry there, and any other field
+    the first block's. ``parts`` is emptied and each field's pieces freed
+    once it is joined, so no two full copies of a field are held."""
+    kind = type(parts[0])
+    fields = [list(pieces) for pieces in zip(*parts)]
+    parts.clear()
+    joined = []
+    for f, name in enumerate(kind._fields):
+        pieces, fields[f] = fields[f], None
+        if name in offsets:
+            pieces = [piece + shift for piece, shift in zip(pieces, offsets[name])]
+        if not isinstance(pieces[0], np.ndarray) or len(pieces) == 1:
+            joined.append(pieces[0])
+        else:
+            joined.append(np.concatenate(pieces))
+    return kind(*joined)
+
+
+def _joined_threshold_state(parts: list) -> _ThresholdState:
+    """The threshold state of consecutive row blocks whose states are
+    ``parts``, in order, equal to ``_threshold_state`` over their rows at
+    once: the rows holding a candidate shifted by the rows, and their starts
+    by the candidates, of the blocks before."""
+    rows = np.cumsum([0] + [part.bsf.size for part in parts[:-1]])
+    candidates = np.cumsum([0] + [part.weight.size for part in parts[:-1]])
+    return _joined_state(parts, rows=rows, starts=candidates)
 
 
 def _narrowed_state(state: _ThresholdState, tau: float) -> _ThresholdState:
@@ -308,33 +349,70 @@ def _place_in_row(rows: np.ndarray, R: int) -> np.ndarray:
     return np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
 
 
-def _l_select_kept(weights: np.ndarray, times: np.ndarray, tau: float, L: int, gaps) -> np.ndarray:
-    """The (R, n) mask of the elements of each row that can be a hit of the
-    multi-selection rule or decide whether another is one.
+class _LSelectState(NamedTuple):
+    """What the multi-selection rule at one ``tau`` and L reads of a chunk,
+    whatever its gaps: per row theta, the L-th largest pre-``tau`` weight (0
+    with fewer than L), and the elements at or above it, pre-``tau`` and
+    post-``tau``, as flat arrays in row-major order with the count of each
+    row's. Under any gap, the elements ``_l_select_kept`` keeps are among
+    them."""
+
+    tau: float
+    L: int
+    n: int  # elements per row
+    theta: np.ndarray  # (B,)
+    counts: np.ndarray  # (B,) each row's elements in the flat arrays
+    index: np.ndarray  # (m,) the elements' indices, ascending within a row
+    weight: np.ndarray  # (m,)
+    time: np.ndarray  # (m,)
+
+
+def _l_select_state(weights: np.ndarray, times: np.ndarray, tau: float, L: int) -> _LSelectState:
+    """The state of the multi-selection rule at ``tau`` and ``L`` over (B,
+    n) ``weights`` and ``times``."""
+    B, n = weights.shape
+    pre = times <= tau
+    theta = np.maximum(np.partition(np.where(pre, weights, -1.0), n - L, axis=1)[:, n - L], 0.0)
+    position = np.flatnonzero(weights >= theta[:, None])
+    return _LSelectState(
+        tau,
+        L,
+        n,
+        theta,
+        np.bincount(position // n, minlength=B),
+        (position % n).astype(np.min_scalar_type(n - 1)),
+        weights.take(position),
+        times.take(position),
+    )
+
+
+def _l_select_kept(state: _LSelectState, gaps) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``state`` that can be a hit of the multi-selection rule
+    under ``gaps`` or decide whether another is one, ascending, and the row
+    of each.
 
     The reference set starts with the L best pre-``tau`` elements and with
     placeholders of weight 0 in its empty slots, so its lowest weight r_L
-    starts at theta, the L-th largest pre-``tau`` weight or 0 when fewer
-    than L elements arrived by ``tau``, and never falls. A hit is a
-    post-``tau`` arrival of weight at least max(r_L, gap), and whether an
-    arrival is one turns on the heavier elements of Q that arrived before it
-    (``_l_select_hits``): each is pre-``tau``, or post-``tau`` and at or
-    above the gap, and heavier than a hit, so above theta. So the pre-``tau``
-    elements at or above theta and the post-``tau`` ones at or above
-    max(theta, gap) hold every hit and everything that decides one.
+    starts at theta and never falls. A hit is a post-``tau`` arrival of
+    weight at least max(r_L, gap), and whether an arrival is one turns on the
+    heavier elements of Q that arrived before it (``_l_select_hits``): each
+    is pre-``tau``, or post-``tau`` and at or above the gap, and heavier than
+    a hit, so above theta. So the pre-``tau`` elements at or above theta and
+    the post-``tau`` ones at or above max(theta, gap) hold every hit and
+    everything that decides one: of the state's entries, all at or above
+    theta, the pre-``tau`` ones and those at or above the gap.
     """
-    n = weights.shape[1]
-    pre = times <= tau
-    theta = np.partition(np.where(pre, weights, -1.0), n - L, axis=1)[:, n - L]
-    np.maximum(theta, 0.0, out=theta)
-    keep = weights >= np.maximum(theta, gaps)[:, None]
-    keep |= pre & (weights >= theta[:, None])
-    return keep
+    rows = np.repeat(np.arange(state.counts.size), state.counts)
+    keep = state.weight >= (gaps if np.ndim(gaps) == 0 else np.take(gaps, rows))
+    keep |= state.time <= state.tau
+    kept = np.flatnonzero(keep)
+    return kept, rows[kept]
 
 
-def _run_l_select_rows(weights: np.ndarray, times: np.ndarray, tau: float, L: int, gaps) -> dict:
-    """Run the multi-selection rule over (R, n) rows of normalized weights, as
-    ``run_l_selection_gap`` runs it draw by draw.
+def _l_select_pass(state: _LSelectState, gaps) -> dict:
+    """Run the multi-selection rule at the ``tau`` and L of ``state`` over
+    its (R, n) rows of normalized weights, as ``run_l_selection_gap`` runs
+    it draw by draw.
 
     Elements are ranked by (-weight, index) and arrive in the order of their
     times, tied times to the lower index. The reference set is seeded with
@@ -356,25 +434,24 @@ def _run_l_select_rows(weights: np.ndarray, times: np.ndarray, tau: float, L: in
     row with the most hits, not once per arrival position. An accepted rank
     is mapped back to its element's index.
 
-    ``gaps`` is a scalar or (R,) array in the same units as ``weights``, at
+    ``gaps`` is a scalar or (R,) array in the same units as the weights, at
     least 0. Returns the accepted elements as an (R, n) mask by element
     index and their total weight, summed in acceptance order.
     """
-    R, n = weights.shape
-    keep = _l_select_kept(weights, times, tau, L, gaps)
+    tau, L, n = state.tau, state.L, state.n
+    R = state.counts.size
+    kept, rows = _l_select_kept(state, gaps)
 
-    # the kept elements, flat in row-major order, and padded to (R, m) rows,
-    # m at least 1: kept entry j goes to place j - first[row] of its row
-    kept = np.flatnonzero(keep)
-    rows = kept // n
+    # the kept entries padded to (R, m) rows, m at least 1: kept entry j
+    # goes to place j - first[row] of its row
     counts = np.bincount(rows, minlength=R)
     first = np.cumsum(counts) - counts
     m = int(counts.max(initial=1))
     dest = np.arange(kept.size) + (np.arange(R) * m - first)[rows]
     w = np.full((R, m), -1.0)
-    w.ravel()[dest] = weights.ravel()[kept]
+    w.ravel()[dest] = state.weight[kept]
     t = np.full((R, m), np.inf)
-    t.ravel()[dest] = times.ravel()[kept]
+    t.ravel()[dest] = state.time[kept]
 
     by_rank = np.argsort(-w, axis=1, kind="stable")
     w_ranked = np.take_along_axis(w, by_rank, axis=1)
@@ -420,5 +497,5 @@ def _run_l_select_rows(weights: np.ndarray, times: np.ndarray, tau: float, L: in
         start = end
     by_index = np.zeros((R, n), dtype=bool)
     rows, ranks = rows[accepted], ranks[accepted]
-    by_index.ravel()[kept[first[rows] + by_rank[rows, ranks]]] = True
+    by_index[rows, state.index[kept[first[rows] + by_rank[rows, ranks]]]] = True
     return {"accepted": by_index, "total_weight": total}

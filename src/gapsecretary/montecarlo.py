@@ -20,20 +20,23 @@ quantities, a ``GapSpec``'s or raw gap values, are rescaled.
 An experiment cell is an ``(AlgorithmSpec, GapSpec)`` pair; ``_check_cell``
 validates it for one instance size. ``_run_cells`` is the one driver every
 estimate goes through: it takes row chunks from one instance source
-(generated or replayed) and evaluates each distinct cell on each chunk. The
-single-selection cells of a chunk are grouped by their policy's ``(tau,
-gamma, strict)``, and each group is one row-kernel pass over the chunk's
-state at its tau: a sigma sweep at one tau is one state and one pass per
-chunk, and a k-sweep at tuned taus builds one state from the weights and
-narrows it for each larger tau. Both drivers, this one and the fixed-profile
-one, take a reducer: the fields a cell keeps, which ``_write_rows`` writes
-chunk by chunk, and the function of their whole-run arrays that gives the
-cell's result once its last chunk is done.
+(generated or replayed), each with the kernel states its cells read built
+as its arrival times were drawn, and evaluates each distinct cell on each
+chunk. The single-selection cells of a chunk are grouped by their policy's
+``(tau, gamma, strict)``, and each group is one row-kernel pass over the
+chunk's state at its tau: a sigma sweep at one tau is one state and one pass
+per chunk, and a k-sweep at tuned taus builds one state, at the smallest
+tau, and narrows it for each larger tau. An l-select cell is one pass over
+the chunk's state at its (tau, L). Both drivers, this one and the
+fixed-profile one, take a reducer: the fields a cell keeps, which
+``_write_rows`` writes chunk by chunk, and the function of their whole-run
+arrays that gives the cell's result once its last chunk is done.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate
@@ -54,7 +57,7 @@ from .generators import InstanceFamily, _is_seed
 from .kernels import (
     _fixed_profile_pass,
     _fixed_profile_state,
-    _run_l_select_rows,
+    _l_select_pass,
     _threshold_pass,
 )
 
@@ -301,7 +304,8 @@ def _chunk_outcomes(batch: _InstanceBatch, keys):
 
     Every rank the cells' gaps read, and every top-L total an l-select cell
     reads, is taken from the batch at once, so a chunk is sorted at most
-    once. l-select cells run one by one.
+    once. l-select cells run one by one, each one pass over the batch's
+    state at its (tau, L).
     Single-selection cells are grouped by their policy's ``(tau, gamma,
     strict)``, and each group is one pass over the batch's threshold state,
     whose threshold terms are computed as the pass takes them. Groups run in
@@ -317,9 +321,6 @@ def _chunk_outcomes(batch: _InstanceBatch, keys):
             yield (algorithm, gap), _l_select_outcomes(batch, algorithm, gap)
         else:
             groups.setdefault(_policy(algorithm), []).append((algorithm, gap))
-    # read before any state is built: taken after the state's temporaries
-    # were freed, this (rows,) array raised the peak RSS of a 93-cell
-    # sweep by 1.6 MB
     best_index = batch.best_index
     for (tau, gamma, strict), members in sorted(groups.items(), key=lambda item: item[0][0]):
         terms = (_threshold_term(a, g, batch.max_log, batch) for a, g in members)
@@ -335,7 +336,7 @@ def _l_select_outcomes(batch: _InstanceBatch, algorithm: AlgorithmSpec, gap: Gap
     if (opt <= 0.0).any():
         raise ConfigError("the top-L weights must have positive total")
     gaps = _threshold_term(algorithm, gap, batch.max_log, batch)
-    sel = _run_l_select_rows(batch.weights, batch.times, algorithm.tau, algorithm.L, gaps)
+    sel = _l_select_pass(batch.l_select_state(algorithm.tau, algorithm.L), gaps)
     accepted = sel["accepted"]
     return {
         "ratio": sel["total_weight"] / opt,
@@ -437,10 +438,12 @@ def _run_cells(n: int, iterations: int, batch_of, cells, reducer=_ESTIMATE) -> l
     """Estimates of (AlgorithmSpec, GapSpec) cells on ``iterations`` instances
     of size ``n``, each cell checked as ``ExperimentConfig`` checks its own.
 
-    ``batch_of(rows)`` gives the instances of a range of iterations. Each
-    chunk of rows is taken from it once and every distinct cell (cells that
-    read the same inputs are one) is evaluated on it, single-selection cells
-    one kernel pass per threshold policy (``_chunk_outcomes``). A cell's
+    ``batch_of(rows, taus, pairs)`` gives the instances of a range of
+    iterations, with the states that the cells' threshold ``taus`` and
+    l-select (tau, L) ``pairs`` read built as their arrival times are drawn.
+    Each chunk of rows is taken from it once and every distinct cell (cells
+    that read the same inputs are one) is evaluated on it, single-selection
+    cells one kernel pass per threshold policy (``_chunk_outcomes``). A cell's
     kept fields are written before the next cell is evaluated, and a cell is
     reduced by ``reducer`` once its last chunk is done. Each chunk's batch
     is dropped before the next chunk is drawn, so no two are held at once.
@@ -450,10 +453,12 @@ def _run_cells(n: int, iterations: int, batch_of, cells, reducer=_ESTIMATE) -> l
     keys = dict.fromkeys(_cell_key(a, g) for a, g in cells)
     if not keys:
         return []
+    taus = {a.tau for a, _ in keys if a.tag != "l-select"}
+    pairs = {(a.tau, a.L) for a, _ in keys if a.tag == "l-select"}
     fields, reduce = reducer
     kept, done = {}, {}
     for rows in _chunks(n, iterations, [a for a, _ in keys]):
-        batch = batch_of(rows)
+        batch = batch_of(rows, taus, pairs)
         for key, out in _chunk_outcomes(batch, keys):
             kept[key] = _write_rows(kept.get(key), out, fields, rows, iterations)
             if rows.stop == iterations:
@@ -571,7 +576,8 @@ def regenerate_profiles(
     """The instances an experiment with this (family, n, seed) draws, in
     iteration order, as raw profiles."""
     _check_run(n, iterations, master_seed)
-    _, log_weights = _draw_rows(family, n, range(iterations), master_seed)
+    log_weights, blocks = _draw_rows(family, n, range(iterations), master_seed)
+    deque(blocks, 0)
     return [WeightProfile(row) for row in log_weights]
 
 

@@ -48,6 +48,9 @@ BAD = {
                             "predicted gap and error bound must be non-negative"),
     "bounded-nan-epsilon": (lambda: run_bounded_error(PROFILE, ARRIVALS, 0.2, 1.0, NAN),
                             "predicted gap and error bound must be non-negative"),
+    # inf - inf made the term NaN, refused as "gap must be non-negative, got nan"
+    "bounded-inf-c-tilde-and-epsilon": (lambda: run_bounded_error(PROFILE, ARRIVALS, 0.2, math.inf, math.inf),
+                                        "c_tilde and epsilon cannot both be inf"),
     "l-select-nan": (lambda: run_l_selection_gap(PROFILE, ARRIVALS, 0.2, NAN, 2), "gap must be non-negative"),
     "classical-tau-nan": (lambda: run_classical(PROFILE, ARRIVALS, NAN), "tau must lie in"),
     # L = True ran as L = 1, and L = 2.0 raised a TypeError

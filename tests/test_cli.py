@@ -115,6 +115,34 @@ class TestValidation:
         assert not dump.exists()
 
     @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--family", "pareto", "--n", "7", "--superstar-factor", "3"],
+             "--family pareto differs from the profiles file's family exp"),
+            (["--family", "exp", "--n", "7"], "--n 7 differs from the profiles file's size 20"),
+            (["--n", "21"], "--n 21 differs from the profiles file's size 20"),
+        ],
+        ids=["family", "n", "n-alone"],
+    )
+    def test_profiles_file_refuses_conflicting_flags(self, flags, message, tmp_path, capsys):
+        # the pareto flags exited 0 and wrote the file's exp and 20 under them
+        replay, out_csv = tmp_path / "instances.txt", tmp_path / "out.csv"
+        run_flags = ["--iters", "30", "--algo", "classical", "--seed", "4"]
+        code, _, _ = run(["simulate", "--family", "exp", "--n", "20", *run_flags,
+                          "--dump-profiles", str(replay)], capsys)
+        assert code == 0
+        argv = ["simulate", *run_flags, "--profiles-file", str(replay), "--out", str(out_csv)]
+        code, out, err = run(argv + flags, capsys)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert not out_csv.exists()
+        # the flags of the run that dumped the file replay it
+        for matching in ([], ["--family", "exp"], ["--n", "20"], ["--family", "exp", "--n", "20"]):
+            code, out, _ = run(["simulate", *run_flags, "--profiles-file", str(replay), *matching],
+                               capsys)
+            assert code == 0 and out.splitlines()[1].startswith("exp,classical,20,30,")
+
+    @pytest.mark.parametrize(
         ("rows", "iters", "message"),
         [
             (["0.0,1.0,2.0", "0.0,1.0"], "2", "profiles file must contain instances of one size"),

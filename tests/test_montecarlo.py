@@ -29,7 +29,8 @@ from gapsecretary.generators import FAMILY_TAGS, InstanceFamily, SeededRng
 from gapsecretary.kernels import (
     _fixed_profile_pass,
     _fixed_profile_state,
-    _run_l_select_rows,
+    _l_select_pass,
+    _l_select_state,
     _threshold_pass,
     _threshold_state,
 )
@@ -82,6 +83,25 @@ def _run_threshold_rows(weights, times, tau, gaps, gamma=0.0, strict=False):
     for this call alone."""
     state = _threshold_state(weights, times, tau)
     return _threshold_pass(state, gaps, gamma, strict)
+
+
+def _run_l_select_rows(weights, times, tau, L, gaps) -> dict:
+    """The l-select kernel's pass over ``gaps``, its state built for this
+    call alone."""
+    return _l_select_pass(_l_select_state(weights, times, tau, L), gaps)
+
+
+def _batch(weights, times, max_log) -> _InstanceBatch:
+    """A batch of given weights and arrival times, the times read a row
+    block at a time, as a drawn batch reads its own."""
+    return _InstanceBatch(
+        weights, max_log, lambda: ((rows, times[rows]) for rows in kernels._row_blocks(*times.shape))
+    )
+
+
+def _times(batch) -> np.ndarray:
+    """A batch's arrival times, drawn again and joined."""
+    return np.concatenate([times.copy() for _, times in batch.arrivals()])
 
 
 def _run_fixed_profile(w, times, tau, gap=0.0, gamma=0.0, strict=False) -> dict:
@@ -192,7 +212,7 @@ class TestKernelMatchesScalarRunners:
         W[0] = 0.0
         T = rng.random(W.shape)
         profiles = [WeightProfile.from_weights(row) for row in W]
-        tied = _InstanceBatch(
+        tied = _batch(
             np.array([p.normalized_weights for p in profiles]),
             T,
             np.array([p.max_log_weight for p in profiles]),
@@ -404,7 +424,7 @@ def _check_l_select_rows(W, T, tau, L, gap: GapSpec):
     norm = np.array([p.normalized_weights for p in profiles])
     max_log = np.array([p.max_log_weight for p in profiles])
     spec = AlgorithmSpec("l-select", tau=tau, L=L)
-    batch = _InstanceBatch(norm, T, max_log)
+    batch = _batch(norm, T, max_log)
     gaps = _threshold_term(spec, gap, max_log, batch)
     out = _run_l_select_rows(norm, T, tau, L, gaps)
     for row, raw in enumerate(profiles):
@@ -463,7 +483,7 @@ class TestLSelectKernelMatchesScalarRunner:
         rng = np.random.default_rng(13)
         profiles = [WeightProfile(np.log(rng.random(6)) - 800.0) for _ in range(30)]
         batch_of = partial(_replay_batch, profiles, SEED)
-        times = batch_of(range(30)).times
+        times = _times(batch_of(range(30)))
         for tag in ("exact-gap", "bounded", "robust", "l-select"):
             spec = AlgorithmSpec(tag, tau=0.3, gamma=0.25 * (tag == "robust"), epsilon=0.5, L=2)
             cells = [(spec, GapSpec(absolute=1.0, sigma=0.0)), (spec, GapSpec(absolute=0.0))]
@@ -611,17 +631,25 @@ class TestLSelectCandidateEdges:
 
     @pytest.mark.parametrize("edge", sorted(EDGES))
     def test_kept_set(self, edge):
-        # exactly the pre-tau elements at or above theta and the post-tau
-        # ones at or above max(theta, gap), for scalar and per-row gaps
+        # the state holds theta and exactly the elements at or above it; of
+        # them the pass keeps the pre-tau ones and the post-tau ones at or
+        # above the gap, for scalar and per-row gaps
         tau, L, weights, times, absolute = self.EDGES[edge]
         W, T = np.array(weights), np.array(times)
+        state = _l_select_state(W, T, tau, L)
+        rows = np.repeat(np.arange(len(W)), state.counts)
         for gaps in [*absolute, np.resize(absolute[::-1], len(W))]:
-            kept = kernels._l_select_kept(W, T, tau, L, gaps)
+            entries, entry_rows = kernels._l_select_kept(state, gaps)
+            assert np.array_equal(entry_rows, rows[entries])
             for row, (w, t, gap) in enumerate(zip(W, T, np.broadcast_to(gaps, len(W)))):
                 pre = sorted(w[t <= tau], reverse=True)
                 theta = pre[L - 1] if len(pre) >= L else 0.0
-                expected = [wi >= theta and (ti <= tau or wi >= gap) for wi, ti in zip(w, t)]
-                assert kept[row].tolist() == expected, (edge, row, gaps)
+                assert state.theta[row] == theta, (edge, row)
+                held = state.index[rows == row].tolist()
+                assert held == [i for i, wi in enumerate(w) if wi >= theta], (edge, row)
+                expected = [i for i, (wi, ti) in enumerate(zip(w, t))
+                            if wi >= theta and (ti <= tau or wi >= gap)]
+                assert state.index[entries[entry_rows == row]].tolist() == expected, (edge, row, gaps)
 
 
 def _rank_view(W, T, tau):
@@ -1589,27 +1617,34 @@ class TestBatchBuild:
         FAMILY_CASES,
         ids=["pareto", "exp", "chisq", "chisq-df1", "superstar", "superstar-1e6"],
     )
-    def test_matches_per_instance_generation(self, family, smallest, n_index):
-        # the row form draws the same streams as family.generate, bit for bit;
-        # the reference stacks each profile's normalized view
+    def test_matches_per_instance_generation(self, family, smallest, n_index, monkeypatch):
+        # the row form draws the same streams as family.generate, bit for bit,
+        # in blocks of three rows here; the reference stacks each profile's
+        # normalized view, and the states read off each block's arrival
+        # times are those of the whole arrays
         n, iters, seed = (smallest, 7, 50)[n_index], 40, 5
         times, profiles = _per_instance(family, n, iters, seed)
         W = np.array([p.normalized_weights for p in profiles])
         max_log = np.array([p.max_log_weight for p in profiles])
         expected = (times, W, max_log, np.sort(W, axis=1)[:, ::-1])
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 3 * n)
+        policies = ({0.3, 0.5}, {(0.3, n)})
         for batch in (
-            _build_batch(family, n, range(iters), seed),
-            _replay_batch(profiles, seed, range(iters)),
+            _build_batch(family, n, range(iters), seed, *policies),
+            _replay_batch(profiles, seed, range(iters), *policies),
         ):
             ranked = np.stack(batch.largest(range(1, n + 1)), axis=1)
-            got = (batch.times, batch.weights, batch.max_log, ranked)
+            got = (_times(batch), batch.weights, batch.max_log, ranked)
             for a, b in zip(got, expected):
                 assert np.array_equal(a, b)
+            assert batch._states.keys() == {0.3}
+            assert _same_state(batch.threshold_state(0.3), _threshold_state(W, times, 0.3))
+            assert _same_state(batch.l_select_state(0.3, n), _l_select_state(W, times, 0.3, n))
         if family.tag == "pareto_power":
             assert not batch.max_log.any()  # pareto profiles come normalized
         # a chunk of rows is the same rows of the whole batch
         chunk = _build_batch(family, n, range(13, 29), seed)
-        assert np.array_equal(chunk.times, times[13:29])
+        assert np.array_equal(_times(chunk), times[13:29])
         assert np.array_equal(chunk.weights, W[13:29])
         assert np.array_equal(chunk.max_log, max_log[13:29])
 
@@ -1659,6 +1694,12 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _same_state(a, b) -> bool:
+    """Two kernel states equal field by field, arrays bit for bit."""
+    return all(_same_bits(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in zip(a, b, strict=True))
+
+
 class TestRowBlockReads:
     """Every gap-independent read of a batch runs over row blocks of
     ``kernels._BLOCK_ELEMENTS`` elements and equals its whole-array
@@ -1704,7 +1745,7 @@ class TestRowBlockReads:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_BLOCK_ELEMENTS", 3 * n)
             assert kernels._row_blocks(B, n)[0] == slice(0, min(B, 3))
-            batch = _InstanceBatch(W, T, np.zeros(B))
+            batch = _batch(W, T, np.zeros(B))
             assert _same_bits(batch.best_index, np.argmax(W, axis=1))
             ranks = range(1, n + 1)
             for j, column in zip(ranks, batch.largest(ranks)):
@@ -1713,9 +1754,14 @@ class TestRowBlockReads:
                 top = np.ascontiguousarray(ascending[:, n - L :][:, ::-1])
                 assert _same_bits(batch.top_total(L), np.sum(top, axis=1))
             state = kernels._threshold_state(W, T, tau)
+            # the states joined from the blocks of the arrival times
+            joined = batch.threshold_state(tau)
+            l_joined = {L: batch.l_select_state(tau, L) for L in ranks}
         assert _same_bits(state.bsf, np.max(W * (T <= tau), axis=1))
-        for a, b in zip(state, kernels._threshold_state(W, T, tau)):
-            assert _same_bits(a, b)
+        whole = kernels._threshold_state(W, T, tau)
+        assert _same_state(state, whole) and _same_state(joined, whole)
+        for L, l_state in l_joined.items():
+            assert _same_state(l_state, kernels._l_select_state(W, T, tau, L)), L
 
     def test_rows_wider_than_a_block_are_read_one_at_a_time(self, monkeypatch):
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 4)
@@ -1749,7 +1795,7 @@ class TestBatchRatioForProfiles:
         mixed = [zero, *(WeightProfile.from_weights(rng.random(4) * 5) for _ in range(25)), zero]
         for profiles in ([zero] * 50, mixed):
             batch_of = partial(_replay_batch, profiles, 3)
-            times = batch_of(range(len(profiles))).times
+            times = _times(batch_of(range(len(profiles))))
             for tag in ("exact-gap", "bounded", "robust"):
                 spec = AlgorithmSpec(tag, tau=0.2, gamma=0.25 * (tag == "robust"), epsilon=0.05)
                 cell = [(spec, GapSpec(k=2))]
@@ -2057,13 +2103,13 @@ class TestLSelectAsCell:
         # the gap of l-select is index-free, so rows that differ only in k
         # read the same inputs and run the kernel once per sigma
         calls = []
-        kernel = montecarlo._run_l_select_rows
+        kernel = montecarlo._l_select_pass
 
         def counting(*args, **kwargs):
             calls.append(1)
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "_run_l_select_rows", counting)
+        monkeypatch.setattr(montecarlo, "_l_select_pass", counting)
         cfg = self._config()
         cells = sweep_sigma(cfg, [0.0, 0.5, 1.0], [2, 3, 7])
         assert len(cells) == 9 and len(calls) == 3
@@ -2123,10 +2169,10 @@ def _counting_draws(monkeypatch) -> list:
 
 def _held(batch) -> list:
     """Every array a batch holds: its instances and the work kept on them."""
-    arrays = [batch.weights, batch.times, batch.max_log, *batch._largest.values(),
+    arrays = [batch.weights, batch.max_log, *batch._largest.values(),
               *batch._top_totals.values()]
-    for state in batch._states.values():
-        arrays += [a for a in state if a is not None]
+    for state in [*batch._states.values(), *batch._l_states.values()]:
+        arrays += [a for a in state if isinstance(a, np.ndarray)]
     return list({id(a): a for a in arrays}.values())
 
 
@@ -2135,7 +2181,7 @@ def _tied_batch(case):
     and arrival times tie; an all-zero row is its own normalized view."""
     W = np.array([w for w, _ in case]) * 2.5
     profiles = [WeightProfile.from_weights(row) for row in W]
-    return _InstanceBatch(
+    return _batch(
         np.array([p.normalized_weights for p in profiles]),
         np.array([t for _, t in case]) / 4,
         np.array([p.max_log_weight for p in profiles]),
@@ -2185,7 +2231,7 @@ class TestBatchMemo:
             "threshold_state": lambda batch: batch.threshold_state(0.3),
         }
         for name, read in reads.items():
-            batch = _InstanceBatch(memo.weights, memo.times, memo.max_log)
+            batch = _InstanceBatch(memo.weights, memo.max_log, memo.arrivals)
             tracemalloc.start()
             try:
                 read(batch)
@@ -2205,9 +2251,52 @@ class TestBatchMemo:
         assert hit is first and first._largest and first._states
         fresh = _build_batch(cfg.family, cfg.n, rows, cfg.master_seed)
         ranks = range(1, cfg.n + 1)
-        for a, b in zip((hit.weights, hit.times, hit.max_log, *hit.largest(ranks)),
-                        (fresh.weights, fresh.times, fresh.max_log, *fresh.largest(ranks))):
+        for a, b in zip((hit.weights, _times(hit), hit.max_log, *hit.largest(ranks)),
+                        (fresh.weights, _times(fresh), fresh.max_log, *fresh.largest(ranks))):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_hit_needing_a_new_state_equals_fresh_build(self, monkeypatch):
+        # a hit at a tau below every kept one, or at a new (tau, L), draws
+        # the arrival times again, from the same streams; a tau between the
+        # kept ones is narrowed from the smallest. Each estimate and state
+        # equals that of a fresh batch
+        cfg = self._config()
+        algos = [AlgorithmSpec("exact-gap", tau=0.1), AlgorithmSpec("l-select", tau=0.1, L=3),
+                 AlgorithmSpec("robust", tau=0.2, gamma=0.3)]
+
+        def fresh(rows, *policies):
+            return _build_batch(cfg.family, cfg.n, rows, cfg.master_seed, *policies)
+
+        expected = [montecarlo._run_cells(cfg.n, cfg.iterations, fresh, [(a, cfg.gap)])[0]
+                    for a in algos]
+        fresh_batch = fresh(range(cfg.iterations), {0.1}, {(0.1, 3)})
+        estimate_ratio(replace(cfg, algorithm=AlgorithmSpec("exact-gap", tau=0.3)))
+        memo = self._memo()
+        arrivals = []
+        draw = batches._arrival_rows
+        monkeypatch.setattr(batches, "_arrival_rows",
+                            lambda *args, **kwargs: arrivals.append(args) or draw(*args, **kwargs))
+        for algo, est in zip(algos, expected):
+            assert estimate_ratio(replace(cfg, algorithm=algo)) == est, algo.tag
+        assert self._memo() is memo and len(arrivals) == 2
+        assert memo._states.keys() == {0.1, 0.2}
+        assert _same_state(memo.threshold_state(0.1), fresh_batch.threshold_state(0.1))
+        assert _same_state(memo.l_select_state(0.1, 3), fresh_batch.l_select_state(0.1, 3))
+
+    def test_estimate_peak_below_one_and_a_half_weights(self):
+        # the weights are the one (rows, n) array an estimate holds: each
+        # block of arrival times is read into the threshold state and
+        # dropped. Holding the times too, an estimate peaked at 2.47 times
+        # the weights
+        cfg = ExperimentConfig(InstanceFamily("exponential"), 200, 5000,
+                               AlgorithmSpec("exact-gap", tau=0.2), GapSpec(k=2), master_seed=SEED)
+        tracemalloc.start()
+        try:
+            estimate_ratio(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * self._memo().weights.nbytes
 
     @pytest.mark.parametrize(
         "base,changed",
@@ -2238,12 +2327,12 @@ class TestBatchMemo:
         cfg = self._config()
         fresh = montecarlo._run_cells(
             cfg.n, cfg.iterations,
-            partial(_build_batch, cfg.family, cfg.n, master_seed=cfg.master_seed),
+            lambda rows, *policies: _build_batch(cfg.family, cfg.n, rows, cfg.master_seed, *policies),
             [(algo, cfg.gap) for algo in self.ALGOS],
         )
         estimate_ratio(cfg)
         batch = self._memo()
-        for a in (batch.weights, batch.times, batch.max_log):
+        for a in (batch.weights, batch.max_log):
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
@@ -2323,9 +2412,10 @@ class TestBatchMemo:
 
     def test_memo_holds_no_second_float_matrix(self):
         # after rules at several taus, gammas and gap indices, the memo holds
-        # no (rows, n) array beyond the weights and times: the state keeps
-        # one entry per candidate, the post-tau elements at or above
-        # best-so-far, and (rows,) columns
+        # no (rows, n) array beyond the weights, and no arrival times: the
+        # threshold state keeps one entry per candidate, the post-tau
+        # elements at or above best-so-far, the l-select state one per
+        # element at or above theta, and (rows,) columns
         cfg = self._config()
         for algo in self.ALGOS:
             for k in (2, 3, 12):
@@ -2334,18 +2424,22 @@ class TestBatchMemo:
         batch = self._memo()
         held = _held(batch)
         matrices = [a for a in held if a.ndim != 1]
-        assert len(matrices) == 2
-        assert matrices[0] is batch.weights and matrices[1] is batch.times
-        # the state of the last tau asked, 0.1: one entry per candidate
+        assert len(matrices) == 1 and matrices[0] is batch.weights
+        times = _times(batch)
+        # the state of the smallest tau asked, 0.1: one entry per candidate
         (state,) = batch._states.values()
-        post = batch.times > 0.1
+        post = times > 0.1
         bsf = np.max(np.where(post, 0.0, batch.weights), axis=1)
         m = np.count_nonzero(post & (batch.weights >= bsf[:, None]))
         assert 0 < m < batch.weights.size
         candidates = (state.index, state.weight, state.time)
         assert all(a.shape == (m,) for a in candidates)
+        # l-select's at tau 0.3 and L = 3: one entry per element at or above theta
+        (l_state,) = batch._l_states.values()
+        assert l_state.index.shape == (np.count_nonzero(batch.weights >= l_state.theta[:, None]),)
+        candidates += (l_state.index, l_state.weight, l_state.time)
         # all else are (rows,) columns, or the starts of the rows holding one
-        rest = [a for a in held[2:] if not any(a is c for c in candidates)]
+        rest = [a for a in held[1:] if not any(a is c for c in candidates)]
         assert all(a.ndim == 1 and a.size <= cfg.iterations for a in rest)
         assert all(a.base is None for a in held), "a kept array is a view of a larger array"
 
@@ -2398,8 +2492,8 @@ class TestBatchMemo:
                 except ConfigError as exc:
                     return str(exc)
 
-            got = outcomes(lambda r: carried)
-            assert _same(got, outcomes(lambda r: _tied_batch(rows))), (tag, tau, gamma, k, sigma)
+            got = outcomes(lambda *args: carried)
+            assert _same(got, outcomes(lambda *args: _tied_batch(rows))), (tag, tau, gamma, k, sigma)
 
     # (tau, weights, times, candidates per row): every row's largest raw
     # weight is 1 or it is all zero, so its raw and normalized views agree
@@ -2435,7 +2529,7 @@ class TestBatchMemo:
         W, T = np.array(weights), np.array(times)
         profiles = [WeightProfile.from_weights(row) for row in W]
         assert all(p.max_log_weight in (0.0, -math.inf) for p in profiles)
-        batch = _InstanceBatch(np.array([p.normalized_weights for p in profiles]), T,
+        batch = _batch(np.array([p.normalized_weights for p in profiles]), T,
                                np.array([p.max_log_weight for p in profiles]))
         state = batch.threshold_state(tau)
         counts = np.zeros(len(W), dtype=int)
@@ -2483,20 +2577,28 @@ class TestBatchMemo:
         state = batch.threshold_state(taus[0])
         for tau in taus[1:]:
             narrowed = kernels._narrowed_state(state, tau)
-            fresh = kernels._threshold_state(batch.weights, batch.times, tau)
+            fresh = kernels._threshold_state(batch.weights, _times(batch), tau)
             for field, a, b in zip(fresh._fields, narrowed, fresh):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (field, tau)
                 assert a.base is None, field
             state = narrowed
 
     def test_larger_tau_narrows_the_kept_state(self, monkeypatch):
-        # taus in ascending order build one state from the weights and times
-        # and narrow it; a smaller tau builds afresh
+        # the state at the first tau is built as the instances are drawn and
+        # kept beside the one narrowed from it, so every larger tau, 0.2
+        # after 0.3 too, is narrowed from it; a smaller tau draws the
+        # arrival times again and builds afresh
         counts = self._count_work(monkeypatch)
+        arrivals = []
+        draw = batches._arrival_rows
+        monkeypatch.setattr(batches, "_arrival_rows",
+                            lambda *args, **kwargs: arrivals.append(args) or draw(*args, **kwargs))
         cfg = self._config()
         for tau in (0.1, 0.2, 0.3, 0.2):
             estimate_ratio(replace(cfg, algorithm=AlgorithmSpec("exact-gap", tau=tau)))
-        assert counts == {"draws": 1, "sorts": 1, "states": 2}
+        assert counts == {"draws": 1, "sorts": 1, "states": 1} and len(arrivals) == 1
+        estimate_ratio(replace(cfg, algorithm=AlgorithmSpec("exact-gap", tau=0.05)))
+        assert counts == {"draws": 1, "sorts": 1, "states": 2} and len(arrivals) == 2
 
     def test_multi_chunk_run_leaves_nothing(self, monkeypatch):
         estimate_ratio(self._config())

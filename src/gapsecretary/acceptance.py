@@ -319,7 +319,7 @@ def check_guarantee_floor_simulation(fast: bool = False) -> tuple[bool, str, str
     iters = _iters(5000, 1000, fast)
     ok = True
     rows = []
-    for tag in ("exponential", "chi_squared"):
+    for tag in ("chi_squared", "exponential"):
         config = _figure_config(tag, iters, AlgorithmSpec("exact-gap", tau=0.2))
         for c in sweep_k(config, (2, 100, 200), tau_policy="from-k", include_baseline=False):
             est = c.estimate
@@ -424,8 +424,10 @@ def check_output_determinism(fast: bool = False) -> tuple[bool, str, str]:
 
 # (suite, check) registry, the one place a check's suite is stated; suite
 # membership decides what a partial run covers.
-# The checks on the exponential 5000x200 instances run back to back, so the
-# batch memo draws them once.
+# The checks on the exponential 5000x200 instances run back to back, the one
+# reading the smallest tau first (guarantee-floor's tuned taus, down to 0.026,
+# with its exponential family last), so the batch memo it leaves holds the
+# state every later tau is narrowed from, and the instances are drawn once.
 CHECKS = (
     ("bounds", check_alpha_fixed_tau_floor),
     ("bounds", check_alpha_tuned_tau_guarantee),
@@ -433,9 +435,9 @@ CHECKS = (
     ("bounds", check_two_three_tie_formula),
     ("figures", check_two_three_tie_simulation),
     ("figures", check_pareto_band),
+    ("figures", check_guarantee_floor_simulation),
     ("figures", check_exponential_sigma_bands),
     ("figures", check_exponential_gap_beats_classical),
-    ("figures", check_guarantee_floor_simulation),
     ("figures", check_superstar_sigma_bands),
     ("oracle", check_small_instance_oracle),
     ("figures", check_bounded_error_guarantee),

@@ -1,6 +1,7 @@
 """The batch layer: the instances of a chunk of iterations, generated or
-replayed, normalized once, with the gap-independent work done on them, and
-the memo of the last batch that covered a whole run.
+replayed, normalized once, with the kernel states its run reads and the
+gap-independent work done on them, and the memo of the last batch that
+covered a whole run.
 
 A batch holds its normalized weights, the one (rows, n) array it keeps, and
 small states; no batch keeps its arrival times. One builder,
@@ -8,50 +9,47 @@ small states; no batch keeps its arrival times. One builder,
 drawn one row block of ``kernels._BLOCK_ELEMENTS`` elements at a time into
 one reused buffer (``_arrival_rows``), each block's weights drawn or
 replayed into the chunk's weights and normalized in place, and the block
-read at once into the gap-independent state of every kernel policy the run
-reads (``_run_cells`` names them): the threshold state at the smallest
-threshold ``tau``, and the l-select state of each (tau, L). The block is
-then dropped, and the states of the blocks are joined with row offsets,
-field by field, so two full copies of a state are never held.
-A row is normalized and read alone, so no result depends on the blocks.
+read at once (``_read_states``) into the gap-independent state of every
+kernel policy the run reads (``_run_cells`` names them): the threshold
+state at the run's smallest threshold ``tau``, which serves every ``gamma``
+and strictness at that tau and is narrowed for a larger one, and the
+l-select state of each (tau, L). The block is then dropped, and the states
+of the blocks are joined with row offsets, field by field, so two full
+copies of a state are never held. A row is normalized and read alone, so
+no result depends on the blocks.
 
-The batch carries the gap-independent work done on it: the j-th largest
-weight of each row for every rank a gap has read and the total of its L
+The batch also keeps the gap-independent work done on it: the j-th largest
+weight of each row for every rank a gap has read, the total of its L
 largest weights for every L an l-select cell has read (one (rows,) column
-each, taken from one sort per call that needs a new one), the best index,
-the threshold state at the smallest ``tau`` built (its candidates and
-best-so-far), which serves every ``gamma`` and strictness at that ``tau``
-and is narrowed for a larger one, kept beside the last state narrowed from
-it, and the l-select state of every (tau, L) asked. Each of the column
-reads runs over row blocks (``kernels._row_blocks``), each block's result
-written into its rows of the kept column, so none makes a float (rows, n)
-temporary: read whole, the sort and ``np.argmax`` would each make one, the
-last because numpy copies a read-only input, such as the memo's weights, in
-``argmax`` and ``argmin``. Beside the weights and the states, an estimate
-holds one block's times and temporaries while it builds the states, and a
-kernel pass's temporaries, which grow with the candidates, while it runs.
+each, taken from one sort per call that needs a new one), and the best
+index. Each of these reads runs over row blocks (``kernels._row_blocks``),
+each block's result written into its rows of the kept column, so none
+makes a float (rows, n) temporary: read whole, the sort and ``np.argmax``
+would each make one, the last because numpy copies a read-only input, such
+as the memo's weights, in ``argmax`` and ``argmin``. Beside the weights and
+the states, an estimate holds one block's times and temporaries while it
+builds the states, and a kernel pass's temporaries, which grow with the
+candidates, while it runs.
 
 Generated instances are a pure function of (family, n, iterations,
 master_seed), so the last batch that covered a whole run in one chunk is
 memoized under that key in ``_last_batch``, its weights and ``max_log``
-marked read-only. The next estimate with the same key gets the same batch:
-it draws, sorts and prepares nothing an earlier one did, and its arrays are
-what a fresh draw gives, bit for bit. A hit that needs a state the memo
-lacks, at a ``tau`` below every kept one or at a new (tau, L), draws the
-arrival times again, block by block, from the same streams
-(``_times_again``): each stream is a pure function of (seed, i), so they
-come out bit for bit the times first drawn.
+marked read-only. The next estimate with the same key gets the same batch
+when the batch holds the states that estimate reads: its tau at or below
+the estimate's smallest, and each of its (tau, L). Then it draws, sorts and
+prepares nothing an earlier one did, and its arrays are what a fresh draw
+gives, bit for bit. Any other estimate draws its batch afresh, and a
+whole-run batch replaces the memo.
 Every arrival draw is made here, by ``_arrival_rows`` (a stream per row) or
-``_arrival_columns`` (one stream for a fixed profile); only they drop the
-memo, before anything else is made or drawn, so no later draw holds it
-beside its own batch, and a run of several chunks leaves nothing behind; a
-draw made again for a batch keeps it. Until the next draw the last
-whole-run batch stays resident (one (iterations, n) float array, up to
-40 MB for a full chunk, plus its rank columns and states; the threshold
-state's three candidate arrays take 17 bytes per candidate at n <= 256:
-about 0.35 MB at ``tau`` = 0.2, n = 200 and 5000 iterations, 17 MB at
-``tau`` = 0), also while other work that draws nothing runs in the same
-process.
+``_arrival_columns`` (one stream for a fixed profile), and each drops the
+memo before anything else is made or drawn, so no later draw holds it
+beside its own batch, and a run of several chunks leaves nothing behind.
+Until the next draw the last whole-run batch stays resident (one
+(iterations, n) float array, up to 40 MB for a full chunk, plus its rank
+columns and states; the threshold state's three candidate arrays take 17
+bytes per candidate at n <= 256: about 0.35 MB at ``tau`` = 0.2, n = 200
+and 5000 iterations, 17 MB at ``tau`` = 0), also while other work that
+draws nothing runs in the same process.
 The module defines no public function: every entry point, including
 ``regenerate_profiles``, is in ``montecarlo``, which checks the run
 (``montecarlo._check_run``) before it calls anything here.
@@ -61,8 +59,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
@@ -72,8 +69,6 @@ from .kernels import (
     _joined_state,
     _joined_threshold_state,
     _l_select_state,
-    _LSelectState,
-    _narrowed_state,
     _row_blocks,
     _threshold_state,
     _ThresholdState,
@@ -82,26 +77,22 @@ from .kernels import (
 
 @dataclass(frozen=True)
 class _InstanceBatch:
-    """A chunk of instances, with the gap-independent work done on it so far,
-    so that a batch used again does none of it again: the j-th largest weight
-    of each row for each rank j a gap has read, the total of each row's L
-    largest weights for each L an l-select cell has read, the best index,
-    the threshold state at the smallest ``tau`` built and at the last one
-    narrowed from it, and the l-select state of each (tau, L) asked. The
-    weights are the only (rows, n) array kept, and no float one is made: the
-    rank columns and the best index are read over row blocks
-    (``kernels._row_blocks``), and the states over the blocks of
-    ``arrivals``, the rows' arrival times drawn one block at a time."""
+    """A chunk of instances with the states its run reads, built as its
+    arrival times were drawn, and the gap-independent work done on it so
+    far, so that a batch used again does none of it again: the j-th largest
+    weight of each row for each rank j a gap has read, the total of each
+    row's L largest weights for each L an l-select cell has read, and the
+    best index. The weights are the only (rows, n) array kept, and no float
+    one is made: the rank columns and the best index are read over row
+    blocks (``kernels._row_blocks``)."""
 
     weights: np.ndarray  # normalized linear weights, (rows, n)
     max_log: np.ndarray  # per-instance log normalization constant, (rows,)
-    # gives the rows' arrival times again, as (row block, times) pairs over
-    # ``_row_blocks``, each block's times valid until the next is taken
-    arrivals: Callable = field(repr=False)
+    tau: float | None  # the smallest threshold tau of the run, None for none
+    state: _ThresholdState | None  # the threshold state at ``tau``
+    l_states: dict  # the l-select state of each (tau, L) of the run
     _largest: dict = field(default_factory=dict, init=False, repr=False)
     _top_totals: dict = field(default_factory=dict, init=False, repr=False)
-    _states: dict = field(default_factory=dict, init=False, repr=False)
-    _l_states: dict = field(default_factory=dict, init=False, repr=False)
 
     def read_sorted(self, ranks=(), tops=()) -> None:
         """Keep the ``ranks``-th largest weight of each row (rank 1 is the
@@ -134,65 +125,6 @@ class _InstanceBatch:
         self.read_sorted(tops=(L,))
         return self._top_totals[L]
 
-    def _missing(self, taus, pairs) -> tuple[float | None, list]:
-        """Of the threshold ``taus`` and l-select (tau, L) ``pairs`` a run
-        reads, the states its arrival times must be read for: the smallest
-        tau, None when a state at or below it is kept (a larger tau is
-        narrowed from that), and each pair not kept."""
-        tau = min(taus, default=None)
-        if tau is not None and self._states and min(self._states) <= tau:
-            tau = None
-        return tau, [pair for pair in dict.fromkeys(pairs) if pair not in self._l_states]
-
-    def _read_arrivals(self, blocks, tau: float | None, pairs) -> None:
-        """Build the threshold state at ``tau``, unless it is None, and the
-        l-select state of each (tau, L) of ``pairs`` from the weights and
-        the (row block, times) pairs of ``blocks``, block by block, and keep
-        them; every block is read, whatever is built. A threshold state is
-        built at a tau below every kept one, and replaces them, which are
-        dropped first."""
-        if tau is not None:
-            self._states.clear()
-        threshold = []
-        l_select = {pair: [] for pair in pairs}
-        for rows, times in blocks:
-            w = self.weights[rows]
-            if tau is not None:
-                threshold.append(_threshold_state(w, times, tau))
-            for (l_tau, L), parts in l_select.items():
-                parts.append(_l_select_state(w, times, l_tau, L))
-        if tau is not None:
-            self._states[tau] = _joined_threshold_state(threshold)
-        for pair, parts in l_select.items():
-            self._l_states[pair] = _joined_state(parts)
-
-    def prepare(self, taus=(), pairs=()) -> None:
-        """Build the states the threshold ``taus`` and l-select (tau, L)
-        ``pairs`` read that the batch cannot serve from those it keeps, from
-        one more draw of its arrival times; none when it can."""
-        tau, pairs = self._missing(taus, pairs)
-        if tau is not None or pairs:
-            self._read_arrivals(self.arrivals(), tau, pairs)
-
-    def threshold_state(self, tau: float) -> _ThresholdState:
-        """The state of the threshold rules at ``tau``: a kept one, or one
-        narrowed from the kept state at the largest tau below it, kept
-        beside the state at the smallest tau in place of any other; built
-        from the arrival times when every kept tau is larger."""
-        self.prepare(taus=(tau,))
-        if tau not in self._states:
-            smallest = min(self._states)
-            state = _narrowed_state(self._states[max(t for t in self._states if t < tau)], tau)
-            for t in [t for t in self._states if t != smallest]:
-                del self._states[t]
-            self._states[tau] = state
-        return self._states[tau]
-
-    def l_select_state(self, tau: float, L: int) -> _LSelectState:
-        """The state of the multi-selection rule at ``tau`` and ``L``."""
-        self.prepare(pairs=((tau, L),))
-        return self._l_states[(tau, L)]
-
     @cached_property
     def best_index(self) -> np.ndarray:
         """The index of each row's first maximum."""
@@ -203,23 +135,42 @@ class _InstanceBatch:
         return best
 
 
+def _read_states(weights: np.ndarray, blocks, taus, pairs) -> tuple:
+    """The smallest of the threshold ``taus`` (None when there is none), the
+    threshold state at it and the l-select state of each (tau, L) of
+    ``pairs``, by pair, read off ``weights`` and the (row block, times)
+    pairs of ``blocks`` one block at a time; every block is read, whatever
+    is built. The states of the blocks are joined with row offsets, field
+    by field, so two full copies of a state are never held."""
+    tau = min(taus, default=None)
+    threshold = []
+    l_select = {pair: [] for pair in pairs}
+    for rows, times in blocks:
+        w = weights[rows]
+        if tau is not None:
+            threshold.append(_threshold_state(w, times, tau))
+        for (l_tau, L), parts in l_select.items():
+            parts.append(_l_select_state(w, times, l_tau, L))
+    state = None if tau is None else _joined_threshold_state(threshold)
+    return tau, state, {pair: _joined_state(parts) for pair, parts in l_select.items()}
+
+
 # the last generated batch that covered a whole run, read-only, with the
-# work kept on it, under (family, n, iterations, master_seed); at most one
-# entry, dropped before any other instances or arrival times are drawn
+# states of that run and the work kept on it, under (family, n, iterations,
+# master_seed); at most one entry, dropped before any other instances or
+# arrival times are drawn
 _last_batch: dict = {}
 
 
-def _arrival_rows(n: int, master_seed: int, rows: range, again: bool = False):
-    """Drop the memo, unless the times are drawn ``again`` for a batch drawn
-    before, and give a generator of the arrival times of ``rows`` one row
-    block (``kernels._row_blocks``) at a time: per block its slice of the
-    rows, its (block rows, n) times, and a generator that draws row i's
-    times from stream i, then yields the stream, for the row's weights to be
-    drawn from it next. A block's times are drawn once its generator is
-    exhausted; every block is drawn into one buffer, made after the drop, so
-    they are valid until the next block is taken."""
-    if not again:
-        _last_batch.clear()
+def _arrival_rows(n: int, master_seed: int, rows: range):
+    """Drop the memo and give a generator of the arrival times of ``rows``
+    one row block (``kernels._row_blocks``) at a time: per block its slice
+    of the rows, its (block rows, n) times, and a generator that draws row
+    i's times from stream i, then yields the stream, for the row's weights
+    to be drawn from it next. A block's times are drawn once its generator
+    is exhausted; every block is drawn into one buffer, made after the drop,
+    so they are valid until the next block is taken."""
+    _last_batch.clear()
     blocks = _row_blocks(len(rows), n)
     buffer = np.empty((blocks[0].stop, n))
 
@@ -240,15 +191,6 @@ def _arrival_rows(n: int, master_seed: int, rows: range, again: bool = False):
             yield block, times, drawn(times)
 
     return per_block()
-
-
-def _times_again(n: int, master_seed: int, rows: range):
-    """The arrival times of ``rows`` drawn again, as (row block, times)
-    pairs, the memo kept: each stream is a pure function of (seed, i), so
-    they are the times first drawn, bit for bit."""
-    for block, times, draws in _arrival_rows(n, master_seed, rows, again=True):
-        deque(draws, 0)
-        yield block, times
 
 
 def _arrival_columns(seed: int, n: int, blocks):
@@ -286,19 +228,15 @@ def _draw_rows(family: InstanceFamily, n: int, rows: range, master_seed: int):
     return log_weights, blocks()
 
 
-def _built_batch(
-    log_weights: np.ndarray, blocks, master_seed: int, rows: range, taus, pairs
-) -> _InstanceBatch:
-    """The batch of the raw log-weight rows of iterations ``rows`` that
-    ``blocks`` fills, as (row block, times) pairs, each block normalized in
-    place as it comes and its times read into the states that the threshold
-    ``taus`` and l-select (tau, L) ``pairs`` read, then dropped; the batch
-    draws the times again from the streams of ``master_seed``. The one
+def _built_batch(log_weights: np.ndarray, blocks, taus, pairs) -> _InstanceBatch:
+    """The batch of the raw log-weight rows that ``blocks`` fills, as (row
+    block, times) pairs, each block normalized in place as it comes and its
+    times read into the states that the threshold ``taus`` and l-select
+    (tau, L) ``pairs`` read (``_read_states``), then dropped. The one
     builder of drawn and replayed batches, and the one place where batch
     weights are normalized; a row is normalized alone, so its bits do not
     depend on the block."""
-    B, n = log_weights.shape
-    max_log = np.empty(B)
+    max_log = np.empty(len(log_weights))
 
     def normalized():
         for block, times in blocks:
@@ -306,9 +244,7 @@ def _built_batch(
             np.exp(log_weights[block], out=log_weights[block])
             yield block, times
 
-    batch = _InstanceBatch(log_weights, max_log, partial(_times_again, n, master_seed, rows))
-    batch._read_arrivals(normalized(), *batch._missing(taus, pairs))
-    return batch
+    return _InstanceBatch(log_weights, max_log, *_read_states(log_weights, normalized(), taus, pairs))
 
 
 def _build_batch(
@@ -317,8 +253,7 @@ def _build_batch(
     """The instances of iterations ``rows``, drawn straight into rows and
     normalized once for the whole batch or chunk, with the states of
     ``taus`` and ``pairs`` (``_built_batch``)."""
-    log_weights, blocks = _draw_rows(family, n, rows, master_seed)
-    return _built_batch(log_weights, blocks, master_seed, rows, taus, pairs)
+    return _built_batch(*_draw_rows(family, n, rows, master_seed), taus, pairs)
 
 
 def _replay_batch(profiles, master_seed: int, rows: range, taus=(), pairs=()) -> _InstanceBatch:
@@ -335,22 +270,26 @@ def _replay_batch(profiles, master_seed: int, rows: range, taus=(), pairs=()) ->
             np.stack([profiles[i].log_weights for i in rows[block]], out=log_weights[block])
             yield block, times
 
-    return _built_batch(log_weights, blocks(), master_seed, rows, taus, pairs)
+    return _built_batch(log_weights, blocks(), taus, pairs)
 
 
 def _generated_batch(config, rows: range, taus=(), pairs=()) -> _InstanceBatch:
     """The instances the config's family draws for iterations ``rows``, with
     the states of ``taus`` and ``pairs``. A batch of the whole run is kept,
-    its arrays read-only, in ``_last_batch``, so the next estimate on the
-    same (family, n, iterations, seed) gets the same batch, with the work
-    done on it: it draws, sorts and prepares nothing that an earlier
-    estimate did, and draws the arrival times again only for a state the
-    batch cannot serve from those it keeps."""
+    its arrays read-only, in ``_last_batch``, and the next estimate on the
+    same (family, n, iterations, seed) gets it when it serves that run: its
+    tau at or below the run's smallest, a larger one being narrowed from its
+    state, and every pair held. That estimate draws, sorts and prepares
+    nothing an earlier one did; any other is drawn afresh, and a whole run
+    replaces the memo."""
     key = (config.family, config.n, config.iterations, config.master_seed)
     whole = len(rows) == config.iterations
-    if whole and key in _last_batch:
-        batch = _last_batch[key]
-        batch.prepare(taus, pairs)
+    batch = _last_batch.get(key) if whole else None
+    if (
+        batch is not None
+        and (not taus or batch.tau is not None and batch.tau <= min(taus))
+        and all(pair in batch.l_states for pair in pairs)
+    ):
         return batch
     batch = _build_batch(config.family, config.n, rows, config.master_seed, taus, pairs)
     if whole:

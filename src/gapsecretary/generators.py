@@ -70,13 +70,25 @@ class SeededRng:
         ``Generator`` is built per index. A yielded generator is valid only
         until the next one is taken. Where ``stream_seeding()`` finds that
         this does not reproduce ``default_rng``, the streams come from
-        ``stream(i)``: the same draws, only slower. A negative index raises
-        ``ValueError`` when its block of indices is reached.
+        ``stream(i)``: the same draws, only slower. An index that ``stream``
+        refuses raises its ``ValueError`` when its block of indices is
+        reached; a ``range`` holds only integers, so only its least index is
+        checked.
         """
         if stream_seeding() == "vectorized":
+            if not isinstance(indices, range):
+                indices = _checked_indices(indices)
             yield from _vectorized_streams(int(self.master_seed), indices)
         else:
             yield from map(self.stream, indices)
+
+
+def _checked_indices(indices: Iterable[int]) -> Iterator[int]:
+    """Each of ``indices`` in turn, once ``SeededRng.stream``'s index rule
+    (``core._check_index``) holds for it."""
+    for index in indices:
+        _check_index(index, "stream index", 0)
+        yield index
 
 
 # numpy's SeedSequence: O'Neill's seed_seq hash over uint32 words, pool size 4
@@ -148,8 +160,7 @@ def _vectorized_streams(
     bit_generator = generator.bit_generator
     indices = iter(indices)
     while block := list(islice(indices, _SEED_BLOCK)):
-        if min(block) < 0:
-            raise ValueError("stream index must be non-negative")
+        _check_index(min(block), "stream index", 0)
         if max(block) >= 2**64:  # a third index word changes the hash constants
             yield from (np.random.default_rng([master_seed, i]) for i in block)
             continue

@@ -58,6 +58,7 @@ from .kernels import (
     _fixed_profile_pass,
     _fixed_profile_state,
     _l_select_pass,
+    _narrowed_state,
     _threshold_pass,
 )
 
@@ -307,10 +308,11 @@ def _chunk_outcomes(batch: _InstanceBatch, keys):
     once. l-select cells run one by one, each one pass over the batch's
     state at its (tau, L).
     Single-selection cells are grouped by their policy's ``(tau, gamma,
-    strict)``, and each group is one pass over the batch's threshold state,
-    whose threshold terms are computed as the pass takes them. Groups run in
-    order of tau, so the groups at one tau share its state, and each larger
-    tau narrows the state of the one before."""
+    strict)``, and each group is one pass over a threshold state, whose
+    threshold terms are computed as the pass takes them. Groups run in order
+    of tau, so the groups at one tau share its state: the batch's own at the
+    batch's tau, and each larger tau's narrowed from the state of the one
+    before (``kernels._narrowed_state``), which no batch keeps."""
     batch.read_sorted(
         {j for a, g in keys for j in _gap_ranks(a, g)},
         {a.L for a, _ in keys if a.tag == "l-select"},
@@ -322,9 +324,12 @@ def _chunk_outcomes(batch: _InstanceBatch, keys):
         else:
             groups.setdefault(_policy(algorithm), []).append((algorithm, gap))
     best_index = batch.best_index
-    for (tau, gamma, strict), members in sorted(groups.items(), key=lambda item: item[0][0]):
+    tau, state = batch.tau, batch.state
+    for (at, gamma, strict), members in sorted(groups.items(), key=lambda item: item[0][0]):
+        if at != tau:
+            tau, state = at, _narrowed_state(state, at)
         terms = (_threshold_term(a, g, batch.max_log, batch) for a, g in members)
-        outs = _threshold_pass(batch.threshold_state(tau), terms, gamma, strict)
+        outs = _threshold_pass(state, terms, gamma, strict)
         for key, out in zip(members, outs):
             yield key, _threshold_outcomes(out, best_index)
 
@@ -336,7 +341,7 @@ def _l_select_outcomes(batch: _InstanceBatch, algorithm: AlgorithmSpec, gap: Gap
     if (opt <= 0.0).any():
         raise ConfigError("the top-L weights must have positive total")
     gaps = _threshold_term(algorithm, gap, batch.max_log, batch)
-    sel = _l_select_pass(batch.l_select_state(algorithm.tau, algorithm.L), gaps)
+    sel = _l_select_pass(batch.l_states[(algorithm.tau, algorithm.L)], gaps)
     accepted = sel["accepted"]
     return {
         "ratio": sel["total_weight"] / opt,

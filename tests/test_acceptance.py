@@ -51,9 +51,9 @@ def test_check_names_and_suites(monkeypatch):
         ("two-three-tie-formula", "bounds"),
         ("two-three-tie-simulation", "figures"),
         ("pareto-band", "figures"),
+        ("guarantee-floor-simulation", "figures"),
         ("exponential-sigma-bands", "figures"),
         ("exponential-gap-beats-classical", "figures"),
-        ("guarantee-floor-simulation", "figures"),
         ("superstar-sigma-bands", "figures"),
         ("small-instance-oracle", "oracle"),
         ("bounded-error-guarantee", "figures"),

@@ -65,6 +65,9 @@ BAD = {
     # stream(2.5) and stream(True) drew streams 2 and 1
     "stream-float": (lambda: SeededRng(7).stream(2.5), "stream index must be an integer"),
     "stream-true": (lambda: SeededRng(7).stream(True), "stream index must be an integer"),
+    # streams([2.5]) and streams([True]) drew streams 2 and 1 too
+    "streams-float": (lambda: next(SeededRng(7).streams([2.5])), "stream index must be an integer"),
+    "streams-true": (lambda: next(SeededRng(7).streams([True])), "stream index must be an integer"),
     "chi-squared-df-float": (lambda: gen_chi_squared(4, 2.5, NoDraw()), "df must be an integer"),
     "chi-squared-df-true": (lambda: gen_chi_squared(4, True, NoDraw()), "df must be an integer"),
     "exponential-n-float": (lambda: gen_exponential(2.0, NoDraw()), "need at least one weight"),

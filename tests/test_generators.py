@@ -99,8 +99,10 @@ class TestVectorizedStreams:
         assert_streams_match(seed, indices)
 
     def test_negative_index_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="stream index must be an integer >= 0"):
             list(SeededRng(0).streams([3, -1]))
+        with pytest.raises(ValueError, match="stream index must be an integer >= 0"):
+            list(SeededRng(0).streams(range(-1, 3)))
 
     @pytest.mark.parametrize("breakage", ["different-draws", "seeding-raises"])
     def test_failed_check_falls_back_to_default_rng(self, monkeypatch, breakage):

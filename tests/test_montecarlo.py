@@ -91,17 +91,18 @@ def _run_l_select_rows(weights, times, tau, L, gaps) -> dict:
     return _l_select_pass(_l_select_state(weights, times, tau, L), gaps)
 
 
-def _batch(weights, times, max_log) -> _InstanceBatch:
-    """A batch of given weights and arrival times, the times read a row
+def _batch(weights, times, max_log, taus=(), pairs=()) -> _InstanceBatch:
+    """A batch of given weights and arrival times with the states of the
+    threshold ``taus`` and l-select (tau, L) ``pairs``, the times read a row
     block at a time, as a drawn batch reads its own."""
-    return _InstanceBatch(
-        weights, max_log, lambda: ((rows, times[rows]) for rows in kernels._row_blocks(*times.shape))
-    )
+    blocks = ((rows, times[rows]) for rows in kernels._row_blocks(*times.shape))
+    return _InstanceBatch(weights, max_log, *batches._read_states(weights, blocks, taus, pairs))
 
 
-def _times(batch) -> np.ndarray:
-    """A batch's arrival times, drawn again and joined."""
-    return np.concatenate([times.copy() for _, times in batch.arrivals()])
+def _times(seed, rows, n) -> np.ndarray:
+    """The arrival times of iterations ``rows`` under ``seed``, row i read
+    from stream i, as the stream contract states."""
+    return np.array([SeededRng(seed).stream(i).random(n) for i in rows])
 
 
 def _run_fixed_profile(w, times, tau, gap=0.0, gamma=0.0, strict=False) -> dict:
@@ -212,13 +213,14 @@ class TestKernelMatchesScalarRunners:
         W[0] = 0.0
         T = rng.random(W.shape)
         profiles = [WeightProfile.from_weights(row) for row in W]
-        tied = _batch(
+        tied = partial(
+            _batch,
             np.array([p.normalized_weights for p in profiles]),
             T,
             np.array([p.max_log_weight for p in profiles]),
         )
         monkeypatch.setattr(batches, "_last_batch", {})
-        monkeypatch.setattr(batches, "_build_batch", lambda *args: tied)
+        monkeypatch.setattr(batches, "_build_batch", lambda family, n, rows, seed, *policies: tied(*policies))
         fixed = WeightProfile.from_weights([2.5, 7.5, 0.0, 7.5, 7.5])
         # one stream from the seed, drawn in iteration order
         fixed_T =np.random.default_rng([SEED]).random((len(W), fixed.n))
@@ -483,7 +485,7 @@ class TestLSelectKernelMatchesScalarRunner:
         rng = np.random.default_rng(13)
         profiles = [WeightProfile(np.log(rng.random(6)) - 800.0) for _ in range(30)]
         batch_of = partial(_replay_batch, profiles, SEED)
-        times = _times(batch_of(range(30)))
+        times = _times(SEED, range(30), 6)
         for tag in ("exact-gap", "bounded", "robust", "l-select"):
             spec = AlgorithmSpec(tag, tau=0.3, gamma=0.25 * (tag == "robust"), epsilon=0.5, L=2)
             cells = [(spec, GapSpec(absolute=1.0, sigma=0.0)), (spec, GapSpec(absolute=0.0))]
@@ -1634,17 +1636,18 @@ class TestBatchBuild:
             _replay_batch(profiles, seed, range(iters), *policies),
         ):
             ranked = np.stack(batch.largest(range(1, n + 1)), axis=1)
-            got = (_times(batch), batch.weights, batch.max_log, ranked)
+            got = (_times(seed, range(iters), n), batch.weights, batch.max_log, ranked)
             for a, b in zip(got, expected):
                 assert np.array_equal(a, b)
-            assert batch._states.keys() == {0.3}
-            assert _same_state(batch.threshold_state(0.3), _threshold_state(W, times, 0.3))
-            assert _same_state(batch.l_select_state(0.3, n), _l_select_state(W, times, 0.3, n))
+            assert batch.tau == 0.3 and batch.l_states.keys() == {(0.3, n)}
+            assert _same_state(batch.state, _threshold_state(W, times, 0.3))
+            assert _same_state(batch.l_states[(0.3, n)], _l_select_state(W, times, 0.3, n))
         if family.tag == "pareto_power":
             assert not batch.max_log.any()  # pareto profiles come normalized
-        # a chunk of rows is the same rows of the whole batch
-        chunk = _build_batch(family, n, range(13, 29), seed)
-        assert np.array_equal(_times(chunk), times[13:29])
+        # a chunk of rows is the same rows of the whole batch, and its state
+        # is read off the same rows of the arrival times
+        chunk = _build_batch(family, n, range(13, 29), seed, {0.5})
+        assert _same_state(chunk.state, _threshold_state(W[13:29], times[13:29], 0.5))
         assert np.array_equal(chunk.weights, W[13:29])
         assert np.array_equal(chunk.max_log, max_log[13:29])
 
@@ -1745,9 +1748,9 @@ class TestRowBlockReads:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_BLOCK_ELEMENTS", 3 * n)
             assert kernels._row_blocks(B, n)[0] == slice(0, min(B, 3))
-            batch = _batch(W, T, np.zeros(B))
-            assert _same_bits(batch.best_index, np.argmax(W, axis=1))
             ranks = range(1, n + 1)
+            batch = _batch(W, T, np.zeros(B), {tau}, {(tau, L) for L in ranks})
+            assert _same_bits(batch.best_index, np.argmax(W, axis=1))
             for j, column in zip(ranks, batch.largest(ranks)):
                 assert _same_bits(column, ascending[:, n - j])
             for L in ranks:
@@ -1755,8 +1758,8 @@ class TestRowBlockReads:
                 assert _same_bits(batch.top_total(L), np.sum(top, axis=1))
             state = kernels._threshold_state(W, T, tau)
             # the states joined from the blocks of the arrival times
-            joined = batch.threshold_state(tau)
-            l_joined = {L: batch.l_select_state(tau, L) for L in ranks}
+            joined = batch.state
+            l_joined = {L: batch.l_states[(tau, L)] for L in ranks}
         assert _same_bits(state.bsf, np.max(W * (T <= tau), axis=1))
         whole = kernels._threshold_state(W, T, tau)
         assert _same_state(state, whole) and _same_state(joined, whole)
@@ -1795,7 +1798,7 @@ class TestBatchRatioForProfiles:
         mixed = [zero, *(WeightProfile.from_weights(rng.random(4) * 5) for _ in range(25)), zero]
         for profiles in ([zero] * 50, mixed):
             batch_of = partial(_replay_batch, profiles, 3)
-            times = _times(batch_of(range(len(profiles))))
+            times = _times(3, range(len(profiles)), 4)
             for tag in ("exact-gap", "bounded", "robust"):
                 spec = AlgorithmSpec(tag, tau=0.2, gamma=0.25 * (tag == "robust"), epsilon=0.05)
                 cell = [(spec, GapSpec(k=2))]
@@ -2171,27 +2174,36 @@ def _held(batch) -> list:
     """Every array a batch holds: its instances and the work kept on them."""
     arrays = [batch.weights, batch.max_log, *batch._largest.values(),
               *batch._top_totals.values()]
-    for state in [*batch._states.values(), *batch._l_states.values()]:
-        arrays += [a for a in state if isinstance(a, np.ndarray)]
+    for state in [batch.state, *batch.l_states.values()]:
+        arrays += [a for a in state or () if isinstance(a, np.ndarray)]
     return list({id(a): a for a in arrays}.values())
 
 
-def _tied_batch(case):
+def _tied_times(case) -> np.ndarray:
+    """The quarter-step arrival times of a tied batch's case."""
+    return np.array([t for _, t in case]) / 4
+
+
+def _tied_batch(case, taus=(), pairs=()):
     """A batch of integer weights and quarter-step times, so weights, gaps
-    and arrival times tie; an all-zero row is its own normalized view."""
+    and arrival times tie, with the states of ``taus`` and ``pairs``; an
+    all-zero row is its own normalized view."""
     W = np.array([w for w, _ in case]) * 2.5
     profiles = [WeightProfile.from_weights(row) for row in W]
     return _batch(
         np.array([p.normalized_weights for p in profiles]),
-        np.array([t for _, t in case]) / 4,
+        _tied_times(case),
         np.array([p.max_log_weight for p in profiles]),
+        taus,
+        pairs,
     )
 
 
 class TestBatchMemo:
     """The last whole-run generated batch is kept, its arrays read-only, for
-    the next estimate on the same (family, n, iterations, seed), together
-    with the rank columns and threshold state computed on it."""
+    the next estimate on the same (family, n, iterations, seed) that it
+    serves, together with the states of its run and the rank columns
+    computed on it."""
 
     ALGOS = [
         AlgorithmSpec("classical", tau=0.3),
@@ -2225,13 +2237,14 @@ class TestBatchMemo:
         estimate_ratio(cfg)
         memo = self._memo()
         assert not memo.weights.flags.writeable
+        times = _times(cfg.master_seed, range(cfg.iterations), cfg.n)
         reads = {
             "best_index": lambda batch: batch.best_index,
             "new rank": lambda batch: batch.read_sorted(ranks=(10,)),
-            "threshold_state": lambda batch: batch.threshold_state(0.3),
+            "threshold state": lambda batch: _batch(batch.weights, times, batch.max_log, {0.3}),
         }
         for name, read in reads.items():
-            batch = _InstanceBatch(memo.weights, memo.max_log, memo.arrivals)
+            batch = _batch(memo.weights, times, memo.max_log)
             tracemalloc.start()
             try:
                 read(batch)
@@ -2244,44 +2257,49 @@ class TestBatchMemo:
         calls = _counting_draws(monkeypatch)
         cfg = self._config()
         rows = range(cfg.iterations)
-        first = batches._generated_batch(cfg, rows)
+        first = batches._generated_batch(cfg, rows, {0.2})
         estimate_ratio(cfg)
-        hit = batches._generated_batch(cfg, rows)
+        hit = batches._generated_batch(cfg, rows, {0.2})
         assert len(calls) == 1
-        assert hit is first and first._largest and first._states
-        fresh = _build_batch(cfg.family, cfg.n, rows, cfg.master_seed)
+        assert hit is first and first._largest and first.tau == 0.2
+        fresh = _build_batch(cfg.family, cfg.n, rows, cfg.master_seed, {0.2})
         ranks = range(1, cfg.n + 1)
-        for a, b in zip((hit.weights, _times(hit), hit.max_log, *hit.largest(ranks)),
-                        (fresh.weights, _times(fresh), fresh.max_log, *fresh.largest(ranks))):
+        for a, b in zip((hit.weights, hit.max_log, *hit.largest(ranks)),
+                        (fresh.weights, fresh.max_log, *fresh.largest(ranks))):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert _same_state(hit.state, fresh.state)
 
-    def test_hit_needing_a_new_state_equals_fresh_build(self, monkeypatch):
-        # a hit at a tau below every kept one, or at a new (tau, L), draws
-        # the arrival times again, from the same streams; a tau between the
-        # kept ones is narrowed from the smallest. Each estimate and state
-        # equals that of a fresh batch
+    def test_memo_serves_only_the_states_it_holds(self, monkeypatch):
+        # the memo's batch holds the threshold state at tau 0.2 and the
+        # l-select state at (0.2, 3). A smaller tau or a new (tau, L) draws
+        # the instances again, and its batch, with the states of its run,
+        # replaces the memo; a larger tau is narrowed from the kept state,
+        # and draws and keeps nothing. Each gives the fresh-build estimate
+        # bit for bit
         cfg = self._config()
-        algos = [AlgorithmSpec("exact-gap", tau=0.1), AlgorithmSpec("l-select", tau=0.1, L=3),
-                 AlgorithmSpec("robust", tau=0.2, gamma=0.3)]
+        held = [(AlgorithmSpec("exact-gap", tau=0.2), cfg.gap),
+                (AlgorithmSpec("l-select", tau=0.2, L=3), cfg.gap)]
+        # each rule: its draws, and the tau and pairs the memo then holds
+        rules = {
+            AlgorithmSpec("exact-gap", tau=0.1): (1, 0.1, set()),
+            AlgorithmSpec("l-select", tau=0.2, L=4): (1, None, {(0.2, 4)}),
+            AlgorithmSpec("exact-gap", tau=0.3): (0, 0.2, {(0.2, 3)}),
+            AlgorithmSpec("l-select", tau=0.2, L=3): (0, 0.2, {(0.2, 3)}),
+        }
 
         def fresh(rows, *policies):
             return _build_batch(cfg.family, cfg.n, rows, cfg.master_seed, *policies)
 
-        expected = [montecarlo._run_cells(cfg.n, cfg.iterations, fresh, [(a, cfg.gap)])[0]
-                    for a in algos]
-        fresh_batch = fresh(range(cfg.iterations), {0.1}, {(0.1, 3)})
-        estimate_ratio(replace(cfg, algorithm=AlgorithmSpec("exact-gap", tau=0.3)))
-        memo = self._memo()
-        arrivals = []
-        draw = batches._arrival_rows
-        monkeypatch.setattr(batches, "_arrival_rows",
-                            lambda *args, **kwargs: arrivals.append(args) or draw(*args, **kwargs))
-        for algo, est in zip(algos, expected):
-            assert estimate_ratio(replace(cfg, algorithm=algo)) == est, algo.tag
-        assert self._memo() is memo and len(arrivals) == 2
-        assert memo._states.keys() == {0.1, 0.2}
-        assert _same_state(memo.threshold_state(0.1), fresh_batch.threshold_state(0.1))
-        assert _same_state(memo.l_select_state(0.1, 3), fresh_batch.l_select_state(0.1, 3))
+        expected = {algo: montecarlo._run_cells(cfg.n, cfg.iterations, fresh, [(algo, cfg.gap)])[0]
+                    for algo in rules}
+        calls = _counting_draws(monkeypatch)
+        for algo, (draws, tau, pairs) in rules.items():
+            montecarlo._on_generated(cfg, held)
+            memo = self._memo()
+            del calls[:]
+            assert estimate_ratio(replace(cfg, algorithm=algo)) == expected[algo], algo
+            assert len(calls) == draws and (self._memo() is memo) == (draws == 0), algo
+            assert (self._memo().tau, self._memo().l_states.keys()) == (tau, pairs), algo
 
     def test_estimate_peak_below_one_and_a_half_weights(self):
         # the weights are the one (rows, n) array an estimate holds: each
@@ -2325,12 +2343,14 @@ class TestBatchMemo:
 
     def test_memoized_arrays_read_only(self):
         cfg = self._config()
+        cells = [(algo, cfg.gap) for algo in self.ALGOS]
         fresh = montecarlo._run_cells(
             cfg.n, cfg.iterations,
             lambda rows, *policies: _build_batch(cfg.family, cfg.n, rows, cfg.master_seed, *policies),
-            [(algo, cfg.gap) for algo in self.ALGOS],
+            cells,
         )
-        estimate_ratio(cfg)
+        # one run of every rule, so the memo holds the states each reads
+        montecarlo._on_generated(cfg, cells)
         batch = self._memo()
         for a in (batch.weights, batch.max_log):
             assert not a.flags.writeable
@@ -2411,23 +2431,23 @@ class TestBatchMemo:
         assert counts == {"draws": 1, "sorts": 1, "states": 1}
 
     def test_memo_holds_no_second_float_matrix(self):
-        # after rules at several taus, gammas and gap indices, the memo holds
-        # no (rows, n) array beyond the weights, and no arrival times: the
-        # threshold state keeps one entry per candidate, the post-tau
-        # elements at or above best-so-far, the l-select state one per
-        # element at or above theta, and (rows,) columns
+        # after a run of rules at several taus, gammas and gap indices, the
+        # memo holds no (rows, n) array beyond the weights, and no arrival
+        # times: the threshold state keeps one entry per candidate, the
+        # post-tau elements at or above best-so-far, the l-select state one
+        # per element at or above theta, and (rows,) columns
         cfg = self._config()
-        for algo in self.ALGOS:
-            for k in (2, 3, 12):
-                estimate_ratio(replace(cfg, algorithm=algo, gap=GapSpec(k=k)))
-        estimate_ratio(replace(cfg, algorithm=AlgorithmSpec("robust", tau=0.1, gamma=0.5)))
+        cells = [(algo, GapSpec(k=k)) for algo in self.ALGOS for k in (2, 3, 12)]
+        cells.append((AlgorithmSpec("robust", tau=0.1, gamma=0.5), cfg.gap))
+        montecarlo._on_generated(cfg, cells)
         batch = self._memo()
         held = _held(batch)
         matrices = [a for a in held if a.ndim != 1]
         assert len(matrices) == 1 and matrices[0] is batch.weights
-        times = _times(batch)
+        times = _times(cfg.master_seed, range(cfg.iterations), cfg.n)
         # the state of the smallest tau asked, 0.1: one entry per candidate
-        (state,) = batch._states.values()
+        state = batch.state
+        assert batch.tau == 0.1
         post = times > 0.1
         bsf = np.max(np.where(post, 0.0, batch.weights), axis=1)
         m = np.count_nonzero(post & (batch.weights >= bsf[:, None]))
@@ -2435,7 +2455,7 @@ class TestBatchMemo:
         candidates = (state.index, state.weight, state.time)
         assert all(a.shape == (m,) for a in candidates)
         # l-select's at tau 0.3 and L = 3: one entry per element at or above theta
-        (l_state,) = batch._l_states.values()
+        (l_state,) = batch.l_states.values()
         assert l_state.index.shape == (np.count_nonzero(batch.weights >= l_state.theta[:, None]),)
         candidates += (l_state.index, l_state.weight, l_state.time)
         # all else are (rows,) columns, or the starts of the rows holding one
@@ -2472,28 +2492,32 @@ class TestBatchMemo:
     # a late phase after a rule without one at the same tau
     @example(([([0, 1, 2], [0, 4, 2])], [("exact-gap", 0.25, 0.3, 3, 2.0), ("robust", 0.25, 0.3, 3, 2.0)]))
     def test_carried_state_equals_fresh_batch(self, case):
-        # a sequence of cells on one batch, each estimate reading the rank
-        # columns and threshold state the earlier ones left, against each
-        # cell on a fresh batch of the same instances, bit for bit
+        # a sequence of cells on one batch that holds the states of them
+        # all, as a memo serving each does, each estimate reading the rank
+        # columns the earlier ones left and narrowing the batch's threshold
+        # state to its tau, against each cell on a fresh batch of the same
+        # instances, built for that cell alone, bit for bit
         rows, rules = case
-        carried = _tied_batch(rows)
-        n, iterations = carried.weights.shape[1], carried.weights.shape[0]
-        for tag, tau, gamma, k, sigma in rules:
-            if tag == "l-select" and k > n - 1:
-                continue
-            algo = AlgorithmSpec(tag, tau=tau, gamma=gamma if tag == "robust" else 0.0,
-                                 epsilon=0.25, L=k)
-            cell = [(algo, GapSpec(k=k, sigma=sigma))]
+        n, iterations = len(rows[0][0]), len(rows)
+        cells = [
+            (AlgorithmSpec(tag, tau=tau, gamma=gamma if tag == "robust" else 0.0, epsilon=0.25, L=k),
+             GapSpec(k=k, sigma=sigma))
+            for tag, tau, gamma, k, sigma in rules
+            if not (tag == "l-select" and k > n - 1)
+        ]
+        carried = _tied_batch(rows, {a.tau for a, _ in cells if a.tag != "l-select"},
+                              {(a.tau, a.L) for a, _ in cells if a.tag == "l-select"})
+        for cell in cells:
 
             def outcomes(batch_of, keep_all=montecarlo._KEEP_ALL):
                 # l-select rejects a row whose top-L weights are all 0
                 try:
-                    return montecarlo._run_cells(n, iterations, batch_of, cell, keep_all)[0]
+                    return montecarlo._run_cells(n, iterations, batch_of, [cell], keep_all)[0]
                 except ConfigError as exc:
                     return str(exc)
 
             got = outcomes(lambda *args: carried)
-            assert _same(got, outcomes(lambda *args: _tied_batch(rows))), (tag, tau, gamma, k, sigma)
+            assert _same(got, outcomes(lambda _, *policies: _tied_batch(rows, *policies))), cell
 
     # (tau, weights, times, candidates per row): every row's largest raw
     # weight is 1 or it is all zero, so its raw and normalized views agree
@@ -2530,8 +2554,8 @@ class TestBatchMemo:
         profiles = [WeightProfile.from_weights(row) for row in W]
         assert all(p.max_log_weight in (0.0, -math.inf) for p in profiles)
         batch = _batch(np.array([p.normalized_weights for p in profiles]), T,
-                               np.array([p.max_log_weight for p in profiles]))
-        state = batch.threshold_state(tau)
+                       np.array([p.max_log_weight for p in profiles]), {tau})
+        state = batch.state
         counts = np.zeros(len(W), dtype=int)
         counts[state.rows] = np.diff(state.starts, append=state.weight.size)
         assert counts.tolist() == per_row and (counts[state.rows] > 0).all()
@@ -2544,7 +2568,7 @@ class TestBatchMemo:
             "strict": (AlgorithmSpec("strict-classical", tau=tau), 0.0, True, [0.0]),
         }
         for kind, (spec, gamma, strict, kind_gaps) in kinds.items():
-            outs = kernels._threshold_pass(batch.threshold_state(tau), kind_gaps, gamma, strict)
+            outs = kernels._threshold_pass(state, kind_gaps, gamma, strict)
             for gap, out in zip(kind_gaps, outs, strict=True):
                 where = (kind, gap)
                 _assert_same_arrays(out, _dense_reference(batch.weights, T, tau, gap, gamma, strict), where)
@@ -2553,7 +2577,6 @@ class TestBatchMemo:
                     ref = _scalar_reference(spec, prof, ArrivalDraw(T[row]), float(row_gaps[row]))
                     expected = ref.accepted_index if ref.accepted else -1
                     assert out["accept_index"][row] == expected, (where, row)
-        assert batch._states.keys() == {tau} and batch.threshold_state(tau) is state
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(
@@ -2572,33 +2595,16 @@ class TestBatchMemo:
     def test_narrowed_state_equals_fresh_build(self, rows, taus):
         # each state narrowed from the one at the next smaller tau equals a
         # fresh build at its tau, array by array; times land on the taus
-        batch = _tied_batch(rows)
         taus = sorted(taus)
-        state = batch.threshold_state(taus[0])
+        batch = _tied_batch(rows, taus[:1])
+        state = batch.state
         for tau in taus[1:]:
             narrowed = kernels._narrowed_state(state, tau)
-            fresh = kernels._threshold_state(batch.weights, _times(batch), tau)
+            fresh = kernels._threshold_state(batch.weights, _tied_times(rows), tau)
             for field, a, b in zip(fresh._fields, narrowed, fresh):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (field, tau)
                 assert a.base is None, field
             state = narrowed
-
-    def test_larger_tau_narrows_the_kept_state(self, monkeypatch):
-        # the state at the first tau is built as the instances are drawn and
-        # kept beside the one narrowed from it, so every larger tau, 0.2
-        # after 0.3 too, is narrowed from it; a smaller tau draws the
-        # arrival times again and builds afresh
-        counts = self._count_work(monkeypatch)
-        arrivals = []
-        draw = batches._arrival_rows
-        monkeypatch.setattr(batches, "_arrival_rows",
-                            lambda *args, **kwargs: arrivals.append(args) or draw(*args, **kwargs))
-        cfg = self._config()
-        for tau in (0.1, 0.2, 0.3, 0.2):
-            estimate_ratio(replace(cfg, algorithm=AlgorithmSpec("exact-gap", tau=tau)))
-        assert counts == {"draws": 1, "sorts": 1, "states": 1} and len(arrivals) == 1
-        estimate_ratio(replace(cfg, algorithm=AlgorithmSpec("exact-gap", tau=0.05)))
-        assert counts == {"draws": 1, "sorts": 1, "states": 2} and len(arrivals) == 2
 
     def test_multi_chunk_run_leaves_nothing(self, monkeypatch):
         estimate_ratio(self._config())

@@ -6,23 +6,26 @@ covered a whole run.
 A batch holds its normalized weights, the one (rows, n) array it keeps, and
 small states; no batch keeps its arrival times. One builder,
 ``_built_batch``, serves drawn and replayed chunks: the arrival times are
-drawn one row block of ``kernels._BLOCK_ELEMENTS`` elements at a time into
-one reused buffer (``_arrival_rows``), each block's weights drawn or
-replayed into the chunk's weights and normalized in place, and the block
-read at once (``_read_states``) into the gap-independent state of every
-kernel policy the run reads (``_run_cells`` names them): the threshold
-state at the run's smallest threshold ``tau``, which serves every ``gamma``
-and strictness at that tau and is narrowed for a larger one, and the
-l-select state of each (tau, L). The block is then dropped, and the states
-of the blocks are joined with row offsets, field by field, so two full
-copies of a state are never held. A row is normalized and read alone, so
-no result depends on the blocks.
+drawn one row block of ``_BLOCK_ELEMENTS`` elements at a time into one
+reused buffer (``_arrival_rows``), each block's weights drawn or replayed
+into the chunk's weights and normalized in place, and the block read at
+once (``_read_states``) into the gap-independent state of every kernel
+policy the run reads (``_run_cells`` names them): the threshold state at
+the run's smallest threshold ``tau``, which serves every ``gamma`` and
+strictness at that tau and is narrowed for a larger one, and the l-select
+state of each (tau, L). The block is then dropped, and the states of the
+blocks are joined field by field, so two full copies of a state are never
+held. A row is normalized and read alone, so no result depends on the
+blocks. The row blocks are decided here alone: the kernels take whole
+arrays. An l-select chunk (``montecarlo._CHUNK_ELEMENTS``, 16,384
+elements) never spans two blocks of 65,536, so an l-select run's states
+are joined from one part.
 
 The batch also keeps the gap-independent work done on it: the j-th largest
 weight of each row for every rank a gap has read, the total of its L
 largest weights for every L an l-select cell has read (one (rows,) column
 each, taken from one sort per call that needs a new one), and the best
-index. Each of these reads runs over row blocks (``kernels._row_blocks``),
+index. Each of these reads runs over row blocks (``_row_blocks``),
 each block's result written into its rows of the kept column, so none
 makes a float (rows, n) temporary: read whole, the sort and ``np.argmax``
 would each make one, the last because numpy copies a read-only input, such
@@ -65,14 +68,21 @@ import numpy as np
 
 from .core import normalize_rows
 from .generators import InstanceFamily, SeededRng
-from .kernels import (
-    _joined_state,
-    _joined_threshold_state,
-    _l_select_state,
-    _row_blocks,
-    _threshold_state,
-    _ThresholdState,
-)
+from .kernels import _Entries, _joined_state, _l_select_state, _threshold_state
+
+# the elements in one row block of a batch's arrival draw and of each
+# gap-independent read of it (``_row_blocks``): each makes its float
+# temporaries one block at a time, so none is the size of the batch; 512 KiB
+# of float64, where the reads of a 5000×200 batch ran as fast as at 2^14 or
+# 2^15 elements and faster than whole or at 2^18
+_BLOCK_ELEMENTS = 2**16
+
+
+def _row_blocks(B: int, n: int) -> list[slice]:
+    """Slices of consecutive rows, in order, that cover B rows of n elements,
+    each of at most ``_BLOCK_ELEMENTS`` elements or one row."""
+    step = max(1, _BLOCK_ELEMENTS // n)
+    return [slice(start, min(start + step, B)) for start in range(0, B, step)]
 
 
 @dataclass(frozen=True)
@@ -84,12 +94,12 @@ class _InstanceBatch:
     row's L largest weights for each L an l-select cell has read, and the
     best index. The weights are the only (rows, n) array kept, and no float
     one is made: the rank columns and the best index are read over row
-    blocks (``kernels._row_blocks``)."""
+    blocks (``_row_blocks``)."""
 
     weights: np.ndarray  # normalized linear weights, (rows, n)
     max_log: np.ndarray  # per-instance log normalization constant, (rows,)
     tau: float | None  # the smallest threshold tau of the run, None for none
-    state: _ThresholdState | None  # the threshold state at ``tau``
+    state: _Entries | None  # the threshold state at ``tau``
     l_states: dict  # the l-select state of each (tau, L) of the run
     _largest: dict = field(default_factory=dict, init=False, repr=False)
     _top_totals: dict = field(default_factory=dict, init=False, repr=False)
@@ -140,8 +150,8 @@ def _read_states(weights: np.ndarray, blocks, taus, pairs) -> tuple:
     threshold state at it and the l-select state of each (tau, L) of
     ``pairs``, by pair, read off ``weights`` and the (row block, times)
     pairs of ``blocks`` one block at a time; every block is read, whatever
-    is built. The states of the blocks are joined with row offsets, field
-    by field, so two full copies of a state are never held."""
+    is built. The states of the blocks are joined field by field, so two
+    full copies of a state are never held."""
     tau = min(taus, default=None)
     threshold = []
     l_select = {pair: [] for pair in pairs}
@@ -151,7 +161,7 @@ def _read_states(weights: np.ndarray, blocks, taus, pairs) -> tuple:
             threshold.append(_threshold_state(w, times, tau))
         for (l_tau, L), parts in l_select.items():
             parts.append(_l_select_state(w, times, l_tau, L))
-    state = None if tau is None else _joined_threshold_state(threshold)
+    state = None if tau is None else _joined_state(threshold)
     return tau, state, {pair: _joined_state(parts) for pair, parts in l_select.items()}
 
 
@@ -164,7 +174,7 @@ _last_batch: dict = {}
 
 def _arrival_rows(n: int, master_seed: int, rows: range):
     """Drop the memo and give a generator of the arrival times of ``rows``
-    one row block (``kernels._row_blocks``) at a time: per block its slice
+    one row block (``_row_blocks``) at a time: per block its slice
     of the rows, its (block rows, n) times, and a generator that draws row
     i's times from stream i, then yields the stream, for the row's weights
     to be drawn from it next. A block's times are drawn once its generator

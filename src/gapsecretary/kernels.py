@@ -14,8 +14,8 @@ gap, built once per ``tau``, and a pass per gap that reads it:
   of gaps and yields one result per gap: the generated and replayed batches
   of every estimate and sweep. Only a post-``tau`` element at or above
   best-so-far can be accepted, under any gap or ``gamma``, so the state
-  keeps just those candidates, as flat arrays in row-major order (about 4
-  per row at ``tau`` = 0.2, n = 200; every element at ``tau`` = 0), and a
+  keeps best-so-far per row and just those candidates (``_Entries``; about
+  4 per row at ``tau`` = 0.2, n = 200; every element at ``tau`` = 0), and a
   pass reads nothing else: one comparison with the gap, one with 1 -
   ``gamma``, and a segment minimum of the passing arrival times per row. A
   candidate at a larger ``tau`` is one at a smaller ``tau`` too, so
@@ -38,18 +38,19 @@ than L strictly heavier elements of Q arrived before it. That reads weights
 only, so it holds with ties. Only the pre-``tau`` elements at or above theta
 and the post-``tau`` ones at or above max(theta, gap) can be a hit or decide
 one (``_l_select_kept``). So the state keeps theta per row and the elements
-at or above it, pre-``tau`` and post-``tau``, as flat arrays in row-major
-order, and the pass cuts each row to its pre-``tau`` elements and those at
-or above the gap, padded to the widest row of the chunk: about 10 of 200
-per row at L = 2 and ``tau`` = 0.2 (the widest of 81 rows about 32), and
-most of the row at ``tau`` = 0 or a large L. It ranks those alone,
-``_l_select_hits`` finds every hit with L running minima over their arrival
-positions, and the pass walks the hits alone, every row's r-th hit in round
-r. The top-L total, which does not depend on the gap, comes from the batch.
+at or above it, pre-``tau`` and post-``tau`` (``_Entries``), and the pass
+cuts each row to its pre-``tau`` elements and those at or above the gap,
+padded to the widest row of the chunk: about 10 of 200 per row at L = 2 and
+``tau`` = 0.2 (the widest of 81 rows about 32), and most of the row at
+``tau`` = 0 or a large L. It ranks those alone, ``_l_select_hits`` finds
+every hit with L running minima over their arrival positions, and the pass
+walks the hits alone, every row's r-th hit in round r. The top-L total,
+which does not depend on the gap, comes from the batch.
 
-A state of (rows, n) arrays built over consecutive row blocks, one at a
-time, with the blocks' states joined (``_joined_state``), equals one built
-over the whole arrays: a row's entries do not depend on the other rows.
+Every kernel takes whole arrays and knows no blocks. A state built over
+consecutive row blocks, one at a time, with the blocks' states joined field
+by field (``_joined_state``), equals one built over the whole arrays: a
+row's entries do not depend on the other rows.
 
 Both threshold kernels return one record per draw, two (rows,) arrays:
 ``accept_index``, the accepted element or -1 when none is, and ``ratio``,
@@ -66,124 +67,90 @@ from typing import NamedTuple
 
 import numpy as np
 
-# the elements in one row block of a batch's arrival draw and of each
-# gap-independent read of it (``_row_blocks``): each makes its float
-# temporaries one block at a time, so none is the size of the batch; 512 KiB
-# of float64, where the reads of a 5000×200 batch ran as fast as at 2^14 or
-# 2^15 elements and faster than whole or at 2^18
-_BLOCK_ELEMENTS = 2**16
 
+class _Entries(NamedTuple):
+    """The state of a row kernel at one ``tau`` over (B, n) weights and
+    times: one level per row, and the elements the kernel may read, its
+    entries, as flat arrays in row-major order with the count of each
+    row's. The threshold kernel's level is best-so-far and its entries the
+    candidates; the l-select kernel's level is theta and its entries the
+    elements at or above it."""
 
-def _row_blocks(B: int, n: int) -> list[slice]:
-    """Slices of consecutive rows, in order, that cover B rows of n elements,
-    each of at most ``_BLOCK_ELEMENTS`` elements or one row."""
-    step = max(1, _BLOCK_ELEMENTS // n)
-    return [slice(start, min(start + step, B)) for start in range(0, B, step)]
-
-
-class _ThresholdState(NamedTuple):
-    """What threshold rules at one ``tau`` read of a chunk, whatever their
-    gaps and gamma: its candidates, the post-``tau`` elements at or above
-    best-so-far, as flat arrays in row-major order, the rows holding one
-    with the start of each row's run in them, and per row best-so-far. Only
-    a candidate can be accepted, under any gap and in the late phase
-    alike."""
-
-    # (m,) the candidates' indices, ascending within a row, in the smallest
-    # unsigned type that holds n - 1: 1 byte, not 8, per candidate at n = 200
+    level: np.ndarray  # (B,)
+    counts: np.ndarray  # (B,) each row's entries in the flat arrays
+    # (m,) the entries' indices, ascending within a row, in the smallest
+    # unsigned type that holds n - 1: 1 byte, not 8, per entry at n = 200
     index: np.ndarray
     weight: np.ndarray  # (m,)
     time: np.ndarray  # (m,)
-    rows: np.ndarray  # (R,) the rows holding a candidate, ascending
-    starts: np.ndarray  # (R,) where each of them starts in the candidates
-    bsf: np.ndarray  # (B,)
 
 
-def _threshold_state(weights: np.ndarray, times: np.ndarray, tau: float) -> _ThresholdState:
-    """The state of threshold rules at ``tau`` over (B, n) ``weights`` and
-    ``times``. Best-so-far is read a row block at a time; the two bool masks
-    are whole, as flat candidate positions gathered per block were slower
-    and, at ``tau`` = 0, held more."""
+def _entries(weights: np.ndarray, times: np.ndarray, keep: np.ndarray, level: np.ndarray) -> _Entries:
+    """The state of ``level`` and the elements of (B, n) ``weights`` and
+    ``times`` where the (B, n) mask ``keep`` is set."""
     B, n = weights.shape
-    pre = times <= tau
-    # weights are finite and non-negative, so this is max(pre-tau weights, 0)
-    bsf = np.empty(B)
-    for rows in _row_blocks(B, n):
-        np.max(weights[rows] * pre[rows], axis=1, out=bsf[rows])
-    candidate = np.greater_equal(weights, bsf[:, None])
-    candidate &= np.logical_not(pre, out=pre)
-    position = np.flatnonzero(candidate)
-    # row r's candidates start at the first position at or after r * n
-    r = np.arange(B)
-    starts = np.searchsorted(position, r * n)
-    holds = np.diff(starts, append=position.size) > 0
-    return _ThresholdState(
+    position = np.flatnonzero(keep)
+    return _Entries(
+        level,
+        np.bincount(position // n, minlength=B),
         (position % n).astype(np.min_scalar_type(n - 1)),
         weights.take(position),
         times.take(position),
-        r[holds],
-        starts[holds],
-        bsf,
     )
 
 
-def _joined_state(parts: list, **offsets):
-    """The state of consecutive row blocks whose states, of one kind, are
-    ``parts``, in order: each array field's pieces joined, those named in
-    ``offsets`` shifted by their block's entry there, and any other field
-    the first block's. ``parts`` is emptied and each field's pieces freed
-    once it is joined, so no two full copies of a field are held."""
-    kind = type(parts[0])
+def _joined_state(parts: list) -> _Entries:
+    """The state of consecutive row blocks whose states are ``parts``, in
+    order, each field's pieces joined. ``parts`` is emptied and each field's
+    pieces freed once it is joined, so no two full copies of a field are
+    held."""
     fields = [list(pieces) for pieces in zip(*parts)]
     parts.clear()
     joined = []
-    for f, name in enumerate(kind._fields):
-        pieces, fields[f] = fields[f], None
-        if name in offsets:
-            pieces = [piece + shift for piece, shift in zip(pieces, offsets[name])]
-        if not isinstance(pieces[0], np.ndarray) or len(pieces) == 1:
-            joined.append(pieces[0])
-        else:
-            joined.append(np.concatenate(pieces))
-    return kind(*joined)
+    for f, pieces in enumerate(fields):
+        fields[f] = None
+        joined.append(pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
+    return _Entries(*joined)
 
 
-def _joined_threshold_state(parts: list) -> _ThresholdState:
-    """The threshold state of consecutive row blocks whose states are
-    ``parts``, in order, equal to ``_threshold_state`` over their rows at
-    once: the rows holding a candidate shifted by the rows, and their starts
-    by the candidates, of the blocks before."""
-    rows = np.cumsum([0] + [part.bsf.size for part in parts[:-1]])
-    candidates = np.cumsum([0] + [part.weight.size for part in parts[:-1]])
-    return _joined_state(parts, rows=rows, starts=candidates)
+def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows holding an entry, ascending, and where each one's run
+    starts in the flat arrays."""
+    rows = np.flatnonzero(counts)
+    return rows, (np.cumsum(counts) - counts)[rows]
 
 
-def _narrowed_state(state: _ThresholdState, tau: float) -> _ThresholdState:
+def _threshold_state(weights: np.ndarray, times: np.ndarray, tau: float) -> _Entries:
+    """The state of threshold rules at ``tau`` over (B, n) ``weights`` and
+    ``times``: best-so-far and the candidates."""
+    pre = times <= tau
+    # weights are finite and non-negative, so this is max(pre-tau weights, 0)
+    bsf = np.max(weights * pre, axis=1)
+    candidate = np.greater_equal(weights, bsf[:, None])
+    candidate &= np.logical_not(pre, out=pre)
+    return _entries(weights, times, candidate, bsf)
+
+
+def _narrowed_state(state: _Entries, tau: float) -> _Entries:
     """The state at ``tau`` of the chunk whose state at a smaller tau is
     ``state``, equal to a fresh build, read off its candidates alone.
 
     A candidate at ``tau`` is one at the smaller tau too, and of the elements
     arriving between the two, only a candidate can raise best-so-far: every
     other one lies below it."""
-    index, weight, time, rows, starts, bsf = state
+    bsf, counts, index, weight, time = state
+    rows, starts = _runs(counts)
     crossed = time <= tau
     bsf = bsf.copy()
     bsf[rows] = np.maximum(bsf[rows], np.maximum.reduceat(weight * crossed, starts))
-    keep = weight >= np.repeat(bsf[rows], np.diff(starts, append=weight.size))
+    keep = weight >= np.repeat(bsf, counts)
     keep &= np.logical_not(crossed, out=crossed)
-    counts = np.add.reduceat(keep, starts, dtype=np.intp)
-    holds = counts > 0
-    return _ThresholdState(
-        index[keep],
-        weight[keep],
-        time[keep],
-        rows[holds],
-        (np.cumsum(counts) - counts)[holds],
-        bsf,
-    )
+    counts = np.zeros_like(counts)
+    counts[rows] = np.add.reduceat(keep, starts, dtype=counts.dtype)
+    return _Entries(bsf, counts, index[keep], weight[keep], time[keep])
 
 
-def _threshold_pass(state: _ThresholdState, gaps, gamma: float = 0.0, strict: bool = False):
+def _threshold_pass(state: _Entries, gaps, gamma: float = 0.0, strict: bool = False):
     """Run the threshold rules that share ``state`` over a chunk of draws
     once for each gap in ``gaps``, yielding per gap, in order, a dict of
     (B,) arrays: ``accept_index``, the accepted element or -1, and
@@ -201,21 +168,18 @@ def _threshold_pass(state: _ThresholdState, gaps, gamma: float = 0.0, strict: bo
     minimum (``np.minimum.reduceat``), and the first candidate of the row at
     that time, the lowest index, is accepted.
     """
-    index, weight, time, rows, starts, bsf = state
+    bsf, counts, index, weight, time = state
     if strict and gamma > 0.0:
         raise ValueError("strict comparison has no late phase")
     B = bsf.size
-    sizes = np.diff(starts, append=weight.size)
-
-    def per_candidate(values):
-        return np.repeat(np.take(values, rows), sizes)
-
+    rows, starts = _runs(counts)
+    sizes = counts[rows]
     late = time > 1.0 - gamma if gamma > 0.0 else None
     for gap in gaps:
         if strict:
-            passed = weight > per_candidate(bsf)
+            passed = weight > np.repeat(bsf, counts)
         else:
-            passed = weight >= (gap if np.ndim(gap) == 0 else per_candidate(gap))
+            passed = weight >= (gap if np.ndim(gap) == 0 else np.repeat(gap, counts))
         if late is not None:
             passed |= late
         # every candidate arrives after tau >= 0, so a time divided by its
@@ -349,47 +313,22 @@ def _place_in_row(rows: np.ndarray, R: int) -> np.ndarray:
     return np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
 
 
-class _LSelectState(NamedTuple):
-    """What the multi-selection rule at one ``tau`` and L reads of a chunk,
-    whatever its gaps: per row theta, the L-th largest pre-``tau`` weight (0
-    with fewer than L), and the elements at or above it, pre-``tau`` and
-    post-``tau``, as flat arrays in row-major order with the count of each
-    row's. Under any gap, the elements ``_l_select_kept`` keeps are among
-    them."""
-
-    tau: float
-    L: int
-    n: int  # elements per row
-    theta: np.ndarray  # (B,)
-    counts: np.ndarray  # (B,) each row's elements in the flat arrays
-    index: np.ndarray  # (m,) the elements' indices, ascending within a row
-    weight: np.ndarray  # (m,)
-    time: np.ndarray  # (m,)
-
-
-def _l_select_state(weights: np.ndarray, times: np.ndarray, tau: float, L: int) -> _LSelectState:
+def _l_select_state(weights: np.ndarray, times: np.ndarray, tau: float, L: int) -> _Entries:
     """The state of the multi-selection rule at ``tau`` and ``L`` over (B,
-    n) ``weights`` and ``times``."""
-    B, n = weights.shape
+    n) ``weights`` and ``times``: per row theta, the L-th largest pre-``tau``
+    weight (0 with fewer than L), and the elements at or above it,
+    pre-``tau`` and post-``tau``. Under any gap, the elements
+    ``_l_select_kept`` keeps are among them."""
+    n = weights.shape[1]
     pre = times <= tau
     theta = np.maximum(np.partition(np.where(pre, weights, -1.0), n - L, axis=1)[:, n - L], 0.0)
-    position = np.flatnonzero(weights >= theta[:, None])
-    return _LSelectState(
-        tau,
-        L,
-        n,
-        theta,
-        np.bincount(position // n, minlength=B),
-        (position % n).astype(np.min_scalar_type(n - 1)),
-        weights.take(position),
-        times.take(position),
-    )
+    return _entries(weights, times, weights >= theta[:, None], theta)
 
 
-def _l_select_kept(state: _LSelectState, gaps) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of ``state`` that can be a hit of the multi-selection rule
-    under ``gaps`` or decide whether another is one, ascending, and the row
-    of each.
+def _l_select_kept(state: _Entries, tau: float, gaps) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``state``, the multi-selection rule's state at
+    ``tau``, that can be a hit under ``gaps`` or decide whether another is
+    one, ascending, and the row of each.
 
     The reference set starts with the L best pre-``tau`` elements and with
     placeholders of weight 0 in its empty slots, so its lowest weight r_L
@@ -404,15 +343,15 @@ def _l_select_kept(state: _LSelectState, gaps) -> tuple[np.ndarray, np.ndarray]:
     """
     rows = np.repeat(np.arange(state.counts.size), state.counts)
     keep = state.weight >= (gaps if np.ndim(gaps) == 0 else np.take(gaps, rows))
-    keep |= state.time <= state.tau
+    keep |= state.time <= tau
     kept = np.flatnonzero(keep)
     return kept, rows[kept]
 
 
-def _l_select_pass(state: _LSelectState, gaps) -> dict:
-    """Run the multi-selection rule at the ``tau`` and L of ``state`` over
-    its (R, n) rows of normalized weights, as ``run_l_selection_gap`` runs
-    it draw by draw.
+def _l_select_pass(state: _Entries, tau: float, L: int, n: int, gaps) -> dict:
+    """Run the multi-selection rule at ``tau`` and ``L``, whose state is
+    ``state``, over its (R, n) rows of normalized weights, as
+    ``run_l_selection_gap`` runs it draw by draw.
 
     Elements are ranked by (-weight, index) and arrive in the order of their
     times, tied times to the lower index. The reference set is seeded with
@@ -438,9 +377,8 @@ def _l_select_pass(state: _LSelectState, gaps) -> dict:
     least 0. Returns the accepted elements as an (R, n) mask by element
     index and their total weight, summed in acceptance order.
     """
-    tau, L, n = state.tau, state.L, state.n
     R = state.counts.size
-    kept, rows = _l_select_kept(state, gaps)
+    kept, rows = _l_select_kept(state, tau, gaps)
 
     # the kept entries padded to (R, m) rows, m at least 1: kept entry j
     # goes to place j - first[row] of its row

@@ -337,11 +337,12 @@ def _chunk_outcomes(batch: _InstanceBatch, keys):
 def _l_select_outcomes(batch: _InstanceBatch, algorithm: AlgorithmSpec, gap: GapSpec) -> dict:
     """Per-row ``ratio``, ``select_best`` and ``none`` of a checked l-select
     cell on a batch."""
-    opt = batch.top_total(algorithm.L)
+    tau, L = algorithm.tau, algorithm.L
+    opt = batch.top_total(L)
     if (opt <= 0.0).any():
         raise ConfigError("the top-L weights must have positive total")
     gaps = _threshold_term(algorithm, gap, batch.max_log, batch)
-    sel = _l_select_pass(batch.l_states[(algorithm.tau, algorithm.L)], gaps)
+    sel = _l_select_pass(batch.l_states[(tau, L)], tau, L, batch.weights.shape[1], gaps)
     accepted = sel["accepted"]
     return {
         "ratio": sel["total_weight"] / opt,

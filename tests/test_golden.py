@@ -17,8 +17,13 @@ rows or fewer: exponential L = 2, chi-squared L = 5, tau = 0 with no
 pre-tau element, L = 199, pareto L = 10, whose normalized weights underflow
 to 0 so that most rows' L-th pre-tau weight is a tied 0, and an absolute
 gap above every weight), the move of the l-select kernel from ranking whole
-rows to ranking only the elements that can be or decide a hit. A refactor of generation, batching, the kernels or the bound formulas
-must leave every digest unchanged.
+rows to ranking only the elements that can be or decide a hit, and, for the
+two n = 200, 700-iteration commands (the only ones past one row block of
+65,536 elements: a k sweep at tuned taus, whose joined threshold state is
+narrowed from tau 0.076 up to 0.423, and a robust rule at tau 0.05), the
+move of both row kernels' states to one entry layout joined field by field
+across row blocks. A refactor of generation, batching, the kernels or the
+bound formulas must leave every digest unchanged.
 
 The digests are pinned to numpy 2.4 on x86-64: the draws come from numpy's
 PCG64 streams and its float routines, so another numpy release or platform
@@ -160,6 +165,17 @@ COMMANDS = {
         "--tau", "0.2", "--family", "exp", "--seed", "137", "--algo", "l-select", "--L", "2",
         "--gap-value", "100",
     ],
+    # 700 instances of 200 elements: three row blocks of 327 rows or fewer,
+    # whose states are joined
+    "sweep/k/tau-from-k/n-200/three-blocks": [
+        "sweep", "--sweep", "k", "--from", "2", "--to", "50", "--step", "16",
+        "--family", "exp", "--n", "200", "--iters", "700", "--algo", "exact-gap",
+        "--tau-from-k", "--seed", "59",
+    ],
+    "simulate/chisq/robust/n-200/three-blocks": [
+        "simulate", "--family", "chisq", "--n", "200", "--iters", "700", "--algo", "robust",
+        "--k", "5", "--gamma", "0.1", "--tau", "0.05", "--seed", "61",
+    ],
     "frontier": ["frontier"],
     "frontier/k-2": ["frontier", "--k-aggregation", "2"],
     "frontier/k-50": ["frontier", "--k-aggregation", "50"],
@@ -203,6 +219,7 @@ GOLDEN = {
     "simulate/chisq/l-select/L-5": "44ac4afebda4ca26d154da94372ecb06d70d8e0d7c89becbf13eb53b9021f771",
     "simulate/chisq/l-select/n-200/L-5": "0dcaabf17b7fe3a080ad7c959e52a14e03eac2a65816352605bfe664ac803be5",
     "simulate/chisq/robust": "2f4689dbce3b4f821294a2f944c9d556910318afcc9bd4500327994b85b680a6",
+    "simulate/chisq/robust/n-200/three-blocks": "8c49e49220027dc1ebbce363382a02dec7e15ce98f4f9dc9a1501da8044c0674",
     "simulate/chisq/strict-classical": "08107ac32644f6a40acaa84f9af7d7b25ceebbb38857454ecbc14144a1330f7c",
     "simulate/exp-superstar/bounded": "d346fb143dcf71318dd945cecfa0c70b58cb4adcdade733658613e9b01217a29",
     "simulate/exp-superstar/bounded/factor-1e6-gap-value": "e738dfaa7490b687da0ea32fe1c98f7ab0f59d990471c7db1c7d0f0047e8d53b",
@@ -242,6 +259,7 @@ GOLDEN = {
     "sweep/k/gap-value": "0e1f84f326dd30cd8819ec70718faf472adda3846e5b9f344f0c8f31d89b9d6c",
     "sweep/k/robust-sigma": "63c754bef00fb6e745efd0d69700b5346aed707b818f449647d105c6fc91f8c3",
     "sweep/k/tau-from-k": "2a2bce5a403994eb0b57ab66b6833ad9b9f569258262846ab32e095eb74f77eb",
+    "sweep/k/tau-from-k/n-200/three-blocks": "63609c061ba572517700b747d5c6c3cb5c70009a159f8f9cd2c7fd5b66e83a22",
     "sweep/sigma": "2c8cdc4f4e3f36c41dbc96e1ada89eb2ab3c25652b7a0299bc5cfd6e2e8efe05",
     "sweep/sigma/gap-value": "773a106f68499f419523ad8fcf25724bc8cde17f69127006c5ca75f54e8bcbae",
 }

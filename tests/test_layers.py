@@ -1,9 +1,9 @@
 """Read from the source with ``ast``: the engine's modules import only the
 layers below them, so the enumeration oracle stays independent of what it
-checks, only the batch layer names the memo, the batch layer defines no
-public function, and the run rule is stated once. Outside the engine, the
-runners' tau and gap rules, the index rule and the family size rule are
-each stated once too."""
+checks, only the batch layer names the memo and the row blocks, the batch
+layer defines no public function, and the run rule is stated once. Outside
+the engine, the runners' tau and gap rules, the index rule and the family
+size rule are each stated once too."""
 
 import ast
 from pathlib import Path
@@ -78,6 +78,13 @@ def test_only_batch_names_the_memo():
     # the memo is dropped by the batch layer's draws alone
     naming = sorted(p.stem for p in PACKAGE.glob("*.py") if "_last_batch" in _names(p.stem))
     assert naming == ["batch"]
+
+
+def test_only_batch_names_the_row_blocks():
+    # the batch decides the row blocks; every kernel takes whole arrays
+    for name in ("_BLOCK_ELEMENTS", "_row_blocks"):
+        naming = sorted(p.stem for p in PACKAGE.glob("*.py") if name in _names(p.stem))
+        assert naming == ["batch"], name
 
 
 def test_batch_defines_no_public_function():

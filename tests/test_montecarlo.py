@@ -88,14 +88,14 @@ def _run_threshold_rows(weights, times, tau, gaps, gamma=0.0, strict=False):
 def _run_l_select_rows(weights, times, tau, L, gaps) -> dict:
     """The l-select kernel's pass over ``gaps``, its state built for this
     call alone."""
-    return _l_select_pass(_l_select_state(weights, times, tau, L), gaps)
+    return _l_select_pass(_l_select_state(weights, times, tau, L), tau, L, weights.shape[1], gaps)
 
 
 def _batch(weights, times, max_log, taus=(), pairs=()) -> _InstanceBatch:
     """A batch of given weights and arrival times with the states of the
     threshold ``taus`` and l-select (tau, L) ``pairs``, the times read a row
     block at a time, as a drawn batch reads its own."""
-    blocks = ((rows, times[rows]) for rows in kernels._row_blocks(*times.shape))
+    blocks = ((rows, times[rows]) for rows in batches._row_blocks(*times.shape))
     return _InstanceBatch(weights, max_log, *batches._read_states(weights, blocks, taus, pairs))
 
 
@@ -641,12 +641,12 @@ class TestLSelectCandidateEdges:
         state = _l_select_state(W, T, tau, L)
         rows = np.repeat(np.arange(len(W)), state.counts)
         for gaps in [*absolute, np.resize(absolute[::-1], len(W))]:
-            entries, entry_rows = kernels._l_select_kept(state, gaps)
+            entries, entry_rows = kernels._l_select_kept(state, tau, gaps)
             assert np.array_equal(entry_rows, rows[entries])
             for row, (w, t, gap) in enumerate(zip(W, T, np.broadcast_to(gaps, len(W)))):
                 pre = sorted(w[t <= tau], reverse=True)
                 theta = pre[L - 1] if len(pre) >= L else 0.0
-                assert state.theta[row] == theta, (edge, row)
+                assert state.level[row] == theta, (edge, row)
                 held = state.index[rows == row].tolist()
                 assert held == [i for i, wi in enumerate(w) if wi >= theta], (edge, row)
                 expected = [i for i, (wi, ti) in enumerate(zip(w, t))
@@ -1629,7 +1629,7 @@ class TestBatchBuild:
         W = np.array([p.normalized_weights for p in profiles])
         max_log = np.array([p.max_log_weight for p in profiles])
         expected = (times, W, max_log, np.sort(W, axis=1)[:, ::-1])
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 3 * n)
+        monkeypatch.setattr(batches, "_BLOCK_ELEMENTS", 3 * n)
         policies = ({0.3, 0.5}, {(0.3, n)})
         for batch in (
             _build_batch(family, n, range(iters), seed, *policies),
@@ -1698,14 +1698,13 @@ def _same_bits(a, b) -> bool:
 
 
 def _same_state(a, b) -> bool:
-    """Two kernel states equal field by field, arrays bit for bit."""
-    return all(_same_bits(x, y) if isinstance(x, np.ndarray) else x == y
-               for x, y in zip(a, b, strict=True))
+    """Two kernel states equal field by field, bit for bit."""
+    return all(_same_bits(x, y) for x, y in zip(a, b, strict=True))
 
 
 class TestRowBlockReads:
     """Every gap-independent read of a batch runs over row blocks of
-    ``kernels._BLOCK_ELEMENTS`` elements and equals its whole-array
+    ``batch._BLOCK_ELEMENTS`` elements and equals its whole-array
     expression bit for bit, at every block edge and on read-only arrays."""
 
     @settings(derandomize=True, max_examples=60, deadline=None)
@@ -1746,8 +1745,8 @@ class TestRowBlockReads:
         # three rows a block, so 1, 2, 3, 4, 7 and 11 rows are one block, a
         # block less one row, exactly one, one and a row, and several
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_BLOCK_ELEMENTS", 3 * n)
-            assert kernels._row_blocks(B, n)[0] == slice(0, min(B, 3))
+            mp.setattr(batches, "_BLOCK_ELEMENTS", 3 * n)
+            assert batches._row_blocks(B, n)[0] == slice(0, min(B, 3))
             ranks = range(1, n + 1)
             batch = _batch(W, T, np.zeros(B), {tau}, {(tau, L) for L in ranks})
             assert _same_bits(batch.best_index, np.argmax(W, axis=1))
@@ -1756,20 +1755,18 @@ class TestRowBlockReads:
             for L in ranks:
                 top = np.ascontiguousarray(ascending[:, n - L :][:, ::-1])
                 assert _same_bits(batch.top_total(L), np.sum(top, axis=1))
-            state = kernels._threshold_state(W, T, tau)
             # the states joined from the blocks of the arrival times
             joined = batch.state
             l_joined = {L: batch.l_states[(tau, L)] for L in ranks}
-        assert _same_bits(state.bsf, np.max(W * (T <= tau), axis=1))
-        whole = kernels._threshold_state(W, T, tau)
-        assert _same_state(state, whole) and _same_state(joined, whole)
+        assert _same_bits(joined.level, np.max(W * (T <= tau), axis=1))
+        assert _same_state(joined, kernels._threshold_state(W, T, tau))
         for L, l_state in l_joined.items():
             assert _same_state(l_state, kernels._l_select_state(W, T, tau, L)), L
 
     def test_rows_wider_than_a_block_are_read_one_at_a_time(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 4)
-        assert kernels._row_blocks(3, 10) == [slice(0, 1), slice(1, 2), slice(2, 3)]
-        assert kernels._row_blocks(0, 10) == []
+        monkeypatch.setattr(batches, "_BLOCK_ELEMENTS", 4)
+        assert batches._row_blocks(3, 10) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        assert batches._row_blocks(0, 10) == []
 
 
 class TestBatchRatioForProfiles:
@@ -2456,9 +2453,9 @@ class TestBatchMemo:
         assert all(a.shape == (m,) for a in candidates)
         # l-select's at tau 0.3 and L = 3: one entry per element at or above theta
         (l_state,) = batch.l_states.values()
-        assert l_state.index.shape == (np.count_nonzero(batch.weights >= l_state.theta[:, None]),)
+        assert l_state.index.shape == (np.count_nonzero(batch.weights >= l_state.level[:, None]),)
         candidates += (l_state.index, l_state.weight, l_state.time)
-        # all else are (rows,) columns, or the starts of the rows holding one
+        # all else are (rows,) columns, the states' levels and counts among them
         rest = [a for a in held[1:] if not any(a is c for c in candidates)]
         assert all(a.ndim == 1 and a.size <= cfg.iterations for a in rest)
         assert all(a.base is None for a in held), "a kept array is a view of a larger array"
@@ -2556,10 +2553,8 @@ class TestBatchMemo:
         batch = _batch(np.array([p.normalized_weights for p in profiles]), T,
                        np.array([p.max_log_weight for p in profiles]), {tau})
         state = batch.state
-        counts = np.zeros(len(W), dtype=int)
-        counts[state.rows] = np.diff(state.starts, append=state.weight.size)
-        assert counts.tolist() == per_row and (counts[state.rows] > 0).all()
-        bsf = state.bsf.copy()
+        assert state.counts.tolist() == per_row
+        bsf = state.level.copy()
         gaps = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, bsf]
         gaps += [batch.weights[:, j].copy() for j in range(W.shape[1])]
         kinds = {

@@ -5,44 +5,41 @@ covered a whole run.
 
 A batch holds its normalized weights, the one (rows, n) array it keeps, and
 small states; no batch keeps its arrival times. One builder,
-``_built_batch``, serves drawn and replayed chunks: the arrival times are
-drawn one row block of ``_BLOCK_ELEMENTS`` elements at a time into one
-reused buffer (``_arrival_rows``), each block's weights drawn or replayed
-into the chunk's weights and normalized in place, and the block read at
-once (``_read_states``) into the gap-independent state of every kernel
-policy the run reads (``_run_cells`` names them): the threshold state at
-the run's smallest threshold ``tau``, which serves every ``gamma`` and
-strictness at that tau and is narrowed for a larger one, and the l-select
-state of each (tau, L). The block is then dropped, and the states of the
-blocks are joined field by field, so two full copies of a state are never
-held. A row is normalized and read alone, so no result depends on the
-blocks. The row blocks are decided here alone: the kernels take whole
-arrays. An l-select chunk (``montecarlo._CHUNK_ELEMENTS``, 16,384
-elements) never spans two blocks of 65,536, so an l-select run's states
-are joined from one part.
+``_built_batch``, serves drawn and replayed chunks in one loop over row
+blocks of ``_BLOCK_ELEMENTS`` elements. For each block it draws the arrival
+times into one reused buffer (``_arrival_rows``), draws or replays the
+block's weights into the chunk's weights, normalizes them in place, and
+reads the block at once into the index of each row's first maximum and
+the gap-independent state of every kernel policy the run reads
+(``_run_cells`` names them): the threshold state at the run's smallest
+threshold ``tau``, which serves every ``gamma`` and strictness at that tau
+and is narrowed for a larger one, and the l-select state of each (tau, L).
+The block's times are then dropped, and the states of the blocks are joined
+field by field, so two full copies of a state are never held. A row is
+normalized and read alone, so no result depends on the blocks. The row
+blocks are decided here alone: the kernels take whole arrays. An l-select
+chunk (``montecarlo._CHUNK_ELEMENTS``, 16,384 elements) never spans two
+blocks of 65,536, so an l-select run's states are joined from one part.
 
 The batch also keeps the gap-independent work done on it: the j-th largest
-weight of each row for every rank a gap has read, the total of its L
-largest weights for every L an l-select cell has read (one (rows,) column
-each, taken from one sort per call that needs a new one), and the best
-index. Each of these reads runs over row blocks (``_row_blocks``),
-each block's result written into its rows of the kept column, so none
-makes a float (rows, n) temporary: read whole, the sort and ``np.argmax``
-would each make one, the last because numpy copies a read-only input, such
-as the memo's weights, in ``argmax`` and ``argmin``. Beside the weights and
-the states, an estimate holds one block's times and temporaries while it
-builds the states, and a kernel pass's temporaries, which grow with the
-candidates, while it runs.
+weight of each row for every rank a gap has read and the total of its L
+largest weights for every L an l-select cell has read, one (rows,) column
+each, taken from one sort per call that needs a new one. The sort runs
+over row blocks (``_row_blocks``), each block's result written into its
+rows of the kept column, so it makes no float (rows, n) temporary. Beside
+the weights and the states, an estimate holds one block's times and
+temporaries while it builds the batch, and a kernel pass's temporaries,
+which grow with the candidates, while it runs.
 
 Generated instances are a pure function of (family, n, iterations,
 master_seed), so the last batch that covered a whole run in one chunk is
-memoized under that key in ``_last_batch``, its weights and ``max_log``
-marked read-only. The next estimate with the same key gets the same batch
-when the batch holds the states that estimate reads: its tau at or below
-the estimate's smallest, and each of its (tau, L). Then it draws, sorts and
-prepares nothing an earlier one did, and its arrays are what a fresh draw
-gives, bit for bit. Any other estimate draws its batch afresh, and a
-whole-run batch replaces the memo.
+memoized under that key in ``_last_batch``, its weights, ``max_log`` and
+best index marked read-only. The next estimate with the same key gets the
+same batch when the batch holds the states that estimate reads: its tau at
+or below the estimate's smallest, and each of its (tau, L). Then it draws,
+sorts and prepares nothing an earlier one did, and its arrays are what a
+fresh draw gives, bit for bit. Any other estimate draws its batch afresh,
+and a whole-run batch replaces the memo.
 Every arrival draw is made here, by ``_arrival_rows`` (a stream per row) or
 ``_arrival_columns`` (one stream for a fixed profile), and each drops the
 memo before anything else is made or drawn, so no later draw holds it
@@ -62,7 +59,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -87,17 +83,18 @@ def _row_blocks(B: int, n: int) -> list[slice]:
 
 @dataclass(frozen=True)
 class _InstanceBatch:
-    """A chunk of instances with the states its run reads, built as its
-    arrival times were drawn, and the gap-independent work done on it so
-    far, so that a batch used again does none of it again: the j-th largest
-    weight of each row for each rank j a gap has read, the total of each
-    row's L largest weights for each L an l-select cell has read, and the
-    best index. The weights are the only (rows, n) array kept, and no float
-    one is made: the rank columns and the best index are read over row
-    blocks (``_row_blocks``)."""
+    """A chunk of instances with the index of each row's first maximum and
+    the states its run reads, all read as the chunk was built
+    (``_built_batch``), and the gap-independent work done on it so far, so
+    that a batch used again does none of it again: the j-th largest weight
+    of each row for each rank j a gap has read and the total of each row's L
+    largest weights for each L an l-select cell has read. The weights are
+    the only (rows, n) array kept, and no float one is made: the rank
+    columns are read over row blocks (``_row_blocks``)."""
 
     weights: np.ndarray  # normalized linear weights, (rows, n)
     max_log: np.ndarray  # per-instance log normalization constant, (rows,)
+    best_index: np.ndarray  # the index of each row's first maximum, (rows,)
     tau: float | None  # the smallest threshold tau of the run, None for none
     state: _Entries | None  # the threshold state at ``tau``
     l_states: dict  # the l-select state of each (tau, L) of the run
@@ -135,35 +132,6 @@ class _InstanceBatch:
         self.read_sorted(tops=(L,))
         return self._top_totals[L]
 
-    @cached_property
-    def best_index(self) -> np.ndarray:
-        """The index of each row's first maximum."""
-        B, n = self.weights.shape
-        best = np.empty(B, dtype=np.intp)
-        for rows in _row_blocks(B, n):
-            np.argmax(self.weights[rows], axis=1, out=best[rows])
-        return best
-
-
-def _read_states(weights: np.ndarray, blocks, taus, pairs) -> tuple:
-    """The smallest of the threshold ``taus`` (None when there is none), the
-    threshold state at it and the l-select state of each (tau, L) of
-    ``pairs``, by pair, read off ``weights`` and the (row block, times)
-    pairs of ``blocks`` one block at a time; every block is read, whatever
-    is built. The states of the blocks are joined field by field, so two
-    full copies of a state are never held."""
-    tau = min(taus, default=None)
-    threshold = []
-    l_select = {pair: [] for pair in pairs}
-    for rows, times in blocks:
-        w = weights[rows]
-        if tau is not None:
-            threshold.append(_threshold_state(w, times, tau))
-        for (l_tau, L), parts in l_select.items():
-            parts.append(_l_select_state(w, times, l_tau, L))
-    state = None if tau is None else _joined_state(threshold)
-    return tau, state, {pair: _joined_state(parts) for pair, parts in l_select.items()}
-
 
 # the last generated batch that covered a whole run, read-only, with the
 # states of that run and the work kept on it, under (family, n, iterations,
@@ -184,13 +152,13 @@ def _arrival_rows(n: int, master_seed: int, rows: range):
     blocks = _row_blocks(len(rows), n)
     buffer = np.empty((blocks[0].stop, n))
 
-    streams = None
+    def taken():
+        # taken at the first draw, after ``draw_rows`` checked the size
+        yield from SeededRng(master_seed).streams(rows)
+
+    streams = taken()
 
     def drawn(times):
-        nonlocal streams
-        if streams is None:
-            # taken at the first draw, after ``draw_rows`` checked the size
-            streams = SeededRng(master_seed).streams(rows)
         for row, rng in zip(times, streams):
             rng.random(out=row)
             yield rng
@@ -222,39 +190,50 @@ def _arrival_columns(seed: int, n: int, blocks):
         yield rows, cols
 
 
-def _draw_rows(family: InstanceFamily, n: int, rows: range, master_seed: int):
+def _draw_rows(family: InstanceFamily, n: int, rows: range, master_seed: int) -> np.ndarray:
     """The raw log-weights of the instances in ``rows``, one row each, as a
-    (rows, n) array, and the generator that draws them a row block at a
-    time, yielding each block's slice and arrival times once the block is
-    drawn: stream i draws iteration i's arrival times, then its weights."""
+    (rows, n) array: stream i draws iteration i's arrival times, then its
+    weights."""
     arrivals = _arrival_rows(n, master_seed, rows)
     log_weights = np.empty((len(rows), n))
-
-    def blocks():
-        for block, times, streams in arrivals:
-            family.draw_rows(streams, log_weights[block])
-            yield block, times
-
-    return log_weights, blocks()
+    for block, _, streams in arrivals:
+        family.draw_rows(streams, log_weights[block])
+    return log_weights
 
 
-def _built_batch(log_weights: np.ndarray, blocks, taus, pairs) -> _InstanceBatch:
-    """The batch of the raw log-weight rows that ``blocks`` fills, as (row
-    block, times) pairs, each block normalized in place as it comes and its
-    times read into the states that the threshold ``taus`` and l-select
-    (tau, L) ``pairs`` read (``_read_states``), then dropped. The one
-    builder of drawn and replayed batches, and the one place where batch
-    weights are normalized; a row is normalized alone, so its bits do not
-    depend on the block."""
-    max_log = np.empty(len(log_weights))
-
-    def normalized():
-        for block, times in blocks:
-            max_log[block] = normalize_rows(log_weights[block])
-            np.exp(log_weights[block], out=log_weights[block])
-            yield block, times
-
-    return _InstanceBatch(log_weights, max_log, *_read_states(log_weights, normalized(), taus, pairs))
+def _built_batch(n: int, rows: range, master_seed: int, fill, taus, pairs) -> _InstanceBatch:
+    """The batch of iterations ``rows``, built in one pass over its row
+    blocks. Per block, the arrival times are drawn (``_arrival_rows``),
+    ``fill(block, streams, out)`` writes the block's raw log-weights into
+    ``out``, taking each row's stream after its times, the block is
+    normalized in place and read at once into its best index and the states
+    that the threshold ``taus`` and l-select (tau, L) ``pairs`` read, and
+    its times are dropped. The states of the blocks are joined field by
+    field, so two full copies of a state are never held. The one builder of
+    drawn and replayed batches, and the one place where batch weights are
+    normalized; a row is normalized and read alone, so its bits do not
+    depend on the block. ``_arrival_rows`` drops the memo before the
+    batch's arrays are made, so the last batch is not held beside them."""
+    arrivals = _arrival_rows(n, master_seed, rows)
+    weights = np.empty((len(rows), n))
+    max_log = np.empty(len(rows))
+    best = np.empty(len(rows), dtype=np.intp)
+    tau = min(taus, default=None)
+    threshold = []
+    l_select = {pair: [] for pair in pairs}
+    for block, times, streams in arrivals:
+        w = weights[block]
+        fill(block, streams, w)
+        max_log[block] = normalize_rows(w)
+        np.exp(w, out=w)
+        np.argmax(w, axis=1, out=best[block])
+        if tau is not None:
+            threshold.append(_threshold_state(w, times, tau))
+        for (l_tau, L), parts in l_select.items():
+            parts.append(_l_select_state(w, times, l_tau, L))
+    state = None if tau is None else _joined_state(threshold)
+    l_states = {pair: _joined_state(parts) for pair, parts in l_select.items()}
+    return _InstanceBatch(weights, max_log, best, tau, state, l_states)
 
 
 def _build_batch(
@@ -263,24 +242,23 @@ def _build_batch(
     """The instances of iterations ``rows``, drawn straight into rows and
     normalized once for the whole batch or chunk, with the states of
     ``taus`` and ``pairs`` (``_built_batch``)."""
-    return _built_batch(*_draw_rows(family, n, rows, master_seed), taus, pairs)
+
+    def fill(block, streams, out):
+        family.draw_rows(streams, out)
+
+    return _built_batch(n, rows, master_seed, fill, taus, pairs)
 
 
 def _replay_batch(profiles, master_seed: int, rows: range, taus=(), pairs=()) -> _InstanceBatch:
     """The user-supplied instances of iterations ``rows``, with the states
     of ``taus`` and ``pairs`` (``_built_batch``); stream i of the master
     seed provides iteration i's arrival draw."""
-    n = profiles[rows.start].n
-    arrivals = _arrival_rows(n, master_seed, rows)
-    log_weights = np.empty((len(rows), n))
 
-    def blocks():
-        for block, times, draws in arrivals:
-            deque(draws, 0)
-            np.stack([profiles[i].log_weights for i in rows[block]], out=log_weights[block])
-            yield block, times
+    def fill(block, streams, out):
+        deque(streams, 0)
+        np.stack([profiles[i].log_weights for i in rows[block]], out=out)
 
-    return _built_batch(log_weights, blocks(), taus, pairs)
+    return _built_batch(profiles[rows.start].n, rows, master_seed, fill, taus, pairs)
 
 
 def _generated_batch(config, rows: range, taus=(), pairs=()) -> _InstanceBatch:
@@ -303,7 +281,7 @@ def _generated_batch(config, rows: range, taus=(), pairs=()) -> _InstanceBatch:
         return batch
     batch = _build_batch(config.family, config.n, rows, config.master_seed, taus, pairs)
     if whole:
-        for a in (batch.weights, batch.max_log):
+        for a in (batch.weights, batch.max_log, batch.best_index):
             a.setflags(write=False)
         _last_batch[key] = batch
     return batch

@@ -36,7 +36,6 @@ arrays that gives the cell's result once its last chunk is done.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate
@@ -582,9 +581,7 @@ def regenerate_profiles(
     """The instances an experiment with this (family, n, seed) draws, in
     iteration order, as raw profiles."""
     _check_run(n, iterations, master_seed)
-    log_weights, blocks = _draw_rows(family, n, range(iterations), master_seed)
-    deque(blocks, 0)
-    return [WeightProfile(row) for row in log_weights]
+    return [WeightProfile(row) for row in _draw_rows(family, n, range(iterations), master_seed)]
 
 
 # ---------------------------------------------------------------------------

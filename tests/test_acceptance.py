@@ -62,26 +62,20 @@ def test_check_names_and_suites(monkeypatch):
     ]
 
 
-def test_exponential_batch_drawn_once(monkeypatch):
+def test_exponential_batch_drawn_once(draws):
     # the exact-gap and robust sweeps run on the same exponential instances
     batch._last_batch.clear()
-    calls = []
-    draw = batch._draw_rows
-    monkeypatch.setattr(batch, "_draw_rows", lambda *a: calls.append(a) or draw(*a))
     assert check_exponential_gap_beats_classical(fast=True)[0]
-    assert [(c[0].tag, c[1], len(c[2])) for c in calls] == [("exponential", 200, 1000)]
+    assert [(c[0].tag, c[1], len(c[2])) for c in draws] == [("exponential", 200, 1000)]
 
 
-def test_figure_suite_draws_the_exponential_batch_once(monkeypatch):
+def test_figure_suite_draws_the_exponential_batch_once(draws):
     # every figure check on the exponential 5000x200 instances (1000 rows in
     # fast mode) runs before any other draw replaces the batch memo
     batch._last_batch.clear()
-    calls = []
-    draw = batch._draw_rows
-    monkeypatch.setattr(batch, "_draw_rows", lambda *a: calls.append(a) or draw(*a))
     run_checks("figures", fast=True)
-    draws = [(c[0].tag, c[1], len(c[2])) for c in calls]
-    assert draws.count(("exponential", 200, 1000)) == 1, draws
+    drawn = [(c[0].tag, c[1], len(c[2])) for c in draws]
+    assert drawn.count(("exponential", 200, 1000)) == 1, drawn
 
 
 def test_alpha_scan_traced_memory():

@@ -29,10 +29,6 @@ ONE_SIGMA = ["--sweep", "sigma", "--from", "0", "--to", "0", "--step", "1"]
 K_SWEEP_2_3 = ["--sweep", "k", "--from", "2", "--to", "3", "--step", "1"]
 
 
-def _no_draw(*args):
-    raise AssertionError("drew instances")
-
-
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -284,16 +280,14 @@ class TestValidation:
                          id="gap-value-sigma"),
         ],
     )
-    def test_sweep_runs_only_rows_that_differ(self, algo, sweep, repeat, monkeypatch, capsys):
+    def test_sweep_runs_only_rows_that_differ(self, algo, sweep, repeat, draws, capsys):
         # two rows with the same k, tau, gamma, sigma, epsilon and L columns
         # would repeat one estimate; such a sweep exits 2 before it draws
         argv = ["sweep", *sweep, "--family", "exp", "--n", "20", "--iters", "50",
                 "--algo", algo, "--seed", "3"]
-        if repeat is not None:
-            monkeypatch.setattr(batch, "_draw_rows", _no_draw)
         code, out, err = run(argv, capsys)
         if repeat is not None:
-            assert (code, out) == (2, "")
+            assert (code, out, draws) == (2, "", [])
             assert f"{repeat} would repeat one estimate" in err
         else:
             assert code == 0
@@ -456,25 +450,22 @@ class TestSimulate:
         assert fields[4] == "5"
         assert 0.0 <= float(fields[11]) <= 1.0
 
-    def test_same_instances_drawn_once(self, monkeypatch, capsys):
+    def test_same_instances_drawn_once(self, draws, capsys):
         # the second rule on the same (family, n, iterations, seed) reuses
         # the batch the first one drew; another seed draws again
         batch._last_batch.clear()
-        calls = []
-        draw = batch._draw_rows
-        monkeypatch.setattr(batch, "_draw_rows", lambda *a: calls.append(a) or draw(*a))
         base = ["simulate", "--family", "chisq", "--n", "30", "--iters", "60", "--k", "5"]
         outs = []
         for algo, seed in (("exact-gap", "4"), ("robust", "4"), ("exact-gap", "5")):
             code, out, _ = run(base + ["--algo", algo, "--seed", seed], capsys)
             assert code == 0
             outs.append(out)
-        assert len(calls) == 2
-        assert [c[3] for c in calls] == [4, 5]
+        assert len(draws) == 2
+        assert [c[3] for c in draws] == [4, 5]
         # once the memo is dropped, the same command draws again, to the same bytes
         batch._last_batch.clear()
         assert run(base + ["--algo", "robust", "--seed", "4"], capsys)[1] == outs[1]
-        assert len(calls) == 3
+        assert len(draws) == 3
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = [

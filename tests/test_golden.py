@@ -22,7 +22,9 @@ two n = 200, 700-iteration commands (the only ones past one row block of
 65,536 elements: a k sweep at tuned taus, whose joined threshold state is
 narrowed from tau 0.076 up to 0.423, and a robust rule at tau 0.05), the
 move of both row kernels' states to one entry layout joined field by field
-across row blocks. A refactor of generation, batching, the kernels or the
+across row blocks, and, for the chi-squared l-select dump at n = 200 (three
+chunks of 81, 81 and 38 rows) and its replay, the build of each batch in one
+loop over its row blocks. A refactor of generation, batching, the kernels or the
 bound formulas must leave every digest unchanged.
 
 The digests are pinned to numpy 2.4 on x86-64: the draws come from numpy's
@@ -211,6 +213,8 @@ GOLDEN = {
     "frontier/k-2": "7cc1bd5b5021dd542453676d32b93b5168f4b1d01b469f66816cb9977e9b9d42",
     "frontier/k-50": "adb7ae82e86b04ffb6076ffab5195e3584bdfb990849d59e00226d6464c187c5",
     "replay/generated": "32bb873d791f86bddfe8e280166d861e345ac1ec202229a49311e5f2f521dfe4",
+    "replay/l-select/n-200/three-chunks/generated": "9843490806cda7ed0a34d7510a248fff4e4860f71f952f6e64d06c31120c0b67",
+    "replay/l-select/n-200/three-chunks/profiles": "6a3b04aed0bf13dd4533d13310594532646ff8e627da8ccd41d1aeb3411fdb91",
     "replay/profiles": "217ed026ba31445dc4163f7bf8debf90cbff7e6e0d1271d28221ed8155ffa5e3",
     "simulate/chisq/bounded": "8ecea6c63e6bf5f0e64d4d60165878fcb16ea66326d9fdd45e15c8542a99f906",
     "simulate/chisq/classical": "9cfc43eede1ed0bb1e865f616fdfc1aa5219d917f8953cb53221a2bb438c81eb",
@@ -290,18 +294,33 @@ def test_dump_profiles_bytes_unchanged(name, tmp_path):
     assert _digest(out) == GOLDEN[name]
 
 
-def test_dump_and_replay_bytes_unchanged(tmp_path):
+def _dump_and_replay(tmp_path, run, family, name):
+    """Run ``run`` on ``family`` with ``--dump-profiles``, then replay the
+    dumped profiles under the same flags without ``--family``; check the
+    dump's and the CSV's digests and that the replay writes the same CSV."""
     dumped = tmp_path / "profiles.txt"
-    rule = ["--algo", "robust", "--k", "5", "--gamma", "0.1", "--seed", "17"]
     generated, replayed = tmp_path / "generated.csv", tmp_path / "replayed.csv"
-    argv = SIM + ["--family", "pareto"] + rule
+    argv = run + ["--family", family]
     assert cli.main(argv + ["--dump-profiles", str(dumped), "--out", str(generated)]) == 0
-    argv = SIM + ["--profiles-file", str(dumped)] + rule
+    argv = run + ["--profiles-file", str(dumped)]
     assert cli.main(argv + ["--out", str(replayed)]) == 0
-    assert _digest(dumped) == GOLDEN["replay/profiles"]
-    assert _digest(generated) == GOLDEN["replay/generated"]
+    assert _digest(dumped) == GOLDEN[f"{name}/profiles"]
+    assert _digest(generated) == GOLDEN[f"{name}/generated"]
     # the replay names the family by its flag, as the generated run does
     assert replayed.read_bytes() == generated.read_bytes()
+
+
+def test_dump_and_replay_bytes_unchanged(tmp_path):
+    rule = ["--algo", "robust", "--k", "5", "--gamma", "0.1", "--seed", "17"]
+    _dump_and_replay(tmp_path, SIM + rule, "pareto", "replay")
+
+
+def test_dump_and_replay_across_l_select_chunks(tmp_path):
+    # 200 instances of 200 elements are three l-select chunks of 81, 81 and
+    # 38 rows, each drawn or replayed in one row block
+    rule = ["--algo", "l-select", "--L", "5", "--tau", "0.1", "--seed", "13"]
+    run = ["simulate", "--n", "200", "--iters", "200"] + rule
+    _dump_and_replay(tmp_path, run, "chisq", "replay/l-select/n-200/three-chunks")
 
 
 @pytest.mark.parametrize("name", ["simulate/exp/exact-gap/tau-from-k", "sweep/k/tau-from-k"])

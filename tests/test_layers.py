@@ -87,6 +87,13 @@ def test_only_batch_names_the_row_blocks():
         assert naming == ["batch"], name
 
 
+@pytest.mark.parametrize("name", ["normalize_rows", "_threshold_state", "_l_select_state"])
+def test_one_function_reads_a_block(name):
+    # the batch is built in one loop over its row blocks, which normalizes
+    # each block and reads it into the kernel states
+    assert _callers("batch", name) == ["_built_batch"]
+
+
 def test_batch_defines_no_public_function():
     # every entry point is in montecarlo, which checks the run first
     public = [node.name for node in _tree("batch").body

@@ -92,11 +92,22 @@ def _run_l_select_rows(weights, times, tau, L, gaps) -> dict:
 
 
 def _batch(weights, times, max_log, taus=(), pairs=()) -> _InstanceBatch:
-    """A batch of given weights and arrival times with the states of the
-    threshold ``taus`` and l-select (tau, L) ``pairs``, the times read a row
-    block at a time, as a drawn batch reads its own."""
-    blocks = ((rows, times[rows]) for rows in batches._row_blocks(*times.shape))
-    return _InstanceBatch(weights, max_log, *batches._read_states(weights, blocks, taus, pairs))
+    """A batch of given weights and arrival times with its best index and
+    the states of the threshold ``taus`` and l-select (tau, L) ``pairs``,
+    read a row block at a time, as a built batch reads its own, and joined
+    across the blocks."""
+    blocks = batches._row_blocks(*times.shape)
+    best = np.empty(len(weights), dtype=np.intp)
+    for rows in blocks:
+        np.argmax(weights[rows], axis=1, out=best[rows])
+
+    def joined(build, *policy):
+        return kernels._joined_state([build(weights[rows], times[rows], *policy) for rows in blocks])
+
+    tau = min(taus, default=None)
+    state = None if tau is None else joined(_threshold_state, tau)
+    l_states = {pair: joined(_l_select_state, *pair) for pair in pairs}
+    return _InstanceBatch(weights, max_log, best, tau, state, l_states)
 
 
 def _times(seed, rows, n) -> np.ndarray:
@@ -1639,6 +1650,7 @@ class TestBatchBuild:
             got = (_times(seed, range(iters), n), batch.weights, batch.max_log, ranked)
             for a, b in zip(got, expected):
                 assert np.array_equal(a, b)
+            assert _same_bits(batch.best_index, np.argmax(W, axis=1))
             assert batch.tau == 0.3 and batch.l_states.keys() == {(0.3, n)}
             assert _same_state(batch.state, _threshold_state(W, times, 0.3))
             assert _same_state(batch.l_states[(0.3, n)], _l_select_state(W, times, 0.3, n))
@@ -2154,19 +2166,6 @@ class TestEmptySweeps:
         assert sweep_k(cfg, []) == []
 
 
-def _counting_draws(monkeypatch) -> list:
-    """Wrap ``_draw_rows`` so each call appends its row range to the list."""
-    calls = []
-    draw = batches._draw_rows
-
-    def counting(family, n, rows, *args):
-        calls.append(rows)
-        return draw(family, n, rows, *args)
-
-    monkeypatch.setattr(batches, "_draw_rows", counting)
-    return calls
-
-
 def _held(batch) -> list:
     """Every array a batch holds: its instances and the work kept on them."""
     arrays = [batch.weights, batch.max_log, *batch._largest.values(),
@@ -2228,7 +2227,8 @@ class TestBatchMemo:
     def test_reads_make_no_whole_batch_temporary(self):
         # numpy copies a read-only input in argmax, np.sort copies its input
         # and weights * pre is a product: read whole, each made a temporary
-        # the size of the weights (3.1 MiB here) beside them
+        # the size of the weights (3.1 MiB here) beside them; the best index
+        # is read here off the memo's read-only weights, a row block at a time
         cfg = replace(self._config(), family=InstanceFamily("exponential"), n=200,
                       iterations=2000)
         estimate_ratio(cfg)
@@ -2236,7 +2236,7 @@ class TestBatchMemo:
         assert not memo.weights.flags.writeable
         times = _times(cfg.master_seed, range(cfg.iterations), cfg.n)
         reads = {
-            "best_index": lambda batch: batch.best_index,
+            "best_index": lambda batch: _batch(batch.weights, times, batch.max_log).best_index,
             "new rank": lambda batch: batch.read_sorted(ranks=(10,)),
             "threshold state": lambda batch: _batch(batch.weights, times, batch.max_log, {0.3}),
         }
@@ -2250,23 +2250,22 @@ class TestBatchMemo:
                 tracemalloc.stop()
             assert peak - kept < memo.weights.nbytes / 2, name
 
-    def test_hit_equals_fresh_build(self, monkeypatch):
-        calls = _counting_draws(monkeypatch)
+    def test_hit_equals_fresh_build(self, draws):
         cfg = self._config()
         rows = range(cfg.iterations)
         first = batches._generated_batch(cfg, rows, {0.2})
         estimate_ratio(cfg)
         hit = batches._generated_batch(cfg, rows, {0.2})
-        assert len(calls) == 1
+        assert len(draws) == 1
         assert hit is first and first._largest and first.tau == 0.2
         fresh = _build_batch(cfg.family, cfg.n, rows, cfg.master_seed, {0.2})
         ranks = range(1, cfg.n + 1)
-        for a, b in zip((hit.weights, hit.max_log, *hit.largest(ranks)),
-                        (fresh.weights, fresh.max_log, *fresh.largest(ranks))):
+        for a, b in zip((hit.weights, hit.max_log, hit.best_index, *hit.largest(ranks)),
+                        (fresh.weights, fresh.max_log, fresh.best_index, *fresh.largest(ranks))):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert _same_state(hit.state, fresh.state)
 
-    def test_memo_serves_only_the_states_it_holds(self, monkeypatch):
+    def test_memo_serves_only_the_states_it_holds(self, draws):
         # the memo's batch holds the threshold state at tau 0.2 and the
         # l-select state at (0.2, 3). A smaller tau or a new (tau, L) draws
         # the instances again, and its batch, with the states of its run,
@@ -2289,13 +2288,12 @@ class TestBatchMemo:
 
         expected = {algo: montecarlo._run_cells(cfg.n, cfg.iterations, fresh, [(algo, cfg.gap)])[0]
                     for algo in rules}
-        calls = _counting_draws(monkeypatch)
-        for algo, (draws, tau, pairs) in rules.items():
+        for algo, (drawn, tau, pairs) in rules.items():
             montecarlo._on_generated(cfg, held)
             memo = self._memo()
-            del calls[:]
+            del draws[:]
             assert estimate_ratio(replace(cfg, algorithm=algo)) == expected[algo], algo
-            assert len(calls) == draws and (self._memo() is memo) == (draws == 0), algo
+            assert len(draws) == drawn and (self._memo() is memo) == (drawn == 0), algo
             assert (self._memo().tau, self._memo().l_states.keys()) == (tau, pairs), algo
 
     def test_estimate_peak_below_one_and_a_half_weights(self):
@@ -2308,6 +2306,24 @@ class TestBatchMemo:
         tracemalloc.start()
         try:
             estimate_ratio(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * self._memo().weights.nbytes
+
+    def test_miss_drops_the_memo_before_it_allocates(self):
+        # a miss drops the memo's batch before it makes its own arrays, so
+        # the two batches are never held at once: across the miss the peak
+        # is 1.31 times one batch's weights, and was 2.17 times with the
+        # arrays made before the drop
+        cfg = ExperimentConfig(InstanceFamily("exponential"), 200, 5000,
+                               AlgorithmSpec("exact-gap", tau=0.2), GapSpec(k=2), master_seed=SEED)
+        tracemalloc.start()
+        try:
+            estimate_ratio(cfg)
+            assert self._memo().weights.shape == (5000, 200)
+            tracemalloc.reset_peak()
+            estimate_ratio(replace(cfg, master_seed=SEED + 1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -2326,17 +2342,16 @@ class TestBatchMemo:
         ],
         ids=["df", "factor", "n", "iterations", "seed"],
     )
-    def test_other_key_misses(self, base, changed, monkeypatch):
-        calls = _counting_draws(monkeypatch)
+    def test_other_key_misses(self, base, changed, draws):
         first = estimate_ratio(self._config(**base))
         weights = self._memo().weights
         estimate_ratio(self._config(**{**base, **changed}))
-        assert len(calls) == 2
+        assert len(draws) == 2
         other = self._memo().weights
         assert other.shape != weights.shape or not np.array_equal(other, weights)
         # the second run replaced the first one's batch
         assert estimate_ratio(self._config(**base)) == first
-        assert len(calls) == 3
+        assert len(draws) == 3
 
     def test_memoized_arrays_read_only(self):
         cfg = self._config()
@@ -2349,10 +2364,10 @@ class TestBatchMemo:
         # one run of every rule, so the memo holds the states each reads
         montecarlo._on_generated(cfg, cells)
         batch = self._memo()
-        for a in (batch.weights, batch.max_log):
+        for a in (batch.weights, batch.max_log, batch.best_index):
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                a[...] = 0.0
+                a[...] = 0
         # every rule runs on the read-only arrays and gives the fresh estimates
         for algo, est in zip(self.ALGOS, fresh):
             assert estimate_ratio(replace(cfg, algorithm=algo)) == est, algo.tag
@@ -2373,9 +2388,9 @@ class TestBatchMemo:
                 assert not any(np.shares_memory(value, a) for a in held), key
 
     def _count_work(self, monkeypatch) -> dict:
-        """Count instance draws, sorts of the rows and threshold state
-        builds."""
-        counts = {"draws": 0, "sorts": 0, "states": 0}
+        """Count sorts of the rows and threshold state builds; the ``draws``
+        fixture counts the instance draws."""
+        counts = {"sorts": 0, "states": 0}
 
         def counting(module, name, key):
             original = getattr(module, name)
@@ -2386,7 +2401,6 @@ class TestBatchMemo:
 
             monkeypatch.setattr(module, name, counted)
 
-        counting(batches, "_draw_rows", "draws")
         counting(np, "sort", "sorts")
         counting(batches, "_threshold_state", "states")
         return counts
@@ -2402,17 +2416,18 @@ class TestBatchMemo:
     }
 
     @pytest.mark.parametrize("algo", ALGOS, ids=lambda a: a.tag)
-    def test_repeated_estimate_does_no_work_again(self, algo, monkeypatch):
+    def test_repeated_estimate_does_no_work_again(self, algo, monkeypatch, draws):
         counts = self._count_work(monkeypatch)
         cfg = self._config(algo=algo)
         first = estimate_ratio(cfg)
         sorts, states = self.FIRST_WORK[algo.tag]
-        assert counts == {"draws": 1, "sorts": sorts, "states": states}
-        counts.update(draws=0, sorts=0, states=0)
+        assert (len(draws), counts) == (1, {"sorts": sorts, "states": states})
+        counts.update(sorts=0, states=0)
+        del draws[:]
         assert estimate_ratio(cfg) == first
-        assert counts == {"draws": 0, "sorts": 0, "states": 0}
+        assert (len(draws), counts) == (0, {"sorts": 0, "states": 0})
 
-    def test_rules_on_one_family_share_the_work(self, monkeypatch):
+    def test_rules_on_one_family_share_the_work(self, monkeypatch, draws):
         # the benchmark's cells shape: five rules at one tau and one k draw,
         # sort and prepare once; the robust late phase builds no state
         counts = self._count_work(monkeypatch)
@@ -2425,7 +2440,7 @@ class TestBatchMemo:
             AlgorithmSpec("bounded", tau=0.2, epsilon=0.05),
         ):
             estimate_ratio(replace(cfg, algorithm=algo))
-        assert counts == {"draws": 1, "sorts": 1, "states": 1}
+        assert (len(draws), counts) == (1, {"sorts": 1, "states": 1})
 
     def test_memo_holds_no_second_float_matrix(self):
         # after a run of rules at several taus, gammas and gap indices, the
@@ -2601,17 +2616,17 @@ class TestBatchMemo:
                 assert a.base is None, field
             state = narrowed
 
-    def test_multi_chunk_run_leaves_nothing(self, monkeypatch):
+    def test_multi_chunk_run_leaves_nothing(self, draws):
         estimate_ratio(self._config())
         assert batches._last_batch
-        calls = _counting_draws(monkeypatch)
+        del draws[:]
         # l-select chunks hold 16,384 elements: 81 rows at n = 200
         cfg = self._config(InstanceFamily("exponential"), 200, 82, algo=AlgorithmSpec("l-select", L=2))
         estimate_ratio(cfg)
-        assert [len(r) for r in calls] == [81, 1]
+        assert [len(rows) for _, _, rows, _ in draws] == [81, 1]
         assert not batches._last_batch
         estimate_ratio(cfg)
-        assert len(calls) == 4
+        assert len(draws) == 4
 
     @pytest.mark.parametrize("draw", ["regenerate", "replay", "fixed-profile"])
     def test_other_draws_drop_the_memo(self, draw):

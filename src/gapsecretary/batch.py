@@ -18,8 +18,8 @@ The block's times are then dropped, and the states of the blocks are joined
 field by field, so two full copies of a state are never held. A row is
 normalized and read alone, so no result depends on the blocks. The row
 blocks are decided here alone: the kernels take whole arrays. An l-select
-chunk (``montecarlo._CHUNK_ELEMENTS``, 16,384 elements) never spans two
-blocks of 65,536, so an l-select run's states are joined from one part.
+chunk (``montecarlo._CHUNK_ELEMENTS``) is one block of 65,536 elements, so
+an l-select run's states are joined from one part.
 
 The batch also keeps the gap-independent work done on it: the j-th largest
 weight of each row for every rank a gap has read and the total of its L

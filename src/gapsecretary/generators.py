@@ -7,6 +7,7 @@ regardless of scheduling.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -65,10 +66,11 @@ class SeededRng:
         draws of ``stream(i)``.
 
         numpy's ``SeedSequence`` hash and PCG64's seeding are computed for a
-        block of indices at once, and one reused ``Generator`` is set to each
-        index's state in turn, so no ``SeedSequence``, ``PCG64`` or
-        ``Generator`` is built per index. A yielded generator is valid only
-        until the next one is taken. Where ``stream_seeding()`` finds that
+        block of indices at once, and each index's state is written in turn
+        into one reused ``Generator``'s PCG64 (``_vectorized_streams``), so no
+        ``SeedSequence``, ``PCG64``, ``Generator`` or state dict is built per
+        index. A yielded generator is valid only until the next one is
+        taken. Where ``stream_seeding()`` finds that
         this does not reproduce ``default_rng``, the streams come from
         ``stream(i)``: the same draws, only slower. An index that ``stream``
         refuses raises its ``ValueError`` when its block of indices is
@@ -144,38 +146,96 @@ def _seed_sequence_words(master_seed: int, indices: np.ndarray) -> np.ndarray:
     return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
 
 
-# PCG64's 128-bit LCG multiplier
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+# PCG64's 128-bit LCG multiplier, as its high and low 64-bit words
+_PCG64_MULT_HI, _PCG64_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_MASK64 = 2**64 - 1
+_U64 = np.uint64
+
+
+def _mul_hi(x: np.ndarray, y: int) -> np.ndarray:
+    """The high 64 bits of each 128-bit product x * y, x uint64, y < 2^64,
+    from the four products of their 32-bit halves."""
+    x0, x1 = x & _U64(_MASK32), x >> _U64(32)
+    y0, y1 = _U64(y & _MASK32), _U64(y >> 32)
+    p01, p10 = x0 * y1, x1 * y0
+    mid = (x0 * y0 >> _U64(32)) + (p01 & _U64(_MASK32)) + (p10 & _U64(_MASK32))
+    return x1 * y1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+
+
+def _pcg64_set_seed(words: np.ndarray) -> np.ndarray:
+    """PCG64's ``set_seed`` for each row of ``_seed_sequence_words``: initstate
+    is words 0-1 and initseq words 2-3 (high word first), inc = initseq << 1 |
+    1, and two LCG steps from state 0 give state = (inc + initstate) * mult +
+    inc, all mod 2^128. Returns rows of ``pcg64_random_t``'s words in memory
+    order, (state low, state high, inc low, inc high), computed in uint64
+    column arithmetic, each 128-bit value as two words with explicit carries."""
+    s_hi, s_lo, q_hi, q_lo = words.T
+    inc_lo = q_lo << _U64(1) | _U64(1)
+    inc_hi = q_hi << _U64(1) | q_lo >> _U64(63)
+    a_lo = inc_lo + s_lo
+    a_hi = inc_hi + s_hi + (a_lo < inc_lo)
+    b_lo = a_lo * _U64(_PCG64_MULT_LO)
+    b_hi = _mul_hi(a_lo, _PCG64_MULT_LO) + a_lo * _U64(_PCG64_MULT_HI) + a_hi * _U64(_PCG64_MULT_LO)
+    state_lo = b_lo + inc_lo
+    state_hi = b_hi + inc_hi + (state_lo < inc_lo)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+
+
+def _pcg64_fields(bit_generator) -> tuple[np.ndarray, ctypes.c_uint64]:
+    """Writable views of a PCG64 bit generator's C state: its
+    ``pcg64_random_t`` as four uint64 words (state low and high, inc low and
+    high), and the 32-bit draw buffer beside the pointer to it, ``has_uint32``
+    and ``uinteger``, as one 64-bit word.
+
+    No pointer is read before the public state names PCG64, and each view is
+    checked against the public state before it is returned: a set state and
+    a buffered 32-bit draw must read back through them. Any other bit
+    generator or layout raises ``ValueError``. The views hold no reference
+    to ``bit_generator``: they are valid only while the caller keeps it.
+    """
+    if bit_generator.state["bit_generator"] != "PCG64":
+        raise ValueError("the reused bit generator is not PCG64")
+    state, inc, uinteger = 3 << 100 | 5, 7 << 90 | 9, 0x9E3779B9
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 1,
+        "uinteger": uinteger,
+    }
+    address = bit_generator.ctypes.state_address
+    pcg = np.ctypeslib.as_array(
+        (ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(address).value)
+    )
+    buffered = ctypes.c_uint64.from_address(address + 8)
+    words = [state & _MASK64, state >> 64, inc & _MASK64, inc >> 64]
+    held = np.frombuffer(buffered, dtype=np.uint32)
+    if pcg.tolist() != words or held.tolist() != [1, uinteger]:
+        raise ValueError("PCG64's state layout is not the one expected")
+    return pcg, buffered
 
 
 def _vectorized_streams(
     master_seed: int, indices: Iterable[int]
 ) -> Iterator[np.random.Generator]:
     """One ``Generator`` set in turn to the state of ``default_rng([master_seed,
-    i])`` for each i, following PCG64's ``set_seed``: initstate is seed words
-    0-1, inc = (initseq, words 2-3) << 1 | 1, and two LCG steps from state 0
-    give state = (inc + initstate) * mult + inc."""
+    i])`` for each i. The seed words and PCG64's seeding are computed for a
+    block of indices at once (``_seed_sequence_words``, ``_pcg64_set_seed``);
+    each index then costs one write of its four state words into the reused
+    PCG64 and a zeroed 32-bit buffer (``_pcg64_fields``), as PCG64's own
+    state setter leaves it. An index of 2^64 or more is seeded by
+    ``default_rng``: a third index word changes the hash constants."""
     generator = np.random.Generator(np.random.PCG64(0))
-    bit_generator = generator.bit_generator
+    pcg, buffered = _pcg64_fields(generator.bit_generator)
     indices = iter(indices)
     while block := list(islice(indices, _SEED_BLOCK)):
         _check_index(min(block), "stream index", 0)
-        if max(block) >= 2**64:  # a third index word changes the hash constants
+        if max(block) >= 2**64:
             yield from (np.random.default_rng([master_seed, i]) for i in block)
             continue
-        for words in _seed_sequence_words(master_seed, np.array(block, dtype=np.uint64)):
-            s_hi, s_lo, q_hi, q_lo = words.tolist()  # one row at a time
-            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {
-                    "state": ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128,
-                    "inc": inc,
-                },
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+        words = _seed_sequence_words(master_seed, np.array(block, dtype=np.uint64))
+        for row in _pcg64_set_seed(words):
+            pcg[:] = row
+            buffered.value = 0
             yield generator
 
 

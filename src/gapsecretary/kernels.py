@@ -41,7 +41,7 @@ one (``_l_select_kept``). So the state keeps theta per row and the elements
 at or above it, pre-``tau`` and post-``tau`` (``_Entries``), and the pass
 cuts each row to its pre-``tau`` elements and those at or above the gap,
 padded to the widest row of the chunk: about 10 of 200 per row at L = 2 and
-``tau`` = 0.2 (the widest of 81 rows about 32), and most of the row at
+``tau`` = 0.2 (the widest of 327 rows about 40), and most of the row at
 ``tau`` = 0 or a large L. It ranks those alone, ``_l_select_hits`` finds
 every hit with L running minima over their arrival positions, and the pass
 walks the hits alone, every row's r-th hit in round r. The top-L total,
@@ -320,8 +320,9 @@ def _l_select_state(weights: np.ndarray, times: np.ndarray, tau: float, L: int) 
     pre-``tau`` and post-``tau``. Under any gap, the elements
     ``_l_select_kept`` keeps are among them."""
     n = weights.shape[1]
-    pre = times <= tau
-    theta = np.maximum(np.partition(np.where(pre, weights, -1.0), n - L, axis=1)[:, n - L], 0.0)
+    pre_weights = np.where(times <= tau, weights, -1.0)
+    pre_weights.partition(n - L, axis=1)  # in place: no second (B, n) float array
+    theta = np.maximum(pre_weights[:, n - L], 0.0)
     return _entries(weights, times, weights >= theta[:, None], theta)
 
 

@@ -43,6 +43,7 @@ from itertools import accumulate
 import numpy as np
 
 from .batch import (
+    _BLOCK_ELEMENTS,
     _arrival_columns,
     _draw_rows,
     _generated_batch,
@@ -378,8 +379,13 @@ def _estimate_from(out: dict) -> RatioEstimate:
 # The cell driver
 
 # elements per chunk of rows, by kernel: a chunk is drawn and run together,
-# so no whole-run array is held; a run takes the smallest entry of its cells
-_CHUNK_ELEMENTS = {"threshold": 5_000_000, "l-select": 16_384}
+# so no whole-run array is held; a run takes the smallest entry of its cells.
+# An l-select chunk is one row block of its batch (327 rows at n = 200), so
+# its fixed cost per chunk (the seed hash, the state build and a pass per
+# cell) is paid 7 times in a 2000-row run, not 25 times as in chunks of
+# 16,384 elements; a whole-run batch with a pass per block was no faster and
+# raised the benchmark's lselect peak RSS by over 10%
+_CHUNK_ELEMENTS = {"threshold": 5_000_000, "l-select": _BLOCK_ELEMENTS}
 
 # rows per block of a fixed-profile run, fewer when its chunk is smaller:
 # the column sweep's temporaries are (rows,) vectors whatever n is, so the

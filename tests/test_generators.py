@@ -65,10 +65,13 @@ class TestSeededRng:
 DRAW_METHODS = ("random", "standard_exponential", "standard_normal")
 
 
-def assert_streams_match(seed, indices):
+def assert_streams_match(seed, indices, streams=None):
+    """The draws of each of ``streams`` (by default ``SeededRng.streams``)
+    are those of ``SeededRng.stream`` at its index."""
     seeds = SeededRng(seed)
+    streams = seeds.streams(indices) if streams is None else streams
     taken = 0
-    for i, rng in zip(indices, seeds.streams(indices)):
+    for i, rng in zip(indices, streams):
         reference = seeds.stream(i)
         for method in DRAW_METHODS:
             assert np.array_equal(
@@ -97,6 +100,27 @@ class TestVectorizedStreams:
     )
     def test_matches_stream(self, seed, indices):
         assert_streams_match(seed, indices)
+
+    # the next two read the vectorized streams whatever stream_seeding() finds
+
+    def test_no_32_bit_draw_carried_to_the_next_stream(self):
+        # three uint32 draws leave one half of a 64-bit draw buffered in the
+        # reused generator; the next stream starts without it, as default_rng
+        for seed in (5, 2**40 + 3):
+            for i, rng in enumerate(generators._vectorized_streams(seed, range(40))):
+                reference = np.random.default_rng([seed, i])
+                draws = [r.integers(0, 2**32, dtype=np.uint32, size=3) for r in (rng, reference)]
+                assert np.array_equal(*draws), (seed, i)
+
+    def test_high_indices_cross_blocks(self):
+        # two-word seeds and indices; over a thousand rows, PCG64's seeding
+        # carries from the low to the high word in both of its 128-bit sums
+        top = 2**64 - 1
+        for seed, indices in (
+            (2**64 - 1, range(top - generators._SEED_BLOCK - 3, top + 1)),
+            (2**32 + 9, range(2**63 - 5, 2**63 + generators._SEED_BLOCK)),
+        ):
+            assert_streams_match(seed, indices, generators._vectorized_streams(seed, indices))
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="stream index must be an integer >= 0"):

@@ -13,7 +13,8 @@ l-select and the profile dump from one instance at a time to chunked batch
 rows, and, for the ``frontier`` CSVs and the ``bounds --which rc`` reports,
 the move of the worst-case gap index from a scan over k to its closed form,
 k = 2, and, for the l-select commands at n = 200 (four kernel chunks of 81
-rows or fewer: exponential L = 2, chi-squared L = 5, tau = 0 with no
+rows or fewer when pinned, one chunk since a chunk is one row block of 327
+rows: exponential L = 2, chi-squared L = 5, tau = 0 with no
 pre-tau element, L = 199, pareto L = 10, whose normalized weights underflow
 to 0 so that most rows' L-th pre-tau weight is a tied 0, and an absolute
 gap above every weight), the move of the l-select kernel from ranking whole
@@ -23,8 +24,11 @@ two n = 200, 700-iteration commands (the only ones past one row block of
 narrowed from tau 0.076 up to 0.423, and a robust rule at tau 0.05), the
 move of both row kernels' states to one entry layout joined field by field
 across row blocks, and, for the chi-squared l-select dump at n = 200 (three
-chunks of 81, 81 and 38 rows) and its replay, the build of each batch in one
-loop over its row blocks. A refactor of generation, batching, the kernels or the
+chunks of 81, 81 and 38 rows when pinned, one chunk since) and its replay,
+the build of each batch in one loop over its row blocks, and, for the same
+dump at 700 iterations (three chunks of 327, 327 and 46 rows) and its
+replay, the seeding of each stream by one write of its PCG64 state and the
+move of l-select to one row block per chunk. A refactor of generation, batching, the kernels or the
 bound formulas must leave every digest unchanged.
 
 The digests are pinned to numpy 2.4 on x86-64: the draws come from numpy's
@@ -59,7 +63,7 @@ from gapsecretary.montecarlo import AlgorithmSpec, simulate_fixed_profile
 
 N, ITERS = "50", "300"
 SIM = ["simulate", "--n", N, "--iters", ITERS, "--tau", "0.2"]
-# 300 instances of 200 elements: four chunks of the l-select kernel
+# 300 instances of 200 elements: one chunk of the l-select kernel
 SIM_200 = ["simulate", "--n", "200", "--iters", ITERS]
 RULES = {
     "classical": ["--algo", "classical"],
@@ -152,6 +156,7 @@ COMMANDS = {
         "simulate", "--n", "6", "--iters", ITERS, "--tau", "0.2", "--family", "exp",
         "--seed", "97", "--algo", "l-select", "--L", "5",
     ],
+    # four chunks when pinned; one since an l-select chunk is one row block
     "simulate/exp/l-select/n-200/four-chunks": SIM_200
     + ["--tau", "0.2", "--family", "exp", "--seed", "107", "--algo", "l-select", "--L", "2"],
     "simulate/chisq/l-select/n-200/L-5": SIM_200
@@ -213,8 +218,10 @@ GOLDEN = {
     "frontier/k-2": "7cc1bd5b5021dd542453676d32b93b5168f4b1d01b469f66816cb9977e9b9d42",
     "frontier/k-50": "adb7ae82e86b04ffb6076ffab5195e3584bdfb990849d59e00226d6464c187c5",
     "replay/generated": "32bb873d791f86bddfe8e280166d861e345ac1ec202229a49311e5f2f521dfe4",
-    "replay/l-select/n-200/three-chunks/generated": "9843490806cda7ed0a34d7510a248fff4e4860f71f952f6e64d06c31120c0b67",
-    "replay/l-select/n-200/three-chunks/profiles": "6a3b04aed0bf13dd4533d13310594532646ff8e627da8ccd41d1aeb3411fdb91",
+    "replay/l-select/n-200/200-iters/generated": "9843490806cda7ed0a34d7510a248fff4e4860f71f952f6e64d06c31120c0b67",
+    "replay/l-select/n-200/200-iters/profiles": "6a3b04aed0bf13dd4533d13310594532646ff8e627da8ccd41d1aeb3411fdb91",
+    "replay/l-select/n-200/700-iters/generated": "aee5312a7fb237527bf2abd091e72a723ca16da2369d29ec6c2f7365f2076c8e",
+    "replay/l-select/n-200/700-iters/profiles": "aa27a3126d9b756e7150e055a658d969890a507798cad14d43aef5bfee7dcab9",
     "replay/profiles": "217ed026ba31445dc4163f7bf8debf90cbff7e6e0d1271d28221ed8155ffa5e3",
     "simulate/chisq/bounded": "8ecea6c63e6bf5f0e64d4d60165878fcb16ea66326d9fdd45e15c8542a99f906",
     "simulate/chisq/classical": "9cfc43eede1ed0bb1e865f616fdfc1aa5219d917f8953cb53221a2bb438c81eb",
@@ -316,11 +323,14 @@ def test_dump_and_replay_bytes_unchanged(tmp_path):
 
 
 def test_dump_and_replay_across_l_select_chunks(tmp_path):
-    # 200 instances of 200 elements are three l-select chunks of 81, 81 and
-    # 38 rows, each drawn or replayed in one row block
+    # an l-select chunk is one row block: 700 instances of 200 elements are
+    # three chunks of 327, 327 and 46 rows, drawn or replayed; 200 instances
+    # are one chunk, pinned when they were three chunks of 81, 81 and 38 rows
     rule = ["--algo", "l-select", "--L", "5", "--tau", "0.1", "--seed", "13"]
-    run = ["simulate", "--n", "200", "--iters", "200"] + rule
-    _dump_and_replay(tmp_path, run, "chisq", "replay/l-select/n-200/three-chunks")
+    for iters in ("700", "200"):
+        run = ["simulate", "--n", "200", "--iters", iters] + rule
+        (tmp_path / iters).mkdir()
+        _dump_and_replay(tmp_path / iters, run, "chisq", f"replay/l-select/n-200/{iters}-iters")
 
 
 @pytest.mark.parametrize("name", ["simulate/exp/exact-gap/tau-from-k", "sweep/k/tau-from-k"])

@@ -81,10 +81,11 @@ def test_only_batch_names_the_memo():
 
 
 def test_only_batch_names_the_row_blocks():
-    # the batch decides the row blocks; every kernel takes whole arrays
-    for name in ("_BLOCK_ELEMENTS", "_row_blocks"):
+    # the batch decides the row blocks; every kernel takes whole arrays, and
+    # montecarlo reads the block size alone, as the size of an l-select chunk
+    for name, modules in (("_row_blocks", ["batch"]), ("_BLOCK_ELEMENTS", ["batch", "montecarlo"])):
         naming = sorted(p.stem for p in PACKAGE.glob("*.py") if name in _names(p.stem))
-        assert naming == ["batch"], name
+        assert naming == modules, name
 
 
 @pytest.mark.parametrize("name", ["normalize_rows", "_threshold_state", "_l_select_state"])

@@ -218,7 +218,14 @@ class TestKernelMatchesScalarRunners:
 
     def test_select_best_accepts_the_first_maximum(self, monkeypatch):
         # per row, select_best of both drivers is the scalar runner accepting
-        # sorted_index(1); weights are small integers, so maxima tie
+        # sorted_index(1); weights are small integers, so maxima tie. The
+        # replayed estimate reads the engine's own best index, which
+        # _built_batch reads as it builds the batch: a rule taking each row's
+        # last maximum gives it another select_best_prob
+        def selects_best(spec, p, t):
+            ref = _scalar_reference(spec, p, ArrivalDraw(t), 5.0)
+            return ref.accepted and ref.accepted_index == p.sorted_index(1)
+
         rng = np.random.default_rng(5)
         W = rng.integers(0, 4, (80, 5)) * 2.5
         W[0] = 0.0
@@ -235,6 +242,7 @@ class TestKernelMatchesScalarRunners:
         fixed = WeightProfile.from_weights([2.5, 7.5, 0.0, 7.5, 7.5])
         # one stream from the seed, drawn in iteration order
         fixed_T =np.random.default_rng([SEED]).random((len(W), fixed.n))
+        replay_T = _times(SEED, range(len(W)), W.shape[1])
         for spec in [
             AlgorithmSpec("classical", tau=0.3),
             AlgorithmSpec("strict-classical", tau=0.3),
@@ -249,9 +257,10 @@ class TestKernelMatchesScalarRunners:
             simulated = simulate_fixed_profile(fixed, spec, len(W), SEED, 5.0)["select_best"]
             for row, prof in enumerate(profiles):
                 for got, p, t in ((generated, prof, T), (simulated, fixed, fixed_T)):
-                    ref = _scalar_reference(spec, p, ArrivalDraw(t[row]), 5.0)
-                    expected = ref.accepted and ref.accepted_index == p.sorted_index(1)
-                    assert got[row] == expected, (spec.tag, row)
+                    assert got[row] == selects_best(spec, p, t[row]), (spec.tag, row)
+            replayed = batch_ratio_for_profiles(profiles, spec, GapSpec(absolute=5.0), SEED)
+            expected = [selects_best(spec, p, t) for p, t in zip(profiles, replay_T)]
+            assert replayed.select_best_prob == float(np.mean(expected)), spec.tag
 
     def test_tied_arrival_times(self):
         W = np.array([[3.0, 5.0, 4.0]])
@@ -2227,8 +2236,9 @@ class TestBatchMemo:
     def test_reads_make_no_whole_batch_temporary(self):
         # numpy copies a read-only input in argmax, np.sort copies its input
         # and weights * pre is a product: read whole, each made a temporary
-        # the size of the weights (3.1 MiB here) beside them; the best index
-        # is read here off the memo's read-only weights, a row block at a time
+        # the size of the weights (3.1 MiB here) beside them; the engine reads
+        # the best index as it builds a batch, a row block at a time, and what
+        # a read returns is held while its memory is taken
         cfg = replace(self._config(), family=InstanceFamily("exponential"), n=200,
                       iterations=2000)
         estimate_ratio(cfg)
@@ -2236,7 +2246,9 @@ class TestBatchMemo:
         assert not memo.weights.flags.writeable
         times = _times(cfg.master_seed, range(cfg.iterations), cfg.n)
         reads = {
-            "best_index": lambda batch: _batch(batch.weights, times, batch.max_log).best_index,
+            "best_index": lambda batch: _build_batch(
+                cfg.family, cfg.n, range(cfg.iterations), cfg.master_seed
+            ),
             "new rank": lambda batch: batch.read_sorted(ranks=(10,)),
             "threshold state": lambda batch: _batch(batch.weights, times, batch.max_log, {0.3}),
         }
@@ -2244,10 +2256,11 @@ class TestBatchMemo:
             batch = _batch(memo.weights, times, memo.max_log)
             tracemalloc.start()
             try:
-                read(batch)
+                held = read(batch)
                 kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+            del held
             assert peak - kept < memo.weights.nbytes / 2, name
 
     def test_hit_equals_fresh_build(self, draws):
@@ -2620,10 +2633,10 @@ class TestBatchMemo:
         estimate_ratio(self._config())
         assert batches._last_batch
         del draws[:]
-        # l-select chunks hold 16,384 elements: 81 rows at n = 200
-        cfg = self._config(InstanceFamily("exponential"), 200, 82, algo=AlgorithmSpec("l-select", L=2))
+        # an l-select chunk is one row block of 65,536 elements: 327 rows at n = 200
+        cfg = self._config(InstanceFamily("exponential"), 200, 328, algo=AlgorithmSpec("l-select", L=2))
         estimate_ratio(cfg)
-        assert [len(rows) for _, _, rows, _ in draws] == [81, 1]
+        assert [len(rows) for _, _, rows, _ in draws] == [327, 1]
         assert not batches._last_batch
         estimate_ratio(cfg)
         assert len(draws) == 4

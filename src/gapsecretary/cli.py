@@ -1,10 +1,14 @@
 """Command-line front door: simulations, sweeps, bound evaluation, frontier
 search, and the verification suite.
 
-Exit codes: 0 success, 1 internal failure, 2 usage or validation failure,
-or a file named on the command line that cannot be read or written.
+Exit codes: 0 success, 1 internal failure or a failed ``verify`` check, 2
+usage or validation failure, or a file named on the command line that
+cannot be read or written.
 Every file written is accompanied by a ``<file>.manifest.json`` whose argv
-replays the run byte-for-byte.
+replays the run byte-for-byte. It also records the command, the master
+seed, the output path, the package, python and numpy versions, and which
+stream seeding ran (``generators.stream_seeding``); ``replay`` reads the
+argv alone.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Weights live in natural-log space so that heavy-tailed instance families
 (uniforms raised to powers near 3000) stay representable; every linear
-comparison goes through a view normalized by the maximum weight.
+comparison goes through a view normalized by the maximum weight. Outcomes
+are scale-covariant, so ratios do not depend on that view.
 """
 
 from __future__ import annotations

@@ -41,11 +41,17 @@ one (``_l_select_kept``). So the state keeps theta per row and the elements
 at or above it, pre-``tau`` and post-``tau`` (``_Entries``), and the pass
 cuts each row to its pre-``tau`` elements and those at or above the gap,
 padded to the widest row of the chunk: about 10 of 200 per row at L = 2 and
-``tau`` = 0.2 (the widest of 327 rows about 40), and most of the row at
-``tau`` = 0 or a large L. It ranks those alone, ``_l_select_hits`` finds
-every hit with L running minima over their arrival positions, and the pass
-walks the hits alone, every row's r-th hit in round r. The top-L total,
-which does not depend on the gap, comes from the batch.
+``tau`` = 0.2 (the widest of 327 rows about 40, 31-61 over 20 seeds), and
+most of the row at ``tau`` = 0 or a large L. It ranks those alone,
+``_l_select_hits`` finds every hit with L running minima over their arrival
+positions, and the pass walks the hits alone, every row's r-th hit in round
+r. The top-L total, which does not depend on the gap, comes from the batch.
+One pass over a 327-row chunk at n = 200 (exp, auto gap, medians of 15
+passes in one process on a 2-core x86-64 machine) takes 2.0 ms at L = 2 and
+``tau`` = 0.2 (0.9 ms for 81 rows), 10.1 ms at ``tau`` = 0 (3.2 ms) and 93
+ms at L = 199 (25 ms). An l-select cell at n = 200 and 2000 iterations took
+0.16-0.26 s while the kernel walked every arrival position, and 0.7-0.9 s
+one instance at a time.
 
 Every kernel takes whole arrays and knows no blocks. A state built over
 consecutive row blocks, one at a time, with the blocks' states joined field

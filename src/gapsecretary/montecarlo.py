@@ -30,7 +30,21 @@ tau, and narrows it for each larger tau. An l-select cell is one pass over
 the chunk's state at its (tau, L). Both drivers, this one and the
 fixed-profile one, take a reducer: the fields a cell keeps, which
 ``_write_rows`` writes chunk by chunk, and the function of their whole-run
-arrays that gives the cell's result once its last chunk is done.
+arrays that gives the cell's result once its last chunk is done. Each
+chunk's batch is dropped before the next chunk is drawn, so a
+100,000-iteration exact-gap cell at n = 200 peaks at about 203 MB of RSS,
+against 239 MB when the previous chunk was still held and 556 MB when the
+run was drawn as one batch.
+
+Fixed-profile runs draw every arrival time from one stream of their seed,
+in blocks of at most ``_FIXED_PROFILE_ROWS`` rows, and run the column sweep
+of ``kernels`` over the one weight vector; a draw's record is five fields,
+26 bytes. Measured on a 2-core x86-64 machine: the column sweep took the
+acceptance oracle check (10^6 draws for each of 100 cells) from 26.9 s to
+9.5 s; one result buffer per rule took the benchmark's ``gate`` workload
+from 9.3M to 12.2M draws/s, and 10^5 draws at n = 200 from 0.37 to 0.30 s
+(6 alternating processes); keeping ``accept_weight`` alone, the oracle check
+takes 4.2-6.0 s against 5.8-8.3 s (four alternating pairs).
 """
 
 from __future__ import annotations

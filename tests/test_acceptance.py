@@ -5,7 +5,8 @@ import tracemalloc
 
 import pytest
 
-from gapsecretary import acceptance, batch
+import engine
+from gapsecretary import acceptance
 from gapsecretary.acceptance import (
     CHECKS,
     check_alpha_fixed_tau_floor,
@@ -64,7 +65,7 @@ def test_check_names_and_suites(monkeypatch):
 
 def test_exponential_batch_drawn_once(draws):
     # the exact-gap and robust sweeps run on the same exponential instances
-    batch._last_batch.clear()
+    engine.clear_memo()
     assert check_exponential_gap_beats_classical(fast=True)[0]
     assert [(c[0].tag, c[1], len(c[2])) for c in draws] == [("exponential", 200, 1000)]
 
@@ -72,7 +73,7 @@ def test_exponential_batch_drawn_once(draws):
 def test_figure_suite_draws_the_exponential_batch_once(draws):
     # every figure check on the exponential 5000x200 instances (1000 rows in
     # fast mode) runs before any other draw replaces the batch memo
-    batch._last_batch.clear()
+    engine.clear_memo()
     run_checks("figures", fast=True)
     drawn = [(c[0].tag, c[1], len(c[2])) for c in draws]
     assert drawn.count(("exponential", 200, 1000)) == 1, drawn

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapsecretary import batch, cli
+import engine
+from gapsecretary import cli
 from gapsecretary.bounds import (
     alpha_exact,
     consistency,
@@ -453,7 +454,7 @@ class TestSimulate:
     def test_same_instances_drawn_once(self, draws, capsys):
         # the second rule on the same (family, n, iterations, seed) reuses
         # the batch the first one drew; another seed draws again
-        batch._last_batch.clear()
+        engine.clear_memo()
         base = ["simulate", "--family", "chisq", "--n", "30", "--iters", "60", "--k", "5"]
         outs = []
         for algo, seed in (("exact-gap", "4"), ("robust", "4"), ("exact-gap", "5")):
@@ -463,7 +464,7 @@ class TestSimulate:
         assert len(draws) == 2
         assert [c[3] for c in draws] == [4, 5]
         # once the memo is dropped, the same command draws again, to the same bytes
-        batch._last_batch.clear()
+        engine.clear_memo()
         assert run(base + ["--algo", "robust", "--seed", "4"], capsys)[1] == outs[1]
         assert len(draws) == 3
 

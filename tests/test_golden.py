@@ -28,7 +28,10 @@ chunks of 81, 81 and 38 rows when pinned, one chunk since) and its replay,
 the build of each batch in one loop over its row blocks, and, for the same
 dump at 700 iterations (three chunks of 327, 327 and 46 rows) and its
 replay, the seeding of each stream by one write of its PCG64 state and the
-move of l-select to one row block per chunk. A refactor of generation, batching, the kernels or the
+move of l-select to one row block per chunk, and, for the pareto k sweeps at
+tuned taus of the robust rule (gamma 0.05) and the strict one, the only
+commands that run a late phase or the strict comparison at a narrowed tau,
+the move of the tests to one adapter of the engine. A refactor of generation, batching, the kernels or the
 bound formulas must leave every digest unchanged.
 
 The digests are pinned to numpy 2.4 on x86-64: the draws come from numpy's
@@ -183,6 +186,17 @@ COMMANDS = {
         "simulate", "--family", "chisq", "--n", "200", "--iters", "700", "--algo", "robust",
         "--k", "5", "--gamma", "0.1", "--tau", "0.05", "--seed", "61",
     ],
+    # robust's late phase and the strict comparison at taus narrowed from
+    # 0.076 up to 0.423, over pareto's tied zeros
+    **{
+        f"sweep/k/tau-from-k/pareto/{rule}": [
+            "sweep", "--sweep", "k", "--from", "2", "--to", "50", "--step", "16",
+            "--family", "pareto", "--n", N, "--iters", ITERS, "--tau-from-k", "--seed", "61",
+            *flags,
+        ]
+        for rule, flags in (("robust", ["--algo", "robust", "--gamma", "0.05"]),
+                            ("strict-classical", ["--algo", "strict-classical"]))
+    },
     "frontier": ["frontier"],
     "frontier/k-2": ["frontier", "--k-aggregation", "2"],
     "frontier/k-50": ["frontier", "--k-aggregation", "50"],
@@ -270,6 +284,8 @@ GOLDEN = {
     "sweep/k/gap-value": "0e1f84f326dd30cd8819ec70718faf472adda3846e5b9f344f0c8f31d89b9d6c",
     "sweep/k/robust-sigma": "63c754bef00fb6e745efd0d69700b5346aed707b818f449647d105c6fc91f8c3",
     "sweep/k/tau-from-k": "2a2bce5a403994eb0b57ab66b6833ad9b9f569258262846ab32e095eb74f77eb",
+    "sweep/k/tau-from-k/pareto/robust": "7a658dcfd338589548b728d069efcc36443bfc2504b163d31f9b4a83aa4bfb05",
+    "sweep/k/tau-from-k/pareto/strict-classical": "aaddc59015c87348041be7b1c35b73ab09f32dbc14cc042b3310cbd1b31fe8f8",
     "sweep/k/tau-from-k/n-200/three-blocks": "63609c061ba572517700b747d5c6c3cb5c70009a159f8f9cd2c7fd5b66e83a22",
     "sweep/sigma": "2c8cdc4f4e3f36c41dbc96e1ada89eb2ab3c25652b7a0299bc5cfd6e2e8efe05",
     "sweep/sigma/gap-value": "773a106f68499f419523ad8fcf25724bc8cde17f69127006c5ca75f54e8bcbae",

@@ -3,16 +3,21 @@ layers below them, so the enumeration oracle stays independent of what it
 checks, only the batch layer names the memo and the row blocks, the batch
 layer defines no public function, and the run rule is stated once. Outside
 the engine, the runners' tau and gap rules, the index rule and the family
-size rule are each stated once too."""
+size rule are each stated once too. Of the tests, only ``engine.py`` and
+this module name the engine's private names, and each hand-made mutant of
+``mutants.py`` still finds its text."""
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 import gapsecretary
+import mutants
 
 PACKAGE = Path(gapsecretary.__file__).parent
+TESTS = Path(__file__).parent
 
 # the package modules each engine module must not import; None forbids all
 FORBIDDEN = {
@@ -204,3 +209,87 @@ def test_family_size_rule_stated_once():
 def test_cli_refuses_input_with_config_error():
     # UsageError duplicated ConfigError: both printed "error: ..." and exited 2
     assert "UsageError" not in _names("cli")
+
+
+ENGINE = ("kernels", "batch", "montecarlo")
+
+
+@cache
+def _private_engine_names() -> frozenset[str]:
+    """The ``_``-prefixed names the engine modules define at top level or in
+    a class body: functions, classes, constants and fields."""
+    names = set()
+    for module in ENGINE:
+        for node in _tree(module).body:
+            body = node.body if isinstance(node, ast.ClassDef) else []
+            for n in [node, *body]:
+                if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                    names.add(n.name)
+                elif isinstance(n, (ast.Assign, ast.AnnAssign)):
+                    targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return frozenset(name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _private_engine_uses(source: str) -> list[str]:
+    """Where ``source`` names a private name of the engine: an import of
+    one, a ``_``-prefixed attribute of an engine module, any attribute or
+    string (a ``monkeypatch.setattr`` target) that is a private engine name,
+    as ``line: name``."""
+    private = _private_engine_names()
+    tree = ast.parse(source)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "gapsecretary":
+            modules.update(a.asname or a.name for a in node.names if a.name in ENGINE)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names if a.asname and a.name.split(".")[-1] in ENGINE)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in ENGINE:
+            found += [f"{node.lineno}: {a.name}" for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            of_module = isinstance(node.value, ast.Name) and node.value.id in modules
+            if node.attr in private or of_module and not node.attr.startswith("__"):
+                found.append(f"{node.lineno}: {node.attr}")
+        elif isinstance(node, ast.Constant) and node.value in private:
+            found.append(f"{node.lineno}: {node.value}")
+    return found
+
+
+def test_only_the_adapter_names_private_engine_names():
+    # every other test reaches the engine's internals through engine.py, so
+    # an engine refactor edits that one module
+    naming = {
+        path.name: uses
+        for path in sorted(TESTS.glob("*.py"))
+        if path.name not in ("engine.py", "test_layers.py")
+        and (uses := _private_engine_uses(path.read_text()))
+    }
+    assert naming == {}
+    assert _private_engine_uses((TESTS / "engine.py").read_text())
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from gapsecretary.kernels import _threshold_state",
+        "from gapsecretary import batch\nbatch._anything",
+        "from gapsecretary import montecarlo as mc\nmc._unlisted",
+        "import gapsecretary.kernels as k\nk._unlisted",
+        "import gapsecretary\ngapsecretary.batch._last_batch",
+        "b._largest",
+        "monkeypatch.setattr(module, '_build_batch', None)",
+    ],
+    ids=["import", "attribute", "alias", "import-as", "dotted", "field", "setattr"],
+)
+def test_the_adapter_rule_sees_each_way_of_naming(source):
+    assert _private_engine_uses(source)
+
+
+@pytest.mark.parametrize("name", sorted(mutants.MUTANTS))
+def test_each_mutant_finds_its_text_once(name):
+    file, old, new = mutants.MUTANTS[name]
+    text = (PACKAGE.parent.parent / file).read_text()
+    assert text.count(old) == 1
+    assert mutants.mutated(text, old, new) != text

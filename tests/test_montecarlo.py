@@ -2,7 +2,6 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -10,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gapsecretary import batch as batches
-from gapsecretary import kernels, montecarlo
+import engine
+from gapsecretary import montecarlo
 from gapsecretary.algorithms import (
     PolicySchedule,
     _normalized_view,
@@ -22,25 +21,14 @@ from gapsecretary.algorithms import (
     run_robust_consistent,
     run_strict_classical,
 )
-from gapsecretary.batch import _build_batch, _InstanceBatch, _replay_batch
 from gapsecretary.bounds import tau_for_k
 from gapsecretary.core import ArrivalDraw, WeightProfile, normalize, true_gap
 from gapsecretary.generators import FAMILY_TAGS, InstanceFamily, SeededRng
-from gapsecretary.kernels import (
-    _fixed_profile_pass,
-    _fixed_profile_state,
-    _l_select_pass,
-    _l_select_state,
-    _threshold_pass,
-    _threshold_state,
-)
 from gapsecretary.montecarlo import (
     AlgorithmSpec,
     ConfigError,
     ExperimentConfig,
     GapSpec,
-    _policy,
-    _threshold_term,
     batch_ratio_for_profiles,
     estimate_l_selection,
     estimate_ratio,
@@ -76,58 +64,6 @@ def _dense_reference(weights, times, tau, gap=0.0, gamma=0.0, strict=False) -> d
         "accept_index": np.where(has, first, -1),
         "ratio": np.where(has, weights[r, first], 0.0),
     }
-
-
-def _run_threshold_rows(weights, times, tau, gaps, gamma=0.0, strict=False):
-    """The row kernel's passes of one policy over ``gaps``, its state built
-    for this call alone."""
-    state = _threshold_state(weights, times, tau)
-    return _threshold_pass(state, gaps, gamma, strict)
-
-
-def _run_l_select_rows(weights, times, tau, L, gaps) -> dict:
-    """The l-select kernel's pass over ``gaps``, its state built for this
-    call alone."""
-    return _l_select_pass(_l_select_state(weights, times, tau, L), tau, L, weights.shape[1], gaps)
-
-
-def _batch(weights, times, max_log, taus=(), pairs=()) -> _InstanceBatch:
-    """A batch of given weights and arrival times with its best index and
-    the states of the threshold ``taus`` and l-select (tau, L) ``pairs``,
-    read a row block at a time, as a built batch reads its own, and joined
-    across the blocks."""
-    blocks = batches._row_blocks(*times.shape)
-    best = np.empty(len(weights), dtype=np.intp)
-    for rows in blocks:
-        np.argmax(weights[rows], axis=1, out=best[rows])
-
-    def joined(build, *policy):
-        return kernels._joined_state([build(weights[rows], times[rows], *policy) for rows in blocks])
-
-    tau = min(taus, default=None)
-    state = None if tau is None else joined(_threshold_state, tau)
-    l_states = {pair: joined(_l_select_state, *pair) for pair in pairs}
-    return _InstanceBatch(weights, max_log, best, tau, state, l_states)
-
-
-def _times(seed, rows, n) -> np.ndarray:
-    """The arrival times of iterations ``rows`` under ``seed``, row i read
-    from stream i, as the stream contract states."""
-    return np.array([SeededRng(seed).stream(i).random(n) for i in rows])
-
-
-def _run_fixed_profile(w, times, tau, gap=0.0, gamma=0.0, strict=False) -> dict:
-    """The fixed-profile kernel's pass of one policy over (B, n) arrival
-    ``times`` of the weight vector ``w``, its state built for this call
-    alone."""
-    cols = np.ascontiguousarray(times.T)
-    return _fixed_profile_pass(w, cols, _fixed_profile_state(w, cols, tau), gap, gamma, strict)
-
-
-def _one_gap(weights, times, tau, gap=0.0, gamma=0.0, strict=False) -> dict:
-    """The row kernel on a single gap."""
-    (out,) = _run_threshold_rows(weights, times, tau, [gap], gamma, strict)
-    return out
 
 
 def _assert_same_arrays(got: dict, ref: dict, where=None):
@@ -171,7 +107,7 @@ class TestKernelMatchesScalarRunners:
                 ),
             ]
             for spec, kw in specs:
-                out = _one_gap(W, T, tau, **kw)
+                out = engine.one_gap(W, T, tau, **kw)
                 for row in range(B):
                     prof = WeightProfile.from_weights(W[row])
                     ref = _scalar_reference(
@@ -181,7 +117,7 @@ class TestKernelMatchesScalarRunners:
                     assert out["accept_index"][row] == expected, (spec.tag, row)
 
     def test_policy_tags_match_scalar_runners(self):
-        # every single-selection tag through _policy and the kernel; rounded
+        # every single-selection tag through its policy and the kernel; rounded
         # weights and times force ties, and row 0 is all zero
         rng = np.random.default_rng(3)
         for trial in range(60):
@@ -202,9 +138,9 @@ class TestKernelMatchesScalarRunners:
                 AlgorithmSpec("robust", tau=tau, gamma=float(rng.choice([0.0, 0.25]))),
             ]
             for spec in specs:
-                p_tau, p_gamma, p_strict = _policy(spec)
-                term = _threshold_term(spec, gaps, max_log)
-                out = _one_gap(norm, T, p_tau, term, p_gamma, p_strict)
+                p_tau, p_gamma, p_strict = engine.policy(spec)
+                term = engine.threshold_term(spec, gaps, max_log)
+                out = engine.one_gap(norm, T, p_tau, term, p_gamma, p_strict)
                 for row in range(B):
                     ref = _scalar_reference(
                         spec, profiles[row], ArrivalDraw(T[row]), float(gaps[row])
@@ -214,14 +150,14 @@ class TestKernelMatchesScalarRunners:
                     else:
                         assert out["accept_index"][row] == -1, (spec.tag, trial, row)
         with pytest.raises(ConfigError):
-            _policy(AlgorithmSpec("l-select", L=2))
+            engine.policy(AlgorithmSpec("l-select", L=2))
 
     def test_select_best_accepts_the_first_maximum(self, monkeypatch):
         # per row, select_best of both drivers is the scalar runner accepting
         # sorted_index(1); weights are small integers, so maxima tie. The
-        # replayed estimate reads the engine's own best index, which
-        # _built_batch reads as it builds the batch: a rule taking each row's
-        # last maximum gives it another select_best_prob
+        # generated estimate runs on the crafted rows and the replayed one on
+        # the profiles, both built by the engine's one builder, which reads
+        # each row's best index as it builds the batch
         def selects_best(spec, p, t):
             ref = _scalar_reference(spec, p, ArrivalDraw(t), 5.0)
             return ref.accepted and ref.accepted_index == p.sorted_index(1)
@@ -231,18 +167,11 @@ class TestKernelMatchesScalarRunners:
         W[0] = 0.0
         T = rng.random(W.shape)
         profiles = [WeightProfile.from_weights(row) for row in W]
-        tied = partial(
-            _batch,
-            np.array([p.normalized_weights for p in profiles]),
-            T,
-            np.array([p.max_log_weight for p in profiles]),
-        )
-        monkeypatch.setattr(batches, "_last_batch", {})
-        monkeypatch.setattr(batches, "_build_batch", lambda family, n, rows, seed, *policies: tied(*policies))
+        engine.crafted_runs(monkeypatch, W, T)
         fixed = WeightProfile.from_weights([2.5, 7.5, 0.0, 7.5, 7.5])
         # one stream from the seed, drawn in iteration order
         fixed_T =np.random.default_rng([SEED]).random((len(W), fixed.n))
-        replay_T = _times(SEED, range(len(W)), W.shape[1])
+        replay_T = engine.times(SEED, range(len(W)), W.shape[1])
         for spec in [
             AlgorithmSpec("classical", tau=0.3),
             AlgorithmSpec("strict-classical", tau=0.3),
@@ -266,7 +195,7 @@ class TestKernelMatchesScalarRunners:
         W = np.array([[3.0, 5.0, 4.0]])
         T = np.array([[0.6, 0.6, 0.1]])
         ref = run_classical(WeightProfile.from_weights(W[0]), ArrivalDraw(T[0]), 0.2)
-        for out in (_one_gap(W, T, 0.2), _run_fixed_profile(W[0], T, 0.2, 0.0)):
+        for out in (engine.one_gap(W, T, 0.2), engine.fixed_profile(W[0], T, 0.2, 0.0)):
             assert out["accept_index"][0] == ref.accepted_index
 
 
@@ -327,11 +256,11 @@ class TestGroupedRowKernel:
 
         # gaps straight in normalized units; a scalar stays a scalar
         gaps = [np.asarray(g) * 0.25 for g in entries]
-        got = list(_run_threshold_rows(norm, T, tau, gaps, gamma, strict))
+        got = list(engine.threshold(norm, T, tau, gaps, gamma, strict))
         assert len(got) == len(gaps)
         for gap, out in zip(gaps, got):
             _assert_same_arrays(out, _dense_reference(norm, T, tau, gap, gamma, strict), gap)
-            _assert_same_arrays(out, _one_gap(norm, T, tau, gap, gamma, strict), gap)
+            _assert_same_arrays(out, engine.one_gap(norm, T, tau, gap, gamma, strict), gap)
 
         # raw-unit gaps through each rule's policy, against the scalar runners
         tags = _RULES_OF_KIND[kind]
@@ -340,9 +269,9 @@ class TestGroupedRowKernel:
             for i in range(len(entries))
         ]
         raw = [np.broadcast_to(np.asarray(g) * 2.5, (len(W),)) for g in entries]
-        assert all(_policy(s) == (tau, gamma, strict) for s in specs)
-        terms = [_threshold_term(s, r, max_log) for s, r in zip(specs, raw)]
-        got = list(_run_threshold_rows(norm, T, tau, terms, gamma, strict))
+        assert all(engine.policy(s) == (tau, gamma, strict) for s in specs)
+        terms = [engine.threshold_term(s, r, max_log) for s, r in zip(specs, raw)]
+        got = list(engine.threshold(norm, T, tau, terms, gamma, strict))
         assert len(got) == len(terms)
         for spec, r, out in zip(specs, raw, got):
             for row, prof in enumerate(profiles):
@@ -356,7 +285,7 @@ class TestGroupedRowKernel:
 
     def test_strict_late_phase_rejected(self):
         with pytest.raises(ValueError, match="no late phase"):
-            next(_run_threshold_rows(np.ones((1, 2)), np.zeros((1, 2)), 0.2, [0.0], 0.1, True))
+            next(engine.threshold(np.ones((1, 2)), np.zeros((1, 2)), 0.2, [0.0], 0.1, True))
 
 
 def _check_fixed_profile(weights, T, spec: AlgorithmSpec, gaps):
@@ -366,10 +295,10 @@ def _check_fixed_profile(weights, T, spec: AlgorithmSpec, gaps):
     raw-unit gaps."""
     prof = WeightProfile.from_weights(weights)
     w, m = prof.normalized_weights, prof.max_log_weight
-    tau, gamma, strict = _policy(spec)
-    term = _threshold_term(spec, gaps, m)
-    got = _run_fixed_profile(w, T, tau, term, gamma, strict)
-    _assert_same_arrays(got, _one_gap(np.broadcast_to(w, T.shape), T, tau, term, gamma, strict))
+    tau, gamma, strict = engine.policy(spec)
+    term = engine.threshold_term(spec, gaps, m)
+    got = engine.fixed_profile(w, T, tau, term, gamma, strict)
+    _assert_same_arrays(got, engine.one_gap(np.broadcast_to(w, T.shape), T, tau, term, gamma, strict))
     for row in range(T.shape[0]):
         scalar = _scalar_reference(spec, prof, ArrivalDraw(T[row]), float(gaps[row]))
         where = (spec, row)
@@ -432,7 +361,7 @@ class TestFixedProfileKernel:
 
     def test_strict_late_phase_rejected(self):
         with pytest.raises(ValueError, match="no late phase"):
-            _run_fixed_profile(np.ones(2), np.zeros((1, 2)), 0.2, 0.0, 0.1, True)
+            engine.fixed_profile(np.ones(2), np.zeros((1, 2)), 0.2, 0.0, 0.1, True)
 
 
 def _check_l_select_rows(W, T, tau, L, gap: GapSpec):
@@ -446,9 +375,9 @@ def _check_l_select_rows(W, T, tau, L, gap: GapSpec):
     norm = np.array([p.normalized_weights for p in profiles])
     max_log = np.array([p.max_log_weight for p in profiles])
     spec = AlgorithmSpec("l-select", tau=tau, L=L)
-    batch = _batch(norm, T, max_log)
-    gaps = _threshold_term(spec, gap, max_log, batch)
-    out = _run_l_select_rows(norm, T, tau, L, gaps)
+    batch = engine.batch_of(W, T)
+    gaps = engine.threshold_term(spec, gap, max_log, batch)
+    out = engine.l_select(norm, T, tau, L, gaps)
     for row, raw in enumerate(profiles):
         prof = normalize(raw)
         ws = np.sort(prof.normalized_weights)[::-1]
@@ -504,12 +433,12 @@ class TestLSelectKernelMatchesScalarRunner:
         # every gap rule runs as its scalar runner runs it, with no gap
         rng = np.random.default_rng(13)
         profiles = [WeightProfile(np.log(rng.random(6)) - 800.0) for _ in range(30)]
-        batch_of = partial(_replay_batch, profiles, SEED)
-        times = _times(SEED, range(30), 6)
+        batch = engine.replayed(profiles, SEED, {0.3}, {(0.3, 2)})
+        times = engine.times(SEED, range(30), 6)
         for tag in ("exact-gap", "bounded", "robust", "l-select"):
             spec = AlgorithmSpec(tag, tau=0.3, gamma=0.25 * (tag == "robust"), epsilon=0.5, L=2)
             cells = [(spec, GapSpec(absolute=1.0, sigma=0.0)), (spec, GapSpec(absolute=0.0))]
-            got, ref = montecarlo._run_cells(6, 30, batch_of, cells, montecarlo._KEEP_ALL)
+            got, ref = engine.outcomes(batch, cells)
             _assert_same_arrays(got, ref, tag)
             for row, prof in enumerate(profiles):
                 arrivals, where = ArrivalDraw(times[row]), (tag, row)
@@ -658,10 +587,10 @@ class TestLSelectCandidateEdges:
         # above the gap, for scalar and per-row gaps
         tau, L, weights, times, absolute = self.EDGES[edge]
         W, T = np.array(weights), np.array(times)
-        state = _l_select_state(W, T, tau, L)
+        state = engine.l_select_state(W, T, tau, L)
         rows = np.repeat(np.arange(len(W)), state.counts)
         for gaps in [*absolute, np.resize(absolute[::-1], len(W))]:
-            entries, entry_rows = kernels._l_select_kept(state, tau, gaps)
+            entries, entry_rows = engine.l_select_kept(state, tau, gaps)
             assert np.array_equal(entry_rows, rows[entries])
             for row, (w, t, gap) in enumerate(zip(W, T, np.broadcast_to(gaps, len(W)))):
                 pre = sorted(w[t <= tau], reverse=True)
@@ -675,7 +604,7 @@ class TestLSelectCandidateEdges:
 
 
 def _rank_view(W, T, tau):
-    """Rows of weights and times as ``_l_select_hits`` takes them, in rank
+    """Rows of weights and times as the l-select hits take them, in rank
     order (-weight, index): the weights, the arrival positions (tied times
     to the lower index) and the pre-``tau`` flags; plus the ranking."""
     by_rank = np.argsort(-W, axis=1, kind="stable")
@@ -719,7 +648,7 @@ class TestLSelectHits:
         norm = np.array([p.normalized_weights for p in profiles])
         gaps = np.array([g for _, _, g in rows])
         w_ranked, arrival, pre, by_rank = _rank_view(norm, T, tau)
-        hits = kernels._l_select_hits(w_ranked, arrival, pre, gaps, L)
+        hits = engine.l_select_hits(w_ranked, arrival, pre, gaps, L)
         got = np.zeros_like(hits)
         np.put_along_axis(got, by_rank, hits, axis=1)
         for row, (w, prof) in enumerate(zip(norm, profiles)):
@@ -898,7 +827,7 @@ RUN_MESSAGES = {
 
 class TestRunCheck:
     """One table of bad runs against every entry point: each is rejected by
-    ``_check_run`` with its rule's message before anything is drawn."""
+    the one run rule with its message before anything is drawn."""
 
     @pytest.mark.parametrize(
         ("entry", "arg", "value"),
@@ -912,11 +841,7 @@ class TestRunCheck:
     def test_bad_run_rejected_before_any_draw(self, entry, arg, value, monkeypatch):
         # regenerate_profiles raised numpy's TypeError at n = 2.0, and the
         # fixed-profile entry points ran at seed 2**64
-        def no_draw(*args):
-            raise AssertionError("arrival times were drawn")
-
-        monkeypatch.setattr(batches, "_arrival_rows", no_draw)
-        monkeypatch.setattr(montecarlo, "_arrival_columns", no_draw)
+        engine.forbid_draws(monkeypatch)
         call, _ = RUN_ENTRY_POINTS[entry]
         run = {"n": 3, "iterations": 4, "seed": 1, arg: value}
         with pytest.raises(ConfigError, match=f"^{re.escape(RUN_MESSAGES[arg])}$"):
@@ -1168,20 +1093,7 @@ class TestSweeps:
         # gap, so under a fixed tau the k rows share one bounded estimate;
         # the tuned tau differs per k. Counted: kernel passes (one per
         # policy) and the gaps each pass evaluates
-        calls = {"passes": 0, "gaps": 0}
-        kernel = montecarlo._threshold_pass
-
-        def counting(state, gaps, *args):
-            calls["passes"] += 1
-
-            def counted():
-                for gap in gaps:
-                    calls["gaps"] += 1
-                    yield gap
-
-            return kernel(state, counted(), *args)
-
-        monkeypatch.setattr(montecarlo, "_threshold_pass", counting)
+        calls = engine.count_threshold_passes(monkeypatch)
         cfg = ExperimentConfig(
             InstanceFamily("exponential"),
             50,
@@ -1205,7 +1117,7 @@ class TestSweeps:
         # chunks: one preparation per chunk, every cell's gap in it
         calls.update(passes=0, gaps=0)
         robust = replace(cfg, algorithm=AlgorithmSpec("robust", tau=0.2, gamma=0.05), gap=GapSpec(k=2))
-        monkeypatch.setitem(montecarlo._CHUNK_ELEMENTS, "threshold", 40 * cfg.n)
+        engine.rechunk(monkeypatch, threshold=40 * cfg.n)
         cells = sweep_sigma(robust, [0.0, 0.5, 1.0], [2, 10, 50])
         assert calls == {"passes": 3, "gaps": 3 * 9}
         assert len(cells) == 9
@@ -1234,7 +1146,7 @@ class TestRuleFields:
                 cfg = replace(base, gap=replace(base.gap, **{field: value}))
             else:
                 cfg = replace(base, algorithm=replace(base.algorithm, **{field: value}))
-            assert (estimate_ratio(cfg) == est) == (field not in montecarlo._READS[tag]), field
+            assert (estimate_ratio(cfg) == est) == (field not in engine.reads(tag)), field
 
 
 class TestQualitativeSweepBehavior:
@@ -1391,8 +1303,8 @@ class TestOutcomeRecords:
     def test_kernels_return_index_and_ratio(self):
         rng = np.random.default_rng(3)
         weights, times = rng.random((6, 4)), rng.random((6, 4))
-        assert set(_one_gap(weights, times, 0.3, 0.5)) == {"accept_index", "ratio"}
-        assert set(_run_fixed_profile(weights[0], times, 0.3, 0.5)) == {"accept_index", "ratio"}
+        assert set(engine.one_gap(weights, times, 0.3, 0.5)) == {"accept_index", "ratio"}
+        assert set(engine.fixed_profile(weights[0], times, 0.3, 0.5)) == {"accept_index", "ratio"}
 
     @pytest.mark.parametrize(
         ("algo", "fields"),
@@ -1464,9 +1376,9 @@ class TestSimulateFixedProfile:
         # the acceptance oracle's five rules plus two at other taus, in an
         # order that is not the order of tau; each against its own call
         if chunk_rows is not None:
-            monkeypatch.setitem(montecarlo._CHUNK_ELEMENTS, "threshold", 4 * chunk_rows)
+            engine.rechunk(monkeypatch, threshold=4 * chunk_rows)
         if block_rows is not None:
-            monkeypatch.setattr(montecarlo, "_FIXED_PROFILE_ROWS", block_rows)
+            engine.rechunk(monkeypatch, fixed_rows=block_rows)
         prof = WeightProfile.from_weights([3.0, 1.0, 3.0, 0.5])
         gaps = np.arange(50) % 4 * 0.9
         rules = [
@@ -1649,26 +1561,26 @@ class TestBatchBuild:
         W = np.array([p.normalized_weights for p in profiles])
         max_log = np.array([p.max_log_weight for p in profiles])
         expected = (times, W, max_log, np.sort(W, axis=1)[:, ::-1])
-        monkeypatch.setattr(batches, "_BLOCK_ELEMENTS", 3 * n)
+        engine.reblock(monkeypatch, 3 * n)
         policies = ({0.3, 0.5}, {(0.3, n)})
         for batch in (
-            _build_batch(family, n, range(iters), seed, *policies),
-            _replay_batch(profiles, seed, range(iters), *policies),
+            engine.built(family, n, range(iters), seed, *policies),
+            engine.replayed(profiles, seed, *policies),
         ):
             ranked = np.stack(batch.largest(range(1, n + 1)), axis=1)
-            got = (_times(seed, range(iters), n), batch.weights, batch.max_log, ranked)
+            got = (engine.times(seed, range(iters), n), batch.weights, batch.max_log, ranked)
             for a, b in zip(got, expected):
                 assert np.array_equal(a, b)
             assert _same_bits(batch.best_index, np.argmax(W, axis=1))
             assert batch.tau == 0.3 and batch.l_states.keys() == {(0.3, n)}
-            assert _same_state(batch.state, _threshold_state(W, times, 0.3))
-            assert _same_state(batch.l_states[(0.3, n)], _l_select_state(W, times, 0.3, n))
+            assert _same_state(batch.state, engine.threshold_state(W, times, 0.3))
+            assert _same_state(batch.l_states[(0.3, n)], engine.l_select_state(W, times, 0.3, n))
         if family.tag == "pareto_power":
             assert not batch.max_log.any()  # pareto profiles come normalized
         # a chunk of rows is the same rows of the whole batch, and its state
         # is read off the same rows of the arrival times
-        chunk = _build_batch(family, n, range(13, 29), seed, {0.5})
-        assert _same_state(chunk.state, _threshold_state(W[13:29], times[13:29], 0.5))
+        chunk = engine.built(family, n, range(13, 29), seed, {0.5})
+        assert _same_state(chunk.state, engine.threshold_state(W[13:29], times[13:29], 0.5))
         assert np.array_equal(chunk.weights, W[13:29])
         assert np.array_equal(chunk.max_log, max_log[13:29])
 
@@ -1692,7 +1604,7 @@ class TestBatchBuild:
             WeightProfile.from_weights([1.0, 4.0, 2.0]),
             WeightProfile.from_weights([0.0, 3.0, 0.0]),
         ]
-        batch = _replay_batch(profiles, 3, range(len(profiles)))
+        batch = engine.replayed(profiles, 3)
         assert np.array_equal(batch.weights, [p.normalized_weights for p in profiles])
         assert np.array_equal(batch.max_log, [p.max_log_weight for p in profiles])
 
@@ -1704,12 +1616,12 @@ class TestBatchBuild:
         monkeypatch.setattr(SeededRng, "streams", no_stream)
         for tag in ("pareto_power", "exp_superstar"):
             with pytest.raises(ValueError, match="needs n >= 2"):
-                _build_batch(InstanceFamily(tag), 1, range(5), 0)
+                engine.built(InstanceFamily(tag), 1, range(5), 0)
 
     def test_non_finite_weight_rejected(self):
         # the superstar overflows float64 at this factor
         with pytest.raises(ValueError, match="finite and non-negative"):
-            _build_batch(InstanceFamily("exp_superstar", factor=1e308), 5, range(3), 0)
+            engine.built(InstanceFamily("exp_superstar", factor=1e308), 5, range(3), 0)
 
 
 def _same_bits(a, b) -> bool:
@@ -1724,9 +1636,9 @@ def _same_state(a, b) -> bool:
 
 
 class TestRowBlockReads:
-    """Every gap-independent read of a batch runs over row blocks of
-    ``batch._BLOCK_ELEMENTS`` elements and equals its whole-array
-    expression bit for bit, at every block edge and on read-only arrays."""
+    """Every gap-independent read of a batch runs over its row blocks and
+    equals its whole-array expression bit for bit, at every block edge and
+    on read-only arrays."""
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
@@ -1754,22 +1666,26 @@ class TestRowBlockReads:
         st.booleans(),
     )
     def test_blocked_reads_equal_whole_array_expressions(self, case, tau, read_only):
+        # read-only times are read into the states as the batch is built,
+        # and read-only weights, as the memo holds them, into rank columns
         rows, times, zero_row = case
         W, T = np.array(rows), np.array(times)
         if zero_row < len(W):
             W[zero_row] = 0.0
         B, n = W.shape
         if read_only:
-            for a in (W, T):
-                a.setflags(write=False)
-        ascending = np.sort(W, axis=1)
+            T.setflags(write=False)
         # three rows a block, so 1, 2, 3, 4, 7 and 11 rows are one block, a
         # block less one row, exactly one, one and a row, and several
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(batches, "_BLOCK_ELEMENTS", 3 * n)
-            assert batches._row_blocks(B, n)[0] == slice(0, min(B, 3))
+            engine.reblock(mp, 3 * n)
+            assert engine.row_blocks(B, n)[0] == slice(0, min(B, 3))
             ranks = range(1, n + 1)
-            batch = _batch(W, T, np.zeros(B), {tau}, {(tau, L) for L in ranks})
+            batch = engine.batch_of(W, T, {tau}, {(tau, L) for L in ranks})
+            W = batch.weights
+            if read_only:
+                W.setflags(write=False)
+            ascending = np.sort(W, axis=1)
             assert _same_bits(batch.best_index, np.argmax(W, axis=1))
             for j, column in zip(ranks, batch.largest(ranks)):
                 assert _same_bits(column, ascending[:, n - j])
@@ -1780,14 +1696,14 @@ class TestRowBlockReads:
             joined = batch.state
             l_joined = {L: batch.l_states[(tau, L)] for L in ranks}
         assert _same_bits(joined.level, np.max(W * (T <= tau), axis=1))
-        assert _same_state(joined, kernels._threshold_state(W, T, tau))
+        assert _same_state(joined, engine.threshold_state(W, T, tau))
         for L, l_state in l_joined.items():
-            assert _same_state(l_state, kernels._l_select_state(W, T, tau, L)), L
+            assert _same_state(l_state, engine.l_select_state(W, T, tau, L)), L
 
     def test_rows_wider_than_a_block_are_read_one_at_a_time(self, monkeypatch):
-        monkeypatch.setattr(batches, "_BLOCK_ELEMENTS", 4)
-        assert batches._row_blocks(3, 10) == [slice(0, 1), slice(1, 2), slice(2, 3)]
-        assert batches._row_blocks(0, 10) == []
+        engine.reblock(monkeypatch, 4)
+        assert engine.row_blocks(3, 10) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        assert engine.row_blocks(0, 10) == []
 
 
 class TestBatchRatioForProfiles:
@@ -1815,14 +1731,11 @@ class TestBatchRatioForProfiles:
         zero = WeightProfile.from_weights([0.0] * 4)
         mixed = [zero, *(WeightProfile.from_weights(rng.random(4) * 5) for _ in range(25)), zero]
         for profiles in ([zero] * 50, mixed):
-            batch_of = partial(_replay_batch, profiles, 3)
-            times = _times(3, range(len(profiles)), 4)
+            batch = engine.replayed(profiles, 3, {0.2})
+            times = engine.times(3, range(len(profiles)), 4)
             for tag in ("exact-gap", "bounded", "robust"):
                 spec = AlgorithmSpec(tag, tau=0.2, gamma=0.25 * (tag == "robust"), epsilon=0.05)
-                cell = [(spec, GapSpec(k=2))]
-                (got,) = montecarlo._run_cells(
-                    4, len(profiles), batch_of, cell, montecarlo._KEEP_ALL
-                )
+                (got,) = engine.outcomes(batch, [(spec, GapSpec(k=2))])
                 for row, prof in enumerate(profiles):
                     arrivals = ArrivalDraw(times[row])
                     scalar = _scalar_reference(spec, prof, arrivals, true_gap(prof, 2))
@@ -1840,10 +1753,7 @@ class TestBatchRatioForProfiles:
     @pytest.mark.parametrize("seed", [-1, 1.5, True, 2**64], ids=["negative", "float", "bool", "65-bit"])
     def test_master_seed_checked_before_any_draw(self, seed, monkeypatch):
         # each was accepted here and failed at the first chunk, in SeededRng
-        def no_draw(*args):
-            raise AssertionError("arrival times were drawn")
-
-        monkeypatch.setattr(montecarlo, "_replay_batch", no_draw)
+        engine.forbid_draws(monkeypatch)
         profiles = [WeightProfile.from_weights([1.0, 2.0, 3.0])] * 4
         with pytest.raises(ConfigError, match="master seed must"):
             batch_ratio_for_profiles(profiles, AlgorithmSpec("classical"), GapSpec(), seed)
@@ -1853,10 +1763,7 @@ class TestBatchRatioForProfiles:
     def test_regenerate_checks_iterations_before_any_draw(self, tag, iterations, monkeypatch):
         # pareto returned [] at 0 iterations; the other families failed inside
         # numpy, on a zero-size reduction
-        def no_draw(*args):
-            raise AssertionError("a stream was drawn")
-
-        monkeypatch.setattr(batches, "_arrival_rows", no_draw)
+        engine.forbid_draws(monkeypatch)
         with pytest.raises(ConfigError, match="iterations must be an integer >= 1"):
             regenerate_profiles(InstanceFamily(tag), 5, iterations, 1)
 
@@ -1928,7 +1835,7 @@ class TestLSelectionEstimation:
     def test_fixed_profile_matches_per_draw_loop(self, monkeypatch):
         # iteration i of a fixed profile runs on stream i's arrival times,
         # as a per-draw loop runs it, across chunk boundaries too
-        monkeypatch.setitem(montecarlo._CHUNK_ELEMENTS, "l-select", 5 * 12)
+        engine.rechunk(monkeypatch, l_select=5 * 12)
         family = InstanceFamily("chi_squared", df=3)
         (raw,) = regenerate_profiles(family, 12, 1, 4)
         cfg = ExperimentConfig(
@@ -2001,9 +1908,8 @@ class TestChunkInvariance:
         def both(run):
             whole = run()
             with monkeypatch.context() as m:
-                m.setattr(montecarlo, "_CHUNK_ELEMENTS", table)
-                m.setattr(montecarlo, "_FIXED_PROFILE_ROWS", block_rows)
-                assert len(list(montecarlo._chunks(self.N, self.ITERS, [AlgorithmSpec("classical")]))) > 1
+                engine.rechunk(m, table["threshold"], table["l-select"], block_rows)
+                assert len(engine.chunks(self.N, self.ITERS, [AlgorithmSpec("classical")])) > 1
                 return whole, run()
 
         return both
@@ -2107,9 +2013,9 @@ class TestChunkInvariance:
             self._assert_one_buffer(out, self.ITERS)
 
     def test_mixed_cells_take_the_smallest_entry(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", {"threshold": 40, "l-select": 25})
+        engine.rechunk(monkeypatch, threshold=40, l_select=25)
         algos = [AlgorithmSpec("classical"), AlgorithmSpec("l-select", L=2)]
-        chunks = list(montecarlo._chunks(self.N, self.ITERS, algos))
+        chunks = engine.chunks(self.N, self.ITERS, algos)
         assert [len(r) for r in chunks] == [2] * 15 + [1]
         assert [i for r in chunks for i in r] == list(range(self.ITERS))
 
@@ -2123,14 +2029,7 @@ class TestLSelectAsCell:
     def test_sigma_sweep_rows_equal_estimates(self, monkeypatch):
         # the gap of l-select is index-free, so rows that differ only in k
         # read the same inputs and run the kernel once per sigma
-        calls = []
-        kernel = montecarlo._l_select_pass
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(montecarlo, "_l_select_pass", counting)
+        calls = engine.count_l_select_passes(monkeypatch)
         cfg = self._config()
         cells = sweep_sigma(cfg, [0.0, 0.5, 1.0], [2, 3, 7])
         assert len(cells) == 9 and len(calls) == 3
@@ -2163,25 +2062,13 @@ class TestLSelectAsCell:
 
 class TestEmptySweeps:
     def test_no_cells_draw_no_batch(self, monkeypatch):
-        def no_batch(*args, **kwargs):
-            raise AssertionError("a batch was drawn")
-
-        monkeypatch.setattr(batches, "_build_batch", no_batch)
+        engine.forbid_draws(monkeypatch)
         cfg = ExperimentConfig(
             InstanceFamily("exponential"), 20, 50, AlgorithmSpec("exact-gap"), GapSpec(k=2)
         )
         assert sweep_sigma(cfg, [], [2, 3]) == []
         assert sweep_sigma(cfg, [0.5], []) == []
         assert sweep_k(cfg, []) == []
-
-
-def _held(batch) -> list:
-    """Every array a batch holds: its instances and the work kept on them."""
-    arrays = [batch.weights, batch.max_log, *batch._largest.values(),
-              *batch._top_totals.values()]
-    for state in [batch.state, *batch.l_states.values()]:
-        arrays += [a for a in state or () if isinstance(a, np.ndarray)]
-    return list({id(a): a for a in arrays}.values())
 
 
 def _tied_times(case) -> np.ndarray:
@@ -2193,15 +2080,7 @@ def _tied_batch(case, taus=(), pairs=()):
     """A batch of integer weights and quarter-step times, so weights, gaps
     and arrival times tie, with the states of ``taus`` and ``pairs``; an
     all-zero row is its own normalized view."""
-    W = np.array([w for w, _ in case]) * 2.5
-    profiles = [WeightProfile.from_weights(row) for row in W]
-    return _batch(
-        np.array([p.normalized_weights for p in profiles]),
-        _tied_times(case),
-        np.array([p.max_log_weight for p in profiles]),
-        taus,
-        pairs,
-    )
+    return engine.batch_of(np.array([w for w, _ in case]) * 2.5, _tied_times(case), taus, pairs)
 
 
 class TestBatchMemo:
@@ -2221,17 +2100,13 @@ class TestBatchMemo:
 
     @pytest.fixture(autouse=True)
     def empty_memo(self):
-        batches._last_batch.clear()
+        engine.clear_memo()
         yield
-        batches._last_batch.clear()
+        engine.clear_memo()
 
     def _config(self, family=InstanceFamily("chi_squared", df=3), n=12, iterations=31, seed=SEED,
                 algo=AlgorithmSpec("exact-gap", tau=0.2)):
         return ExperimentConfig(family, n, iterations, algo, GapSpec(k=3), master_seed=seed)
-
-    def _memo(self) -> _InstanceBatch:
-        (batch,) = batches._last_batch.values()
-        return batch
 
     def test_reads_make_no_whole_batch_temporary(self):
         # numpy copies a read-only input in argmax, np.sort copies its input
@@ -2242,18 +2117,20 @@ class TestBatchMemo:
         cfg = replace(self._config(), family=InstanceFamily("exponential"), n=200,
                       iterations=2000)
         estimate_ratio(cfg)
-        memo = self._memo()
+        memo = engine.memo()
         assert not memo.weights.flags.writeable
-        times = _times(cfg.master_seed, range(cfg.iterations), cfg.n)
+        times = engine.times(cfg.master_seed, range(cfg.iterations), cfg.n)
         reads = {
-            "best_index": lambda batch: _build_batch(
+            "best_index": lambda batch: engine.built(
                 cfg.family, cfg.n, range(cfg.iterations), cfg.master_seed
             ),
             "new rank": lambda batch: batch.read_sorted(ranks=(10,)),
-            "threshold state": lambda batch: _batch(batch.weights, times, batch.max_log, {0.3}),
+            "threshold state": lambda batch: engine.batch_of(batch.weights, times, {0.3}),
         }
         for name, read in reads.items():
-            batch = _batch(memo.weights, times, memo.max_log)
+            # a batch of the memo's instances, read-only as the memo's
+            batch = engine.batch_of(memo.weights, times)
+            batch.weights.setflags(write=False)
             tracemalloc.start()
             try:
                 held = read(batch)
@@ -2266,12 +2143,12 @@ class TestBatchMemo:
     def test_hit_equals_fresh_build(self, draws):
         cfg = self._config()
         rows = range(cfg.iterations)
-        first = batches._generated_batch(cfg, rows, {0.2})
+        first = engine.generated(cfg, rows, {0.2})
         estimate_ratio(cfg)
-        hit = batches._generated_batch(cfg, rows, {0.2})
+        hit = engine.generated(cfg, rows, {0.2})
         assert len(draws) == 1
-        assert hit is first and first._largest and first.tau == 0.2
-        fresh = _build_batch(cfg.family, cfg.n, rows, cfg.master_seed, {0.2})
+        assert hit is first and engine.kept_ranks(first) and first.tau == 0.2
+        fresh = engine.built(cfg.family, cfg.n, rows, cfg.master_seed, {0.2})
         ranks = range(1, cfg.n + 1)
         for a, b in zip((hit.weights, hit.max_log, hit.best_index, *hit.largest(ranks)),
                         (fresh.weights, fresh.max_log, fresh.best_index, *fresh.largest(ranks))):
@@ -2295,19 +2172,14 @@ class TestBatchMemo:
             AlgorithmSpec("exact-gap", tau=0.3): (0, 0.2, {(0.2, 3)}),
             AlgorithmSpec("l-select", tau=0.2, L=3): (0, 0.2, {(0.2, 3)}),
         }
-
-        def fresh(rows, *policies):
-            return _build_batch(cfg.family, cfg.n, rows, cfg.master_seed, *policies)
-
-        expected = {algo: montecarlo._run_cells(cfg.n, cfg.iterations, fresh, [(algo, cfg.gap)])[0]
-                    for algo in rules}
+        expected = {algo: engine.fresh_estimates(cfg, [(algo, cfg.gap)])[0] for algo in rules}
         for algo, (drawn, tau, pairs) in rules.items():
-            montecarlo._on_generated(cfg, held)
-            memo = self._memo()
+            engine.estimates(cfg, held)
+            memo = engine.memo()
             del draws[:]
             assert estimate_ratio(replace(cfg, algorithm=algo)) == expected[algo], algo
-            assert len(draws) == drawn and (self._memo() is memo) == (drawn == 0), algo
-            assert (self._memo().tau, self._memo().l_states.keys()) == (tau, pairs), algo
+            assert len(draws) == drawn and (engine.memo() is memo) == (drawn == 0), algo
+            assert (engine.memo().tau, engine.memo().l_states.keys()) == (tau, pairs), algo
 
     def test_estimate_peak_below_one_and_a_half_weights(self):
         # the weights are the one (rows, n) array an estimate holds: each
@@ -2322,7 +2194,7 @@ class TestBatchMemo:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * self._memo().weights.nbytes
+        assert peak < 1.5 * engine.memo().weights.nbytes
 
     def test_miss_drops_the_memo_before_it_allocates(self):
         # a miss drops the memo's batch before it makes its own arrays, so
@@ -2334,13 +2206,13 @@ class TestBatchMemo:
         tracemalloc.start()
         try:
             estimate_ratio(cfg)
-            assert self._memo().weights.shape == (5000, 200)
+            assert engine.memo().weights.shape == (5000, 200)
             tracemalloc.reset_peak()
             estimate_ratio(replace(cfg, master_seed=SEED + 1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * self._memo().weights.nbytes
+        assert peak < 1.5 * engine.memo().weights.nbytes
 
     @pytest.mark.parametrize(
         "base,changed",
@@ -2357,10 +2229,10 @@ class TestBatchMemo:
     )
     def test_other_key_misses(self, base, changed, draws):
         first = estimate_ratio(self._config(**base))
-        weights = self._memo().weights
+        weights = engine.memo().weights
         estimate_ratio(self._config(**{**base, **changed}))
         assert len(draws) == 2
-        other = self._memo().weights
+        other = engine.memo().weights
         assert other.shape != weights.shape or not np.array_equal(other, weights)
         # the second run replaced the first one's batch
         assert estimate_ratio(self._config(**base)) == first
@@ -2369,14 +2241,10 @@ class TestBatchMemo:
     def test_memoized_arrays_read_only(self):
         cfg = self._config()
         cells = [(algo, cfg.gap) for algo in self.ALGOS]
-        fresh = montecarlo._run_cells(
-            cfg.n, cfg.iterations,
-            lambda rows, *policies: _build_batch(cfg.family, cfg.n, rows, cfg.master_seed, *policies),
-            cells,
-        )
+        fresh = engine.fresh_estimates(cfg, cells)
         # one run of every rule, so the memo holds the states each reads
-        montecarlo._on_generated(cfg, cells)
-        batch = self._memo()
+        engine.estimates(cfg, cells)
+        batch = engine.memo()
         for a in (batch.weights, batch.max_log, batch.best_index):
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -2384,39 +2252,21 @@ class TestBatchMemo:
         # every rule runs on the read-only arrays and gives the fresh estimates
         for algo, est in zip(self.ALGOS, fresh):
             assert estimate_ratio(replace(cfg, algorithm=algo)) == est, algo.tag
-        assert self._memo() is batch
+        assert engine.memo() is batch
 
     @pytest.mark.parametrize("algo", ALGOS, ids=lambda a: a.tag)
     def test_outcomes_are_no_view_of_the_memo(self, algo):
         cfg = self._config(algo=algo)
         first = per_iteration_outcomes(cfg)
-        batch = self._memo()
+        batch = engine.memo()
         hit = per_iteration_outcomes(cfg)
-        assert self._memo() is batch
+        assert engine.memo() is batch
         assert _same(first, hit)
-        held = _held(batch)
+        held = engine.held(batch)
         for out in (first, hit):
             for key, value in out.items():
                 assert value.flags.writeable, key
                 assert not any(np.shares_memory(value, a) for a in held), key
-
-    def _count_work(self, monkeypatch) -> dict:
-        """Count sorts of the rows and threshold state builds; the ``draws``
-        fixture counts the instance draws."""
-        counts = {"sorts": 0, "states": 0}
-
-        def counting(module, name, key):
-            original = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                counts[key] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        counting(np, "sort", "sorts")
-        counting(batches, "_threshold_state", "states")
-        return counts
 
     # (sorts, states) of a first estimate on a fresh memo
     FIRST_WORK = {
@@ -2430,7 +2280,7 @@ class TestBatchMemo:
 
     @pytest.mark.parametrize("algo", ALGOS, ids=lambda a: a.tag)
     def test_repeated_estimate_does_no_work_again(self, algo, monkeypatch, draws):
-        counts = self._count_work(monkeypatch)
+        counts = engine.count_work(monkeypatch)
         cfg = self._config(algo=algo)
         first = estimate_ratio(cfg)
         sorts, states = self.FIRST_WORK[algo.tag]
@@ -2443,7 +2293,7 @@ class TestBatchMemo:
     def test_rules_on_one_family_share_the_work(self, monkeypatch, draws):
         # the benchmark's cells shape: five rules at one tau and one k draw,
         # sort and prepare once; the robust late phase builds no state
-        counts = self._count_work(monkeypatch)
+        counts = engine.count_work(monkeypatch)
         cfg = self._config()
         for algo in (
             AlgorithmSpec("classical", tau=0.2),
@@ -2464,12 +2314,12 @@ class TestBatchMemo:
         cfg = self._config()
         cells = [(algo, GapSpec(k=k)) for algo in self.ALGOS for k in (2, 3, 12)]
         cells.append((AlgorithmSpec("robust", tau=0.1, gamma=0.5), cfg.gap))
-        montecarlo._on_generated(cfg, cells)
-        batch = self._memo()
-        held = _held(batch)
+        engine.estimates(cfg, cells)
+        batch = engine.memo()
+        held = engine.held(batch)
         matrices = [a for a in held if a.ndim != 1]
         assert len(matrices) == 1 and matrices[0] is batch.weights
-        times = _times(cfg.master_seed, range(cfg.iterations), cfg.n)
+        times = engine.times(cfg.master_seed, range(cfg.iterations), cfg.n)
         # the state of the smallest tau asked, 0.1: one entry per candidate
         state = batch.state
         assert batch.tau == 0.1
@@ -2523,7 +2373,7 @@ class TestBatchMemo:
         # state to its tau, against each cell on a fresh batch of the same
         # instances, built for that cell alone, bit for bit
         rows, rules = case
-        n, iterations = len(rows[0][0]), len(rows)
+        n = len(rows[0][0])
         cells = [
             (AlgorithmSpec(tag, tau=tau, gamma=gamma if tag == "robust" else 0.0, epsilon=0.25, L=k),
              GapSpec(k=k, sigma=sigma))
@@ -2532,17 +2382,18 @@ class TestBatchMemo:
         ]
         carried = _tied_batch(rows, {a.tau for a, _ in cells if a.tag != "l-select"},
                               {(a.tau, a.L) for a, _ in cells if a.tag == "l-select"})
+
+        def outcomes(batch, cell):
+            # l-select rejects a row whose top-L weights are all 0
+            try:
+                return engine.outcomes(batch, [cell])[0]
+            except ConfigError as exc:
+                return str(exc)
+
         for cell in cells:
-
-            def outcomes(batch_of, keep_all=montecarlo._KEEP_ALL):
-                # l-select rejects a row whose top-L weights are all 0
-                try:
-                    return montecarlo._run_cells(n, iterations, batch_of, [cell], keep_all)[0]
-                except ConfigError as exc:
-                    return str(exc)
-
-            got = outcomes(lambda *args: carried)
-            assert _same(got, outcomes(lambda _, *policies: _tied_batch(rows, *policies))), cell
+            a = cell[0]
+            alone = ((), {(a.tau, a.L)}) if a.tag == "l-select" else ({a.tau}, ())
+            assert _same(outcomes(carried, cell), outcomes(_tied_batch(rows, *alone), cell)), cell
 
     # (tau, weights, times, candidates per row): every row's largest raw
     # weight is 1 or it is all zero, so its raw and normalized views agree
@@ -2578,8 +2429,7 @@ class TestBatchMemo:
         W, T = np.array(weights), np.array(times)
         profiles = [WeightProfile.from_weights(row) for row in W]
         assert all(p.max_log_weight in (0.0, -math.inf) for p in profiles)
-        batch = _batch(np.array([p.normalized_weights for p in profiles]), T,
-                       np.array([p.max_log_weight for p in profiles]), {tau})
+        batch = engine.batch_of(W, T, {tau})
         state = batch.state
         assert state.counts.tolist() == per_row
         bsf = state.level.copy()
@@ -2591,7 +2441,7 @@ class TestBatchMemo:
             "strict": (AlgorithmSpec("strict-classical", tau=tau), 0.0, True, [0.0]),
         }
         for kind, (spec, gamma, strict, kind_gaps) in kinds.items():
-            outs = kernels._threshold_pass(state, kind_gaps, gamma, strict)
+            outs = engine.threshold_pass(state, kind_gaps, gamma, strict)
             for gap, out in zip(kind_gaps, outs, strict=True):
                 where = (kind, gap)
                 _assert_same_arrays(out, _dense_reference(batch.weights, T, tau, gap, gamma, strict), where)
@@ -2622,8 +2472,8 @@ class TestBatchMemo:
         batch = _tied_batch(rows, taus[:1])
         state = batch.state
         for tau in taus[1:]:
-            narrowed = kernels._narrowed_state(state, tau)
-            fresh = kernels._threshold_state(batch.weights, _tied_times(rows), tau)
+            narrowed = engine.narrowed_state(state, tau)
+            fresh = engine.threshold_state(batch.weights, _tied_times(rows), tau)
             for field, a, b in zip(fresh._fields, narrowed, fresh):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (field, tau)
                 assert a.base is None, field
@@ -2631,13 +2481,13 @@ class TestBatchMemo:
 
     def test_multi_chunk_run_leaves_nothing(self, draws):
         estimate_ratio(self._config())
-        assert batches._last_batch
+        assert engine.memo() is not None
         del draws[:]
         # an l-select chunk is one row block of 65,536 elements: 327 rows at n = 200
         cfg = self._config(InstanceFamily("exponential"), 200, 328, algo=AlgorithmSpec("l-select", L=2))
         estimate_ratio(cfg)
         assert [len(rows) for _, _, rows, _ in draws] == [327, 1]
-        assert not batches._last_batch
+        assert engine.memo() is None
         estimate_ratio(cfg)
         assert len(draws) == 4
 
@@ -2651,6 +2501,6 @@ class TestBatchMemo:
             "fixed-profile": lambda: simulate_fixed_profile(prof, classical, 10, 2),
         }
         estimate_ratio(self._config())
-        assert batches._last_batch
+        assert engine.memo() is not None
         draws[draw]()
-        assert not batches._last_batch
+        assert engine.memo() is None

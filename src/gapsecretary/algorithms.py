@@ -15,6 +15,7 @@ every runner's gap passes through: a negative or NaN gap is refused, and a
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,9 @@ def _normalized_view(profile: WeightProfile, gap: float) -> tuple[np.ndarray, fl
     is legal and accepts nothing (``core.true_gap`` returns it when the raw
     weights overflow). Saturation is the right answer at the extremes: a gap
     that dwarfs every representable weight maps to +inf (nothing passes), a
-    negligible one maps to 0.
+    negligible one maps to 0. Where exp(-m) is below the smallest normal
+    double (m above about 708.4) the product would lose the gap, a finite
+    one to 0 and +inf to NaN, so the gap is rescaled in logs, exp(ln gap - m).
     """
     if not gap >= 0.0:
         raise ValueError(f"gap must be non-negative, got {gap}")
@@ -91,8 +94,10 @@ def _normalized_view(profile: WeightProfile, gap: float) -> tuple[np.ndarray, fl
     if gap == 0.0 or m == -math.inf or m == 0.0:
         return w, gap
     with np.errstate(over="ignore", under="ignore"):
-        scaled = float(gap * np.exp(np.float64(-m)))
-    return w, scaled
+        scale = np.exp(np.float64(-m))
+        if scale >= sys.float_info.min:
+            return w, float(gap * scale)
+    return w, math.exp(math.log(gap) - m)
 
 
 def _first_acceptance(

@@ -164,18 +164,16 @@ def _arrival_rows(n: int, master_seed: int, rows: range):
     one row block (``_row_blocks``) at a time: per block its slice
     of the rows, its (block rows, n) times, and a generator that draws row
     i's times from stream i, then yields the stream, for the row's weights
-    to be drawn from it next. A block's times are drawn once its generator
-    is exhausted; every block is drawn into one buffer, made after the drop,
-    so they are valid until the next block is taken."""
+    to be drawn from it next. The rows' streams are ``SeededRng.streams`` of
+    the range, seeded in vectorized blocks; that is a generator, so no
+    stream is seeded before the first row is drawn, after ``draw_rows`` has
+    checked the size. A block's times are drawn once its generator is
+    exhausted; every block is drawn into one buffer, made after the drop, so
+    they are valid until the next block is taken."""
     _last_batch.clear()
     blocks = _row_blocks(len(rows), n)
     buffer = np.empty((blocks[0].stop, n))
-
-    def taken():
-        # taken at the first draw, after ``draw_rows`` checked the size
-        yield from SeededRng(master_seed).streams(rows)
-
-    streams = taken()
+    streams = SeededRng(master_seed).streams(rows)
 
     def drawn(times):
         for row, rng in zip(times, streams):

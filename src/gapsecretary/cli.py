@@ -556,6 +556,15 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _env_seed() -> int:
+    """The seed ``$GAPSECRETARY_SEED`` gives, 0 when it is unset or empty."""
+    value = os.environ.get(SEED_ENV_VAR) or "0"
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer seed, got {value!r}") from None
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -565,7 +574,7 @@ def main(argv=None) -> int:
     args.raw_argv = argv
     try:
         if getattr(args, "seed", 0) is None:  # a command with --seed, run without it
-            args.seed = int(os.environ.get(SEED_ENV_VAR) or 0)
+            args.seed = _env_seed()
             # recorded, so a manifest replays without the variable
             args.raw_argv = argv + ["--seed", str(args.seed)]
         # looked up by name on each call, so the kept parser holds no command

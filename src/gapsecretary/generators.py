@@ -12,7 +12,6 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +47,8 @@ class SeededRng:
     ``stream(i)`` is ``default_rng([master_seed, i])``, a pure function of
     (master_seed, i): the draws for work item i never depend on thread count
     or evaluation order. It stays the readable reference. ``streams(indices)``
-    gives the same draws for many indices, seeded in one vectorized pass.
+    gives the same draws for many indices, a run's range of rows seeded in
+    vectorized blocks.
     """
 
     master_seed: int
@@ -65,32 +65,28 @@ class SeededRng:
         """Yield stream i for each i of ``indices`` in turn, bit for bit the
         draws of ``stream(i)``.
 
-        numpy's ``SeedSequence`` hash and PCG64's seeding are computed for a
-        block of indices at once, and each index's state is written in turn
-        into one reused ``Generator``'s PCG64 (``_vectorized_streams``), so no
-        ``SeedSequence``, ``PCG64``, ``Generator`` or state dict is built per
-        index. A yielded generator is valid only until the next one is
-        taken. Where ``stream_seeding()`` finds that
-        this does not reproduce ``default_rng``, the streams come from
-        ``stream(i)``: the same draws, only slower. An index that ``stream``
-        refuses raises its ``ValueError`` when its block of indices is
-        reached; a ``range`` holds only integers, so only its least index is
-        checked.
+        A ``range`` of indices in [0, 2^64), the rows of a run, is seeded in
+        vectorized blocks (``_vectorized_streams``) when ``stream_seeding()``
+        finds that this reproduces ``default_rng``; a yielded generator is
+        then valid only until the next one is taken. Any other input, and
+        every input where the check fails, goes through ``stream(i)``: the
+        same draws, only slower, and an index ``stream`` refuses raises its
+        ``ValueError`` when it is reached. Nothing is seeded before the first
+        stream is taken.
         """
-        if stream_seeding() == "vectorized":
-            if not isinstance(indices, range):
-                indices = _checked_indices(indices)
+        if _seedable(indices) and stream_seeding() == "vectorized":
             yield from _vectorized_streams(int(self.master_seed), indices)
         else:
             yield from map(self.stream, indices)
 
 
-def _checked_indices(indices: Iterable[int]) -> Iterator[int]:
-    """Each of ``indices`` in turn, once ``SeededRng.stream``'s index rule
-    (``core._check_index``) holds for it."""
-    for index in indices:
-        _check_index(index, "stream index", 0)
-        yield index
+def _seedable(indices) -> bool:
+    """Whether ``_vectorized_streams`` seeds ``indices``: a ``range`` whose
+    two ends, so every index, lie in [0, 2^64)."""
+    if not isinstance(indices, range):
+        return False
+    ends = (indices[0], indices[-1]) if indices else ()
+    return all(0 <= i < 2**64 for i in ends)
 
 
 # numpy's SeedSequence: O'Neill's seed_seq hash over uint32 words, pool size 4
@@ -214,26 +210,19 @@ def _pcg64_fields(bit_generator) -> tuple[np.ndarray, ctypes.c_uint64]:
     return pcg, buffered
 
 
-def _vectorized_streams(
-    master_seed: int, indices: Iterable[int]
-) -> Iterator[np.random.Generator]:
+def _vectorized_streams(master_seed: int, indices: range) -> Iterator[np.random.Generator]:
     """One ``Generator`` set in turn to the state of ``default_rng([master_seed,
-    i])`` for each i. The seed words and PCG64's seeding are computed for a
-    block of indices at once (``_seed_sequence_words``, ``_pcg64_set_seed``);
-    each index then costs one write of its four state words into the reused
-    PCG64 and a zeroed 32-bit buffer (``_pcg64_fields``), as PCG64's own
-    state setter leaves it. An index of 2^64 or more is seeded by
-    ``default_rng``: a third index word changes the hash constants."""
+    i])`` for each i of ``indices``, a range in [0, 2^64) (``_seedable``).
+    The seed words and PCG64's seeding are computed for ``_SEED_BLOCK``
+    indices at once (``_seed_sequence_words``, ``_pcg64_set_seed``), so no
+    temporary is the size of a whole chunk; each index then costs one write
+    of its four state words into the reused PCG64 and a zeroed 32-bit buffer
+    (``_pcg64_fields``), as PCG64's own state setter leaves it."""
     generator = np.random.Generator(np.random.PCG64(0))
     pcg, buffered = _pcg64_fields(generator.bit_generator)
-    indices = iter(indices)
-    while block := list(islice(indices, _SEED_BLOCK)):
-        _check_index(min(block), "stream index", 0)
-        if max(block) >= 2**64:
-            yield from (np.random.default_rng([master_seed, i]) for i in block)
-            continue
-        words = _seed_sequence_words(master_seed, np.array(block, dtype=np.uint64))
-        for row in _pcg64_set_seed(words):
+    for start in range(0, len(indices), _SEED_BLOCK):
+        block = np.array(indices[start : start + _SEED_BLOCK], dtype=np.uint64)
+        for row in _pcg64_set_seed(_seed_sequence_words(master_seed, block)):
             pcg[:] = row
             buffered.value = 0
             yield generator
@@ -241,21 +230,23 @@ def _vectorized_streams(
 
 @cache
 def stream_seeding() -> str:
-    """``"vectorized"`` when ``SeededRng.streams`` seeds its streams in one
-    vectorized pass, ``"default_rng"`` when it falls back to ``stream(i)``.
+    """``"vectorized"`` when ``SeededRng.streams`` seeds a range of streams
+    in vectorized blocks, ``"default_rng"`` when it falls back to
+    ``stream(i)``.
 
-    Checked once per process: the vectorized streams of a few indices under
-    a one-word and a two-word seed must draw what ``default_rng`` draws. A
-    numpy that changed its default bit generator or its seeding fails it.
+    Checked once per process: the vectorized streams of the ranges 0-1 and
+    2^32 - 1 to 2^32 under a one-word and a two-word seed must draw what
+    ``default_rng`` draws. A numpy that changed its default bit generator or
+    its seeding fails it.
     """
-    indices = [0, 1, 2**32 - 1, 2**32]
     for seed in (0, 2**64 - 1):
-        try:
-            for i, rng in zip(indices, _vectorized_streams(seed, indices)):
-                if not np.array_equal(rng.random(4), np.random.default_rng([seed, i]).random(4)):
-                    return "default_rng"
-        except (TypeError, ValueError, KeyError):
-            return "default_rng"
+        for indices in (range(2), range(2**32 - 1, 2**32 + 1)):
+            try:
+                for i, rng in zip(indices, _vectorized_streams(seed, indices)):
+                    if not np.array_equal(rng.random(4), np.random.default_rng([seed, i]).random(4)):
+                        return "default_rng"
+            except (TypeError, ValueError, KeyError):
+                return "default_rng"
     return "vectorized"
 
 

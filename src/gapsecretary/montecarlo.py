@@ -268,12 +268,17 @@ def _rescale_raw(values, max_log):
 
     ``max_log`` is the log maximum of the raw (unnormalized) profile. An
     all-zero profile (``max_log`` = -inf) is its own normalized view, so its
-    values pass unchanged, as in the per-draw runners.
+    values pass unchanged, as in the per-draw runners. Where exp(-max_log)
+    is below the smallest normal double, values * exp(-max_log) would lose
+    the value, a finite one to 0 and +inf to NaN, so it is rescaled in logs,
+    exp(ln value - max_log); 0 stays 0.
     """
     values = np.asarray(values, dtype=float)
     max_log = np.where(np.isneginf(max_log), 0.0, max_log)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        out = values * np.exp(-max_log)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        scale = np.exp(-max_log)
+        subnormal = scale < np.finfo(float).smallest_normal
+        out = np.where(subnormal, np.exp(np.log(values) - max_log), values * scale)
     return np.where(values == 0.0, 0.0, out)
 
 

@@ -2,8 +2,9 @@
 test suite kills.
 
 Each mutant is one edit, (file, old text, new text), that breaks one
-boundary or rule of a kernel or of the batch builder: an edge a random draw
-meets with probability about 0, so only crafted inputs catch it. The old
+boundary or rule of a kernel, the batch builder, the stream seeding or a
+gap's rescaling: an edge a random draw meets with probability about 0, so
+only crafted inputs catch it. The old
 text occurs exactly once in its file, which ``tests/test_layers.py``
 checks, so an engine change that moves it shows up there and the list is
 updated with the change.
@@ -17,8 +18,10 @@ by default) to a temporary directory, applies the mutant to the copy, runs
 ``pytest -x -q`` there with the given arguments (the whole suite by
 default) and reports it killed when the run fails. It first runs the suite
 on an unmutated copy, which must pass. It prints one line per mutant and
-then killed/total. It is not part of Tier-1: a surviving mutant costs a
-whole suite run.
+then killed/total, and exits 0 when every mutant is killed, 1 when any
+survives and 2 when the unmutated suite fails. It is not part of Tier-1: it
+runs the whole suite once per mutant, a few minutes in all, so CI runs it
+as a job of its own.
 """
 
 import argparse
@@ -31,6 +34,9 @@ from pathlib import Path
 
 KERNELS = "src/gapsecretary/kernels.py"
 BATCH = "src/gapsecretary/batch.py"
+GENERATORS = "src/gapsecretary/generators.py"
+ALGORITHMS = "src/gapsecretary/algorithms.py"
+MONTECARLO = "src/gapsecretary/montecarlo.py"
 
 # name: (file, old text, new text)
 MUTANTS = {
@@ -89,6 +95,26 @@ MUTANTS = {
         "np.argmax(w, axis=1, out=best[block])",
         "best[block] = w.shape[1] - 1 - np.argmax(w[:, ::-1], axis=1)",
     ),
+    "seeding-vectorizes-a-range-reaching-2-64": (
+        GENERATORS,
+        "return all(0 <= i < 2**64 for i in ends)",
+        "return all(0 <= i <= 2**64 for i in ends)",
+    ),
+    "seeding-falls-back-on-a-range-from-0": (
+        GENERATORS,
+        "return all(0 <= i < 2**64 for i in ends)",
+        "return all(0 < i < 2**64 for i in ends)",
+    ),
+    "runner-rescale-ignores-underflow": (
+        ALGORITHMS,
+        "if scale >= sys.float_info.min:",
+        "if scale >= 0.0:",
+    ),
+    "engine-rescale-ignores-underflow": (
+        MONTECARLO,
+        "subnormal = scale < np.finfo(float).smallest_normal",
+        "subnormal = scale < 0.0",
+    ),
 }
 
 # what a copy of the repository leaves out
@@ -134,7 +160,7 @@ def main(argv=None) -> int:
         killed += dead
         print(f"{'killed' if dead else 'SURVIVED'}  {name}", flush=True)
     print(f"{killed}/{len(MUTANTS)} killed")
-    return 0
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":

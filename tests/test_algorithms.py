@@ -116,6 +116,23 @@ class TestExactGap:
                 assert base.accepted_index == scaled.accepted_index
 
 
+class TestGapOnHugeScales:
+    """Log-weights [800, 0, 799] put exp(-m) below the smallest normal
+    double: the gap is still rescaled, not lost to 0 or turned into NaN."""
+
+    PROFILE = WeightProfile(np.array([800.0, 0.0, 799.0]))
+
+    def test_finite_gap_keeps_its_size(self):
+        # 1e308 is 3.7e-40 in normalized units: element 1, raw weight 1 and
+        # normalized 0, falls short of it, and element 2, e^-1, meets it
+        assert run_exact_gap(self.PROFILE, draw(0.9, 0.3, 0.5), 0.2, 1e308).accepted_index == 2
+
+    def test_infinite_gap_accepts_nothing(self):
+        arrivals = draw(0.9, 0.5, 0.1)
+        assert not run_exact_gap(self.PROFILE, arrivals, 0.2, math.inf).accepted
+        assert not run_l_selection_gap(self.PROFILE, arrivals, 0.2, math.inf, 2).accepted
+
+
 class TestRobustConsistent:
     def test_phase_switch_trace(self):
         out = run_robust_consistent(

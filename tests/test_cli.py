@@ -519,6 +519,18 @@ class TestSimulate:
         assert out == ""
         assert "not-a-seed" in err
 
+    @pytest.mark.parametrize("value", ["abc", "1e3", " "])
+    def test_seed_env_not_an_integer_names_the_variable(self, capsys, monkeypatch, value):
+        # int()'s own message named neither the variable nor where it came from
+        monkeypatch.setenv(cli.SEED_ENV_VAR, value)
+        code, out, err = run(
+            ["simulate", "--family", "exp", "--n", "10", "--iters", "20", "--algo", "classical"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: GAPSECRETARY_SEED must be an integer seed, got {value!r}\n"
+
     def test_seed_env_run_replays_without_it(self, tmp_path, capsys, monkeypatch):
         out_path = tmp_path / "run.csv"
         monkeypatch.setenv(cli.SEED_ENV_VAR, "5")

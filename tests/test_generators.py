@@ -20,6 +20,7 @@ from gapsecretary.generators import (
     save_profiles,
     stream_seeding,
 )
+from gapsecretary.montecarlo import AlgorithmSpec, ExperimentConfig, estimate_ratio
 
 
 def stream(i=0, seed=123):
@@ -121,6 +122,25 @@ class TestVectorizedStreams:
             (2**32 + 9, range(2**63 - 5, 2**63 + generators._SEED_BLOCK)),
         ):
             assert_streams_match(seed, indices, generators._vectorized_streams(seed, indices))
+
+    def test_range_reaching_2_64_matches_stream(self):
+        # a range that reaches 2^64 is seeded through stream(i): a third
+        # index word changes the hash constants
+        for indices in (range(2**64 - 2, 2**64 + 2), range(2**64 - 2, 2**64 + 1)):
+            assert_streams_match(2**40 + 3, indices)
+
+    def test_generated_estimate_seeds_its_rows_in_blocks(self, monkeypatch):
+        seeded, vectorized = [], generators._vectorized_streams
+
+        def spy(master_seed, indices):
+            seeded.append((master_seed, indices))
+            return vectorized(master_seed, indices)
+
+        monkeypatch.setattr(generators, "_vectorized_streams", spy)
+        seed = 2**63 + 11  # no other test's, so its batch is drawn here
+        estimate_ratio(ExperimentConfig(InstanceFamily("exponential"), 10, 30,
+                                        AlgorithmSpec("classical"), master_seed=seed))
+        assert [call for call in seeded if call[0] == seed] == [(seed, range(30))]
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="stream index must be an integer >= 0"):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import engine
-from gapsecretary import montecarlo
+from gapsecretary import generators, montecarlo
 from gapsecretary.algorithms import (
     PolicySchedule,
     _normalized_view,
@@ -452,6 +452,36 @@ class TestLSelectKernelMatchesScalarRunner:
                     scalar = _scalar_reference(spec, prof, arrivals, 0.0)
                     expected = scalar.accepted_index if scalar.accepted else -1
                     assert got["accept_index"][row] == expected, where
+
+    def test_gap_on_huge_scales_matches_scalar_runners(self):
+        # log maxima of 700-900 put exp(-m) below the smallest normal double
+        # on most rows; the raw gap 1e308 is then about e^-91 in normalized
+        # units, near the other weights, and sigma 2 makes it +inf, which
+        # accepts nothing
+        rng = np.random.default_rng(17)
+        profiles = [WeightProfile(np.array([800.0, 0.0, 799.0]))] + [
+            WeightProfile(rng.permutation(np.append(0.0, -rng.uniform(85.0, 95.0, 2))) + m)
+            for m in rng.uniform(700.0, 900.0, 40)
+        ]
+        batch = engine.replayed(profiles, SEED, {0.3}, {(0.3, 2)})
+        times = engine.times(SEED, range(len(profiles)), 3)
+        for tag in ("exact-gap", "bounded", "robust", "l-select"):
+            spec = AlgorithmSpec(tag, tau=0.3, gamma=0.25 * (tag == "robust"), epsilon=0.5, L=2)
+            for sigma, raw in ((1.0, 1e308), (2.0, math.inf)):
+                (got,) = engine.outcomes(batch, [(spec, GapSpec(absolute=1e308, sigma=sigma))])
+                for row, prof in enumerate(profiles):
+                    arrivals, where = ArrivalDraw(times[row]), (tag, sigma, row)
+                    if tag == "l-select":
+                        norm = normalize(prof)
+                        scalar = run_l_selection_gap(prof, arrivals, 0.3, raw, 2)
+                        total = sum(norm.weight(i) for i in scalar.indices)
+                        top = np.sort(norm.normalized_weights)[::-1][:2]
+                        assert got["ratio"][row] == total / np.sum(top), where
+                        assert got["none"][row] == (not scalar.accepted), where
+                    else:
+                        scalar = _scalar_reference(spec, prof, arrivals, raw)
+                        expected = scalar.accepted_index if scalar.accepted else -1
+                        assert got["accept_index"][row] == expected, where
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
@@ -1461,9 +1491,9 @@ class TestSimulateFixedProfile:
         assert np.array_equal(out["accept_index"], index)
         assert np.array_equal(out["accept_weight"], [o.accepted_weight for o in expected])
         assert {-1, 0} <= set(index)
-        # the gap rescales to 0, so every rule but the strict one takes
-        # weight 0 when nothing came before tau
-        assert (2 in index) == (tag != "strict-classical")
+        # the gap rescales to about 4e-48, not to 0, so only the classical
+        # rule takes weight 0 when nothing came before tau
+        assert (2 in index) == (tag == "classical")
 
     def test_holds_little_beyond_its_result_arrays(self):
         # one block's times, state and pass, not a whole-run draw, its
@@ -1609,11 +1639,12 @@ class TestBatchBuild:
         assert np.array_equal(batch.max_log, [p.max_log_weight for p in profiles])
 
     def test_size_checked_before_any_stream(self, monkeypatch):
-        def no_stream(self, index):
-            raise AssertionError("a stream was drawn")
+        def no_stream(*args):
+            raise AssertionError("a stream was seeded")
 
+        # what seeds a stream, on either path of SeededRng.streams
         monkeypatch.setattr(SeededRng, "stream", no_stream)
-        monkeypatch.setattr(SeededRng, "streams", no_stream)
+        monkeypatch.setattr(generators, "_vectorized_streams", no_stream)
         for tag in ("pareto_power", "exp_superstar"):
             with pytest.raises(ValueError, match="needs n >= 2"):
                 engine.built(InstanceFamily(tag), 1, range(5), 0)
